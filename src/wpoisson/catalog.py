@@ -12,6 +12,7 @@ is "no" carry a witness degree (the smallest degree where a nonzero dimension
 appears) so verification knows how far it must look.
 """
 
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -34,6 +35,8 @@ DATA_PATH = Path(__file__).resolve().parent / "data" / "catalog.txt"
 
 TYPE_LABELS = ("i", "q", "bw", "nw", "r")
 VERDICTS = ("yes", "no", "unknown")
+CHECKS = ("structure", "rgt", "gk", "isolated", "vacancy", "sealed", "cohomology")
+MAX_DEGREE_ENV = "WPOISSON_MAX_DEGREE"
 
 # filter-key -> weight shape predicate
 _TABLE_SHAPES: Dict[str, Callable[[int, int, int], bool]] = {
@@ -383,20 +386,35 @@ def _check_yes_no(name, verdict, dims_items, witness, report, bound):
         report.items.append(ReportItem(name, "info", "unknown", computed))
 
 
+def default_bound(n: int) -> int:
+    """The default truncation bound for a potential of degree n: 3n+12, or
+    the value of the WPOISSON_MAX_DEGREE environment variable when set."""
+    env = os.environ.get(MAX_DEGREE_ENV)
+    if env is None:
+        return 3 * n + 12
+    try:
+        return int(env)
+    except ValueError:
+        raise CatalogError("bad %s=%r" % (MAX_DEGREE_ENV, env))
+
+
 def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
                  checks: Optional[Sequence[str]] = None) -> EntryReport:
     """Recompute the entry's invariants and compare with expectations.
 
     ``max_degree`` bounds the degree-truncated checks (vacancy, sealedness,
-    cohomology tables); it defaults to deg(omega)+6.  Exact checks
-    (jacobiator, modular vector field, rigidity, GK-dimension, isolated
-    singularity) do not depend on it.  ``checks`` restricts to a subset of
-    {"structure", "rgt", "gk", "isolated", "vacancy", "sealed", "cohomology"}.
+    cohomology tables); it defaults to ``default_bound(deg(omega))``.  Exact
+    checks (jacobiator, modular vector field, rigidity, GK-dimension,
+    isolated singularity) do not depend on it.  ``checks`` restricts to a
+    nonempty subset of ``CHECKS``.
     """
+    want = set(CHECKS if checks is None else checks)
+    unknown = want - set(CHECKS)
+    if unknown or not want:
+        raise CatalogError("checks must be a nonempty subset of %s; unknown: %s"
+                           % (",".join(CHECKS), ",".join(sorted(unknown)) or "none"))
     n = entry.degree
-    D = max_degree if max_degree is not None else n + 6
-    want = set(checks) if checks is not None else {
-        "structure", "rgt", "gk", "isolated", "vacancy", "sealed", "cohomology"}
+    D = max_degree if max_degree is not None else default_bound(n)
     report = EntryReport(entry=entry, max_degree=D)
     omega = entry.omega
 
@@ -459,10 +477,17 @@ def verify_all(max_degree: Optional[int] = None,
                checks: Optional[Sequence[str]] = None,
                progress: Optional[Callable[[EntryReport], None]] = None,
                path: Optional[Path] = None) -> CatalogReport:
+    """Verify every selected entry.  A selection that checks nothing (no
+    entry matches, or no selected check applies) raises CatalogError."""
+    selected = entries(selector, path=path)
+    if not selected:
+        raise CatalogError("no catalog entries match %r" % selector)
     reports = []
-    for entry in entries(selector, path=path):
+    for entry in selected:
         rep = verify_entry(entry, max_degree, checks=checks)
         if progress is not None:
             progress(rep)
         reports.append(rep)
+    if not any(rep.items for rep in reports):
+        raise CatalogError("no selected check applies to the selected entries")
     return CatalogReport(reports)

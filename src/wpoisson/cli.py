@@ -9,7 +9,6 @@ verification-style command found a mismatch, 2 malformed input or usage.
 import csv
 import io
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -41,8 +40,6 @@ from .complexes import (
 )
 from .hilbert import closed_form_ph
 from . import catalog as catalog_mod
-
-MAX_DEGREE_ENV = "WPOISSON_MAX_DEGREE"
 
 
 def _fail_usage(msg):
@@ -115,13 +112,10 @@ def _structure(weights, field, potential, pxy, pyz, pzx):
 def _default_bound(weights, max_degree):
     if max_degree is not None:
         return max_degree
-    env = os.environ.get(MAX_DEGREE_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            _fail_usage("bad %s=%r" % (MAX_DEGREE_ENV, env))
-    return 3 * weights.n_default + 12
+    try:
+        return catalog_mod.default_bound(weights.n_default)
+    except catalog_mod.CatalogError as exc:
+        _fail_usage(exc)
 
 
 def _scalar(value):
@@ -456,16 +450,13 @@ def catalog_verify(selector, max_degree, checks, catalog_file, fmt):
     if checks:
         check_list = [c.strip() for c in checks.split(",") if c.strip()]
     try:
-        entries = catalog_mod.entries(selector, path=catalog_file)
+        report = catalog_mod.verify_all(max_degree, selector, check_list,
+                                        path=catalog_file)
     except catalog_mod.CatalogError as exc:
         _fail_usage(str(exc))
-    reports = []
-    for entry in entries:
-        D = max_degree if max_degree is not None else 3 * entry.degree + 12
-        reports.append(catalog_mod.verify_entry(entry, D, checks=check_list))
-    mismatches = sum(len(r.failures) for r in reports)
+    mismatches = report.mismatch_count
     rows = []
-    for rep in reports:
+    for rep in report.reports:
         for item in rep.items:
             rows.append({
                 "entry": rep.entry.entry_id,
@@ -477,7 +468,7 @@ def catalog_verify(selector, max_degree, checks, catalog_file, fmt):
                 "computed": item.computed,
             })
     results = {
-        "entries": len(reports),
+        "entries": len(report.reports),
         "mismatches": mismatches,
         "ok": mismatches == 0,
         "rows": rows,

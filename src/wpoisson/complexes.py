@@ -25,38 +25,34 @@ from .ring import (
 
 
 def assemble(weights, field, src_degs, tgt_degs, fn):
-    """Exact matrix of a graded linear map on the deterministic monomial
-    bases.  fn maps a component-split list of polynomials to the target
-    component list; outputs must respect the target degrees."""
-    src_bases = [monomial_basis(weights, sd) for sd in src_degs]
-    tgt_bases = [monomial_basis(weights, td) for td in tgt_degs]
+    """Exact sparse matrix of a graded linear map on the deterministic
+    monomial bases.  fn maps a component-split list of polynomials to the
+    target component list; outputs must respect the target degrees."""
     index = []
     offsets = []
     total_rows = 0
-    for tb in tgt_bases:
+    for td in tgt_degs:
+        tb = monomial_basis(weights, td)
         index.append({m: i for i, m in enumerate(tb)})
         offsets.append(total_rows)
         total_rows += len(tb)
+    rows = [{} for _ in range(total_rows)]
     zero_poly = Polynomial.zero(weights, field)
-    zero = field.zero
-    cols = []
-    for ci, sb in enumerate(src_bases):
-        for m in sb:
+    col = 0
+    for ci, sd in enumerate(src_degs):
+        for m in monomial_basis(weights, sd):
             vin = [zero_poly] * len(src_degs)
             vin[ci] = Polynomial.monomial(weights, m, 1, field)
-            out = fn(vin)
-            col = [zero] * total_rows
-            for ti, p in enumerate(out):
+            for ti, p in enumerate(fn(vin)):
                 idx = index[ti]
                 off = offsets[ti]
                 for mm, coef in p.terms.items():
                     pos = idx.get(mm)
                     if pos is None:
                         raise RingError("graded map output escapes its degree slot")
-                    col[off + pos] = coef
-            cols.append(col)
-    entries = [[col[r] for col in cols] for r in range(total_rows)]
-    return Matrix(total_rows, len(cols), entries, field)
+                    rows[off + pos][col] = coef
+            col += 1
+    return Matrix(total_rows, col, rows, field)
 
 
 def vector_to_polys(weights, field, degs, coords):
@@ -193,35 +189,18 @@ def ph_dims(omega, bound):
 
 
 def _m2_matrix(omega, d):
+    """columns: multiples of grad(O) from degree d-w, then gradients from
+    degree d+a+b+c"""
     n = _check_potential(omega)
-    weights = omega.weights
-    a, b, c = weights.tuple
+    a, b, c = omega.weights.tuple
     w = n - a - b - c
     grad_o = gradient(omega)
-    tgt = [d + b + c, d + a + c, d + a + b]
-    tgt_bases = [monomial_basis(weights, td) for td in tgt]
-    index = [{m: i for i, m in enumerate(tb)} for tb in tgt_bases]
-    offsets = [0, len(tgt_bases[0]), len(tgt_bases[0]) + len(tgt_bases[1])]
-    total_rows = sum(len(tb) for tb in tgt_bases)
-    cols = []
 
-    def push(vec):
-        col = [omega.field.zero] * total_rows
-        for ti, p in enumerate(vec):
-            for mm, coef in p.terms.items():
-                pos = index[ti].get(mm)
-                if pos is None:
-                    raise RingError("bivector escapes its degree slot")
-                col[offsets[ti] + pos] = coef
-        cols.append(col)
+    def fn(v):
+        return [v[0] * g + h for g, h in zip(grad_o.comps, gradient(v[1]).comps)]
 
-    for m in monomial_basis(weights, d - w):
-        mono = Polynomial.monomial(weights, m, 1, omega.field)
-        push([mono * g for g in grad_o.comps])
-    for m in monomial_basis(weights, d + a + b + c):
-        push(list(gradient(Polynomial.monomial(weights, m, 1, omega.field)).comps))
-    entries = [[col[r] for col in cols] for r in range(total_rows)]
-    return Matrix(total_rows, len(cols), entries, omega.field)
+    return assemble(omega.weights, omega.field, [d - w, d + a + b + c],
+                    [d + b + c, d + a + c, d + a + b], fn)
 
 
 @lru_cache(maxsize=65536)

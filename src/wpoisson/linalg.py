@@ -1,12 +1,20 @@
 """Exact linear algebra over the coefficient field.
 
-The public Matrix type is dense (entries addressed by [row][col]).  The
-elimination engine behind rank/kernel_basis/in_column_span works on sparse
-integer rows: rational entries are cleared to integers row by row, updates are
-fraction-free cross-multiplications, and every updated row is divided by the
-gcd of its entries.  Pivots are chosen by a Markowitz fill estimate with a
-smallest-entry tie-break.  Extension-field matrices take a small dense
-field-division path instead; results are exact either way.
+There is one matrix representation: a sparse ``Matrix`` whose ``entries``
+hold one ``{col: nonzero value}`` dict per row.  One elimination loop,
+``_echelon``, serves both coefficient fields.  It takes the nonzero rows
+shortest first and reduces each on its last (largest) column against the
+pivot rows found so far; no global pivot search.  Over Q a row is cleared to
+coprime integers once, on entry, updates are fraction-free (Bareiss-style
+cross-multiplication by the cofactors of the gcd), and each new pivot row is
+divided by its content.  Over an extension field pivot rows are scaled to a
+unit pivot and updates use field division.
+
+Last-column pivots make the free columns the earliest ones the row space
+allows, so a kernel basis depends only on the matrix, not on the order of
+elimination.  They were chosen over leftmost pivots, which free the latest
+columns instead and so change the kernel bases the tests pin, such as the
+degree-0 derivations [x, y, 2z], [0, x, -3y^2] of x^2*z+x*y^3 on (1,1,2).
 """
 
 from __future__ import annotations
@@ -14,281 +22,130 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .ring import ExtElem, QQ, RingError
+from .ring import QQ, RingError
 
 
 class Matrix:
     __slots__ = ("rows", "cols", "entries", "field")
 
     def __init__(self, rows: int, cols: int, entries, field=QQ):
+        """``entries`` is a list of ``rows`` dicts ``{col: value}``; values are
+        coerced into the field and zeros are dropped."""
         if rows < 0 or cols < 0:
             raise RingError("negative matrix dimensions")
+        if len(entries) != rows:
+            raise RingError("row count does not match declared dimensions")
         self.rows = rows
         self.cols = cols
         self.field = field
-        self.entries = [[field.coerce(v) for v in row] for row in entries]
-        if len(self.entries) != rows or any(len(r) != cols for r in self.entries):
-            raise RingError("entry grid does not match declared dimensions")
-
-    @staticmethod
-    def zero(rows: int, cols: int, field=QQ) -> "Matrix":
-        z = field.zero
-        return Matrix(rows, cols, [[z] * cols for _ in range(rows)], field)
-
-    @staticmethod
-    def identity(n: int, field=QQ) -> "Matrix":
-        m = Matrix.zero(n, n, field)
-        for i in range(n):
-            m.entries[i][i] = field.one
-        return m
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            [[self.entries[r][c] for r in range(self.rows)] for c in range(self.cols)],
-            self.field,
-        )
-
-    def mul_vector(self, v):
-        if len(v) != self.cols:
-            raise RingError("vector length does not match column count")
-        out = []
-        for r in range(self.rows):
-            acc = self.field.zero
-            row = self.entries[r]
-            for c, x in enumerate(v):
-                if not self.field.is_zero(x):
-                    acc = acc + row[c] * x
-            out.append(acc)
-        return out
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise RingError("inner dimensions do not match")
-        out = Matrix.zero(self.rows, other.cols, self.field)
-        for i in range(self.rows):
-            for k in range(self.cols):
-                a = self.entries[i][k]
-                if self.field.is_zero(a):
-                    continue
-                for j in range(other.cols):
-                    b = other.entries[k][j]
-                    if not self.field.is_zero(b):
-                        out.entries[i][j] = out.entries[i][j] + a * b
-        return out
-
-    def is_zero(self) -> bool:
-        return all(self.field.is_zero(v) for row in self.entries for v in row)
+        self.entries = []
+        for row in entries:
+            if not isinstance(row, dict):
+                raise RingError("matrix rows must be {column: value} dicts")
+            clean = {}
+            for c, v in row.items():
+                if not (isinstance(c, int) and 0 <= c < cols):
+                    raise RingError("column index %r out of range" % (c,))
+                v = field.coerce(v)
+                if not field.is_zero(v):
+                    clean[c] = v
+            self.entries.append(clean)
 
     def __repr__(self):
         return "Matrix(%dx%d over %r)" % (self.rows, self.cols, self.field)
 
 
-# ---------------------------------------------------------------------------
-# sparse fraction-free elimination over the integers
+def _coprime_ints(row):
+    """the row scaled to coprime integers (scaling never changes rank or
+    kernel)"""
+    den = 1
+    for v in row.values():
+        den = den * v.denominator // math.gcd(den, v.denominator)
+    ints = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    return _divide_content(ints)
 
 
-def _int_rows(matrix: Matrix):
-    """Clear each row to coprime integers (scaling rows never changes rank or
-    kernel).  Returns a list of {col: int} dicts, zero rows dropped."""
-    rows = []
-    for raw in matrix.entries:
-        num = {}
-        denom_lcm = 1
-        for c, v in enumerate(raw):
-            if v == 0:
-                continue
-            f = Fraction(v)
-            num[c] = f
-            denom_lcm = denom_lcm * f.denominator // math.gcd(denom_lcm, f.denominator)
-        if not num:
-            continue
-        ints = {c: int(f * denom_lcm) for c, f in num.items()}
-        g = 0
-        for u in ints.values():
-            g = math.gcd(g, u)
-        rows.append({c: u // g for c, u in ints.items()})
-    return rows
-
-
-def _reduce_row(row):
+def _divide_content(row):
     g = 0
     for v in row.values():
         g = math.gcd(g, v)
         if g == 1:
             return row
-    if g > 1:
-        for c in row:
-            row[c] //= g
-    return row
+    return {c: v // g for c, v in row.items()}
 
 
-def _sparse_eliminate(rows, ncols):
-    """Echelonize sparse integer rows in place.  Returns (pivots, rows) where
-    pivots is a list of (row_index, col) in elimination order and each listed
-    row has its pivot as the only... (not fully reduced; forward elimination
-    only).  Rows not listed in pivots are zero afterwards."""
-    col_count = {}
-    for r in rows:
-        for c in r:
-            col_count[c] = col_count.get(c, 0) + 1
-    active = list(range(len(rows)))
-    pivots = []
-    while True:
-        best = None
-        for ri in active:
-            row = rows[ri]
-            if not row:
-                continue
-            rlen = len(row)
-            for c, v in row.items():
-                score = (rlen - 1) * (col_count.get(c, 1) - 1)
-                size = v if v >= 0 else -v
-                cand = (score, size, c, ri)
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
-            break
-        _, _, pc, pr = best
-        prow = rows[pr]
-        pval = prow[pc]
-        pivots.append((pr, pc))
-        active.remove(pr)
-        for c in prow:
-            col_count[c] -= 1
-        for ri in active:
-            row = rows[ri]
-            v = row.get(pc)
-            if v is None:
-                continue
-            # fraction-free update: row <- pval*row - v*prow, then gcd-reduce
-            for c in row:
-                col_count[c] -= 1
-            for c, pv in prow.items():
-                nv = pval * row.get(c, 0) - v * pv
-                if nv:
-                    row[c] = nv
+def _echelon(matrix: Matrix):
+    """Echelon form as ``{pivot col: row}``; every pivot row has its pivot at
+    its largest column.  Over Q the rows are coprime integer dicts, over an
+    extension field they have pivot one."""
+    rational = matrix.field == QQ
+    pivots = {}
+    for row in sorted((r for r in matrix.entries if r), key=len):
+        row = _coprime_ints(row) if rational else dict(row)
+        while row:
+            c = max(row)
+            prow = pivots.get(c)
+            if prow is None:
+                if rational:
+                    pivots[c] = _divide_content(row)
                 else:
-                    row.pop(c, None)
-            for c in list(row):
-                if c not in prow:
-                    row[c] = pval * row[c]
-            _reduce_row(row)
-            for c in row:
-                col_count[c] = col_count.get(c, 0) + 1
+                    inv = matrix.field.one / row[c]
+                    pivots[c] = {j: v * inv for j, v in row.items()}
+                break
+            v = row.pop(c)
+            if rational:
+                p = prow[c]
+                g = math.gcd(p, v)
+                p, v = p // g, v // g
+                if p != 1:
+                    row = {j: p * u for j, u in row.items()}
+            for j, pv in prow.items():
+                if j == c:
+                    continue
+                nv = row.get(j, 0) - v * pv
+                if nv:
+                    row[j] = nv
+                else:
+                    row.pop(j, None)
     return pivots
 
 
-def _field_eliminate(matrix: Matrix):
-    """Dense Gaussian elimination with field division, for extension fields.
-    Returns (pivot_cols, echelon_rows) with echelon rows over the field."""
-    field = matrix.field
-    rows = [list(r) for r in matrix.entries]
-    pivot_cols = []
-    pr = 0
-    for pc in range(matrix.cols):
-        sel = None
-        for r in range(pr, len(rows)):
-            if not field.is_zero(rows[r][pc]):
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[pr], rows[sel] = rows[sel], rows[pr]
-        inv_p = field.one / rows[pr][pc]
-        rows[pr] = [v * inv_p for v in rows[pr]]
-        for r in range(len(rows)):
-            if r != pr and not field.is_zero(rows[r][pc]):
-                f = rows[r][pc]
-                rows[r] = [u - f * v for u, v in zip(rows[r], rows[pr])]
-        pivot_cols.append(pc)
-        pr += 1
-        if pr == len(rows):
-            break
-    return pivot_cols, rows[: len(pivot_cols)]
-
-
-def _is_rational_matrix(matrix: Matrix) -> bool:
-    return not any(isinstance(v, ExtElem) for row in matrix.entries for v in row)
-
-
 def rank(matrix: Matrix) -> int:
-    if matrix.rows == 0 or matrix.cols == 0:
-        return 0
-    if _is_rational_matrix(matrix):
-        rows = _int_rows(matrix)
-        return len(_sparse_eliminate(rows, matrix.cols))
-    pivot_cols, _ = _field_eliminate(matrix)
-    return len(pivot_cols)
-
-
-def _rref_from_echelon(pivots, rows, ncols):
-    """Back-substitute echelon integer rows into a reduced form over Q.
-    Returns (pivot_cols sorted, {pivot_col: {col: Fraction}}) rows normalized
-    to pivot 1."""
-    frac_rows = {}
-    order = []
-    for pr, pc in pivots:
-        row = rows[pr]
-        pv = Fraction(row[pc])
-        frac_rows[pc] = {c: Fraction(v) / pv for c, v in row.items()}
-        order.append(pc)
-    # eliminate pivot columns upward; process pivots in reverse order
-    for idx in range(len(order) - 1, -1, -1):
-        pc = order[idx]
-        target = frac_rows[pc]
-        for later in order[idx + 1 :]:
-            f = target.get(later)
-            if f is None or f == 0:
-                continue
-            for c, v in frac_rows[later].items():
-                nv = target.get(c, Fraction(0)) - f * v
-                if nv:
-                    target[c] = nv
-                else:
-                    target.pop(c, None)
-    return sorted(order), frac_rows
+    return len(_echelon(matrix))
 
 
 def kernel_basis(matrix: Matrix):
     """Exact basis of the right null space; each vector v satisfies Mv = 0.
-    Vectors are lists over the field; rational path returns Fractions."""
-    if matrix.cols == 0:
-        return []
+    Vectors are lists over the field (Fractions over Q), one per free column,
+    with a one in that column and zeros in the other free columns."""
     field = matrix.field
-    if matrix.rows == 0:
-        basis = []
-        for c in range(matrix.cols):
-            v = [field.zero] * matrix.cols
-            v[c] = field.one
-            basis.append(v)
-        return basis
-    if _is_rational_matrix(matrix):
-        rows = _int_rows(matrix)
-        pivots = _sparse_eliminate(rows, matrix.cols)
-        pivot_cols, frac_rows = _rref_from_echelon(pivots, rows, matrix.cols)
-        pivot_set = set(pivot_cols)
-        free_cols = [c for c in range(matrix.cols) if c not in pivot_set]
-        basis = []
-        for fc in free_cols:
-            v = [Fraction(0)] * matrix.cols
-            v[fc] = Fraction(1)
-            for pc in pivot_cols:
-                coef = frac_rows[pc].get(fc)
-                if coef is not None:
-                    v[pc] = -coef
-            basis.append(v)
-        return basis
-    pivot_cols, ech = _field_eliminate(matrix)
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(matrix.cols) if c not in pivot_set]
+    pivots = _echelon(matrix)
+    reduced = {}
+    for c in sorted(pivots):
+        row = pivots[c]
+        if field == QQ:
+            p = row[c]
+            row = {j: Fraction(v, p) for j, v in row.items()}
+        for j in [j for j in row if j in reduced]:
+            f = row.pop(j)
+            for k, u in reduced[j].items():
+                if k == j:
+                    continue
+                nv = row.get(k, 0) - f * u
+                if nv:
+                    row[k] = nv
+                else:
+                    row.pop(k, None)
+        reduced[c] = row
     basis = []
-    for fc in free_cols:
+    for free in range(matrix.cols):
+        if free in pivots:
+            continue
         v = [field.zero] * matrix.cols
-        v[fc] = field.one
-        for r, pc in enumerate(pivot_cols):
-            v[pc] = -ech[r][fc]
+        v[free] = field.one
+        for c, row in reduced.items():
+            if free in row:
+                v[c] = -row[free]
         basis.append(v)
     return basis
 
@@ -302,21 +159,10 @@ def in_column_span(matrix: Matrix, v):
     vv = [field.coerce(u) for u in v]
     if all(field.is_zero(u) for u in vv):
         return True, [field.zero] * matrix.cols
-    if matrix.cols == 0:
-        return False, None
-    aug = Matrix(
-        matrix.rows,
-        matrix.cols + 1,
-        [row + [vv[r]] for r, row in enumerate(matrix.entries)],
-        field,
-    )
+    n = matrix.cols
+    aug = Matrix(matrix.rows, n + 1,
+                 [{**row, n: u} for row, u in zip(matrix.entries, vv)], field)
     for k in kernel_basis(aug):
-        last = k[matrix.cols]
-        if not field.is_zero(last):
-            scale = field.one / last if not isinstance(last, Fraction) else None
-            if scale is None:
-                witness = [-u / last for u in k[: matrix.cols]]
-            else:
-                witness = [-(u * scale) for u in k[: matrix.cols]]
-            return True, witness
+        if not field.is_zero(k[n]):
+            return True, [-(u / k[n]) for u in k[:n]]
     return False, None

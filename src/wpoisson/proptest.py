@@ -85,8 +85,8 @@ def suite_rank_nullity(seed, cases):
     for _ in range(cases):
         rows = rng.randint(0, 7)
         cols = rng.randint(0, 7)
-        grid = [[_random_coef(rng) if rng.random() < 0.45 else Fraction(0)
-                 for _ in range(cols)] for _ in range(rows)]
+        grid = [{j: _random_coef(rng) for j in range(cols) if rng.random() < 0.45}
+                for _ in range(rows)]
         m = Matrix(rows, cols, grid)
         ker = kernel_basis(m)
         if rank(m) + len(ker) != cols:
@@ -94,8 +94,7 @@ def suite_rank_nullity(seed, cases):
             continue
         # every reported kernel vector must actually be annihilated
         for vec in ker:
-            img = [sum((m.entries[i][j] * vec[j] for j in range(cols)),
-                       Fraction(0)) for i in range(rows)]
+            img = [sum(v * vec[j] for j, v in row.items()) for row in m.entries]
             if any(v != 0 for v in img):
                 failures += 1
                 break

@@ -355,10 +355,6 @@ def mono_key(weights: Weights, m) -> tuple:
     return (weights.mono_degree(m), -m[2], -m[1], -m[0])
 
 
-def mono_cmp_ge(weights: Weights, m1, m2) -> bool:
-    return mono_key(weights, m1) >= mono_key(weights, m2)
-
-
 def monomial_basis(weights: Weights, d: int):
     """All exponent triples of weighted degree exactly d, in the fixed order
     (ascending).  Empty for d < 0."""
@@ -612,24 +608,6 @@ class Polynomial:
         return self._new(
             {m: c for m, c in self.terms.items() if self.weights.mono_degree(m) == d}
         )
-
-
-def poly_arith(f: Polynomial, g: Polynomial, op: str) -> Polynomial:
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise RingError("unknown op %r" % op)
-
-
-def partial_derivative(f: Polynomial, v: str) -> Polynomial:
-    return f.partial(v)
-
-
-def homogeneous_component(f: Polynomial, d: int) -> Polynomial:
-    return f.homogeneous_component(d)
 
 
 # ---------------------------------------------------------------------------

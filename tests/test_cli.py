@@ -225,6 +225,32 @@ def test_catalog_verify_json_mismatch_count():
     assert doc["results"]["ok"] is True
 
 
+def test_catalog_verify_rejects_unknown_check():
+    code, out = run(["catalog", "verify", "--checks", "bogus",
+                     "--filter", "111-i-a"])
+    assert code == 2
+    assert "bogus" in out
+    assert "structure,rgt,gk,isolated,vacancy,sealed,cohomology" in out
+
+
+def test_catalog_verify_rejects_a_selection_that_checks_nothing():
+    code, out = run(["catalog", "verify", "--filter", "weights:9,9,9"])
+    assert code == 2
+    assert "no catalog entries match" in out
+    # cohomology applies to types i, q and bw only
+    code, out = run(["catalog", "verify", "--filter", "112-r-a",
+                     "--checks", "cohomology"])
+    assert code == 2
+    assert "no selected check applies" in out
+
+
+def test_catalog_verify_default_bound_follows_env_var():
+    code, out = run(["catalog", "verify", "--filter", "111-i-a",
+                     "--checks", "vacancy"], env={"WPOISSON_MAX_DEGREE": "3"})
+    assert code == 0
+    assert "all zero to 3" in out
+
+
 def test_selftest_command():
     code, out = run(["selftest", "--cases", "5"])
     assert code == 0

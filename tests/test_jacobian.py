@@ -91,24 +91,18 @@ def test_a_sing_dims_match_direct_linear_algebra():
     for d in range(13):
         basis = monomial_basis(W112, d)
         index = {m: i for i, m in enumerate(basis)}
-        cols = []
+        rows = [{} for _ in basis]
+        ncols = 0
         for p in parts:
             pd = p.degree()
             if p.is_zero() or pd > d:
                 continue
             for m in monomial_basis(W112, d - pd):
                 prod = p.mul_term(m, Fraction(1))
-                col = [Fraction(0)] * len(basis)
                 for mono, coef in prod.terms.items():
-                    col[index[mono]] = coef
-                cols.append(col)
-        if cols:
-            mat = Matrix(len(basis), len(cols),
-                         [[cols[j][i] for j in range(len(cols))]
-                          for i in range(len(basis))])
-            ideal_dim = rank(mat)
-        else:
-            ideal_dim = 0
+                    rows[index[mono]][ncols] = coef
+                ncols += 1
+        ideal_dim = rank(Matrix(len(basis), ncols, rows))
         assert dims[d] == len(basis) - ideal_dim
 
 
