@@ -180,7 +180,19 @@ def _common(fn):
     return fn
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; a RingError from inside any computation is bad
+    input, reported on one stderr line with exit code 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except RingError as exc:
+            click.echo("error: %s" % exc, err=True)
+            ctx.exit(2)
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__)
 def main():
     """Exact computations for weighted graded Poisson structures on k[x,y,z]."""
@@ -298,22 +310,27 @@ def cohomology(weights, field_text, fmt, potential, max_degree):
     K = _parse_field(field_text)
     om = _poly(potential, W, K)
     D = _default_bound(W, max_degree)
-    n = W.n_default
     tab = ph_dims(om, D)
+    n = om.homogeneous_degree()
+    # the closed forms hold for potentials of degree a+b+c only; the window
+    # opens at -n, or lower where cochains of degree down to -(a+b+c) exist
+    lo = -max(n, W.n_default)
+    if D < lo:
+        raise RingError("empty degree window: --max-degree %d is below %d" % (D, lo))
+    applicable = n == W.n_default
+    closed = {i: closed_form_ph(W, i, n).expand(lo, D) for i in range(4)} if applicable else {}
     rows = []
-    closed = {}
-    for i in range(4):
-        closed[i] = closed_form_ph(W, i, n).expand(-n, D)
-    matches = {("ph%d" % i): (
-        [tab.dim(i, d) for d in range(-n, D + 1)] == closed[i])
-        for i in range(4)}
-    for d in range(-n, D + 1):
+    for d in range(lo, D + 1):
         row = {"degree": d}
         for i in range(4):
             row["ph%d" % i] = tab.dim(i, d)
-        for i in range(4):
-            row["closed%d" % i] = closed[i][d + n]
+        for i in closed:
+            row["closed%d" % i] = closed[i][d - lo]
         rows.append(row)
+    if applicable:
+        matches = {"ph%d" % i: [r["ph%d" % i] for r in rows] == closed[i] for i in range(4)}
+    else:
+        matches = "not applicable"
     results = {"rows": rows, "matches_closed_form": matches}
     _emit("cohomology", {"weights": weights, "potential": potential},
           results, fmt, bound=D, rows=rows)

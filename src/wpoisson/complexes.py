@@ -115,7 +115,11 @@ def cochain_shifts(weights):
 
 def cochain_apply(omega, i, comps):
     """the degree-i cochain differential applied to component polynomials"""
-    grad_o = gradient(omega)
+    return _cochain_apply(gradient(omega), i, comps)
+
+
+def _cochain_apply(grad_o, i, comps):
+    """cochain_apply with the gradient of the potential already computed"""
     if i == 0:
         return list(cross(gradient(comps[0]), grad_o).comps)
     if i == 1:
@@ -138,7 +142,8 @@ def cochain_matrix(omega, i, d):
     sh = cochain_shifts(weights)
     src = [d + s for s in sh[i]]
     tgt = [d + w + s for s in sh[i + 1]]
-    return assemble(weights, omega.field, src, tgt, lambda v: cochain_apply(omega, i, v))
+    grad_o = gradient(omega)
+    return assemble(weights, omega.field, src, tgt, lambda v: _cochain_apply(grad_o, i, v))
 
 
 def cochain_matrices(omega, d):
@@ -254,7 +259,7 @@ def ozone_vs_hamiltonian(omega, bound):
         tgt = [d + s for s in sh[2]] + [d + n]
 
         def stacked(v):
-            top = cochain_apply(omega, 1, v)
+            top = _cochain_apply(grad_o, 1, v)
             return top + [dot(PolyVector(*v), grad_o)]
 
         m = assemble(weights, omega.field, src, tgt, stacked)

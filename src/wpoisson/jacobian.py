@@ -4,10 +4,11 @@ singularity detection, and gcd of the partials."""
 
 from __future__ import annotations
 
+import heapq
 from functools import lru_cache
 from itertools import combinations
 
-from .hilbert import HilbertSeries
+from .hilbert import HilbertSeries, _laurent_mul, _laurent_sub, _one_minus
 from .ring import (
     QQ,
     Polynomial,
@@ -22,22 +23,28 @@ from .ring import (
 )
 
 
+def _divisor(g):
+    """(head, head coefficient, tail terms) of a nonzero polynomial"""
+    h = g.leading_monomial()
+    return h, g.terms[h], [(m, c) for m, c in g.terms.items() if m != h]
+
+
 class GroebnerBasis:
     """Reduced Groebner basis under the weighted-degree grevlex order.
 
     Elements are monic, no head divides another head, tails fully reduced.
     Construct through buchberger()."""
 
-    __slots__ = ("polys", "weights", "field", "_heads")
+    __slots__ = ("polys", "weights", "field", "_divisors")
 
     def __init__(self, polys, weights, field):
         self.polys = tuple(polys)
         self.weights = weights
         self.field = field
-        self._heads = tuple(p.leading_monomial() for p in self.polys)
+        self._divisors = [_divisor(p) for p in self.polys]
 
     def heads(self):
-        return self._heads
+        return tuple(h for h, _, _ in self._divisors)
 
     def __iter__(self):
         return iter(self.polys)
@@ -49,31 +56,61 @@ class GroebnerBasis:
         return "GroebnerBasis(%s)" % (list(self.polys),)
 
 
+def _reduce(f, divisors):
+    """Full division of f by divisors in one pass over a working dict: pop
+    the largest term, reduce it by the first divisor whose head divides it,
+    or else move it to the remainder.  A reduction only adds terms below the
+    popped one, so this is the reduction sequence of restarting from the top
+    after every step."""
+    if not divisors:
+        return f
+    weights, field = f.weights, f.field
+    is_zero = field.is_zero
+    work = dict(f.terms)
+    # min-heap on the negated order key (degree, -z, -y, -x): largest first
+    heap = [(-weights.mono_degree(m), m[2], m[1], m[0]) for m in work]
+    heapq.heapify(heap)
+    rem = {}
+    while heap:
+        _, e2, e1, e0 = heapq.heappop(heap)
+        m = (e0, e1, e2)
+        coef = work.pop(m, None)
+        if coef is None:
+            continue  # cancelled after it was queued
+        for h, lc, tail in divisors:
+            if h[0] <= e0 and h[1] <= e1 and h[2] <= e2:
+                factor = coef / lc
+                q0, q1, q2 = e0 - h[0], e1 - h[1], e2 - h[2]
+                for (t0, t1, t2), c in tail:
+                    t = (t0 + q0, t1 + q1, t2 + q2)
+                    old = work.get(t)
+                    if old is None:
+                        work[t] = -(c * factor)
+                        heapq.heappush(heap, (-weights.mono_degree(t), t[2], t[1], t[0]))
+                        continue
+                    s = old - c * factor
+                    if is_zero(s):
+                        del work[t]
+                    else:
+                        work[t] = s
+                break
+        else:
+            rem[m] = coef
+    return Polynomial(weights, field, rem)
+
+
 def normal_form(f, basis):
-    """remainder of full division of f by the basis; zero iff f lies in the
-    ideal when the basis is a Groebner basis"""
+    """remainder of full division of f by the basis, each term reduced by the
+    first element whose head divides it; zero iff f lies in the ideal when the
+    basis is a Groebner basis"""
     if isinstance(basis, GroebnerBasis):
-        polys = basis.polys
-        heads = basis.heads()
+        polys, divisors = basis.polys, basis._divisors
     else:
         polys = [g for g in basis if g.terms]
-        heads = [g.leading_monomial() for g in polys]
-    if not polys:
-        return f
-    out = f
-    changed = True
-    while changed:
-        changed = False
-        for m, coef in out.sorted_terms():
-            for g, h in zip(polys, heads):
-                if mono_divides(h, m):
-                    factor = coef / g.terms[h]
-                    out = out - g.mul_term(mono_div(m, h), factor)
-                    changed = True
-                    break
-            if changed:
-                break
-    return out
+        divisors = [_divisor(g) for g in polys]
+    for g in polys:
+        f._check_compatible(g)  # reduction mixes their coefficients
+    return _reduce(f, divisors)
 
 
 def _s_polynomial(f, g):
@@ -87,40 +124,68 @@ def _s_polynomial(f, g):
 
 
 def buchberger(gens):
-    """reduced Groebner basis from a nonempty generator list"""
+    """reduced Groebner basis from a nonempty generator list, with the
+    Gebauer-Moeller pair criteria and the normal selection strategy"""
     gens = [g for g in gens if g.terms]
     if not gens:
         raise RingError("ideal needs at least one nonzero generator")
+    for g in gens[1:]:
+        gens[0]._check_compatible(g)
     weights = gens[0].weights
     field = gens[0].field
     basis = []
+    divisors = []
     for g in gens:
-        r = normal_form(g, basis)
+        r = _reduce(g, divisors)
         if r.terms:
             basis.append(r.monic())
+            divisors.append(_divisor(basis[-1]))
+    heads = [h for h, _, _ in divisors]
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    while pairs:
+    pairs = {}  # live pairs (i, j), i < j -> lcm of the heads
+    queue = []  # (lcm degree, i, j); pairs dropped by the B criterion go stale
+    active = []  # indices whose head no later head divides
+
+    def update(k):
+        hk = heads[k]
+        # M and F criteria on the new pairs; coprime pairs stay as witnesses
+        # until the product criterion drops them
+        cand = [(t, mono_lcm(heads[t], hk)) for t in active]
+        kept = []
+        for pos, (t, lcm) in enumerate(cand):
+            coprime = lcm == mono_mul(heads[t], hk)
+            if coprime or not (
+                any(mono_divides(l2, lcm) for _, l2 in cand[pos + 1 :])
+                or any(mono_divides(l2, lcm) for _, l2, _ in kept)
+            ):
+                kept.append((t, lcm, coprime))
+        # B criterion on the old pairs
+        for (i, j), lcm in list(pairs.items()):
+            if (
+                mono_divides(hk, lcm)
+                and mono_lcm(heads[i], hk) != lcm
+                and mono_lcm(heads[j], hk) != lcm
+            ):
+                del pairs[(i, j)]
+        for t, lcm, coprime in kept:
+            if not coprime:
+                pairs[(t, k)] = lcm
+                heapq.heappush(queue, (weights.mono_degree(lcm), t, k))
+        active[:] = [t for t in active if not mono_divides(hk, heads[t])] + [k]
+
+    for k in range(len(basis)):
+        update(k)
+    while queue:
         # normal strategy: smallest lcm degree first, then index order
-        i, j = min(
-            pairs,
-            key=lambda p: (
-                weights.mono_degree(
-                    mono_lcm(basis[p[0]].leading_monomial(), basis[p[1]].leading_monomial())
-                ),
-                p,
-            ),
-        )
-        pairs.discard((i, j))
-        hi = basis[i].leading_monomial()
-        hj = basis[j].leading_monomial()
-        if mono_lcm(hi, hj) == mono_mul(hi, hj):
-            continue  # coprime heads reduce to zero
-        r = normal_form(_s_polynomial(basis[i], basis[j]), basis)
+        _, i, j = heapq.heappop(queue)
+        if pairs.pop((i, j), None) is None:
+            continue
+        r = _reduce(_s_polynomial(basis[i], basis[j]), [divisors[t] for t in active])
         if r.terms:
             basis.append(r.monic())
-            k = len(basis) - 1
-            pairs.update((t, k) for t in range(k))
+            divisors.append(_divisor(basis[-1]))
+            heads.append(divisors[-1][0])
+            update(len(basis) - 1)
 
     # inter-reduce: drop redundant heads, then reduce tails
     keep = []
@@ -156,33 +221,41 @@ def jacobian_basis(omega):
     return buchberger(grads)
 
 
-def _minimal_initial_gens(gb):
-    out = []
-    for h in sorted(gb.heads(), key=lambda m: mono_key(gb.weights, m)):
-        if not any(mono_divides(p, h) for p in out):
-            out.append(h)
-    return out
+def _hilbert_numerator(weights, gens):
+    """Laurent numerator {degree: coefficient} of A modulo a monomial ideal"""
+    minimal = []
+    for m in sorted(set(gens), key=lambda m: mono_key(weights, m)):
+        if not any(mono_divides(p, m) for p in minimal):
+            minimal.append(m)
+    mixed = [m for m in minimal if (m[0] > 0) + (m[1] > 0) + (m[2] > 0) > 1]
+    if not mixed:
+        num = {0: 1}
+        for m in minimal:
+            num = _laurent_mul(num, _one_minus(weights.mono_degree(m)))
+        return num
+    counts = [sum(1 for m in mixed if m[v]) for v in range(3)]
+    v = counts.index(max(counts))
+    exps = sorted(m[v] for m in mixed if m[v])
+    e = exps[len(exps) // 2]
+    # any pure power of x_v in the ideal exceeds every mixed exponent of x_v,
+    # so p is not in the ideal and both branches are strictly larger ideals
+    p = tuple(e if i == v else 0 for i in range(3))
+    num = _hilbert_numerator(weights, minimal + [p])
+    colon = _hilbert_numerator(weights, [tuple(max(m[i] - p[i], 0) for i in range(3))
+                                         for m in minimal])
+    shift = weights.mono_degree(p)
+    return _laurent_sub(num, {d + shift: -c for d, c in colon.items()})
 
 
 def _initial_ideal_series(weights, heads):
-    """Hilbert series of A modulo a monomial ideal, by inclusion-exclusion
-    over lcms of the minimal generators"""
-    if len(heads) > 20:
-        raise RingError("initial ideal too large for inclusion-exclusion")
-    num = {}
-    for r in range(len(heads) + 1):
-        for sub in combinations(heads, r):
-            m = (0, 0, 0)
-            for h in sub:
-                m = mono_lcm(m, h)
-            d = weights.mono_degree(m)
-            sign = -1 if r % 2 else 1
-            s = num.get(d, 0) + sign
-            if s:
-                num[d] = s
-            else:
-                num.pop(d, None)
-    return HilbertSeries(num, weights.tuple)
+    """Hilbert series of A modulo a monomial ideal, by Bigatti's pivot
+    recursion on the numerator: HN(I) = HN(I + (p)) + t^deg(p) HN(I : p).
+    Each step minimalises the generators.  When none involves two variables
+    they are pure powers and HN(I) is the product of (1 - t^deg m).
+    Otherwise the pivot is p = x_v^e, with v the variable in the most mixed
+    generators and e the median exponent of x_v among them.  The number of
+    generators is unlimited."""
+    return HilbertSeries(_hilbert_numerator(weights, heads), weights.tuple)
 
 
 def standard_monomials(weights, heads, d):
@@ -195,9 +268,8 @@ def a_sing_hilbert(omega, bound):
     ({d: dim for 0 <= d <= bound}, exact rational series)"""
     if not omega.terms or not omega.is_homogeneous():
         raise RingError("potential must be nonzero homogeneous")
-    gb = jacobian_basis(omega)
-    heads = _minimal_initial_gens(gb)
     weights = omega.weights
+    heads = jacobian_basis(omega).heads()
     dims = {d: len(standard_monomials(weights, heads, d)) for d in range(bound + 1)}
     return dims, _initial_ideal_series(weights, heads)
 

@@ -2,10 +2,12 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from wpoisson.cli import main
-from wpoisson import __version__
+from wpoisson import Weights, __version__, parse_poly
+from wpoisson.complexes import ph_dims
 
 
 def run(args, env=None):
@@ -128,6 +130,46 @@ def test_max_degree_env_var():
     assert "# truncation bound: 3" in out
     rows = [l for l in out.splitlines() if l and l[0] in "-0123456789"]
     assert rows[-1].split()[0] == "3"
+
+
+def test_cohomology_closed_forms_not_applicable_off_degree_a_b_c():
+    code, out = run(["cohomology", "-w", "1,1,1", "-p", "x^4+y^4+z^4",
+                     "-D", "4", "--format", "json"])
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["matches_closed_form"] == "not applicable"
+    rows = results["rows"]
+    # the window opens at -deg(potential) = -4
+    assert [r["degree"] for r in rows] == list(range(-4, 5))
+    tab = ph_dims(parse_poly("x^4+y^4+z^4", Weights(1, 1, 1)), 4)
+    for r in rows:
+        assert r == {"degree": r["degree"],
+                     **{"ph%d" % i: tab.dim(i, r["degree"]) for i in range(4)}}
+
+
+def test_cohomology_window_keeps_degrees_down_to_minus_a_b_c():
+    code, out = run(["cohomology", "-w", "1,1,1", "-p", "x^2+y^2+z^2",
+                     "-D", "2", "--format", "csv"])
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "degree,ph0,ph1,ph2,ph3"
+    assert lines[1] == "-3,0,0,0,1"
+
+
+@pytest.mark.parametrize("args", [
+    ["rgt", "-w", "1,1,2", "-p", "x^3"],
+    ["vacancy", "-w", "1,1,1", "-p", "x^4+y^4+z^4"],
+    ["gkdim", "-w", "1,1,1", "-p", "x+y^2"],
+    ["singularity", "--field", "s^2+s+1", "-w", "1,1,1", "-p", "x^3+y^3+z^3"],
+    ["cohomology", "-w", "1,1,1", "-p", "x^3+y^3+z^3", "--max-degree", "-50"],
+], ids=lambda args: args[0])
+def test_computation_refusal_exits_2_with_one_error_line(args):
+    res = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
 
 
 def test_koszul_csv():

@@ -1,21 +1,34 @@
 """Jacobian ideal computations: Groebner bases, singular-quotient Hilbert
 functions, GK-dimension, isolated singularities, and partial gcds."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from wpoisson import Matrix, Weights, monomial_basis, parse_poly, rank
+from wpoisson import Matrix, Weights, catalog, monomial_basis, parse_poly, rank
+from wpoisson.complexes import koszul_dims
 from wpoisson.jacobian import (
+    _initial_ideal_series,
     a_sing_hilbert,
     buchberger,
     gcd_partials,
     gkdim,
     has_isolated_singularity,
+    jacobian_basis,
     normal_form,
     standard_monomials,
 )
-from wpoisson.ring import Polynomial, RingError
+from wpoisson.ring import (
+    QQ,
+    ExtensionField,
+    Polynomial,
+    RingError,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+)
 
 
 W112 = Weights(1, 1, 2)
@@ -156,3 +169,108 @@ def test_low_gkdim_implies_coprime_partials():
             w = e.weights
             one = one_cache.setdefault(w.tuple, Polynomial.constant(w, 1))
             assert gcd_partials(e.omega) == one, e.entry_id
+
+
+def _inclusion_exclusion_numerator(weights, heads):
+    """Hilbert numerator of A modulo a monomial ideal as the alternating sum
+    over all subsets of the generators of t^deg(lcm)"""
+    num = {}
+    for r in range(len(heads) + 1):
+        for sub in combinations(heads, r):
+            m = (0, 0, 0)
+            for h in sub:
+                m = mono_lcm(m, h)
+            d = weights.mono_degree(m)
+            num[d] = num.get(d, 0) + (-1) ** r
+    return {d: c for d, c in num.items() if c}
+
+
+def test_hilbert_numerator_matches_inclusion_exclusion_on_catalog():
+    for e in catalog.entries():
+        heads = jacobian_basis(e.omega).heads()
+        _, series = a_sing_hilbert(e.omega, 0)
+        assert series.numerator == _inclusion_exclusion_numerator(e.weights, heads), e.entry_id
+        assert series.denominator == tuple(sorted(e.weights.tuple))
+
+
+def test_hilbert_numerator_matches_inclusion_exclusion_on_random_ideals():
+    rng = random.Random(11)
+    for w in (W111, W123, Weights(2, 3, 5)):
+        for _ in range(60):
+            k = rng.randint(0, 9)
+            gens = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(k)]
+            minimal = [m for m in set(gens)
+                       if not any(p != m and mono_divides(p, m) for p in gens)]
+            want = _inclusion_exclusion_numerator(w, minimal)
+            # the recursion minimalises for itself, so redundant and repeated
+            # generators (including the unit monomial) give the same numerator
+            assert _initial_ideal_series(w, gens).numerator == want, gens
+
+
+def _hilbert_function_matches_koszul_h0(omega, bound):
+    dims, _ = a_sing_hilbert(omega, bound)
+    h0 = koszul_dims(omega, bound)
+    return [dims[d] for d in range(bound + 1)] == [h0.dim(0, d) for d in range(bound + 1)]
+
+
+def test_groebner_hilbert_function_matches_koszul_h0_on_catalog():
+    """two routes to dim (A/J)_d: standard monomials of the Groebner basis,
+    and the cokernel of the first Koszul differential (linear algebra)"""
+    for e in catalog.entries():
+        n = e.omega.homogeneous_degree()
+        assert _hilbert_function_matches_koszul_h0(e.omega, n + 6), e.entry_id
+
+
+@pytest.mark.parametrize("w, text, heads, gk", [
+    ((2, 3, 5), "x^2*y^3*z+y^6+x^6*y^2+x^4*z^2+x*y^2*z^2", 21, 1),
+    ((1, 1, 1), "x^7+y^7+z^7+x^3*y^3*z+x^2*y^2*z^3", 30, 0),
+])
+def test_wide_initial_ideals_get_an_answer(w, text, heads, gk):
+    om = parse_poly(text, Weights(*w))
+    assert len(jacobian_basis(om).heads()) == heads
+    assert gkdim(om) == gk
+    assert has_isolated_singularity(om) is (gk == 0)
+    assert _hilbert_function_matches_koszul_h0(om, 2 * om.homogeneous_degree())
+
+
+def _restarting_normal_form(f, basis):
+    """full division that restarts from the leading term after every single
+    reduction step, each term reduced by the first divisor in list order"""
+    polys = [g for g in basis if g.terms]
+    heads = [g.leading_monomial() for g in polys]
+    out = f
+    changed = True
+    while changed:
+        changed = False
+        for m, coef in out.sorted_terms():
+            for g, h in zip(polys, heads):
+                if mono_divides(h, m):
+                    out = out - g.mul_term(mono_div(m, h), coef / g.terms[h])
+                    changed = True
+                    break
+            if changed:
+                break
+    return out
+
+
+@pytest.mark.parametrize("w, text, field", [
+    (W111, "x^3+y^3+z^3+x*y*z", QQ),
+    (W112, "x*y*z+x^4+y^4+3*x^2*y^2", QQ),
+    (W111, "x^3+y^3+z^3+s*x*y*z", ExtensionField([1, 1, 1])),
+])
+def test_normal_form_matches_restarting_division_by_partial_lists(w, text, field):
+    om = parse_poly(text, w, field=field)
+    parts = [om.partial(i) for i in range(3)]
+    # the three partials are not a Groebner basis of the Jacobian ideal, so
+    # remainders by them depend on the order of the reduction steps
+    gb_heads = set(buchberger(parts).heads())
+    assert gb_heads != {p.leading_monomial() for p in parts}
+    rng = random.Random(text)
+    n = om.homogeneous_degree()
+    for _ in range(15):
+        d = n + rng.randint(0, 5)
+        mons = monomial_basis(w, d)
+        terms = {m: rng.randint(-4, 4) for m in rng.sample(mons, min(8, len(mons)))}
+        f = Polynomial(w, field, terms)
+        for divisors in (parts[:1], parts[:2], parts):
+            assert normal_form(f, divisors) == _restarting_normal_form(f, divisors)
