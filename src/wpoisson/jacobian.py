@@ -8,7 +8,7 @@ import heapq
 from functools import lru_cache
 from itertools import combinations
 
-from .hilbert import HilbertSeries, _laurent_mul, _laurent_sub, _one_minus
+from .hilbert import HilbertSeries, _laurent_sub, _product_one_minus
 from .ring import (
     QQ,
     Polynomial,
@@ -229,10 +229,7 @@ def _hilbert_numerator(weights, gens):
             minimal.append(m)
     mixed = [m for m in minimal if (m[0] > 0) + (m[1] > 0) + (m[2] > 0) > 1]
     if not mixed:
-        num = {0: 1}
-        for m in minimal:
-            num = _laurent_mul(num, _one_minus(weights.mono_degree(m)))
-        return num
+        return _product_one_minus(weights.mono_degree(m) for m in minimal)
     counts = [sum(1 for m in mixed if m[v]) for v in range(3)]
     v = counts.index(max(counts))
     exps = sorted(m[v] for m in mixed if m[v])
