@@ -28,8 +28,7 @@ from .poisson import (
     rgt,
 )
 from .jacobian import gkdim, has_isolated_singularity
-from .complexes import ph_dims, sealed_k1_dims, vacancy_check
-from .hilbert import closed_form_ph
+from .complexes import ph_closed_form_rows, sealed_k1_dims, vacancy_check
 
 DATA_PATH = Path(__file__).resolve().parent / "data" / "catalog.txt"
 
@@ -458,13 +457,8 @@ def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
         _check_yes_no("sealed", entry.expected_sealed, dims.items(),
                       entry.sealed_witness, report, bound)
     if "cohomology" in want and entry.type_label in ("i", "q", "bw"):
-        tab = ph_dims(omega, D)
-        bad = []
-        for i in range(4):
-            exp = closed_form_ph(entry.weights, i, n).expand(-n, D)
-            got = [tab.dim(i, d) for d in range(-n, D + 1)]
-            if exp != got:
-                bad.append("PH%d" % i)
+        _, matches = ph_closed_form_rows(omega, D)
+        bad = ["PH%d" % i for i in range(4) if not matches["ph%d" % i]]
         report.items.append(ReportItem(
             "cohomology", "pass" if not bad else "fail",
             "closed-form tables to %d" % D,

@@ -7,6 +7,7 @@ verification-style command found a mismatch, 2 malformed input or usage.
 """
 
 import csv
+import functools
 import io
 import json
 import re
@@ -16,14 +17,13 @@ from fractions import Fraction
 import click
 
 from . import __version__
-from .ring import QQ, ExtensionField, RingError, Weights
+from .ring import QQ, ExtensionField, RingError, Weights, check_potential
 from .textio import ParseError, format_poly, parse_map, parse_poly
 from .poisson import (
     bracket as poisson_bracket,
     from_potential,
     jacobiator,
     modular_derivation,
-    negative_degree_pd_dims,
     rgt,
     verify_automorphism,
     verify_quotient_automorphism,
@@ -34,11 +34,10 @@ from .jacobian import gcd_partials, gkdim, has_isolated_singularity
 from .complexes import (
     koszul_dims,
     ozone_vs_hamiltonian,
-    ph_dims,
+    ph_closed_form_rows,
     sealed_k1_dims,
     vacancy_check,
 )
-from .hilbert import closed_form_ph
 from . import catalog as catalog_mod
 
 
@@ -99,21 +98,20 @@ def _structure(weights, field, potential, pxy, pyz, pzx):
     if potential is not None:
         if pxy or pyz or pzx:
             _fail_usage("give either --potential or the three bracket components")
-        om = _poly(potential, weights, field)
-        return from_potential(om), om
+        return from_potential(_poly(potential, weights, field))
     if not (pxy and pyz and pzx):
         _fail_usage("need --potential or all of --pxy/--pyz/--pzx")
-    s = PoissonStructure(_poly(pxy, weights, field),
-                         _poly(pyz, weights, field),
-                         _poly(pzx, weights, field))
-    return s, None
+    return PoissonStructure(_poly(pxy, weights, field),
+                            _poly(pyz, weights, field),
+                            _poly(pzx, weights, field))
 
 
-def _default_bound(weights, max_degree):
+def _bound(omega, max_degree):
+    """--max-degree, else the default bound for the potential's degree"""
     if max_degree is not None:
         return max_degree
     try:
-        return catalog_mod.default_bound(weights.n_default)
+        return catalog_mod.default_bound(check_potential(omega))
     except catalog_mod.CatalogError as exc:
         _fail_usage(exc)
 
@@ -124,7 +122,7 @@ def _scalar(value):
     return value
 
 
-def _emit(command, inputs, results, fmt, bound=None, rows=None, row_key="degree"):
+def _emit(command, inputs, results, fmt, bound=None, rows=None):
     """Render one report. rows: list of dicts for the per-degree formats."""
     inputs = {k: v for k, v in inputs.items() if v is not None}
     if fmt == "json":
@@ -171,6 +169,15 @@ def _emit(command, inputs, results, fmt, bound=None, rows=None, row_key="degree"
         click.echo("%s: %s" % (key, _scalar(value)))
 
 
+def _emit_rows(command, inputs, rows, fmt, bound, **flags):
+    """Report a per-degree table and its flags.  A window with no degree is
+    refused: every flag over it would hold vacuously."""
+    if not rows:
+        raise RingError("empty degree window: no degree up to the truncation bound %d"
+                        % bound)
+    _emit(command, inputs, {"rows": rows, **flags}, fmt, bound=bound, rows=rows)
+
+
 def _common(fn):
     fn = click.option("--weights", "-w", required=True, help="a,b,c")(fn)
     fn = click.option("--field", "field_text", default="rationals",
@@ -198,235 +205,165 @@ def main():
     """Exact computations for weighted graded Poisson structures on k[x,y,z]."""
 
 
-@main.command()
-@_common
-@click.option("--potential", "-p", default=None)
-@click.option("--pxy", default=None)
-@click.option("--pyz", default=None)
-@click.option("--pzx", default=None)
+def _structure_command(body):
+    """Register a command on a bracket given by --potential or by the three
+    --pxy/--pyz/--pzx components.  The body gets the structure, the format,
+    the inputs to report and its own options."""
+
+    @functools.wraps(body)
+    def command(weights, field_text, fmt, potential, pxy, pyz, pzx, **options):
+        s = _structure(_parse_weights(weights), _parse_field(field_text),
+                       potential, pxy, pyz, pzx)
+        inputs = {"weights": weights, "potential": potential,
+                  "pxy": pxy, "pyz": pyz, "pzx": pzx}
+        body(s, fmt, inputs, **options)
+
+    # click lists options last-applied first: --help shows the shared
+    # options, then the structure, then the body's own
+    fn = command
+    for name in ("--pzx", "--pyz", "--pxy"):
+        fn = click.option(name, default=None)(fn)
+    fn = click.option("--potential", "-p", default=None)(fn)
+    return main.command()(_common(fn))
+
+
+def _potential_command(name, bound=False):
+    """Register a command on one --potential.  The body gets the potential,
+    the format, the inputs to report and its own options; with ``bound``
+    (which adds --max-degree) also the truncation bound."""
+
+    def register(body):
+        @functools.wraps(body)
+        def command(weights, field_text, fmt, potential, **options):
+            omega = _poly(potential, _parse_weights(weights), _parse_field(field_text))
+            if bound:
+                options["bound"] = _bound(omega, options.pop("max_degree"))
+            body(omega, fmt, {"weights": weights, "potential": potential}, **options)
+
+        fn = command
+        if bound:
+            fn = click.option("--max-degree", "-D", type=int, default=None)(fn)
+        fn = click.option("--potential", "-p", required=True)(fn)
+        return main.command(name)(_common(fn))
+
+    return register
+
+
+@_structure_command
 @click.option("--f", "f_text", required=True)
 @click.option("--g", "g_text", required=True)
-def bracket(weights, field_text, fmt, potential, pxy, pyz, pzx, f_text, g_text):
+def bracket(s, fmt, inputs, f_text, g_text):
     """Poisson bracket {f, g}."""
-    W = _parse_weights(weights)
-    K = _parse_field(field_text)
-    s, _ = _structure(W, K, potential, pxy, pyz, pzx)
-    f = _poly(f_text, W, K)
-    g = _poly(g_text, W, K)
-    result = poisson_bracket(s, f, g)
-    inputs = {"weights": weights, "potential": potential, "f": f_text, "g": g_text}
+    result = poisson_bracket(s, _poly(f_text, s.weights, s.field),
+                             _poly(g_text, s.weights, s.field))
+    inputs = {"weights": inputs["weights"], "potential": inputs["potential"],
+              "f": f_text, "g": g_text}
     _emit("bracket", inputs, {"bracket": format_poly(result)}, fmt)
 
 
-@main.command()
-@_common
-@click.option("--potential", "-p", default=None)
-@click.option("--pxy", default=None)
-@click.option("--pyz", default=None)
-@click.option("--pzx", default=None)
-def jacobi(weights, field_text, fmt, potential, pxy, pyz, pzx):
+@_structure_command
+def jacobi(s, fmt, inputs):
     """Jacobiator of the structure; exit 1 if nonzero."""
-    W = _parse_weights(weights)
-    K = _parse_field(field_text)
-    s, _ = _structure(W, K, potential, pxy, pyz, pzx)
     j = jacobiator(s)
     ok = j.is_zero()
-    inputs = {"weights": weights, "potential": potential,
-              "pxy": pxy, "pyz": pyz, "pzx": pzx}
     _emit("jacobi", inputs, {"jacobiator": format_poly(j), "is_zero": ok}, fmt)
     if not ok:
         sys.exit(1)
 
 
-@main.command()
-@_common
-@click.option("--potential", "-p", default=None)
-@click.option("--pxy", default=None)
-@click.option("--pyz", default=None)
-@click.option("--pzx", default=None)
-def modular(weights, field_text, fmt, potential, pxy, pyz, pzx):
+@_structure_command
+def modular(s, fmt, inputs):
     """Modular vector field; exit 1 if nonzero (non-unimodular)."""
-    W = _parse_weights(weights)
-    K = _parse_field(field_text)
-    s, _ = _structure(W, K, potential, pxy, pyz, pzx)
     m = modular_derivation(s)
     ok = m.is_zero()
-    inputs = {"weights": weights, "potential": potential,
-              "pxy": pxy, "pyz": pyz, "pzx": pzx}
     results = {"components": [format_poly(c) for c in m.comps], "is_zero": ok}
     _emit("modular", inputs, results, fmt)
     if not ok:
         sys.exit(1)
 
 
-@main.command("rgt")
-@_common
-@click.option("--potential", "-p", required=True)
-def rgt_cmd(weights, field_text, fmt, potential):
+@_potential_command("rgt")
+def rgt_cmd(omega, fmt, inputs):
     """Rigidity index of the graded twist space."""
-    W = _parse_weights(weights)
-    K = _parse_field(field_text)
-    om = _poly(potential, W, K)
-    value = rgt(om)
-    _emit("rgt", {"weights": weights, "potential": potential},
-          {"rgt": value}, fmt)
+    _emit("rgt", inputs, {"rgt": rgt(omega)}, fmt)
 
 
-@main.command("gkdim")
-@_common
-@click.option("--potential", "-p", required=True)
-def gkdim_cmd(weights, field_text, fmt, potential):
+@_potential_command("gkdim")
+def gkdim_cmd(omega, fmt, inputs):
     """GK-dimension of the singular quotient ring."""
-    W = _parse_weights(weights)
-    K = _parse_field(field_text)
-    om = _poly(potential, W, K)
-    _emit("gkdim", {"weights": weights, "potential": potential},
-          {"gkdim": gkdim(om)}, fmt)
+    _emit("gkdim", inputs, {"gkdim": gkdim(omega)}, fmt)
 
 
-@main.command()
-@_common
-@click.option("--potential", "-p", required=True)
-def singularity(weights, field_text, fmt, potential):
+@_potential_command("singularity")
+def singularity(omega, fmt, inputs):
     """Isolated-singularity test with supporting data."""
-    W = _parse_weights(weights)
-    K = _parse_field(field_text)
-    om = _poly(potential, W, K)
     results = {
-        "isolated": has_isolated_singularity(om),
-        "gkdim": gkdim(om),
-        "gcd_of_partials": format_poly(gcd_partials(om)),
+        "isolated": has_isolated_singularity(omega),
+        "gkdim": gkdim(omega),
+        "gcd_of_partials": format_poly(gcd_partials(omega)),
     }
-    _emit("singularity", {"weights": weights, "potential": potential}, results, fmt)
+    _emit("singularity", inputs, results, fmt)
 
 
-@main.command()
-@_common
-@click.option("--potential", "-p", required=True)
-@click.option("--max-degree", "-D", type=int, default=None)
-def cohomology(weights, field_text, fmt, potential, max_degree):
+@_potential_command("cohomology", bound=True)
+def cohomology(omega, fmt, inputs, bound):
     """Poisson cohomology dimension table, with closed-form comparison."""
-    W = _parse_weights(weights)
-    K = _parse_field(field_text)
-    om = _poly(potential, W, K)
-    D = _default_bound(W, max_degree)
-    tab = ph_dims(om, D)
-    n = om.homogeneous_degree()
-    # the closed forms hold for potentials of degree a+b+c only; the window
-    # opens at -n, or lower where cochains of degree down to -(a+b+c) exist
-    lo = -max(n, W.n_default)
-    if D < lo:
-        raise RingError("empty degree window: --max-degree %d is below %d" % (D, lo))
-    applicable = n == W.n_default
-    closed = {i: closed_form_ph(W, i, n).expand(lo, D) for i in range(4)} if applicable else {}
-    rows = []
-    for d in range(lo, D + 1):
-        row = {"degree": d}
-        for i in range(4):
-            row["ph%d" % i] = tab.dim(i, d)
-        for i in closed:
-            row["closed%d" % i] = closed[i][d - lo]
-        rows.append(row)
-    if applicable:
-        matches = {"ph%d" % i: [r["ph%d" % i] for r in rows] == closed[i] for i in range(4)}
-    else:
-        matches = "not applicable"
-    results = {"rows": rows, "matches_closed_form": matches}
-    _emit("cohomology", {"weights": weights, "potential": potential},
-          results, fmt, bound=D, rows=rows)
+    rows, matches = ph_closed_form_rows(omega, bound)
+    _emit_rows("cohomology", inputs, rows, fmt, bound,
+               matches_closed_form="not applicable" if matches is None else matches)
 
 
-@main.command()
-@_common
-@click.option("--potential", "-p", required=True)
-@click.option("--max-degree", "-D", type=int, default=None)
-def koszul(weights, field_text, fmt, potential, max_degree):
+@_potential_command("koszul", bound=True)
+def koszul(omega, fmt, inputs, bound):
     """Koszul homology dimensions for the partial-derivative sequence."""
-    W = _parse_weights(weights)
-    K = _parse_field(field_text)
-    om = _poly(potential, W, K)
-    D = _default_bound(W, max_degree)
-    tab = koszul_dims(om, D)
-    rows = [{"degree": d, "h0": tab.dim(0, d), "h1": tab.dim(1, d),
-             "h2": tab.dim(2, d), "h3": tab.dim(3, d)}
-            for d in range(0, D + 1)]
-    _emit("koszul", {"weights": weights, "potential": potential},
-          {"rows": rows}, fmt, bound=D, rows=rows)
+    tab = koszul_dims(omega, bound)
+    rows = [{"degree": d, **{"h%d" % i: tab.dim(i, d) for i in range(4)}}
+            for d in range(0, bound + 1)]
+    _emit_rows("koszul", inputs, rows, fmt, bound)
 
 
-@main.command()
-@_common
-@click.option("--potential", "-p", required=True)
-@click.option("--max-degree", "-D", type=int, default=None)
-def sealed(weights, field_text, fmt, potential, max_degree):
+@_potential_command("sealed", bound=True)
+def sealed(omega, fmt, inputs, bound):
     """Sealed first Koszul homology deviation, per degree up to the bound."""
-    W = _parse_weights(weights)
-    K = _parse_field(field_text)
-    om = _poly(potential, W, K)
-    D = _default_bound(W, max_degree)
-    dims, all_zero = sealed_k1_dims(om, D)
+    dims, all_zero = sealed_k1_dims(omega, bound)
     rows = [{"degree": d, "dim": dims[d]} for d in sorted(dims)]
-    _emit("sealed", {"weights": weights, "potential": potential},
-          {"rows": rows, "all_zero_up_to_bound": all_zero}, fmt,
-          bound=D, rows=rows)
+    _emit_rows("sealed", inputs, rows, fmt, bound, all_zero_up_to_bound=all_zero)
 
 
-@main.command()
-@_common
-@click.option("--potential", "-p", required=True)
-@click.option("--max-degree", "-D", type=int, default=None)
-def vacancy(weights, field_text, fmt, potential, max_degree):
+@_potential_command("vacancy", bound=True)
+def vacancy(omega, fmt, inputs, bound):
     """Unresolved second-cohomology dimensions, per degree up to the bound."""
-    W = _parse_weights(weights)
-    K = _parse_field(field_text)
-    om = _poly(potential, W, K)
-    D = _default_bound(W, max_degree)
-    dims = vacancy_check(om, D)
+    dims = vacancy_check(omega, bound)
     rows = [{"degree": d, "dim": dims[d]} for d in sorted(dims)]
-    all_zero = all(v == 0 for v in dims.values())
-    _emit("vacancy", {"weights": weights, "potential": potential},
-          {"rows": rows, "all_zero_up_to_bound": all_zero}, fmt,
-          bound=D, rows=rows)
+    _emit_rows("vacancy", inputs, rows, fmt, bound,
+               all_zero_up_to_bound=all(v == 0 for v in dims.values()))
 
 
-@main.command()
-@_common
-@click.option("--potential", "-p", required=True)
-@click.option("--max-degree", "-D", type=int, default=None)
-def ozone(weights, field_text, fmt, potential, max_degree):
+@_potential_command("ozone", bound=True)
+def ozone(omega, fmt, inputs, bound):
     """Ozone-vs-hamiltonian dimension comparison per degree."""
-    W = _parse_weights(weights)
-    K = _parse_field(field_text)
-    om = _poly(potential, W, K)
-    D = _default_bound(W, max_degree)
-    table = ozone_vs_hamiltonian(om, D)
+    table = ozone_vs_hamiltonian(omega, bound)
     rows = [{"degree": d, "ozone": o, "hamiltonian": h, "equal": o == h}
             for d, (o, h) in sorted(table.items())]
-    agree = all(r["equal"] for r in rows)
-    _emit("ozone", {"weights": weights, "potential": potential},
-          {"rows": rows, "agree_up_to_bound": agree}, fmt, bound=D, rows=rows)
+    _emit_rows("ozone", inputs, rows, fmt, bound,
+               agree_up_to_bound=all(r["equal"] for r in rows))
 
 
-@main.command("verify-aut")
-@_common
-@click.option("--potential", "-p", required=True)
+@_potential_command("verify-aut")
 @click.option("--map", "map_text", required=True,
               help='"x->expr; y->expr; z->expr"')
 @click.option("--inverse", "inverse_text", default=None)
 @click.option("--xi", default=None, help="verify on the fiber Omega = xi")
-def verify_aut(weights, field_text, fmt, potential, map_text, inverse_text, xi):
+def verify_aut(omega, fmt, inputs, map_text, inverse_text, xi):
     """Check a substitution map as a (quotient) Poisson automorphism."""
-    W = _parse_weights(weights)
-    K = _parse_field(field_text)
-    om = _poly(potential, W, K)
     try:
-        phi = parse_map(map_text, W, field=K)
-        psi = parse_map(inverse_text, W, field=K) if inverse_text else None
+        phi = parse_map(map_text, omega.weights, field=omega.field)
+        psi = parse_map(inverse_text, omega.weights, field=omega.field) if inverse_text else None
     except (ParseError, RingError) as exc:
         _fail_usage("bad map: %s" % exc)
     det = jacobian_determinant(phi)
     if xi is None:
-        ok = verify_automorphism(om, phi)
+        ok = verify_automorphism(omega, phi)
         results = {"passed": ok, "jacobian_det": format_poly(det),
                    "mode": "graded"}
     else:
@@ -436,11 +373,10 @@ def verify_aut(weights, field_text, fmt, potential, map_text, inverse_text, xi):
             _fail_usage("bad --xi %r" % xi)
         if psi is None:
             _fail_usage("--xi verification needs --inverse")
-        ok = verify_quotient_automorphism(om, xi_val, phi, psi)
+        ok = verify_quotient_automorphism(omega, xi_val, phi, psi)
         results = {"passed": ok, "jacobian_det": format_poly(det),
                    "mode": "quotient", "xi": str(xi_val)}
-    inputs = {"weights": weights, "potential": potential, "map": map_text,
-              "inverse": inverse_text, "xi": xi}
+    inputs.update(map=map_text, inverse=inverse_text, xi=xi)
     _emit("verify-aut", inputs, results, fmt)
     if not ok:
         sys.exit(1)

@@ -7,13 +7,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .hilbert import euler_rhs
+from .hilbert import closed_form_ph, euler_rhs
 from .jacobian import jacobian_basis, normal_form
 from .linalg import Matrix, rank
 from .ring import (
     Polynomial,
     PolyVector,
     RingError,
+    check_potential,
     count_monomials,
     cross,
     curl,
@@ -98,15 +99,6 @@ class DimsTable:
 # Poisson cochain complex
 
 
-def _check_potential(omega):
-    if not omega.terms or not omega.is_homogeneous():
-        raise RingError("potential must be nonzero homogeneous")
-    n = omega.homogeneous_degree()
-    if n <= 0:
-        raise RingError("potential must have positive degree")
-    return n
-
-
 def cochain_shifts(weights):
     """component shifts of the multiderivation spaces X^0..X^3"""
     a, b, c = weights.tuple
@@ -136,7 +128,7 @@ def _cochain_apply(grad_o, i, comps):
 def cochain_matrix(omega, i, d):
     """matrix of the degree-i differential on the degree-d slice of X^i,
     mapping into the degree d+w slice of X^{i+1}"""
-    n = _check_potential(omega)
+    n = check_potential(omega)
     weights = omega.weights
     w = n - weights.a - weights.b - weights.c
     sh = cochain_shifts(weights)
@@ -149,7 +141,7 @@ def cochain_matrix(omega, i, d):
 def cochain_matrices(omega, d):
     """the three consecutive matrices starting at the degree-d slice of X^0;
     consecutive products are zero"""
-    n = _check_potential(omega)
+    n = check_potential(omega)
     w = n - omega.weights.a - omega.weights.b - omega.weights.c
     return (
         cochain_matrix(omega, 0, d),
@@ -170,7 +162,7 @@ def _space_dim(weights, shifts, d):
 def ph_dims(omega, bound):
     """Poisson cohomology dimensions PH^0..PH^3 per degree, down from
     -(a+b+c) up to the bound"""
-    n = _check_potential(omega)
+    n = check_potential(omega)
     weights = omega.weights
     w = n - weights.a - weights.b - weights.c
     sh = cochain_shifts(weights)
@@ -189,6 +181,33 @@ def ph_dims(omega, bound):
     return DimsTable(dims, bound, floors)
 
 
+def ph_closed_form_rows(omega, bound):
+    """PH^0..PH^3 per degree beside their closed forms, from -max(n, a+b+c)
+    (every cochain space below is zero) up to the bound.  Returns (rows,
+    matches): a row holds degree, ph0..ph3 and, when n = a+b+c (the only
+    degree the closed forms cover), closed0..closed3; matches maps ph0..ph3
+    to whether the column equals its closed form, or is None when they do
+    not apply."""
+    n = check_potential(omega)
+    weights = omega.weights
+    lo = -max(n, weights.n_default)
+    if bound < lo:
+        raise RingError("empty degree window: truncation bound %d is below %d" % (bound, lo))
+    tab = ph_dims(omega, bound)
+    applicable = n == weights.n_default
+    closed = ([closed_form_ph(weights, i, n).expand(lo, bound) for i in range(4)]
+              if applicable else [])
+    rows = []
+    for d in range(lo, bound + 1):
+        row = {"degree": d}
+        row.update(("ph%d" % i, tab.dim(i, d)) for i in range(4))
+        row.update(("closed%d" % i, col[d - lo]) for i, col in enumerate(closed))
+        rows.append(row)
+    if not applicable:
+        return rows, None
+    return rows, {"ph%d" % i: [r["ph%d" % i] for r in rows] == closed[i] for i in range(4)}
+
+
 # ---------------------------------------------------------------------------
 # exact bivectors M2, vacancy, ozone, minimality
 
@@ -196,7 +215,7 @@ def ph_dims(omega, bound):
 def _m2_matrix(omega, d):
     """columns: multiples of grad(O) from degree d-w, then gradients from
     degree d+a+b+c"""
-    n = _check_potential(omega)
+    n = check_potential(omega)
     a, b, c = omega.weights.tuple
     w = n - a - b - c
     grad_o = gradient(omega)
@@ -223,10 +242,8 @@ def m2_dims(omega, bound):
 def vacancy_check(omega, bound):
     """per-degree upper-division dimensions: ker of the top differential
     modulo M2; the potential is vacant up to the bound iff all zero"""
-    n = _check_potential(omega)
+    check_potential(omega, "vacancy diagnostic requires degree a+b+c")
     weights = omega.weights
-    if n != weights.a + weights.b + weights.c:
-        raise RingError("vacancy diagnostic requires degree a+b+c")
     sh = cochain_shifts(weights)
     dmin = -(weights.a + weights.b + weights.c)
     out = {}
@@ -243,10 +260,8 @@ def vacancy_check(omega, bound):
 def ozone_vs_hamiltonian(omega, bound):
     """per-degree dimensions {d: (ozone, hamiltonian)}: derivations that are
     cocycles killing the potential, vs the image of the hamiltonian map"""
-    n = _check_potential(omega)
+    n = check_potential(omega, "ozone diagnostic requires degree a+b+c")
     weights = omega.weights
-    if n != weights.a + weights.b + weights.c:
-        raise RingError("ozone diagnostic requires degree a+b+c")
     grad_o = gradient(omega)
     sh = cochain_shifts(weights)
     out = {}
@@ -272,7 +287,7 @@ def ozone_vs_hamiltonian(omega, bound):
 def ph1_minimality_check(omega, bound):
     """per-degree booleans: does PH^1 look like a free rank-one module over
     the subalgebra generated by the potential"""
-    n = _check_potential(omega)
+    n = check_potential(omega)
     table = ph_dims(omega, bound)
     out = {}
     for d in range(-(max(omega.weights.tuple)), bound + 1):
@@ -319,7 +334,7 @@ def _koszul_rank(omega, i, d):
 
 def koszul_dims(omega, bound):
     """Koszul homology dimensions H_0..H_3 per total degree"""
-    _check_potential(omega)
+    check_potential(omega)
     weights = omega.weights
     dims = {}
     for d in range(0, bound + 1):
@@ -340,7 +355,7 @@ def sealed_k1_dims(omega, bound):
     """per-degree dimensions of sealed first Koszul homology: cycles whose
     divergence vanishes in the singular quotient, modulo boundaries.
     Returns ({degree: dim}, all-zero flag)."""
-    n = _check_potential(omega)
+    n = check_potential(omega)
     weights = omega.weights
     grad_o = gradient(omega)
     gb = jacobian_basis(omega)
@@ -421,7 +436,7 @@ def derham_exactness_check(weights, bound, field=None):
 def euler_characteristic_check(omega, bound):
     """verify that the alternating sum of cohomology dimensions matches the
     closed rational function forced by additivity of Hilbert series"""
-    n = _check_potential(omega)
+    n = check_potential(omega)
     weights = omega.weights
     w = n - weights.a - weights.b - weights.c
     pad = 3 * abs(w)

@@ -51,10 +51,6 @@ class HilbertSeries:
         self.denominator = den
 
     @staticmethod
-    def zero() -> "HilbertSeries":
-        return HilbertSeries({})
-
-    @staticmethod
     def free_ring(weights: Weights) -> "HilbertSeries":
         return HilbertSeries({0: 1}, weights.tuple)
 

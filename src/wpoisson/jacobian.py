@@ -13,6 +13,7 @@ from .ring import (
     QQ,
     Polynomial,
     RingError,
+    check_potential,
     gradient,
     mono_divides,
     mono_div,
@@ -263,8 +264,7 @@ def standard_monomials(weights, heads, d):
 def a_sing_hilbert(omega, bound):
     """Hilbert data of the singular quotient A/(partials of omega):
     ({d: dim for 0 <= d <= bound}, exact rational series)"""
-    if not omega.terms or not omega.is_homogeneous():
-        raise RingError("potential must be nonzero homogeneous")
+    check_potential(omega)
     weights = omega.weights
     heads = jacobian_basis(omega).heads()
     dims = {d: len(standard_monomials(weights, heads, d)) for d in range(bound + 1)}

@@ -14,6 +14,7 @@ from .ring import (
     QQ,
     RingError,
     Weights,
+    check_potential,
     count_monomials,
     div,
     dot,
@@ -149,10 +150,7 @@ class PoissonStructure:
 def from_potential(omega: Polynomial) -> PoissonStructure:
     """bracket defined by a nonzero homogeneous potential of positive degree:
     {x,y} = dO/dz, {y,z} = dO/dx, {z,x} = dO/dy"""
-    if omega.is_zero() or not omega.is_homogeneous():
-        raise RingError("potential must be nonzero homogeneous")
-    if omega.homogeneous_degree() <= 0:
-        raise RingError("potential must have positive degree")
+    check_potential(omega)
     return PoissonStructure(omega.partial(2), omega.partial(0), omega.partial(1), omega)
 
 
@@ -240,12 +238,8 @@ def graded_derivation_space(s: PoissonStructure, d: int):
 def rgt(omega: Polynomial) -> int:
     """rigidity of the graded twisting: minus the dimension of the space of
     degree-0 derivations that are divergence-free and kill the potential"""
-    if omega.is_zero() or not omega.is_homogeneous():
-        raise RingError("potential must be nonzero homogeneous")
+    n = check_potential(omega, "rigidity needs a potential of degree a+b+c")
     weights = omega.weights
-    n = omega.homogeneous_degree()
-    if n != weights.n_default:
-        raise RingError("rigidity needs a potential of degree a+b+c")
     a, b, c = weights.tuple
     grad_o = gradient(omega)
 
@@ -260,11 +254,8 @@ def rgt(omega: Polynomial) -> int:
 def negative_degree_pd_dims(omega: Polynomial):
     """dimensions of the bracket-compatible derivations in each negative
     degree down to -max(a,b,c), below which all generator values vanish"""
-    if omega.is_zero() or not omega.is_homogeneous():
-        raise RingError("potential must be nonzero homogeneous")
+    check_potential(omega, "diagnostic needs a potential of degree a+b+c")
     weights = omega.weights
-    if omega.homogeneous_degree() != weights.n_default:
-        raise RingError("diagnostic needs a potential of degree a+b+c")
     s = from_potential(omega)
     out = {}
     for d in range(-max(weights.tuple), 0):

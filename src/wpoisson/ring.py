@@ -610,6 +610,20 @@ class Polynomial:
         )
 
 
+def check_potential(omega: Polynomial, abc_refusal=None) -> int:
+    """Degree n of a potential, which must be nonzero, homogeneous and of
+    positive degree; given ``abc_refusal``, n must also be a+b+c, and a
+    potential of any other degree is refused with that message."""
+    if omega.is_zero() or not omega.is_homogeneous():
+        raise RingError("potential must be nonzero homogeneous")
+    n = omega.homogeneous_degree()
+    if n <= 0:
+        raise RingError("potential must have positive degree")
+    if abc_refusal is not None and n != omega.weights.n_default:
+        raise RingError(abc_refusal)
+    return n
+
+
 # ---------------------------------------------------------------------------
 # polynomial triples (derivation values / bivector components / form parts)
 
@@ -635,11 +649,6 @@ class PolyVector:
     @property
     def comps(self):
         return (self.f1, self.f2, self.f3)
-
-    @staticmethod
-    def zero(weights: Weights, field=QQ) -> "PolyVector":
-        z = Polynomial.zero(weights, field)
-        return PolyVector(z, z, z)
 
     def is_zero(self) -> bool:
         return self.f1.is_zero() and self.f2.is_zero() and self.f3.is_zero()

@@ -162,6 +162,10 @@ def test_cohomology_window_keeps_degrees_down_to_minus_a_b_c():
     ["gkdim", "-w", "1,1,1", "-p", "x+y^2"],
     ["singularity", "--field", "s^2+s+1", "-w", "1,1,1", "-p", "x^3+y^3+z^3"],
     ["cohomology", "-w", "1,1,1", "-p", "x^3+y^3+z^3", "--max-degree", "-50"],
+    # a window with no degree: every flag over it would hold vacuously
+    *[pytest.param([name, "-w", "1,1,1", "-p", "x^3+y^3+z^3", "-D", "-5"],
+                   id=name + "-empty-window")
+      for name in ("vacancy", "sealed", "ozone", "koszul")],
 ], ids=lambda args: args[0])
 def test_computation_refusal_exits_2_with_one_error_line(args):
     res = CliRunner().invoke(main, args, catch_exceptions=False)
@@ -170,6 +174,22 @@ def test_computation_refusal_exits_2_with_one_error_line(args):
     lines = res.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
+
+
+def test_default_bound_follows_potential_degree():
+    # 3n+12 with n = deg(potential) = 4, not a+b+c = 3
+    code, out = run(["cohomology", "-w", "1,1,1", "-p", "x^4+y^4+z^4"])
+    assert code == 0
+    assert "# truncation bound: 24\n" in out
+
+
+def test_degree_zero_potential_is_refused_alike_everywhere():
+    for args in (["rgt", "-w", "1,1,1", "-p", "5"],
+                 ["gkdim", "-w", "1,1,1", "-p", "7"],
+                 ["vacancy", "-w", "1,1,1", "-p", "5"]):
+        res = CliRunner().invoke(main, args, catch_exceptions=False)
+        assert res.exit_code == 2
+        assert res.stderr == "error: potential must have positive degree\n"
 
 
 def test_koszul_csv():
