@@ -19,7 +19,7 @@ from math import lcm
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .ring import Polynomial, Weights
+from .ring import Polynomial, RingError, Weights
 from .textio import parse_poly
 from .poisson import (
     from_potential,
@@ -50,6 +50,18 @@ _TABLE_SHAPES: Dict[str, Callable[[int, int, int], bool]] = {
 
 class CatalogError(ValueError):
     pass
+
+
+class EmptyWindowError(CatalogError, RingError):
+    """a truncated check whose degree window holds no degree; the CLI reports
+    it as it reports the empty windows of the per-potential commands"""
+
+
+def _check_window(name, bound, start):
+    # an empty table would read as all zero, a vacuous pass
+    if bound < start:
+        raise EmptyWindowError("empty %s window: truncation bound %d is below %d"
+                               % (name, bound, start))
 
 
 @dataclass(frozen=True)
@@ -446,6 +458,7 @@ def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
         bound = D
         if entry.expected_vacant == "no" and entry.vacancy_witness is not None:
             bound = max(bound, entry.vacancy_witness)
+        _check_window("vacancy", bound, -entry.weights.n_default)
         dims = vacancy_check(omega, bound)
         _check_yes_no("vacancy", entry.expected_vacant, dims.items(),
                       entry.vacancy_witness, report, bound)
@@ -453,6 +466,7 @@ def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
         bound = D
         if entry.expected_sealed == "no" and entry.sealed_witness is not None:
             bound = max(bound, entry.sealed_witness)
+        _check_window("sealed", bound, 0)
         dims, _ = sealed_k1_dims(omega, bound)
         _check_yes_no("sealed", entry.expected_sealed, dims.items(),
                       entry.sealed_witness, report, bound)

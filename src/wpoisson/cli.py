@@ -256,9 +256,8 @@ def bracket(s, fmt, inputs, f_text, g_text):
     """Poisson bracket {f, g}."""
     result = poisson_bracket(s, _poly(f_text, s.weights, s.field),
                              _poly(g_text, s.weights, s.field))
-    inputs = {"weights": inputs["weights"], "potential": inputs["potential"],
-              "f": f_text, "g": g_text}
-    _emit("bracket", inputs, {"bracket": format_poly(result)}, fmt)
+    _emit("bracket", {**inputs, "f": f_text, "g": g_text},
+          {"bracket": format_poly(result)}, fmt)
 
 
 @_structure_command
@@ -405,6 +404,8 @@ def catalog_verify(selector, max_degree, checks, catalog_file, fmt):
     try:
         report = catalog_mod.verify_all(max_degree, selector, check_list,
                                         path=catalog_file)
+    except catalog_mod.EmptyWindowError:
+        raise
     except catalog_mod.CatalogError as exc:
         _fail_usage(str(exc))
     mismatches = report.mismatch_count

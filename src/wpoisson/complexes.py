@@ -12,48 +12,100 @@ from .jacobian import jacobian_basis, normal_form
 from .linalg import Matrix, rank
 from .ring import (
     Polynomial,
-    PolyVector,
+    QQ,
     RingError,
     check_potential,
     count_monomials,
-    cross,
-    curl,
-    div,
-    dot,
     gradient,
     monomial_basis,
 )
 
 
-def assemble(weights, field, src_degs, tgt_degs, fn):
-    """Exact sparse matrix of a graded linear map on the deterministic
-    monomial bases.  fn maps a component-split list of polynomials to the
-    target component list; outputs must respect the target degrees."""
-    index = []
-    offsets = []
-    total_rows = 0
-    for td in tgt_degs:
-        tb = monomial_basis(weights, td)
-        index.append({m: i for i, m in enumerate(tb)})
-        offsets.append(total_rows)
-        total_rows += len(tb)
-    rows = [{} for _ in range(total_rows)]
-    zero_poly = Polynomial.zero(weights, field)
+def assemble(weights, field, src_degs, tgt_degs, table, reducers=None):
+    """Exact sparse matrix of a graded first-order linear differential
+    operator on the deterministic monomial bases, one column per source
+    monomial.  ``table`` lists the operator's terms (target, source, var,
+    coefs): target component ``target`` gains coef * m * d/d(var) of source
+    component ``source``, or coef * m times the source itself when var is
+    None, for every monomial m -> coef in ``coefs`` (see ``op_table``).
+    ``reducers`` maps a target to a linear map applied to its output, given
+    as a function from a monomial to its image {monomial: coef}; each is
+    called once per distinct monomial.  Outputs must respect the target
+    degrees."""
+    row_of = {}
+    for t, td in enumerate(tgt_degs):
+        for m in monomial_basis(weights, td):
+            row_of[(t, m)] = len(row_of)
+    by_source = [[] for _ in src_degs]
+    for t, s, v, coefs in table:
+        by_source[s].append((t, v, tuple(coefs.items())))
+    reducers = reducers or {}
+    images = {}
+    rows = [{} for _ in range(len(row_of))]
     col = 0
-    for ci, sd in enumerate(src_degs):
+    for s, sd in enumerate(src_degs):
+        terms = by_source[s]
         for m in monomial_basis(weights, sd):
-            vin = [zero_poly] * len(src_degs)
-            vin[ci] = Polynomial.monomial(weights, m, 1, field)
-            for ti, p in enumerate(fn(vin)):
-                idx = index[ti]
-                off = offsets[ti]
-                for mm, coef in p.terms.items():
-                    pos = idx.get(mm)
-                    if pos is None:
-                        raise RingError("graded map output escapes its degree slot")
-                    rows[off + pos][col] = coef
+            out = {}
+            for t, v, coefs in terms:
+                if v is None:
+                    f = 1
+                    m0, m1, m2 = m
+                else:
+                    f = m[v]
+                    if not f:
+                        continue
+                    m0, m1, m2 = m[:v] + (f - 1,) + m[v + 1:]
+                for (q0, q1, q2), c in coefs:
+                    key = (t, (m0 + q0, m1 + q1, m2 + q2))
+                    if f != 1:
+                        c = c * f
+                    prev = out.get(key)
+                    out[key] = c if prev is None else prev + c
+            if reducers:
+                out = _reduce_outputs(out, reducers, images)
+            for key, c in out.items():
+                if not c:
+                    continue
+                r = row_of.get(key)
+                if r is None:
+                    raise RingError("graded map output escapes its degree slot")
+                rows[r][col] = c
             col += 1
-    return Matrix(total_rows, col, rows, field)
+    return Matrix(len(rows), col, rows, field)
+
+
+def _reduce_outputs(out, reducers, images):
+    """one column's outputs with each reduced target's monomials replaced by
+    their images, memoised in ``images`` across the columns of a matrix"""
+    reduced = {}
+    for key, c in out.items():
+        t, m = key
+        red = reducers.get(t)
+        if red is None:
+            reduced[key] = c
+            continue
+        pairs = images.get(key)
+        if pairs is None:
+            pairs = images[key] = tuple(((t, mm), cc) for mm, cc in red(m).items())
+        for k, cc in pairs:
+            prev = reduced.get(k)
+            reduced[k] = c * cc if prev is None else prev + c * cc
+    return reduced
+
+
+def op_table(field, terms):
+    """operator table for ``assemble`` from (target, source, var, coef)
+    terms, coef a Polynomial or an integer constant; zero coefficients are
+    dropped.  Over Q a coefficient with denominator one is stored as an int."""
+    table = []
+    for t, s, v, p in terms:
+        coefs = p.terms if isinstance(p, Polynomial) else {(0, 0, 0): field.coerce(p)}
+        if field == QQ:
+            coefs = {m: c.numerator if c.denominator == 1 else c for m, c in coefs.items()}
+        if coefs:
+            table.append((t, s, v, coefs))
+    return table
 
 
 def vector_to_polys(weights, field, degs, coords):
@@ -105,24 +157,37 @@ def cochain_shifts(weights):
     return ((0,), (a, b, c), (b + c, a + c, a + b), (a + b + c,))
 
 
+def _cochain_table(omega, i):
+    """operator table of the degree-i cochain differential, from the
+    gradient g of the potential and its Hessian (indices mod 3)"""
+    g = gradient(omega).comps
+    if i == 0:
+        # grad(f) x g: component k is g_{k+2} f_{k+1} - g_{k+1} f_{k+2}
+        terms = [(k, 0, (k + j) % 3, sign * g[(k - j) % 3])
+                 for k in range(3) for j, sign in ((1, 1), (2, -1))]
+    elif i == 1:
+        # div(v) g_k - d_k(v . g): the d_k v_k terms cancel
+        terms = ([(k, s, s, g[k]) for k in range(3) for s in range(3) if s != k]
+                 + [(k, s, k, -g[s]) for k in range(3) for s in range(3) if s != k]
+                 + [(k, s, None, -g[s].partial(k)) for k in range(3) for s in range(3)])
+    elif i == 2:
+        # -div(v x g): the Hessian terms cancel
+        terms = ([(0, (k + 2) % 3, k, g[(k + 1) % 3]) for k in range(3)]
+                 + [(0, (k + 1) % 3, k, -g[(k + 2) % 3]) for k in range(3)])
+    else:
+        raise RingError("cochain index out of range")
+    return op_table(omega.field, terms)
+
+
 def cochain_apply(omega, i, comps):
     """the degree-i cochain differential applied to component polynomials"""
-    return _cochain_apply(gradient(omega), i, comps)
-
-
-def _cochain_apply(grad_o, i, comps):
-    """cochain_apply with the gradient of the potential already computed"""
-    if i == 0:
-        return list(cross(gradient(comps[0]), grad_o).comps)
-    if i == 1:
-        v = PolyVector(*comps)
-        lead = gradient(dot(v, grad_o))
-        dv = div(v)
-        return [dv * g - t for g, t in zip(grad_o.comps, lead.comps)]
-    if i == 2:
-        v = PolyVector(*comps)
-        return [-div(cross(v, grad_o))]
-    raise RingError("cochain index out of range")
+    table = _cochain_table(omega, i)
+    weights, field = omega.weights, omega.field
+    out = [Polynomial.zero(weights, field)] * len(cochain_shifts(weights)[i + 1])
+    for t, s, v, coefs in table:
+        src = comps[s] if v is None else comps[s].partial(v)
+        out[t] = out[t] + src * Polynomial(weights, field, coefs)
+    return out
 
 
 def cochain_matrix(omega, i, d):
@@ -134,8 +199,7 @@ def cochain_matrix(omega, i, d):
     sh = cochain_shifts(weights)
     src = [d + s for s in sh[i]]
     tgt = [d + w + s for s in sh[i + 1]]
-    grad_o = gradient(omega)
-    return assemble(weights, omega.field, src, tgt, lambda v: _cochain_apply(grad_o, i, v))
+    return assemble(weights, omega.field, src, tgt, _cochain_table(omega, i))
 
 
 def cochain_matrices(omega, d):
@@ -218,13 +282,11 @@ def _m2_matrix(omega, d):
     n = check_potential(omega)
     a, b, c = omega.weights.tuple
     w = n - a - b - c
-    grad_o = gradient(omega)
-
-    def fn(v):
-        return [v[0] * g + h for g, h in zip(grad_o.comps, gradient(v[1]).comps)]
-
+    g = gradient(omega).comps
+    table = op_table(omega.field, [(k, 0, None, g[k]) for k in range(3)]
+                     + [(k, 1, k, 1) for k in range(3)])
     return assemble(omega.weights, omega.field, [d - w, d + a + b + c],
-                    [d + b + c, d + a + c, d + a + b], fn)
+                    [d + b + c, d + a + c, d + a + b], table)
 
 
 @lru_cache(maxsize=65536)
@@ -262,7 +324,10 @@ def ozone_vs_hamiltonian(omega, bound):
     cocycles killing the potential, vs the image of the hamiltonian map"""
     n = check_potential(omega, "ozone diagnostic requires degree a+b+c")
     weights = omega.weights
-    grad_o = gradient(omega)
+    g = gradient(omega).comps
+    # the cochain differential d1 stacked over the derivation's value on O
+    table = _cochain_table(omega, 1) + op_table(
+        omega.field, [(3, s, None, g[s]) for s in range(3)])
     sh = cochain_shifts(weights)
     out = {}
     for d in range(-(max(weights.tuple)), bound + 1):
@@ -272,12 +337,7 @@ def ozone_vs_hamiltonian(omega, bound):
             continue
         src = [d + s for s in sh[1]]
         tgt = [d + s for s in sh[2]] + [d + n]
-
-        def stacked(v):
-            top = _cochain_apply(grad_o, 1, v)
-            return top + [dot(PolyVector(*v), grad_o)]
-
-        m = assemble(weights, omega.field, src, tgt, stacked)
+        m = assemble(weights, omega.field, src, tgt, table)
         od = dim_x1 - rank(m)
         hd = _cochain_rank(omega, 0, d)
         out[d] = (od, hd)
@@ -313,18 +373,22 @@ def koszul_component_degs(omega, d):
 
 def _koszul_matrix(omega, i, d):
     """matrix of the Koszul differential K_i -> K_{i-1} at total degree d"""
-    weights = omega.weights
-    grad_o = gradient(omega)
+    g = gradient(omega).comps
     degs = koszul_component_degs(omega, d)
     if i == 1:
-        fn = lambda v: [dot(PolyVector(*v), grad_o)]
+        # v . g
+        terms = [(0, s, None, g[s]) for s in range(3)]
     elif i == 2:
-        fn = lambda v: list(cross(PolyVector(*v), grad_o).comps)
+        # v x g: component k is g_{k+2} v_{k+1} - g_{k+1} v_{k+2}
+        terms = [(k, (k + j) % 3, None, sign * g[(k - j) % 3])
+                 for k in range(3) for j, sign in ((1, 1), (2, -1))]
     elif i == 3:
-        fn = lambda v: [v[0] * g for g in grad_o.comps]
+        # v_0 g
+        terms = [(k, 0, None, g[k]) for k in range(3)]
     else:
         raise RingError("koszul index out of range")
-    return assemble(weights, omega.field, degs[i], degs[i - 1], fn)
+    return assemble(omega.weights, omega.field, degs[i], degs[i - 1],
+                    op_table(omega.field, terms))
 
 
 @lru_cache(maxsize=65536)
@@ -356,9 +420,15 @@ def sealed_k1_dims(omega, bound):
     divergence vanishes in the singular quotient, modulo boundaries.
     Returns ({degree: dim}, all-zero flag)."""
     n = check_potential(omega)
-    weights = omega.weights
-    grad_o = gradient(omega)
+    weights, field = omega.weights, omega.field
+    g = gradient(omega).comps
     gb = jacobian_basis(omega)
+    # the cycle condition v . g stacked over div(v), reduced modulo the
+    # Jacobian ideal; the normal form is linear, so it acts on monomials
+    table = op_table(field, [(0, s, None, g[s]) for s in range(3)]
+                     + [(1, s, s, 1) for s in range(3)])
+    reducers = {1: lambda m: normal_form(Polynomial.monomial(weights, m, 1, field),
+                                         gb).terms}
     out = {}
     for d in range(0, bound + 1):
         degs = koszul_component_degs(omega, d)
@@ -366,13 +436,7 @@ def sealed_k1_dims(omega, bound):
         if dim_k1 == 0:
             out[d] = 0
             continue
-        tgt = [d, d - n]
-
-        def cycle_and_seal(v):
-            vec = PolyVector(*v)
-            return [dot(vec, grad_o), normal_form(div(vec), gb)]
-
-        stacked = assemble(weights, omega.field, degs[1], tgt, cycle_and_seal)
+        stacked = assemble(weights, field, degs[1], [d, d - n], table, reducers)
         sealed = dim_k1 - rank(stacked)
         boundary = _koszul_rank(omega, 2, d) if sum(
             count_monomials(weights, e) for e in degs[2]
@@ -388,21 +452,15 @@ def sealed_k1_dims(omega, bound):
 def derham_exactness_check(weights, bound, field=None):
     """rank check that the weighted de Rham complex is exact apart from the
     constants in degree zero; true is the only healthy answer"""
-    from .ring import QQ
-
     field = field or QQ
     a, b, c = weights.tuple
     one_forms = [-a, -b, -c]
     two_forms = [-b - c, -a - c, -a - b]
-
-    def gradmap(v):
-        return list(gradient(v[0]).comps)
-
-    def curlmap(v):
-        return list(curl(PolyVector(*v)).comps)
-
-    def divmap(v):
-        return [div(PolyVector(*v))]
+    gradmap = op_table(field, [(k, 0, k, 1) for k in range(3)])
+    # curl(v): component k is d_{k+1} v_{k+2} - d_{k+2} v_{k+1}
+    curlmap = op_table(field, [(k, (k + 2) % 3, (k + 1) % 3, 1) for k in range(3)]
+                       + [(k, (k + 1) % 3, (k + 2) % 3, -1) for k in range(3)])
+    divmap = op_table(field, [(0, s, s, 1) for s in range(3)])
 
     for d in range(0, bound + 1):
         dim_a = count_monomials(weights, d)

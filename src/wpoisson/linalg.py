@@ -30,7 +30,8 @@ class Matrix:
 
     def __init__(self, rows: int, cols: int, entries, field=QQ):
         """``entries`` is a list of ``rows`` dicts ``{col: value}``; values are
-        coerced into the field and zeros are dropped."""
+        coerced into the field and zeros are dropped.  Over Q a value may be an
+        ``int`` or a ``Fraction``; ints are kept as they are."""
         if rows < 0 or cols < 0:
             raise RingError("negative matrix dimensions")
         if len(entries) != rows:
@@ -39,6 +40,7 @@ class Matrix:
         self.cols = cols
         self.field = field
         self.entries = []
+        rational = field == QQ
         for row in entries:
             if not isinstance(row, dict):
                 raise RingError("matrix rows must be {column: value} dicts")
@@ -46,7 +48,8 @@ class Matrix:
             for c, v in row.items():
                 if not (isinstance(c, int) and 0 <= c < cols):
                     raise RingError("column index %r out of range" % (c,))
-                v = field.coerce(v)
+                if not (rational and type(v) is int):
+                    v = field.coerce(v)
                 if not field.is_zero(v):
                     clean[c] = v
             self.entries.append(clean)

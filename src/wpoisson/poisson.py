@@ -5,7 +5,7 @@ and verification of (quotient) automorphisms."""
 
 from __future__ import annotations
 
-from .complexes import assemble, cochain_matrix, vector_to_polys
+from .complexes import assemble, cochain_matrix, op_table, vector_to_polys
 from .jacobian import normal_form
 from .linalg import kernel_basis, rank
 from .ring import (
@@ -241,13 +241,11 @@ def rgt(omega: Polynomial) -> int:
     n = check_potential(omega, "rigidity needs a potential of degree a+b+c")
     weights = omega.weights
     a, b, c = weights.tuple
-    grad_o = gradient(omega)
-
-    def conditions(v):
-        vec = PolyVector(*v)
-        return [div(vec), dot(vec, grad_o)]
-
-    m = assemble(weights, omega.field, [a, b, c], [0, n], conditions)
+    g = gradient(omega).comps
+    # div(v) stacked over v . g
+    table = op_table(omega.field, [(0, s, s, 1) for s in range(3)]
+                     + [(1, s, None, g[s]) for s in range(3)])
+    m = assemble(weights, omega.field, [a, b, c], [0, n], table)
     return -(m.cols - rank(m))
 
 

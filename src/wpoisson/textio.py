@@ -14,6 +14,7 @@ error; write "x*y".
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .ring import (
@@ -27,6 +28,7 @@ from .ring import (
 )
 
 MAX_EXPONENT = 10**6
+MAX_POWER_TERMS = 1000
 
 
 class ParseError(ValueError):
@@ -103,7 +105,14 @@ class _Parser:
     def factor(self) -> Polynomial:
         base = self.base()
         if self.take("^"):
+            at = self.pos
             e = self.uint()
+            # a k-term base has at most comb(e+k-1, k-1) terms in its e-th
+            # power; refuse before expanding one that could pass the budget
+            k = len(base.terms)
+            if k > 1 and math.comb(e + k - 1, k - 1) > MAX_POWER_TERMS:
+                raise ParseError("power may expand past the %d-term budget"
+                                 % MAX_POWER_TERMS, at)
             return base ** e
         return base
 

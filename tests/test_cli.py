@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from wpoisson.cli import main
 from wpoisson import Weights, __version__, parse_poly
 from wpoisson.complexes import ph_dims
+from wpoisson.ring import Polynomial
 
 
 def run(args, env=None):
@@ -36,6 +37,16 @@ def test_bracket_json_schema():
     assert doc["results"] == {"bracket": "2*z"}
     assert doc["truncation_bound"] is None
     assert doc["version"] == __version__
+
+
+def test_bracket_json_names_the_components_it_evaluated():
+    code, out = run(["bracket", "-w", "1,1,1", "--pxy", "z", "--pyz", "x",
+                     "--pzx", "y", "--f", "x", "--g", "y", "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["inputs"] == {"weights": "1,1,1", "pxy": "z", "pyz": "x", "pzx": "y",
+                             "f": "x", "g": "y"}
+    assert doc["results"] == {"bracket": "z"}
 
 
 def test_output_is_deterministic():
@@ -174,6 +185,31 @@ def test_computation_refusal_exits_2_with_one_error_line(args):
     lines = res.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("check, bound", [("vacancy", "-50"), ("sealed", "-1")])
+def test_catalog_verify_refuses_an_empty_truncated_window(check, bound):
+    # both windows used to read as all zero: pass / info with ok: True
+    res = CliRunner().invoke(main, ["catalog", "verify", "--filter", "111-i-a",
+                                    "--checks", check, "-D", bound],
+                             catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "error: empty %s window: truncation bound %s is below %d"
+        % (check, bound, -3 if check == "vacancy" else 0)]
+
+
+def test_power_past_the_term_budget_exits_2_before_expanding(monkeypatch):
+    def no_power(self, e):
+        raise AssertionError("the parser started expanding a power")
+
+    monkeypatch.setattr(Polynomial, "__pow__", no_power)
+    res = CliRunner().invoke(main, ["rgt", "-w", "1,1,1", "-p", "(x+y+z)^100000"],
+                             catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "1000-term budget" in res.stderr
 
 
 def test_default_bound_follows_potential_degree():

@@ -7,11 +7,15 @@ tests guard against regressions in the matrix assembly."""
 
 import pytest
 
-from wpoisson import Weights, parse_poly, rank
-from wpoisson import complexes
+from wpoisson import (QQ, ExtensionField, Weights, catalog, gradient, normal_form,
+                      parse_poly, rank)
+from wpoisson import complexes, poisson
 from wpoisson.hilbert import closed_form_lph2
+from wpoisson.jacobian import jacobian_basis
+from wpoisson.linalg import Matrix
 from wpoisson.poisson import euler_derivation
-from wpoisson.ring import RingError
+from wpoisson.ring import (Polynomial, PolyVector, RingError, cross, curl, div, dot,
+                           monomial_basis)
 
 
 W111 = Weights(1, 1, 1)
@@ -276,3 +280,162 @@ def test_dims_table_row_and_bounds():
     assert min(row3) == -4 and max(row3) == 5
     assert tbl.dim(2, -99) == 0
     assert tbl.dim(0, -1) == 0
+
+
+# ---------------------------------------------------------------------------
+# operator tables against the per-column Polynomial evaluation they replace
+
+def _reference_assemble(weights, field, src_degs, tgt_degs, fn):
+    """the callback assembler: evaluate fn on every source monomial as a
+    component list of Polynomials and read the output terms"""
+    index, offsets, total = [], [], 0
+    for td in tgt_degs:
+        tb = monomial_basis(weights, td)
+        index.append({m: i for i, m in enumerate(tb)})
+        offsets.append(total)
+        total += len(tb)
+    rows = [{} for _ in range(total)]
+    zero = Polynomial.zero(weights, field)
+    col = 0
+    for ci, sd in enumerate(src_degs):
+        for m in monomial_basis(weights, sd):
+            vin = [zero] * len(src_degs)
+            vin[ci] = Polynomial.monomial(weights, m, 1, field)
+            for ti, p in enumerate(fn(vin)):
+                for mm, coef in p.terms.items():
+                    pos = index[ti].get(mm)
+                    if pos is None:
+                        raise RingError("graded map output escapes its degree slot")
+                    rows[offsets[ti] + pos][col] = coef
+            col += 1
+    return Matrix(total, col, rows, field)
+
+
+def _reference_cochain(grad_o, i, comps):
+    if i == 0:
+        return list(cross(gradient(comps[0]), grad_o).comps)
+    v = PolyVector(*comps)
+    if i == 1:
+        lead = gradient(dot(v, grad_o))
+        dv = div(v)
+        return [dv * g - t for g, t in zip(grad_o.comps, lead.comps)]
+    return [-div(cross(v, grad_o))]
+
+
+def _reference_maps(omega):
+    """the old fn closure of every assembled map, by name"""
+    g = gradient(omega)
+    gb = jacobian_basis(omega)
+    return {
+        "cochain0": lambda v: _reference_cochain(g, 0, v),
+        "cochain1": lambda v: _reference_cochain(g, 1, v),
+        "cochain2": lambda v: _reference_cochain(g, 2, v),
+        "m2": lambda v: [v[0] * gk + h for gk, h in zip(g.comps, gradient(v[1]).comps)],
+        "koszul1": lambda v: [dot(PolyVector(*v), g)],
+        "koszul2": lambda v: list(cross(PolyVector(*v), g).comps),
+        "koszul3": lambda v: [v[0] * gk for gk in g.comps],
+        "ozone": lambda v: _reference_cochain(g, 1, v) + [dot(PolyVector(*v), g)],
+        "sealed": lambda v: [dot(PolyVector(*v), g), normal_form(div(PolyVector(*v)), gb)],
+        "rgt": lambda v: [div(PolyVector(*v)), dot(PolyVector(*v), g)],
+        "grad": lambda v: list(gradient(v[0]).comps),
+        "curl": lambda v: list(curl(PolyVector(*v)).comps),
+        "div": lambda v: [div(PolyVector(*v))],
+    }
+
+
+def _capture(monkeypatch, run):
+    """(src_degs, tgt_degs, matrix) of every assemble call made by run()"""
+    calls = []
+    real = complexes.assemble
+
+    def spy(weights, field, src_degs, tgt_degs, *rest):
+        m = real(weights, field, src_degs, tgt_degs, *rest)
+        calls.append((list(src_degs), list(tgt_degs), m))
+        return m
+
+    monkeypatch.setattr(complexes, "assemble", spy)
+    monkeypatch.setattr(poisson, "assemble", spy)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def _same_matrix(new, ref):
+    return (new.rows, new.cols, new.field, new.entries) == (ref.rows, ref.cols, ref.field,
+                                                          ref.entries)
+
+
+def _table_potentials():
+    """one catalog entry from each of ten weight groups, one rational
+    potential with non-integer coefficients, one over Q(s)/(s^2+s+1)"""
+    picked = {}
+    for e in catalog.entries():
+        if len(picked) < 10 and e.weights not in picked:
+            picked[e.weights] = pytest.param(e.weights, QQ, e.omega_text, id=e.entry_id)
+    cube = ExtensionField([1, 1, 1])
+    return list(picked.values()) + [
+        pytest.param(W111, QQ, "1/2*x^3+y^3+z^3-3/2*x*y*z", id="qq-fractions"),
+        pytest.param(W111, cube, "x^3+y^3+z^3+s*x*y*z", id="cube-root-field"),
+    ]
+
+
+@pytest.mark.parametrize("weights, field, text", _table_potentials())
+def test_operator_tables_match_per_column_evaluation(monkeypatch, weights, field, text):
+    om = parse_poly(text, weights, field)
+    n = om.homogeneous_degree()
+    w = n - weights.n_default
+    a, b, c = weights.tuple
+    ref = _reference_maps(om)
+    sh = complexes.cochain_shifts(weights)
+    degrees = range(-weights.n_default, n + 3)
+
+    def check(name, new, src, tgt):
+        expected = _reference_assemble(weights, field, src, tgt, ref[name])
+        assert _same_matrix(new, expected), (name, src, tgt)
+
+    for d in degrees:
+        for i in range(3):
+            check("cochain%d" % i, complexes.cochain_matrix(om, i, d),
+                  [d + s for s in sh[i]], [d + w + s for s in sh[i + 1]])
+        check("m2", complexes._m2_matrix(om, d), [d - w, d + a + b + c],
+              [d + b + c, d + a + c, d + a + b])
+        degs = complexes.koszul_component_degs(om, d)
+        for i in (1, 2, 3):
+            check("koszul%d" % i, complexes._koszul_matrix(om, i, d), degs[i], degs[i - 1])
+
+    # the stacked maps, told from the cochain and Koszul matrices that the
+    # same runs assemble by their numbers of source and target components
+    runs = [
+        ("ozone", lambda: complexes.ozone_vs_hamiltonian(om, n + 2),
+         {(3, 4): "ozone", (1, 3): "cochain0"}),
+        ("sealed", lambda: complexes.sealed_k1_dims(om, n + 2),
+         {(3, 2): "sealed", (3, 3): "koszul2"}),
+        ("rgt", lambda: poisson.rgt(om), {(3, 2): "rgt"}),
+    ]
+    for name, run, kinds in runs:
+        calls = _capture(monkeypatch, run)
+        assert any(kinds[len(src), len(tgt)] == name for src, tgt, _ in calls), name
+        for src, tgt, m in calls:
+            check(kinds[len(src), len(tgt)], m, src, tgt)
+
+    calls = _capture(monkeypatch,
+                     lambda: complexes.derham_exactness_check(weights, n + 2, field))
+    assert len(calls) == 3 * (n + 3)
+    for k, (src, tgt, m) in enumerate(calls):
+        check(("grad", "curl", "div")[k % 3], m, src, tgt)
+
+
+@pytest.mark.parametrize("weights, field, text", _table_potentials()[-2:])
+def test_cochain_apply_matches_polynomial_formulas(weights, field, text):
+    om = parse_poly(text, weights, field)
+    g = gradient(om)
+    polys = [parse_poly(t, weights, field)
+             for t in ("x^2*y+3*z^3", "1/3*y^2-x*z", "z+x^4*y^2", "7")]
+    cases = [(0, (p,)) for p in polys] + [
+        (1, (polys[0], polys[1], polys[2])),
+        (1, (polys[3], polys[0], polys[0])),
+        (2, (polys[2], polys[3], polys[1])),
+        (2, (polys[1], polys[1], polys[0])),
+    ]
+    for i, comps in cases:
+        assert complexes.cochain_apply(om, i, comps) == _reference_cochain(g, i, comps), i

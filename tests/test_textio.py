@@ -3,6 +3,8 @@
 import pytest
 
 from wpoisson import ExtensionField, Weights, format_poly, parse_map, parse_poly
+from wpoisson import textio
+from wpoisson.ring import Polynomial
 from wpoisson.textio import ParseError
 
 
@@ -68,6 +70,29 @@ def test_parse_error_reports_position():
     with pytest.raises(ParseError) as err:
         parse_poly("x^2 + q", W112)
     assert "byte" in str(err.value)
+
+
+def _refuse_expansion(monkeypatch):
+    def no_power(self, e):
+        raise AssertionError("the parser started expanding a power")
+
+    monkeypatch.setattr(Polynomial, "__pow__", no_power)
+
+
+def test_power_past_the_term_budget_is_refused_before_expanding(monkeypatch):
+    _refuse_expansion(monkeypatch)
+    with pytest.raises(ParseError, match="1000-term budget") as err:
+        parse_poly("(x+y+z)^100000", W112)
+    assert err.value.offset == 8
+
+
+def test_power_term_budget_is_the_binomial_bound(monkeypatch):
+    # (x+y+z)^e has comb(e+2, 2) terms: 10 for e = 3, 15 for e = 4
+    monkeypatch.setattr(textio, "MAX_POWER_TERMS", 10)
+    assert len(parse_poly("(x+y+z)^3", W112).terms) == 10
+    assert parse_poly("(2*x*y)^50", W112) == parse_poly("2^50*x^50*y^50", W112)
+    with pytest.raises(ParseError):
+        parse_poly("(x+y+z)^4", W112)
 
 
 def test_parse_map():
