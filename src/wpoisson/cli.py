@@ -56,6 +56,9 @@ def _parse_weights(text):
 
 
 _MOD_TERM = re.compile(r"^([+-]?\d*)(?:\*?s(?:\^(\d+))?)?$")
+# the largest --field modulus degree; the paper's fields have degree 2, and
+# every product in the field costs the square of the degree
+FIELD_MAX_DEGREE = 32
 
 
 def _parse_field(text):
@@ -71,11 +74,14 @@ def _parse_field(text):
         if not m or (not m.group(1) and "s" not in term):
             _fail_usage("bad --field modulus %r" % text)
         coef_s = m.group(1)
-        if "s" in term:
-            exp = int(m.group(2)) if m.group(2) else 1
-        else:
-            exp = 0
-        coef = int(coef_s) if coef_s not in ("", "+", "-") else (-1 if coef_s == "-" else 1)
+        try:
+            exp = (int(m.group(2)) if m.group(2) else 1) if "s" in term else 0
+            coef = int(coef_s) if coef_s not in ("", "+", "-") else (-1 if coef_s == "-" else 1)
+        except ValueError:  # more digits than int() converts
+            _fail_usage("bad --field modulus %r" % text)
+        if exp > FIELD_MAX_DEGREE:
+            raise RingError("--field modulus degree %d is above the limit %d"
+                            % (exp, FIELD_MAX_DEGREE))
         coeffs[exp] = coeffs.get(exp, 0) + coef
     deg = max(coeffs)
     if deg < 1 or coeffs[deg] != 1:

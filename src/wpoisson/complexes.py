@@ -1,7 +1,13 @@
 """Degree-truncated homology of three complexes built from a homogeneous
 potential: the Poisson cochain complex on multiderivations, the Koszul complex
 on the gradient, and the de Rham complex; plus the exact-bivector space M2 and
-the vacancy / sealedness / ozone / minimality diagnostics."""
+the vacancy / sealedness / ozone / minimality diagnostics.
+
+Three ranks come from identities, not matrices; g = grad(O) is nonzero by
+Euler's identity, in the domain k[x,y,z].  M2: f g is a gradient iff
+curl(f g) = d0(f) is zero, as the weighted de Rham complex is exact.  Ozone:
+d1(v) = div(v) g - grad(v . g), so one (v . g ; div v) map serves ozone,
+sealedness and rgt.  Koszul: K3 -> K2, v0 -> v0 g, is injective."""
 
 from __future__ import annotations
 
@@ -276,26 +282,20 @@ def ph_closed_form_rows(omega, bound):
 # exact bivectors M2, vacancy, ozone, minimality
 
 
-def _m2_matrix(omega, d):
-    """columns: multiples of grad(O) from degree d-w, then gradients from
-    degree d+a+b+c"""
-    n = check_potential(omega)
-    a, b, c = omega.weights.tuple
-    w = n - a - b - c
-    g = gradient(omega).comps
-    table = op_table(omega.field, [(k, 0, None, g[k]) for k in range(3)]
-                     + [(k, 1, k, 1) for k in range(3)])
-    return assemble(omega.weights, omega.field, [d - w, d + a + b + c],
-                    [d + b + c, d + a + c, d + a + b], table)
-
-
-@lru_cache(maxsize=65536)
 def _m2_dim(omega, d):
-    return rank(_m2_matrix(omega, d))
+    """dim M2_d: the gradients of degree d+a+b+c (a constant has none), plus
+    the multiples f g from degree d-w, less the f g that are gradients.  Those
+    are the f with d0(f) = 0, so the multiples add rank d0 at degree d-w."""
+    weights = omega.weights
+    abc = weights.a + weights.b + weights.c
+    e = d - check_potential(omega) + abc
+    grads = count_monomials(weights, d + abc) - (d == -abc)
+    return grads + (_cochain_rank(omega, 0, e) if count_monomials(weights, e) else 0)
 
 
 def m2_dims(omega, bound):
-    """dimensions of the exact-bivector space M2 per degree"""
+    """dimensions of the exact-bivector space M2 per degree, from
+    #A_{d+a+b+c} - [d = -(a+b+c)] + rank d0 at degree d-w"""
     weights = omega.weights
     dmin = -(weights.a + weights.b + weights.c)
     return {d: _m2_dim(omega, d) for d in range(dmin, bound + 1)}
@@ -303,7 +303,8 @@ def m2_dims(omega, bound):
 
 def vacancy_check(omega, bound):
     """per-degree upper-division dimensions: ker of the top differential
-    modulo M2; the potential is vacant up to the bound iff all zero"""
+    modulo M2, so dim X2_d - rank d2 - #A_{d+n} + [d = -n] - rank d0 at
+    degree d; the potential is vacant up to the bound iff all zero"""
     check_potential(omega, "vacancy diagnostic requires degree a+b+c")
     weights = omega.weights
     sh = cochain_shifts(weights)
@@ -319,29 +320,30 @@ def vacancy_check(omega, bound):
     return out
 
 
+def ozone_dim(omega, d, reducers=None):
+    """dimension of the degree-d derivations v with v . g = 0 and div v = 0,
+    the kernel of (v . g ; div v); ``reducers`` (see ``assemble``) may act on
+    the div block.  Unreduced, this is the ozone space: the cocycles that
+    kill the potential, as d1(v) = div(v) g - grad(v . g)."""
+    n = check_potential(omega)
+    weights = omega.weights
+    dim_x1 = _space_dim(weights, weights.tuple, d)
+    if dim_x1 == 0:
+        return 0
+    g = gradient(omega).comps
+    table = op_table(omega.field, [(0, s, None, g[s]) for s in range(3)]
+                     + [(1, s, s, 1) for s in range(3)])
+    return dim_x1 - rank(assemble(weights, omega.field, [d + s for s in weights.tuple],
+                                  [d + n, d], table, reducers))
+
+
 def ozone_vs_hamiltonian(omega, bound):
     """per-degree dimensions {d: (ozone, hamiltonian)}: derivations that are
-    cocycles killing the potential, vs the image of the hamiltonian map"""
-    n = check_potential(omega, "ozone diagnostic requires degree a+b+c")
-    weights = omega.weights
-    g = gradient(omega).comps
-    # the cochain differential d1 stacked over the derivation's value on O
-    table = _cochain_table(omega, 1) + op_table(
-        omega.field, [(3, s, None, g[s]) for s in range(3)])
-    sh = cochain_shifts(weights)
-    out = {}
-    for d in range(-(max(weights.tuple)), bound + 1):
-        dim_x1 = _space_dim(weights, sh[1], d)
-        if dim_x1 == 0:
-            out[d] = (0, 0)
-            continue
-        src = [d + s for s in sh[1]]
-        tgt = [d + s for s in sh[2]] + [d + n]
-        m = assemble(weights, omega.field, src, tgt, table)
-        od = dim_x1 - rank(m)
-        hd = _cochain_rank(omega, 0, d)
-        out[d] = (od, hd)
-    return out
+    cocycles killing the potential, i.e. with v . g = 0 and div v = 0 (see
+    ``ozone_dim``), vs the image of the hamiltonian map"""
+    check_potential(omega, "ozone diagnostic requires degree a+b+c")
+    return {d: (ozone_dim(omega, d), _cochain_rank(omega, 0, d) if d >= 0 else 0)
+            for d in range(-max(omega.weights.tuple), bound + 1)}
 
 
 def ph1_minimality_check(omega, bound):
@@ -372,7 +374,8 @@ def koszul_component_degs(omega, d):
 
 
 def _koszul_matrix(omega, i, d):
-    """matrix of the Koszul differential K_i -> K_{i-1} at total degree d"""
+    """matrix of the Koszul differential K_i -> K_{i-1} at total degree d,
+    for i = 1, 2 (K3 -> K2 is injective and never assembled)"""
     g = gradient(omega).comps
     degs = koszul_component_degs(omega, d)
     if i == 1:
@@ -382,9 +385,6 @@ def _koszul_matrix(omega, i, d):
         # v x g: component k is g_{k+2} v_{k+1} - g_{k+1} v_{k+2}
         terms = [(k, (k + j) % 3, None, sign * g[(k - j) % 3])
                  for k in range(3) for j, sign in ((1, 1), (2, -1))]
-    elif i == 3:
-        # v_0 g
-        terms = [(k, 0, None, g[k]) for k in range(3)]
     else:
         raise RingError("koszul index out of range")
     return assemble(omega.weights, omega.field, degs[i], degs[i - 1],
@@ -397,20 +397,19 @@ def _koszul_rank(omega, i, d):
 
 
 def koszul_dims(omega, bound):
-    """Koszul homology dimensions H_0..H_3 per total degree"""
+    """Koszul homology dimensions H_0..H_3 per total degree; rank K3 is
+    dim K3, as v0 -> v0 g is injective, so H_3 is zero"""
     check_potential(omega)
     weights = omega.weights
     dims = {}
     for d in range(0, bound + 1):
         degs = koszul_component_degs(omega, d)
         space = [sum(count_monomials(weights, e) for e in degs[i]) for i in range(4)]
-        r = [0] * 4
-        for i in (1, 2, 3):
-            r[i] = _koszul_rank(omega, i, d) if space[i] else 0
-        dims[(0, d)] = space[0] - r[1]
-        dims[(1, d)] = space[1] - r[1] - r[2]
-        dims[(2, d)] = space[2] - r[2] - r[3]
-        dims[(3, d)] = space[3] - r[3]
+        r1, r2 = (_koszul_rank(omega, i, d) if space[i] else 0 for i in (1, 2))
+        dims[(0, d)] = space[0] - r1
+        dims[(1, d)] = space[1] - r1 - r2
+        dims[(2, d)] = space[2] - r2 - space[3]
+        dims[(3, d)] = 0
     floors = {0: 0, 1: 0, 2: 0, 3: 0}
     return DimsTable(dims, bound, floors)
 
@@ -421,27 +420,17 @@ def sealed_k1_dims(omega, bound):
     Returns ({degree: dim}, all-zero flag)."""
     n = check_potential(omega)
     weights, field = omega.weights, omega.field
-    g = gradient(omega).comps
     gb = jacobian_basis(omega)
-    # the cycle condition v . g stacked over div(v), reduced modulo the
-    # Jacobian ideal; the normal form is linear, so it acts on monomials
-    table = op_table(field, [(0, s, None, g[s]) for s in range(3)]
-                     + [(1, s, s, 1) for s in range(3)])
+    # K1 at degree d is X1 at degree d-n: the cycle condition v . g stacked
+    # over div(v), reduced modulo the Jacobian ideal; the normal form is
+    # linear, so it acts on monomials
     reducers = {1: lambda m: normal_form(Polynomial.monomial(weights, m, 1, field),
                                          gb).terms}
     out = {}
     for d in range(0, bound + 1):
-        degs = koszul_component_degs(omega, d)
-        dim_k1 = sum(count_monomials(weights, e) for e in degs[1])
-        if dim_k1 == 0:
-            out[d] = 0
-            continue
-        stacked = assemble(weights, field, degs[1], [d, d - n], table, reducers)
-        sealed = dim_k1 - rank(stacked)
-        boundary = _koszul_rank(omega, 2, d) if sum(
-            count_monomials(weights, e) for e in degs[2]
-        ) else 0
-        out[d] = sealed - boundary
+        dim_k2 = sum(count_monomials(weights, e) for e in koszul_component_degs(omega, d)[2])
+        boundary = _koszul_rank(omega, 2, d) if dim_k2 else 0
+        out[d] = ozone_dim(omega, d - n, reducers) - boundary
     return out, all(v == 0 for v in out.values())
 
 

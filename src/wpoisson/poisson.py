@@ -5,9 +5,9 @@ and verification of (quotient) automorphisms."""
 
 from __future__ import annotations
 
-from .complexes import assemble, cochain_matrix, op_table, vector_to_polys
+from .complexes import cochain_matrix, ozone_dim, vector_to_polys
 from .jacobian import normal_form
-from .linalg import kernel_basis, rank
+from .linalg import kernel_basis
 from .ring import (
     Polynomial,
     PolyVector,
@@ -237,16 +237,10 @@ def graded_derivation_space(s: PoissonStructure, d: int):
 
 def rgt(omega: Polynomial) -> int:
     """rigidity of the graded twisting: minus the dimension of the space of
-    degree-0 derivations that are divergence-free and kill the potential"""
-    n = check_potential(omega, "rigidity needs a potential of degree a+b+c")
-    weights = omega.weights
-    a, b, c = weights.tuple
-    g = gradient(omega).comps
-    # div(v) stacked over v . g
-    table = op_table(omega.field, [(0, s, s, 1) for s in range(3)]
-                     + [(1, s, None, g[s]) for s in range(3)])
-    m = assemble(weights, omega.field, [a, b, c], [0, n], table)
-    return -(m.cols - rank(m))
+    degree-0 derivations that are divergence-free and kill the potential,
+    which is the ozone space in degree 0"""
+    check_potential(omega, "rigidity needs a potential of degree a+b+c")
+    return -ozone_dim(omega, 0)
 
 
 def negative_degree_pd_dims(omega: Polynomial):

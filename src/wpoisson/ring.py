@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 VAR_NAMES = ("x", "y", "z")
 
@@ -355,11 +356,12 @@ def mono_key(weights: Weights, m) -> tuple:
     return (weights.mono_degree(m), -m[2], -m[1], -m[0])
 
 
-def monomial_basis(weights: Weights, d: int):
+@lru_cache(maxsize=4096)
+def monomial_basis(weights: Weights, d: int) -> tuple:
     """All exponent triples of weighted degree exactly d, in the fixed order
-    (ascending).  Empty for d < 0."""
+    (ascending), memoised per (weights, degree).  Empty for d < 0."""
     if d < 0:
-        return []
+        return ()
     a, b, c = weights.tuple
     out = []
     for k in range(d // c + 1):
@@ -369,18 +371,11 @@ def monomial_basis(weights: Weights, d: int):
             if rem % a == 0:
                 out.append((rem // a, j, k))
     out.sort(key=lambda m: mono_key(weights, m))
-    return out
+    return tuple(out)
 
 
 def count_monomials(weights: Weights, d: int) -> int:
-    if d < 0:
-        return 0
-    a, b, c = weights.tuple
-    total = 0
-    for k in range(d // c + 1):
-        rem_k = d - c * k
-        total += sum(1 for j in range(rem_k // b + 1) if (rem_k - b * j) % a == 0)
-    return total
+    return len(monomial_basis(weights, d))
 
 
 # ---------------------------------------------------------------------------

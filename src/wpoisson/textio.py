@@ -71,10 +71,11 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
-        value = int(self.text[start : self.pos])
-        if value > MAX_EXPONENT:
+        digits = self.text[start : self.pos].lstrip("0") or "0"
+        # length first: int() refuses strings of more than 4300 digits
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
             raise ParseError("integer exceeds the 10^6 guard", start)
-        return value
+        return int(digits)
 
     # -- grammar -------------------------------------------------------------
 

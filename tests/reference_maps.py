@@ -1,0 +1,100 @@
+"""Test-local reference matrices: every graded map evaluated column by
+column on Polynomials, independently of the operator tables, plus the
+matrices whose ranks the package now derives from identities (the M2 map,
+d1 stacked over v . grad(O), and the Koszul map K3 -> K2)."""
+
+from wpoisson import gradient, normal_form, rank
+from wpoisson.jacobian import jacobian_basis
+from wpoisson.linalg import Matrix
+from wpoisson.ring import (Polynomial, PolyVector, RingError, count_monomials, cross, curl,
+                           div, dot, monomial_basis)
+
+
+def reference_assemble(weights, field, src_degs, tgt_degs, fn):
+    """the callback assembler: evaluate fn on every source monomial as a
+    component list of Polynomials and read the output terms"""
+    index, offsets, total = [], [], 0
+    for td in tgt_degs:
+        tb = monomial_basis(weights, td)
+        index.append({m: i for i, m in enumerate(tb)})
+        offsets.append(total)
+        total += len(tb)
+    rows = [{} for _ in range(total)]
+    zero = Polynomial.zero(weights, field)
+    col = 0
+    for ci, sd in enumerate(src_degs):
+        for m in monomial_basis(weights, sd):
+            vin = [zero] * len(src_degs)
+            vin[ci] = Polynomial.monomial(weights, m, 1, field)
+            for ti, p in enumerate(fn(vin)):
+                for mm, coef in p.terms.items():
+                    pos = index[ti].get(mm)
+                    if pos is None:
+                        raise RingError("graded map output escapes its degree slot")
+                    rows[offsets[ti] + pos][col] = coef
+            col += 1
+    return Matrix(total, col, rows, field)
+
+
+def reference_cochain(grad_o, i, comps):
+    if i == 0:
+        return list(cross(gradient(comps[0]), grad_o).comps)
+    v = PolyVector(*comps)
+    if i == 1:
+        lead = gradient(dot(v, grad_o))
+        dv = div(v)
+        return [dv * g - t for g, t in zip(grad_o.comps, lead.comps)]
+    return [-div(cross(v, grad_o))]
+
+
+def reference_maps(omega):
+    """the fn closure of every graded map, by name"""
+    g = gradient(omega)
+    return {
+        "cochain0": lambda v: reference_cochain(g, 0, v),
+        "cochain1": lambda v: reference_cochain(g, 1, v),
+        "cochain2": lambda v: reference_cochain(g, 2, v),
+        # multiples of grad(O), then gradients
+        "m2": lambda v: [v[0] * gk + h for gk, h in zip(g.comps, gradient(v[1]).comps)],
+        "koszul1": lambda v: [dot(PolyVector(*v), g)],
+        "koszul2": lambda v: list(cross(PolyVector(*v), g).comps),
+        "koszul3": lambda v: [v[0] * gk for gk in g.comps],
+        # the cochain differential d1 stacked over the derivation's value on O
+        "d1_over_dot": lambda v: reference_cochain(g, 1, v) + [dot(PolyVector(*v), g)],
+        "ozone": lambda v: [dot(PolyVector(*v), g), div(PolyVector(*v))],
+        "sealed": lambda v: [dot(PolyVector(*v), g),
+                             normal_form(div(PolyVector(*v)), jacobian_basis(omega))],
+        "grad": lambda v: list(gradient(v[0]).comps),
+        "curl": lambda v: list(curl(PolyVector(*v)).comps),
+        "div": lambda v: [div(PolyVector(*v))],
+    }
+
+
+def _rank(omega, name, src, tgt, maps=None):
+    fn = (maps or reference_maps(omega))[name]
+    return rank(reference_assemble(omega.weights, omega.field, src, tgt, fn))
+
+
+def m2_rank(omega, d, maps=None):
+    """dim M2_d as the rank of the multiples of grad(O) from degree d-w
+    next to the gradients from degree d+a+b+c"""
+    a, b, c = omega.weights.tuple
+    w = omega.homogeneous_degree() - a - b - c
+    return _rank(omega, "m2", [d - w, d + a + b + c], [d + b + c, d + a + c, d + a + b], maps)
+
+
+def ozone_kernel(omega, d, maps=None):
+    """dimension of the degree-d derivations that are cocycles killing O,
+    from d1 stacked over v . grad(O)"""
+    a, b, c = omega.weights.tuple
+    w = omega.homogeneous_degree() - a - b - c
+    src = [d + a, d + b, d + c]
+    tgt = [d + w + b + c, d + w + a + c, d + w + a + b, d + a + b + c + w]
+    dim = sum(count_monomials(omega.weights, e) for e in src)
+    return dim - (_rank(omega, "d1_over_dot", src, tgt, maps) if dim else 0)
+
+
+def koszul3_rank(omega, degs, maps=None):
+    """rank of K3 -> K2, v0 -> v0 grad(O), from the Koszul degrees of one
+    total degree (``complexes.koszul_component_degs``)"""
+    return _rank(omega, "koszul3", degs[3], degs[2], maps)

@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from wpoisson.cli import main
+from wpoisson.cli import FIELD_MAX_DEGREE, main
 from wpoisson import Weights, __version__, parse_poly
 from wpoisson.complexes import ph_dims
 from wpoisson.ring import Polynomial
@@ -185,6 +185,27 @@ def test_computation_refusal_exits_2_with_one_error_line(args):
     lines = res.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
+
+
+# every modulus here is over the limit: the refusal comes before the
+# coefficient list, which for s^99999999999+1 could not be built
+@pytest.mark.parametrize("modulus, degree", [
+    ("s^33+1", 33), ("s^99999999999+1", 99999999999), ("s^2+s^40+1", 40)])
+def test_field_modulus_degree_is_refused_above_the_limit(modulus, degree):
+    res = CliRunner().invoke(main, ["rgt", "-w", "1,1,1", "-p", "x^3+y^3+z^3",
+                                    "--field", modulus], catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "error: --field modulus degree %d is above the limit %d" % (degree, FIELD_MAX_DEGREE)]
+
+
+def test_field_modulus_exponent_too_long_for_int_is_bad_input():
+    res = CliRunner().invoke(main, ["rgt", "-w", "1,1,1", "-p", "x^3+y^3+z^3",
+                                    "--field", "s^" + "9" * 5000 + "+1"])
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "bad --field modulus" in res.stderr
 
 
 @pytest.mark.parametrize("check, bound", [("vacancy", "-50"), ("sealed", "-1")])

@@ -7,15 +7,14 @@ tests guard against regressions in the matrix assembly."""
 
 import pytest
 
-from wpoisson import (QQ, ExtensionField, Weights, catalog, gradient, normal_form,
-                      parse_poly, rank)
+from wpoisson import QQ, ExtensionField, Weights, catalog, gradient, parse_poly, rank
 from wpoisson import complexes, poisson
 from wpoisson.hilbert import closed_form_lph2
-from wpoisson.jacobian import jacobian_basis
-from wpoisson.linalg import Matrix
 from wpoisson.poisson import euler_derivation
-from wpoisson.ring import (Polynomial, PolyVector, RingError, cross, curl, div, dot,
-                           monomial_basis)
+from wpoisson.ring import RingError, count_monomials
+
+from reference_maps import (koszul3_rank, m2_rank, ozone_kernel, reference_assemble,
+                            reference_cochain, reference_maps)
 
 
 W111 = Weights(1, 1, 1)
@@ -285,64 +284,6 @@ def test_dims_table_row_and_bounds():
 # ---------------------------------------------------------------------------
 # operator tables against the per-column Polynomial evaluation they replace
 
-def _reference_assemble(weights, field, src_degs, tgt_degs, fn):
-    """the callback assembler: evaluate fn on every source monomial as a
-    component list of Polynomials and read the output terms"""
-    index, offsets, total = [], [], 0
-    for td in tgt_degs:
-        tb = monomial_basis(weights, td)
-        index.append({m: i for i, m in enumerate(tb)})
-        offsets.append(total)
-        total += len(tb)
-    rows = [{} for _ in range(total)]
-    zero = Polynomial.zero(weights, field)
-    col = 0
-    for ci, sd in enumerate(src_degs):
-        for m in monomial_basis(weights, sd):
-            vin = [zero] * len(src_degs)
-            vin[ci] = Polynomial.monomial(weights, m, 1, field)
-            for ti, p in enumerate(fn(vin)):
-                for mm, coef in p.terms.items():
-                    pos = index[ti].get(mm)
-                    if pos is None:
-                        raise RingError("graded map output escapes its degree slot")
-                    rows[offsets[ti] + pos][col] = coef
-            col += 1
-    return Matrix(total, col, rows, field)
-
-
-def _reference_cochain(grad_o, i, comps):
-    if i == 0:
-        return list(cross(gradient(comps[0]), grad_o).comps)
-    v = PolyVector(*comps)
-    if i == 1:
-        lead = gradient(dot(v, grad_o))
-        dv = div(v)
-        return [dv * g - t for g, t in zip(grad_o.comps, lead.comps)]
-    return [-div(cross(v, grad_o))]
-
-
-def _reference_maps(omega):
-    """the old fn closure of every assembled map, by name"""
-    g = gradient(omega)
-    gb = jacobian_basis(omega)
-    return {
-        "cochain0": lambda v: _reference_cochain(g, 0, v),
-        "cochain1": lambda v: _reference_cochain(g, 1, v),
-        "cochain2": lambda v: _reference_cochain(g, 2, v),
-        "m2": lambda v: [v[0] * gk + h for gk, h in zip(g.comps, gradient(v[1]).comps)],
-        "koszul1": lambda v: [dot(PolyVector(*v), g)],
-        "koszul2": lambda v: list(cross(PolyVector(*v), g).comps),
-        "koszul3": lambda v: [v[0] * gk for gk in g.comps],
-        "ozone": lambda v: _reference_cochain(g, 1, v) + [dot(PolyVector(*v), g)],
-        "sealed": lambda v: [dot(PolyVector(*v), g), normal_form(div(PolyVector(*v)), gb)],
-        "rgt": lambda v: [div(PolyVector(*v)), dot(PolyVector(*v), g)],
-        "grad": lambda v: list(gradient(v[0]).comps),
-        "curl": lambda v: list(curl(PolyVector(*v)).comps),
-        "div": lambda v: [div(PolyVector(*v))],
-    }
-
-
 def _capture(monkeypatch, run):
     """(src_degs, tgt_degs, matrix) of every assemble call made by run()"""
     calls = []
@@ -354,7 +295,6 @@ def _capture(monkeypatch, run):
         return m
 
     monkeypatch.setattr(complexes, "assemble", spy)
-    monkeypatch.setattr(poisson, "assemble", spy)
     run()
     monkeypatch.undo()
     return calls
@@ -384,33 +324,30 @@ def test_operator_tables_match_per_column_evaluation(monkeypatch, weights, field
     om = parse_poly(text, weights, field)
     n = om.homogeneous_degree()
     w = n - weights.n_default
-    a, b, c = weights.tuple
-    ref = _reference_maps(om)
+    ref = reference_maps(om)
     sh = complexes.cochain_shifts(weights)
     degrees = range(-weights.n_default, n + 3)
 
     def check(name, new, src, tgt):
-        expected = _reference_assemble(weights, field, src, tgt, ref[name])
+        expected = reference_assemble(weights, field, src, tgt, ref[name])
         assert _same_matrix(new, expected), (name, src, tgt)
 
     for d in degrees:
         for i in range(3):
             check("cochain%d" % i, complexes.cochain_matrix(om, i, d),
                   [d + s for s in sh[i]], [d + w + s for s in sh[i + 1]])
-        check("m2", complexes._m2_matrix(om, d), [d - w, d + a + b + c],
-              [d + b + c, d + a + c, d + a + b])
         degs = complexes.koszul_component_degs(om, d)
-        for i in (1, 2, 3):
+        for i in (1, 2):
             check("koszul%d" % i, complexes._koszul_matrix(om, i, d), degs[i], degs[i - 1])
 
     # the stacked maps, told from the cochain and Koszul matrices that the
     # same runs assemble by their numbers of source and target components
     runs = [
         ("ozone", lambda: complexes.ozone_vs_hamiltonian(om, n + 2),
-         {(3, 4): "ozone", (1, 3): "cochain0"}),
+         {(3, 2): "ozone", (1, 3): "cochain0"}),
         ("sealed", lambda: complexes.sealed_k1_dims(om, n + 2),
          {(3, 2): "sealed", (3, 3): "koszul2"}),
-        ("rgt", lambda: poisson.rgt(om), {(3, 2): "rgt"}),
+        ("ozone", lambda: poisson.rgt(om), {(3, 2): "ozone"}),
     ]
     for name, run, kinds in runs:
         calls = _capture(monkeypatch, run)
@@ -438,4 +375,52 @@ def test_cochain_apply_matches_polynomial_formulas(weights, field, text):
         (2, (polys[1], polys[1], polys[0])),
     ]
     for i, comps in cases:
-        assert complexes.cochain_apply(om, i, comps) == _reference_cochain(g, i, comps), i
+        assert complexes.cochain_apply(om, i, comps) == reference_cochain(g, i, comps), i
+
+
+# ---------------------------------------------------------------------------
+# the ranks derived from identities against the matrices they replace
+
+
+def _identity_potentials():
+    """every catalog entry to n+6; off-catalog potentials, of other degrees
+    and over Q(s)/(s^2+s+1), to a bound of their own"""
+    cube = ExtensionField([1, 1, 1])
+    return [pytest.param(e.weights, QQ, e.omega_text, e.degree + 6, id=e.entry_id)
+            for e in catalog.entries()] + [
+        pytest.param(w, field, text, top, id=text)
+        for w, field, text, top in (
+            (W111, QQ, "x^4+y^4+z^4", 12),
+            (W111, QQ, "x^5+y^5+z^5+x^2*y^2*z", 12),
+            (W111, QQ, "x^2*y^2+x^2*z^2+y^3*z", 12),
+            (W111, QQ, "x*y*z", 12),
+            (W111, QQ, "x^2*y", 12),
+            (W112, QQ, "z^3+x^6+y^6", 14),
+            (W111, cube, "x^3+y^3+z^3+s*x*y*z", 9),
+        )]
+
+
+@pytest.mark.parametrize("weights, field, text, top", _identity_potentials())
+def test_rank_identities_match_reference_matrices(weights, field, text, top):
+    om = parse_poly(text, weights, field)
+    maps = reference_maps(om)
+    degrees = range(-weights.n_default, top + 1)
+    # M2: the Casimir count against the rank of the M2 map
+    assert complexes.m2_dims(om, top) == {d: m2_rank(om, d, maps) for d in degrees}
+    # ozone: the (v . g ; div v) kernel against d1 stacked over v . g
+    ozone = {d: ozone_kernel(om, d, maps) for d in degrees}
+    assert {d: complexes.ozone_dim(om, d) for d in degrees} == ozone
+    if om.homogeneous_degree() == weights.n_default:
+        table = complexes.ozone_vs_hamiltonian(om, top)
+        assert {d: pair[0] for d, pair in table.items()} == {d: ozone[d] for d in table}
+        assert poisson.rgt(om) == -ozone[0]
+    # Koszul: K3 -> K2 is injective; K3 starts at total degree 3n - (a+b+c)
+    top_k = top + om.homogeneous_degree()
+    table = complexes.koszul_dims(om, top_k)
+    for d in range(top_k + 1):
+        degs = complexes.koszul_component_degs(om, d)
+        dim_k2, dim_k3 = (sum(count_monomials(weights, e) for e in degs[i]) for i in (2, 3))
+        rank_k3 = koszul3_rank(om, degs, maps)
+        assert rank_k3 == dim_k3, d
+        rank_k2 = rank(complexes._koszul_matrix(om, 2, d)) if dim_k2 else 0
+        assert (table.dim(2, d), table.dim(3, d)) == (dim_k2 - rank_k2 - rank_k3, 0), d

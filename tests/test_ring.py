@@ -38,8 +38,8 @@ def test_weights_reject_nonpositive():
 
 def test_monomial_basis_counts_and_order():
     w = Weights(1, 1, 2)
-    assert monomial_basis(w, 0) == [(0, 0, 0)]
-    assert monomial_basis(w, 2) == [(0, 0, 1), (0, 2, 0), (1, 1, 0), (2, 0, 0)]
+    assert monomial_basis(w, 0) == ((0, 0, 0),)
+    assert monomial_basis(w, 2) == ((0, 0, 1), (0, 2, 0), (1, 1, 0), (2, 0, 0))
     # dimension of A_d for weights (1,1,1) is the triangle number
     w111 = Weights(1, 1, 1)
     for d in range(8):
@@ -48,7 +48,7 @@ def test_monomial_basis_counts_and_order():
 
 def test_monomial_basis_sparse_weights():
     w = Weights(2, 3, 5)
-    assert monomial_basis(w, 1) == []
+    assert monomial_basis(w, 1) == ()
     assert len(monomial_basis(w, 10)) == len([
         m for m in monomial_basis(w, 10)
     ])

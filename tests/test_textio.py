@@ -66,6 +66,14 @@ def test_parse_errors():
             parse_poly(bad, W112)
 
 
+def test_integers_past_the_guard_are_parse_errors_at_any_length():
+    # 5000 digits is past what int() converts from a string
+    for text in ("x^1000001", "1000001*x", "x^" + "9" * 5000, "9" * 5000 + "*x"):
+        with pytest.raises(ParseError, match="10\\^6 guard"):
+            parse_poly(text, W112)
+    assert parse_poly("x^" + "0" * 5000 + "7", W112) == parse_poly("x^7", W112)
+
+
 def test_parse_error_reports_position():
     with pytest.raises(ParseError) as err:
         parse_poly("x^2 + q", W112)
