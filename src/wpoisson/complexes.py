@@ -136,12 +136,11 @@ def vector_to_polys(weights, field, degs, coords):
 class DimsTable:
     """exact (index, degree) -> dimension table with its truncation bound"""
 
-    __slots__ = ("dims", "bound", "min_degree")
+    __slots__ = ("dims", "bound")
 
-    def __init__(self, dims, bound, min_degree):
+    def __init__(self, dims, bound):
         self.dims = dict(dims)
         self.bound = bound
-        self.min_degree = dict(min_degree)
 
     def dim(self, i, d):
         return self.dims.get((i, d), 0)
@@ -247,8 +246,7 @@ def ph_dims(omega, bound):
             r_out = _cochain_rank(omega, i, d) if i < 3 else 0
             r_in = _cochain_rank(omega, i - 1, d - w) if i > 0 else 0
             dims[(i, d)] = dim_x - r_out - r_in
-    floors = {i: -max(sh[i]) for i in range(4)}
-    return DimsTable(dims, bound, floors)
+    return DimsTable(dims, bound)
 
 
 def ph_closed_form_rows(omega, bound):
@@ -410,8 +408,7 @@ def koszul_dims(omega, bound):
         dims[(1, d)] = space[1] - r1 - r2
         dims[(2, d)] = space[2] - r2 - space[3]
         dims[(3, d)] = 0
-    floors = {0: 0, 1: 0, 2: 0, 3: 0}
-    return DimsTable(dims, bound, floors)
+    return DimsTable(dims, bound)
 
 
 def sealed_k1_dims(omega, bound):

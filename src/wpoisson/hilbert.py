@@ -4,6 +4,8 @@ equality."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .ring import RingError, Weights
 
 
@@ -59,18 +61,10 @@ class HilbertSeries:
 
     def add(self, other: "HilbertSeries") -> "HilbertSeries":
         # common denominator via multiset union
-        from collections import Counter
-
         d1, d2 = Counter(self.denominator), Counter(other.denominator)
         union = d1 | d2
-        n1 = dict(self.numerator)
-        for e, k in (union - d1).items():
-            for _ in range(k):
-                n1 = _laurent_mul(n1, _one_minus(e))
-        n2 = dict(other.numerator)
-        for e, k in (union - d2).items():
-            for _ in range(k):
-                n2 = _laurent_mul(n2, _one_minus(e))
+        n1 = _laurent_mul(self.numerator, _product_one_minus((union - d1).elements()))
+        n2 = _laurent_mul(other.numerator, _product_one_minus((union - d2).elements()))
         total = dict(n1)
         for d, c in n2.items():
             s = total.get(d, 0) + c
@@ -151,17 +145,9 @@ class HilbertSeries:
 
 def series_equal(h1: HilbertSeries, h2: HilbertSeries) -> bool:
     """Exact equality by cross-multiplication against the union of factors."""
-    from collections import Counter
-
     d1, d2 = Counter(h1.denominator), Counter(h2.denominator)
-    n1 = dict(h1.numerator)
-    for e, k in (d2 - d1).items():
-        for _ in range(k):
-            n1 = _laurent_mul(n1, _one_minus(e))
-    n2 = dict(h2.numerator)
-    for e, k in (d1 - d2).items():
-        for _ in range(k):
-            n2 = _laurent_mul(n2, _one_minus(e))
+    n1 = _laurent_mul(h1.numerator, _product_one_minus((d2 - d1).elements()))
+    n2 = _laurent_mul(h2.numerator, _product_one_minus((d1 - d2).elements()))
     return n1 == n2
 
 

@@ -1,6 +1,8 @@
 """Jacobian ideal machinery: Groebner bases under the fixed weighted order,
 normal forms, Hilbert data of the singular quotient, GK-dimension, isolated
-singularity detection, and gcd of the partials."""
+singularity detection, and the gcd of the partials, read off the kernel of a
+graded multiplication map by the exact linear algebra of any supported
+field."""
 
 from __future__ import annotations
 
@@ -9,8 +11,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .hilbert import HilbertSeries, _laurent_sub, _product_one_minus
+from .linalg import in_column_span, kernel_basis
 from .ring import (
-    QQ,
     Polynomial,
     RingError,
     check_potential,
@@ -308,121 +310,31 @@ def has_isolated_singularity(omega):
     return gkdim(omega) == 0
 
 
-def _main_variable(f, g):
-    for v in (2, 1, 0):
-        if any(m[v] for m in f.terms) or any(m[v] for m in g.terms):
-            return v
-    return None
-
-
-def _as_univar(f, v):
-    """split f into {exponent of variable v: coefficient Polynomial}"""
-    split = {}
-    for m, c in f.terms.items():
-        rest = tuple(0 if i == v else m[i] for i in range(3))
-        split.setdefault(m[v], {})[rest] = c
-    return {e: Polynomial(f.weights, f.field, t) for e, t in split.items()}
-
-
-def _from_univar(coeffs, v, weights, field):
-    terms = {}
-    for e, p in coeffs.items():
-        for m, c in p.terms.items():
-            mm = tuple(m[i] + (e if i == v else 0) for i in range(3))
-            terms[mm] = terms.get(mm, field.zero) + c
-    return Polynomial(weights, field, terms)
-
-
-def _exact_div(f, g):
-    """exact polynomial division f / g; raises when not exact"""
-    if not g.terms:
-        raise RingError("division by the zero polynomial")
-    rem = f
-    quot = Polynomial.zero(f.weights, f.field)
-    hg = g.leading_monomial()
-    cg = g.terms[hg]
-    while rem.terms:
-        hm = rem.leading_monomial()
-        if not mono_divides(hg, hm):
-            raise RingError("polynomial division is not exact")
-        q = mono_div(hm, hg)
-        factor = rem.terms[hm] / cg
-        quot = quot + Polynomial.monomial(f.weights, q, factor, f.field)
-        rem = rem - g.mul_term(q, factor)
-    return quot
-
-
-def _pseudo_rem(f, g, v):
-    """pseudo-remainder in variable v: lc(g)^(deg f - deg g + 1) f = q g + r"""
-    fu = _as_univar(f, v)
-    gu = _as_univar(g, v)
-    dg = max(gu)
-    lcg = gu[dg]
-    rem = f
-    for _ in range(max(fu) - dg + 1):
-        ru = _as_univar(rem, v) if rem.terms else {}
-        dr = max(ru) if ru else -1
-        if dr < dg:
-            rem = rem * lcg
-            continue
-        shift = tuple(dr - dg if i == v else 0 for i in range(3))
-        rem = rem * lcg - (g * ru[dr]).mul_term(shift, f.field.one)
-    return rem
-
-
-def _content(univar, weights, field):
-    c = Polynomial.zero(weights, field)
-    for p in univar.values():
-        c = _gcd_pair(c, p)
-    return c
-
-
-def _primitive_part(f, v):
-    u = _as_univar(f, v)
-    c = _content(u, f.weights, f.field)
-    return _from_univar({e: _exact_div(p, c) for e, p in u.items()}, v, f.weights, f.field), c
-
-
-def _gcd_pair(f, g):
-    """multivariate gcd: primitive-part recursion over one variable with a
-    subresultant pseudo-remainder sequence"""
-    if not f.terms:
-        return g
-    if not g.terms:
-        return f
-    v = _main_variable(f, g)
-    if v is None:
-        return Polynomial.constant(f.weights, 1, f.field)
-    if max(m[v] for m in f.terms) < max(m[v] for m in g.terms):
-        f, g = g, f
-    fp, cf = _primitive_part(f, v)
-    gp, cg = _primitive_part(g, v)
-    cont = _gcd_pair(cf, cg)
-
-    one = Polynomial.constant(f.weights, 1, f.field)
-    gg = one
-    hh = one
-    while True:
-        delta = max(_as_univar(fp, v)) - max(_as_univar(gp, v))
-        r = _pseudo_rem(fp, gp, v)
-        if not r.terms:
-            break
-        fp, gp = gp, _exact_div(r, gg * hh**delta)
-        gg = _as_univar(fp, v)[max(_as_univar(fp, v))]
-        if delta:
-            hh = _exact_div(gg**delta, hh ** (delta - 1))
-    prim, _ = _primitive_part(gp, v)
-    return (cont * prim).monic()
-
-
 def gcd_partials(omega):
-    """gcd of the three partial derivatives, monic-normalized"""
-    if omega.field is not QQ:
-        raise RingError("gcd of partials is supported over the rationals only")
+    """gcd of the nonzero partial derivatives, monic-normalized, over any
+    coefficient field.  For homogeneous f, g of degrees p >= q with gcd h,
+    the graded map (u, v) -> u f - v g from degrees (e, e+p-q) to e+p first
+    has a kernel at e = q - deg h, spanned by (g/h, f/h); then h solves
+    (g/h) h = g.  The sweep over e stops by e = q, where (g, f) is in the
+    kernel."""
+    # imported here: complexes imports this module at load time
+    from .complexes import assemble, op_table, vector_to_polys
+
+    check_potential(omega)
+    weights, field = omega.weights, omega.field
     grads = [g for g in gradient(omega).comps if g.terms]
-    if not grads:
-        raise RingError("all partial derivatives vanish")
-    g = grads[0]
-    for h in grads[1:]:
-        g = _gcd_pair(g, h)
-    return g.monic()
+    h = grads[0]
+    for g in grads[1:]:
+        f, g = sorted((h, g), key=Polynomial.homogeneous_degree, reverse=True)
+        p, q = f.homogeneous_degree(), g.homogeneous_degree()
+        table = op_table(field, [(0, 0, None, f), (0, 1, None, -g)])
+        for e in range(q + 1):
+            kernel = kernel_basis(assemble(weights, field, (e, e + p - q), (e + p,), table))
+            if kernel:
+                break
+        u = vector_to_polys(weights, field, (e, e + p - q), kernel[0])[0]
+        times_u = assemble(weights, field, (q - e,), (q,), op_table(field, [(0, 0, None, u)]))
+        _, coords = in_column_span(
+            times_u, [g.terms.get(m, field.zero) for m in monomial_basis(weights, q)])
+        h = vector_to_polys(weights, field, (q - e,), coords)[0]
+    return h.monic()

@@ -100,7 +100,13 @@ class _Parser:
                 break
         acc = self.factor()
         while self.take("*"):
-            acc = acc * self.factor()
+            at = self.pos - 1
+            factor = self.factor()
+            # a product has at most the product of the term counts
+            if len(acc.terms) * len(factor.terms) > MAX_POWER_TERMS:
+                raise ParseError("product may expand past the %d-term budget"
+                                 % MAX_POWER_TERMS, at)
+            acc = acc * factor
         return acc if sign == 1 else -acc
 
     def factor(self) -> Polynomial:

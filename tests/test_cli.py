@@ -109,6 +109,14 @@ def test_singularity_report():
                    "isolated: False\ngkdim: 1\ngcd_of_partials: 1\n")
 
 
+def test_singularity_over_an_extension_field_reports_the_planted_factor():
+    code, out = run(["singularity", "--field", "s^2+s+1", "-w", "1,1,1",
+                     "-p", "(x+s*y)^2*z"])
+    assert code == 0
+    assert out == ("# weights: 1,1,1\n# potential: (x+s*y)^2*z\n"
+                   "isolated: False\ngkdim: 2\ngcd_of_partials: (1)*x+(s)*y\n")
+
+
 def test_cohomology_csv_matches_closed_columns():
     code, out = run(["cohomology", "--weights", "1,1,1",
                      "--potential", "x^3+y^3+z^3+x*y*z",
@@ -171,7 +179,7 @@ def test_cohomology_window_keeps_degrees_down_to_minus_a_b_c():
     ["rgt", "-w", "1,1,2", "-p", "x^3"],
     ["vacancy", "-w", "1,1,1", "-p", "x^4+y^4+z^4"],
     ["gkdim", "-w", "1,1,1", "-p", "x+y^2"],
-    ["singularity", "--field", "s^2+s+1", "-w", "1,1,1", "-p", "x^3+y^3+z^3"],
+    ["singularity", "--field", "s^2+s+1", "-w", "1,1,1", "-p", "x^2+s*y"],
     ["cohomology", "-w", "1,1,1", "-p", "x^3+y^3+z^3", "--max-degree", "-50"],
     # a window with no degree: every flag over it would hold vacuously
     *[pytest.param([name, "-w", "1,1,1", "-p", "x^3+y^3+z^3", "-D", "-5"],
@@ -231,6 +239,24 @@ def test_power_past_the_term_budget_exits_2_before_expanding(monkeypatch):
     assert res.exit_code == 2
     assert res.stdout == ""
     assert "1000-term budget" in res.stderr
+
+
+def test_product_past_the_term_budget_exits_2_before_multiplying(monkeypatch):
+    mul = Polynomial.__mul__
+
+    def small_products_only(self, other):
+        if isinstance(other, Polynomial) and len(self.terms) * len(other.terms) > 1000:
+            raise AssertionError("the parser started multiplying out a product")
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", small_products_only)
+    # (1+x+y+z)^10 has 286 terms, and 286 * 4 passes the budget
+    res = CliRunner().invoke(main, ["rgt", "-w", "1,1,1", "-p", "*".join(["(1+x+y+z)"] * 11)],
+                             catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines()[-1].endswith(
+        ": product may expand past the 1000-term budget (at byte 99)")
 
 
 def test_default_bound_follows_potential_degree():

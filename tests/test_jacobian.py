@@ -20,11 +20,13 @@ from wpoisson.jacobian import (
     normal_form,
     standard_monomials,
 )
+from wpoisson.proptest import WEIGHT_POOL, random_homogeneous
 from wpoisson.ring import (
     QQ,
     ExtensionField,
     Polynomial,
     RingError,
+    gradient,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -159,6 +161,58 @@ def test_gcd_partials_monic_normalization():
 def test_gcd_partials_rejects_constant():
     with pytest.raises(RingError):
         gcd_partials(Polynomial.constant(W112, 7))
+
+
+def test_gcd_partials_rejects_non_homogeneous():
+    with pytest.raises(RingError):
+        gcd_partials(parse_poly("x^3+y^2", W111))
+
+
+def test_gcd_partials_over_extension_field():
+    fld = ExtensionField([1, 1, 1])  # s^2 + s + 1
+    for text, want in (("(x+s*y)^2*z", "x+s*y"), ("x^2*(y+s*z)^2", "x*y+s*x*z")):
+        assert gcd_partials(parse_poly(text, W111, fld)) == parse_poly(want, W111, fld)
+
+
+def _planted_factor_potentials(seed, per_weight=5):
+    """Omega = h^2 r on every property-suite weight triple, so that h divides
+    every partial derivative"""
+    rng = random.Random(seed)
+    for w in WEIGHT_POOL:
+        weights = Weights(*w)
+        made = 0
+        while made < per_weight:
+            h = random_homogeneous(rng, weights, rng.randint(1, 4))
+            r = random_homogeneous(rng, weights, rng.randint(0, 4))
+            if h.is_zero() or r.is_zero():
+                continue
+            made += 1
+            yield h, h * h * r
+
+
+def test_gcd_partials_matches_sympy_over_q():
+    sympy = pytest.importorskip("sympy")
+    x, y, z = sympy.symbols("x y z")
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict(
+            {m: sympy.QQ(c.numerator, c.denominator) for m, c in p.terms.items()},
+            x, y, z, domain=sympy.QQ)
+
+    def check(omega):
+        parts = [to_sympy(g) for g in gradient(omega).comps if g.terms]
+        want = parts[0]
+        for p in parts[1:]:
+            want = want.gcd(p)
+        got = gcd_partials(omega)
+        assert to_sympy(got).monic() == want.monic(), omega
+        return got
+
+    from wpoisson import catalog
+    for e in catalog.entries():
+        check(e.omega)
+    for h, omega in _planted_factor_potentials(7):
+        assert normal_form(check(omega), [h]).is_zero(), omega
 
 
 def test_low_gkdim_implies_coprime_partials():

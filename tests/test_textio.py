@@ -103,6 +103,37 @@ def test_power_term_budget_is_the_binomial_bound(monkeypatch):
         parse_poly("(x+y+z)^4", W112)
 
 
+def _refuse_products_past_the_budget(monkeypatch):
+    mul = Polynomial.__mul__
+
+    def small_products_only(self, other):
+        if isinstance(other, Polynomial) and (
+                len(self.terms) * len(other.terms) > textio.MAX_POWER_TERMS):
+            raise AssertionError("the parser started multiplying out a product")
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", small_products_only)
+
+
+# (1+x+y+z)^k has comb(k+3, 3) terms: 286 for k = 10, which times 4 passes 1000
+LONG_PRODUCT = "*".join(["(1+x+y+z)"] * 11)
+
+
+def test_product_past_the_term_budget_is_refused_before_multiplying(monkeypatch):
+    _refuse_products_past_the_budget(monkeypatch)
+    with pytest.raises(ParseError, match="product may expand past the 1000-term budget") as err:
+        parse_poly(LONG_PRODUCT, W112)
+    assert err.value.offset == LONG_PRODUCT.rindex("*")
+
+
+def test_product_term_budget_is_the_product_of_term_counts(monkeypatch):
+    monkeypatch.setattr(textio, "MAX_POWER_TERMS", 16)
+    assert len(parse_poly("(1+x+y+z)*(1+x+y+z)", W112).terms) == 10
+    monkeypatch.setattr(textio, "MAX_POWER_TERMS", 15)
+    with pytest.raises(ParseError, match="15-term budget"):
+        parse_poly("(1+x+y+z)*(1+x+y+z)", W112)
+
+
 def test_parse_map():
     phi = parse_map("x->x; y->y-x^3-2*z; z->z+x^3", W112)
     assert [format_poly(g) for g in phi] == ["x", "-x^3-2*z+y", "x^3+z"]
