@@ -409,6 +409,31 @@ def default_bound(n: int) -> int:
         raise CatalogError("bad %s=%r" % (MAX_DEGREE_ENV, env))
 
 
+# the most monomials a truncation window may hold, summed over the degrees
+# 0..D+n that the maps at bound D reach; the largest default window in the
+# catalog holds 2,925
+WINDOW_BUDGET = 250_000
+
+
+def check_window_budget(weights: Weights, n: int, bound: int) -> None:
+    """Refuse, with RingError, a truncation bound whose window holds more
+    than WINDOW_BUDGET monomials.  The count runs over the exponents of z and
+    y and takes each column of x exponents in one step, stopping at the
+    budget, so it never lists a monomial and costs at most WINDOW_BUDGET
+    steps for any bound."""
+    a, b, c = weights.tuple
+    top = bound + n
+    count = 0
+    for k in range(top // c + 1):
+        rest = top - c * k
+        for j in range(rest // b + 1):
+            count += (rest - b * j) // a + 1
+            if count > WINDOW_BUDGET:
+                raise RingError(
+                    "truncation bound %d is over budget: degrees 0..%d hold more "
+                    "than %d monomials" % (bound, top, WINDOW_BUDGET))
+
+
 def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
                  checks: Optional[Sequence[str]] = None) -> EntryReport:
     """Recompute the entry's invariants and compare with expectations.
@@ -426,6 +451,7 @@ def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
                            % (",".join(CHECKS), ",".join(sorted(unknown)) or "none"))
     n = entry.degree
     D = max_degree if max_degree is not None else default_bound(n)
+    check_window_budget(entry.weights, n, D)
     report = EntryReport(entry=entry, max_degree=D)
     omega = entry.omega
 
@@ -459,6 +485,7 @@ def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
         if entry.expected_vacant == "no" and entry.vacancy_witness is not None:
             bound = max(bound, entry.vacancy_witness)
         _check_window("vacancy", bound, -entry.weights.n_default)
+        check_window_budget(entry.weights, n, bound)
         dims = vacancy_check(omega, bound)
         _check_yes_no("vacancy", entry.expected_vacant, dims.items(),
                       entry.vacancy_witness, report, bound)
@@ -467,6 +494,7 @@ def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
         if entry.expected_sealed == "no" and entry.sealed_witness is not None:
             bound = max(bound, entry.sealed_witness)
         _check_window("sealed", bound, 0)
+        check_window_budget(entry.weights, n, bound)
         dims, _ = sealed_k1_dims(omega, bound)
         _check_yes_no("sealed", entry.expected_sealed, dims.items(),
                       entry.sealed_witness, report, bound)

@@ -93,6 +93,11 @@ def _parse_field(text):
         _fail_usage(str(exc))
 
 
+def _field_input(field, text):
+    """the --field text to report, or None over Q, whose reports omit it"""
+    return None if field is QQ else text
+
+
 def _poly(text, weights, field):
     try:
         return parse_poly(text, weights, field=field)
@@ -113,13 +118,16 @@ def _structure(weights, field, potential, pxy, pyz, pzx):
 
 
 def _bound(omega, max_degree):
-    """--max-degree, else the default bound for the potential's degree"""
-    if max_degree is not None:
-        return max_degree
-    try:
-        return catalog_mod.default_bound(check_potential(omega))
-    except catalog_mod.CatalogError as exc:
-        _fail_usage(exc)
+    """--max-degree, else the default bound for the potential's degree;
+    refused when its window passes the monomial budget"""
+    n = check_potential(omega)
+    if max_degree is None:
+        try:
+            max_degree = catalog_mod.default_bound(n)
+        except catalog_mod.CatalogError as exc:
+            _fail_usage(exc)
+    catalog_mod.check_window_budget(omega.weights, n, max_degree)
+    return max_degree
 
 
 def _scalar(value):
@@ -218,10 +226,10 @@ def _structure_command(body):
 
     @functools.wraps(body)
     def command(weights, field_text, fmt, potential, pxy, pyz, pzx, **options):
-        s = _structure(_parse_weights(weights), _parse_field(field_text),
-                       potential, pxy, pyz, pzx)
-        inputs = {"weights": weights, "potential": potential,
-                  "pxy": pxy, "pyz": pyz, "pzx": pzx}
+        field = _parse_field(field_text)
+        s = _structure(_parse_weights(weights), field, potential, pxy, pyz, pzx)
+        inputs = {"weights": weights, "field": _field_input(field, field_text),
+                  "potential": potential, "pxy": pxy, "pyz": pyz, "pzx": pzx}
         body(s, fmt, inputs, **options)
 
     # click lists options last-applied first: --help shows the shared
@@ -241,10 +249,13 @@ def _potential_command(name, bound=False):
     def register(body):
         @functools.wraps(body)
         def command(weights, field_text, fmt, potential, **options):
-            omega = _poly(potential, _parse_weights(weights), _parse_field(field_text))
+            field = _parse_field(field_text)
+            omega = _poly(potential, _parse_weights(weights), field)
             if bound:
                 options["bound"] = _bound(omega, options.pop("max_degree"))
-            body(omega, fmt, {"weights": weights, "potential": potential}, **options)
+            inputs = {"weights": weights, "field": _field_input(field, field_text),
+                      "potential": potential}
+            body(omega, fmt, inputs, **options)
 
         fn = command
         if bound:

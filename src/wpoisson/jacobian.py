@@ -2,7 +2,16 @@
 normal forms, Hilbert data of the singular quotient, GK-dimension, isolated
 singularity detection, and the gcd of the partials, read off the kernel of a
 graded multiplication map by the exact linear algebra of any supported
-field."""
+field.
+
+Every Groebner basis is proved before it is returned, by Buchberger's
+criterion over the critical pairs only: a pair is skipped when its heads are
+coprime (product criterion) or when a third head divides the lcm of the two
+strictly, with lcm(h_i, h_k) and lcm(h_k, h_j) both differing from it (chain
+criterion).  The remaining S-polynomials, built from the stored (head,
+coefficient, tail) divisors, must all reduce to zero.  The Hilbert numerator
+of the singular quotient is computed once per potential and cached beside
+its basis."""
 
 from __future__ import annotations
 
@@ -18,7 +27,6 @@ from .ring import (
     check_potential,
     gradient,
     mono_divides,
-    mono_div,
     mono_key,
     mono_lcm,
     mono_mul,
@@ -59,17 +67,14 @@ class GroebnerBasis:
         return "GroebnerBasis(%s)" % (list(self.polys),)
 
 
-def _reduce(f, divisors):
-    """Full division of f by divisors in one pass over a working dict: pop
-    the largest term, reduce it by the first divisor whose head divides it,
-    or else move it to the remainder.  A reduction only adds terms below the
-    popped one, so this is the reduction sequence of restarting from the top
-    after every step."""
-    if not divisors:
-        return f
-    weights, field = f.weights, f.field
+def _reduce(weights, field, terms, divisors):
+    """Full division of the polynomial with these terms by divisors in one
+    pass over a working dict: pop the largest term, reduce it by the first
+    divisor whose head divides it, or else move it to the remainder.  A
+    reduction only adds terms below the popped one, so this is the reduction
+    sequence of restarting from the top after every step."""
     is_zero = field.is_zero
-    work = dict(f.terms)
+    work = dict(terms)
     # min-heap on the negated order key (degree, -z, -y, -x): largest first
     heap = [(-weights.mono_degree(m), m[2], m[1], m[0]) for m in work]
     heapq.heapify(heap)
@@ -113,22 +118,75 @@ def normal_form(f, basis):
         divisors = [_divisor(g) for g in polys]
     for g in polys:
         f._check_compatible(g)  # reduction mixes their coefficients
-    return _reduce(f, divisors)
+    return _reduce(f.weights, f.field, f.terms, divisors)
 
 
-def _s_polynomial(f, g):
-    hf = f.leading_monomial()
-    hg = g.leading_monomial()
-    lcm = mono_lcm(hf, hg)
-    one = f.field.one
-    return f.mul_term(mono_div(lcm, hf), one / f.terms[hf]) - g.mul_term(
-        mono_div(lcm, hg), one / g.terms[hg]
+def _s_terms(field, di, dj):
+    """terms of the S-polynomial of two divisors (head, lc, tail) with
+    lcm(h_i, h_j) = L: the heads of (L/h_i) f_i/lc_i and (L/h_j) f_j/lc_j
+    cancel by construction, so only the two shifted tails are built"""
+    (hi, ci, ti), (hj, cj, tj) = di, dj
+    l0, l1, l2 = max(hi[0], hj[0]), max(hi[1], hj[1]), max(hi[2], hj[2])
+    q0, q1, q2 = l0 - hi[0], l1 - hi[1], l2 - hi[2]
+    out = {(t0 + q0, t1 + q1, t2 + q2): c / ci for (t0, t1, t2), c in ti}
+    q0, q1, q2 = l0 - hj[0], l1 - hj[1], l2 - hj[2]
+    for (t0, t1, t2), c in tj:
+        t = (t0 + q0, t1 + q1, t2 + q2)
+        old = out.get(t)
+        if old is None:
+            out[t] = -(c / cj)
+            continue
+        s = old - c / cj
+        if field.is_zero(s):
+            del out[t]
+        else:
+            out[t] = s
+    return out
+
+
+def _critical_pairs(heads):
+    """index pairs (i, j), i < j, whose S-polynomials must reduce to zero for
+    a set with these heads to be a Groebner basis.  A pair is dropped when
+    its heads are coprime (product criterion), or when some third head h_k
+    divides L = lcm(h_i, h_j) with lcm(h_i, h_k) != L != lcm(h_k, h_j)
+    (chain criterion).  The chain is strict, so (i, k) and (k, j) have lcms
+    properly dividing L, and induction on L under divisibility shows that
+    dropping every such pair at once keeps the check a proof."""
+    n = len(heads)
+    lcms = [[mono_lcm(hi, hj) for hj in heads] for hi in heads]
+    pairs = []
+    for i, j in combinations(range(n), 2):
+        lcm = lcms[i][j]
+        if lcm == mono_mul(heads[i], heads[j]):
+            continue
+        if any(
+            k != i and k != j and mono_divides(heads[k], lcm)
+            and lcms[i][k] != lcm and lcms[k][j] != lcm
+            for k in range(n)
+        ):
+            continue
+        pairs.append((i, j))
+    return pairs
+
+
+def _s_pairs_reduce_to_zero(weights, field, divisors):
+    """Buchberger's criterion over the critical pairs only: true iff the
+    polynomials behind these divisors form a Groebner basis"""
+    return not any(
+        _reduce(weights, field, _s_terms(field, divisors[i], divisors[j]), divisors).terms
+        for i, j in _critical_pairs([h for h, _, _ in divisors])
     )
 
 
 def buchberger(gens):
     """reduced Groebner basis from a nonempty generator list, with the
-    Gebauer-Moeller pair criteria and the normal selection strategy"""
+    Gebauer-Moeller pair criteria and the normal selection strategy.
+
+    The result is proved, not sampled: every critical pair of the reduced
+    basis, the pairs that neither the product criterion (coprime heads) nor
+    the strict chain criterion drops (Buchberger, EUROSAM 1979;
+    Becker-Weispfenning, Groebner Bases, 1993, 5.5), must reduce to zero,
+    or RingError is raised."""
     gens = [g for g in gens if g.terms]
     if not gens:
         raise RingError("ideal needs at least one nonzero generator")
@@ -139,7 +197,7 @@ def buchberger(gens):
     basis = []
     divisors = []
     for g in gens:
-        r = _reduce(g, divisors)
+        r = _reduce(weights, field, g.terms, divisors)
         if r.terms:
             basis.append(r.monic())
             divisors.append(_divisor(basis[-1]))
@@ -183,35 +241,29 @@ def buchberger(gens):
         _, i, j = heapq.heappop(queue)
         if pairs.pop((i, j), None) is None:
             continue
-        r = _reduce(_s_polynomial(basis[i], basis[j]), [divisors[t] for t in active])
+        r = _reduce(weights, field, _s_terms(field, divisors[i], divisors[j]),
+                    [divisors[t] for t in active])
         if r.terms:
             basis.append(r.monic())
             divisors.append(_divisor(basis[-1]))
             heads.append(divisors[-1][0])
             update(len(basis) - 1)
 
-    # inter-reduce: drop redundant heads, then reduce tails
+    # inter-reduce: drop redundant heads, then reduce each tail by the other
+    # kept divisors.  The kept heads divide none of each other, so every
+    # element keeps its head and the list stays sorted.
     keep = []
-    heads_seen = []
-    for g in sorted(basis, key=lambda p: mono_key(weights, p.leading_monomial())):
-        h = g.leading_monomial()
-        if any(mono_divides(p, h) for p in heads_seen):
-            continue
-        keep.append(g)
-        heads_seen.append(h)
-    reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        r = normal_form(g, others)
-        if r.terms:
-            reduced.append(r.monic())
-    reduced.sort(key=lambda p: mono_key(weights, p.leading_monomial()))
+    for i in sorted(range(len(basis)), key=lambda i: mono_key(weights, heads[i])):
+        if not any(mono_divides(heads[t], heads[i]) for t in keep):
+            keep.append(i)
+    kept = [divisors[i] for i in keep]
+    reduced = [
+        _reduce(weights, field, basis[i].terms, kept[:pos] + kept[pos + 1 :]).monic()
+        for pos, i in enumerate(keep)
+    ]
     gb = GroebnerBasis(reduced, weights, field)
-
-    # Buchberger criterion sanity pass
-    for f, g in combinations(gb.polys, 2):
-        if normal_form(_s_polynomial(f, g), gb).terms:
-            raise RingError("Groebner construction failed the S-pair criterion")
+    if not _s_pairs_reduce_to_zero(weights, field, gb._divisors):
+        raise RingError("Groebner construction failed the S-pair criterion")
     return gb
 
 
@@ -222,6 +274,14 @@ def jacobian_basis(omega):
     if not grads:
         raise RingError("all partial derivatives vanish")
     return buchberger(grads)
+
+
+@lru_cache(maxsize=256)
+def _jacobian_numerator(omega):
+    """cached Hilbert numerator of the singular quotient, as an immutable
+    tuple of (degree, coefficient) items"""
+    heads = jacobian_basis(omega).heads()
+    return tuple(_initial_ideal_series(omega.weights, heads).numerator.items())
 
 
 def _hilbert_numerator(weights, gens):
@@ -270,7 +330,8 @@ def a_sing_hilbert(omega, bound):
     weights = omega.weights
     heads = jacobian_basis(omega).heads()
     dims = {d: len(standard_monomials(weights, heads, d)) for d in range(bound + 1)}
-    return dims, _initial_ideal_series(weights, heads)
+    # a fresh series per call: its numerator is a mutable dict
+    return dims, HilbertSeries(dict(_jacobian_numerator(omega)), weights.tuple)
 
 
 def _one_minus_t_multiplicity(num):

@@ -1,6 +1,7 @@
 """Command-line interface: report formats, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -113,8 +114,28 @@ def test_singularity_over_an_extension_field_reports_the_planted_factor():
     code, out = run(["singularity", "--field", "s^2+s+1", "-w", "1,1,1",
                      "-p", "(x+s*y)^2*z"])
     assert code == 0
-    assert out == ("# weights: 1,1,1\n# potential: (x+s*y)^2*z\n"
+    assert out == ("# weights: 1,1,1\n# field: s^2+s+1\n# potential: (x+s*y)^2*z\n"
                    "isolated: False\ngkdim: 2\ngcd_of_partials: (1)*x+(s)*y\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["singularity", "-p", "(x+s*y)^2*z"],
+    ["koszul", "-p", "x^3+y^3+z^3+s*x*y*z", "-D", "3"],
+    ["jacobi", "-p", "x^3+y^3+z^3+s*x*y*z"],
+    ["bracket", "--pxy", "z", "--pyz", "x", "--pzx", "s*y", "--f", "x", "--g", "y"],
+], ids=lambda args: args[0])
+def test_reports_over_an_extension_field_name_the_field(args):
+    code, out = run([*args, "-w", "1,1,1", "--field", "s^2+s+1", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["inputs"]["field"] == "s^2+s+1"
+
+
+@pytest.mark.parametrize("field", [[], ["--field", "rationals"], ["--field", "Q"]])
+def test_reports_over_q_omit_the_field(field):
+    code, out = run(["gkdim", "-w", "1,1,1", "-p", "x^3+y^3+z^3", *field,
+                     "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["inputs"] == {"weights": "1,1,1", "potential": "x^3+y^3+z^3"}
 
 
 def test_cohomology_csv_matches_closed_columns():
@@ -257,6 +278,68 @@ def test_product_past_the_term_budget_exits_2_before_multiplying(monkeypatch):
     assert res.stdout == ""
     assert res.stderr.splitlines()[-1].endswith(
         ": product may expand past the 1000-term budget (at byte 99)")
+
+
+def _refuse_enumeration(monkeypatch):
+    """make listing a monomial basis or assembling a matrix fail anywhere"""
+    from wpoisson import complexes, ring
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the window was enumerated")
+
+    for original in (ring.monomial_basis, complexes.assemble):
+        for name, mod in list(sys.modules.items()):
+            if name == "wpoisson" or name.startswith("wpoisson."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, fail)
+
+
+@pytest.mark.parametrize("args, env", [
+    (["koszul", "-w", "1,1,1", "-p", "x^3+y^3+z^3", "-D", "1000000000"], None),
+    (["cohomology", "-w", "1,2,3", "-p", "z^2+y^3", "-D", "1000000000"], None),
+    (["vacancy", "-w", "1,1,1", "-p", "x^3+y^3+z^3"], {"WPOISSON_MAX_DEGREE": "1000000000"}),
+    (["catalog", "verify", "--filter", "111-i-a", "-D", "1000000000"], None),
+    (["catalog", "verify", "--filter", "111-i-a"], {"WPOISSON_MAX_DEGREE": "1000000000"}),
+], ids=["max-degree", "weighted", "env", "catalog", "catalog-env"])
+def test_bound_past_the_window_budget_exits_2_before_enumerating(monkeypatch, args, env):
+    _refuse_enumeration(monkeypatch)
+    res = CliRunner().invoke(main, args, env=env, catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: truncation bound 1000000000 is over budget: degrees 0..")
+    assert lines[0].endswith(" hold more than 250000 monomials")
+
+
+def test_window_budget_admits_every_catalog_default_window():
+    from wpoisson import catalog
+    from wpoisson.ring import count_monomials
+    largest = 0
+    for e in catalog.entries():
+        n = e.degree
+        D = catalog.default_bound(n)
+        catalog.check_window_budget(e.weights, n, D)
+        largest = max(largest, sum(count_monomials(e.weights, d) for d in range(D + n + 1)))
+    assert 50 * largest <= catalog.WINDOW_BUDGET
+
+
+@pytest.mark.parametrize("budget", [1, 10, 500, 2925])
+def test_window_budget_counts_monomials_exactly(monkeypatch, budget):
+    from wpoisson import catalog
+    from wpoisson.ring import RingError, count_monomials
+    monkeypatch.setattr(catalog, "WINDOW_BUDGET", budget)
+    for w in (Weights(1, 1, 1), Weights(2, 3, 5), Weights(1, 2, 3), Weights(3, 3, 4)):
+        # top: the first degree at which the window passes the budget
+        total, top = 0, 0
+        while total + count_monomials(w, top) <= budget:
+            total += count_monomials(w, top)
+            top += 1
+        n = 2
+        catalog.check_window_budget(w, n, top - 1 - n)
+        with pytest.raises(RingError):
+            catalog.check_window_budget(w, n, top - n)
 
 
 def test_default_bound_follows_potential_degree():

@@ -9,8 +9,12 @@ import pytest
 
 from wpoisson import Matrix, Weights, catalog, monomial_basis, parse_poly, rank
 from wpoisson.complexes import koszul_dims
+from wpoisson import jacobian
 from wpoisson.jacobian import (
+    _critical_pairs,
+    _divisor,
     _initial_ideal_series,
+    _s_pairs_reduce_to_zero,
     a_sing_hilbert,
     buchberger,
     gcd_partials,
@@ -328,3 +332,121 @@ def test_normal_form_matches_restarting_division_by_partial_lists(w, text, field
         f = Polynomial(w, field, terms)
         for divisors in (parts[:1], parts[:2], parts):
             assert normal_form(f, divisors) == _restarting_normal_form(f, divisors)
+
+
+def _s_polynomial(f, g):
+    h1, h2 = f.leading_monomial(), g.leading_monomial()
+    lcm = mono_lcm(h1, h2)
+    one = f.field.one
+    return (f.mul_term(mono_div(lcm, h1), one / f.terms[h1])
+            - g.mul_term(mono_div(lcm, h2), one / g.terms[h2]))
+
+
+def _all_pairs_reduce_to_zero(polys):
+    """the sanity pass as it was: the S-polynomial of every pair, reduced by
+    the whole list"""
+    return all(normal_form(_s_polynomial(f, g), polys).is_zero()
+               for f, g in combinations(polys, 2))
+
+
+def _proves_groebner(polys):
+    polys = [p for p in polys if p.terms]
+    return _s_pairs_reduce_to_zero(polys[0].weights, polys[0].field,
+                                   [_divisor(p) for p in polys])
+
+
+F3 = ExtensionField([1, 1, 1])  # s^2 + s + 1
+CUBE = "x^3+y^3+z^3+x*y*z"
+
+
+def test_s_pair_proof_accepts_every_catalog_basis_and_one_over_q_s():
+    for e in catalog.entries():
+        gb = jacobian_basis(e.omega)
+        assert _s_pairs_reduce_to_zero(gb.weights, gb.field, gb._divisors), e.entry_id
+    om = parse_poly("x^3+y^3+z^3+s*x*y*z", W111, F3)
+    gb = buchberger(gradient(om).comps)
+    assert _s_pairs_reduce_to_zero(gb.weights, gb.field, gb._divisors)
+    assert _all_pairs_reduce_to_zero(list(gb))
+
+
+def test_s_pair_proof_rejects_raw_partials_and_a_basis_missing_an_element():
+    parts = list(gradient(parse_poly(CUBE, W111)).comps)
+    # the partials are not a Groebner basis: the reduced basis has other heads
+    assert set(buchberger(parts).heads()) != {p.leading_monomial() for p in parts}
+    assert not _proves_groebner(parts)
+    assert not _all_pairs_reduce_to_zero(parts)
+    gb = list(buchberger(parts))
+    dropped = gb[:-1]
+    assert not _all_pairs_reduce_to_zero(dropped)
+    assert not _proves_groebner(dropped)
+
+
+def _random_generators(rng, field):
+    w = Weights(*rng.choice(WEIGHT_POOL))
+    gens = []
+    for _ in range(rng.randint(2, 4)):
+        f = random_homogeneous(rng, w, rng.randint(1, 6))
+        if field is not QQ:
+            f = Polynomial(w, field, {m: c + rng.randint(-2, 2) * field.generator
+                                      for m, c in f.terms.items()})
+        gens.append(f)
+    return gens
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=["Q", "Q(s)"])
+def test_s_pair_proof_agrees_with_all_pairs_on_random_generators(field):
+    rng = random.Random(808)
+    verdicts = set()
+    for _ in range(40):
+        gens = [g for g in _random_generators(rng, field) if g.terms]
+        if not gens:
+            continue
+        gb = list(buchberger(gens))
+        for polys in (gens, gb, gb[1:]):
+            if polys:
+                want = _all_pairs_reduce_to_zero(polys)
+                assert _proves_groebner(polys) is want, polys
+                verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_w4_checks_129_of_1225_pairs():
+    om = parse_poly("x^9+y^9+z^9+x^4*y^4*z+x^3*y^2*z^4+x*y^5*z^3", W111)
+    gb = jacobian_basis(om)
+    assert len(gb) == 50 and len(list(combinations(gb, 2))) == 1225
+    assert len(_critical_pairs(gb.heads())) == 129
+    assert gkdim(om) == 0
+
+
+def test_hilbert_numerator_is_computed_once_per_potential(monkeypatch):
+    om = parse_poly("x^5+y^5+z^5+x^2*y^2*z", W111)
+    calls = []
+    series_of = jacobian._initial_ideal_series
+
+    def counted(weights, heads):
+        calls.append(heads)
+        return series_of(weights, heads)
+
+    monkeypatch.setattr(jacobian, "_initial_ideal_series", counted)
+    jacobian._jacobian_numerator.cache_clear()
+    _, first = a_sing_hilbert(om, 6)
+    assert gkdim(om) == 0 and has_isolated_singularity(om)
+    _, again = a_sing_hilbert(om, 6)
+    assert len(calls) == 1
+    assert (again.numerator, again.denominator) == (first.numerator, first.denominator)
+    # the cache holds an immutable copy: mutating a returned numerator does
+    # not reach the next call
+    want = dict(first.numerator)
+    first.numerator[999] = 7
+    first.numerator.pop(0)
+    assert a_sing_hilbert(om, 6)[1].numerator == want
+
+
+def test_critical_pairs_apply_the_product_and_strict_chain_criteria():
+    x2y, yz2 = (2, 1, 0), (0, 1, 2)
+    assert _critical_pairs([(2, 0, 0), (0, 2, 0)]) == []  # coprime heads
+    # xyz divides lcm(x^2 y, y z^2) = x^2 y z^2, and its lcms with both are
+    # strictly smaller, so the pair is dropped
+    assert _critical_pairs([x2y, yz2, (1, 1, 1)]) == [(0, 2), (1, 2)]
+    # lcm(x^2 y z, y z^2) is the whole lcm: not a strict chain, the pair stays
+    assert _critical_pairs([x2y, yz2, (2, 1, 1)]) == [(0, 1), (0, 2), (1, 2)]
