@@ -327,11 +327,9 @@ def a_sing_hilbert(omega, bound):
     """Hilbert data of the singular quotient A/(partials of omega):
     ({d: dim for 0 <= d <= bound}, exact rational series)"""
     check_potential(omega)
-    weights = omega.weights
-    heads = jacobian_basis(omega).heads()
-    dims = {d: len(standard_monomials(weights, heads, d)) for d in range(bound + 1)}
     # a fresh series per call: its numerator is a mutable dict
-    return dims, HilbertSeries(dict(_jacobian_numerator(omega)), weights.tuple)
+    series = HilbertSeries(dict(_jacobian_numerator(omega)), omega.weights.tuple)
+    return dict(enumerate(series.expand(0, bound))) if bound >= 0 else {}, series
 
 
 def _one_minus_t_multiplicity(num):

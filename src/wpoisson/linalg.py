@@ -1,14 +1,25 @@
 """Exact linear algebra over the coefficient field.
 
 There is one matrix representation: a sparse ``Matrix`` whose ``entries``
-hold one ``{col: nonzero value}`` dict per row.  One elimination loop,
-``_echelon``, serves both coefficient fields.  It takes the nonzero rows
-shortest first and reduces each on its last (largest) column against the
-pivot rows found so far; no global pivot search.  Over Q a row is cleared to
-coprime integers once, on entry, updates are fraction-free (Bareiss-style
-cross-multiplication by the cofactors of the gcd), and each new pivot row is
-divided by its content.  Over an extension field pivot rows are scaled to a
-unit pivot and updates use field division.
+hold one ``{col: nonzero value}`` dict per row, and one elimination loop,
+``_echelon``, over Q.  It takes the nonzero rows shortest first and reduces
+each on its last (largest) column against the pivot rows found so far; no
+global pivot search.  A row is cleared to coprime integers once, on entry,
+updates are fraction-free (Bareiss-style cross-multiplication by the
+cofactors of the gcd), and each new pivot row is divided by its content.
+
+A matrix over K = Q[s]/(m), deg m = k, reaches the same loop by restriction
+of scalars (``_over_q``): each entry becomes the k x k rational block of
+multiplication by it on the basis 1, s, ..., s^(k-1).  Its kernel over Q is
+the kernel over K read as Q-vectors, a K-subspace.  Under last-column pivots
+a column is free exactly when it is the first nonzero coordinate of some
+kernel vector.  If a kernel vector has its first nonzero entry in column j,
+multiplying it by the inverse of that entry times s^t gives one whose first
+nonzero Q-coordinate is j*k+t, for every t: each block of k Q-columns is all
+free or all pivot.  The K-rank is the Q-rank over k, and the Q-kernel vector
+with its one at j*k is the K-kernel vector with its one at j.  A partial
+block of pivots can only come from a zero divisor, that is a reducible m,
+and is refused.
 
 Last-column pivots make the free columns the earliest ones the row space
 allows, so a kernel basis depends only on the matrix, not on the order of
@@ -22,7 +33,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .ring import QQ, RingError
+from .ring import QQ, ExtElem, RingError
 
 
 class Matrix:
@@ -77,31 +88,24 @@ def _divide_content(row):
     return {c: v // g for c, v in row.items()}
 
 
-def _echelon(matrix: Matrix):
-    """Echelon form as ``{pivot col: row}``; every pivot row has its pivot at
-    its largest column.  Over Q the rows are coprime integer dicts, over an
-    extension field they have pivot one."""
-    rational = matrix.field == QQ
+def _echelon(rows):
+    """Echelon form over Q as ``{pivot col: row}``; every pivot row is a
+    coprime integer dict with its pivot at its largest column."""
     pivots = {}
-    for row in sorted((r for r in matrix.entries if r), key=len):
-        row = _coprime_ints(row) if rational else dict(row)
+    for row in sorted((r for r in rows if r), key=len):
+        row = _coprime_ints(row)
         while row:
             c = max(row)
             prow = pivots.get(c)
             if prow is None:
-                if rational:
-                    pivots[c] = _divide_content(row)
-                else:
-                    inv = matrix.field.one / row[c]
-                    pivots[c] = {j: v * inv for j, v in row.items()}
+                pivots[c] = _divide_content(row)
                 break
             v = row.pop(c)
-            if rational:
-                p = prow[c]
-                g = math.gcd(p, v)
-                p, v = p // g, v // g
-                if p != 1:
-                    row = {j: p * u for j, u in row.items()}
+            p = prow[c]
+            g = math.gcd(p, v)
+            p, v = p // g, v // g
+            if p != 1:
+                row = {j: p * u for j, u in row.items()}
             for j, pv in prow.items():
                 if j == c:
                     continue
@@ -113,42 +117,93 @@ def _echelon(matrix: Matrix):
     return pivots
 
 
+def _whole(q):
+    """a Fraction as an int when it is one, so integer arithmetic stays fast"""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _over_q(matrix: Matrix):
+    """Restriction of scalars: the r x c matrix over K = Q[s]/(m), deg m = k,
+    as kr x kc rows over Q.  Row i*k+u, column j*k+t holds the coefficient of
+    s^u in M_ij * s^t; each s^t multiple is the previous one shifted up a
+    degree, with s^k folded back through ``_top``.  Each K-row's denominators
+    are cleared once, so the rows hold ints."""
+    k = matrix.field.degree
+    top = [_whole(m) for m in matrix.field._top]
+    rows = []
+    for entry in matrix.entries:
+        block = [{} for _ in range(k)]
+        for j, v in entry.items():
+            a = [_whole(q) for q in v.coeffs]
+            for t in range(k):
+                if t:
+                    a = [u + a[-1] * m for u, m in zip([0] + a[:-1], top)]
+                for u, q in enumerate(a):
+                    if q:
+                        block[u][j * k + t] = q
+        den = math.lcm(*(q.denominator for row in block for q in row.values()))
+        rows.extend({c: q.numerator * (den // q.denominator) for c, q in row.items()}
+                    for row in block)
+    return rows
+
+
+def _pivots(matrix: Matrix):
+    """(echelon form over Q, k): of the matrix itself over Q (k = 1), or of its
+    restriction of scalars over Q[s]/(m), with k = deg m Q-columns per
+    column; there a partial block of pivots means m is reducible."""
+    if matrix.field == QQ:
+        return _echelon(matrix.entries), 1
+    k = matrix.field.degree
+    pivots = _echelon(_over_q(matrix))
+    if len({c // k for c in pivots}) * k != len(pivots):
+        raise RingError("modulus is not coprime with the element; m reducible?")
+    return pivots, k
+
+
 def rank(matrix: Matrix) -> int:
-    return len(_echelon(matrix))
+    pivots, k = _pivots(matrix)
+    return len(pivots) // k
 
 
 def kernel_basis(matrix: Matrix):
     """Exact basis of the right null space; each vector v satisfies Mv = 0.
     Vectors are lists over the field (Fractions over Q), one per free column,
-    with a one in that column and zeros in the other free columns."""
+    with a one in that column and zeros in the other free columns.  Over
+    Q[s]/(m) these are the Q-kernel vectors whose free Q-column is the first
+    of its block, each run of k coordinates read back as one element."""
     field = matrix.field
-    pivots = _echelon(matrix)
+    pivots, k = _pivots(matrix)
     reduced = {}
     for c in sorted(pivots):
         row = pivots[c]
-        if field == QQ:
-            p = row[c]
-            row = {j: Fraction(v, p) for j, v in row.items()}
+        p = row[c]
+        row = {j: Fraction(v, p) for j, v in row.items()}
         for j in [j for j in row if j in reduced]:
             f = row.pop(j)
-            for k, u in reduced[j].items():
-                if k == j:
+            for i, u in reduced[j].items():
+                if i == j:
                     continue
-                nv = row.get(k, 0) - f * u
+                nv = row.get(i, 0) - f * u
                 if nv:
-                    row[k] = nv
+                    row[i] = nv
                 else:
-                    row.pop(k, None)
+                    row.pop(i, None)
         reduced[c] = row
+    width = matrix.cols * k
+    zero = field.zero
     basis = []
-    for free in range(matrix.cols):
+    for free in range(0, width, k):
         if free in pivots:
             continue
-        v = [field.zero] * matrix.cols
-        v[free] = field.one
+        v = [Fraction(0)] * width
+        v[free] = Fraction(1)
         for c, row in reduced.items():
             if free in row:
                 v[c] = -row[free]
+        if field != QQ:
+            # zero blocks share one element, as the rational zeros do
+            v = [ExtElem(field, v[j:j + k]) if any(v[j:j + k]) else zero
+                 for j in range(0, width, k)]
         basis.append(v)
     return basis
 

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 from .ring import (
+    ExtensionField,
     Polynomial,
     QQ,
     Weights,
@@ -79,15 +80,19 @@ def suite_bracket_laws(seed, cases):
 
 
 def suite_rank_nullity(seed, cases):
-    """rank(M) + dim ker(M) equals the column count."""
+    """rank(M) + dim ker(M) equals the column count; every other case is
+    over Q[s]/(s^2+s+1), whose elimination restricts scalars to Q."""
     rng = random.Random(seed)
+    w = ExtensionField([1, 1, 1]).generator  # a primitive cube root of unity
     failures = 0
-    for _ in range(cases):
+    for case in range(cases):
+        over_q = case % 2 == 0
         rows = rng.randint(0, 7)
         cols = rng.randint(0, 7)
-        grid = [{j: _random_coef(rng) for j in range(cols) if rng.random() < 0.45}
+        grid = [{j: _random_coef(rng) if over_q else _random_coef(rng) + _random_coef(rng) * w
+                 for j in range(cols) if rng.random() < 0.45}
                 for _ in range(rows)]
-        m = Matrix(rows, cols, grid)
+        m = Matrix(rows, cols, grid, QQ if over_q else w.field)
         ker = kernel_basis(m)
         if rank(m) + len(ker) != cols:
             failures += 1

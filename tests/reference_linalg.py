@@ -1,0 +1,79 @@
+"""Test-local reference elimination over Q[s]/(m): the unit-pivot loop that
+``linalg`` ran over an extension field before it restricted scalars to Q.
+Rows are taken shortest first and reduced on their last column against
+pivot rows scaled to pivot one, with field division; a zero-divisor pivot
+raises from ``ExtensionField.inverse``."""
+
+from wpoisson.linalg import Matrix
+
+
+def reference_echelon(matrix):
+    one = matrix.field.one
+    pivots = {}
+    for row in sorted((r for r in matrix.entries if r), key=len):
+        row = dict(row)
+        while row:
+            c = max(row)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = one / row[c]
+                pivots[c] = {j: v * inv for j, v in row.items()}
+                break
+            v = row.pop(c)
+            for j, pv in prow.items():
+                if j == c:
+                    continue
+                nv = row.get(j, 0) - v * pv
+                if nv:
+                    row[j] = nv
+                else:
+                    row.pop(j, None)
+    return pivots
+
+
+def reference_rank(matrix):
+    return len(reference_echelon(matrix))
+
+
+def reference_kernel_basis(matrix):
+    field = matrix.field
+    pivots = reference_echelon(matrix)
+    reduced = {}
+    for c in sorted(pivots):
+        row = dict(pivots[c])
+        for j in [j for j in row if j in reduced]:
+            f = row.pop(j)
+            for k, u in reduced[j].items():
+                if k == j:
+                    continue
+                nv = row.get(k, 0) - f * u
+                if nv:
+                    row[k] = nv
+                else:
+                    row.pop(k, None)
+        reduced[c] = row
+    basis = []
+    for free in range(matrix.cols):
+        if free in pivots:
+            continue
+        v = [field.zero] * matrix.cols
+        v[free] = field.one
+        for c, row in reduced.items():
+            if free in row:
+                v[c] = -row[free]
+        basis.append(v)
+    return basis
+
+
+def reference_in_column_span(matrix, v):
+    field = matrix.field
+    vv = [field.coerce(u) for u in v]
+    if all(field.is_zero(u) for u in vv):
+        return True, [field.zero] * matrix.cols
+    n = matrix.cols
+    aug = Matrix(matrix.rows, n + 1,
+                 [{**row, n: u} for row, u in zip(matrix.entries, vv)], field)
+    for k in reference_kernel_basis(aug):
+        if not field.is_zero(k[n]):
+            return True, [-(u / k[n]) for u in k[:n]]
+    return False, None

@@ -216,6 +216,16 @@ def test_computation_refusal_exits_2_with_one_error_line(args):
     assert lines[0].startswith("error: ")
 
 
+def test_reducible_field_modulus_zero_divisor_exits_2():
+    # s^2-1 = (s-1)(s+1) is not irreducible, and s+1 is a zero divisor there
+    res = CliRunner().invoke(main, ["vacancy", "-w", "1,1,1", "-p", "(s+1)*x^3+y^3+z^3",
+                                    "--field", "s^2-1", "-D", "4"], catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "error: modulus is not coprime with the element; m reducible?"]
+
+
 # every modulus here is over the limit: the refusal comes before the
 # coefficient list, which for s^99999999999+1 could not be built
 @pytest.mark.parametrize("modulus, degree", [

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from wpoisson import Matrix, Weights, catalog, monomial_basis, parse_poly, rank
+from wpoisson import Matrix, Weights, catalog, format_poly, monomial_basis, parse_poly, rank
 from wpoisson.complexes import koszul_dims
 from wpoisson import jacobian
 from wpoisson.jacobian import (
@@ -123,6 +123,20 @@ def test_a_sing_dims_match_direct_linear_algebra():
                 ncols += 1
         ideal_dim = rank(Matrix(len(basis), ncols, rows))
         assert dims[d] == len(basis) - ideal_dim
+
+
+def test_a_sing_hilbert_dims_match_standard_monomial_counts():
+    """a_sing_hilbert expands the cached numerator; counting the standard
+    monomials of the Groebner heads degree by degree is the second route"""
+    f = ExtensionField([1, 1, 1])
+    potentials = [e.omega for e in catalog.entries()]
+    potentials.append(parse_poly("x^3+y^3+z^3+(s+2)*x*y*z", W111, f))
+    for om in potentials:
+        bound = om.homogeneous_degree() + 6
+        dims, _ = a_sing_hilbert(om, bound)
+        heads = jacobian_basis(om).heads()
+        want = {d: len(standard_monomials(om.weights, heads, d)) for d in range(bound + 1)}
+        assert dims == want, format_poly(om)
 
 
 def test_gkdim_values():

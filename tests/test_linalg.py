@@ -8,7 +8,10 @@ import pytest
 from wpoisson import (ExtensionField, Matrix, QQ, Weights, in_column_span,
                       kernel_basis, parse_poly, rank)
 from wpoisson import complexes
-from wpoisson.ring import RingError
+from wpoisson.ring import ExtElem, RingError
+
+from reference_linalg import (reference_in_column_span, reference_kernel_basis,
+                              reference_rank)
 
 
 def _rows(grid):
@@ -101,7 +104,9 @@ def test_constructor_checks_shape_and_columns():
 # independent oracle: sympy's exact DomainMatrix (test-only dependency)
 
 
-def _random_sparse(rng, field, gen):
+def _random_sparse(rng, field, gens=()):
+    """a random sparse matrix whose entries are rationals plus small integer
+    multiples of gens"""
     rows, cols = rng.randint(1, 9), rng.randint(1, 9)
     grid = []
     for _ in range(rows):
@@ -109,7 +114,7 @@ def _random_sparse(rng, field, gen):
         for j in range(cols):
             if rng.random() < 0.35:
                 v = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                row[j] = v + rng.randint(-2, 2) * gen if gen is not None else v
+                row[j] = v + sum(rng.randint(-2, 2) * g for g in gens) if gens else v
         grid.append(row)
     # repeat a combination of rows now and then so the rank drops
     if rows > 2 and rng.random() < 0.5:
@@ -138,23 +143,49 @@ def test_rank_and_kernel_match_sympy_over_q():
     QQs = sympy.QQ
     rng = random.Random(20240817)
     for _ in range(150):
-        m = _random_sparse(rng, QQ, None)
+        m = _random_sparse(rng, QQ)
         _check_against_sympy(m, QQs, lambda v: QQs(v.numerator, v.denominator))
+
+
+def _powers(f):
+    """the basis 1, s, ..., s^(k-1) of f over Q"""
+    powers = [f.one]
+    for _ in range(f.degree - 1):
+        powers.append(powers[-1] * f.generator)
+    return powers
+
+
+def _check_extension_against_sympy(modulus, root, seed, cases):
+    """random matrices over Q[s]/(modulus) against sympy's algebraic field
+    Q(root), where root is a root of the modulus"""
+    sympy = pytest.importorskip("sympy")
+    dom = sympy.QQ.algebraic_field(root)
+    gen = dom.from_sympy(root)
+    f = ExtensionField(modulus)
+
+    def to_dom(v):
+        return sum((dom.convert(sympy.QQ(c.numerator, c.denominator)) * gen ** i
+                    for i, c in enumerate(v.coeffs)), dom.zero)
+
+    rng = random.Random(seed)
+    for _ in range(cases):
+        _check_against_sympy(_random_sparse(rng, f, _powers(f)[1:]), dom, to_dom)
 
 
 def test_rank_and_kernel_match_sympy_over_gaussian_field():
     sympy = pytest.importorskip("sympy")
-    dom = sympy.QQ.algebraic_field(sympy.I)
-    i = dom.from_sympy(sympy.I)
-    f = ExtensionField([1, 0, 1])
+    _check_extension_against_sympy([1, 0, 1], sympy.I, 7, 60)
 
-    def to_dom(v):
-        a, b = (dom.convert(sympy.QQ(c.numerator, c.denominator)) for c in v.coeffs)
-        return a + b * i
 
-    rng = random.Random(7)
-    for _ in range(60):
-        _check_against_sympy(_random_sparse(rng, f, f.generator), dom, to_dom)
+def test_rank_and_kernel_match_sympy_over_eisenstein_field():
+    sympy = pytest.importorskip("sympy")
+    omega = sympy.Rational(-1, 2) + sympy.sqrt(3) * sympy.I / 2
+    _check_extension_against_sympy([1, 1, 1], omega, 8, 60)
+
+
+def test_rank_and_kernel_match_sympy_over_cubic_field():
+    sympy = pytest.importorskip("sympy")
+    _check_extension_against_sympy([-2, 0, 0, 1], sympy.cbrt(2), 9, 40)
 
 
 def test_cochain_matrices_match_sympy():
@@ -164,3 +195,64 @@ def test_cochain_matrices_match_sympy():
     for d in (0, 2, 4):
         for m in complexes.cochain_matrices(om, d):
             _check_against_sympy(m, QQs, lambda v: QQs(v.numerator, v.denominator))
+
+
+# ---------------------------------------------------------------------------
+# restriction of scalars against the unit-pivot elimination it replaced
+
+
+_MODULI = ([1, 1, 1], [1, 0, 1], [-2, 0, 0, 1], [-3, 1])
+
+
+def _random_ext_matrix(rng, f):
+    """random sparse matrix over f with zero rows and rows that are
+    K-multiples of earlier rows; may have no rows or no columns"""
+    def elem():
+        return (f.coerce(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+                + sum(rng.randint(-2, 2) * p for p in _powers(f)[1:]))
+
+    rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+    grid = []
+    for _ in range(rows):
+        pick = rng.random()
+        if pick < 0.1:
+            grid.append({})
+        elif pick < 0.35 and grid:
+            c = elem()
+            grid.append({j: v * c for j, v in rng.choice(grid).items()})
+        else:
+            grid.append({j: elem() for j in range(cols) if rng.random() < 0.45})
+    return Matrix(rows, cols, grid, f)
+
+
+@pytest.mark.parametrize("modulus", _MODULI, ids=["s^2+s+1", "s^2+1", "s^3-2", "s-3"])
+def test_extension_elimination_matches_unit_pivot_reference(modulus):
+    f = ExtensionField(modulus)
+    rng = random.Random(1968 + len(modulus))
+    cases = [Matrix(0, 0, [], f), Matrix(3, 0, [{}, {}, {}], f), Matrix(2, 3, [{}, {}], f)]
+    cases += [_random_ext_matrix(rng, f) for _ in range(80)]
+    for m in cases:
+        assert rank(m) == reference_rank(m)
+        ker = kernel_basis(m)
+        assert ker == reference_kernel_basis(m)
+        assert all(isinstance(u, ExtElem) for v in ker for u in v)
+        # one vector in the column span, as an image, and one random vector
+        w = [f.coerce(rng.randint(-2, 2)) + rng.randint(-1, 1) * f.generator
+             for _ in range(m.cols)]
+        image = [sum((x * w[j] for j, x in row.items()), f.zero) for row in m.entries]
+        rand = [f.coerce(rng.randint(-2, 2)) for _ in range(m.rows)]
+        for v in (image, rand):
+            assert in_column_span(m, v) == reference_in_column_span(m, v)
+        assert in_column_span(m, image)[0]
+
+
+def test_reducible_modulus_zero_divisor_pivot_refused():
+    f = ExtensionField([-1, 0, 1])  # s^2 - 1 = (s - 1)(s + 1)
+    m = Matrix(1, 1, [{0: f.generator + 1}], f)
+    with pytest.raises(RingError, match="reducible"):
+        rank(m)
+    with pytest.raises(RingError, match="reducible"):
+        kernel_basis(m)
+    # the unit pivot it replaced refused the same matrix
+    with pytest.raises(RingError):
+        reference_rank(m)
