@@ -7,7 +7,12 @@ Three ranks come from identities, not matrices; g = grad(O) is nonzero by
 Euler's identity, in the domain k[x,y,z].  M2: f g is a gradient iff
 curl(f g) = d0(f) is zero, as the weighted de Rham complex is exact.  Ozone:
 d1(v) = div(v) g - grad(v . g), so one (v . g ; div v) map serves ozone,
-sealedness and rgt.  Koszul: K3 -> K2, v0 -> v0 g, is injective."""
+sealedness and rgt.  Koszul: K3 -> K2, v0 -> v0 g, is injective.
+
+Each operator table (cochain, Koszul, ozone) depends only on the potential
+and the complex index, so it is built once per potential, memoised beside
+the ranks, and shared by every degree; ``op_table`` makes tables immutable
+for that reason."""
 
 from __future__ import annotations
 
@@ -44,7 +49,7 @@ def assemble(weights, field, src_degs, tgt_degs, table, reducers=None):
             row_of[(t, m)] = len(row_of)
     by_source = [[] for _ in src_degs]
     for t, s, v, coefs in table:
-        by_source[s].append((t, v, tuple(coefs.items())))
+        by_source[s].append((t, v, coefs))
     reducers = reducers or {}
     images = {}
     rows = [{} for _ in range(len(row_of))]
@@ -103,15 +108,17 @@ def _reduce_outputs(out, reducers, images):
 def op_table(field, terms):
     """operator table for ``assemble`` from (target, source, var, coef)
     terms, coef a Polynomial or an integer constant; zero coefficients are
-    dropped.  Over Q a coefficient with denominator one is stored as an int."""
+    dropped.  Each coefficient is stored as the tuple of its (monomial,
+    value) items, so a table is immutable and may be cached and shared.
+    Over Q a value with denominator one is stored as an int."""
     table = []
     for t, s, v, p in terms:
         coefs = p.terms if isinstance(p, Polynomial) else {(0, 0, 0): field.coerce(p)}
         if field == QQ:
             coefs = {m: c.numerator if c.denominator == 1 else c for m, c in coefs.items()}
         if coefs:
-            table.append((t, s, v, coefs))
-    return table
+            table.append((t, s, v, tuple(coefs.items())))
+    return tuple(table)
 
 
 def vector_to_polys(weights, field, degs, coords):
@@ -162,6 +169,7 @@ def cochain_shifts(weights):
     return ((0,), (a, b, c), (b + c, a + c, a + b), (a + b + c,))
 
 
+@lru_cache(maxsize=1024)
 def _cochain_table(omega, i):
     """operator table of the degree-i cochain differential, from the
     gradient g of the potential and its Hessian (indices mod 3)"""
@@ -191,7 +199,7 @@ def cochain_apply(omega, i, comps):
     out = [Polynomial.zero(weights, field)] * len(cochain_shifts(weights)[i + 1])
     for t, s, v, coefs in table:
         src = comps[s] if v is None else comps[s].partial(v)
-        out[t] = out[t] + src * Polynomial(weights, field, coefs)
+        out[t] = out[t] + src * Polynomial(weights, field, dict(coefs))
     return out
 
 
@@ -318,6 +326,14 @@ def vacancy_check(omega, bound):
     return out
 
 
+@lru_cache(maxsize=1024)
+def _ozone_table(omega):
+    """operator table of (v . g ; div v) on derivations v"""
+    g = gradient(omega).comps
+    return op_table(omega.field, [(0, s, None, g[s]) for s in range(3)]
+                    + [(1, s, s, 1) for s in range(3)])
+
+
 def ozone_dim(omega, d, reducers=None):
     """dimension of the degree-d derivations v with v . g = 0 and div v = 0,
     the kernel of (v . g ; div v); ``reducers`` (see ``assemble``) may act on
@@ -328,11 +344,8 @@ def ozone_dim(omega, d, reducers=None):
     dim_x1 = _space_dim(weights, weights.tuple, d)
     if dim_x1 == 0:
         return 0
-    g = gradient(omega).comps
-    table = op_table(omega.field, [(0, s, None, g[s]) for s in range(3)]
-                     + [(1, s, s, 1) for s in range(3)])
     return dim_x1 - rank(assemble(weights, omega.field, [d + s for s in weights.tuple],
-                                  [d + n, d], table, reducers))
+                                  [d + n, d], _ozone_table(omega), reducers))
 
 
 def ozone_vs_hamiltonian(omega, bound):
@@ -371,11 +384,10 @@ def koszul_component_degs(omega, d):
     )
 
 
-def _koszul_matrix(omega, i, d):
-    """matrix of the Koszul differential K_i -> K_{i-1} at total degree d,
-    for i = 1, 2 (K3 -> K2 is injective and never assembled)"""
+@lru_cache(maxsize=1024)
+def _koszul_table(omega, i):
+    """operator table of the Koszul differential K_i -> K_{i-1}"""
     g = gradient(omega).comps
-    degs = koszul_component_degs(omega, d)
     if i == 1:
         # v . g
         terms = [(0, s, None, g[s]) for s in range(3)]
@@ -385,8 +397,14 @@ def _koszul_matrix(omega, i, d):
                  for k in range(3) for j, sign in ((1, 1), (2, -1))]
     else:
         raise RingError("koszul index out of range")
-    return assemble(omega.weights, omega.field, degs[i], degs[i - 1],
-                    op_table(omega.field, terms))
+    return op_table(omega.field, terms)
+
+
+def _koszul_matrix(omega, i, d):
+    """matrix of the Koszul differential K_i -> K_{i-1} at total degree d,
+    for i = 1, 2 (K3 -> K2 is injective and never assembled)"""
+    degs = koszul_component_degs(omega, d)
+    return assemble(omega.weights, omega.field, degs[i], degs[i - 1], _koszul_table(omega, i))
 
 
 @lru_cache(maxsize=65536)

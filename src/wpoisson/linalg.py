@@ -7,6 +7,9 @@ each on its last (largest) column against the pivot rows found so far; no
 global pivot search.  A row is cleared to coprime integers once, on entry,
 updates are fraction-free (Bareiss-style cross-multiplication by the
 cofactors of the gcd), and each new pivot row is divided by its content.
+Over Q, ``assemble`` makes int rows for an integer potential: ``Matrix``
+keeps int values without coercion, and a row of ints enters elimination as
+a copy divided by its content, with no denominators to clear.
 
 A matrix over K = Q[s]/(m), deg m = k, reaches the same loop by restriction
 of scalars (``_over_q``): each entry becomes the k x k rational block of
@@ -61,8 +64,11 @@ class Matrix:
                     raise RingError("column index %r out of range" % (c,))
                 if not (rational and type(v) is int):
                     v = field.coerce(v)
-                if not field.is_zero(v):
-                    clean[c] = v
+                    if field.is_zero(v):
+                        continue
+                elif not v:
+                    continue
+                clean[c] = v
             self.entries.append(clean)
 
     def __repr__(self):
@@ -70,22 +76,19 @@ class Matrix:
 
 
 def _coprime_ints(row):
-    """the row scaled to coprime integers (scaling never changes rank or
-    kernel)"""
-    den = 1
-    for v in row.values():
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    ints = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
-    return _divide_content(ints)
+    """a new dict: the row scaled to coprime integers (scaling never changes
+    rank or kernel).  A row of ints, as ``assemble`` makes for an integer
+    potential and ``_over_q`` always makes, has no denominators to clear
+    and is only copied, since elimination consumes the dict it is given."""
+    if all(type(v) is int for v in row.values()):
+        return _divide_content(dict(row))
+    den = math.lcm(*(v.denominator for v in row.values()))
+    return _divide_content({c: v.numerator * (den // v.denominator) for c, v in row.items()})
 
 
 def _divide_content(row):
-    g = 0
-    for v in row.values():
-        g = math.gcd(g, v)
-        if g == 1:
-            return row
-    return {c: v // g for c, v in row.items()}
+    g = math.gcd(*row.values())
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
 def _echelon(rows):

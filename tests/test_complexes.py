@@ -5,6 +5,8 @@ The dimension tables asserted here were computed once with independent
 scripts (kernel/rank counts assembled degree by degree) and frozen; the
 tests guard against regressions in the matrix assembly."""
 
+import copy
+
 import pytest
 
 from wpoisson import QQ, ExtensionField, Weights, catalog, gradient, parse_poly, rank
@@ -424,3 +426,70 @@ def test_rank_identities_match_reference_matrices(weights, field, text, top):
         assert rank_k3 == dim_k3, d
         rank_k2 = rank(complexes._koszul_matrix(om, 2, d)) if dim_k2 else 0
         assert (table.dim(2, d), table.dim(3, d)) == (dim_k2 - rank_k2 - rank_k3, 0), d
+
+
+# ---------------------------------------------------------------------------
+# operator tables are built once per potential and shared by every degree
+
+_CACHE_POTENTIALS = [
+    pytest.param(W111, QQ, "x^3+y^3+z^3-11/13*x*y*z", id="qq"),
+    pytest.param(W112, QQ, "z^2+x^3*y+17*x^2*y^2", id="qq-112"),
+    pytest.param(W111, ExtensionField([1, 1, 1]), "x^3+y^3+z^3+(s-5)*x*y*z", id="cube-root-field"),
+]
+
+
+@pytest.mark.parametrize("weights, field, text", _CACHE_POTENTIALS)
+def test_operator_tables_are_built_once_per_potential(monkeypatch, weights, field, text):
+    om = parse_poly(text, weights, field)
+    n = om.homogeneous_degree()
+    calls = []
+    real = complexes.gradient
+
+    def counting_gradient(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(complexes, "gradient", counting_gradient)
+    for bound in (n + 1, n + 4):
+        complexes.ph_dims(om, bound)
+        complexes.koszul_dims(om, bound + n)
+        complexes.vacancy_check(om, bound)
+        complexes.ozone_vs_hamiltonian(om, bound)
+        complexes.sealed_k1_dims(om, bound)
+        for d in range(-3, bound + 1):
+            complexes.cochain_apply(om, 1, (om, om, om))
+            complexes.ozone_dim(om, d)
+    # cochain tables 0, 1, 2, Koszul tables 1, 2 and the ozone table
+    assert len(calls) == 6 and all(f == om for f in calls)
+    again = parse_poly(text, weights, field)
+    assert all(complexes._cochain_table(again, i) is complexes._cochain_table(om, i)
+               for i in range(3))
+    assert all(complexes._koszul_table(again, i) is complexes._koszul_table(om, i)
+               for i in (1, 2))
+    assert complexes._ozone_table(again) is complexes._ozone_table(om)
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("weights, field, text", _CACHE_POTENTIALS)
+def test_cached_tables_are_immutable_and_unchanged_by_use(weights, field, text):
+    om = parse_poly(text, weights, field)
+    n = om.homogeneous_degree()
+    w = n - weights.n_default
+    tables = ([complexes._cochain_table(om, i) for i in range(3)]
+              + [complexes._koszul_table(om, i) for i in (1, 2)]
+              + [complexes._ozone_table(om)])
+    snapshot = copy.deepcopy(tables)
+    # only a table of tuples and immutable values hashes: no dict inside
+    for table in tables:
+        hash(table)
+    polys = [parse_poly(t, weights, field) for t in ("x^2*y+3*z^3", "1/3*y^2-x*z", "z+x^4*y^2")]
+    for i in range(3):
+        complexes.cochain_apply(om, i, polys[:len(complexes.cochain_shifts(weights)[i])])
+    for d in range(-weights.n_default, n + 3):
+        for i in range(3):
+            rank(complexes.cochain_matrix(om, i, d + i * w))
+        for i in (1, 2):
+            rank(complexes._koszul_matrix(om, i, d + n))
+        complexes.ozone_dim(om, d)
+    complexes.sealed_k1_dims(om, n + 2)
+    assert tables == snapshot

@@ -1,5 +1,6 @@
 """Exact linear algebra over the coefficient fields."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -256,3 +257,85 @@ def test_reducible_modulus_zero_divisor_pivot_refused():
     # the unit pivot it replaced refused the same matrix
     with pytest.raises(RingError):
         reference_rank(m)
+
+
+# ---------------------------------------------------------------------------
+# contracts of the integer fast paths: ints skip the denominator step in
+# Matrix and in elimination, which must still copy and still validate
+
+
+def _entry_cases():
+    """matrices over Q with int, Fraction and mixed rows, and over
+    Q(s); rows of content 1 and above, and rows that reduce to zero"""
+    f = ExtensionField([1, 1, 1])
+    s = f.generator
+    ints = [{0: 1, 2: 3}, {0: 2, 2: 6}, {1: 4, 2: 2}, {0: 5, 1: 1, 2: 2}, {1: 6}]
+    return [
+        pytest.param(Matrix(5, 3, ints), id="int"),
+        pytest.param(Matrix(3, 3, [{0: Fraction(1, 2), 2: Fraction(3, 4)},
+                                   {0: Fraction(1, 3), 2: Fraction(1, 2)},
+                                   {1: Fraction(2, 5), 2: Fraction(1)}]), id="fraction"),
+        pytest.param(Matrix(4, 3, [{0: 1, 2: Fraction(1, 2)}, {0: 2, 2: 1},
+                                   {0: Fraction(4), 1: 3}, {1: Fraction(-3, 7), 2: 2}]),
+                     id="mixed"),
+        pytest.param(Matrix(3, 3, [{0: s + 1, 2: f.coerce(2)}, {0: 2 * s + 2, 2: 4 * s},
+                                   {1: s, 2: f.coerce(Fraction(1, 2))}], f), id="extension"),
+    ]
+
+
+@pytest.mark.parametrize("m", _entry_cases())
+def test_rank_and_kernel_leave_entries_unchanged(m):
+    before = copy.deepcopy(m.entries)
+    rows = list(m.entries)
+    rank(m)
+    kernel_basis(m)
+    in_column_span(m, [m.field.coerce(1)] * m.rows)
+    assert m.entries == before
+    assert all(a is b for a, b in zip(m.entries, rows))
+
+
+def test_constructor_validates_every_column_and_drops_zero_ints():
+    for bad in ("0", 1.0, None, -1, 3):
+        with pytest.raises(RingError, match="column index"):
+            Matrix(1, 3, [{0: 1, bad: 2}])
+        with pytest.raises(RingError, match="column index"):
+            Matrix(1, 3, [{bad: Fraction(1, 2)}])
+    m = Matrix(3, 3, [{0: 0, 1: 5, 2: 0}, {2: Fraction(0)}, {0: Fraction(2), 1: -7}])
+    assert m.entries == [{1: 5}, {}, {0: 2, 1: -7}]
+    assert type(m.entries[0][1]) is int and type(m.entries[2][0]) is Fraction
+    f = ExtensionField([1, 1, 1])
+    assert Matrix(1, 2, [{0: 0, 1: 2}], f).entries == [{1: f.coerce(2)}]
+
+
+def _representations(rng):
+    """one random integer matrix as int rows, as Fraction rows, and as
+    mixed rows, some scaled by a non-integer rational: one row space"""
+    rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+    grid = [{j: rng.randint(-6, 6) for j in range(cols) if rng.random() < 0.4}
+            for _ in range(rows)]
+    if rows > 2:
+        grid[-1] = {j: 3 * grid[0].get(j, 0) - grid[1].get(j, 0)
+                    for j in set(grid[0]) | set(grid[1])}
+    fractions = [{j: Fraction(v) for j, v in row.items()} for row in grid]
+    # rows of ints and Fractions, scaled by i+1, or Fraction rows scaled by 1/(i+2)
+    mixed = [{j: Fraction(v * (i + 1)) if (i + j) % 2 else v * (i + 1) for j, v in row.items()}
+             if i % 3 else {j: Fraction(v, i + 2) for j, v in row.items()}
+             for i, row in enumerate(grid)]
+    return [Matrix(rows, cols, g) for g in (grid, fractions, mixed)]
+
+
+def test_int_fraction_and_mixed_rows_give_one_rank_and_kernel():
+    rng = random.Random(1968)
+    for _ in range(150):
+        ms = _representations(rng)
+        assert len({rank(m) for m in ms}) == 1
+        assert all(kernel_basis(m) == kernel_basis(ms[0]) for m in ms[1:])
+
+
+def test_int_fraction_and_mixed_rows_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    QQs = sympy.QQ
+    rng = random.Random(1968)
+    for _ in range(150):
+        for m in _representations(rng):
+            _check_against_sympy(m, QQs, lambda v: QQs(v.numerator, v.denominator))
