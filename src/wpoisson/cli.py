@@ -18,7 +18,7 @@ import click
 
 from . import __version__
 from .ring import QQ, ExtensionField, RingError, Weights, check_potential
-from .textio import ParseError, format_poly, parse_map, parse_poly
+from .textio import BudgetError, ParseError, format_poly, parse_map, parse_poly
 from .poisson import (
     bracket as poisson_bracket,
     from_potential,
@@ -43,6 +43,15 @@ from . import catalog as catalog_mod
 
 def _fail_usage(msg):
     raise click.UsageError(str(msg))
+
+
+def _bad_input(what, exc):
+    """a size budget refusal is reported like every other refusal, on one
+    ``error:`` line; any other malformed text is a usage error"""
+    msg = "%s: %s" % (what, exc)
+    if isinstance(exc, BudgetError):
+        raise RingError(msg) from None
+    _fail_usage(msg)
 
 
 def _parse_weights(text):
@@ -102,7 +111,7 @@ def _poly(text, weights, field):
     try:
         return parse_poly(text, weights, field=field)
     except (ParseError, RingError) as exc:
-        _fail_usage("bad polynomial %r: %s" % (text, exc))
+        _bad_input("bad polynomial %r" % text, exc)
 
 
 def _structure(weights, field, potential, pxy, pyz, pzx):
@@ -376,7 +385,7 @@ def verify_aut(omega, fmt, inputs, map_text, inverse_text, xi):
         phi = parse_map(map_text, omega.weights, field=omega.field)
         psi = parse_map(inverse_text, omega.weights, field=omega.field) if inverse_text else None
     except (ParseError, RingError) as exc:
-        _fail_usage("bad map: %s" % exc)
+        _bad_input("bad map", exc)
     det = jacobian_determinant(phi)
     if xi is None:
         ok = verify_automorphism(omega, phi)

@@ -1,18 +1,32 @@
 """Degree-truncated homology of three complexes built from a homogeneous
 potential: the Poisson cochain complex on multiderivations, the Koszul complex
 on the gradient, and the de Rham complex; plus the exact-bivector space M2 and
-the vacancy / sealedness / ozone / minimality diagnostics.
+the vacancy / sealedness / ozone diagnostics.
 
-Three ranks come from identities, not matrices; g = grad(O) is nonzero by
-Euler's identity, in the domain k[x,y,z].  M2: f g is a gradient iff
-curl(f g) = d0(f) is zero, as the weighted de Rham complex is exact.  Ozone:
-d1(v) = div(v) g - grad(v . g), so one (v . g ; div v) map serves ozone,
-sealedness and rgt.  Koszul: K3 -> K2, v0 -> v0 g, is injective.
+Most ranks come from identities, not matrices; g = grad(O) is nonzero by
+Euler's identity, in the domain k[x,y,z], and T_d = (v . g ; div v) on the
+degree-d derivations.  M2: f g is a gradient iff curl(f g) = d0(f) is zero,
+as the weighted de Rham complex is exact.  Ozone: d1(v) = div(v) g -
+grad(v . g), so T_d serves ozone, sealedness and rgt, and its rank,
+memoised once per degree, serves d1 and d2 too.  Koszul: K3 -> K2,
+v0 -> v0 g, is injective.
 
-Each operator table (cochain, Koszul, ozone) depends only on the potential
-and the complex index, so it is built once per potential, memoised beside
-the ranks, and shared by every degree; ``op_table`` makes tables immutable
-for that reason."""
+d2: read as vector fields, -div(v x g) = -g . curl(v); curl maps X2_d onto
+the divergence-free derivations of degree d, and div(f E) = (d+a+b+c) f for
+the Euler field E, so div is onto A_d.  Hence rank d2_d = rank T_d - #A_d.
+
+d1: d1 = L T with L(h, f) = f g - grad(h).  By Euler's identity (h, f) lies
+in ker L exactly when f is a Casimir (d0 f = 0) and h = n f O/(d+n), so
+rank d1_d = rank [T_d | K_d] - dim ker d0_d, where K_d has the columns
+(n f O, (d+n) f) for a basis f of ker d0_d.  When n = a+b+c, T(f E/(d+n))
+is that column, so rank d1_d = rank T_d - dim ker d0_d; otherwise K_d is
+appended only in the degrees that carry a Casimir.  Where d+n or d+a+b+c is
+zero the d1 matrix is assembled instead.
+
+Each operator table (d0, d1, Koszul, ozone) depends only on the potential
+and the index, so it is built once per potential, memoised beside the
+ranks, and shared by every degree; ``op_table`` makes tables immutable for
+that reason."""
 
 from __future__ import annotations
 
@@ -20,7 +34,7 @@ from functools import lru_cache
 
 from .hilbert import closed_form_ph, euler_rhs
 from .jacobian import jacobian_basis, normal_form
-from .linalg import Matrix, rank
+from .linalg import Matrix, kernel_basis, rank
 from .ring import (
     Polynomial,
     QQ,
@@ -171,8 +185,9 @@ def cochain_shifts(weights):
 
 @lru_cache(maxsize=1024)
 def _cochain_table(omega, i):
-    """operator table of the degree-i cochain differential, from the
-    gradient g of the potential and its Hessian (indices mod 3)"""
+    """operator table of the degree-i cochain differential for i = 0, 1,
+    from the gradient g of the potential and its Hessian (indices mod 3);
+    the rank of d2 comes from T_d (module docstring)"""
     g = gradient(omega).comps
     if i == 0:
         # grad(f) x g: component k is g_{k+2} f_{k+1} - g_{k+1} f_{k+2}
@@ -183,29 +198,14 @@ def _cochain_table(omega, i):
         terms = ([(k, s, s, g[k]) for k in range(3) for s in range(3) if s != k]
                  + [(k, s, k, -g[s]) for k in range(3) for s in range(3) if s != k]
                  + [(k, s, None, -g[s].partial(k)) for k in range(3) for s in range(3)])
-    elif i == 2:
-        # -div(v x g): the Hessian terms cancel
-        terms = ([(0, (k + 2) % 3, k, g[(k + 1) % 3]) for k in range(3)]
-                 + [(0, (k + 1) % 3, k, -g[(k + 2) % 3]) for k in range(3)])
     else:
         raise RingError("cochain index out of range")
     return op_table(omega.field, terms)
 
 
-def cochain_apply(omega, i, comps):
-    """the degree-i cochain differential applied to component polynomials"""
-    table = _cochain_table(omega, i)
-    weights, field = omega.weights, omega.field
-    out = [Polynomial.zero(weights, field)] * len(cochain_shifts(weights)[i + 1])
-    for t, s, v, coefs in table:
-        src = comps[s] if v is None else comps[s].partial(v)
-        out[t] = out[t] + src * Polynomial(weights, field, dict(coefs))
-    return out
-
-
 def cochain_matrix(omega, i, d):
-    """matrix of the degree-i differential on the degree-d slice of X^i,
-    mapping into the degree d+w slice of X^{i+1}"""
+    """matrix of the degree-i differential (i = 0, 1) on the degree-d slice
+    of X^i, mapping into the degree d+w slice of X^{i+1}"""
     n = check_potential(omega)
     weights = omega.weights
     w = n - weights.a - weights.b - weights.c
@@ -215,21 +215,47 @@ def cochain_matrix(omega, i, d):
     return assemble(weights, omega.field, src, tgt, _cochain_table(omega, i))
 
 
-def cochain_matrices(omega, d):
-    """the three consecutive matrices starting at the degree-d slice of X^0;
-    consecutive products are zero"""
-    n = check_potential(omega)
-    w = n - omega.weights.a - omega.weights.b - omega.weights.c
-    return (
-        cochain_matrix(omega, 0, d),
-        cochain_matrix(omega, 1, d + w),
-        cochain_matrix(omega, 2, d + 2 * w),
-    )
-
-
 @lru_cache(maxsize=65536)
 def _cochain_rank(omega, i, d):
-    return rank(cochain_matrix(omega, i, d))
+    """rank of the degree-i differential on the degree-d slice of X^i: d0
+    from its matrix, d1 and d2 from rank T_d (module docstring)"""
+    weights = omega.weights
+    if _space_dim(weights, cochain_shifts(weights)[i], d) == 0:
+        return 0
+    if i == 0:
+        return rank(cochain_matrix(omega, 0, d))
+    if i == 2:
+        return _ozone_rank(omega, d) - count_monomials(weights, d)
+    n = omega.homogeneous_degree()
+    if d + n == 0 or d + weights.n_default == 0:
+        return rank(cochain_matrix(omega, 1, d))
+    casimirs = count_monomials(weights, d) - _cochain_rank(omega, 0, d)
+    if not casimirs:
+        return _ozone_rank(omega, d)
+    if n == weights.n_default:
+        return _ozone_rank(omega, d) - casimirs
+    return rank(_with_casimir_columns(omega, d)) - casimirs
+
+
+def _with_casimir_columns(omega, d):
+    """T_d with the columns (n f O, (d+n) f) appended, one per basis vector f
+    of ker d0_d, on its target layout [A_{d+n}, A_d]"""
+    weights, field = omega.weights, omega.field
+    n = omega.homogeneous_degree()
+    t = _ozone_matrix(omega, d)
+    row_of = {}
+    for e in (d + n, d):
+        for m in monomial_basis(weights, e):
+            row_of[(e, m)] = len(row_of)
+    rows = [dict(r) for r in t.entries]
+    col = t.cols
+    for coords in kernel_basis(cochain_matrix(omega, 0, d)):
+        f = vector_to_polys(weights, field, [d], coords)[0]
+        for e, p in ((d + n, f * omega * n), (d, f * (d + n))):
+            for m, c in p.terms.items():
+                rows[row_of[(e, m)]][col] = c
+        col += 1
+    return Matrix(t.rows, col, rows, field)
 
 
 def _space_dim(weights, shifts, d):
@@ -328,24 +354,37 @@ def vacancy_check(omega, bound):
 
 @lru_cache(maxsize=1024)
 def _ozone_table(omega):
-    """operator table of (v . g ; div v) on derivations v"""
+    """operator table of T = (v . g ; div v) on derivations v"""
     g = gradient(omega).comps
     return op_table(omega.field, [(0, s, None, g[s]) for s in range(3)]
                     + [(1, s, s, 1) for s in range(3)])
 
 
+def _ozone_matrix(omega, d, reducers=None):
+    """matrix of T_d: X1_d -> A_{d+n} + A_d; ``reducers`` (see ``assemble``)
+    may act on the div block"""
+    weights = omega.weights
+    return assemble(weights, omega.field, [d + s for s in weights.tuple],
+                    [d + omega.homogeneous_degree(), d], _ozone_table(omega), reducers)
+
+
+@lru_cache(maxsize=65536)
+def _ozone_rank(omega, d):
+    return rank(_ozone_matrix(omega, d))
+
+
 def ozone_dim(omega, d, reducers=None):
     """dimension of the degree-d derivations v with v . g = 0 and div v = 0,
-    the kernel of (v . g ; div v); ``reducers`` (see ``assemble``) may act on
-    the div block.  Unreduced, this is the ozone space: the cocycles that
-    kill the potential, as d1(v) = div(v) g - grad(v . g)."""
-    n = check_potential(omega)
-    weights = omega.weights
-    dim_x1 = _space_dim(weights, weights.tuple, d)
+    the kernel of T_d = (v . g ; div v); ``reducers`` (see ``assemble``) may
+    act on the div block.  Unreduced, this is the ozone space: the cocycles
+    that kill the potential, as d1(v) = div(v) g - grad(v . g)."""
+    check_potential(omega)
+    dim_x1 = _space_dim(omega.weights, omega.weights.tuple, d)
     if dim_x1 == 0:
         return 0
-    return dim_x1 - rank(assemble(weights, omega.field, [d + s for s in weights.tuple],
-                                  [d + n, d], _ozone_table(omega), reducers))
+    if reducers is None:
+        return dim_x1 - _ozone_rank(omega, d)
+    return dim_x1 - rank(_ozone_matrix(omega, d, reducers))
 
 
 def ozone_vs_hamiltonian(omega, bound):
@@ -355,18 +394,6 @@ def ozone_vs_hamiltonian(omega, bound):
     check_potential(omega, "ozone diagnostic requires degree a+b+c")
     return {d: (ozone_dim(omega, d), _cochain_rank(omega, 0, d) if d >= 0 else 0)
             for d in range(-max(omega.weights.tuple), bound + 1)}
-
-
-def ph1_minimality_check(omega, bound):
-    """per-degree booleans: does PH^1 look like a free rank-one module over
-    the subalgebra generated by the potential"""
-    n = check_potential(omega)
-    table = ph_dims(omega, bound)
-    out = {}
-    for d in range(-(max(omega.weights.tuple)), bound + 1):
-        expected = 1 if d >= 0 and d % n == 0 else 0
-        out[d] = table.dim(1, d) == expected
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -52,13 +52,6 @@ class HilbertSeries:
             raise RingError("denominator exponents must be positive")
         self.denominator = den
 
-    @staticmethod
-    def free_ring(weights: Weights) -> "HilbertSeries":
-        return HilbertSeries({0: 1}, weights.tuple)
-
-    def scale_shift(self, shift: int) -> "HilbertSeries":
-        return HilbertSeries({d + shift: c for d, c in self.numerator.items()}, self.denominator)
-
     def add(self, other: "HilbertSeries") -> "HilbertSeries":
         # common denominator via multiset union
         d1, d2 = Counter(self.denominator), Counter(other.denominator)
@@ -73,10 +66,6 @@ class HilbertSeries:
             else:
                 total.pop(d, None)
         return HilbertSeries(total, tuple(union.elements()))
-
-    def sub(self, other: "HilbertSeries") -> "HilbertSeries":
-        neg = HilbertSeries({d: -c for d, c in other.numerator.items()}, other.denominator)
-        return self.add(neg)
 
     def expand(self, d_min: int, d_max: int):
         """Exact integer coefficients of the Laurent expansion on [d_min, d_max]."""
@@ -179,13 +168,6 @@ def closed_form_ph(weights: Weights, i: int, n=None) -> HilbertSeries:
     full_den = _product_one_minus((n, a, b, c))
     num = _laurent_sub(top, full_den)
     return HilbertSeries({d - n0: cc for d, cc in num.items()}, (n, a, b, c))
-
-
-def closed_form_lph2(weights: Weights, n: int) -> HilbertSeries:
-    a, b, c = weights.tuple
-    if n <= max(a, b, c):
-        raise RingError("potential degree must exceed every weight")
-    return closed_form_ph(weights, 2, n)
 
 
 def closed_form_koszul_h1(a_p: int, b_p: int) -> HilbertSeries:

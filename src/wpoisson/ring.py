@@ -340,10 +340,6 @@ def mono_divides(m1, m2) -> bool:
     return m1[0] <= m2[0] and m1[1] <= m2[1] and m1[2] <= m2[2]
 
 
-def mono_div(m1, m2):
-    return (m1[0] - m2[0], m1[1] - m2[1], m1[2] - m2[2])
-
-
 def mono_lcm(m1, m2):
     return (max(m1[0], m2[0]), max(m1[1], m2[1]), max(m1[2], m2[2]))
 
@@ -524,16 +520,6 @@ class Polynomial:
             e >>= 1
         return result
 
-    def scale(self, c):
-        return self * c
-
-    def mul_term(self, m, coef):
-        """multiply by a single term coef * monomial(m)"""
-        coef = self.field.coerce(coef)
-        if self.field.is_zero(coef):
-            return Polynomial.zero(self.weights, self.field)
-        return self._new({mono_mul(mm, m): c * coef for mm, c in self.terms.items()})
-
     def monic(self) -> "Polynomial":
         """divide through by the leading coefficient"""
         lc = self.leading_coefficient()
@@ -599,11 +585,6 @@ class Polynomial:
             acc = acc + term
         return acc
 
-    def homogeneous_component(self, d: int) -> "Polynomial":
-        return self._new(
-            {m: c for m, c in self.terms.items() if self.weights.mono_degree(m) == d}
-        )
-
 
 def check_potential(omega: Polynomial, abc_refusal=None) -> int:
     """Degree n of a potential, which must be nonzero, homogeneous and of
@@ -656,9 +637,6 @@ class PolyVector:
 
     def __neg__(self):
         return PolyVector(-self.f1, -self.f2, -self.f3)
-
-    def scale(self, f) -> "PolyVector":
-        return PolyVector(self.f1 * f, self.f2 * f, self.f3 * f)
 
     def __eq__(self, other):
         if not isinstance(other, PolyVector):

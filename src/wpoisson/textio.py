@@ -37,6 +37,11 @@ class ParseError(ValueError):
         self.offset = offset
 
 
+class BudgetError(ParseError):
+    """well-formed input refused for its size: an integer past the guard, or
+    a power or product that could expand past the term budget"""
+
+
 class _Parser:
     def __init__(self, text: str, weights: Weights, field):
         self.text = text
@@ -74,7 +79,7 @@ class _Parser:
         digits = self.text[start : self.pos].lstrip("0") or "0"
         # length first: int() refuses strings of more than 4300 digits
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-            raise ParseError("integer exceeds the 10^6 guard", start)
+            raise BudgetError("integer exceeds the 10^6 guard", start)
         return int(digits)
 
     # -- grammar -------------------------------------------------------------
@@ -104,7 +109,7 @@ class _Parser:
             factor = self.factor()
             # a product has at most the product of the term counts
             if len(acc.terms) * len(factor.terms) > MAX_POWER_TERMS:
-                raise ParseError("product may expand past the %d-term budget"
+                raise BudgetError("product may expand past the %d-term budget"
                                  % MAX_POWER_TERMS, at)
             acc = acc * factor
         return acc if sign == 1 else -acc
@@ -118,7 +123,7 @@ class _Parser:
             # power; refuse before expanding one that could pass the budget
             k = len(base.terms)
             if k > 1 and math.comb(e + k - 1, k - 1) > MAX_POWER_TERMS:
-                raise ParseError("power may expand past the %d-term budget"
+                raise BudgetError("power may expand past the %d-term budget"
                                  % MAX_POWER_TERMS, at)
             return base ** e
         return base

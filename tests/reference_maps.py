@@ -1,9 +1,11 @@
 """Test-local reference matrices: every graded map evaluated column by
 column on Polynomials, independently of the operator tables, plus the
 matrices whose ranks the package now derives from identities (the M2 map,
-d1 stacked over v . grad(O), and the Koszul map K3 -> K2)."""
+the cochain maps d1 and d2, d1 stacked over v . grad(O), and the Koszul map
+K3 -> K2).  The operator table of d2 lives here too: the package derives
+rank d2 from the (v . grad(O) ; div v) map and no longer assembles it."""
 
-from wpoisson import gradient, normal_form, rank
+from wpoisson import complexes, gradient, normal_form, rank
 from wpoisson.jacobian import jacobian_basis
 from wpoisson.linalg import Matrix
 from wpoisson.ring import (Polynomial, PolyVector, RingError, count_monomials, cross, curl,
@@ -47,6 +49,52 @@ def reference_cochain(grad_o, i, comps):
     return [-div(cross(v, grad_o))]
 
 
+def cochain2_table(omega):
+    """operator table of the degree-2 cochain differential -div(v x g): the
+    Hessian terms cancel (indices mod 3)"""
+    g = gradient(omega).comps
+    return complexes.op_table(omega.field,
+                              [(0, (k + 2) % 3, k, g[(k + 1) % 3]) for k in range(3)]
+                              + [(0, (k + 1) % 3, k, -g[(k + 2) % 3]) for k in range(3)])
+
+
+def _cochain_table(omega, i):
+    return cochain2_table(omega) if i == 2 else complexes._cochain_table(omega, i)
+
+
+def _cochain_degs(omega, i, d):
+    """source and target component degrees of the degree-i cochain
+    differential on the degree-d slice of X^i"""
+    w = omega.homogeneous_degree() - omega.weights.n_default
+    sh = complexes.cochain_shifts(omega.weights)
+    return [d + s for s in sh[i]], [d + w + s for s in sh[i + 1]]
+
+
+def cochain_matrix(omega, i, d):
+    """matrix of the degree-i cochain differential on the degree-d slice of
+    X^i from the operator tables: the package's for d0 and d1, ours for d2"""
+    return complexes.assemble(omega.weights, omega.field, *_cochain_degs(omega, i, d),
+                              _cochain_table(omega, i))
+
+
+def cochain_matrices(omega, d):
+    """the three consecutive cochain matrices starting at the degree-d slice
+    of X^0; consecutive products are zero"""
+    w = omega.homogeneous_degree() - omega.weights.n_default
+    return tuple(cochain_matrix(omega, i, d + i * w) for i in range(3))
+
+
+def cochain_apply(omega, i, comps):
+    """the degree-i cochain differential applied to component polynomials
+    through its operator table"""
+    weights, field = omega.weights, omega.field
+    out = [Polynomial.zero(weights, field)] * len(complexes.cochain_shifts(weights)[i + 1])
+    for t, s, v, coefs in _cochain_table(omega, i):
+        src = comps[s] if v is None else comps[s].partial(v)
+        out[t] = out[t] + src * Polynomial(weights, field, dict(coefs))
+    return out
+
+
 def reference_maps(omega):
     """the fn closure of every graded map, by name"""
     g = gradient(omega)
@@ -68,6 +116,12 @@ def reference_maps(omega):
         "curl": lambda v: list(curl(PolyVector(*v)).comps),
         "div": lambda v: [div(PolyVector(*v))],
     }
+
+
+def cochain_rank(omega, i, d, maps=None):
+    """rank of the degree-i cochain differential on the degree-d slice of
+    X^i, evaluated column by column"""
+    return _rank(omega, "cochain%d" % i, *_cochain_degs(omega, i, d), maps)
 
 
 def _rank(omega, name, src, tgt, maps=None):

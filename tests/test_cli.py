@@ -290,6 +290,37 @@ def test_product_past_the_term_budget_exits_2_before_multiplying(monkeypatch):
         ": product may expand past the 1000-term budget (at byte 99)")
 
 
+@pytest.mark.parametrize("args, line", [
+    (["rgt", "-w", "1,1,1", "-p", "(x+y+z)^100000"],
+     "error: bad polynomial '(x+y+z)^100000': power may expand past the 1000-term budget"
+     " (at byte 8)"),
+    (["rgt", "-w", "1,1,1", "-p", "x^3+y^3+z^3+2000000*x*y*z"],
+     "error: bad polynomial 'x^3+y^3+z^3+2000000*x*y*z': integer exceeds the 10^6 guard"
+     " (at byte 12)"),
+    (["verify-aut", "-w", "1,1,1", "-p", "x^3+y^3+z^3", "--map", "x->(x+y)^2000; y->y; z->z"],
+     "error: bad map: power may expand past the 1000-term budget (at byte 6)"),
+])
+def test_budget_refusals_in_a_polynomial_print_one_error_line(args, line):
+    res = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [line]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["rgt", "-w", "1,1,1", "-p", "x^3+y^3+"],
+     "Error: bad polynomial 'x^3+y^3+': unexpected character 'end of input' (at byte 8)"),
+    (["verify-aut", "-w", "1,1,1", "-p", "x^3+y^3+z^3", "--map", "x->2x; y->y; z->z"],
+     "Error: bad map: trailing input (at byte 1)"),
+])
+def test_syntax_errors_in_a_polynomial_stay_usage_errors(args, message):
+    res = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert lines[0].startswith("Usage: ") and lines[-1] == message
+
+
 def _refuse_enumeration(monkeypatch):
     """make listing a monomial basis or assembling a matrix fail anywhere"""
     from wpoisson import complexes, ring

@@ -9,13 +9,15 @@ import copy
 
 import pytest
 
-from wpoisson import QQ, ExtensionField, Weights, catalog, gradient, parse_poly, rank
+from wpoisson import (QQ, ExtensionField, Weights, catalog, gradient, has_isolated_singularity,
+                      parse_poly, rank)
 from wpoisson import complexes, poisson
-from wpoisson.hilbert import closed_form_lph2
-from wpoisson.poisson import euler_derivation
+from wpoisson.poisson import euler_derivation, from_potential
 from wpoisson.ring import RingError, count_monomials
 
-from reference_maps import (koszul3_rank, m2_rank, ozone_kernel, reference_assemble,
+from closed_forms import closed_form_lph2, isolated_ph
+from reference_maps import (cochain_apply, cochain_matrices, cochain_matrix, cochain_rank,
+                            koszul3_rank, m2_rank, ozone_kernel, reference_assemble,
                             reference_cochain, reference_maps)
 
 
@@ -50,17 +52,17 @@ def _compose(outer, inner):
 def test_cochain_compositions_vanish():
     om = parse_poly(ELLIPTIC, W111)
     for d in range(-3, 15):
-        d0, d1, d2 = complexes.cochain_matrices(om, d)
+        d0, d1, d2 = cochain_matrices(om, d)
         assert all(v == 0 for row in _compose(d1, d0) for v in row.values())
         assert all(v == 0 for row in _compose(d2, d1) for v in row.values())
 
 
 def test_cochain_apply_gradient_cross():
     om = parse_poly(QUADRIC_BW, W112)
-    out = complexes.cochain_apply(om, 0, (om,))
+    out = cochain_apply(om, 0, (om,))
     assert all(c.is_zero() for c in out)
     x = parse_poly("x", W112)
-    dx = complexes.cochain_apply(om, 0, (x,))
+    dx = cochain_apply(om, 0, (x,))
     # grad(x) x grad(O) = (0, -O_z, O_y)
     assert dx[0].is_zero()
     assert dx[1] == parse_poly("-2*z", W112)
@@ -71,7 +73,7 @@ def test_euler_derivation_is_a_one_cocycle():
     for w, text in ((W111, ELLIPTIC), (W112, QUADRIC_BW), (W123, CUSP)):
         om = parse_poly(text, w)
         e = euler_derivation(w)
-        out = complexes.cochain_apply(om, 1, tuple(e.comps))
+        out = cochain_apply(om, 1, tuple(e.comps))
         assert all(c.is_zero() for c in out)
 
 
@@ -148,7 +150,7 @@ def test_m2_between_image_and_kernel():
         om = parse_poly(text, w)
         m2 = complexes.m2_dims(om, 8)
         for d in range(-w.n_default, 9):
-            _, d1, d2 = complexes.cochain_matrices(om, d)
+            _, d1, d2 = cochain_matrices(om, d)
             im = rank(d1)
             ker = d2.cols - rank(d2)
             assert im <= m2[d] <= ker, (text, d)
@@ -159,7 +161,7 @@ def test_lph2_matches_closed_form():
     m2 = complexes.m2_dims(om, 10)
     closed = closed_form_lph2(W112, 4).expand(-4, 10)
     for idx, d in enumerate(range(-4, 11)):
-        _, d1, _ = complexes.cochain_matrices(om, d)
+        _, d1, _ = cochain_matrices(om, d)
         assert m2[d] - rank(d1) == closed[idx], d
 
 
@@ -219,15 +221,24 @@ def test_ozone_cusp_discrepancies():
             assert pair[0] == pair[1], d
 
 
+def _ph1_minimality_check(omega, bound):
+    """per-degree booleans: does PH^1 look like a free rank-one module over
+    the subalgebra generated by the potential"""
+    n = omega.homogeneous_degree()
+    table = complexes.ph_dims(omega, bound)
+    return {d: table.dim(1, d) == (1 if d >= 0 and d % n == 0 else 0)
+            for d in range(-max(omega.weights.tuple), bound + 1)}
+
+
 def test_ph1_minimality():
     om = parse_poly(ELLIPTIC, W111)
-    res = complexes.ph1_minimality_check(om, 9)
+    res = _ph1_minimality_check(om, 9)
     assert all(res.values())
 
-    cusp = complexes.ph1_minimality_check(parse_poly(CUSP, W123), 6)
+    cusp = _ph1_minimality_check(parse_poly(CUSP, W123), 6)
     assert {d for d, ok in cusp.items() if not ok} == {-1, 1, 5}
 
-    red = complexes.ph1_minimality_check(parse_poly("x^2*z+x*y^3", W112), 3)
+    red = _ph1_minimality_check(parse_poly("x^2*z+x*y^3", W112), 3)
     assert red[0] is False
 
 
@@ -286,8 +297,18 @@ def test_dims_table_row_and_bounds():
 # ---------------------------------------------------------------------------
 # operator tables against the per-column Polynomial evaluation they replace
 
+def _clear_memos():
+    """empty every memo in complexes, so that a run assembles each matrix it
+    ranks instead of finding the rank left by an earlier run"""
+    for value in vars(complexes).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
 def _capture(monkeypatch, run):
-    """(src_degs, tgt_degs, matrix) of every assemble call made by run()"""
+    """(src_degs, tgt_degs, matrix) of every assemble call made by run(),
+    from empty memos"""
+    _clear_memos()
     calls = []
     real = complexes.assemble
 
@@ -336,7 +357,7 @@ def test_operator_tables_match_per_column_evaluation(monkeypatch, weights, field
 
     for d in degrees:
         for i in range(3):
-            check("cochain%d" % i, complexes.cochain_matrix(om, i, d),
+            check("cochain%d" % i, cochain_matrix(om, i, d),
                   [d + s for s in sh[i]], [d + w + s for s in sh[i + 1]])
         degs = complexes.koszul_component_degs(om, d)
         for i in (1, 2):
@@ -345,6 +366,7 @@ def test_operator_tables_match_per_column_evaluation(monkeypatch, weights, field
     # the stacked maps, told from the cochain and Koszul matrices that the
     # same runs assemble by their numbers of source and target components
     runs = [
+        ("ozone", lambda: complexes.ph_dims(om, n + 2), {(3, 2): "ozone", (1, 3): "cochain0"}),
         ("ozone", lambda: complexes.ozone_vs_hamiltonian(om, n + 2),
          {(3, 2): "ozone", (1, 3): "cochain0"}),
         ("sealed", lambda: complexes.sealed_k1_dims(om, n + 2),
@@ -377,7 +399,7 @@ def test_cochain_apply_matches_polynomial_formulas(weights, field, text):
         (2, (polys[1], polys[1], polys[0])),
     ]
     for i, comps in cases:
-        assert complexes.cochain_apply(om, i, comps) == reference_cochain(g, i, comps), i
+        assert cochain_apply(om, i, comps) == reference_cochain(g, i, comps), i
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +408,9 @@ def test_cochain_apply_matches_polynomial_formulas(weights, field, text):
 
 def _identity_potentials():
     """every catalog entry to n+6; off-catalog potentials, of other degrees
-    and over Q(s)/(s^2+s+1), to a bound of their own"""
+    and over Q(s)/(s^2+s+1), to a bound of their own.  Those of degree
+    n != a+b+c take the Casimir correction of rank d1 at every multiple of
+    n, since O is a Casimir."""
     cube = ExtensionField([1, 1, 1])
     return [pytest.param(e.weights, QQ, e.omega_text, e.degree + 6, id=e.entry_id)
             for e in catalog.entries()] + [
@@ -398,6 +422,10 @@ def _identity_potentials():
             (W111, QQ, "x*y*z", 12),
             (W111, QQ, "x^2*y", 12),
             (W112, QQ, "z^3+x^6+y^6", 14),
+            (W111, QQ, "x^2*y^2+z^4+x^3*z", 12),
+            (Weights(1, 1, 3), QQ, "x^3*y^3+z^2", 14),
+            (W111, QQ, "x^3*y+y^3*z", 12),
+            (W112, QQ, "x^3*z", 14),
             (W111, cube, "x^3+y^3+z^3+s*x*y*z", 9),
         )]
 
@@ -405,7 +433,16 @@ def _identity_potentials():
 @pytest.mark.parametrize("weights, field, text, top", _identity_potentials())
 def test_rank_identities_match_reference_matrices(weights, field, text, top):
     om = parse_poly(text, weights, field)
+    n = om.homogeneous_degree()
     maps = reference_maps(om)
+    # d1 and d2: the ranks derived from T_d = (v . g ; div v) against the
+    # cochain matrices, from the lowest degree with a nonzero cochain space
+    slots = range(-max(n, weights.n_default), top + 1)
+    for i in (1, 2):
+        assert ({d: complexes._cochain_rank(om, i, d) for d in slots}
+                == {d: cochain_rank(om, i, d, maps) for d in slots}), i
+    if n != weights.n_default and n <= top:
+        assert count_monomials(weights, n) > complexes._cochain_rank(om, 0, n)
     degrees = range(-weights.n_default, top + 1)
     # M2: the Casimir count against the rank of the M2 map
     assert complexes.m2_dims(om, top) == {d: m2_rank(om, d, maps) for d in degrees}
@@ -426,6 +463,39 @@ def test_rank_identities_match_reference_matrices(weights, field, text, top):
         assert rank_k3 == dim_k3, d
         rank_k2 = rank(complexes._koszul_matrix(om, 2, d)) if dim_k2 else 0
         assert (table.dim(2, d), table.dim(3, d)) == (dim_k2 - rank_k2 - rank_k3, 0), d
+
+
+def test_casimir_columns_lower_rank_d1_where_t_reaches_them():
+    """off a+b+c, the image of T_d may meet ker L, and then rank d1_d is
+    below rank T_d: only the appended Casimir columns see it"""
+    om = parse_poly("x^3*y+y^3*z", W111)
+    for d in (0, 4):
+        assert complexes._cochain_rank(om, 1, d) == complexes._ozone_rank(om, d) - 1
+        assert complexes._cochain_rank(om, 1, d) == cochain_rank(om, 1, d)
+
+
+_ISOLATED = [
+    (W111, "x^4+y^4+z^4"),
+    (W111, "x^5+y^5+z^5"),
+    (W111, "x^4+y^4+z^4+x^2*y*z"),
+    (W112, "x^6+y^6+z^3"),
+    (W123, "x^12+y^6+z^4"),
+    (Weights(21, 14, 6), "x^2+y^3+z^7"),
+]
+
+
+@pytest.mark.parametrize("weights, text", _ISOLATED, ids=[t for _, t in _ISOLATED])
+def test_ph_dims_match_the_isolated_closed_form(weights, text):
+    """the Casimir correction of rank d1, which runs only when n != a+b+c,
+    against the closed forms of an isolated potential: a check of it that is
+    not a second matrix"""
+    om = parse_poly(text, weights)
+    n = om.homogeneous_degree()
+    assert n != weights.n_default and has_isolated_singularity(om)
+    lo, top = -max(n, weights.n_default), 3 * n + 6
+    table = complexes.ph_dims(om, top)
+    for i, series in enumerate(isolated_ph(weights, n)):
+        assert [table.dim(i, d) for d in range(lo, top + 1)] == series.expand(lo, top), i
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +520,7 @@ def test_operator_tables_are_built_once_per_potential(monkeypatch, weights, fiel
         return real(f)
 
     monkeypatch.setattr(complexes, "gradient", counting_gradient)
+    structure = from_potential(om)
     for bound in (n + 1, n + 4):
         complexes.ph_dims(om, bound)
         complexes.koszul_dims(om, bound + n)
@@ -457,17 +528,18 @@ def test_operator_tables_are_built_once_per_potential(monkeypatch, weights, fiel
         complexes.ozone_vs_hamiltonian(om, bound)
         complexes.sealed_k1_dims(om, bound)
         for d in range(-3, bound + 1):
-            complexes.cochain_apply(om, 1, (om, om, om))
+            poisson.graded_derivation_space(structure, d)
             complexes.ozone_dim(om, d)
-    # cochain tables 0, 1, 2, Koszul tables 1, 2 and the ozone table
-    assert len(calls) == 6 and all(f == om for f in calls)
+    # cochain tables 0, 1 (d1 for the derivation spaces), Koszul tables 1, 2
+    # and the ozone table: every table the package builds
+    assert len(calls) == 5 and all(f == om for f in calls)
     again = parse_poly(text, weights, field)
     assert all(complexes._cochain_table(again, i) is complexes._cochain_table(om, i)
-               for i in range(3))
+               for i in range(2))
     assert all(complexes._koszul_table(again, i) is complexes._koszul_table(om, i)
                for i in (1, 2))
     assert complexes._ozone_table(again) is complexes._ozone_table(om)
-    assert len(calls) == 6
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("weights, field, text", _CACHE_POTENTIALS)
@@ -475,7 +547,7 @@ def test_cached_tables_are_immutable_and_unchanged_by_use(weights, field, text):
     om = parse_poly(text, weights, field)
     n = om.homogeneous_degree()
     w = n - weights.n_default
-    tables = ([complexes._cochain_table(om, i) for i in range(3)]
+    tables = ([complexes._cochain_table(om, i) for i in range(2)]
               + [complexes._koszul_table(om, i) for i in (1, 2)]
               + [complexes._ozone_table(om)])
     snapshot = copy.deepcopy(tables)
@@ -483,10 +555,10 @@ def test_cached_tables_are_immutable_and_unchanged_by_use(weights, field, text):
     for table in tables:
         hash(table)
     polys = [parse_poly(t, weights, field) for t in ("x^2*y+3*z^3", "1/3*y^2-x*z", "z+x^4*y^2")]
-    for i in range(3):
-        complexes.cochain_apply(om, i, polys[:len(complexes.cochain_shifts(weights)[i])])
+    for i in range(2):
+        cochain_apply(om, i, polys[:len(complexes.cochain_shifts(weights)[i])])
     for d in range(-weights.n_default, n + 3):
-        for i in range(3):
+        for i in range(2):
             rank(complexes.cochain_matrix(om, i, d + i * w))
         for i in (1, 2):
             rank(complexes._koszul_matrix(om, i, d + n))

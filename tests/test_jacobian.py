@@ -31,10 +31,18 @@ from wpoisson.ring import (
     Polynomial,
     RingError,
     gradient,
-    mono_div,
     mono_divides,
     mono_lcm,
 )
+
+
+def _mul_term(p, m, coef):
+    """p times the single term coef * monomial(m)"""
+    return p * Polynomial.monomial(p.weights, m, coef, p.field)
+
+
+def _mono_div(m1, m2):
+    return (m1[0] - m2[0], m1[1] - m2[1], m1[2] - m2[2])
 
 
 W112 = Weights(1, 1, 2)
@@ -117,7 +125,7 @@ def test_a_sing_dims_match_direct_linear_algebra():
             if p.is_zero() or pd > d:
                 continue
             for m in monomial_basis(W112, d - pd):
-                prod = p.mul_term(m, Fraction(1))
+                prod = _mul_term(p, m, Fraction(1))
                 for mono, coef in prod.terms.items():
                     rows[index[mono]][ncols] = coef
                 ncols += 1
@@ -317,7 +325,7 @@ def _restarting_normal_form(f, basis):
         for m, coef in out.sorted_terms():
             for g, h in zip(polys, heads):
                 if mono_divides(h, m):
-                    out = out - g.mul_term(mono_div(m, h), coef / g.terms[h])
+                    out = out - _mul_term(g, _mono_div(m, h), coef / g.terms[h])
                     changed = True
                     break
             if changed:
@@ -352,8 +360,8 @@ def _s_polynomial(f, g):
     h1, h2 = f.leading_monomial(), g.leading_monomial()
     lcm = mono_lcm(h1, h2)
     one = f.field.one
-    return (f.mul_term(mono_div(lcm, h1), one / f.terms[h1])
-            - g.mul_term(mono_div(lcm, h2), one / g.terms[h2]))
+    return (_mul_term(f, _mono_div(lcm, h1), one / f.terms[h1])
+            - _mul_term(g, _mono_div(lcm, h2), one / g.terms[h2]))
 
 
 def _all_pairs_reduce_to_zero(polys):
