@@ -16,12 +16,11 @@ the divergence-free derivations of degree d, and div(f E) = (d+a+b+c) f for
 the Euler field E, so div is onto A_d.  Hence rank d2_d = rank T_d - #A_d.
 
 d1: d1 = L T with L(h, f) = f g - grad(h).  By Euler's identity (h, f) lies
-in ker L exactly when f is a Casimir (d0 f = 0) and h = n f O/(d+n), so
-rank d1_d = rank [T_d | K_d] - dim ker d0_d, where K_d has the columns
-(n f O, (d+n) f) for a basis f of ker d0_d.  When n = a+b+c, T(f E/(d+n))
-is that column, so rank d1_d = rank T_d - dim ker d0_d; otherwise K_d is
-appended only in the degrees that carry a Casimir.  Where d+n or d+a+b+c is
-zero the d1 matrix is assembled instead.
+in ker L exactly when f is a Casimir (d0 f = 0) and h = n f O/(d+n).  When
+n = a+b+c, T(f E/(d+n)) is that kernel vector, so rank d1_d = rank T_d -
+dim ker d0_d.  Otherwise rank d1_d = rank T_d in the degrees without a
+Casimir, and the d1 matrix is assembled in those with one, as where d+n is
+zero.
 
 Each operator table (d0, d1, Koszul, ozone) depends only on the potential
 and the index, so it is built once per potential, memoised beside the
@@ -34,7 +33,7 @@ from functools import lru_cache
 
 from .hilbert import closed_form_ph, euler_rhs
 from .jacobian import jacobian_basis, normal_form
-from .linalg import Matrix, kernel_basis, rank
+from .linalg import Matrix, rank
 from .ring import (
     Polynomial,
     QQ,
@@ -227,35 +226,10 @@ def _cochain_rank(omega, i, d):
     if i == 2:
         return _ozone_rank(omega, d) - count_monomials(weights, d)
     n = omega.homogeneous_degree()
-    if d + n == 0 or d + weights.n_default == 0:
-        return rank(cochain_matrix(omega, 1, d))
     casimirs = count_monomials(weights, d) - _cochain_rank(omega, 0, d)
-    if not casimirs:
-        return _ozone_rank(omega, d)
-    if n == weights.n_default:
+    if d + n and (not casimirs or n == weights.n_default):
         return _ozone_rank(omega, d) - casimirs
-    return rank(_with_casimir_columns(omega, d)) - casimirs
-
-
-def _with_casimir_columns(omega, d):
-    """T_d with the columns (n f O, (d+n) f) appended, one per basis vector f
-    of ker d0_d, on its target layout [A_{d+n}, A_d]"""
-    weights, field = omega.weights, omega.field
-    n = omega.homogeneous_degree()
-    t = _ozone_matrix(omega, d)
-    row_of = {}
-    for e in (d + n, d):
-        for m in monomial_basis(weights, e):
-            row_of[(e, m)] = len(row_of)
-    rows = [dict(r) for r in t.entries]
-    col = t.cols
-    for coords in kernel_basis(cochain_matrix(omega, 0, d)):
-        f = vector_to_polys(weights, field, [d], coords)[0]
-        for e, p in ((d + n, f * omega * n), (d, f * (d + n))):
-            for m, c in p.terms.items():
-                rows[row_of[(e, m)]][col] = c
-        col += 1
-    return Matrix(t.rows, col, rows, field)
+    return rank(cochain_matrix(omega, 1, d))
 
 
 def _space_dim(weights, shifts, d):

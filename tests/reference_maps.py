@@ -137,15 +137,23 @@ def m2_rank(omega, d, maps=None):
     return _rank(omega, "m2", [d - w, d + a + b + c], [d + b + c, d + a + c, d + a + b], maps)
 
 
-def ozone_kernel(omega, d, maps=None):
-    """dimension of the degree-d derivations that are cocycles killing O,
-    from d1 stacked over v . grad(O)"""
+def d1_rank_and_ozone_kernel(omega, d, maps=None):
+    """rank of the cochain differential d1 on the degree-d derivations, and
+    the dimension of those that are cocycles killing O, from one evaluation
+    of d1 stacked over v . grad(O): d1 is its top rows"""
     a, b, c = omega.weights.tuple
     w = omega.homogeneous_degree() - a - b - c
     src = [d + a, d + b, d + c]
-    tgt = [d + w + b + c, d + w + a + c, d + w + a + b, d + a + b + c + w]
+    d1_tgt = [d + w + b + c, d + w + a + c, d + w + a + b]
     dim = sum(count_monomials(omega.weights, e) for e in src)
-    return dim - (_rank(omega, "d1_over_dot", src, tgt, maps) if dim else 0)
+    if not dim:
+        return 0, 0
+    fn = (maps or reference_maps(omega))["d1_over_dot"]
+    stacked = reference_assemble(omega.weights, omega.field, src,
+                                 d1_tgt + [d + a + b + c + w], fn)
+    top = sum(count_monomials(omega.weights, e) for e in d1_tgt)
+    d1 = Matrix(top, stacked.cols, stacked.entries[:top], omega.field)
+    return rank(d1), dim - rank(stacked)
 
 
 def koszul3_rank(omega, degs, maps=None):

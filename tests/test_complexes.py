@@ -17,7 +17,7 @@ from wpoisson.ring import RingError, count_monomials
 
 from closed_forms import closed_form_lph2, isolated_ph
 from reference_maps import (cochain_apply, cochain_matrices, cochain_matrix, cochain_rank,
-                            koszul3_rank, m2_rank, ozone_kernel, reference_assemble,
+                            d1_rank_and_ozone_kernel, koszul3_rank, m2_rank, reference_assemble,
                             reference_cochain, reference_maps)
 
 
@@ -409,8 +409,8 @@ def test_cochain_apply_matches_polynomial_formulas(weights, field, text):
 def _identity_potentials():
     """every catalog entry to n+6; off-catalog potentials, of other degrees
     and over Q(s)/(s^2+s+1), to a bound of their own.  Those of degree
-    n != a+b+c take the Casimir correction of rank d1 at every multiple of
-    n, since O is a Casimir."""
+    n != a+b+c assemble the d1 matrix at every multiple of n, since O is a
+    Casimir there."""
     cube = ExtensionField([1, 1, 1])
     return [pytest.param(e.weights, QQ, e.omega_text, e.degree + 6, id=e.entry_id)
             for e in catalog.entries()] + [
@@ -427,6 +427,7 @@ def _identity_potentials():
             (W111, QQ, "x^3*y+y^3*z", 12),
             (W112, QQ, "x^3*z", 14),
             (W111, cube, "x^3+y^3+z^3+s*x*y*z", 9),
+            (W111, cube, "x^4+y^4+z^4+s*x^2*y*z", 8),
         )]
 
 
@@ -436,18 +437,21 @@ def test_rank_identities_match_reference_matrices(weights, field, text, top):
     n = om.homogeneous_degree()
     maps = reference_maps(om)
     # d1 and d2: the ranks derived from T_d = (v . g ; div v) against the
-    # cochain matrices, from the lowest degree with a nonzero cochain space
+    # cochain matrices, from the lowest degree with a nonzero cochain space;
+    # d1 comes with its stack over v . g, whose kernel is the ozone space
     slots = range(-max(n, weights.n_default), top + 1)
-    for i in (1, 2):
-        assert ({d: complexes._cochain_rank(om, i, d) for d in slots}
-                == {d: cochain_rank(om, i, d, maps) for d in slots}), i
+    d1_ozone = {d: d1_rank_and_ozone_kernel(om, d, maps) for d in slots}
+    assert ({d: complexes._cochain_rank(om, 1, d) for d in slots}
+            == {d: pair[0] for d, pair in d1_ozone.items()})
+    assert ({d: complexes._cochain_rank(om, 2, d) for d in slots}
+            == {d: cochain_rank(om, 2, d, maps) for d in slots})
     if n != weights.n_default and n <= top:
         assert count_monomials(weights, n) > complexes._cochain_rank(om, 0, n)
     degrees = range(-weights.n_default, top + 1)
     # M2: the Casimir count against the rank of the M2 map
     assert complexes.m2_dims(om, top) == {d: m2_rank(om, d, maps) for d in degrees}
     # ozone: the (v . g ; div v) kernel against d1 stacked over v . g
-    ozone = {d: ozone_kernel(om, d, maps) for d in degrees}
+    ozone = {d: d1_ozone[d][1] for d in degrees}
     assert {d: complexes.ozone_dim(om, d) for d in degrees} == ozone
     if om.homogeneous_degree() == weights.n_default:
         table = complexes.ozone_vs_hamiltonian(om, top)
@@ -465,9 +469,10 @@ def test_rank_identities_match_reference_matrices(weights, field, text, top):
         assert (table.dim(2, d), table.dim(3, d)) == (dim_k2 - rank_k2 - rank_k3, 0), d
 
 
-def test_casimir_columns_lower_rank_d1_where_t_reaches_them():
+def test_rank_d1_falls_below_rank_t_where_a_casimir_meets_its_image():
     """off a+b+c, the image of T_d may meet ker L, and then rank d1_d is
-    below rank T_d: only the appended Casimir columns see it"""
+    below rank T_d: the d1 matrix assembled in degrees with a Casimir sees
+    it"""
     om = parse_poly("x^3*y+y^3*z", W111)
     for d in (0, 4):
         assert complexes._cochain_rank(om, 1, d) == complexes._ozone_rank(om, d) - 1
@@ -486,9 +491,9 @@ _ISOLATED = [
 
 @pytest.mark.parametrize("weights, text", _ISOLATED, ids=[t for _, t in _ISOLATED])
 def test_ph_dims_match_the_isolated_closed_form(weights, text):
-    """the Casimir correction of rank d1, which runs only when n != a+b+c,
-    against the closed forms of an isolated potential: a check of it that is
-    not a second matrix"""
+    """rank d1 in the degrees with a Casimir, assembled only when
+    n != a+b+c, against the closed forms of an isolated potential: a check
+    of it that is not a second matrix"""
     om = parse_poly(text, weights)
     n = om.homogeneous_degree()
     assert n != weights.n_default and has_isolated_singularity(om)
