@@ -298,7 +298,13 @@ def _load(path: Optional[Path] = None) -> List[CatalogEntry]:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            entry = _parse_record(line)
+            try:
+                entry = _parse_record(line)
+            except CatalogError:
+                raise
+            except ValueError as exc:
+                # a malformed number or potential in the record
+                raise CatalogError("%s: %s" % (line.split("|")[0].strip(), exc)) from None
             if entry.entry_id in seen:
                 raise CatalogError("duplicate id %s" % entry.entry_id)
             seen.add(entry.entry_id)

@@ -18,7 +18,7 @@ import click
 
 from . import __version__
 from .ring import QQ, ExtensionField, RingError, Weights, check_potential
-from .textio import BudgetError, ParseError, format_poly, parse_map, parse_poly
+from .textio import MAX_EXPONENT, BudgetError, ParseError, format_poly, parse_map, parse_poly
 from .poisson import (
     bracket as poisson_bracket,
     from_potential,
@@ -374,6 +374,23 @@ def ozone(omega, fmt, inputs, bound):
                agree_up_to_bound=all(r["equal"] for r in rows))
 
 
+def _xi_value(text):
+    """--xi as a rational.  Malformed text or a zero denominator is a usage
+    error; a numerator or denominator past the 10^6 guard is refused like a
+    polynomial's integers, and so, before it is expanded, is an exponent
+    above six plus the length of the text, which puts one there."""
+    exp = re.search(r"[eE][-+]?([\d_]+)\s*$", text)
+    digits = exp.group(1).replace("_", "") if exp else ""
+    if not (len(digits) > 7 or digits and int(digits) > len(text) + 6):
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            _fail_usage("bad --xi %r" % text)
+        if max(abs(value.numerator), value.denominator) <= MAX_EXPONENT:
+            return value
+    raise RingError("bad --xi %r: integer exceeds the 10^6 guard" % text)
+
+
 @_potential_command("verify-aut")
 @click.option("--map", "map_text", required=True,
               help='"x->expr; y->expr; z->expr"')
@@ -392,10 +409,7 @@ def verify_aut(omega, fmt, inputs, map_text, inverse_text, xi):
         results = {"passed": ok, "jacobian_det": format_poly(det),
                    "mode": "graded"}
     else:
-        try:
-            xi_val = Fraction(xi)
-        except ValueError:
-            _fail_usage("bad --xi %r" % xi)
+        xi_val = _xi_value(xi)
         if psi is None:
             _fail_usage("--xi verification needs --inverse")
         ok = verify_quotient_automorphism(omega, xi_val, phi, psi)
@@ -488,7 +502,7 @@ def catalog_list(selector, catalog_file, fmt):
 
 @main.command()
 @click.option("--seed", type=int, default=20240817)
-@click.option("--cases", type=int, default=100)
+@click.option("--cases", type=click.IntRange(min=1), default=100)
 @click.option("--format", "fmt", default="table",
               type=click.Choice(["table", "json", "csv"]))
 def selftest(seed, cases, fmt):

@@ -7,9 +7,9 @@ Most ranks come from identities, not matrices; g = grad(O) is nonzero by
 Euler's identity, in the domain k[x,y,z], and T_d = (v . g ; div v) on the
 degree-d derivations.  M2: f g is a gradient iff curl(f g) = d0(f) is zero,
 as the weighted de Rham complex is exact.  Ozone: d1(v) = div(v) g -
-grad(v . g), so T_d serves ozone, sealedness and rgt, and its rank,
-memoised once per degree, serves d1 and d2 too.  Koszul: K3 -> K2,
-v0 -> v0 g, is injective.
+grad(v . g), so T_d serves ozone and rgt, its table serves the sealed
+block below, and its rank, memoised once per degree, serves d1 and d2 too.
+Koszul: K3 -> K2, v0 -> v0 g, is injective.
 
 d2: read as vector fields, -div(v x g) = -g . curl(v); curl maps X2_d onto
 the divergence-free derivations of degree d, and div(f E) = (d+a+b+c) f for
@@ -22,6 +22,13 @@ dim ker d0_d.  Otherwise rank d1_d = rank T_d in the degrees without a
 Casimir, and the d1 matrix is assembled in those with one, as where d+n is
 zero.
 
+Sealed: with e = d - n, the degree-d Koszul 1-cycles v whose divergence
+lies in J = (g) are the projections of the kernel of B_e(v, u) =
+(v . g ; div v - u . g) on X1_e + X1_{e-n}, since J_e is the image of K1,
+u -> u . g, and the projection loses exactly ker K1.  Hence sealed_d =
+dim X1_e - rank B_e + rank K1 - rank K2, with K1 and K2 at total degree e
+and d.
+
 Each operator table (d0, d1, Koszul, ozone) depends only on the potential
 and the index, so it is built once per potential, memoised beside the
 ranks, and shared by every degree; ``op_table`` makes tables immutable for
@@ -32,7 +39,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .hilbert import closed_form_ph, euler_rhs
-from .jacobian import jacobian_basis, normal_form
 from .linalg import Matrix, rank
 from .ring import (
     Polynomial,
@@ -45,17 +51,14 @@ from .ring import (
 )
 
 
-def assemble(weights, field, src_degs, tgt_degs, table, reducers=None):
+def assemble(weights, field, src_degs, tgt_degs, table):
     """Exact sparse matrix of a graded first-order linear differential
     operator on the deterministic monomial bases, one column per source
     monomial.  ``table`` lists the operator's terms (target, source, var,
     coefs): target component ``target`` gains coef * m * d/d(var) of source
     component ``source``, or coef * m times the source itself when var is
     None, for every monomial m -> coef in ``coefs`` (see ``op_table``).
-    ``reducers`` maps a target to a linear map applied to its output, given
-    as a function from a monomial to its image {monomial: coef}; each is
-    called once per distinct monomial.  Outputs must respect the target
-    degrees."""
+    Outputs must respect the target degrees."""
     row_of = {}
     for t, td in enumerate(tgt_degs):
         for m in monomial_basis(weights, td):
@@ -63,8 +66,6 @@ def assemble(weights, field, src_degs, tgt_degs, table, reducers=None):
     by_source = [[] for _ in src_degs]
     for t, s, v, coefs in table:
         by_source[s].append((t, v, coefs))
-    reducers = reducers or {}
-    images = {}
     rows = [{} for _ in range(len(row_of))]
     col = 0
     for s, sd in enumerate(src_degs):
@@ -86,8 +87,6 @@ def assemble(weights, field, src_degs, tgt_degs, table, reducers=None):
                         c = c * f
                     prev = out.get(key)
                     out[key] = c if prev is None else prev + c
-            if reducers:
-                out = _reduce_outputs(out, reducers, images)
             for key, c in out.items():
                 if not c:
                     continue
@@ -97,25 +96,6 @@ def assemble(weights, field, src_degs, tgt_degs, table, reducers=None):
                 rows[r][col] = c
             col += 1
     return Matrix(len(rows), col, rows, field)
-
-
-def _reduce_outputs(out, reducers, images):
-    """one column's outputs with each reduced target's monomials replaced by
-    their images, memoised in ``images`` across the columns of a matrix"""
-    reduced = {}
-    for key, c in out.items():
-        t, m = key
-        red = reducers.get(t)
-        if red is None:
-            reduced[key] = c
-            continue
-        pairs = images.get(key)
-        if pairs is None:
-            pairs = images[key] = tuple(((t, mm), cc) for mm, cc in red(m).items())
-        for k, cc in pairs:
-            prev = reduced.get(k)
-            reduced[k] = c * cc if prev is None else prev + c * cc
-    return reduced
 
 
 def op_table(field, terms):
@@ -334,31 +314,21 @@ def _ozone_table(omega):
                     + [(1, s, s, 1) for s in range(3)])
 
 
-def _ozone_matrix(omega, d, reducers=None):
-    """matrix of T_d: X1_d -> A_{d+n} + A_d; ``reducers`` (see ``assemble``)
-    may act on the div block"""
-    weights = omega.weights
-    return assemble(weights, omega.field, [d + s for s in weights.tuple],
-                    [d + omega.homogeneous_degree(), d], _ozone_table(omega), reducers)
-
-
 @lru_cache(maxsize=65536)
 def _ozone_rank(omega, d):
-    return rank(_ozone_matrix(omega, d))
+    """rank of T_d: X1_d -> A_{d+n} + A_d"""
+    weights = omega.weights
+    return rank(assemble(weights, omega.field, [d + s for s in weights.tuple],
+                         [d + omega.homogeneous_degree(), d], _ozone_table(omega)))
 
 
-def ozone_dim(omega, d, reducers=None):
+def ozone_dim(omega, d):
     """dimension of the degree-d derivations v with v . g = 0 and div v = 0,
-    the kernel of T_d = (v . g ; div v); ``reducers`` (see ``assemble``) may
-    act on the div block.  Unreduced, this is the ozone space: the cocycles
-    that kill the potential, as d1(v) = div(v) g - grad(v . g)."""
+    the kernel of T_d = (v . g ; div v): the ozone space, the cocycles that
+    kill the potential, as d1(v) = div(v) g - grad(v . g)."""
     check_potential(omega)
     dim_x1 = _space_dim(omega.weights, omega.weights.tuple, d)
-    if dim_x1 == 0:
-        return 0
-    if reducers is None:
-        return dim_x1 - _ozone_rank(omega, d)
-    return dim_x1 - rank(_ozone_matrix(omega, d, reducers))
+    return dim_x1 - _ozone_rank(omega, d) if dim_x1 else 0
 
 
 def ozone_vs_hamiltonian(omega, bound):
@@ -432,21 +402,29 @@ def koszul_dims(omega, bound):
 
 def sealed_k1_dims(omega, bound):
     """per-degree dimensions of sealed first Koszul homology: cycles whose
-    divergence vanishes in the singular quotient, modulo boundaries.
-    Returns ({degree: dim}, all-zero flag)."""
+    divergence lies in the Jacobian ideal, modulo boundaries, from the rank
+    of the block map B (module docstring).  Returns ({degree: dim}, all-zero
+    flag)."""
     n = check_potential(omega)
-    weights, field = omega.weights, omega.field
-    gb = jacobian_basis(omega)
-    # K1 at degree d is X1 at degree d-n: the cycle condition v . g stacked
-    # over div(v), reduced modulo the Jacobian ideal; the normal form is
-    # linear, so it acts on monomials
-    reducers = {1: lambda m: normal_form(Polynomial.monomial(weights, m, 1, field),
-                                         gb).terms}
+    weights = omega.weights
+    # B(v, u) = (v . g ; div v - u . g): T, then K1 negated on sources 3..5
+    table = _ozone_table(omega) + tuple(
+        (1, s + 3, v, tuple((m, -c) for m, c in coefs))
+        for _, s, v, coefs in _koszul_table(omega, 1))
     out = {}
     for d in range(0, bound + 1):
-        dim_k2 = sum(count_monomials(weights, e) for e in koszul_component_degs(omega, d)[2])
+        # K1 at degree d is X1 at degree e = d - n
+        e = d - n
+        degs, low = koszul_component_degs(omega, d), koszul_component_degs(omega, e)
+        dim_v, dim_u, dim_k2 = (sum(count_monomials(weights, f) for f in fs)
+                                for fs in (degs[1], low[1], degs[2]))
+        if not dim_v:
+            out[d] = 0
+            continue
+        block = rank(assemble(weights, omega.field, degs[1] + low[1], degs[0] + low[0], table))
+        image_j = _koszul_rank(omega, 1, e) if dim_u else 0
         boundary = _koszul_rank(omega, 2, d) if dim_k2 else 0
-        out[d] = ozone_dim(omega, d - n, reducers) - boundary
+        out[d] = dim_v - block + image_j - boundary
     return out, all(v == 0 for v in out.values())
 
 

@@ -19,6 +19,7 @@ import heapq
 from functools import lru_cache
 from itertools import combinations
 
+from .complexes import assemble, op_table, vector_to_polys
 from .hilbert import HilbertSeries, _laurent_sub, _product_one_minus
 from .linalg import in_column_span, kernel_basis
 from .ring import (
@@ -376,9 +377,6 @@ def gcd_partials(omega):
     has a kernel at e = q - deg h, spanned by (g/h, f/h); then h solves
     (g/h) h = g.  The sweep over e stops by e = q, where (g, f) is in the
     kernel."""
-    # imported here: complexes imports this module at load time
-    from .complexes import assemble, op_table, vector_to_polys
-
     check_potential(omega)
     weights, field = omega.weights, omega.field
     grads = [g for g in gradient(omega).comps if g.terms]

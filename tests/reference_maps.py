@@ -1,9 +1,11 @@
 """Test-local reference matrices: every graded map evaluated column by
 column on Polynomials, independently of the operator tables, plus the
 matrices whose ranks the package now derives from identities (the M2 map,
-the cochain maps d1 and d2, d1 stacked over v . grad(O), and the Koszul map
-K3 -> K2).  The operator table of d2 lives here too: the package derives
-rank d2 from the (v . grad(O) ; div v) map and no longer assembles it."""
+the cochain maps d1 and d2, d1 stacked over v . grad(O), the Koszul map
+K3 -> K2, and the cycle condition over div v reduced modulo the Jacobian
+ideal, whose rank the package now takes from a block map).  The operator
+table of d2 lives here too: the package derives rank d2 from the
+(v . grad(O) ; div v) map and no longer assembles it."""
 
 from wpoisson import complexes, gradient, normal_form, rank
 from wpoisson.jacobian import jacobian_basis
@@ -110,8 +112,12 @@ def reference_maps(omega):
         # the cochain differential d1 stacked over the derivation's value on O
         "d1_over_dot": lambda v: reference_cochain(g, 1, v) + [dot(PolyVector(*v), g)],
         "ozone": lambda v: [dot(PolyVector(*v), g), div(PolyVector(*v))],
+        # the cycle condition over div v, reduced modulo the Jacobian ideal
         "sealed": lambda v: [dot(PolyVector(*v), g),
                              normal_form(div(PolyVector(*v)), jacobian_basis(omega))],
+        # the same condition with J = (g) as the image of a second derivation u
+        "sealed_block": lambda v: [dot(PolyVector(*v[:3]), g),
+                                   div(PolyVector(*v[:3])) - dot(PolyVector(*v[3:]), g)],
         "grad": lambda v: list(gradient(v[0]).comps),
         "curl": lambda v: list(curl(PolyVector(*v)).comps),
         "div": lambda v: [div(PolyVector(*v))],
@@ -154,6 +160,21 @@ def d1_rank_and_ozone_kernel(omega, d, maps=None):
     top = sum(count_monomials(omega.weights, e) for e in d1_tgt)
     d1 = Matrix(top, stacked.cols, stacked.entries[:top], omega.field)
     return rank(d1), dim - rank(stacked)
+
+
+def sealed_dims(omega, top, maps=None):
+    """sealed Koszul H1 per degree up to top: dim X1 less the rank of the
+    cycle condition stacked over the normal form of div v modulo the
+    Jacobian ideal, less the rank of K2 -> K1"""
+    n = omega.homogeneous_degree()
+    out = {}
+    for d in range(top + 1):
+        degs = complexes.koszul_component_degs(omega, d)
+        dim_k1, dim_k2 = (sum(count_monomials(omega.weights, e) for e in degs[i]) for i in (1, 2))
+        cycles = dim_k1 - _rank(omega, "sealed", degs[1], [d, d - n], maps) if dim_k1 else 0
+        boundary = _rank(omega, "koszul2", degs[2], degs[1], maps) if dim_k2 else 0
+        out[d] = cycles - boundary
+    return out
 
 
 def koszul3_rank(omega, degs, maps=None):

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from wpoisson.cli import FIELD_MAX_DEGREE, main
 from wpoisson import Weights, __version__, parse_poly
+from wpoisson.catalog import DATA_PATH
 from wpoisson.complexes import ph_dims
 from wpoisson.ring import Polynomial
 
@@ -470,6 +471,35 @@ def test_verify_aut_rejects_bad_scaling():
     assert "jacobian_det: 64" in out
 
 
+_XI_ARGS = ["verify-aut", "--weights", "1,2,3", "--potential", "x^6+y^3+z^2+x*y*z",
+            "--map", "x->x; y->y; z->z", "--inverse", "x->x; y->y; z->z", "--xi"]
+
+
+@pytest.mark.parametrize("xi", ["1", "1/2", "-3/4"])
+def test_verify_aut_reads_a_rational_xi(xi):
+    code, out = run(_XI_ARGS + [xi])
+    assert code == 0
+    assert out.endswith("# xi: %s\npassed: True\njacobian_det: 1\nmode: quotient\nxi: %s\n"
+                        % (xi, xi))
+
+
+def test_verify_aut_zero_denominator_xi_is_a_usage_error():
+    res = CliRunner().invoke(main, _XI_ARGS + ["1/0"], catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert lines[0].startswith("Usage: ") and lines[-1] == "Error: bad --xi '1/0'"
+
+
+@pytest.mark.parametrize("xi", ["1e999999", "1e-9999999", "2000000", "-1/1000001"])
+def test_verify_aut_xi_past_the_integer_guard_prints_one_error_line(xi):
+    res = CliRunner().invoke(main, _XI_ARGS + [xi], catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "error: bad --xi %r: integer exceeds the 10^6 guard" % xi]
+
+
 def test_catalog_verify_and_list():
     code, out = run(["catalog", "verify", "--filter", "111-i-c1",
                      "--checks", "structure,rgt,gk", "--max-degree", "6"])
@@ -525,3 +555,40 @@ def test_selftest_command():
     assert code == 0
     assert "ok: True" in out
     assert "bracket-laws" in out
+
+
+@pytest.mark.parametrize("cases", ["0", "-1"])
+def test_selftest_refuses_a_run_of_no_cases(cases):
+    code, out = run(["selftest", "--cases", cases])
+    assert code == 2
+    assert "ok: True" not in out
+
+
+_CATALOG_LINE = ("111-i-a | 1,1,1 | x^3+y^2*z | bw | true | 0 | 1 | yes | unknown | false"
+                 " | table=111")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("| 0 | 1 |", "| abc | 1 |", "invalid literal for int() with base 10: 'abc'"),
+    ("| 0 | 1 |", "| 0 | 1orx |", "invalid literal for int() with base 10: 'x'"),
+    ("table=111", "table=111;lambda=abc", "Invalid literal for Fraction: 'abc'"),
+    ("table=111", "table=111;vacwit=x", "invalid literal for int() with base 10: 'x'"),
+    ("table=111", "table=111;k=x", "invalid literal for int() with base 10: 'x'"),
+    ("x^3+y^2*z", "x^3+", "unexpected character 'end of input' (at byte 4)"),
+    ("x^3+y^2*z", "x^3+s*y^2*z", "'s' requires an extension coefficient field (at byte 4)"),
+    ("x^3+y^2*z", "x^3+2000000*y^2*z", "integer exceeds the 10^6 guard (at byte 4)"),
+], ids=["rgt", "gk", "lambda", "vacwit", "param", "syntax", "field", "budget"])
+@pytest.mark.parametrize("command", ["list", "verify"])
+def test_malformed_catalog_record_is_a_usage_error(tmp_path, command, old, new, message):
+    text = DATA_PATH.read_text(encoding="utf-8")
+    assert text.count(_CATALOG_LINE) == 1
+    bad = tmp_path / "catalog.txt"
+    bad.write_text(text.replace(_CATALOG_LINE, _CATALOG_LINE.replace(old, new, 1)),
+                   encoding="utf-8")
+    res = CliRunner().invoke(main, ["catalog", command, "--catalog-file", str(bad)],
+                             catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert [line for line in lines if line.startswith("Usage: ")] == [lines[0]]
+    assert lines[-1] == "Error: 111-i-a: " + message

@@ -18,7 +18,7 @@ from wpoisson.ring import RingError, count_monomials
 from closed_forms import closed_form_lph2, isolated_ph
 from reference_maps import (cochain_apply, cochain_matrices, cochain_matrix, cochain_rank,
                             d1_rank_and_ozone_kernel, koszul3_rank, m2_rank, reference_assemble,
-                            reference_cochain, reference_maps)
+                            reference_cochain, reference_maps, sealed_dims)
 
 
 W111 = Weights(1, 1, 1)
@@ -369,13 +369,17 @@ def test_operator_tables_match_per_column_evaluation(monkeypatch, weights, field
         ("ozone", lambda: complexes.ph_dims(om, n + 2), {(3, 2): "ozone", (1, 3): "cochain0"}),
         ("ozone", lambda: complexes.ozone_vs_hamiltonian(om, n + 2),
          {(3, 2): "ozone", (1, 3): "cochain0"}),
-        ("sealed", lambda: complexes.sealed_k1_dims(om, n + 2),
-         {(3, 2): "sealed", (3, 3): "koszul2"}),
+        # to 2n, where K1 meets a nonzero source and image
+        ("sealed_block", lambda: complexes.sealed_k1_dims(om, 2 * n),
+         {(6, 2): "sealed_block", (3, 1): "koszul1", (3, 3): "koszul2"}),
         ("ozone", lambda: poisson.rgt(om), {(3, 2): "ozone"}),
     ]
     for name, run, kinds in runs:
         calls = _capture(monkeypatch, run)
-        assert any(kinds[len(src), len(tgt)] == name for src, tgt, _ in calls), name
+        seen = {kinds[len(src), len(tgt)] for src, tgt, _ in calls}
+        assert name in seen, name
+        if name == "sealed_block":
+            assert "koszul1" in seen
         for src, tgt, m in calls:
             check(kinds[len(src), len(tgt)], m, src, tgt)
 
@@ -406,14 +410,12 @@ def test_cochain_apply_matches_polynomial_formulas(weights, field, text):
 # the ranks derived from identities against the matrices they replace
 
 
-def _identity_potentials():
-    """every catalog entry to n+6; off-catalog potentials, of other degrees
-    and over Q(s)/(s^2+s+1), to a bound of their own.  Those of degree
-    n != a+b+c assemble the d1 matrix at every multiple of n, since O is a
-    Casimir there."""
+def _off_catalog_potentials():
+    """potentials off the catalog, of other degrees and over Q(s)/(s^2+s+1),
+    each to a bound of its own.  Those of degree n != a+b+c assemble the d1
+    matrix at every multiple of n, since O is a Casimir there."""
     cube = ExtensionField([1, 1, 1])
-    return [pytest.param(e.weights, QQ, e.omega_text, e.degree + 6, id=e.entry_id)
-            for e in catalog.entries()] + [
+    return [
         pytest.param(w, field, text, top, id=text)
         for w, field, text, top in (
             (W111, QQ, "x^4+y^4+z^4", 12),
@@ -429,6 +431,12 @@ def _identity_potentials():
             (W111, cube, "x^3+y^3+z^3+s*x*y*z", 9),
             (W111, cube, "x^4+y^4+z^4+s*x^2*y*z", 8),
         )]
+
+
+def _identity_potentials():
+    """every catalog entry to n+6, then the off-catalog potentials"""
+    return [pytest.param(e.weights, QQ, e.omega_text, e.degree + 6, id=e.entry_id)
+            for e in catalog.entries()] + _off_catalog_potentials()
 
 
 @pytest.mark.parametrize("weights, field, text, top", _identity_potentials())
@@ -467,6 +475,16 @@ def test_rank_identities_match_reference_matrices(weights, field, text, top):
         assert rank_k3 == dim_k3, d
         rank_k2 = rank(complexes._koszul_matrix(om, 2, d)) if dim_k2 else 0
         assert (table.dim(2, d), table.dim(3, d)) == (dim_k2 - rank_k2 - rank_k3, 0), d
+
+
+@pytest.mark.parametrize("weights, field, text, top", _off_catalog_potentials())
+def test_sealed_dims_match_the_normal_form_reference(weights, field, text, top):
+    """sealedness from the block rank against the divergence reduced modulo
+    the Jacobian ideal by Groebner normal forms, column by column"""
+    om = parse_poly(text, weights, field)
+    dims, all_zero = complexes.sealed_k1_dims(om, top)
+    assert dims == sealed_dims(om, top)
+    assert all_zero == (not any(dims.values()))
 
 
 def test_rank_d1_falls_below_rank_t_where_a_casimir_meets_its_image():

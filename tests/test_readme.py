@@ -1,9 +1,16 @@
-"""The README's library quick start, run as written: each line that is an
-expression must print the value its comment gives."""
+"""The README's examples, run as written: each line of the library quick
+start that is an expression must print the value its comment gives, and
+each command of the CLI block must exit 0 and print the lines its comments
+give."""
 
+import os
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _quick_start_block():
@@ -28,3 +35,33 @@ def test_readme_quick_start_runs_and_shows_its_values():
         shown.append((eval(expr, namespace), comment.split(",")[0].strip()))
     assert [value for value, _ in shown] == ["2*z", "0", 0, 2]
     assert [repr(value) for value, _ in shown] == [note for _, note in shown]
+
+
+def _cli_block():
+    """(argv, shown lines) for each command of the README's CLI block, its
+    continuation lines joined; a shown line is a ``# key: value`` comment
+    under the command"""
+    text = README.read_text()
+    start = text.index("```sh", text.index("## CLI"))
+    block = text[start:].split("\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("wpoisson "):
+            commands.append((shlex.split(line)[1:], []))
+        elif line.startswith("# "):
+            commands[-1][1].append(line[2:])
+    return commands
+
+
+def test_readme_cli_block_runs_and_shows_its_values():
+    commands = _cli_block()
+    assert len(commands) == 6
+    assert sum(len(shown) for _, shown in commands) == 2
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("WPOISSON_MAX_DEGREE", None)
+    for argv, shown in commands:
+        res = subprocess.run([sys.executable, "-m", "wpoisson", *argv], env=env, cwd=ROOT,
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, (argv, res.stderr)
+        lines = res.stdout.splitlines()
+        assert all(line in lines for line in shown), (argv, shown)
