@@ -52,18 +52,6 @@ class CatalogError(ValueError):
     pass
 
 
-class EmptyWindowError(CatalogError, RingError):
-    """a truncated check whose degree window holds no degree; the CLI reports
-    it as it reports the empty windows of the per-potential commands"""
-
-
-def _check_window(name, bound, start):
-    # an empty table would read as all zero, a vacuous pass
-    if bound < start:
-        raise EmptyWindowError("empty %s window: truncation bound %d is below %d"
-                               % (name, bound, start))
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     entry_id: str
@@ -386,21 +374,13 @@ def entries(selector: Optional[str] = None,
 def _check_yes_no(name, verdict, dims_items, witness, report, bound):
     """Shared shape for the vacancy and sealedness items."""
     nonzero = sorted(d for d, v in dims_items if v)
-    if verdict == "yes":
-        status = "pass" if not nonzero else "fail"
-        computed = "all zero to %d" % bound if not nonzero else \
-            "nonzero at %s" % nonzero[:6]
-        report.items.append(ReportItem(name, status, "yes", computed))
-    elif verdict == "no":
-        status = "pass" if nonzero else "fail"
-        computed = ("nonzero at %s" % nonzero[:6]) if nonzero else \
-            "all zero to %d" % bound
-        detail = "" if witness is None else "recorded witness %d" % witness
-        report.items.append(ReportItem(name, status, "no", computed, detail))
+    computed = "nonzero at %s" % nonzero[:6] if nonzero else "all zero to %d" % bound
+    if verdict == "unknown":
+        status = "info"
     else:
-        computed = ("nonzero at %s" % nonzero[:6]) if nonzero else \
-            "all zero to %d" % bound
-        report.items.append(ReportItem(name, "info", "unknown", computed))
+        status = "pass" if bool(nonzero) == (verdict == "no") else "fail"
+    detail = "recorded witness %d" % witness if verdict == "no" and witness is not None else ""
+    report.items.append(ReportItem(name, status, verdict, computed, detail))
 
 
 def default_bound(n: int) -> int:
@@ -440,6 +420,17 @@ def check_window_budget(weights: Weights, n: int, bound: int) -> None:
                     "than %d monomials" % (bound, top, WINDOW_BUDGET))
 
 
+def truncation_bound(weights: Weights, n: int, max_degree: Optional[int] = None,
+                     reach: Sequence[int] = ()) -> int:
+    """The truncation bound D for a potential of degree n: ``max_degree``,
+    else ``default_bound(n)``.  Refused, before any monomial is listed, when
+    the window of the largest degree swept, D or one of ``reach``, passes
+    the budget (``check_window_budget``)."""
+    bound = default_bound(n) if max_degree is None else max_degree
+    check_window_budget(weights, n, max([bound, *reach]))
+    return bound
+
+
 def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
                  checks: Optional[Sequence[str]] = None) -> EntryReport:
     """Recompute the entry's invariants and compare with expectations.
@@ -455,9 +446,14 @@ def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
     if unknown or not want:
         raise CatalogError("checks must be a nonempty subset of %s; unknown: %s"
                            % (",".join(CHECKS), ",".join(sorted(unknown)) or "none"))
-    n = entry.degree
-    D = max_degree if max_degree is not None else default_bound(n)
-    check_window_budget(entry.weights, n, D)
+    truncated = [check for check in (
+        ("vacancy", entry.expected_vacant, entry.vacancy_witness, vacancy_check),
+        ("sealed", entry.expected_sealed, entry.sealed_witness,
+         lambda om, bound: sealed_k1_dims(om, bound)[0]),
+    ) if check[0] in want]
+    # a "no" verdict looks at least as far as its recorded witness
+    reach = {name: w for name, verdict, w, _ in truncated if verdict == "no" and w is not None}
+    D = truncation_bound(entry.weights, entry.degree, max_degree, reach.values())
     report = EntryReport(entry=entry, max_degree=D)
     omega = entry.omega
 
@@ -486,24 +482,9 @@ def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
         report.items.append(ReportItem(
             "isolated", "pass" if iso == entry.expected_isolated else "fail",
             str(entry.expected_isolated).lower(), str(iso).lower()))
-    if "vacancy" in want:
-        bound = D
-        if entry.expected_vacant == "no" and entry.vacancy_witness is not None:
-            bound = max(bound, entry.vacancy_witness)
-        _check_window("vacancy", bound, -entry.weights.n_default)
-        check_window_budget(entry.weights, n, bound)
-        dims = vacancy_check(omega, bound)
-        _check_yes_no("vacancy", entry.expected_vacant, dims.items(),
-                      entry.vacancy_witness, report, bound)
-    if "sealed" in want:
-        bound = D
-        if entry.expected_sealed == "no" and entry.sealed_witness is not None:
-            bound = max(bound, entry.sealed_witness)
-        _check_window("sealed", bound, 0)
-        check_window_budget(entry.weights, n, bound)
-        dims, _ = sealed_k1_dims(omega, bound)
-        _check_yes_no("sealed", entry.expected_sealed, dims.items(),
-                      entry.sealed_witness, report, bound)
+    for name, verdict, witness, table in truncated:
+        bound = max(D, reach.get(name, D))
+        _check_yes_no(name, verdict, table(omega, bound).items(), witness, report, bound)
     if "cohomology" in want and entry.type_label in ("i", "q", "bw"):
         _, matches = ph_closed_form_rows(omega, D)
         bad = ["PH%d" % i for i in range(4) if not matches["ph%d" % i]]

@@ -127,16 +127,13 @@ def _structure(weights, field, potential, pxy, pyz, pzx):
 
 
 def _bound(omega, max_degree):
-    """--max-degree, else the default bound for the potential's degree;
-    refused when its window passes the monomial budget"""
+    """the truncation bound (``catalog.truncation_bound``); a malformed
+    WPOISSON_MAX_DEGREE is a usage error"""
     n = check_potential(omega)
-    if max_degree is None:
-        try:
-            max_degree = catalog_mod.default_bound(n)
-        except catalog_mod.CatalogError as exc:
-            _fail_usage(exc)
-    catalog_mod.check_window_budget(omega.weights, n, max_degree)
-    return max_degree
+    try:
+        return catalog_mod.truncation_bound(omega.weights, n, max_degree)
+    except catalog_mod.CatalogError as exc:
+        _fail_usage(exc)
 
 
 def _scalar(value):
@@ -193,11 +190,8 @@ def _emit(command, inputs, results, fmt, bound=None, rows=None):
 
 
 def _emit_rows(command, inputs, rows, fmt, bound, **flags):
-    """Report a per-degree table and its flags.  A window with no degree is
-    refused: every flag over it would hold vacuously."""
-    if not rows:
-        raise RingError("empty degree window: no degree up to the truncation bound %d"
-                        % bound)
+    """Report a per-degree table and its flags; the tables refuse a window
+    with no degree themselves."""
     _emit(command, inputs, {"rows": rows, **flags}, fmt, bound=bound, rows=rows)
 
 
@@ -444,8 +438,6 @@ def catalog_verify(selector, max_degree, checks, catalog_file, fmt):
     try:
         report = catalog_mod.verify_all(max_degree, selector, check_list,
                                         path=catalog_file)
-    except catalog_mod.EmptyWindowError:
-        raise
     except catalog_mod.CatalogError as exc:
         _fail_usage(str(exc))
     mismatches = report.mismatch_count

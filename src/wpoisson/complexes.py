@@ -22,12 +22,20 @@ dim ker d0_d.  Otherwise rank d1_d = rank T_d in the degrees without a
 Casimir, and the d1 matrix is assembled in those with one, as where d+n is
 zero.
 
-Sealed: with e = d - n, the degree-d Koszul 1-cycles v whose divergence
-lies in J = (g) are the projections of the kernel of B_e(v, u) =
-(v . g ; div v - u . g) on X1_e + X1_{e-n}, since J_e is the image of K1,
-u -> u . g, and the projection loses exactly ker K1.  Hence sealed_d =
+Sealed: with e = d - n and g_i the first nonzero partial, the degree-d
+Koszul 1-cycles v with div v in (g_i) are the projections of the kernel of
+B_e(v, u) = (v . g ; div v - u g_i) on X1_e + A_{e-n+w_i}, and the
+projection is injective, as k[x,y,z] is a domain.  Modulo them the cycles
+with div v in J = (g) fill all of J_e / (g_i)_e: for f with d_i f = u_j the
+cycle f (g_j e_i - g_i e_j), a Koszul boundary, has divergence u_j g_j -
+(d_j f) g_i.  J_e is the image of K1, u -> u . g, so the cycles with div v
+in J number dim X1_e + #A_u - rank B_e + rank K1 - #A_u, and sealed_d =
 dim X1_e - rank B_e + rank K1 - rank K2, with K1 and K2 at total degree e
 and d.
+
+Every per-degree table sweeps a window of degrees from its lowest nonzero
+slot up to the truncation bound D, and refuses a window with no degree
+(``_window``): every flag over an empty table would hold vacuously.
 
 Each operator table (d0, d1, Koszul, ozone) depends only on the potential
 and the index, so it is built once per potential, memoised beside the
@@ -216,17 +224,30 @@ def _space_dim(weights, shifts, d):
     return sum(count_monomials(weights, d + s) for s in shifts)
 
 
+def _window(name, lo, bound):
+    """the degrees lo..bound of a per-degree table; a window with no degree
+    is refused, as every flag over it would hold vacuously"""
+    if bound < lo:
+        raise RingError("empty %s window: truncation bound %d is below %d" % (name, bound, lo))
+    return range(lo, bound + 1)
+
+
+def _ph_window(omega, bound):
+    """the cohomology window, from -max(n, a+b+c): every cochain space
+    below -(a+b+c) is zero"""
+    return _window("cohomology", -max(check_potential(omega), omega.weights.n_default), bound)
+
+
 def ph_dims(omega, bound):
     """Poisson cohomology dimensions PH^0..PH^3 per degree, down from
-    -(a+b+c) up to the bound"""
-    n = check_potential(omega)
+    -max(n, a+b+c) up to the bound"""
+    degrees = _ph_window(omega, bound)
     weights = omega.weights
-    w = n - weights.a - weights.b - weights.c
+    w = omega.homogeneous_degree() - weights.n_default
     sh = cochain_shifts(weights)
-    dmin = -(weights.a + weights.b + weights.c)
     dims = {}
     for i in range(4):
-        for d in range(dmin, bound + 1):
+        for d in degrees:
             dim_x = _space_dim(weights, sh[i], d)
             if dim_x == 0:
                 dims[(i, d)] = 0
@@ -244,20 +265,18 @@ def ph_closed_form_rows(omega, bound):
     degree the closed forms cover), closed0..closed3; matches maps ph0..ph3
     to whether the column equals its closed form, or is None when they do
     not apply."""
-    n = check_potential(omega)
-    weights = omega.weights
-    lo = -max(n, weights.n_default)
-    if bound < lo:
-        raise RingError("empty degree window: truncation bound %d is below %d" % (bound, lo))
+    degrees = _ph_window(omega, bound)
     tab = ph_dims(omega, bound)
+    weights = omega.weights
+    n = omega.homogeneous_degree()
     applicable = n == weights.n_default
-    closed = ([closed_form_ph(weights, i, n).expand(lo, bound) for i in range(4)]
+    closed = ([closed_form_ph(weights, i, n).expand(degrees.start, bound) for i in range(4)]
               if applicable else [])
     rows = []
-    for d in range(lo, bound + 1):
+    for d in degrees:
         row = {"degree": d}
         row.update(("ph%d" % i, tab.dim(i, d)) for i in range(4))
-        row.update(("closed%d" % i, col[d - lo]) for i, col in enumerate(closed))
+        row.update(("closed%d" % i, col[d - degrees.start]) for i, col in enumerate(closed))
         rows.append(row)
     if not applicable:
         return rows, None
@@ -282,21 +301,19 @@ def _m2_dim(omega, d):
 def m2_dims(omega, bound):
     """dimensions of the exact-bivector space M2 per degree, from
     #A_{d+a+b+c} - [d = -(a+b+c)] + rank d0 at degree d-w"""
-    weights = omega.weights
-    dmin = -(weights.a + weights.b + weights.c)
-    return {d: _m2_dim(omega, d) for d in range(dmin, bound + 1)}
+    check_potential(omega)
+    return {d: _m2_dim(omega, d) for d in _window("M2", -omega.weights.n_default, bound)}
 
 
 def vacancy_check(omega, bound):
     """per-degree upper-division dimensions: ker of the top differential
     modulo M2, so dim X2_d - rank d2 - #A_{d+n} + [d = -n] - rank d0 at
     degree d; the potential is vacant up to the bound iff all zero"""
-    check_potential(omega, "vacancy diagnostic requires degree a+b+c")
+    n = check_potential(omega, "vacancy diagnostic requires degree a+b+c")
     weights = omega.weights
     sh = cochain_shifts(weights)
-    dmin = -(weights.a + weights.b + weights.c)
     out = {}
-    for d in range(dmin, bound + 1):
+    for d in _window("vacancy", -n, bound):
         dim_x2 = _space_dim(weights, sh[2], d)
         if dim_x2 == 0:
             out[d] = 0
@@ -337,7 +354,7 @@ def ozone_vs_hamiltonian(omega, bound):
     ``ozone_dim``), vs the image of the hamiltonian map"""
     check_potential(omega, "ozone diagnostic requires degree a+b+c")
     return {d: (ozone_dim(omega, d), _cochain_rank(omega, 0, d) if d >= 0 else 0)
-            for d in range(-max(omega.weights.tuple), bound + 1)}
+            for d in _window("ozone", -max(omega.weights.tuple), bound)}
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +406,7 @@ def koszul_dims(omega, bound):
     check_potential(omega)
     weights = omega.weights
     dims = {}
-    for d in range(0, bound + 1):
+    for d in _window("koszul", 0, bound):
         degs = koszul_component_degs(omega, d)
         space = [sum(count_monomials(weights, e) for e in degs[i]) for i in range(4)]
         r1, r2 = (_koszul_rank(omega, i, d) if space[i] else 0 for i in (1, 2))
@@ -407,12 +424,13 @@ def sealed_k1_dims(omega, bound):
     flag)."""
     n = check_potential(omega)
     weights = omega.weights
-    # B(v, u) = (v . g ; div v - u . g): T, then K1 negated on sources 3..5
-    table = _ozone_table(omega) + tuple(
-        (1, s + 3, v, tuple((m, -c) for m, c in coefs))
-        for _, s, v, coefs in _koszul_table(omega, 1))
+    # B(v, u) = (v . g ; div v - u g_i): T, then the first term of the K1
+    # table, negated on source 3; op_table drops zero partials, so that
+    # term is the first nonzero partial g_i
+    _, i, v, coefs = _koszul_table(omega, 1)[0]
+    table = _ozone_table(omega) + ((1, 3, v, tuple((m, -c) for m, c in coefs)),)
     out = {}
-    for d in range(0, bound + 1):
+    for d in _window("sealed", 0, bound):
         # K1 at degree d is X1 at degree e = d - n
         e = d - n
         degs, low = koszul_component_degs(omega, d), koszul_component_degs(omega, e)
@@ -421,7 +439,8 @@ def sealed_k1_dims(omega, bound):
         if not dim_v:
             out[d] = 0
             continue
-        block = rank(assemble(weights, omega.field, degs[1] + low[1], degs[0] + low[0], table))
+        block = rank(assemble(weights, omega.field, degs[1] + [low[1][i]], degs[0] + low[0],
+                              table))
         image_j = _koszul_rank(omega, 1, e) if dim_u else 0
         boundary = _koszul_rank(omega, 2, d) if dim_k2 else 0
         out[d] = dim_v - block + image_j - boundary
@@ -445,7 +464,7 @@ def derham_exactness_check(weights, bound, field=None):
                        + [(k, (k + 1) % 3, (k + 2) % 3, -1) for k in range(3)])
     divmap = op_table(field, [(0, s, s, 1) for s in range(3)])
 
-    for d in range(0, bound + 1):
+    for d in _window("de Rham", 0, bound):
         dim_a = count_monomials(weights, d)
         dim_1 = sum(count_monomials(weights, d + s) for s in one_forms)
         dim_2 = sum(count_monomials(weights, d + s) for s in two_forms)
@@ -481,12 +500,11 @@ def euler_characteristic_check(omega, bound):
     weights = omega.weights
     w = n - weights.a - weights.b - weights.c
     pad = 3 * abs(w)
+    degrees = _window("Euler characteristic", -weights.n_default - pad, bound)
     table = ph_dims(omega, bound + pad)
-    rhs = euler_rhs(weights, n)
-    lo = -(weights.a + weights.b + weights.c) - pad
-    coeffs = rhs.expand(lo, bound)
-    for e in range(lo, bound + 1):
+    coeffs = euler_rhs(weights, n).expand(degrees.start, bound)
+    for e in degrees:
         lhs = sum((-1) ** i * table.dim(i, e + i * w) for i in range(4))
-        if lhs != coeffs[e - lo]:
+        if lhs != coeffs[e - degrees.start]:
             return False
     return True

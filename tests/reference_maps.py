@@ -97,6 +97,10 @@ def cochain_apply(omega, i, comps):
     return out
 
 
+def _first_nonzero(g):
+    return next(gk for gk in g.comps if not gk.is_zero())
+
+
 def reference_maps(omega):
     """the fn closure of every graded map, by name"""
     g = gradient(omega)
@@ -115,9 +119,10 @@ def reference_maps(omega):
         # the cycle condition over div v, reduced modulo the Jacobian ideal
         "sealed": lambda v: [dot(PolyVector(*v), g),
                              normal_form(div(PolyVector(*v)), jacobian_basis(omega))],
-        # the same condition with J = (g) as the image of a second derivation u
+        # the same condition modulo the first nonzero partial g_i alone, as
+        # the image of a multiplier u
         "sealed_block": lambda v: [dot(PolyVector(*v[:3]), g),
-                                   div(PolyVector(*v[:3])) - dot(PolyVector(*v[3:]), g)],
+                                   div(PolyVector(*v[:3])) - v[3] * _first_nonzero(g)],
         "grad": lambda v: list(gradient(v[0]).comps),
         "curl": lambda v: list(curl(PolyVector(*v)).comps),
         "div": lambda v: [div(PolyVector(*v))],

@@ -543,6 +543,20 @@ def test_catalog_verify_rejects_a_selection_that_checks_nothing():
     assert "no selected check applies" in out
 
 
+@pytest.mark.parametrize("args", [
+    ["vacancy", "-w", "1,1,1", "-p", "x^3+y^3+z^3"],
+    ["catalog", "verify", "--filter", "111-i-a", "--checks", "vacancy"],
+], ids=lambda args: args[0])
+def test_malformed_max_degree_env_var_is_a_usage_error(args):
+    res = CliRunner().invoke(main, args, env={"WPOISSON_MAX_DEGREE": "abc"},
+                             catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert lines[0].startswith("Usage: ")
+    assert lines[-1] == "Error: bad WPOISSON_MAX_DEGREE='abc'"
+
+
 def test_catalog_verify_default_bound_follows_env_var():
     code, out = run(["catalog", "verify", "--filter", "111-i-a",
                      "--checks", "vacancy"], env={"WPOISSON_MAX_DEGREE": "3"})
