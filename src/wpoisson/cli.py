@@ -127,13 +127,8 @@ def _structure(weights, field, potential, pxy, pyz, pzx):
 
 
 def _bound(omega, max_degree):
-    """the truncation bound (``catalog.truncation_bound``); a malformed
-    WPOISSON_MAX_DEGREE is a usage error"""
-    n = check_potential(omega)
-    try:
-        return catalog_mod.truncation_bound(omega.weights, n, max_degree)
-    except catalog_mod.CatalogError as exc:
-        _fail_usage(exc)
+    """the truncation bound (``catalog.truncation_bound``)"""
+    return catalog_mod.truncation_bound(omega.weights, check_potential(omega), max_degree)
 
 
 def _scalar(value):
@@ -142,9 +137,11 @@ def _scalar(value):
     return value
 
 
-def _emit(command, inputs, results, fmt, bound=None, rows=None):
-    """Render one report. rows: list of dicts for the per-degree formats."""
+def _emit(command, inputs, results, fmt, bound=None):
+    """Render one report.  ``results["rows"]``, when present, is the list of
+    dicts that the table and csv formats lay out as rows."""
     inputs = {k: v for k, v in inputs.items() if v is not None}
+    rows = results.get("rows")
     if fmt == "json":
         doc = {
             "command": command,
@@ -187,12 +184,6 @@ def _emit(command, inputs, results, fmt, bound=None, rows=None):
         if rows and key == "rows":
             continue
         click.echo("%s: %s" % (key, _scalar(value)))
-
-
-def _emit_rows(command, inputs, rows, fmt, bound, **flags):
-    """Report a per-degree table and its flags; the tables refuse a window
-    with no degree themselves."""
-    _emit(command, inputs, {"rows": rows, **flags}, fmt, bound=bound, rows=rows)
 
 
 def _common(fn):
@@ -328,8 +319,10 @@ def singularity(omega, fmt, inputs):
 def cohomology(omega, fmt, inputs, bound):
     """Poisson cohomology dimension table, with closed-form comparison."""
     rows, matches = ph_closed_form_rows(omega, bound)
-    _emit_rows("cohomology", inputs, rows, fmt, bound,
-               matches_closed_form="not applicable" if matches is None else matches)
+    _emit("cohomology", inputs, {
+        "rows": rows,
+        "matches_closed_form": "not applicable" if matches is None else matches,
+    }, fmt, bound)
 
 
 @_potential_command("koszul", bound=True)
@@ -338,7 +331,7 @@ def koszul(omega, fmt, inputs, bound):
     tab = koszul_dims(omega, bound)
     rows = [{"degree": d, **{"h%d" % i: tab.dim(i, d) for i in range(4)}}
             for d in range(0, bound + 1)]
-    _emit_rows("koszul", inputs, rows, fmt, bound)
+    _emit("koszul", inputs, {"rows": rows}, fmt, bound)
 
 
 @_potential_command("sealed", bound=True)
@@ -346,7 +339,7 @@ def sealed(omega, fmt, inputs, bound):
     """Sealed first Koszul homology deviation, per degree up to the bound."""
     dims, all_zero = sealed_k1_dims(omega, bound)
     rows = [{"degree": d, "dim": dims[d]} for d in sorted(dims)]
-    _emit_rows("sealed", inputs, rows, fmt, bound, all_zero_up_to_bound=all_zero)
+    _emit("sealed", inputs, {"rows": rows, "all_zero_up_to_bound": all_zero}, fmt, bound)
 
 
 @_potential_command("vacancy", bound=True)
@@ -354,8 +347,8 @@ def vacancy(omega, fmt, inputs, bound):
     """Unresolved second-cohomology dimensions, per degree up to the bound."""
     dims = vacancy_check(omega, bound)
     rows = [{"degree": d, "dim": dims[d]} for d in sorted(dims)]
-    _emit_rows("vacancy", inputs, rows, fmt, bound,
-               all_zero_up_to_bound=all(v == 0 for v in dims.values()))
+    _emit("vacancy", inputs, {
+        "rows": rows, "all_zero_up_to_bound": all(v == 0 for v in dims.values())}, fmt, bound)
 
 
 @_potential_command("ozone", bound=True)
@@ -364,8 +357,8 @@ def ozone(omega, fmt, inputs, bound):
     table = ozone_vs_hamiltonian(omega, bound)
     rows = [{"degree": d, "ozone": o, "hamiltonian": h, "equal": o == h}
             for d, (o, h) in sorted(table.items())]
-    _emit_rows("ozone", inputs, rows, fmt, bound,
-               agree_up_to_bound=all(r["equal"] for r in rows))
+    _emit("ozone", inputs, {
+        "rows": rows, "agree_up_to_bound": all(r["equal"] for r in rows)}, fmt, bound)
 
 
 def _xi_value(text):
@@ -460,7 +453,7 @@ def catalog_verify(selector, max_degree, checks, catalog_file, fmt):
         "rows": rows,
     }
     inputs = {"filter": selector, "max_degree": max_degree, "checks": checks}
-    _emit("catalog-verify", inputs, results, fmt, bound=max_degree, rows=rows)
+    _emit("catalog-verify", inputs, results, fmt, bound=max_degree)
     if mismatches:
         sys.exit(1)
 
@@ -488,8 +481,7 @@ def catalog_list(selector, catalog_file, fmt):
         "sealed": e.expected_sealed,
         "isolated": str(e.expected_isolated).lower(),
     } for e in entries]
-    _emit("catalog-list", {"filter": selector},
-          {"count": len(rows), "rows": rows}, fmt, rows=rows)
+    _emit("catalog-list", {"filter": selector}, {"count": len(rows), "rows": rows}, fmt)
 
 
 @main.command()
@@ -504,8 +496,7 @@ def selftest(seed, cases, fmt):
     rows = [{"suite": name, "cases": n, "failures": bad}
             for name, n, bad in outcomes]
     ok = all(bad == 0 for _, _, bad in outcomes)
-    _emit("selftest", {"seed": seed, "cases": cases},
-          {"rows": rows, "ok": ok}, fmt, rows=rows)
+    _emit("selftest", {"seed": seed, "cases": cases}, {"rows": rows, "ok": ok}, fmt)
     if not ok:
         sys.exit(1)
 

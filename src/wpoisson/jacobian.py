@@ -333,36 +333,16 @@ def a_sing_hilbert(omega, bound):
     return dict(enumerate(series.expand(0, bound))) if bound >= 0 else {}, series
 
 
-def _one_minus_t_multiplicity(num):
-    """multiplicity of the root t=1 of a Laurent numerator dict"""
-    if not num:
-        return None
-    coeffs = dict(num)
-    mult = 0
-    while sum(coeffs.values()) == 0:
-        # p = (1-t) q  means  q_d = sum of p_e over e <= d
-        degs = sorted(coeffs)
-        q = {}
-        acc = 0
-        for d in range(degs[0], degs[-1] + 1):
-            acc += coeffs.get(d, 0)
-            if acc:
-                q[d] = acc
-        coeffs = q
-        mult += 1
-        if mult > 64:
-            raise RingError("runaway multiplicity computation")
-    return mult
-
-
 def gkdim(omega):
-    """GK-dimension of the singular quotient: order of the Hilbert series
-    pole at t=1, in {0,1,2,3}"""
-    _, series = a_sing_hilbert(omega, 0)
-    v = _one_minus_t_multiplicity(series.numerator)
-    if v is None:
-        return 0
-    return max(0, 3 - v)
+    """GK-dimension of the singular quotient A/J, in {0,1,2,3}: dim A/J =
+    dim A/in(J), the size of the largest set S of variables with no head of
+    the Groebner basis of J a monomial in S alone (Cox, Little, O'Shea,
+    Ideals, Varieties, and Algorithms, ch. 9)"""
+    check_potential(omega)
+    heads = jacobian_basis(omega).heads()
+    free = [S for k in range(4) for S in combinations(range(3), k)
+            if not any(all(h[v] == 0 for v in range(3) if v not in S) for h in heads)]
+    return max(map(len, free), default=0)
 
 
 def has_isolated_singularity(omega):

@@ -1,7 +1,8 @@
 """Poisson structures on the weighted polynomial ring in x, y, z: the bracket
 defined by a homogeneous potential, Jacobi and unimodularity diagnostics,
-Euler / Hamiltonian / modular derivations, graded twists, the rigidity number,
-and verification of (quotient) automorphisms."""
+Euler / Hamiltonian / modular derivations (each a PolyVector of its values
+on x, y, z), graded twists, the rigidity number, and verification of
+(quotient) automorphisms."""
 
 from __future__ import annotations
 
@@ -17,92 +18,8 @@ from .ring import (
     check_potential,
     count_monomials,
     div,
-    dot,
     gradient,
 )
-
-
-class Derivation:
-    """derivation of the polynomial ring, recorded by its generator values"""
-
-    __slots__ = ("vec",)
-
-    def __init__(self, vec: PolyVector):
-        self.vec = vec
-
-    @staticmethod
-    def from_polys(dx: Polynomial, dy: Polynomial, dz: Polynomial) -> "Derivation":
-        return Derivation(PolyVector(dx, dy, dz))
-
-    @property
-    def weights(self):
-        return self.vec.weights
-
-    @property
-    def field(self):
-        return self.vec.field
-
-    @property
-    def comps(self):
-        return self.vec.comps
-
-    def is_zero(self) -> bool:
-        return self.vec.is_zero()
-
-    def apply(self, f: Polynomial) -> Polynomial:
-        """extend to the whole ring by the Leibniz rule"""
-        g = gradient(f)
-        return dot(g, self.vec)
-
-    def degree(self):
-        """homogeneity degree: each generator value must be homogeneous of
-        degree (weight of the generator) + d.  None for the zero derivation,
-        error when inhomogeneous."""
-        shifts = self.weights.tuple
-        d = None
-        for comp, s in zip(self.vec.comps, shifts):
-            if comp.is_zero():
-                continue
-            if not comp.is_homogeneous():
-                raise RingError("derivation is not homogeneous")
-            e = comp.homogeneous_degree() - s
-            if d is None:
-                d = e
-            elif d != e:
-                raise RingError("derivation is not homogeneous")
-        return d
-
-    def divergence(self) -> Polynomial:
-        return div(self.vec)
-
-    def __eq__(self, other):
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return self.vec == other.vec
-
-    def __hash__(self):
-        return hash(self.vec)
-
-    def __repr__(self):
-        return "Derivation%r" % (self.vec,)
-
-
-def _compatible_w(weights: Weights, pxy, pyz, pzx):
-    """bracket degree w when the three structure polynomials are homogeneous
-    with the matching degree offsets; None otherwise"""
-    a, b, c = weights.tuple
-    w = None
-    for p, off in ((pxy, a + b), (pyz, b + c), (pzx, c + a)):
-        if p.is_zero():
-            continue
-        if not p.is_homogeneous():
-            return None
-        e = p.homogeneous_degree() - off
-        if w is None:
-            w = e
-        elif w != e:
-            return None
-    return w
 
 
 class PoissonStructure:
@@ -110,7 +27,7 @@ class PoissonStructure:
     {x,y}, {y,z}, {z,x}; arbitrary triples are representable, so the Jacobi
     identity is a property to check, not an invariant"""
 
-    __slots__ = ("weights", "field", "pxy", "pyz", "pzx", "potential", "w")
+    __slots__ = ("weights", "field", "pxy", "pyz", "pzx", "potential")
 
     def __init__(self, pxy: Polynomial, pyz: Polynomial, pzx: Polynomial, potential=None):
         pxy._check_compatible(pyz)
@@ -123,7 +40,6 @@ class PoissonStructure:
         self.pyz = pyz
         self.pzx = pzx
         self.potential = potential
-        self.w = _compatible_w(self.weights, pxy, pyz, pzx)
 
     def variables(self):
         return tuple(
@@ -172,41 +88,43 @@ def jacobiator(s: PoissonStructure) -> Polynomial:
     return bracket(s, x, s.pyz) + bracket(s, y, s.pzx) + bracket(s, z, s.pxy)
 
 
-def hamiltonian(s: PoissonStructure, f: Polynomial) -> Derivation:
-    """the inner derivation {f, -}"""
+def hamiltonian(s: PoissonStructure, f: Polynomial) -> PolyVector:
+    """the inner derivation {f, -}, by its values on x, y, z"""
     x, y, z = s.variables()
-    return Derivation.from_polys(bracket(s, f, x), bracket(s, f, y), bracket(s, f, z))
+    return PolyVector(bracket(s, f, x), bracket(s, f, y), bracket(s, f, z))
 
 
-def euler_derivation(weights: Weights, field=QQ) -> Derivation:
+def euler_derivation(weights: Weights, field=QQ) -> PolyVector:
     """the grading derivation: x -> a x, y -> b y, z -> c z"""
     a, b, c = weights.tuple
-    return Derivation.from_polys(
+    return PolyVector(
         Polynomial.variable(weights, "x", field) * a,
         Polynomial.variable(weights, "y", field) * b,
         Polynomial.variable(weights, "z", field) * c,
     )
 
 
-def modular_derivation(s: PoissonStructure) -> Derivation:
+def modular_derivation(s: PoissonStructure) -> PolyVector:
     """obstruction to unimodularity: u -> -div({u, -}); zero for every
     potential-defined structure by equality of mixed partials"""
     x, y, z = s.variables()
-    return Derivation.from_polys(
-        -div(hamiltonian(s, x).vec),
-        -div(hamiltonian(s, y).vec),
-        -div(hamiltonian(s, z).vec),
+    return PolyVector(
+        -div(hamiltonian(s, x)),
+        -div(hamiltonian(s, y)),
+        -div(hamiltonian(s, z)),
     )
 
 
-def graded_twist(s: PoissonStructure, delta: Derivation):
+def graded_twist(s: PoissonStructure, delta: PolyVector):
     """twist the bracket by the wedge of the Euler derivation with a degree-0
-    derivation: {f,g} + E(f) delta(g) - delta(f) E(g).  Returns the twisted
-    structure together with a flag telling whether it still satisfies the
-    Jacobi identity."""
-    if not delta.is_zero() and delta.degree() != 0:
-        raise RingError("twisting derivation must be homogeneous of degree 0")
+    derivation delta, given by its values on x, y, z: {f,g} + E(f) delta(g)
+    - delta(f) E(g).  Each nonzero value must be homogeneous of the weight of
+    its variable.  Returns the twisted structure together with a flag telling
+    whether it still satisfies the Jacobi identity."""
     a, b, c = s.weights.tuple
+    for comp, w in zip(delta.comps, (a, b, c)):
+        if not comp.is_zero() and not (comp.is_homogeneous() and comp.homogeneous_degree() == w):
+            raise RingError("twisting derivation must be homogeneous of degree 0")
     x, y, z = s.variables()
     dx, dy, dz = delta.comps
     pxy = s.pxy + (a * x) * dy - dx * (b * y)
@@ -231,7 +149,7 @@ def graded_derivation_space(s: PoissonStructure, d: int):
     basis = []
     for coords in kernel_basis(matrix):
         comps = vector_to_polys(weights, s.field, [d + a, d + b, d + c], coords)
-        basis.append(Derivation.from_polys(*comps))
+        basis.append(PolyVector(*comps))
     return basis
 
 

@@ -163,16 +163,6 @@ def test_cohomology_json_reports_match_flag():
     assert doc["truncation_bound"] == 6
 
 
-def test_max_degree_env_var():
-    env = {"WPOISSON_MAX_DEGREE": "3"}
-    code, out = run(["cohomology", "--weights", "1,1,1",
-                     "--potential", "x^3+y^3+z^3+x*y*z"], env=env)
-    assert code == 0
-    assert "# truncation bound: 3" in out
-    rows = [l for l in out.splitlines() if l and l[0] in "-0123456789"]
-    assert rows[-1].split()[0] == "3"
-
-
 def test_cohomology_closed_forms_not_applicable_off_degree_a_b_c():
     code, out = run(["cohomology", "-w", "1,1,1", "-p", "x^4+y^4+z^4",
                      "-D", "4", "--format", "json"])
@@ -337,16 +327,14 @@ def _refuse_enumeration(monkeypatch):
                         monkeypatch.setattr(mod, attr, fail)
 
 
-@pytest.mark.parametrize("args, env", [
-    (["koszul", "-w", "1,1,1", "-p", "x^3+y^3+z^3", "-D", "1000000000"], None),
-    (["cohomology", "-w", "1,2,3", "-p", "z^2+y^3", "-D", "1000000000"], None),
-    (["vacancy", "-w", "1,1,1", "-p", "x^3+y^3+z^3"], {"WPOISSON_MAX_DEGREE": "1000000000"}),
-    (["catalog", "verify", "--filter", "111-i-a", "-D", "1000000000"], None),
-    (["catalog", "verify", "--filter", "111-i-a"], {"WPOISSON_MAX_DEGREE": "1000000000"}),
-], ids=["max-degree", "weighted", "env", "catalog", "catalog-env"])
-def test_bound_past_the_window_budget_exits_2_before_enumerating(monkeypatch, args, env):
+@pytest.mark.parametrize("args", [
+    ["koszul", "-w", "1,1,1", "-p", "x^3+y^3+z^3", "-D", "1000000000"],
+    ["cohomology", "-w", "1,2,3", "-p", "z^2+y^3", "-D", "1000000000"],
+    ["catalog", "verify", "--filter", "111-i-a", "-D", "1000000000"],
+], ids=["max-degree", "weighted", "catalog"])
+def test_bound_past_the_window_budget_exits_2_before_enumerating(monkeypatch, args):
     _refuse_enumeration(monkeypatch)
-    res = CliRunner().invoke(main, args, env=env, catch_exceptions=False)
+    res = CliRunner().invoke(main, args, catch_exceptions=False)
     assert res.exit_code == 2
     assert res.stdout == ""
     lines = res.stderr.splitlines()
@@ -543,25 +531,16 @@ def test_catalog_verify_rejects_a_selection_that_checks_nothing():
     assert "no selected check applies" in out
 
 
-@pytest.mark.parametrize("args", [
-    ["vacancy", "-w", "1,1,1", "-p", "x^3+y^3+z^3"],
-    ["catalog", "verify", "--filter", "111-i-a", "--checks", "vacancy"],
-], ids=lambda args: args[0])
-def test_malformed_max_degree_env_var_is_a_usage_error(args):
-    res = CliRunner().invoke(main, args, env={"WPOISSON_MAX_DEGREE": "abc"},
-                             catch_exceptions=False)
-    assert res.exit_code == 2
-    assert res.stdout == ""
-    lines = res.stderr.splitlines()
-    assert lines[0].startswith("Usage: ")
-    assert lines[-1] == "Error: bad WPOISSON_MAX_DEGREE='abc'"
-
-
-def test_catalog_verify_default_bound_follows_env_var():
-    code, out = run(["catalog", "verify", "--filter", "111-i-a",
-                     "--checks", "vacancy"], env={"WPOISSON_MAX_DEGREE": "3"})
+def test_default_bound_ignores_the_environment():
+    # 3n+12 = 21 for these cubics; no environment variable moves it
+    env = {"WPOISSON_MAX_DEGREE": "3"}
+    code, out = run(["vacancy", "-w", "1,1,1", "-p", "x^3+y^3+z^3"], env=env)
     assert code == 0
-    assert "all zero to 3" in out
+    assert "# truncation bound: 21\n" in out
+    code, out = run(["catalog", "verify", "--filter", "111-i-a",
+                     "--checks", "vacancy"], env=env)
+    assert code == 0
+    assert "all zero to 21" in out
 
 
 def test_selftest_command():
@@ -606,3 +585,36 @@ def test_malformed_catalog_record_is_a_usage_error(tmp_path, command, old, new, 
     lines = res.stderr.splitlines()
     assert [line for line in lines if line.startswith("Usage: ")] == [lines[0]]
     assert lines[-1] == "Error: 111-i-a: " + message
+
+
+@pytest.mark.parametrize("args", [["list"], ["verify", "-D", "4"]], ids=lambda a: a[0])
+def test_a_one_record_catalog_file_is_accepted(tmp_path, args):
+    one = tmp_path / "one.txt"
+    one.write_text(_CATALOG_LINE + "\n", encoding="utf-8")
+    res = CliRunner().invoke(main, ["catalog", *args, "--catalog-file", str(one)],
+                             catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    assert "111-i-a" in res.stdout
+    assert res.stdout.splitlines()[-1] in ("count: 1", "ok: True")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("111-i-c0 | 1,1,1 | x^3+y^3+z^3 | i | true | 0 | 0 | yes | yes | false | table=111",
+     "111-i-c0: type i and only type i is isolated"),
+    (_CATALOG_LINE.replace("| false", "| true"), "111-i-a: type i and only type i is isolated"),
+    ("112-r-a | 1,1,2 | x^4 | r | false | 1 | 2 | no | no | false | table=112;vacwit=-2;sealwit=2",
+     "112-r-a: reducible rgt must be <= -1"),
+    ("112-r-a | 1,1,2 | x^4 | r | false | -5 | 2 | yes | no | false | table=112;sealwit=2",
+     "112-r-a: r entries are non-vacant and unsealed"),
+    ("123-i-a | 1,2,3 | z^2+y^3 | nw | true | 0 | 1 | no | yes | false | table=123;vacwit=-1",
+     "123-i-a: nw entries are non-vacant and unsealed"),
+], ids=["i-not-isolated", "isolated-not-i", "reducible-rgt", "r-vacant", "nw-sealed"])
+@pytest.mark.parametrize("command", ["list", "verify"])
+def test_every_catalog_file_gets_the_per_record_rules(tmp_path, command, line, message):
+    one = tmp_path / "one.txt"
+    one.write_text(line + "\n", encoding="utf-8")
+    res = CliRunner().invoke(main, ["catalog", command, "--catalog-file", str(one)],
+                             catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines()[-1] == "Error: " + message

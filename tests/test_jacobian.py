@@ -154,6 +154,49 @@ def test_gkdim_values():
     assert gkdim(parse_poly("x^3+y^3+z^3+x*y*z", W111)) == 0
 
 
+def _pole_order_at_one(series):
+    """order of the pole at t=1 of a Hilbert series: its number of (1 - t^e)
+    denominator factors minus the multiplicity of the root t=1 of its
+    numerator; 0 for the zero series"""
+    num = dict(series.numerator)
+    if not num:
+        return 0
+    mult = 0
+    while sum(num.values()) == 0:
+        # p = (1-t) q  means  q_d = sum of p_e over e <= d
+        acc, q = 0, {}
+        for d in range(min(num), max(num) + 1):
+            acc += num.get(d, 0)
+            if acc:
+                q[d] = acc
+        num, mult = q, mult + 1
+    return len(series.denominator) - mult
+
+
+def _random_potentials(seed, per_weight=8):
+    rng = random.Random(seed)
+    for w in WEIGHT_POOL:
+        weights = Weights(*w)
+        made = 0
+        while made < per_weight:
+            n = rng.randint(sum(w) - 1, 2 * sum(w) + 2)
+            om = random_homogeneous(rng, weights, n) + random_homogeneous(rng, weights, n)
+            if om.is_zero():
+                continue
+            made += 1
+            yield om
+
+
+def test_gkdim_is_the_pole_order_of_the_hilbert_series():
+    potentials = [e.omega for e in catalog.entries()] + list(_random_potentials(29))
+    seen = set()
+    for om in potentials:
+        g = gkdim(om)
+        assert g == _pole_order_at_one(a_sing_hilbert(om, 0)[1]), format_poly(om)
+        seen.add(g)
+    assert seen == {0, 1, 2}
+
+
 def test_isolated_singularity_parameter_sweeps():
     # cube family: fails only when the twisting scalar hits -3
     for lam in ("1", "2", "-1", "5", "1/2"):

@@ -17,7 +17,6 @@ from wpoisson import (
     verify_automorphism,
 )
 from wpoisson.poisson import (
-    Derivation,
     PoissonStructure,
     bracket,
     euler_derivation,
@@ -26,7 +25,7 @@ from wpoisson.poisson import (
     hamiltonian,
     jacobian_determinant,
 )
-from wpoisson.ring import Polynomial, RingError
+from wpoisson.ring import Polynomial, RingError, div, dot, gradient
 
 
 W111 = Weights(1, 1, 1)
@@ -124,26 +123,27 @@ def test_hamiltonian_derivations():
     s = from_potential(om)
     x, y, z = _vars(W112)
     h = hamiltonian(s, x)
+    assert isinstance(h, PolyVector)
     assert [format_poly(c) for c in h.comps] == [
         format_poly(bracket(s, x, v)) for v in (x, y, z)]
     # divergence-free because the structure is unimodular
-    assert h.divergence().is_zero()
+    assert div(h).is_zero()
     assert hamiltonian(s, om).is_zero()
 
 
 def test_euler_derivation():
     e = euler_derivation(W123)
     assert [format_poly(c) for c in e.comps] == ["x", "2*y", "3*z"]
-    assert e.divergence() == Polynomial.constant(W123, 6)
+    assert div(e) == Polynomial.constant(W123, 6)
     om = parse_poly("z^2+y^3", W123)
-    assert e.apply(om) == om * 6
+    assert dot(gradient(om), e) == om * 6
 
 
 def test_graded_twist_of_semi_poisson_derivation():
     om = parse_poly("x*y*z", W111)
     s = from_potential(om)
     x, y, z = _vars(W111)
-    delta = Derivation(PolyVector(x, y * 2, z * 3))
+    delta = PolyVector(x, y * 2, z * 3)
     twisted, still_poisson = graded_twist(s, delta)
     assert still_poisson
     assert jacobiator(twisted).is_zero()
@@ -156,9 +156,20 @@ def test_graded_twist_of_semi_poisson_derivation():
 def test_graded_twist_rejects_wrong_degree():
     s = from_potential(parse_poly("x*y*z", W111))
     x, y, z = _vars(W111)
+    zero = Polynomial.zero(W111)
+    for delta in (PolyVector(x * x, zero, zero),   # degree 1
+                  PolyVector(x + y * y, zero, zero),   # inhomogeneous
+                  PolyVector(x, y * z, zero)):   # degrees 0 and 1
+        with pytest.raises(RingError):
+            graded_twist(s, delta)
+    # on (1,1,2) the value on z must have degree 2, not 1
+    s = from_potential(parse_poly("x^2*z+x*y^3", W112))
+    x, y, z = _vars(W112)
+    zero = Polynomial.zero(W112)
     with pytest.raises(RingError):
-        graded_twist(s, Derivation(PolyVector(x * x, Polynomial.zero(W111),
-                                              Polynomial.zero(W111))))
+        graded_twist(s, PolyVector(zero, zero, x))
+    twisted, _ = graded_twist(s, PolyVector(zero, zero, x * x))
+    assert twisted.pzx == s.pzx - x * x * x
 
 
 def test_graded_derivation_space_rigid_case():

@@ -58,7 +58,6 @@ def test_readme_cli_block_runs_and_shows_its_values():
     assert len(commands) == 6
     assert sum(len(shown) for _, shown in commands) == 2
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("WPOISSON_MAX_DEGREE", None)
     for argv, shown in commands:
         res = subprocess.run([sys.executable, "-m", "wpoisson", *argv], env=env, cwd=ROOT,
                              capture_output=True, text=True, timeout=300)
