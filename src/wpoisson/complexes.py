@@ -63,62 +63,74 @@ def assemble(weights, field, src_degs, tgt_degs, table):
     """Exact sparse matrix of a graded first-order linear differential
     operator on the deterministic monomial bases, one column per source
     monomial.  ``table`` lists the operator's terms (target, source, var,
-    coefs): target component ``target`` gains coef * m * d/d(var) of source
-    component ``source``, or coef * m times the source itself when var is
-    None, for every monomial m -> coef in ``coefs`` (see ``op_table``).
-    Outputs must respect the target degrees."""
+    coefs), restricted to Q by ``op_table``: target component ``target``
+    gains coef * m * d/d(var) of source component ``source``, or coef * m
+    times the source itself when var is None, for every monomial m -> coef
+    in ``coefs``.  Over K = Q[s]/(m), deg m = k, component t*k+u is the s^u
+    coordinate of component t; K-row i and K-column j come out as Q-rows
+    i*k+u and Q-columns j*k+t, the block layout of ``linalg.Matrix`` (so
+    kernels are unchanged), in int and Fraction arithmetic alone.  Outputs
+    must respect the target degrees."""
+    k = field.degree
     row_of = {}
     for t, td in enumerate(tgt_degs):
         for m in monomial_basis(weights, td):
-            row_of[(t, m)] = len(row_of)
-    by_source = [[] for _ in src_degs]
+            for u in range(t * k, t * k + k):
+                row_of[(u, m)] = len(row_of)
+    by_source = [[[] for _ in range(k)] for _ in src_degs]
     for t, s, v, coefs in table:
-        by_source[s].append((t, v, coefs))
+        by_source[s // k][s % k].append((t, v, coefs))
     rows = [{} for _ in range(len(row_of))]
     col = 0
     for s, sd in enumerate(src_degs):
-        terms = by_source[s]
+        copies = by_source[s]
         for m in monomial_basis(weights, sd):
-            out = {}
-            for t, v, coefs in terms:
-                if v is None:
-                    f = 1
-                    m0, m1, m2 = m
-                else:
-                    f = m[v]
-                    if not f:
+            for terms in copies:
+                out = {}
+                for t, v, coefs in terms:
+                    if v is None:
+                        f = 1
+                        m0, m1, m2 = m
+                    else:
+                        f = m[v]
+                        if not f:
+                            continue
+                        m0, m1, m2 = m[:v] + (f - 1,) + m[v + 1:]
+                    for (q0, q1, q2), c in coefs:
+                        key = (t, (m0 + q0, m1 + q1, m2 + q2))
+                        if f != 1:
+                            c = c * f
+                        prev = out.get(key)
+                        out[key] = c if prev is None else prev + c
+                for key, c in out.items():
+                    if not c:
                         continue
-                    m0, m1, m2 = m[:v] + (f - 1,) + m[v + 1:]
-                for (q0, q1, q2), c in coefs:
-                    key = (t, (m0 + q0, m1 + q1, m2 + q2))
-                    if f != 1:
-                        c = c * f
-                    prev = out.get(key)
-                    out[key] = c if prev is None else prev + c
-            for key, c in out.items():
-                if not c:
-                    continue
-                r = row_of.get(key)
-                if r is None:
-                    raise RingError("graded map output escapes its degree slot")
-                rows[r][col] = c
-            col += 1
-    return Matrix(len(rows), col, rows, field)
+                    r = row_of.get(key)
+                    if r is None:
+                        raise RingError("graded map output escapes its degree slot")
+                    rows[r][col] = c
+                col += 1
+    return Matrix.restricted(len(rows) // k, col // k, rows, field)
 
 
 def op_table(field, terms):
     """operator table for ``assemble`` from (target, source, var, coef)
-    terms, coef a Polynomial or an integer constant; zero coefficients are
-    dropped.  Each coefficient is stored as the tuple of its (monomial,
-    value) items, so a table is immutable and may be cached and shared.
-    Over Q a value with denominator one is stored as an int."""
+    terms, coef a Polynomial or a constant, restricted to Q here, once per
+    table: over K = Q[s]/(m), deg m = k, a term becomes the terms (t*k+u,
+    s*k+c, var, q), q the s^u coefficients of coef * s^c
+    (``ExtensionField.block``); over Q, k = 1.  Zero values are dropped and
+    whole ones stored as ints.  Each coefficient is the tuple of its
+    (monomial, value) items, so a table is immutable and may be shared."""
+    k = field.degree
     table = []
     for t, s, v, p in terms:
         coefs = p.terms if isinstance(p, Polynomial) else {(0, 0, 0): field.coerce(p)}
-        if field == QQ:
-            coefs = {m: c.numerator if c.denominator == 1 else c for m, c in coefs.items()}
-        if coefs:
-            table.append((t, s, v, tuple(coefs.items())))
+        blocks = [(m, field.block(c)) for m, c in coefs.items()]
+        for u in range(k):
+            for c in range(k):
+                q = tuple((m, b[u][c]) for m, b in blocks if b[u][c])
+                if q:
+                    table.append((t * k + u, s * k + c, v, q))
     return tuple(table)
 
 
@@ -424,11 +436,10 @@ def sealed_k1_dims(omega, bound):
     flag)."""
     n = check_potential(omega)
     weights = omega.weights
-    # B(v, u) = (v . g ; div v - u g_i): T, then the first term of the K1
-    # table, negated on source 3; op_table drops zero partials, so that
-    # term is the first nonzero partial g_i
-    _, i, v, coefs = _koszul_table(omega, 1)[0]
-    table = _ozone_table(omega) + ((1, 3, v, tuple((m, -c) for m, c in coefs)),)
+    # B(v, u) = (v . g ; div v - u g_i): T, then u times the first nonzero
+    # partial g_i, negated, on source 3
+    i = next(v for v in range(3) if not omega.partial(v).is_zero())
+    table = _ozone_table(omega) + op_table(omega.field, [(1, 3, None, -omega.partial(i))])
     out = {}
     for d in _window("sealed", 0, bound):
         # K1 at degree d is X1 at degree e = d - n

@@ -1,22 +1,30 @@
 """Exact linear algebra over the coefficient field.
 
 There is one matrix representation: a sparse ``Matrix`` whose ``entries``
-hold one ``{col: nonzero value}`` dict per row, and one elimination loop,
-``_echelon``, over Q.  It takes the nonzero rows shortest first and reduces
-each on its last (largest) column against the pivot rows found so far; no
-global pivot search.  A row is cleared to coprime integers once, on entry,
-updates are fraction-free (Bareiss-style cross-multiplication by the
-cofactors of the gcd), and each new pivot row is divided by its content.
-Over Q, ``assemble`` makes int rows for an integer potential: ``Matrix``
-keeps int values without coercion, and a row of ints enters elimination as
-a copy divided by its content, with no denominators to clear.
+hold one ``{col: nonzero rational}`` dict per row over Q, and one
+elimination loop, ``_echelon``, over Q.  It takes the nonzero rows shortest
+first and reduces each on its last (largest) column against the pivot rows
+found so far; no global pivot search.  A row is cleared to coprime integers
+once, on entry, updates are fraction-free (Bareiss-style cross-multiplication
+by the cofactors of the gcd), and each new pivot row is divided by its
+content.  Over Q, ``assemble`` makes int rows for an integer potential and
+hands them to ``Matrix.restricted`` as they are; a row of ints enters
+elimination as a copy divided by its content, with no denominators to clear.
 
 A matrix over K = Q[s]/(m), deg m = k, reaches the same loop by restriction
-of scalars (``_over_q``): each entry becomes the k x k rational block of
-multiplication by it on the basis 1, s, ..., s^(k-1).  Its kernel over Q is
-the kernel over K read as Q-vectors, a K-subspace.  Under last-column pivots
-a column is free exactly when it is the first nonzero coordinate of some
-kernel vector.  If a kernel vector has its first nonzero entry in column j,
+of scalars: its ``entries`` hold k rows over Q per row over K, Q-row i*k+u
+and Q-column j*k+t holding the s^u coefficient of M_ij * s^t, that is each
+entry as the k x k rational block of multiplication by it on the basis 1,
+s, ..., s^(k-1) (``ExtensionField.block``).  The restriction happens once,
+where the entries are made: ``Matrix`` expands K-valued rows, and
+``complexes.assemble`` writes the Q-rows of a map straight from an operator
+table that ``complexes.op_table`` restricted once per table, so neither
+assembly nor elimination multiplies in K.  The layout, and so the kernel
+normal form, is the one a separate pass over each matrix made before.
+
+The kernel over Q of the restriction is the kernel over K read as
+Q-vectors, a K-subspace.  Under last-column pivots a column is free exactly
+when it is the first nonzero coordinate of some kernel vector.  If a kernel vector has its first nonzero entry in column j,
 multiplying it by the inverse of that entry times s^t gives one whose first
 nonzero Q-coordinate is j*k+t, for every t: each block of k Q-columns is all
 free or all pivot.  The K-rank is the Q-rank over k, and the Q-kernel vector
@@ -45,31 +53,39 @@ class Matrix:
     def __init__(self, rows: int, cols: int, entries, field=QQ):
         """``entries`` is a list of ``rows`` dicts ``{col: value}``; values are
         coerced into the field and zeros are dropped.  Over Q a value may be an
-        ``int`` or a ``Fraction``; ints are kept as they are."""
+        ``int`` or a ``Fraction``; ints are kept as they are.  Over K each
+        value is stored as its k x k block (module docstring)."""
         if rows < 0 or cols < 0:
             raise RingError("negative matrix dimensions")
         if len(entries) != rows:
             raise RingError("row count does not match declared dimensions")
-        self.rows = rows
-        self.cols = cols
-        self.field = field
-        self.entries = []
         rational = field == QQ
+        k = field.degree
+        qrows = []
         for row in entries:
             if not isinstance(row, dict):
                 raise RingError("matrix rows must be {column: value} dicts")
-            clean = {}
+            clean = [{} for _ in range(k)]
             for c, v in row.items():
                 if not (isinstance(c, int) and 0 <= c < cols):
                     raise RingError("column index %r out of range" % (c,))
-                if not (rational and type(v) is int):
-                    v = field.coerce(v)
-                    if field.is_zero(v):
-                        continue
-                elif not v:
+                if rational:
+                    v = v if type(v) is int else field.coerce(v)
+                    if v:
+                        clean[0][c] = v
                     continue
-                clean[c] = v
-            self.entries.append(clean)
+                for u, brow in enumerate(field.block(v)):
+                    clean[u].update((c * k + t, q) for t, q in enumerate(brow) if q)
+            qrows += clean
+        self.rows, self.cols, self.entries, self.field = rows, cols, qrows, field
+
+    @classmethod
+    def restricted(cls, rows: int, cols: int, entries, field=QQ):
+        """the matrix with these ``entries``, taken unchecked: k*rows dicts of
+        nonzero ints and Fractions over Q-columns 0..k*cols-1, in block layout"""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.entries, m.field = rows, cols, entries, field
+        return m
 
     def __repr__(self):
         return "Matrix(%dx%d over %r)" % (self.rows, self.cols, self.field)
@@ -78,8 +94,8 @@ class Matrix:
 def _coprime_ints(row):
     """a new dict: the row scaled to coprime integers (scaling never changes
     rank or kernel).  A row of ints, as ``assemble`` makes for an integer
-    potential and ``_over_q`` always makes, has no denominators to clear
-    and is only copied, since elimination consumes the dict it is given."""
+    potential, has no denominators to clear and is only copied, since
+    elimination consumes the dict it is given."""
     if all(type(v) is int for v in row.values()):
         return _divide_content(dict(row))
     den = math.lcm(*(v.denominator for v in row.values()))
@@ -120,45 +136,13 @@ def _echelon(rows):
     return pivots
 
 
-def _whole(q):
-    """a Fraction as an int when it is one, so integer arithmetic stays fast"""
-    return q.numerator if q.denominator == 1 else q
-
-
-def _over_q(matrix: Matrix):
-    """Restriction of scalars: the r x c matrix over K = Q[s]/(m), deg m = k,
-    as kr x kc rows over Q.  Row i*k+u, column j*k+t holds the coefficient of
-    s^u in M_ij * s^t; each s^t multiple is the previous one shifted up a
-    degree, with s^k folded back through ``_top``.  Each K-row's denominators
-    are cleared once, so the rows hold ints."""
-    k = matrix.field.degree
-    top = [_whole(m) for m in matrix.field._top]
-    rows = []
-    for entry in matrix.entries:
-        block = [{} for _ in range(k)]
-        for j, v in entry.items():
-            a = [_whole(q) for q in v.coeffs]
-            for t in range(k):
-                if t:
-                    a = [u + a[-1] * m for u, m in zip([0] + a[:-1], top)]
-                for u, q in enumerate(a):
-                    if q:
-                        block[u][j * k + t] = q
-        den = math.lcm(*(q.denominator for row in block for q in row.values()))
-        rows.extend({c: q.numerator * (den // q.denominator) for c, q in row.items()}
-                    for row in block)
-    return rows
-
-
 def _pivots(matrix: Matrix):
-    """(echelon form over Q, k): of the matrix itself over Q (k = 1), or of its
-    restriction of scalars over Q[s]/(m), with k = deg m Q-columns per
-    column; there a partial block of pivots means m is reducible."""
-    if matrix.field == QQ:
-        return _echelon(matrix.entries), 1
+    """(echelon form over Q, k) of the entries, k = deg m Q-columns per
+    column over Q[s]/(m) (k = 1 over Q); there a partial block of pivots
+    means m is reducible."""
     k = matrix.field.degree
-    pivots = _echelon(_over_q(matrix))
-    if len({c // k for c in pivots}) * k != len(pivots):
+    pivots = _echelon(matrix.entries)
+    if k > 1 and len({c // k for c in pivots}) * k != len(pivots):
         raise RingError("modulus is not coprime with the element; m reducible?")
     return pivots, k
 
@@ -221,8 +205,11 @@ def in_column_span(matrix: Matrix, v):
     if all(field.is_zero(u) for u in vv):
         return True, [field.zero] * matrix.cols
     n = matrix.cols
-    aug = Matrix(matrix.rows, n + 1,
-                 [{**row, n: u} for row, u in zip(matrix.entries, vv)], field)
+    shift = n * field.degree
+    column = Matrix(matrix.rows, 1, [{0: u} for u in vv], field).entries
+    aug = Matrix.restricted(matrix.rows, n + 1, [
+        {**row, **{shift + t: q for t, q in c.items()}} for row, c in zip(matrix.entries, column)],
+        field)
     for k in kernel_basis(aug):
         if not field.is_zero(k[n]):
             return True, [-(u / k[n]) for u in k[:n]]

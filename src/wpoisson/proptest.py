@@ -97,9 +97,9 @@ def suite_rank_nullity(seed, cases):
         if rank(m) + len(ker) != cols:
             failures += 1
             continue
-        # every reported kernel vector must actually be annihilated
+        # every reported kernel vector must annihilate the rows drawn
         for vec in ker:
-            img = [sum(v * vec[j] for j, v in row.items()) for row in m.entries]
+            img = [sum(v * vec[j] for j, v in row.items()) for row in grid]
             if any(v != 0 for v in img):
                 failures += 1
                 break

@@ -27,6 +27,7 @@ class RationalField:
     """Arbitrary-precision rationals (the default coefficient field)."""
 
     name = "QQ"
+    degree = 1
 
     def coerce(self, v):
         if isinstance(v, Fraction):
@@ -47,6 +48,11 @@ class RationalField:
 
     def is_zero(self, v) -> bool:
         return v == 0
+
+    def block(self, v):
+        """the 1 x 1 matrix of multiplication by v, an int where it is whole"""
+        v = self.coerce(v)
+        return ((v.numerator if v.denominator == 1 else v,),)
 
     def format(self, v) -> str:
         return format_rational(v)
@@ -195,6 +201,18 @@ class ExtensionField:
                 if m != 0:
                     prod[k - d + t] += c * m
         return ExtElem(self, prod[:d])
+
+    def block(self, v):
+        """the k x k rational matrix of multiplication by v on the basis 1, s,
+        ..., s^(k-1), k = deg m: row u, column t holds the s^u coefficient of
+        v * s^t, an int where it is whole.  Each s^t multiple is the previous
+        one shifted up a degree, with s^k folded back through ``_top``."""
+        a = list(self.coerce(v).coeffs)
+        cols = [a]
+        for _ in range(self.degree - 1):
+            a = [u + a[-1] * m for u, m in zip([0] + a[:-1], self._top)]
+            cols.append(a)
+        return [[q.numerator if q.denominator == 1 else q for q in row] for row in zip(*cols)]
 
     def inverse(self, v: ExtElem):
         v = self.coerce(v)

@@ -2,15 +2,16 @@
 ``linalg`` ran over an extension field before it restricted scalars to Q.
 Rows are taken shortest first and reduced on their last column against
 pivot rows scaled to pivot one, with field division; a zero-divisor pivot
-raises from ``ExtensionField.inverse``."""
+raises from ``ExtensionField.inverse``.  A matrix is given as its list of
+K-valued dict rows, as ``linalg.Matrix`` takes them, with its column count
+and field; values are coerced and zeros dropped on entry."""
 
-from wpoisson.linalg import Matrix
 
-
-def reference_echelon(matrix):
-    one = matrix.field.one
+def reference_echelon(field, rows):
+    one = field.one
+    rows = [{j: field.coerce(v) for j, v in row.items() if not field.is_zero(v)} for row in rows]
     pivots = {}
-    for row in sorted((r for r in matrix.entries if r), key=len):
+    for row in sorted((r for r in rows if r), key=len):
         row = dict(row)
         while row:
             c = max(row)
@@ -31,13 +32,12 @@ def reference_echelon(matrix):
     return pivots
 
 
-def reference_rank(matrix):
-    return len(reference_echelon(matrix))
+def reference_rank(field, rows):
+    return len(reference_echelon(field, rows))
 
 
-def reference_kernel_basis(matrix):
-    field = matrix.field
-    pivots = reference_echelon(matrix)
+def reference_kernel_basis(field, cols, rows):
+    pivots = reference_echelon(field, rows)
     reduced = {}
     for c in sorted(pivots):
         row = dict(pivots[c])
@@ -53,10 +53,10 @@ def reference_kernel_basis(matrix):
                     row.pop(k, None)
         reduced[c] = row
     basis = []
-    for free in range(matrix.cols):
+    for free in range(cols):
         if free in pivots:
             continue
-        v = [field.zero] * matrix.cols
+        v = [field.zero] * cols
         v[free] = field.one
         for c, row in reduced.items():
             if free in row:
@@ -65,15 +65,13 @@ def reference_kernel_basis(matrix):
     return basis
 
 
-def reference_in_column_span(matrix, v):
-    field = matrix.field
+def reference_in_column_span(field, cols, rows, v):
     vv = [field.coerce(u) for u in v]
     if all(field.is_zero(u) for u in vv):
-        return True, [field.zero] * matrix.cols
-    n = matrix.cols
-    aug = Matrix(matrix.rows, n + 1,
-                 [{**row, n: u} for row, u in zip(matrix.entries, vv)], field)
-    for k in reference_kernel_basis(aug):
+        return True, [field.zero] * cols
+    n = cols
+    aug = [{**row, n: u} for row, u in zip(rows, vv)]
+    for k in reference_kernel_basis(field, n + 1, aug):
         if not field.is_zero(k[n]):
             return True, [-(u / k[n]) for u in k[:n]]
     return False, None

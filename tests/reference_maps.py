@@ -10,8 +10,8 @@ table of d2 lives here too: the package derives rank d2 from the
 from wpoisson import complexes, gradient, normal_form, rank
 from wpoisson.jacobian import jacobian_basis
 from wpoisson.linalg import Matrix
-from wpoisson.ring import (Polynomial, PolyVector, RingError, count_monomials, cross, curl,
-                           div, dot, monomial_basis)
+from wpoisson.ring import (QQ, Polynomial, PolyVector, RingError, count_monomials, cross,
+                           curl, div, dot, monomial_basis)
 
 
 def reference_assemble(weights, field, src_degs, tgt_degs, fn):
@@ -37,7 +37,36 @@ def reference_assemble(weights, field, src_degs, tgt_degs, fn):
                         raise RingError("graded map output escapes its degree slot")
                     rows[offsets[ti] + pos][col] = coef
             col += 1
-    return Matrix(total, col, rows, field)
+    return Matrix.restricted(total, col, restrict(field, rows), field)
+
+
+def _powers(field):
+    """1, s, ..., s^(k-1) in the field, k = deg m (just 1 over Q)"""
+    powers = [field.one]
+    for _ in range(field.degree - 1):
+        powers.append(powers[-1] * field.generator)
+    return powers
+
+
+def restrict(field, rows):
+    """restriction of scalars of field-valued dict rows, by products of
+    field elements and independently of ``ExtensionField.block``: over
+    Q[s]/(m), deg m = k, Q-row i*k+u and Q-column j*k+t hold the s^u
+    coefficient of M_ij * s^t; over Q the rows as they are"""
+    if field == QQ:
+        return rows
+    k = field.degree
+    powers = _powers(field)
+    out = []
+    for row in rows:
+        block = [{} for _ in range(k)]
+        for j, c in row.items():
+            for t, p in enumerate(powers):
+                for u, q in enumerate((field.coerce(c) * p).coeffs):
+                    if q:
+                        block[u][j * k + t] = q
+        out += block
+    return out
 
 
 def reference_cochain(grad_o, i, comps):
@@ -88,12 +117,21 @@ def cochain_matrices(omega, d):
 
 def cochain_apply(omega, i, comps):
     """the degree-i cochain differential applied to component polynomials
-    through its operator table"""
+    through its operator table.  Over Q[s]/(m), deg m = k, the table is
+    restricted to Q: a term on (t*k+u, s*k+c) takes the s^c coordinate of
+    source component s, a polynomial over Q, to the s^u coordinate of
+    target component t."""
     weights, field = omega.weights, omega.field
+    k = field.degree
+    powers = _powers(field)
     out = [Polynomial.zero(weights, field)] * len(complexes.cochain_shifts(weights)[i + 1])
     for t, s, v, coefs in _cochain_table(omega, i):
-        src = comps[s] if v is None else comps[s].partial(v)
-        out[t] = out[t] + src * Polynomial(weights, field, dict(coefs))
+        (t, u), (s, c) = divmod(t, k), divmod(s, k)
+        src = comps[s] if field == QQ else Polynomial(
+            weights, field, {m: a.coeffs[c] for m, a in comps[s].terms.items()})
+        src = src if v is None else src.partial(v)
+        coef = Polynomial(weights, field, {m: q * powers[u] for m, q in coefs})
+        out[t] = out[t] + src * coef
     return out
 
 
@@ -163,7 +201,8 @@ def d1_rank_and_ozone_kernel(omega, d, maps=None):
     stacked = reference_assemble(omega.weights, omega.field, src,
                                  d1_tgt + [d + a + b + c + w], fn)
     top = sum(count_monomials(omega.weights, e) for e in d1_tgt)
-    d1 = Matrix(top, stacked.cols, stacked.entries[:top], omega.field)
+    d1 = Matrix.restricted(top, stacked.cols, stacked.entries[:top * omega.field.degree],
+                           omega.field)
     return rank(d1), dim - rank(stacked)
 
 

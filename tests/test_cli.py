@@ -208,13 +208,43 @@ def test_computation_refusal_exits_2_with_one_error_line(args):
 
 
 def test_reducible_field_modulus_zero_divisor_exits_2():
-    # s^2-1 = (s-1)(s+1) is not irreducible, and s+1 is a zero divisor there
-    res = CliRunner().invoke(main, ["vacancy", "-w", "1,1,1", "-p", "(s+1)*x^3+y^3+z^3",
-                                    "--field", "s^2-1", "-D", "4"], catch_exceptions=False)
+    # s^4+4 = (s^2+2s+2)(s^2-2s+2) has no root and no repeated factor, so
+    # --field takes it, and s^2+2s+2 is a zero divisor there
+    res = CliRunner().invoke(main, ["vacancy", "-w", "1,1,1", "-p", "(s^2+2*s+2)*x^3+y^3+z^3",
+                                    "--field", "s^4+4", "-D", "4"], catch_exceptions=False)
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr.splitlines() == [
         "error: modulus is not coprime with the element; m reducible?"]
+
+
+@pytest.mark.parametrize("modulus, why", [
+    ("s^2-1", "it has the root 1"), ("s^3-8", "it has the root 2"),
+    ("s^4+2s^2+1", "it has a repeated factor"), ("s^2", "it has the root 0"),
+])
+def test_field_modulus_with_a_root_or_a_repeated_factor_is_refused(modulus, why):
+    res = CliRunner().invoke(main, ["koszul", "-w", "1,1,1", "-p", "x^3+y^3+z^3+s*x*y*z",
+                                    "--field", modulus, "-D", "3"], catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == ["error: --field modulus %s is reducible: %s" % (modulus, why)]
+
+
+@pytest.mark.parametrize("modulus", ["s^2+1", "s^2+s+1", "s^3-2", "s-3"])
+def test_irreducible_field_modulus_is_accepted(modulus):
+    res = CliRunner().invoke(main, ["koszul", "-w", "1,1,1", "-p", "x^3+y^3+z^3+s*x*y*z",
+                                    "--field", modulus, "-D", "3"], catch_exceptions=False)
+    assert res.exit_code == 0, res.stderr
+    assert "# field: %s\n" % modulus in res.stdout
+
+
+def test_field_modulus_coefficient_past_the_guard_is_refused():
+    res = CliRunner().invoke(main, ["rgt", "-w", "1,1,1", "-p", "x^3+y^3+z^3",
+                                    "--field", "s^2-99999999999999999999"], catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "error: --field modulus coefficient -99999999999999999999 exceeds the 10^6 guard"]
 
 
 # every modulus here is over the limit: the refusal comes before the

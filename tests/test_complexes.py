@@ -6,6 +6,8 @@ scripts (kernel/rank counts assembled degree by degree) and frozen; the
 tests guard against regressions in the matrix assembly."""
 
 import copy
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +15,7 @@ from wpoisson import (QQ, ExtensionField, Weights, catalog, gradient, has_isolat
                       parse_poly, rank)
 from wpoisson import complexes, poisson
 from wpoisson.poisson import euler_derivation, from_potential
-from wpoisson.ring import RingError, count_monomials
+from wpoisson.ring import Polynomial, RingError, count_monomials, monomial_basis
 
 from closed_forms import closed_form_lph2, isolated_ph
 from reference_maps import (cochain_apply, cochain_matrices, cochain_matrix, cochain_rank,
@@ -371,6 +373,74 @@ def _table_potentials():
         pytest.param(W111, QQ, "1/2*x^3+y^3+z^3-3/2*x*y*z", id="qq-fractions"),
         pytest.param(W111, cube, "x^3+y^3+z^3+s*x*y*z", id="cube-root-field"),
     ]
+
+
+def _seeded_operator(rng, field):
+    """a random first-order operator over field: weights, source and target
+    degrees, (target, source, var, coef) terms whose coefficients have the
+    degree each term needs (some of them constants), and the same operator
+    as a function on component Polynomials"""
+    weights = Weights(*rng.choice([(1, 1, 1), (1, 1, 2), (1, 2, 3)]))
+    src = [rng.randint(0, 5) for _ in range(rng.randint(1, 3))]
+    tgt = [rng.randint(0, 7) for _ in range(rng.randint(1, 3))]
+    powers = [field.one]
+    for _ in range(field.degree - 1):
+        powers.append(powers[-1] * field.generator)
+
+    def coef():
+        return sum((Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * p for p in powers),
+                   field.zero)
+
+    terms = []
+    for t, td in enumerate(tgt):
+        for s, sd in enumerate(src):
+            for v in (None, 0, 1, 2):
+                basis = monomial_basis(weights, td - sd + (0 if v is None else weights.tuple[v]))
+                if not basis or rng.random() < 0.6:
+                    continue
+                if basis == ((0, 0, 0),) and rng.random() < 0.5:
+                    terms.append((t, s, v, coef()))
+                else:
+                    terms.append((t, s, v, Polynomial(weights, field, {
+                        m: coef() for m in rng.sample(basis, min(len(basis), 3))})))
+
+    def fn(comps):
+        out = [Polynomial.zero(weights, field)] * len(tgt)
+        for t, s, v, p in terms:
+            p = p if isinstance(p, Polynomial) else Polynomial.constant(weights, p, field)
+            out[t] = out[t] + p * (comps[s] if v is None else comps[s].partial(v))
+        return out
+
+    return weights, src, tgt, terms, fn
+
+
+@pytest.mark.parametrize("modulus", [[1, 0, 1], [1, 1, 1], [-2, 0, 0, 1]],
+                         ids=["s^2+1", "s^2+s+1", "s^3-2"])
+def test_seeded_tables_assemble_the_restricted_evaluation_without_field_products(
+        monkeypatch, modulus):
+    """over Q(s), assemble writes the restriction of scalars of the
+    per-column ExtElem evaluation, and multiplies no two field elements
+    once op_table has restricted the table"""
+    field = ExtensionField(modulus)
+    rng = random.Random(1968 + sum(modulus))
+    products = []
+    real = ExtensionField._mul
+
+    def counting_mul(self, u, v):
+        products.append((u, v))
+        return real(self, u, v)
+
+    nonzero = 0
+    for _ in range(30):
+        weights, src, tgt, terms, fn = _seeded_operator(rng, field)
+        table = complexes.op_table(field, terms)
+        monkeypatch.setattr(ExtensionField, "_mul", counting_mul)
+        new = complexes.assemble(weights, field, src, tgt, table)
+        monkeypatch.undo()
+        assert products == []
+        assert _same_matrix(new, reference_assemble(weights, field, src, tgt, fn))
+        nonzero += sum(map(len, new.entries))
+    assert nonzero > 0
 
 
 @pytest.mark.parametrize("weights, field, text", _table_potentials())
