@@ -80,7 +80,7 @@ class Matrix:
         self.rows, self.cols, self.entries, self.field = rows, cols, qrows, field
 
     @classmethod
-    def restricted(cls, rows: int, cols: int, entries, field=QQ):
+    def restricted(cls, rows: int, cols: int, entries, field):
         """the matrix with these ``entries``, taken unchecked: k*rows dicts of
         nonzero ints and Fractions over Q-columns 0..k*cols-1, in block layout"""
         m = cls.__new__(cls)

@@ -40,8 +40,9 @@ def reference_assemble(weights, field, src_degs, tgt_degs, fn):
     return Matrix.restricted(total, col, restrict(field, rows), field)
 
 
-def _powers(field):
-    """1, s, ..., s^(k-1) in the field, k = deg m (just 1 over Q)"""
+def field_powers(field):
+    """the basis 1, s, ..., s^(k-1) of the field over Q, k = deg m (just 1
+    over Q)"""
     powers = [field.one]
     for _ in range(field.degree - 1):
         powers.append(powers[-1] * field.generator)
@@ -56,7 +57,7 @@ def restrict(field, rows):
     if field == QQ:
         return rows
     k = field.degree
-    powers = _powers(field)
+    powers = field_powers(field)
     out = []
     for row in rows:
         block = [{} for _ in range(k)]
@@ -123,7 +124,7 @@ def cochain_apply(omega, i, comps):
     target component t."""
     weights, field = omega.weights, omega.field
     k = field.degree
-    powers = _powers(field)
+    powers = field_powers(field)
     out = [Polynomial.zero(weights, field)] * len(complexes.cochain_shifts(weights)[i + 1])
     for t, s, v, coefs in _cochain_table(omega, i):
         (t, u), (s, c) = divmod(t, k), divmod(s, k)

@@ -19,8 +19,8 @@ from wpoisson.ring import Polynomial, RingError, count_monomials, monomial_basis
 
 from closed_forms import closed_form_lph2, isolated_ph
 from reference_maps import (cochain_apply, cochain_matrices, cochain_matrix, cochain_rank,
-                            d1_rank_and_ozone_kernel, koszul3_rank, m2_rank, reference_assemble,
-                            reference_cochain, reference_maps, sealed_dims)
+                            d1_rank_and_ozone_kernel, field_powers, koszul3_rank, m2_rank,
+                            reference_assemble, reference_cochain, reference_maps, sealed_dims)
 
 
 W111 = Weights(1, 1, 1)
@@ -383,13 +383,9 @@ def _seeded_operator(rng, field):
     weights = Weights(*rng.choice([(1, 1, 1), (1, 1, 2), (1, 2, 3)]))
     src = [rng.randint(0, 5) for _ in range(rng.randint(1, 3))]
     tgt = [rng.randint(0, 7) for _ in range(rng.randint(1, 3))]
-    powers = [field.one]
-    for _ in range(field.degree - 1):
-        powers.append(powers[-1] * field.generator)
-
     def coef():
-        return sum((Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * p for p in powers),
-                   field.zero)
+        return sum((Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * p
+                    for p in field_powers(field)), field.zero)
 
     terms = []
     for t, td in enumerate(tgt):

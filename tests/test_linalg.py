@@ -12,7 +12,7 @@ from wpoisson.ring import ExtElem, RingError
 
 from reference_linalg import (reference_in_column_span, reference_kernel_basis,
                               reference_rank)
-from reference_maps import cochain_matrices
+from reference_maps import cochain_matrices, field_powers
 
 
 def _rows(grid):
@@ -150,14 +150,6 @@ def test_rank_and_kernel_match_sympy_over_q():
                              lambda v: QQs(v.numerator, v.denominator))
 
 
-def _powers(f):
-    """the basis 1, s, ..., s^(k-1) of f over Q"""
-    powers = [f.one]
-    for _ in range(f.degree - 1):
-        powers.append(powers[-1] * f.generator)
-    return powers
-
-
 def _check_extension_against_sympy(modulus, root, seed, cases):
     """random matrices over Q[s]/(modulus) against sympy's algebraic field
     Q(root), where root is a root of the modulus"""
@@ -172,7 +164,7 @@ def _check_extension_against_sympy(modulus, root, seed, cases):
 
     rng = random.Random(seed)
     for _ in range(cases):
-        _check_against_sympy(*_random_sparse(rng, f, _powers(f)[1:]), dom, to_dom)
+        _check_against_sympy(*_random_sparse(rng, f, field_powers(f)[1:]), dom, to_dom)
 
 
 def test_rank_and_kernel_match_sympy_over_gaussian_field():
@@ -212,7 +204,7 @@ def _random_ext_matrix(rng, f):
     K-multiples of earlier rows; may have no rows or no columns"""
     def elem():
         return (f.coerce(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
-                + sum(rng.randint(-2, 2) * p for p in _powers(f)[1:]))
+                + sum(rng.randint(-2, 2) * p for p in field_powers(f)[1:]))
 
     rows, cols = rng.randint(0, 8), rng.randint(0, 8)
     grid = []
