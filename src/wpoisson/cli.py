@@ -10,7 +10,6 @@ import csv
 import functools
 import io
 import json
-import math
 import re
 import sys
 from fractions import Fraction
@@ -18,7 +17,7 @@ from fractions import Fraction
 import click
 
 from . import __version__
-from .ring import QQ, ExtElem, ExtensionField, RingError, Weights, check_potential
+from .ring import QQ, ExtensionField, RingError, Weights, check_potential
 from .textio import MAX_EXPONENT, BudgetError, ParseError, format_poly, parse_map, parse_poly
 from .poisson import (
     bracket as poisson_bracket,
@@ -92,31 +91,15 @@ def _parse_field(text):
         if exp > FIELD_MAX_DEGREE:
             raise RingError("--field modulus degree %d is above the limit %d"
                             % (exp, FIELD_MAX_DEGREE))
-        if abs(coef) > MAX_EXPONENT:
-            raise RingError("--field modulus coefficient %d exceeds the 10^6 guard" % coef)
         coeffs[exp] = coeffs.get(exp, 0) + coef
     deg = max(coeffs)
     if deg < 1 or coeffs[deg] != 1:
         _fail_usage("--field modulus must be monic of degree >= 1: %r" % text)
-    mod = [coeffs.get(i, 0) for i in range(deg + 1)]
     try:
-        field = ExtensionField(mod)
+        return ExtensionField([coeffs.get(i, 0) for i in range(deg + 1)])
     except RingError as exc:
-        _fail_usage(str(exc))
-    # the cheap irreducibility tests, complete up to degree 3: a rational
-    # root of the monic integer m, a factor unless deg m = 1, is an integer
-    # dividing m0, and a repeated factor is shared with m'
-    m0 = abs(mod[0])
-    roots = [r for d in range(1, math.isqrt(m0) + 1) if m0 % d == 0
-             for r in (d, -d, m0 // d, -m0 // d)] if m0 else [0]
-    for r in roots:
-        if deg > 1 and sum(c * r ** i for i, c in enumerate(mod)) == 0:
-            raise RingError("--field modulus %s is reducible: it has the root %d" % (text, r))
-    try:
-        field.inverse(ExtElem(field, [i * c for i, c in enumerate(mod)][1:]))
-    except RingError:
-        raise RingError("--field modulus %s is reducible: it has a repeated factor" % text) from None
-    return field
+        msg = str(exc).replace("modulus is", "modulus %s is" % text)
+        raise RingError("--field " + msg) from None
 
 
 def _field_input(field, text):

@@ -11,6 +11,17 @@ grad(v . g), so T_d serves ozone and rgt, its table serves the sealed
 block below, and its rank, memoised once per degree, serves d1 and d2 too.
 Koszul: K3 -> K2, v0 -> v0 g, is injective.
 
+d0: contracting df ^ dO = 0 with the Euler field gives n O df = k f dO for
+a Casimir f of degree k > 0, so f^n / O^k is constant, and by unique
+factorisation f is a scalar times a power of the primitive root R of O (O =
+c R^r, r maximal).  So rank d0_d = #A_d - [d >= 0 and e | d], e = deg R.
+
+K2: with h the gcd of the partials, of degree p, and g = h g', v x g =
+h (v x g').  The coprime entries of g' generate the unit ideal or one of
+depth >= 2, so H2(g') = 0 by depth sensitivity: ker K2 = A g', and rank
+K2_d = dim K2_d - #A_{d-d0}, d0 = 3n - (a+b+c) - p, where p is at most the
+least degree p_max of a nonzero partial.
+
 d2: read as vector fields, -div(v x g) = -g . curl(v); curl maps X2_d onto
 the divergence-free derivations of degree d, and div(f E) = (d+a+b+c) f for
 the Euler field E, so div is onto A_d.  Hence rank d2_d = rank T_d - #A_d.
@@ -217,19 +228,28 @@ def cochain_matrix(omega, i, d):
 @lru_cache(maxsize=65536)
 def _cochain_rank(omega, i, d):
     """rank of the degree-i differential on the degree-d slice of X^i: d0
-    from its matrix, d1 and d2 from rank T_d (module docstring)"""
+    from the Casimir degree, d1 and d2 from rank T_d (module docstring)"""
     weights = omega.weights
     if _space_dim(weights, cochain_shifts(weights)[i], d) == 0:
         return 0
-    if i == 0:
-        return rank(cochain_matrix(omega, 0, d))
     if i == 2:
         return _ozone_rank(omega, d) - count_monomials(weights, d)
+    # dim ker d0_d: the power of R in degree d, if any
+    casimirs = int(d == 0 or d > 0 and d % _casimir_degree(omega) == 0)
+    if i == 0:
+        return count_monomials(weights, d) - casimirs
     n = omega.homogeneous_degree()
-    casimirs = count_monomials(weights, d) - _cochain_rank(omega, 0, d)
     if d + n and (not casimirs or n == weights.n_default):
         return _ozone_rank(omega, d) - casimirs
     return rank(cochain_matrix(omega, 1, d))
+
+
+@lru_cache(maxsize=1024)
+def _casimir_degree(omega):
+    """e = deg R: the least divisor of n with a Casimir (module docstring)"""
+    n = omega.homogeneous_degree()
+    return next(e for e in range(1, n + 1) if n % e == 0 and (
+        e == n or rank(cochain_matrix(omega, 0, e)) < count_monomials(omega.weights, e)))
 
 
 def _space_dim(weights, shifts, d):
@@ -307,7 +327,7 @@ def _m2_dim(omega, d):
     abc = weights.a + weights.b + weights.c
     e = d - check_potential(omega) + abc
     grads = count_monomials(weights, d + abc) - (d == -abc)
-    return grads + (_cochain_rank(omega, 0, e) if count_monomials(weights, e) else 0)
+    return grads + _cochain_rank(omega, 0, e)
 
 
 def m2_dims(omega, bound):
@@ -322,17 +342,9 @@ def vacancy_check(omega, bound):
     modulo M2, so dim X2_d - rank d2 - #A_{d+n} + [d = -n] - rank d0 at
     degree d; the potential is vacant up to the bound iff all zero"""
     n = check_potential(omega, "vacancy diagnostic requires degree a+b+c")
-    weights = omega.weights
-    sh = cochain_shifts(weights)
-    out = {}
-    for d in _window("vacancy", -n, bound):
-        dim_x2 = _space_dim(weights, sh[2], d)
-        if dim_x2 == 0:
-            out[d] = 0
-            continue
-        ker = dim_x2 - _cochain_rank(omega, 2, d)
-        out[d] = ker - _m2_dim(omega, d)
-    return out
+    x2 = cochain_shifts(omega.weights)[2]
+    return {d: _space_dim(omega.weights, x2, d) - _cochain_rank(omega, 2, d) - _m2_dim(omega, d)
+            for d in _window("vacancy", -n, bound)}
 
 
 @lru_cache(maxsize=1024)
@@ -365,7 +377,7 @@ def ozone_vs_hamiltonian(omega, bound):
     cocycles killing the potential, i.e. with v . g = 0 and div v = 0 (see
     ``ozone_dim``), vs the image of the hamiltonian map"""
     check_potential(omega, "ozone diagnostic requires degree a+b+c")
-    return {d: (ozone_dim(omega, d), _cochain_rank(omega, 0, d) if d >= 0 else 0)
+    return {d: (ozone_dim(omega, d), _cochain_rank(omega, 0, d))
             for d in _window("ozone", -max(omega.weights.tuple), bound)}
 
 
@@ -407,21 +419,45 @@ def _koszul_matrix(omega, i, d):
     return assemble(omega.weights, omega.field, degs[i], degs[i - 1], _koszul_table(omega, i))
 
 
+def _koszul_dim(omega, i, d):
+    return sum(count_monomials(omega.weights, e) for e in koszul_component_degs(omega, d)[i])
+
+
 @lru_cache(maxsize=65536)
 def _koszul_rank(omega, i, d):
-    return rank(_koszul_matrix(omega, i, d))
+    """rank of K_i -> K_{i-1} at total degree d, K2 by Koszul depth (module docstring)"""
+    dim = _koszul_dim(omega, i, d)
+    if i == 2 and d < _k2_window(omega).start:
+        return dim
+    if i == 2 and d >= _k2_window(omega).stop:
+        return dim - count_monomials(omega.weights, d - _koszul_kernel_degree(omega))
+    return rank(_koszul_matrix(omega, i, d)) if dim else 0
+
+
+@lru_cache(maxsize=1024)
+def _k2_window(omega):
+    """the degrees 3n - (a+b+c) - p_max .. 3n - (a+b+c), where d0 lies"""
+    n = omega.homogeneous_degree()
+    top = 3 * n - omega.weights.n_default
+    p_max = min(n - w for v, w in enumerate(omega.weights.tuple) if not omega.partial(v).is_zero())
+    return range(top - p_max, top + 1)
+
+
+@lru_cache(maxsize=1024)
+def _koszul_kernel_degree(omega):
+    """d0 = 3n - (a+b+c) - deg gcd(g): the first degree where K2 has a kernel"""
+    return next(d for d in _k2_window(omega)
+                if _koszul_rank(omega, 2, d) < _koszul_dim(omega, 2, d))
 
 
 def koszul_dims(omega, bound):
     """Koszul homology dimensions H_0..H_3 per total degree; rank K3 is
     dim K3, as v0 -> v0 g is injective, so H_3 is zero"""
     check_potential(omega)
-    weights = omega.weights
     dims = {}
     for d in _window("koszul", 0, bound):
-        degs = koszul_component_degs(omega, d)
-        space = [sum(count_monomials(weights, e) for e in degs[i]) for i in range(4)]
-        r1, r2 = (_koszul_rank(omega, i, d) if space[i] else 0 for i in (1, 2))
+        space = [_koszul_dim(omega, i, d) for i in range(4)]
+        r1, r2 = _koszul_rank(omega, 1, d), _koszul_rank(omega, 2, d)
         dims[(0, d)] = space[0] - r1
         dims[(1, d)] = space[1] - r1 - r2
         dims[(2, d)] = space[2] - r2 - space[3]
@@ -445,16 +481,13 @@ def sealed_k1_dims(omega, bound):
         # K1 at degree d is X1 at degree e = d - n
         e = d - n
         degs, low = koszul_component_degs(omega, d), koszul_component_degs(omega, e)
-        dim_v, dim_u, dim_k2 = (sum(count_monomials(weights, f) for f in fs)
-                                for fs in (degs[1], low[1], degs[2]))
+        dim_v = _koszul_dim(omega, 1, d)
         if not dim_v:
             out[d] = 0
             continue
         block = rank(assemble(weights, omega.field, degs[1] + [low[1][i]], degs[0] + low[0],
                               table))
-        image_j = _koszul_rank(omega, 1, e) if dim_u else 0
-        boundary = _koszul_rank(omega, 2, d) if dim_k2 else 0
-        out[d] = dim_v - block + image_j - boundary
+        out[d] = dim_v - block + _koszul_rank(omega, 1, e) - _koszul_rank(omega, 2, d)
     return out, all(v == 0 for v in out.values())
 
 

@@ -14,6 +14,9 @@ from functools import lru_cache
 
 VAR_NAMES = ("x", "y", "z")
 
+# the largest integer a user may write, and the largest modulus coefficient
+MAX_EXPONENT = 10**6
+
 
 class RingError(ValueError):
     pass
@@ -137,8 +140,10 @@ class ExtElem:
 
 class ExtensionField:
     """Q[s]/(m(s)) for a monic integer polynomial m, supplied as ascending
-    coefficients [m0, m1, ..., 1].  Irreducibility of m is the caller's
-    responsibility; arithmetic reduces mod m after every multiplication."""
+    coefficients [m0, m1, ..., 1] of size at most 10^6.  An m of degree 2 or
+    more with an integer root, or with a repeated factor, is refused: that
+    decides irreducibility up to degree 3.  Arithmetic reduces mod m after
+    every multiplication."""
 
     name = "QQ[s]"
 
@@ -150,10 +155,24 @@ class ExtensionField:
             raise RingError("modulus must have degree >= 1")
         if mod[-1] != 1:
             raise RingError("modulus must be monic")
+        if any(abs(c) > MAX_EXPONENT for c in mod):
+            raise RingError("modulus coefficient %s exceeds the 10^6 guard" % max(mod, key=abs))
         self.modulus = tuple(mod)
         self.degree = len(mod) - 1
         # s^degree = -(m0 + m1 s + ... + m_{deg-1} s^{deg-1})
         self._top = tuple(-c for c in mod[:-1])
+        # a rational root of the monic integer m, a factor unless deg m = 1,
+        # is an integer dividing m0, and a repeated factor is shared with m'
+        m0 = int(abs(mod[0]))
+        roots = [r for d in range(1, math.isqrt(m0) + 1) if m0 % d == 0
+                 for r in (d, -d, m0 // d, -m0 // d)] if m0 else [0]
+        for r in roots:
+            if self.degree > 1 and sum(c * r ** i for i, c in enumerate(mod)) == 0:
+                raise RingError("modulus is reducible: it has the root %d" % r)
+        try:
+            self.inverse(ExtElem(self, [i * c for i, c in enumerate(mod)][1:]))
+        except RingError:
+            raise RingError("modulus is reducible: it has a repeated factor") from None
 
     def coerce(self, v):
         if isinstance(v, ExtElem):

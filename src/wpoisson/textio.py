@@ -20,6 +20,7 @@ from fractions import Fraction
 from .ring import (
     ExtElem,
     ExtensionField,
+    MAX_EXPONENT,
     Polynomial,
     QQ,
     VAR_NAMES,
@@ -27,7 +28,6 @@ from .ring import (
     format_rational,
 )
 
-MAX_EXPONENT = 10**6
 MAX_POWER_TERMS = 1000
 
 

@@ -1,9 +1,9 @@
 """Test-local reference matrices: every graded map evaluated column by
 column on Polynomials, independently of the operator tables, plus the
 matrices whose ranks the package now derives from identities (the M2 map,
-the cochain maps d1 and d2, d1 stacked over v . grad(O), the Koszul map
-K3 -> K2, and the cycle condition over div v reduced modulo the Jacobian
-ideal, whose rank the package now takes from a block map).  The operator
+the cochain maps d0, d1 and d2, d1 stacked over v . grad(O), the Koszul
+maps K2 -> K1 and K3 -> K2, and the cycle condition over div v reduced
+modulo the Jacobian ideal, whose rank the package now takes from a block map).  The operator
 table of d2 lives here too: the package derives rank d2 from the
 (v . grad(O) ; div v) map and no longer assembles it."""
 
@@ -217,9 +217,15 @@ def sealed_dims(omega, top, maps=None):
         degs = complexes.koszul_component_degs(omega, d)
         dim_k1, dim_k2 = (sum(count_monomials(omega.weights, e) for e in degs[i]) for i in (1, 2))
         cycles = dim_k1 - _rank(omega, "sealed", degs[1], [d, d - n], maps) if dim_k1 else 0
-        boundary = _rank(omega, "koszul2", degs[2], degs[1], maps) if dim_k2 else 0
+        boundary = koszul2_rank(omega, degs, maps) if dim_k2 else 0
         out[d] = cycles - boundary
     return out
+
+
+def koszul2_rank(omega, degs, maps=None):
+    """rank of K2 -> K1, v -> v x grad(O), from the Koszul degrees of one
+    total degree (``complexes.koszul_component_degs``)"""
+    return _rank(omega, "koszul2", degs[2], degs[1], maps)
 
 
 def koszul3_rank(omega, degs, maps=None):

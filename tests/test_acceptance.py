@@ -26,7 +26,7 @@ from wpoisson import (
 from wpoisson import catalog, complexes, hilbert, jacobian, proptest, ring
 
 from conftest import record
-from reference_maps import koszul3_rank
+from reference_maps import koszul2_rank, koszul3_rank, reference_maps
 
 
 @pytest.fixture(scope="module")
@@ -176,9 +176,9 @@ def test_ac6_koszul_homology_xyz_x4_y4():
 
 def test_ac7_koszul_exactness_and_derham(all_entries):
     """H2 = H3 = 0 whenever the partials have trivial gcd, and the weighted
-    de Rham complex is exact in the checked window.  koszul_dims takes
-    rank K3 = dim K3, so H3 comes from the rank of a test-local K3 matrix,
-    and H2 is corrected by it."""
+    de Rham complex is exact in the checked window.  koszul_dims derives
+    rank K3 and, by the same Koszul depth argument, rank K2, so H2 and H3
+    come from the ranks of test-local K2 and K3 matrices."""
     bad = []
     checked = 0
     for e in all_entries:
@@ -186,13 +186,14 @@ def test_ac7_koszul_exactness_and_derham(all_entries):
         if jacobian.gcd_partials(e.omega) != one:
             continue
         checked += 1
-        bound = e.degree + 4
-        table = complexes.koszul_dims(e.omega, bound)
-        for d in range(bound + 1):
+        maps = reference_maps(e.omega)
+        for d in range(e.degree + 5):
             degs = complexes.koszul_component_degs(e.omega, d)
-            dim_k3 = sum(ring.count_monomials(e.weights, k) for k in degs[3])
-            h3 = dim_k3 - koszul3_rank(e.omega, degs)
-            h2 = table.dim(2, d) + h3
+            dim_k2, dim_k3 = (sum(ring.count_monomials(e.weights, k) for k in degs[i])
+                              for i in (2, 3))
+            rank_k3 = koszul3_rank(e.omega, degs, maps)
+            h3 = dim_k3 - rank_k3
+            h2 = dim_k2 - koszul2_rank(e.omega, degs, maps) - rank_k3
             if h2 or h3:
                 bad.append(f"{e.entry_id}: H2/H3 nonzero at degree {d}")
                 break

@@ -14,6 +14,7 @@ import pytest
 from wpoisson import (QQ, ExtensionField, Weights, catalog, gradient, has_isolated_singularity,
                       parse_poly, rank)
 from wpoisson import complexes, poisson
+from wpoisson.jacobian import gcd_partials
 from wpoisson.poisson import euler_derivation, from_potential
 from wpoisson.ring import Polynomial, RingError, count_monomials, monomial_basis
 
@@ -547,13 +548,16 @@ def test_rank_identities_match_reference_matrices(weights, field, text, top):
     # cochain matrices, from the lowest degree with a nonzero cochain space;
     # d1 comes with its stack over v . g, whose kernel is the ozone space
     slots = range(-max(n, weights.n_default), top + 1)
+    # d0 from the Casimir degree against the cochain matrices
+    assert ({d: complexes._cochain_rank(om, 0, d) for d in slots}
+            == {d: cochain_rank(om, 0, d, maps) for d in slots})
     d1_ozone = {d: d1_rank_and_ozone_kernel(om, d, maps) for d in slots}
     assert ({d: complexes._cochain_rank(om, 1, d) for d in slots}
             == {d: pair[0] for d, pair in d1_ozone.items()})
     assert ({d: complexes._cochain_rank(om, 2, d) for d in slots}
             == {d: cochain_rank(om, 2, d, maps) for d in slots})
     if n != weights.n_default and n <= top:
-        assert count_monomials(weights, n) > complexes._cochain_rank(om, 0, n)
+        assert count_monomials(weights, n) > cochain_rank(om, 0, n, maps)
     degrees = range(-weights.n_default, top + 1)
     # M2: the Casimir count against the rank of the M2 map
     assert complexes.m2_dims(om, top) == {d: m2_rank(om, d, maps) for d in degrees}
@@ -574,6 +578,29 @@ def test_rank_identities_match_reference_matrices(weights, field, text, top):
         assert rank_k3 == dim_k3, d
         rank_k2 = rank(complexes._koszul_matrix(om, 2, d)) if dim_k2 else 0
         assert (table.dim(2, d), table.dim(3, d)) == (dim_k2 - rank_k2 - rank_k3, 0), d
+
+
+@pytest.mark.parametrize("weights, field, text", [
+    pytest.param(W111, QQ, "(x^2+y*z)^2", id="(x^2+y*z)^2"),
+    pytest.param(W111, QQ, "x^3*y^3", id="x^3*y^3"),
+    pytest.param(W111, QQ, "x^2*y^2*z^2", id="x^2*y^2*z^2"),
+    pytest.param(W111, ExtensionField([1, 1, 1]), "(x^3+y^3+s*z^3)^2", id="(x^3+y^3+s*z^3)^2"),
+])
+def test_d0_and_k2_ranks_of_proper_powers_match_their_matrices(weights, field, text):
+    """a proper power O = c R^r, r > 1, has Casimirs below n and partials
+    with a gcd h of positive degree: ranks d0 and K2 against their matrices,
+    to 3n+12, where the kernel of K2 starts at 3n - (a+b+c) - deg h"""
+    om = parse_poly(text, weights, field)
+    n = om.homogeneous_degree()
+    top = 3 * n + 12
+    assert complexes._casimir_degree(om) < n
+    assert ([complexes._cochain_rank(om, 0, d) for d in range(-n, top + 1)]
+            == [rank(complexes.cochain_matrix(om, 0, d)) for d in range(-n, top + 1)])
+    assert ([complexes._koszul_rank(om, 2, d) for d in range(top + 1)]
+            == [rank(complexes._koszul_matrix(om, 2, d)) for d in range(top + 1)])
+    h = gcd_partials(om).homogeneous_degree()
+    assert h > 0
+    assert complexes._koszul_kernel_degree(om) == 3 * n - weights.n_default - h
 
 
 @pytest.mark.parametrize("weights, field, text, top", _off_catalog_potentials())

@@ -243,8 +243,11 @@ def test_extension_elimination_matches_unit_pivot_reference(modulus):
 
 
 def test_reducible_modulus_zero_divisor_pivot_refused():
-    f = ExtensionField([-1, 0, 1])  # s^2 - 1 = (s - 1)(s + 1)
-    grid = [{0: f.generator + 1}]
+    # s^4+4 = (s^2+2s+2)(s^2-2s+2) has no integer root and no repeated
+    # factor, so ExtensionField takes it, and s^2+2s+2 is a zero divisor
+    f = ExtensionField([4, 0, 0, 0, 1])
+    s = f.generator
+    grid = [{0: s * s + s + s + f.coerce(2)}]
     m = Matrix(1, 1, grid, f)
     with pytest.raises(RingError, match="reducible"):
         rank(m)

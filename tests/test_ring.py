@@ -164,6 +164,22 @@ def test_extension_field_requires_monic():
         ExtensionField([1, 1, 2])
 
 
+@pytest.mark.parametrize("modulus, why", [
+    ([-1, 0, 1], "it has the root 1"), ([-8, 0, 0, 1], "it has the root 2"),
+    ([1, 0, 2, 0, 1], "it has a repeated factor"),
+], ids=["s^2-1", "s^3-8", "s^4+2s^2+1"])
+def test_extension_field_refuses_a_reducible_modulus(modulus, why):
+    with pytest.raises(RingError, match="modulus is reducible: " + why):
+        ExtensionField(modulus)
+
+
+def test_extension_field_refuses_a_modulus_coefficient_past_the_guard():
+    # the integer-root search runs up to the square root of m0, so the guard
+    # comes first
+    with pytest.raises(RingError, match="exceeds the 10\\^6 guard"):
+        ExtensionField([10**40, 0, 1])
+
+
 def test_polynomials_over_extension_field():
     fld = ExtensionField([1, 1, 1])
     w = Weights(1, 1, 1)
