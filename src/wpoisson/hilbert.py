@@ -1,10 +1,7 @@
 """Exact rational Hilbert series: Laurent numerator over a multiset of
-(1 - t^e) denominator factors, truncated expansion, closed forms, and exact
-equality."""
+(1 - t^e) denominator factors, truncated expansion, and closed forms."""
 
 from __future__ import annotations
-
-from collections import Counter
 
 from .ring import RingError, Weights
 
@@ -52,21 +49,6 @@ class HilbertSeries:
             raise RingError("denominator exponents must be positive")
         self.denominator = den
 
-    def add(self, other: "HilbertSeries") -> "HilbertSeries":
-        # common denominator via multiset union
-        d1, d2 = Counter(self.denominator), Counter(other.denominator)
-        union = d1 | d2
-        n1 = _laurent_mul(self.numerator, _product_one_minus((union - d1).elements()))
-        n2 = _laurent_mul(other.numerator, _product_one_minus((union - d2).elements()))
-        total = dict(n1)
-        for d, c in n2.items():
-            s = total.get(d, 0) + c
-            if s:
-                total[d] = s
-            else:
-                total.pop(d, None)
-        return HilbertSeries(total, tuple(union.elements()))
-
     def expand(self, d_min: int, d_max: int):
         """Exact integer coefficients of the Laurent expansion on [d_min, d_max]."""
         if d_min > d_max:
@@ -92,52 +74,6 @@ class HilbertSeries:
             idx = d - lo
             out.append(coeffs[idx] if 0 <= idx <= top else 0)
         return out
-
-    def coefficient(self, d: int) -> int:
-        return self.expand(d, d)[0]
-
-    def series_equal(self, other: "HilbertSeries") -> bool:
-        return series_equal(self, other)
-
-    def format(self) -> str:
-        if not self.numerator:
-            return "0"
-        parts = []
-        for d in sorted(self.numerator):
-            c = self.numerator[d]
-            body = "" if d == 0 else ("t" if d == 1 else "t^%d" % d)
-            if not body:
-                parts.append(("%+d" % c))
-            elif c == 1:
-                parts.append("+" + body)
-            elif c == -1:
-                parts.append("-" + body)
-            else:
-                parts.append("%+d*%s" % (c, body))
-        num = "".join(parts).lstrip("+")
-        if not self.denominator:
-            return num
-        den = "*".join("(1-t^%d)" % e for e in self.denominator)
-        return "(%s)/(%s)" % (num, den)
-
-    def __repr__(self):
-        return self.format()
-
-    def __eq__(self, other):
-        if not isinstance(other, HilbertSeries):
-            return NotImplemented
-        return series_equal(self, other)
-
-    def __hash__(self):
-        raise TypeError("HilbertSeries equality is semantic; not hashable")
-
-
-def series_equal(h1: HilbertSeries, h2: HilbertSeries) -> bool:
-    """Exact equality by cross-multiplication against the union of factors."""
-    d1, d2 = Counter(h1.denominator), Counter(h2.denominator)
-    n1 = _laurent_mul(h1.numerator, _product_one_minus((d2 - d1).elements()))
-    n2 = _laurent_mul(h2.numerator, _product_one_minus((d1 - d2).elements()))
-    return n1 == n2
 
 
 def _product_one_minus(exponents) -> dict:

@@ -21,7 +21,7 @@ from itertools import combinations
 
 from .complexes import assemble, op_table, vector_to_polys
 from .hilbert import HilbertSeries, _laurent_sub, _product_one_minus
-from .linalg import in_column_span, kernel_basis
+from .linalg import kernel_basis
 from .ring import (
     Polynomial,
     RingError,
@@ -354,9 +354,11 @@ def gcd_partials(omega):
     """gcd of the nonzero partial derivatives, monic-normalized, over any
     coefficient field.  For homogeneous f, g of degrees p >= q with gcd h,
     the graded map (u, v) -> u f - v g from degrees (e, e+p-q) to e+p first
-    has a kernel at e = q - deg h, spanned by (g/h, f/h); then h solves
-    (g/h) h = g.  The sweep over e stops by e = q, where (g, f) is in the
-    kernel."""
+    has a kernel at e = q - deg h, spanned by (g/h, f/h).  The sweep over e
+    stops by e = q, where (g, f) is in the kernel.  The kernel vector there
+    is u = c g/h for some scalar c, so the map (h', t) -> u h' - t g from
+    degrees (deg h, 0) to q has the one-dimensional kernel spanned by
+    (h, c); ``monic`` fixes the scale."""
     check_potential(omega)
     weights, field = omega.weights, omega.field
     grads = [g for g in gradient(omega).comps if g.terms]
@@ -370,8 +372,7 @@ def gcd_partials(omega):
             if kernel:
                 break
         u = vector_to_polys(weights, field, (e, e + p - q), kernel[0])[0]
-        times_u = assemble(weights, field, (q - e,), (q,), op_table(field, [(0, 0, None, u)]))
-        _, coords = in_column_span(
-            times_u, [g.terms.get(m, field.zero) for m in monomial_basis(weights, q)])
-        h = vector_to_polys(weights, field, (q - e,), coords)[0]
+        table = op_table(field, [(0, 0, None, u), (0, 1, None, -g)])
+        kernel = kernel_basis(assemble(weights, field, (q - e, 0), (q,), table))
+        h = vector_to_polys(weights, field, (q - e, 0), kernel[0])[0]
     return h.monic()

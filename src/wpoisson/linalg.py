@@ -193,24 +193,3 @@ def kernel_basis(matrix: Matrix):
                  for j in range(0, width, k)]
         basis.append(v)
     return basis
-
-
-def in_column_span(matrix: Matrix, v):
-    """Decide whether v lies in the column span; on success also return
-    witness coefficients w with M w = v."""
-    if len(v) != matrix.rows:
-        raise RingError("vector length does not match row count")
-    field = matrix.field
-    vv = [field.coerce(u) for u in v]
-    if all(field.is_zero(u) for u in vv):
-        return True, [field.zero] * matrix.cols
-    n = matrix.cols
-    shift = n * field.degree
-    column = Matrix(matrix.rows, 1, [{0: u} for u in vv], field).entries
-    aug = Matrix.restricted(matrix.rows, n + 1, [
-        {**row, **{shift + t: q for t, q in c.items()}} for row, c in zip(matrix.entries, column)],
-        field)
-    for k in kernel_basis(aug):
-        if not field.is_zero(k[n]):
-            return True, [-(u / k[n]) for u in k[:n]]
-    return False, None

@@ -39,6 +39,8 @@ class RationalField:
             return Fraction(v)
         if isinstance(v, ExtElem):
             raise RingError("cannot coerce an extension element into QQ")
+        if isinstance(v, float):
+            raise RingError("cannot coerce the float %r into QQ; use an int or a Fraction" % v)
         return Fraction(v)
 
     @property
@@ -148,6 +150,8 @@ class ExtensionField:
     name = "QQ[s]"
 
     def __init__(self, modulus):
+        if not all(isinstance(c, (int, Fraction)) and c == int(c) for c in modulus):
+            raise RingError("modulus coefficients must be integers")
         mod = [Fraction(c) for c in modulus]
         while mod and mod[-1] == 0:
             mod.pop()
@@ -193,10 +197,7 @@ class ExtensionField:
 
     @property
     def generator(self):
-        if self.degree == 1:
-            # s is congruent to a rational; still representable
-            return ExtElem(self, [self._top[0]])
-        return ExtElem(self, [0, 1] + [0] * (self.degree - 2))
+        return ExtElem(self, self._times_s([1] + [0] * (self.degree - 1)))
 
     def is_zero(self, v) -> bool:
         return not bool(self.coerce(v))
@@ -221,35 +222,43 @@ class ExtensionField:
                     prod[k - d + t] += c * m
         return ExtElem(self, prod[:d])
 
+    def _times_s(self, a):
+        """s * a for a coefficient list a: a shifted up a degree, with s^k
+        folded back through ``_top``"""
+        return [u + a[-1] * m for u, m in zip([0] + a[:-1], self._top)]
+
     def block(self, v):
         """the k x k rational matrix of multiplication by v on the basis 1, s,
         ..., s^(k-1), k = deg m: row u, column t holds the s^u coefficient of
-        v * s^t, an int where it is whole.  Each s^t multiple is the previous
-        one shifted up a degree, with s^k folded back through ``_top``."""
+        v * s^t, an int where it is whole."""
         a = list(self.coerce(v).coeffs)
         cols = [a]
         for _ in range(self.degree - 1):
-            a = [u + a[-1] * m for u, m in zip([0] + a[:-1], self._top)]
+            a = self._times_s(a)
             cols.append(a)
         return [[q.numerator if q.denominator == 1 else q for q in row] for row in zip(*cols)]
 
     def inverse(self, v: ExtElem):
+        """the w with block(v) * w = (1, 0, ..., 0), by Gauss-Jordan on the
+        k x k block; a singular block means v shares a factor with m"""
         v = self.coerce(v)
         if not v:
             raise ZeroDivisionError("division by zero in extension field")
-        # extended Euclid in Q[s] on (modulus, v)
-        r0, r1 = list(self.modulus), list(v.coeffs)
-        t0, t1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, r = _poly_divmod_q(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _poly_sub_q(t0, _poly_mul_q(q, t1))
-        lead = next(c for c in reversed(r0) if c != 0)
-        if any(c != 0 for c in r0[1:]):
-            raise RingError("modulus is not coprime with the element; m reducible?")
-        inv = [c / lead for c in t0]
-        inv = (inv + [Fraction(0)] * self.degree)[: self.degree]
-        return ExtElem(self, inv)
+        k = self.degree
+        rows = [[Fraction(q) for q in row] + [Fraction(int(u == 0))]
+                for u, row in enumerate(self.block(v))]
+        for c in range(k):
+            p = next((r for r in range(c, k) if rows[r][c]), None)
+            if p is None:
+                raise RingError("modulus is not coprime with the element; m reducible?")
+            pivot = [q / rows[p][c] for q in rows[p]]
+            rows[p] = rows[c]
+            rows[c] = pivot
+            for r in range(k):
+                f = rows[r][c]
+                if r != c and f:
+                    rows[r] = [a - f * b for a, b in zip(rows[r], pivot)]
+        return ExtElem(self, [row[k] for row in rows])
 
     def format(self, v) -> str:
         v = self.coerce(v)
@@ -284,47 +293,6 @@ class ExtensionField:
         return "QQ[s]/(%s)" % " + ".join(
             "%s*s^%d" % (format_rational(c), i) for i, c in enumerate(self.modulus) if c != 0
         )
-
-
-def _poly_deg_q(p):
-    for i in range(len(p) - 1, -1, -1):
-        if p[i] != 0:
-            return i
-    return -1
-
-
-def _poly_sub_q(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [u - v for u, v in zip(a, b)]
-
-
-def _poly_mul_q(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u == 0:
-            continue
-        for j, v in enumerate(b):
-            if v != 0:
-                out[i + j] += u * v
-    return out
-
-
-def _poly_divmod_q(a, b):
-    a = list(a)
-    db = _poly_deg_q(b)
-    if db < 0:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(1, len(a))
-    da = _poly_deg_q(a)
-    while da >= db:
-        f = a[da] / b[db]
-        q[da - db] = f
-        for i in range(db + 1):
-            a[da - db + i] -= f * b[i]
-        da = _poly_deg_q(a)
-    return q, a
 
 
 # ---------------------------------------------------------------------------

@@ -63,15 +63,3 @@ def reference_kernel_basis(field, cols, rows):
                 v[c] = -row[free]
         basis.append(v)
     return basis
-
-
-def reference_in_column_span(field, cols, rows, v):
-    vv = [field.coerce(u) for u in v]
-    if all(field.is_zero(u) for u in vv):
-        return True, [field.zero] * cols
-    n = cols
-    aug = [{**row, n: u} for row, u in zip(rows, vv)]
-    for k in reference_kernel_basis(field, n + 1, aug):
-        if not field.is_zero(k[n]):
-            return True, [-(u / k[n]) for u in k[:n]]
-    return False, None

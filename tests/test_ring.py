@@ -1,6 +1,7 @@
 """Unit tests for the weighted ring layer: weights, monomial bases,
 polynomial arithmetic, vector calculus and the coefficient fields."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from wpoisson import (
     monomial_basis,
     parse_poly,
 )
-from wpoisson.ring import Polynomial
+from wpoisson.ring import ExtElem, Polynomial
 
 
 def test_weights_basic():
@@ -171,6 +172,58 @@ def test_extension_field_requires_monic():
 def test_extension_field_refuses_a_reducible_modulus(modulus, why):
     with pytest.raises(RingError, match="modulus is reducible: " + why):
         ExtensionField(modulus)
+
+
+@pytest.mark.parametrize("modulus", [[Fraction(-1, 4), 0, 1], [0.5, 1]],
+                         ids=["s^2-1/4", "s+0.5"])
+def test_extension_field_refuses_a_non_integer_modulus(modulus):
+    # s^2 - 1/4 = (s - 1/2)(s + 1/2) has no integer root to find
+    with pytest.raises(RingError, match="modulus coefficients must be integers"):
+        ExtensionField(modulus)
+
+
+_INVERSE_MODULI = {"s^2+s+1": [1, 1, 1], "s^2+1": [1, 0, 1], "s^3-2": [-2, 0, 0, 1],
+                   "s-3": [-3, 1], "s^4+s+1": [1, 1, 0, 0, 1]}
+
+
+@pytest.mark.parametrize("modulus", _INVERSE_MODULI.values(), ids=_INVERSE_MODULI.keys())
+def test_extension_inverse_undoes_multiplication(modulus):
+    # the products go through the schoolbook _mul, not the block solve
+    # inverse takes; s^4+s+1 is irreducible because it is so mod 2
+    f = ExtensionField(modulus)
+    rng = random.Random(4111 + len(modulus))
+
+    def elem():
+        while True:
+            u = ExtElem(f, [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                            for _ in range(f.degree)])
+            if u:
+                return u
+
+    for _ in range(50):
+        u, v = elem(), elem()
+        assert u * (1 / u) == f.one
+        assert (u * v) / v == u
+
+
+def test_extension_inverse_refuses_a_zero_divisor():
+    # s^4+4 = (s^2+2s+2)(s^2-2s+2) passes the integer-root and
+    # repeated-factor tests, so the field is built and the block is singular
+    f = ExtensionField([4, 0, 0, 0, 1])
+    with pytest.raises(RingError, match="modulus is not coprime with the element"):
+        f.inverse(ExtElem(f, [2, 2, 1, 0]))
+
+
+def test_degree_one_generator_is_the_root():
+    assert ExtensionField([-3, 1]).generator == 3
+
+
+def test_rationals_refuse_a_float():
+    # 0.1 would become 3602879701896397/36028797018963968
+    with pytest.raises(RingError, match="float"):
+        QQ.coerce(0.1)
+    with pytest.raises(RingError, match="float"):
+        Polynomial.constant(Weights(1, 1, 1), 0.1)
 
 
 def test_extension_field_refuses_a_modulus_coefficient_past_the_guard():
