@@ -1,8 +1,9 @@
 """Jacobian ideal machinery: Groebner bases under the fixed weighted order,
 normal forms, Hilbert data of the singular quotient, GK-dimension, isolated
-singularity detection, and the gcd of the partials, read off the kernel of a
-graded multiplication map by the exact linear algebra of any supported
-field.
+singularity detection, and the gcd of the partials: its degree is the
+multiplicity -N'(1) of the cached Hilbert numerator N, and the gcd itself
+comes from the kernel of the Koszul map K2 at the one degree that fixes, by
+the exact linear algebra of any supported field.
 
 Every Groebner basis is proved before it is returned, by Buchberger's
 criterion over the critical pairs only: a pair is skipped when its heads are
@@ -19,7 +20,7 @@ import heapq
 from functools import lru_cache
 from itertools import combinations
 
-from .complexes import assemble, op_table, vector_to_polys
+from .complexes import _koszul_matrix, assemble, koszul_component_degs, op_table, vector_to_polys
 from .hilbert import HilbertSeries, _laurent_sub, _product_one_minus
 from .linalg import kernel_basis
 from .ring import (
@@ -350,29 +351,45 @@ def has_isolated_singularity(omega):
     return gkdim(omega) == 0
 
 
+def _one_kernel_vector(weights, field, degs, matrix):
+    """the polynomials of the one kernel vector of a graded map, or RingError"""
+    kernel = kernel_basis(matrix)
+    if len(kernel) != 1:
+        raise RingError("the Hilbert numerator disagrees with the Koszul kernel on deg gcd")
+    return vector_to_polys(weights, field, degs, kernel[0])
+
+
 def gcd_partials(omega):
-    """gcd of the nonzero partial derivatives, monic-normalized, over any
-    coefficient field.  For homogeneous f, g of degrees p >= q with gcd h,
-    the graded map (u, v) -> u f - v g from degrees (e, e+p-q) to e+p first
-    has a kernel at e = q - deg h, spanned by (g/h, f/h).  The sweep over e
-    stops by e = q, where (g, f) is in the kernel.  The kernel vector there
-    is u = c g/h for some scalar c, so the map (h', t) -> u h' - t g from
-    degrees (deg h, 0) to q has the one-dimensional kernel spanned by
-    (h, c); ``monic`` fixes the scale."""
+    """gcd h of the nonzero partial derivatives g, monic-normalized, over any
+    coefficient field, with its degree read off the cached Hilbert numerator
+    N of A/J, J = (g): deg h = -N'(1).
+
+    Proof.  With g' = g/h and J' = (g'), multiplication by h gives the exact
+    sequence 0 -> (A/J')(-deg h) -> A/J -> A/(h) -> 0, as A is a domain.
+    So N = (1 - t^deg h) + t^deg h M, M the numerator of A/J'.  The
+    entries of g' have gcd 1, so no principal prime, and hence no height-one
+    prime, holds J': dim A/J' <= 1, the pole order of M / prod(1 - t^w_i)
+    at t = 1, so M vanishes to order >= 2 there.  Hence -N'(1) = deg h
+    (Bruns-Herzog, Cohen-Macaulay Rings, 4.1).
+
+    With delta = deg h > 0, the Koszul map K2 -> K1, v -> v x g, has kernel
+    A g' (module docstring of ``complexes``), first met at total degree
+    d0 = 3n - (a+b+c) - delta, where it is the line through g'.  Its
+    vector there is u = c g' for a scalar c, so with g_i the first nonzero
+    partial the map (h', t) -> u_i h' - t g_i from degrees (delta, 0) to
+    deg g_i has the one-dimensional kernel spanned by (h, c); ``monic``
+    fixes the scale.  A kernel of any other dimension raises RingError."""
     check_potential(omega)
     weights, field = omega.weights, omega.field
-    grads = [g for g in gradient(omega).comps if g.terms]
-    h = grads[0]
-    for g in grads[1:]:
-        f, g = sorted((h, g), key=Polynomial.homogeneous_degree, reverse=True)
-        p, q = f.homogeneous_degree(), g.homogeneous_degree()
-        table = op_table(field, [(0, 0, None, f), (0, 1, None, -g)])
-        for e in range(q + 1):
-            kernel = kernel_basis(assemble(weights, field, (e, e + p - q), (e + p,), table))
-            if kernel:
-                break
-        u = vector_to_polys(weights, field, (e, e + p - q), kernel[0])[0]
-        table = op_table(field, [(0, 0, None, u), (0, 1, None, -g)])
-        kernel = kernel_basis(assemble(weights, field, (q - e, 0), (q,), table))
-        h = vector_to_polys(weights, field, (q - e, 0), kernel[0])[0]
+    delta = -sum(d * c for d, c in _jacobian_numerator(omega))
+    if not delta:
+        return Polynomial.constant(weights, field.one, field)
+    d0 = 3 * omega.homogeneous_degree() - weights.n_default - delta
+    u = _one_kernel_vector(weights, field, koszul_component_degs(omega, d0)[2],
+                           _koszul_matrix(omega, 2, d0))
+    i, g = next((i, g) for i, g in enumerate(gradient(omega).comps) if g.terms)
+    table = op_table(field, [(0, 0, None, u[i]), (0, 1, None, -g)])
+    degs = (delta, 0)
+    h = _one_kernel_vector(weights, field, degs,
+                           assemble(weights, field, degs, (g.homogeneous_degree(),), table))[0]
     return h.monic()

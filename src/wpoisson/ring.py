@@ -90,7 +90,7 @@ class ExtElem:
 
     def __init__(self, field: "ExtensionField", coeffs):
         self.field = field
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(map(QQ.coerce, coeffs))
         if len(self.coeffs) != field.degree:
             raise RingError("extension element has wrong coefficient length")
 

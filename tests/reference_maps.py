@@ -5,13 +5,15 @@ the cochain maps d0, d1 and d2, d1 stacked over v . grad(O), the Koszul
 maps K2 -> K1 and K3 -> K2, and the cycle condition over div v reduced
 modulo the Jacobian ideal, whose rank the package now takes from a block map).  The operator
 table of d2 lives here too: the package derives rank d2 from the
-(v . grad(O) ; div v) map and no longer assembles it."""
+(v . grad(O) ; div v) map and no longer assembles it.  So does the pairwise
+gcd fold, which sweeps degrees where the package reads deg gcd off the
+Hilbert numerator."""
 
 from wpoisson import complexes, gradient, normal_form, rank
 from wpoisson.jacobian import jacobian_basis
-from wpoisson.linalg import Matrix
-from wpoisson.ring import (QQ, Polynomial, PolyVector, RingError, count_monomials, cross,
-                           curl, div, dot, monomial_basis)
+from wpoisson.linalg import Matrix, kernel_basis
+from wpoisson.ring import (QQ, Polynomial, PolyVector, RingError, check_potential,
+                           count_monomials, cross, curl, div, dot, monomial_basis)
 
 
 def reference_assemble(weights, field, src_degs, tgt_degs, fn):
@@ -232,3 +234,32 @@ def koszul3_rank(omega, degs, maps=None):
     """rank of K3 -> K2, v0 -> v0 grad(O), from the Koszul degrees of one
     total degree (``complexes.koszul_component_degs``)"""
     return _rank(omega, "koszul3", degs[3], degs[2], maps)
+
+
+def gcd_by_fold(omega):
+    """gcd of the nonzero partial derivatives, monic, by a pairwise fold
+    that never looks at the Jacobian ideal.  For homogeneous f, g of degrees
+    p >= q with gcd h, the graded map (u, v) -> u f - v g from degrees
+    (e, e+p-q) to e+p first has a kernel at e = q - deg h, spanned by
+    (g/h, f/h); the sweep over e stops by e = q, where (g, f) is in the
+    kernel.  The kernel vector there is u = c g/h for some scalar c, so the
+    map (h', t) -> u h' - t g from degrees (deg h, 0) to q has the
+    one-dimensional kernel spanned by (h, c)."""
+    check_potential(omega)
+    weights, field = omega.weights, omega.field
+    grads = [g for g in gradient(omega).comps if g.terms]
+    h = grads[0]
+    for g in grads[1:]:
+        f, g = sorted((h, g), key=Polynomial.homogeneous_degree, reverse=True)
+        p, q = f.homogeneous_degree(), g.homogeneous_degree()
+        table = complexes.op_table(field, [(0, 0, None, f), (0, 1, None, -g)])
+        for e in range(q + 1):
+            kernel = kernel_basis(complexes.assemble(weights, field, (e, e + p - q), (e + p,),
+                                                     table))
+            if kernel:
+                break
+        u = complexes.vector_to_polys(weights, field, (e, e + p - q), kernel[0])[0]
+        table = complexes.op_table(field, [(0, 0, None, u), (0, 1, None, -g)])
+        kernel = kernel_basis(complexes.assemble(weights, field, (q - e, 0), (q,), table))
+        h = complexes.vector_to_polys(weights, field, (q - e, 0), kernel[0])[0]
+    return h.monic()

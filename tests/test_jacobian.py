@@ -8,8 +8,8 @@ from itertools import combinations
 import pytest
 
 from wpoisson import Matrix, Weights, catalog, format_poly, monomial_basis, parse_poly, rank
+from wpoisson import complexes, jacobian
 from wpoisson.complexes import koszul_dims
-from wpoisson import jacobian
 from wpoisson.jacobian import (
     _critical_pairs,
     _divisor,
@@ -34,6 +34,8 @@ from wpoisson.ring import (
     mono_divides,
     mono_lcm,
 )
+
+from reference_maps import gcd_by_fold
 
 
 def _mul_term(p, m, coef):
@@ -259,7 +261,56 @@ def _planted_factor_potentials(seed, per_weight=5):
             yield h, h * h * r
 
 
-def test_gcd_partials_matches_sympy_over_q():
+QS_FIELDS = [ExtensionField([1, 1, 1]), ExtensionField([1, 0, 1])]  # s^2+s+1, s^2+1
+_SMALL = [1, 2, 3, 5, -1, -2, Fraction(1, 2), Fraction(-3, 2)]
+
+
+def _random_form(rng, weights, field, degree, terms):
+    """a form of this degree on up to ``terms`` random monomials, with small
+    coefficients, and over Q(s) a random s-part too"""
+    basis = monomial_basis(weights, degree)
+    coef = (lambda: rng.choice(_SMALL)) if field == QQ else (
+        lambda: field.coerce(rng.choice(_SMALL)) + field.generator * rng.choice([0] + _SMALL))
+    return Polynomial(weights, field, {m: coef() for m in rng.sample(basis, min(len(basis), terms))})
+
+
+def _gcd_suite(seed, field):
+    """potentials on every property-suite weight triple: 1-5-term supports of
+    degree n..2n (n = a+b+c, the benchmark pool's shape), planted h r and
+    h^2 r with h of degree 1..3, and c x_v^k, whose one nonzero partial is
+    its own gcd"""
+    rng = random.Random(seed)
+    for w in WEIGHT_POOL:
+        weights = Weights(*w)
+        n = weights.n_default
+        for terms in range(1, 6):
+            yield _random_form(rng, weights, field, rng.randint(n, 2 * n), terms)
+        for power in (1, 2, 1, 2):
+            h = _random_form(rng, weights, field, rng.randint(1, 3), rng.randint(1, 3))
+            r = _random_form(rng, weights, field, rng.randint(0, 3), rng.randint(1, 3))
+            if not (h.is_zero() or r.is_zero()):
+                yield h ** power * r
+        m = [0, 0, 0]
+        m[rng.randrange(3)] = rng.randint(1, 5)
+        yield Polynomial.monomial(weights, m, rng.choice(_SMALL), field)
+
+
+@pytest.mark.parametrize("field", [QQ] + QS_FIELDS, ids=["Q", "s2+s+1", "s2+1"])
+def test_gcd_partials_matches_the_pairwise_fold(field):
+    """deg gcd from the Hilbert numerator and one K2 kernel, against the
+    pairwise fold that sweeps degrees and never builds a Groebner basis"""
+    suite = list(_gcd_suite(18, field))
+    assert len(suite) > 50
+    nonconstant = 0
+    for omega in suite:
+        got, want = gcd_partials(omega), gcd_by_fold(omega)
+        assert (got, format_poly(got)) == (want, format_poly(want)), omega
+        nonconstant += got.homogeneous_degree() > 0
+    assert nonconstant > len(suite) // 4
+
+
+def _matches_sympy(omega):
+    """gcd_partials against the monic gcd of the nonzero partials by sympy"""
     sympy = pytest.importorskip("sympy")
     x, y, z = sympy.symbols("x y z")
 
@@ -268,20 +319,89 @@ def test_gcd_partials_matches_sympy_over_q():
             {m: sympy.QQ(c.numerator, c.denominator) for m, c in p.terms.items()},
             x, y, z, domain=sympy.QQ)
 
-    def check(omega):
-        parts = [to_sympy(g) for g in gradient(omega).comps if g.terms]
-        want = parts[0]
-        for p in parts[1:]:
-            want = want.gcd(p)
-        got = gcd_partials(omega)
-        assert to_sympy(got).monic() == want.monic(), omega
-        return got
+    parts = [to_sympy(g) for g in gradient(omega).comps if g.terms]
+    want = parts[0]
+    for p in parts[1:]:
+        want = want.gcd(p)
+    got = gcd_partials(omega)
+    assert to_sympy(got).monic() == want.monic(), omega
+    return got
 
-    from wpoisson import catalog
+
+def test_gcd_partials_matches_sympy_over_q():
     for e in catalog.entries():
-        check(e.omega)
+        _matches_sympy(e.omega)
     for h, omega in _planted_factor_potentials(7):
-        assert normal_form(check(omega), [h]).is_zero(), omega
+        assert normal_form(_matches_sympy(omega), [h]).is_zero(), omega
+    for omega in _gcd_suite(18, QQ):
+        _matches_sympy(omega)
+
+
+def _numerator_gcd_degree(omega):
+    """-N'(1) for the Hilbert numerator N of A/J"""
+    return -sum(d * c for d, c in a_sing_hilbert(omega, 0)[1].numerator.items())
+
+
+def test_gcd_degree_from_groebner_heads_matches_the_koszul_ranks():
+    """two routes to deg gcd: -N'(1) from the Groebner heads, and 3n -
+    (a+b+c) - d0 with d0 the first degree where K2 falls short of its
+    columns, from matrix ranks alone"""
+    suite = [e.omega for e in catalog.entries()]
+    suite += [om for field in [QQ] + QS_FIELDS for om in _gcd_suite(18, field)]
+    for omega in suite:
+        n = omega.homogeneous_degree()
+        assert (_numerator_gcd_degree(omega) == 3 * n - omega.weights.n_default
+                - complexes._koszul_kernel_degree(omega)), omega
+        assert _numerator_gcd_degree(omega) == gcd_partials(omega).homogeneous_degree()
+
+
+_GUARDED = [(W111, QQ, "x^3+y^3+z^3"), (W112, QQ, "x^4"), (W111, QQ, "x^2*y^2"),
+            (W123, QQ, "(x^2+y)^2*z"), (W111, QS_FIELDS[0], "(x+s*y)^2*z"),
+            (W112, QS_FIELDS[1], "x^2*(y^2+s*z)^2")]
+
+
+@pytest.mark.parametrize("weights, field, text", _GUARDED, ids=[t for _, _, t in _GUARDED])
+def test_gcd_partials_takes_one_kernel_per_map_and_no_basis(monkeypatch, weights, field, text):
+    """after the Hilbert numerator is cached, the gcd builds no Groebner
+    basis, takes no kernel when deg gcd is 0 and two otherwise: a degree
+    sweep would show as more"""
+    omega = parse_poly(text, weights, field)
+    a_sing_hilbert(omega, 0)
+    calls = {"buchberger": 0, "kernel_basis": 0}
+
+    def counted(name):
+        real = getattr(jacobian, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(jacobian, name, counted(name))
+    want = gcd_by_fold(omega)
+    assert gcd_partials(omega) == want
+    assert calls == {"buchberger": 0, "kernel_basis": 2 if want.homogeneous_degree() else 0}
+
+
+@pytest.mark.parametrize("weights, field, text", _GUARDED, ids=[t for _, _, t in _GUARDED])
+def test_gcd_partials_refuses_a_numerator_one_degree_off(monkeypatch, weights, field, text):
+    """a corrupted numerator whose -N'(1) is one too large puts d0 a degree
+    below the Koszul kernel: RingError, not a wrong gcd"""
+    numerator_of = jacobian._jacobian_numerator
+
+    def corrupted(omega):
+        num = dict(numerator_of(omega))
+        for d, c in ((0, 1), (1, -1)):  # adds 1 - t: N(1) stays, -N'(1) grows by 1
+            num[d] = num.get(d, 0) + c
+        return tuple((d, c) for d, c in num.items() if c)
+
+    omega = parse_poly(text, weights, field)
+    delta = _numerator_gcd_degree(omega)
+    monkeypatch.setattr(jacobian, "_jacobian_numerator", corrupted)
+    assert _numerator_gcd_degree(omega) == delta + 1
+    with pytest.raises(RingError, match="disagrees with the Koszul kernel"):
+        gcd_partials(omega)
 
 
 def test_low_gkdim_implies_coprime_partials():

@@ -226,6 +226,16 @@ def test_rationals_refuse_a_float():
         Polynomial.constant(Weights(1, 1, 1), 0.1)
 
 
+def test_extension_elements_refuse_a_float_coefficient():
+    # the constructor, like QQ.coerce, keeps 0.1 from becoming its binary fraction
+    fld = ExtensionField([1, 1, 1])
+    want = "cannot coerce the float 0.1 into QQ; use an int or a Fraction"
+    for coeffs in ([0.1, 0], [1, 0.1]):
+        with pytest.raises(RingError, match=want):
+            ExtElem(fld, coeffs)
+    assert ExtElem(fld, [1, Fraction(1, 2)]).coeffs == (Fraction(1), Fraction(1, 2))
+
+
 def test_extension_field_refuses_a_modulus_coefficient_past_the_guard():
     # the integer-root search runs up to the square root of m0, so the guard
     # comes first
