@@ -5,18 +5,32 @@ multiplicity -N'(1) of the cached Hilbert numerator N, and the gcd itself
 comes from the kernel of the Koszul map K2 at the one degree that fixes, by
 the exact linear algebra of any supported field.
 
+Reduction is fraction-free over Q.  A divisor (head, lc, tail) holds the
+primitive integer multiple of its polynomial, with lc > 0.  A step on the
+term c*m of the working polynomial, with g = gcd(c, lc), sets work to
+(lc/g) work - (c/g)(m/head) tail: the step over Q, work - (c/lc)(m/head) f,
+times the nonzero integer lc/g.  So every step pops the same term and
+cancels the same terms as the division over Q, and each remainder is its
+rational remainder times one nonzero scalar, the product of the lc/g.  A
+remainder is therefore zero exactly when the rational one is, which keeps
+the proofs below exact, and normal_form divides by the scalar once at the
+end.  Over Q(s) the divisors are monic: every scalar is 1 and the loop
+never scales, so no step takes a field inverse.
+
 Every Groebner basis is proved before it is returned, by Buchberger's
 criterion over the critical pairs only: a pair is skipped when its heads are
 coprime (product criterion) or when a third head divides the lcm of the two
 strictly, with lcm(h_i, h_k) and lcm(h_k, h_j) both differing from it (chain
-criterion).  The remaining S-polynomials, built from the stored (head,
-coefficient, tail) divisors, must all reduce to zero.  The Hilbert numerator
-of the singular quotient is computed once per potential and cached beside
-its basis."""
+criterion).  The remaining S-polynomials, built from the stored divisors,
+must all reduce to zero, and so must every generator.  The Hilbert
+numerator of the singular quotient is computed once per potential and
+cached beside its basis."""
 
 from __future__ import annotations
 
 import heapq
+import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -24,6 +38,7 @@ from .complexes import _koszul_matrix, assemble, koszul_component_degs, op_table
 from .hilbert import HilbertSeries, _laurent_sub, _product_one_minus
 from .linalg import kernel_basis
 from .ring import (
+    QQ,
     Polynomial,
     RingError,
     check_potential,
@@ -36,25 +51,50 @@ from .ring import (
 )
 
 
-def _divisor(g):
-    """(head, head coefficient, tail terms) of a nonzero polynomial"""
-    h = g.leading_monomial()
-    return h, g.terms[h], [(m, c) for m, c in g.terms.items() if m != h]
+def _entry(field, terms):
+    """(k, k * terms) for the terms of a nonzero polynomial, as they enter
+    the reduction loop: over Q the primitive integer multiple, k a positive
+    Fraction; over Q(s) the terms as they are, k = 1"""
+    if field != QQ:
+        return 1, terms
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    g = math.gcd(*ints.values())
+    return Fraction(den, g), {m: c // g for m, c in ints.items()}
+
+
+def _divisor(field, head, terms):
+    """(head, lc, tail) of the nonzero polynomial with this leading monomial
+    and these terms in the loop's form (integers over Q): over Q its
+    primitive multiple with lc > 0, over Q(s) its monic multiple with lc the
+    int 1"""
+    if field != QQ:
+        inv = field.one / terms[head]
+        return head, 1, [(m, c * inv) for m, c in terms.items() if m != head]
+    g = math.gcd(*terms.values())
+    if terms[head] < 0:
+        g = -g
+    return head, terms[head] // g, [(m, c // g) for m, c in terms.items() if m != head]
 
 
 class GroebnerBasis:
     """Reduced Groebner basis under the weighted-degree grevlex order.
 
     Elements are monic, no head divides another head, tails fully reduced.
-    Construct through buchberger()."""
+    Construct through buchberger(), from the divisors of its elements."""
 
     __slots__ = ("polys", "weights", "field", "_divisors")
 
-    def __init__(self, polys, weights, field):
-        self.polys = tuple(polys)
+    def __init__(self, divisors, weights, field):
+        one = field.one
+        self._divisors = list(divisors)
         self.weights = weights
         self.field = field
-        self._divisors = [_divisor(p) for p in self.polys]
+        # lc is 1 over Q(s), where the tail is monic already
+        self.polys = tuple(
+            Polynomial(weights, field, {h: one, **{m: c if lc == 1 else Fraction(c, lc)
+                                                   for m, c in tail}})
+            for h, lc, tail in self._divisors)
 
     def heads(self):
         return tuple(h for h, _, _ in self._divisors)
@@ -69,18 +109,23 @@ class GroebnerBasis:
         return "GroebnerBasis(%s)" % (list(self.polys),)
 
 
-def _reduce(weights, field, terms, divisors):
-    """Full division of the polynomial with these terms by divisors in one
-    pass over a working dict: pop the largest term, reduce it by the first
-    divisor whose head divides it, or else move it to the remainder.  A
-    reduction only adds terms below the popped one, so this is the reduction
-    sequence of restarting from the top after every step."""
-    is_zero = field.is_zero
+def _reduce(weights, terms, divisors):
+    """Full division of integer terms (any terms over Q(s)) by divisors in
+    one pass over a working dict: pop the largest term, reduce it by the
+    first divisor whose head divides it, or else move it to the remainder.
+    A reduction only adds terms below the popped one, so this is the
+    reduction sequence of restarting from the top after every step.
+
+    Returns (remainder terms, scale): scale is the product of the step
+    scalars lc/g, and the remainder is scale times the remainder over the
+    field.  Terms enter the remainder largest first, so its first key is
+    its head."""
     work = dict(terms)
     # min-heap on the negated order key (degree, -z, -y, -x): largest first
     heap = [(-weights.mono_degree(m), m[2], m[1], m[0]) for m in work]
     heapq.heapify(heap)
     rem = {}
+    scale = 1
     while heap:
         _, e2, e1, e0 = heapq.heappop(heap)
         m = (e0, e1, e2)
@@ -89,24 +134,31 @@ def _reduce(weights, field, terms, divisors):
             continue  # cancelled after it was queued
         for h, lc, tail in divisors:
             if h[0] <= e0 and h[1] <= e1 and h[2] <= e2:
-                factor = coef / lc
+                if lc != 1:
+                    # over Q only: scale by a = lc/g, and step by coef/g
+                    g = math.gcd(coef, lc)
+                    a, coef = lc // g, coef // g
+                    if a != 1:
+                        scale *= a
+                        work = {t: c * a for t, c in work.items()}
+                        rem = {t: c * a for t, c in rem.items()}
                 q0, q1, q2 = e0 - h[0], e1 - h[1], e2 - h[2]
                 for (t0, t1, t2), c in tail:
                     t = (t0 + q0, t1 + q1, t2 + q2)
                     old = work.get(t)
                     if old is None:
-                        work[t] = -(c * factor)
+                        work[t] = -(c * coef)
                         heapq.heappush(heap, (-weights.mono_degree(t), t[2], t[1], t[0]))
                         continue
-                    s = old - c * factor
-                    if is_zero(s):
-                        del work[t]
-                    else:
+                    s = old - c * coef
+                    if s:
                         work[t] = s
+                    else:
+                        del work[t]
                 break
         else:
             rem[m] = coef
-    return Polynomial(weights, field, rem)
+    return rem, scale
 
 
 def normal_form(f, basis):
@@ -117,32 +169,45 @@ def normal_form(f, basis):
         polys, divisors = basis.polys, basis._divisors
     else:
         polys = [g for g in basis if g.terms]
-        divisors = [_divisor(g) for g in polys]
+        divisors = [_divisor(g.field, g.leading_monomial(), _entry(g.field, g.terms)[1])
+                    for g in polys]
     for g in polys:
         f._check_compatible(g)  # reduction mixes their coefficients
-    return _reduce(f.weights, f.field, f.terms, divisors)
+    if not f.terms:
+        return f
+    entry, terms = _entry(f.field, f.terms)
+    rem, scale = _reduce(f.weights, terms, divisors)
+    scale *= entry
+    if scale != 1:
+        rem = {m: c / scale for m, c in rem.items()}
+    return Polynomial(f.weights, f.field, rem)
 
 
-def _s_terms(field, di, dj):
+def _s_terms(di, dj):
     """terms of the S-polynomial of two divisors (head, lc, tail) with
-    lcm(h_i, h_j) = L: the heads of (L/h_i) f_i/lc_i and (L/h_j) f_j/lc_j
-    cancel by construction, so only the two shifted tails are built"""
+    lcm(h_i, h_j) = L and g = gcd(lc_i, lc_j): the heads of
+    (lc_j/g)(L/h_i) f_i and (lc_i/g)(L/h_j) f_j cancel by construction, so
+    only the two scaled, shifted tails are built"""
     (hi, ci, ti), (hj, cj, tj) = di, dj
+    g = math.gcd(ci, cj)
+    ai, aj = cj // g, ci // g
     l0, l1, l2 = max(hi[0], hj[0]), max(hi[1], hj[1]), max(hi[2], hj[2])
     q0, q1, q2 = l0 - hi[0], l1 - hi[1], l2 - hi[2]
-    out = {(t0 + q0, t1 + q1, t2 + q2): c / ci for (t0, t1, t2), c in ti}
+    out = {(t0 + q0, t1 + q1, t2 + q2): c if ai == 1 else c * ai for (t0, t1, t2), c in ti}
     q0, q1, q2 = l0 - hj[0], l1 - hj[1], l2 - hj[2]
     for (t0, t1, t2), c in tj:
         t = (t0 + q0, t1 + q1, t2 + q2)
+        if aj != 1:
+            c = c * aj
         old = out.get(t)
         if old is None:
-            out[t] = -(c / cj)
+            out[t] = -c
             continue
-        s = old - c / cj
-        if field.is_zero(s):
-            del out[t]
-        else:
+        s = old - c
+        if s:
             out[t] = s
+        else:
+            del out[t]
     return out
 
 
@@ -171,11 +236,11 @@ def _critical_pairs(heads):
     return pairs
 
 
-def _s_pairs_reduce_to_zero(weights, field, divisors):
+def _s_pairs_reduce_to_zero(weights, divisors):
     """Buchberger's criterion over the critical pairs only: true iff the
     polynomials behind these divisors form a Groebner basis"""
     return not any(
-        _reduce(weights, field, _s_terms(field, divisors[i], divisors[j]), divisors).terms
+        _reduce(weights, _s_terms(divisors[i], divisors[j]), divisors)[0]
         for i, j in _critical_pairs([h for h, _, _ in divisors])
     )
 
@@ -184,11 +249,19 @@ def buchberger(gens):
     """reduced Groebner basis from a nonempty generator list, with the
     Gebauer-Moeller pair criteria and the normal selection strategy.
 
+    Over Q it runs on primitive integer divisors end to end, with the
+    fraction-free steps of the module docstring, and makes monic Fraction
+    polynomials only of the reduced basis.  Each remainder is its rational
+    one times a nonzero scalar, so the same remainders are zero, the same
+    pairs are reduced, and the proofs below are exact.
+
     The result is proved, not sampled: every critical pair of the reduced
     basis, the pairs that neither the product criterion (coprime heads) nor
     the strict chain criterion drops (Buchberger, EUROSAM 1979;
     Becker-Weispfenning, Groebner Bases, 1993, 5.5), must reduce to zero,
-    or RingError is raised."""
+    and so must every generator, or RingError is raised.  The first shows
+    the result is a Groebner basis of the ideal it generates, the second
+    that this ideal holds the generators'."""
     gens = [g for g in gens if g.terms]
     if not gens:
         raise RingError("ideal needs at least one nonzero generator")
@@ -196,13 +269,12 @@ def buchberger(gens):
         gens[0]._check_compatible(g)
     weights = gens[0].weights
     field = gens[0].field
-    basis = []
+    entries = [_entry(field, g.terms)[1] for g in gens]
     divisors = []
-    for g in gens:
-        r = _reduce(weights, field, g.terms, divisors)
-        if r.terms:
-            basis.append(r.monic())
-            divisors.append(_divisor(basis[-1]))
+    for terms in entries:
+        r = _reduce(weights, terms, divisors)[0]
+        if r:
+            divisors.append(_divisor(field, next(iter(r)), r))
     heads = [h for h, _, _ in divisors]
 
     pairs = {}  # live pairs (i, j), i < j -> lcm of the heads
@@ -236,36 +308,37 @@ def buchberger(gens):
                 heapq.heappush(queue, (weights.mono_degree(lcm), t, k))
         active[:] = [t for t in active if not mono_divides(hk, heads[t])] + [k]
 
-    for k in range(len(basis)):
+    for k in range(len(divisors)):
         update(k)
     while queue:
         # normal strategy: smallest lcm degree first, then index order
         _, i, j = heapq.heappop(queue)
         if pairs.pop((i, j), None) is None:
             continue
-        r = _reduce(weights, field, _s_terms(field, divisors[i], divisors[j]),
-                    [divisors[t] for t in active])
-        if r.terms:
-            basis.append(r.monic())
-            divisors.append(_divisor(basis[-1]))
+        r = _reduce(weights, _s_terms(divisors[i], divisors[j]),
+                    [divisors[t] for t in active])[0]
+        if r:
+            divisors.append(_divisor(field, next(iter(r)), r))
             heads.append(divisors[-1][0])
-            update(len(basis) - 1)
+            update(len(divisors) - 1)
 
     # inter-reduce: drop redundant heads, then reduce each tail by the other
     # kept divisors.  The kept heads divide none of each other, so every
     # element keeps its head and the list stays sorted.
     keep = []
-    for i in sorted(range(len(basis)), key=lambda i: mono_key(weights, heads[i])):
+    for i in sorted(range(len(divisors)), key=lambda i: mono_key(weights, heads[i])):
         if not any(mono_divides(heads[t], heads[i]) for t in keep):
             keep.append(i)
     kept = [divisors[i] for i in keep]
-    reduced = [
-        _reduce(weights, field, basis[i].terms, kept[:pos] + kept[pos + 1 :]).monic()
-        for pos, i in enumerate(keep)
-    ]
+    reduced = []
+    for pos, (h, lc, tail) in enumerate(kept):
+        r = _reduce(weights, [(h, lc)] + tail, kept[:pos] + kept[pos + 1 :])[0]
+        reduced.append(_divisor(field, h, r))
     gb = GroebnerBasis(reduced, weights, field)
-    if not _s_pairs_reduce_to_zero(weights, field, gb._divisors):
+    if not _s_pairs_reduce_to_zero(weights, reduced):
         raise RingError("Groebner construction failed the S-pair criterion")
+    if any(_reduce(weights, terms, reduced)[0] for terms in entries):
+        raise RingError("Groebner construction lost a generator of the ideal")
     return gb
 
 

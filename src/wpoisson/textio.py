@@ -42,6 +42,21 @@ class BudgetError(ParseError):
     a power or product that could expand past the term budget"""
 
 
+def _power(field, c, e):
+    """c^e for a field element: Fraction's own power over Q, square and
+    multiply over Q(s), as ExtElem has no __pow__"""
+    if isinstance(c, Fraction):
+        return c ** e
+    out = field.one
+    while e:
+        if e & 1:
+            out = out * c
+        e >>= 1
+        if e:
+            c = c * c
+    return out
+
+
 class _Parser:
     def __init__(self, text: str, weights: Weights, field):
         self.text = text
@@ -111,7 +126,13 @@ class _Parser:
             if len(acc.terms) * len(factor.terms) > MAX_POWER_TERMS:
                 raise BudgetError("product may expand past the %d-term budget"
                                  % MAX_POWER_TERMS, at)
-            acc = acc * factor
+            if len(acc.terms) == 1 == len(factor.terms):
+                # one term times one term: add exponents, multiply coefficients
+                ((m1, c1),), ((m2, c2),) = acc.terms.items(), factor.terms.items()
+                acc = Polynomial(self.weights, self.field,
+                                 {(m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2]): c1 * c2})
+            else:
+                acc = acc * factor
         return acc if sign == 1 else -acc
 
     def factor(self) -> Polynomial:
@@ -125,6 +146,11 @@ class _Parser:
             if k > 1 and math.comb(e + k - 1, k - 1) > MAX_POWER_TERMS:
                 raise BudgetError("power may expand past the %d-term budget"
                                  % MAX_POWER_TERMS, at)
+            if k == 1:
+                # a one-term power: scale the exponents, power the coefficient
+                ((m, c),) = base.terms.items()
+                return Polynomial(self.weights, self.field,
+                                  {(m[0] * e, m[1] * e, m[2] * e): _power(self.field, c, e)})
             return base ** e
         return base
 

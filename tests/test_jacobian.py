@@ -1,6 +1,7 @@
 """Jacobian ideal computations: Groebner bases, singular-quotient Hilbert
 functions, GK-dimension, isolated singularities, and partial gcds."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -13,6 +14,7 @@ from wpoisson.complexes import koszul_dims
 from wpoisson.jacobian import (
     _critical_pairs,
     _divisor,
+    _entry,
     _initial_ideal_series,
     _s_pairs_reduce_to_zero,
     a_sing_hilbert,
@@ -309,22 +311,22 @@ def test_gcd_partials_matches_the_pairwise_fold(field):
     assert nonconstant > len(suite) // 4
 
 
+def _to_sympy(sympy, p):
+    """a polynomial over Q as a sympy Poly in x, y, z over QQ"""
+    return sympy.Poly.from_dict(
+        {m: sympy.QQ(c.numerator, c.denominator) for m, c in p.terms.items()},
+        *sympy.symbols("x y z"), domain=sympy.QQ)
+
+
 def _matches_sympy(omega):
     """gcd_partials against the monic gcd of the nonzero partials by sympy"""
     sympy = pytest.importorskip("sympy")
-    x, y, z = sympy.symbols("x y z")
-
-    def to_sympy(p):
-        return sympy.Poly.from_dict(
-            {m: sympy.QQ(c.numerator, c.denominator) for m, c in p.terms.items()},
-            x, y, z, domain=sympy.QQ)
-
-    parts = [to_sympy(g) for g in gradient(omega).comps if g.terms]
+    parts = [_to_sympy(sympy, g) for g in gradient(omega).comps if g.terms]
     want = parts[0]
     for p in parts[1:]:
         want = want.gcd(p)
     got = gcd_partials(omega)
-    assert to_sympy(got).monic() == want.monic(), omega
+    assert _to_sympy(sympy, got).monic() == want.monic(), omega
     return got
 
 
@@ -335,6 +337,36 @@ def test_gcd_partials_matches_sympy_over_q():
         assert normal_form(_matches_sympy(omega), [h]).is_zero(), omega
     for omega in _gcd_suite(18, QQ):
         _matches_sympy(omega)
+
+
+# the coefficients the benchmark's groebner pool draws from
+POOL_COEFFS = [1, 2, 3, 5, -1, -2, Fraction(1, 2), Fraction(-3, 2)]
+W4 = "x^9+y^9+z^9+x^4*y^4*z+x^3*y^2*z^4+x*y^5*z^3"
+
+
+def _pool_potentials(seed, weights, count):
+    """groebner-pool style potentials: supports of 2 to 5 monomials of one
+    degree in n..2n, n = a+b+c, with the pool's coefficients"""
+    rng = random.Random(seed)
+    n = weights.n_default
+    for k in range(count):
+        mons = monomial_basis(weights, rng.randint(n, 2 * n))
+        support = rng.sample(mons, min(len(mons), 2 + k % 4))
+        yield Polynomial(weights, QQ, {m: rng.choice(POOL_COEFFS) for m in support})
+
+
+def test_reduced_bases_on_111_match_sympy_grevlex():
+    """on (1,1,1) the order is grevlex with x > y > z, so jacobian_basis must
+    be sympy's reduced Groebner basis of the partials, made monic"""
+    sympy = pytest.importorskip("sympy")
+    x, y, z = sympy.symbols("x y z")
+    pool = list(_pool_potentials(31, W111, 48)) + [parse_poly(W4, W111)]
+    for omega in pool:
+        parts = [_to_sympy(sympy, g) for g in gradient(omega).comps if g.terms]
+        want = sympy.groebner(parts, x, y, z, order="grevlex", domain=sympy.QQ)
+        got = {_to_sympy(sympy, g) for g in jacobian_basis(omega)}
+        # Poly.monic divides by the lex leading coefficient
+        assert got == {p.quo_ground(p.LC(order="grevlex")) for p in want.polys}, omega
 
 
 def _numerator_gcd_degree(omega):
@@ -500,22 +532,40 @@ def _restarting_normal_form(f, basis):
     (W111, "x^3+y^3+z^3+x*y*z", QQ),
     (W112, "x*y*z+x^4+y^4+3*x^2*y^2", QQ),
     (W111, "x^3+y^3+z^3+s*x*y*z", ExtensionField([1, 1, 1])),
+    # the 1/2 and -3/2 coefficients of the benchmark's groebner pool
+    (W112, "1/2*x*y*z-3/2*x^4+y^4-3/2*x^2*y^2", QQ),
+    # every partial has a negative, non-unit head coefficient
+    (W111, "-3/2*x^3-3*y^3-2*z^3-5*x*y*z", QQ),
+    # non-unit head coefficients over Q(s)
+    (W123, "(1+2*s)*x^6+(2-s)*y^3-3*z^2+s*x*y*z", ExtensionField([1, 0, 1])),
 ])
 def test_normal_form_matches_restarting_division_by_partial_lists(w, text, field):
+    """fraction-free division against the Fraction reference: f and the
+    divisors enter with denominators and signs, so this covers the entry
+    scale, the positive-head rule and the exit division"""
     om = parse_poly(text, w, field=field)
     parts = [om.partial(i) for i in range(3)]
     # the three partials are not a Groebner basis of the Jacobian ideal, so
     # remainders by them depend on the order of the reduction steps
     gb_heads = set(buchberger(parts).heads())
     assert gb_heads != {p.leading_monomial() for p in parts}
+    # a divisor is primitive with a positive head over Q, monic over Q(s)
+    for p in parts:
+        p = p * Fraction(-7, 3)
+        _, lc, tail = _divisor(field, p.leading_monomial(), _entry(field, p.terms)[1])
+        if field == QQ:
+            assert lc > 0 and math.gcd(lc, *(c for _, c in tail)) == 1
+        else:
+            assert lc == 1
     rng = random.Random(text)
     n = om.homogeneous_degree()
     for _ in range(15):
         d = n + rng.randint(0, 5)
         mons = monomial_basis(w, d)
-        terms = {m: rng.randint(-4, 4) for m in rng.sample(mons, min(8, len(mons)))}
+        terms = {m: Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 6]))
+                 for m in rng.sample(mons, min(8, len(mons)))}
         f = Polynomial(w, field, terms)
-        for divisors in (parts[:1], parts[:2], parts):
+        for divisors in (parts[:1], parts[:2], parts, [p * Fraction(-7, 3) for p in parts]):
             assert normal_form(f, divisors) == _restarting_normal_form(f, divisors)
 
 
@@ -536,8 +586,9 @@ def _all_pairs_reduce_to_zero(polys):
 
 def _proves_groebner(polys):
     polys = [p for p in polys if p.terms]
-    return _s_pairs_reduce_to_zero(polys[0].weights, polys[0].field,
-                                   [_divisor(p) for p in polys])
+    return _s_pairs_reduce_to_zero(polys[0].weights,
+                                   [_divisor(p.field, p.leading_monomial(),
+                                             _entry(p.field, p.terms)[1]) for p in polys])
 
 
 F3 = ExtensionField([1, 1, 1])  # s^2 + s + 1
@@ -547,10 +598,10 @@ CUBE = "x^3+y^3+z^3+x*y*z"
 def test_s_pair_proof_accepts_every_catalog_basis_and_one_over_q_s():
     for e in catalog.entries():
         gb = jacobian_basis(e.omega)
-        assert _s_pairs_reduce_to_zero(gb.weights, gb.field, gb._divisors), e.entry_id
+        assert _s_pairs_reduce_to_zero(gb.weights, gb._divisors), e.entry_id
     om = parse_poly("x^3+y^3+z^3+s*x*y*z", W111, F3)
     gb = buchberger(gradient(om).comps)
-    assert _s_pairs_reduce_to_zero(gb.weights, gb.field, gb._divisors)
+    assert _s_pairs_reduce_to_zero(gb.weights, gb._divisors)
     assert _all_pairs_reduce_to_zero(list(gb))
 
 
@@ -596,7 +647,7 @@ def test_s_pair_proof_agrees_with_all_pairs_on_random_generators(field):
 
 
 def test_w4_checks_129_of_1225_pairs():
-    om = parse_poly("x^9+y^9+z^9+x^4*y^4*z+x^3*y^2*z^4+x*y^5*z^3", W111)
+    om = parse_poly(W4, W111)
     gb = jacobian_basis(om)
     assert len(gb) == 50 and len(list(combinations(gb, 2))) == 1225
     assert len(_critical_pairs(gb.heads())) == 129
