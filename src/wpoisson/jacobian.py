@@ -22,9 +22,13 @@ criterion over the critical pairs only: a pair is skipped when its heads are
 coprime (product criterion) or when a third head divides the lcm of the two
 strictly, with lcm(h_i, h_k) and lcm(h_k, h_j) both differing from it (chain
 criterion).  The remaining S-polynomials, built from the stored divisors,
-must all reduce to zero, and so must every generator.  The Hilbert
-numerator of the singular quotient is computed once per potential and
-cached beside its basis."""
+must all reduce to zero, and so must every generator.
+
+The Hilbert numerator of the singular quotient is computed once per
+potential from the heads of its basis and cached beside it.  It is read off
+the slices of the initial ideal by the exponent of z: one two-variable
+staircase numerator per distinct z-exponent of the heads, summed over the
+bands between them, with no recursion (proof at _hilbert_numerator)."""
 
 from __future__ import annotations
 
@@ -32,10 +36,10 @@ import heapq
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
 
 from .complexes import _koszul_matrix, assemble, koszul_component_degs, op_table, vector_to_polys
-from .hilbert import HilbertSeries, _laurent_sub, _product_one_minus
+from .hilbert import HilbertSeries
 from .linalg import kernel_basis
 from .ring import (
     QQ,
@@ -220,19 +224,23 @@ def _critical_pairs(heads):
     properly dividing L, and induction on L under divisibility shows that
     dropping every such pair at once keeps the check a proof."""
     n = len(heads)
-    lcms = [[mono_lcm(hi, hj) for hj in heads] for hi in heads]
     pairs = []
-    for i, j in combinations(range(n), 2):
-        lcm = lcms[i][j]
-        if lcm == mono_mul(heads[i], heads[j]):
-            continue
-        if any(
-            k != i and k != j and mono_divides(heads[k], lcm)
-            and lcms[i][k] != lcm and lcms[k][j] != lcm
-            for k in range(n)
-        ):
-            continue
-        pairs.append((i, j))
+    for i, (a0, a1, a2) in enumerate(heads):
+        for j in range(i + 1, n):
+            b0, b1, b2 = heads[j]
+            if (not a0 or not b0) and (not a1 or not b1) and (not a2 or not b2):
+                continue  # coprime: lcm = product
+            l0, l1, l2 = max(a0, b0), max(a1, b1), max(a2, b2)
+            # given h_k | L, lcm(h_i, h_k) != L iff h_i and h_k both fall short
+            # of L in some coordinate, and likewise for lcm(h_k, h_j); a head
+            # equal to h_i or h_j, k = i and k = j included, fails one of them
+            for k0, k1, k2 in heads:
+                if (k0 <= l0 and k1 <= l1 and k2 <= l2
+                        and (a0 < l0 > k0 or a1 < l1 > k1 or a2 < l2 > k2)
+                        and (b0 < l0 > k0 or b1 < l1 > k1 or b2 < l2 > k2)):
+                    break
+            else:
+                pairs.append((i, j))
     return pairs
 
 
@@ -355,42 +363,57 @@ def jacobian_basis(omega):
 def _jacobian_numerator(omega):
     """cached Hilbert numerator of the singular quotient, as an immutable
     tuple of (degree, coefficient) items"""
-    heads = jacobian_basis(omega).heads()
-    return tuple(_initial_ideal_series(omega.weights, heads).numerator.items())
+    return tuple(_hilbert_numerator(omega.weights, jacobian_basis(omega).heads()).items())
 
 
 def _hilbert_numerator(weights, gens):
-    """Laurent numerator {degree: coefficient} of A modulo a monomial ideal"""
-    minimal = []
-    for m in sorted(set(gens), key=lambda m: mono_key(weights, m)):
-        if not any(mono_divides(p, m) for p in minimal):
-            minimal.append(m)
-    mixed = [m for m in minimal if (m[0] > 0) + (m[1] > 0) + (m[2] > 0) > 1]
-    if not mixed:
-        return _product_one_minus(weights.mono_degree(m) for m in minimal)
-    counts = [sum(1 for m in mixed if m[v]) for v in range(3)]
-    v = counts.index(max(counts))
-    exps = sorted(m[v] for m in mixed if m[v])
-    e = exps[len(exps) // 2]
-    # any pure power of x_v in the ideal exceeds every mixed exponent of x_v,
-    # so p is not in the ideal and both branches are strictly larger ideals
-    p = tuple(e if i == v else 0 for i in range(3))
-    num = _hilbert_numerator(weights, minimal + [p])
-    colon = _hilbert_numerator(weights, [tuple(max(m[i] - p[i], 0) for i in range(3))
-                                         for m in minimal])
-    shift = weights.mono_degree(p)
-    return _laurent_sub(num, {d + shift: -c for d, c in colon.items()})
+    """Laurent numerator {degree: coefficient} of A/I over
+    (1 - t^a)(1 - t^b)(1 - t^c), I the monomial ideal generated by gens,
+    read off the slices of I by the exponent of z.
 
+    Proof.  x^u y^v z^k lies in I iff some generator x^p y^q z^r has
+    r <= k and x^p y^q | x^u y^v, that is iff x^u y^v lies in I_k, the
+    ideal of k[x,y] generated by the x^p y^q with r <= k.  So A/I is the
+    direct sum of the z^k k[x,y]/I_k as graded spaces, and
+    H(A/I) = sum_k t^(ck) H(k[x,y]/I_k).
 
-def _initial_ideal_series(weights, heads):
-    """Hilbert series of A modulo a monomial ideal, by Bigatti's pivot
-    recursion on the numerator: HN(I) = HN(I + (p)) + t^deg(p) HN(I : p).
-    Each step minimalises the generators.  When none involves two variables
-    they are pure powers and HN(I) is the product of (1 - t^deg m).
-    Otherwise the pivot is p = x_v^e, with v the variable in the most mixed
-    generators and e the median exponent of x_v among them.  The number of
-    generators is unlimited."""
-    return HilbertSeries(_hilbert_numerator(weights, heads), weights.tuple)
+    A monomial ideal of k[x,y] is a staircase: its minimal generators
+    g_l = x^p_l y^q_l, l = 0..m, have p rising and q falling.  x^u y^v is
+    a multiple of g_l iff p_l <= u and q_l <= v, which holds for the l of
+    a run s..e of consecutive indices, and it is a multiple of
+    x^p_(l+1) y^q_l, the lcm of g_l and g_(l+1), iff l and l+1 both lie
+    in the run.  So the multiples of the g_l less those of the consecutive
+    lcms count each monomial of the ideal (e - s + 1) - (e - s) = 1 times,
+    and k[x,y]/I_k has the numerator N = 1 - sum_l t^deg(g_l)
+    + sum_(l<m) t^deg(x^p_(l+1) y^q_l) over (1 - t^a)(1 - t^b); the zero
+    ideal has N = 1.
+
+    I_k changes only at the distinct z-exponents z_0 < ... < z_r of the
+    generators: it is zero below z_0 and equals I_(z_i) on the band
+    z_i <= k < z_(i+1), the last band unbounded.  With N_i the numerator
+    of I_(z_i), N_(-1) = 1, and
+    (1 - t^c) sum_(z_i <= k < z_(i+1)) t^(ck) = t^(c z_i) - t^(c z_(i+1)),
+    the numerator of A/I over the three factors is
+    (1 - t^(c z_0)) + sum_(i<r) (t^(c z_i) - t^(c z_(i+1))) N_i
+    + t^(c z_r) N_r, which telescopes to
+    1 + sum_i t^(c z_i) (N_i - N_(i-1)).  Repeated, redundant and unit
+    generators change no staircase."""
+    wx, wy, wz = weights.tuple
+    out = {0: 1}
+    prev = [(0, 1)]  # the numerator of the zero slice, below the first z-exponent
+    stair = []  # the minimal x^p y^q of I_z, p rising
+    for z, group in groupby(sorted(set(gens), key=lambda m: m[2]), key=lambda m: m[2]):
+        points, stair, low = sorted(stair + [(m[0], m[1]) for m in group]), [], math.inf
+        for p, q in points:
+            if q < low:
+                stair.append((p, q))
+                low = q
+        num = ([(0, 1)] + [(wx * p + wy * q, -1) for p, q in stair]
+               + [(wx * p + wy * q, 1) for (_, q), (p, _) in zip(stair, stair[1:])])
+        for d, e in num + [(d, -e) for d, e in prev]:
+            out[wz * z + d] = out.get(wz * z + d, 0) + e
+        prev = num
+    return {d: e for d, e in out.items() if e}
 
 
 def standard_monomials(weights, heads, d):

@@ -111,6 +111,9 @@ class ExtElem:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational scales the coefficients: no product to reduce mod m
+            return ExtElem(self.field, [a * other for a in self.coeffs])
         other = self.field.coerce(other)
         return self.field._mul(self, other)
 

@@ -42,12 +42,23 @@ class BudgetError(ParseError):
     a power or product that could expand past the term budget"""
 
 
-def _power(field, c, e):
-    """c^e for a field element: Fraction's own power over Q, square and
-    multiply over Q(s), as ExtElem has no __pow__"""
-    if isinstance(c, Fraction):
+class _Written:
+    """the parser's coefficient ring: coefficients stay as written, an int,
+    a Fraction or (where s appears) an ExtElem, so a variable carries the
+    int 1 and no unit coefficient reaches ExtElem arithmetic; parse_poly
+    coerces each stored term into the field once"""
+
+    zero, one = 0, 1
+    coerce = staticmethod(lambda v: v)
+    is_zero = staticmethod(lambda v: not v)
+
+
+def _power(c, e):
+    """c^e for a written coefficient: the number's own power, square and
+    multiply for an ExtElem, which has no __pow__"""
+    if not isinstance(c, ExtElem):
         return c ** e
-    out = field.one
+    out = 1
     while e:
         if e & 1:
             out = out * c
@@ -129,7 +140,7 @@ class _Parser:
             if len(acc.terms) == 1 == len(factor.terms):
                 # one term times one term: add exponents, multiply coefficients
                 ((m1, c1),), ((m2, c2),) = acc.terms.items(), factor.terms.items()
-                acc = Polynomial(self.weights, self.field,
+                acc = Polynomial(self.weights, _Written,
                                  {(m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2]): c1 * c2})
             else:
                 acc = acc * factor
@@ -149,8 +160,8 @@ class _Parser:
             if k == 1:
                 # a one-term power: scale the exponents, power the coefficient
                 ((m, c),) = base.terms.items()
-                return Polynomial(self.weights, self.field,
-                                  {(m[0] * e, m[1] * e, m[2] * e): _power(self.field, c, e)})
+                return Polynomial(self.weights, _Written,
+                                  {(m[0] * e, m[1] * e, m[2] * e): _power(c, e)})
             return base ** e
         return base
 
@@ -164,21 +175,21 @@ class _Parser:
         if ch in VAR_NAMES:
             self.pos += 1
             self._reject_adjacent_name()
-            return Polynomial.variable(self.weights, ch, self.field)
+            return Polynomial.variable(self.weights, ch, _Written)
         if ch == "s":
             if not isinstance(self.field, ExtensionField):
                 raise ParseError("'s' requires an extension coefficient field", self.pos)
             self.pos += 1
             self._reject_adjacent_name()
-            return Polynomial.constant(self.weights, self.field.generator, self.field)
+            return Polynomial.constant(self.weights, self.field.generator, _Written)
         if ch.isdigit():
             num = self.uint()
             if self.take("/"):
                 den = self.uint()
                 if den == 0:
                     raise ParseError("zero denominator", self.pos)
-                return Polynomial.constant(self.weights, Fraction(num, den), self.field)
-            return Polynomial.constant(self.weights, num, self.field)
+                return Polynomial.constant(self.weights, Fraction(num, den), _Written)
+            return Polynomial.constant(self.weights, num, _Written)
         raise ParseError("unexpected character %r" % (ch or "end of input"), self.pos)
 
     def _reject_adjacent_name(self):
@@ -197,7 +208,7 @@ def parse_poly(text: str, weights: Weights, field=QQ) -> Polynomial:
     p._skip_ws()
     if p.pos != len(text):
         raise ParseError("trailing input", p.pos)
-    return result
+    return Polynomial(weights, field, result.terms)
 
 
 def _format_coeff(field, coef) -> str:

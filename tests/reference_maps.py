@@ -7,13 +7,20 @@ modulo the Jacobian ideal, whose rank the package now takes from a block map).  
 table of d2 lives here too: the package derives rank d2 from the
 (v . grad(O) ; div v) map and no longer assembles it.  So does the pairwise
 gcd fold, which sweeps degrees where the package reads deg gcd off the
-Hilbert numerator."""
+Hilbert numerator, Bigatti's pivot recursion for that numerator, which the
+package now reads off the z-slices of the initial ideal, and the lcm-table
+scan of the critical pairs, which the package now makes coordinate by
+coordinate."""
+
+from itertools import combinations
 
 from wpoisson import complexes, gradient, normal_form, rank
+from wpoisson.hilbert import _laurent_sub, _product_one_minus
 from wpoisson.jacobian import jacobian_basis
 from wpoisson.linalg import Matrix, kernel_basis
 from wpoisson.ring import (QQ, Polynomial, PolyVector, RingError, check_potential,
-                           count_monomials, cross, curl, div, dot, monomial_basis)
+                           count_monomials, cross, curl, div, dot, mono_divides, mono_key,
+                           mono_lcm, mono_mul, monomial_basis)
 
 
 def reference_assemble(weights, field, src_degs, tgt_degs, fn):
@@ -263,3 +270,52 @@ def gcd_by_fold(omega):
         kernel = kernel_basis(complexes.assemble(weights, field, (q - e, 0), (q,), table))
         h = complexes.vector_to_polys(weights, field, (q - e, 0), kernel[0])[0]
     return h.monic()
+
+
+def bigatti_numerator(weights, gens):
+    """Laurent numerator {degree: coefficient} of A modulo a monomial ideal,
+    by Bigatti's pivot recursion HN(I) = HN(I + (p)) + t^deg(p) HN(I : p).
+    Each step minimalises the generators.  When none involves two variables
+    they are pure powers and HN(I) is the product of (1 - t^deg m).
+    Otherwise the pivot is p = x_v^e, with v the variable in the most mixed
+    generators and e the median exponent of x_v among them."""
+    minimal = []
+    for m in sorted(set(gens), key=lambda m: mono_key(weights, m)):
+        if not any(mono_divides(p, m) for p in minimal):
+            minimal.append(m)
+    mixed = [m for m in minimal if (m[0] > 0) + (m[1] > 0) + (m[2] > 0) > 1]
+    if not mixed:
+        return _product_one_minus(weights.mono_degree(m) for m in minimal)
+    counts = [sum(1 for m in mixed if m[v]) for v in range(3)]
+    v = counts.index(max(counts))
+    exps = sorted(m[v] for m in mixed if m[v])
+    e = exps[len(exps) // 2]
+    # any pure power of x_v in the ideal exceeds every mixed exponent of x_v,
+    # so p is not in the ideal and both branches are strictly larger ideals
+    p = tuple(e if i == v else 0 for i in range(3))
+    num = bigatti_numerator(weights, minimal + [p])
+    colon = bigatti_numerator(weights, [tuple(max(m[i] - p[i], 0) for i in range(3))
+                                        for m in minimal])
+    shift = weights.mono_degree(p)
+    return _laurent_sub(num, {d + shift: -c for d, c in colon.items()})
+
+
+def critical_pairs_by_lcm_table(heads):
+    """the critical pairs (i, j), i < j, of a head list from the n x n table
+    of lcms: a pair is dropped when its heads are coprime, or when a third
+    head h_k divides L = lcm(h_i, h_j) with lcm(h_i, h_k) != L != lcm(h_k, h_j)"""
+    n = len(heads)
+    lcms = [[mono_lcm(hi, hj) for hj in heads] for hi in heads]
+    pairs = []
+    for i, j in combinations(range(n), 2):
+        lcm = lcms[i][j]
+        if lcm == mono_mul(heads[i], heads[j]):
+            continue
+        if any(
+            k != i and k != j and mono_divides(heads[k], lcm)
+            and lcms[i][k] != lcm and lcms[k][j] != lcm
+            for k in range(n)
+        ):
+            continue
+        pairs.append((i, j))
+    return pairs

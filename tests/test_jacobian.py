@@ -15,7 +15,7 @@ from wpoisson.jacobian import (
     _critical_pairs,
     _divisor,
     _entry,
-    _initial_ideal_series,
+    _hilbert_numerator,
     _s_pairs_reduce_to_zero,
     a_sing_hilbert,
     buchberger,
@@ -37,7 +37,7 @@ from wpoisson.ring import (
     mono_lcm,
 )
 
-from reference_maps import gcd_by_fold
+from reference_maps import bigatti_numerator, critical_pairs_by_lcm_table, gcd_by_fold
 
 
 def _mul_term(p, m, coef):
@@ -477,9 +477,36 @@ def test_hilbert_numerator_matches_inclusion_exclusion_on_random_ideals():
             minimal = [m for m in set(gens)
                        if not any(p != m and mono_divides(p, m) for p in gens)]
             want = _inclusion_exclusion_numerator(w, minimal)
-            # the recursion minimalises for itself, so redundant and repeated
-            # generators (including the unit monomial) give the same numerator
-            assert _initial_ideal_series(w, gens).numerator == want, gens
+            # redundant and repeated generators (the unit monomial included)
+            # give the numerator of the minimal ones
+            assert _hilbert_numerator(w, gens) == want, gens
+
+
+def _random_monomial_ideal(rng, size, top):
+    """size exponent triples up to top, some repeated, some multiples of
+    others, the unit monomial now and then"""
+    gens = [tuple(rng.randint(0, top) for _ in range(3)) for _ in range(size)]
+    for _ in range(rng.randint(0, 3) if gens else 0):
+        m = rng.choice(gens)
+        gens.append(m if rng.random() < 0.5 else tuple(e + rng.randint(0, 2) for e in m))
+    if rng.random() < 0.1:
+        gens.append((0, 0, 0))
+    rng.shuffle(gens)
+    return gens
+
+
+def test_hilbert_numerator_matches_the_bigatti_recursion():
+    """the z-slice numerator against Bigatti's pivot recursion where
+    inclusion-exclusion over 2^k subsets is out of reach: W4's 50 heads and
+    seeded random ideals of 13 to 60 generators"""
+    heads = jacobian_basis(parse_poly(W4, W111)).heads()
+    assert len(heads) == 50
+    assert _hilbert_numerator(W111, heads) == bigatti_numerator(W111, heads)
+    rng = random.Random(2024)
+    for w in (W111, W112, W123, Weights(2, 3, 5)):
+        for _ in range(25):
+            gens = _random_monomial_ideal(rng, rng.randint(13, 60), rng.choice((4, 7, 12)))
+            assert _hilbert_numerator(w, gens) == bigatti_numerator(w, gens), (w, gens)
 
 
 def _hilbert_function_matches_koszul_h0(omega, bound):
@@ -654,17 +681,24 @@ def test_w4_checks_129_of_1225_pairs():
     assert gkdim(om) == 0
 
 
-def test_hilbert_numerator_is_computed_once_per_potential(monkeypatch):
-    om = parse_poly("x^5+y^5+z^5+x^2*y^2*z", W111)
+def _count_numerator_calls(monkeypatch):
+    """the heads of every call of the numerator routine from now on, with
+    the per-potential numerator cache emptied"""
     calls = []
-    series_of = jacobian._initial_ideal_series
+    numerator_of = jacobian._hilbert_numerator
 
     def counted(weights, heads):
         calls.append(heads)
-        return series_of(weights, heads)
+        return numerator_of(weights, heads)
 
-    monkeypatch.setattr(jacobian, "_initial_ideal_series", counted)
+    monkeypatch.setattr(jacobian, "_hilbert_numerator", counted)
     jacobian._jacobian_numerator.cache_clear()
+    return calls
+
+
+def test_hilbert_numerator_is_computed_once_per_potential(monkeypatch):
+    om = parse_poly("x^5+y^5+z^5+x^2*y^2*z", W111)
+    calls = _count_numerator_calls(monkeypatch)
     _, first = a_sing_hilbert(om, 6)
     assert gkdim(om) == 0 and has_isolated_singularity(om)
     _, again = a_sing_hilbert(om, 6)
@@ -686,3 +720,80 @@ def test_critical_pairs_apply_the_product_and_strict_chain_criteria():
     assert _critical_pairs([x2y, yz2, (1, 1, 1)]) == [(0, 2), (1, 2)]
     # lcm(x^2 y z, y z^2) is the whole lcm: not a strict chain, the pair stays
     assert _critical_pairs([x2y, yz2, (2, 1, 1)]) == [(0, 1), (0, 2), (1, 2)]
+
+
+@pytest.mark.parametrize("text", [W4, "x^3*y+y^3*z+z^3*x+x^2*y^2", "x^2*y*z+x*y^2*z"])
+def test_a_numerator_is_one_call_of_the_numerator_routine(monkeypatch, text):
+    """a recursion through the module name would count every level here"""
+    om = parse_poly(text, W111)
+    jacobian_basis(om)
+    calls = _count_numerator_calls(monkeypatch)
+    a_sing_hilbert(om, 4)
+    gcd_partials(om)
+    assert calls == [jacobian_basis(om).heads()]
+
+
+def _isolated_potentials(field, seed, multiples, per_weight):
+    """seeded full-support potentials of degree k(a+b+c), k in multiples, on
+    the property-suite weights, kept where the singularity is isolated"""
+    rng = random.Random(seed)
+    for w in map(lambda t: Weights(*t), WEIGHT_POOL):
+        for n in (k * w.n_default for k in multiples):
+            for _ in range(per_weight):
+                terms = {m: Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2]))
+                         for m in monomial_basis(w, n)}
+                if field is not QQ:
+                    terms = {m: c + rng.randint(-2, 2) * field.generator
+                             for m, c in terms.items()}
+                om = Polynomial(w, field, terms)
+                if om.terms and has_isolated_singularity(om):
+                    yield om
+
+
+def _assert_milnor_orlik(om):
+    """A/J of an isolated weighted-homogeneous potential is a complete
+    intersection of the three partials: its numerator is
+    prod (1 - t^(n - w_i)), it vanishes at t = 1, and dim A/J is
+    prod (n - w_i)/w_i (Milnor-Orlik), all of it in degrees up to
+    3n - 2(a+b+c)"""
+    n = om.homogeneous_degree()
+    w = om.weights.tuple
+    dims, series = a_sing_hilbert(om, 3 * n)
+    assert sum(series.numerator.values()) == 0, om
+    assert sum(dims.values()) == math.prod(Fraction(n - wi, wi) for wi in w), om
+    assert not any(dims[d] for d in range(3 * n - 2 * sum(w) + 1, 3 * n + 1)), om
+    want = {0: 1}
+    for e in (n - wi for wi in w):
+        want = {d: want.get(d, 0) - want.get(d - e, 0) for d in set(want) | {d + e for d in want}}
+    assert series.numerator == {d: c for d, c in want.items() if c}, om
+
+
+def test_isolated_catalog_numerators_satisfy_milnor_orlik():
+    isolated = [e for e in catalog.entries() if has_isolated_singularity(e.omega)]
+    assert len(isolated) == 9
+    for e in isolated:
+        _assert_milnor_orlik(e.omega)
+
+
+# over Q(s) a full support of degree 2(a+b+c) takes about a second per basis
+@pytest.mark.parametrize("field, multiples, per_weight, least", [
+    (QQ, (1, 2), 2, 16), (F3, (1,), 3, 9)], ids=["Q", "Q(s)"])
+def test_isolated_random_numerators_satisfy_milnor_orlik(field, multiples, per_weight, least):
+    seen = 0
+    for om in _isolated_potentials(field, 41, multiples, per_weight):
+        _assert_milnor_orlik(om)
+        seen += 1
+    assert seen >= least
+
+
+def test_critical_pairs_match_the_lcm_table_scan():
+    """the coordinate-wise scan returns the reference list, in order, on
+    seeded head lists with repeated, dividing and unit heads, and on every
+    catalog basis"""
+    rng = random.Random(77)
+    for _ in range(400):
+        heads = _random_monomial_ideal(rng, rng.randint(0, 24), rng.choice((2, 4, 6)))
+        assert _critical_pairs(heads) == critical_pairs_by_lcm_table(heads), heads
+    for e in catalog.entries():
+        heads = list(jacobian_basis(e.omega).heads())
+        assert _critical_pairs(heads) == critical_pairs_by_lcm_table(heads), e.entry_id

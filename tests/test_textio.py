@@ -60,6 +60,31 @@ def test_extension_field_coefficients():
     assert back == f
 
 
+def test_unit_coefficients_take_no_product_in_the_extension_field(monkeypatch):
+    """a variable carries the int 1 until its term is stored, so no unit
+    coefficient is multiplied in Q[s]/(m)"""
+    fld = ExtensionField([1, 1, 1])
+    products = []
+    mul = ExtensionField._mul
+
+    def counted(self, u, v):
+        products.append((u, v))
+        return mul(self, u, v)
+
+    monkeypatch.setattr(ExtensionField, "_mul", counted)
+    w = Weights(1, 1, 1)
+    cases = {"x*y*z": "(1)*x*y*z", "x^3+y^3+z^3": "(1)*x^3+(1)*y^3+(1)*z^3",
+             "x^3+y^3+z^3+(2+s)*x*y*z": "(1)*x^3+(1)*y^3+(2+s)*x*y*z+(1)*z^3"}
+    for text, printed in cases.items():
+        f = parse_poly(text, w, field=fld)
+        assert format_poly(f) == printed
+        assert f.field == fld and all(c.field == fld for c in f.terms.values())
+    assert products == []
+    # s^2 is a product in the field
+    assert format_poly(parse_poly("s^2*x", w, field=fld)) == "(-1-s)*x"
+    assert len(products) == 1
+
+
 def test_parse_errors():
     for bad in ("x^", "q+1", "x**2", "", "x ->", "1/0", "x^2/2"):
         with pytest.raises(ParseError):
