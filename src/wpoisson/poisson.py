@@ -2,11 +2,25 @@
 defined by a homogeneous potential, Jacobi and unimodularity diagnostics,
 Euler / Hamiltonian / modular derivations (each a PolyVector of its values
 on x, y, z), graded twists, the rigidity number, and verification of
-(quotient) automorphisms."""
+(quotient) automorphisms.
+
+A structure is kept as the vector field P = ({y,z}, {z,x}, {x,y}), which is
+grad(O) for the bracket of a potential O, and every diagnostic is a vector
+identity on P.  By the biderivation rule {x_i, h} = (e_i x grad h) . P, so:
+  - {f, g} = sum_i d_i(f) {x_i, g} = P . (grad f x grad g);
+  - the Hamiltonian {f, -} takes x_i to P . (grad f x e_i) = e_i . (P x
+    grad f), so it is P x grad f;
+  - the jacobiator sum_i {x_i, P_i} is P . sum_i e_i x grad P_i = -P . curl P;
+  - the modular field takes x_i to -div(P x e_i) = -e_i . curl P, as
+    div(u x v) = v . curl u - u . curl v, so it is -curl P;
+  - the twist by E ^ delta adds E(x_i) delta(x_j) - delta(x_i) E(x_j) to
+    {x_i, x_j}, so it is P + E x delta;
+  - the Jacobian determinant of (p, q, r) is grad p . (grad q x grad r).
+For P = grad(O), curl P = 0: the jacobiator and the modular field vanish."""
 
 from __future__ import annotations
 
-from .complexes import cochain_matrix, ozone_dim, vector_to_polys
+from .complexes import _cochain_rank, cochain_matrix, ozone_dim, vector_to_polys
 from .jacobian import normal_form
 from .linalg import kernel_basis
 from .ring import (
@@ -17,29 +31,40 @@ from .ring import (
     Weights,
     check_potential,
     count_monomials,
-    div,
+    cross,
+    curl,
+    dot,
     gradient,
 )
 
 
 class PoissonStructure:
-    """bivector on the weighted ring, recorded by the three generator brackets
-    {x,y}, {y,z}, {z,x}; arbitrary triples are representable, so the Jacobi
-    identity is a property to check, not an invariant"""
+    """bivector on the weighted ring, kept as the vector field P = ({y,z},
+    {z,x}, {x,y}) in ``bivector``; arbitrary triples are representable, so
+    the Jacobi identity is a property to check, not an invariant.  A
+    potential tag O must give the bracket: grad(O) = P."""
 
-    __slots__ = ("weights", "field", "pxy", "pyz", "pzx", "potential")
+    __slots__ = ("weights", "field", "bivector", "potential")
 
     def __init__(self, pxy: Polynomial, pyz: Polynomial, pzx: Polynomial, potential=None):
-        pxy._check_compatible(pyz)
-        pxy._check_compatible(pzx)
-        if potential is not None:
-            pxy._check_compatible(potential)
+        self.bivector = PolyVector(pyz, pzx, pxy)
+        if potential is not None and gradient(potential) != self.bivector:
+            raise RingError("potential tag does not match the bracket: grad(O) != P")
         self.weights = pxy.weights
         self.field = pxy.field
-        self.pxy = pxy
-        self.pyz = pyz
-        self.pzx = pzx
         self.potential = potential
+
+    @property
+    def pxy(self):
+        return self.bivector.f3
+
+    @property
+    def pyz(self):
+        return self.bivector.f1
+
+    @property
+    def pzx(self):
+        return self.bivector.f2
 
     def variables(self):
         return tuple(
@@ -49,15 +74,10 @@ class PoissonStructure:
     def __eq__(self, other):
         if not isinstance(other, PoissonStructure):
             return NotImplemented
-        return (
-            self.pxy == other.pxy
-            and self.pyz == other.pyz
-            and self.pzx == other.pzx
-            and self.potential == other.potential
-        )
+        return self.bivector == other.bivector and self.potential == other.potential
 
     def __hash__(self):
-        return hash((self.pxy, self.pyz, self.pzx, self.potential))
+        return hash((self.bivector, self.potential))
 
     def __repr__(self):
         return "PoissonStructure(pxy=%r, pyz=%r, pzx=%r)" % (self.pxy, self.pyz, self.pzx)
@@ -71,27 +91,19 @@ def from_potential(omega: Polynomial) -> PoissonStructure:
 
 
 def bracket(s: PoissonStructure, f: Polynomial, g: Polynomial) -> Polynomial:
-    """biderivation extension of the generator brackets"""
-    fx, fy, fz = gradient(f).comps
-    gx, gy, gz = gradient(g).comps
-    return (
-        (fx * gy - fy * gx) * s.pxy
-        + (fy * gz - fz * gy) * s.pyz
-        + (fz * gx - fx * gz) * s.pzx
-    )
+    """biderivation extension of the generator brackets: P . (grad f x grad g)"""
+    return dot(s.bivector, cross(gradient(f), gradient(g)))
 
 
 def jacobiator(s: PoissonStructure) -> Polynomial:
-    """{x,{y,z}} + {y,{z,x}} + {z,{x,y}}; zero exactly when the bracket
-    satisfies the Jacobi identity"""
-    x, y, z = s.variables()
-    return bracket(s, x, s.pyz) + bracket(s, y, s.pzx) + bracket(s, z, s.pxy)
+    """{x,{y,z}} + {y,{z,x}} + {z,{x,y}} = -P . curl P; zero exactly when the
+    bracket satisfies the Jacobi identity"""
+    return -dot(s.bivector, curl(s.bivector))
 
 
 def hamiltonian(s: PoissonStructure, f: Polynomial) -> PolyVector:
-    """the inner derivation {f, -}, by its values on x, y, z"""
-    x, y, z = s.variables()
-    return PolyVector(bracket(s, f, x), bracket(s, f, y), bracket(s, f, z))
+    """the inner derivation {f, -}, by its values on x, y, z: P x grad f"""
+    return cross(s.bivector, gradient(f))
 
 
 def euler_derivation(weights: Weights, field=QQ) -> PolyVector:
@@ -105,31 +117,22 @@ def euler_derivation(weights: Weights, field=QQ) -> PolyVector:
 
 
 def modular_derivation(s: PoissonStructure) -> PolyVector:
-    """obstruction to unimodularity: u -> -div({u, -}); zero for every
-    potential-defined structure by equality of mixed partials"""
-    x, y, z = s.variables()
-    return PolyVector(
-        -div(hamiltonian(s, x)),
-        -div(hamiltonian(s, y)),
-        -div(hamiltonian(s, z)),
-    )
+    """obstruction to unimodularity: u -> -div({u, -}), which is -curl P;
+    zero for every potential-defined structure by equality of mixed partials"""
+    return -curl(s.bivector)
 
 
 def graded_twist(s: PoissonStructure, delta: PolyVector):
-    """twist the bracket by the wedge of the Euler derivation with a degree-0
+    """twist the bracket by the wedge of the Euler derivation E with a degree-0
     derivation delta, given by its values on x, y, z: {f,g} + E(f) delta(g)
-    - delta(f) E(g).  Each nonzero value must be homogeneous of the weight of
-    its variable.  Returns the twisted structure together with a flag telling
-    whether it still satisfies the Jacobi identity."""
-    a, b, c = s.weights.tuple
-    for comp, w in zip(delta.comps, (a, b, c)):
+    - delta(f) E(g), whose bivector is P + E x delta.  Each nonzero value must
+    be homogeneous of the weight of its variable.  Returns the twisted
+    structure together with a flag telling whether it still satisfies the
+    Jacobi identity."""
+    for comp, w in zip(delta.comps, s.weights.tuple):
         if not comp.is_zero() and not (comp.is_homogeneous() and comp.homogeneous_degree() == w):
             raise RingError("twisting derivation must be homogeneous of degree 0")
-    x, y, z = s.variables()
-    dx, dy, dz = delta.comps
-    pxy = s.pxy + (a * x) * dy - dx * (b * y)
-    pyz = s.pyz + (b * y) * dz - dy * (c * z)
-    pzx = s.pzx + (c * z) * dx - dz * (a * x)
+    pyz, pzx, pxy = (s.bivector + cross(euler_derivation(s.weights, s.field), delta)).comps
     twisted = PoissonStructure(pxy, pyz, pzx)
     return twisted, jacobiator(twisted).is_zero()
 
@@ -163,25 +166,20 @@ def rgt(omega: Polynomial) -> int:
 
 def negative_degree_pd_dims(omega: Polynomial):
     """dimensions of the bracket-compatible derivations in each negative
-    degree down to -max(a,b,c), below which all generator values vanish"""
+    degree down to -max(a,b,c), below which all generator values vanish:
+    dim X1_d - rank d1_d, the kernel of the condition that
+    ``graded_derivation_space`` solves"""
     check_potential(omega, "diagnostic needs a potential of degree a+b+c")
     weights = omega.weights
-    s = from_potential(omega)
-    out = {}
-    for d in range(-max(weights.tuple), 0):
-        out[d] = len(graded_derivation_space(s, d))
-    return out
+    return {d: sum(count_monomials(weights, d + w) for w in weights.tuple)
+            - _cochain_rank(omega, 1, d) for d in range(-max(weights.tuple), 0)}
 
 
 def jacobian_determinant(images) -> Polynomial:
-    """determinant of the Jacobian matrix of three polynomial images"""
-    px, py, pz = images
-    j = [[p.partial(i) for i in range(3)] for p in (px, py, pz)]
-    return (
-        j[0][0] * (j[1][1] * j[2][2] - j[1][2] * j[2][1])
-        - j[0][1] * (j[1][0] * j[2][2] - j[1][2] * j[2][0])
-        + j[0][2] * (j[1][0] * j[2][1] - j[1][1] * j[2][0])
-    )
+    """determinant of the Jacobian matrix of three polynomial images: the
+    triple product grad p . (grad q x grad r)"""
+    p, q, r = images
+    return dot(gradient(p), cross(gradient(q), gradient(r)))
 
 
 def verify_automorphism(omega: Polynomial, phi) -> bool:
@@ -212,11 +210,9 @@ def verify_quotient_automorphism(omega: Polynomial, xi, phi, psi) -> bool:
     if not _reduces_to_zero(omega.substitute(phi) - xi, modulus):
         return False
 
-    pairs = ((x, y, s.pxy), (y, z, s.pyz), (z, x, s.pzx))
-    for u, v, puv in pairs:
-        lhs = puv.substitute(phi)
-        rhs = bracket(s, u.substitute(phi), v.substitute(phi))
-        if not _reduces_to_zero(lhs - rhs, modulus):
+    # P_i = {x_{i+1}, x_{i+2}}, indices mod 3
+    for i, p in enumerate(s.bivector.comps):
+        if not _reduces_to_zero(p.substitute(phi) - bracket(s, phi[i - 2], phi[i - 1]), modulus):
             return False
 
     for gen, psi_img in zip((x, y, z), psi):

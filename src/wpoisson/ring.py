@@ -398,7 +398,7 @@ class Polynomial:
         clean = {}
         for m, coef in terms.items():
             coef = field.coerce(coef)
-            if not field.is_zero(coef):
+            if coef:
                 clean[m] = coef
         self.terms = clean
         self._hash = None

@@ -10,7 +10,11 @@ gcd fold, which sweeps degrees where the package reads deg gcd off the
 Hilbert numerator, Bigatti's pivot recursion for that numerator, which the
 package now reads off the z-slices of the initial ideal, and the lcm-table
 scan of the critical pairs, which the package now makes coordinate by
-coordinate."""
+coordinate.  Last, the Poisson layer at the level of its definitions: the
+bracket by components, the jacobiator from three brackets, the modular
+derivation from the divergences of the Hamiltonians, the twist by
+components and the determinant by cofactors, which the package now reads
+off the vector field P = ({y,z}, {z,x}, {x,y})."""
 
 from itertools import combinations
 
@@ -18,6 +22,7 @@ from wpoisson import complexes, gradient, normal_form, rank
 from wpoisson.hilbert import _laurent_sub, _product_one_minus
 from wpoisson.jacobian import jacobian_basis
 from wpoisson.linalg import Matrix, kernel_basis
+from wpoisson.poisson import PoissonStructure
 from wpoisson.ring import (QQ, Polynomial, PolyVector, RingError, check_potential,
                            count_monomials, cross, curl, div, dot, mono_divides, mono_key,
                            mono_lcm, mono_mul, monomial_basis)
@@ -319,3 +324,49 @@ def critical_pairs_by_lcm_table(heads):
             continue
         pairs.append((i, j))
     return pairs
+
+
+def bracket_by_components(s, f, g):
+    """{f, g} as the sum over the generator pairs of the 2 x 2 minors of the
+    gradients times the generator brackets"""
+    fx, fy, fz = gradient(f).comps
+    gx, gy, gz = gradient(g).comps
+    return ((fx * gy - fy * gx) * s.pxy
+            + (fy * gz - fz * gy) * s.pyz
+            + (fz * gx - fx * gz) * s.pzx)
+
+
+def jacobiator_by_brackets(s):
+    """{x,{y,z}} + {y,{z,x}} + {z,{x,y}}"""
+    x, y, z = s.variables()
+    return (bracket_by_components(s, x, s.pyz) + bracket_by_components(s, y, s.pzx)
+            + bracket_by_components(s, z, s.pxy))
+
+
+def hamiltonian_by_brackets(s, f):
+    """{f, -} by its values on x, y, z"""
+    return PolyVector(*(bracket_by_components(s, f, v) for v in s.variables()))
+
+
+def modular_by_divergences(s):
+    """u -> -div({u, -}) on the generators"""
+    return PolyVector(*(-div(hamiltonian_by_brackets(s, v)) for v in s.variables()))
+
+
+def twist_by_components(s, delta):
+    """the structure {x_i, x_j} + E(x_i) delta(x_j) - delta(x_i) E(x_j), E
+    the Euler derivation"""
+    a, b, c = s.weights.tuple
+    x, y, z = s.variables()
+    dx, dy, dz = delta.comps
+    return PoissonStructure(s.pxy + (a * x) * dy - dx * (b * y),
+                            s.pyz + (b * y) * dz - dy * (c * z),
+                            s.pzx + (c * z) * dx - dz * (a * x))
+
+
+def determinant_by_cofactors(images):
+    """det of the Jacobian matrix, expanded along its first row"""
+    j = [[p.partial(i) for i in range(3)] for p in images]
+    return (j[0][0] * (j[1][1] * j[2][2] - j[1][2] * j[2][1])
+            - j[0][1] * (j[1][0] * j[2][2] - j[1][2] * j[2][0])
+            + j[0][2] * (j[1][0] * j[2][1] - j[1][1] * j[2][0]))

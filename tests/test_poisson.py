@@ -1,11 +1,15 @@
 """Poisson structures from potentials: brackets, Jacobi and modular
 checks, twists, graded derivation spaces, and the rigidity index."""
 
+import random
+
 import pytest
 
+import reference_maps as ref
 from wpoisson import (
     PolyVector,
     Weights,
+    catalog,
     format_poly,
     from_potential,
     jacobiator,
@@ -25,7 +29,8 @@ from wpoisson.poisson import (
     hamiltonian,
     jacobian_determinant,
 )
-from wpoisson.ring import Polynomial, RingError, div, dot, gradient
+from wpoisson.ring import (QQ, ExtensionField, Polynomial, RingError, div, dot, gradient,
+                           monomial_basis)
 
 
 W111 = Weights(1, 1, 1)
@@ -205,6 +210,91 @@ def test_negative_degree_pd_dims():
         -3: 0, -2: 0, -1: 1}
     assert negative_degree_pd_dims(parse_poly("x^3+y^3+z^3+x*y*z", W111)) == {
         -1: 0}
+
+
+def test_negative_degree_pd_dims_count_the_derivation_bases():
+    """dim X1_d - rank d1_d is the size of the kernel basis that
+    graded_derivation_space builds, on every negative degree of the catalog"""
+    degrees = 0
+    for e in catalog.entries():
+        s = from_potential(e.omega)
+        for d, dim in negative_degree_pd_dims(e.omega).items():
+            assert dim == len(graded_derivation_space(s, d)), (e.entry_id, d)
+            degrees += 1
+    assert degrees == 401
+
+
+def test_potential_tag_must_match_the_bracket():
+    x, y, z = _vars(W111)
+    om = x * y * z
+    assert PoissonStructure(x * y, y * z, z * x, potential=om) == from_potential(om)
+    # P = (y, z, x) is not grad(x*y*z) = (y*z, z*x, x*y)
+    with pytest.raises(RingError):
+        PoissonStructure(x, y, z, potential=om)
+    with pytest.raises(RingError):
+        PoissonStructure(x * y, y * z, z * x, potential=om * 2)
+    fld = ExtensionField([1, 1, 1])
+    with pytest.raises(RingError):
+        PoissonStructure(x * y, y * z, z * x, potential=parse_poly("x*y*z", W111, field=fld))
+
+
+FIELDS = {"Q": QQ, "Q(s)": ExtensionField([1, 1, 1])}
+
+
+def _random_coef(rng, field):
+    c = field.coerce(rng.randint(-3, 3))
+    return c if field == QQ else c + field.generator * rng.randint(-3, 3)
+
+
+def _random_poly(rng, w, field, degrees, terms=3):
+    f = Polynomial.zero(w, field)
+    for _ in range(terms):
+        basis = monomial_basis(w, rng.choice(degrees))
+        if basis:
+            f = f + Polynomial.monomial(w, rng.choice(basis), _random_coef(rng, field), field)
+    return f
+
+
+def _random_structures(rng, field):
+    """random triples, mostly neither Poisson nor unimodular, and the
+    structures of random potentials"""
+    for w in (W111, W112, W123):
+        for _ in range(6):
+            yield PoissonStructure(*(_random_poly(rng, w, field, range(4)) for _ in range(3)))
+        om = _random_poly(rng, w, field, [w.n_default])
+        if not om.is_zero():
+            yield from_potential(om)
+
+
+@pytest.mark.parametrize("field", list(FIELDS.values()), ids=list(FIELDS))
+def test_vector_identities_match_the_definitions(field):
+    """each function read off P = ({y,z}, {z,x}, {x,y}) equals its
+    definition-level form in reference_maps, exactly"""
+    rng = random.Random(21)
+    nonzero = dict.fromkeys(("bracket", "jacobiator", "modular", "twist", "det"), 0)
+    for s in _random_structures(rng, field):
+        w = s.weights
+        f, g = (_random_poly(rng, w, field, range(5)) for _ in range(2))
+        br = bracket(s, f, g)
+        assert br == ref.bracket_by_components(s, f, g)
+        assert hamiltonian(s, f) == ref.hamiltonian_by_brackets(s, f)
+        j = jacobiator(s)
+        assert j == ref.jacobiator_by_brackets(s)
+        m = modular_derivation(s)
+        assert m == ref.modular_by_divergences(s)
+        delta = PolyVector(*(_random_poly(rng, w, field, [t]) for t in w.tuple))
+        twisted, flag = graded_twist(s, delta)
+        expected = ref.twist_by_components(s, delta)
+        assert twisted == expected
+        assert flag == ref.jacobiator_by_brackets(expected).is_zero()
+        images = tuple(_random_poly(rng, w, field, range(4)) for _ in range(3))
+        det = jacobian_determinant(images)
+        assert det == ref.determinant_by_cofactors(images)
+        unchanged = twisted.bivector == s.bivector
+        for key, zero in (("bracket", br.is_zero()), ("jacobiator", j.is_zero()),
+                          ("modular", m.is_zero()), ("twist", unchanged), ("det", det.is_zero())):
+            nonzero[key] += not zero
+    assert all(count >= 5 for count in nonzero.values()), nonzero
 
 
 def test_jacobian_determinant():

@@ -85,6 +85,25 @@ def test_unit_coefficients_take_no_product_in_the_extension_field(monkeypatch):
     assert len(products) == 1
 
 
+def test_each_stored_coefficient_is_coerced_once(monkeypatch):
+    """Polynomial.__init__ tests the coerced coefficient itself for zero, so
+    storing a Q[s]/(m) term costs one ``coerce``"""
+    fld = ExtensionField([1, 1, 1])
+    calls = []
+    coerce = ExtensionField.coerce
+
+    def counted(self, v):
+        calls.append(v)
+        return coerce(self, v)
+
+    monkeypatch.setattr(ExtensionField, "coerce", counted)
+    w = Weights(1, 1, 1)
+    for text, expected in (("x*y*z", 1), ("x^3+y^3+z^3+(2+s)*x*y*z", 6)):
+        calls.clear()
+        parse_poly(text, w, field=fld)
+        assert len(calls) == expected, text
+
+
 def test_parse_errors():
     for bad in ("x^", "q+1", "x**2", "", "x ->", "1/0", "x^2/2"):
         with pytest.raises(ParseError):
