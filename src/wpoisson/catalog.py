@@ -434,6 +434,11 @@ def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
     D = truncation_bound(entry.weights, entry.degree, max_degree, reach.values())
     report = EntryReport(entry=entry)
     omega = entry.omega
+    # the tables come before every other check, sealed first: its block
+    # eliminations leave the ranks of T_e that rgt, vacancy and cohomology
+    # read (complexes docstring); the report keeps its row order
+    bounds = {name: max(D, reach.get(name, D)) for name, _, _, _ in truncated}
+    dims = {name: table(omega, bounds[name]).items() for name, _, _, table in reversed(truncated)}
 
     if "structure" in want:
         s = from_potential(omega)
@@ -460,9 +465,8 @@ def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
         report.items.append(ReportItem(
             "isolated", "pass" if iso == entry.expected_isolated else "fail",
             str(entry.expected_isolated).lower(), str(iso).lower()))
-    for name, verdict, _, table in truncated:
-        bound = max(D, reach.get(name, D))
-        _check_yes_no(name, verdict, table(omega, bound).items(), report, bound)
+    for name, verdict, _, _ in truncated:
+        _check_yes_no(name, verdict, dims[name], report, bounds[name])
     if "cohomology" in want and entry.type_label in ("i", "q", "bw"):
         _, matches = ph_closed_form_rows(omega, D)
         bad = ["PH%d" % i for i in range(4) if not matches["ph%d" % i]]

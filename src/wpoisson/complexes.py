@@ -8,7 +8,8 @@ Euler's identity, in the domain k[x,y,z], and T_d = (v . g ; div v) on the
 degree-d derivations.  M2: f g is a gradient iff curl(f g) = d0(f) is zero,
 as the weighted de Rham complex is exact.  Ozone: d1(v) = div(v) g -
 grad(v . g), so T_d serves ozone and rgt, its table serves the sealed
-block below, and its rank, memoised once per degree, serves d1 and d2 too.
+block below, and its rank, memoised once per degree (read off that block
+where the block is eliminated), serves d1 and d2 too.
 Koszul: K3 -> K2, v0 -> v0 g, is injective.
 
 d0: contracting df ^ dO = 0 with the Euler field gives n O df = k f dO for
@@ -35,7 +36,7 @@ zero.
 
 Sealed: with e = d - n and g_i the first nonzero partial, the degree-d
 Koszul 1-cycles v with div v in (g_i) are the projections of the kernel of
-B_e(v, u) = (v . g ; div v - u g_i) on X1_e + A_{e-n+w_i}, and the
+B_e(u, v) = (v . g ; div v - u g_i) on A_{e-n+w_i} + X1_e, and the
 projection is injective, as k[x,y,z] is a domain.  Modulo them the cycles
 with div v in J = (g) fill all of J_e / (g_i)_e: for f with d_i f = u_j the
 cycle f (g_j e_i - g_i e_j), a Koszul boundary, has divergence u_j g_j -
@@ -43,6 +44,17 @@ cycle f (g_j e_i - g_i e_j), a Koszul boundary, has divergence u_j g_j -
 in J number dim X1_e + #A_u - rank B_e + rank K1 - #A_u, and sealed_d =
 dim X1_e - rank B_e + rank K1 - rank K2, with K1 and K2 at total degree e
 and d.
+
+The same elimination gives rank T_e, as T_e is B_e without its u columns,
+which come first.  ``linalg._echelon`` pivots each row on its last column,
+so the pivot rows are a basis of the row space with distinct last columns.
+A row-space vector supported below a column j is a combination of them in
+which no pivot row past j takes part, as the largest such pivot would
+survive; so those vectors are exactly the span of the pivot rows below j.
+They are the kernel of the cut of the row space to the columns >= j, so the
+pivots in columns >= j number rank B[:, >= j].  Over K = Q[s]/(m), deg m =
+k, the u block is k Q-columns per monomial and pivots come in whole blocks,
+so the count is k times the rank over K.
 
 Every per-degree table sweeps a window of degrees from its lowest nonzero
 slot up to the truncation bound D, and refuses a window with no degree
@@ -58,7 +70,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .hilbert import closed_form_ph, euler_rhs
-from .linalg import Matrix, rank
+from .linalg import Matrix, _pivots, rank
 from .ring import (
     Polynomial,
     QQ,
@@ -355,12 +367,23 @@ def _ozone_table(omega):
                     + [(1, s, s, 1) for s in range(3)])
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=1024)
+def _t_ranks(omega):
+    """the memo of rank T_d by degree d, one per potential: the sealed block
+    fills it, and ``_ozone_rank`` the degrees it leaves out"""
+    return {}
+
+
 def _ozone_rank(omega, d):
-    """rank of T_d: X1_d -> A_{d+n} + A_d"""
-    weights = omega.weights
-    return rank(assemble(weights, omega.field, [d + s for s in weights.tuple],
-                         [d + omega.homogeneous_degree(), d], _ozone_table(omega)))
+    """rank of T_d: X1_d -> A_{d+n} + A_d, read off the sealed block where
+    that was eliminated first, else from T_d alone"""
+    ranks = _t_ranks(omega)
+    r = ranks.get(d)
+    if r is None:
+        weights = omega.weights
+        r = ranks[d] = rank(assemble(weights, omega.field, [d + s for s in weights.tuple],
+                                     [d + omega.homogeneous_degree(), d], _ozone_table(omega)))
+    return r
 
 
 def ozone_dim(omega, d):
@@ -472,10 +495,14 @@ def sealed_k1_dims(omega, bound):
     flag)."""
     n = check_potential(omega)
     weights = omega.weights
-    # B(v, u) = (v . g ; div v - u g_i): T, then u times the first nonzero
-    # partial g_i, negated, on source 3
+    field = omega.field
+    k = field.degree
+    # B(u, v) = (v . g ; div v - u g_i): u times the first nonzero partial
+    # g_i, negated, on source 0, then T on sources 1..3
     i = next(v for v in range(3) if not omega.partial(v).is_zero())
-    table = _ozone_table(omega) + op_table(omega.field, [(1, 3, None, -omega.partial(i))])
+    table = (op_table(field, [(1, 0, None, -omega.partial(i))])
+             + tuple((t, s + k, v, q) for t, s, v, q in _ozone_table(omega)))
+    t_ranks = _t_ranks(omega)
     out = {}
     for d in _window("sealed", 0, bound):
         # K1 at degree d is X1 at degree e = d - n
@@ -485,9 +512,12 @@ def sealed_k1_dims(omega, bound):
         if not dim_v:
             out[d] = 0
             continue
-        block = rank(assemble(weights, omega.field, degs[1] + [low[1][i]], degs[0] + low[0],
-                              table))
-        out[d] = dim_v - block + _koszul_rank(omega, 1, e) - _koszul_rank(omega, 2, d)
+        u_deg = low[1][i]
+        pivots, _ = _pivots(assemble(weights, field, [u_deg] + degs[1], degs[0] + low[0], table))
+        # rank T_e: the pivots past the u columns (module docstring)
+        u_cols = k * count_monomials(weights, u_deg)
+        t_ranks[e] = sum(c >= u_cols for c in pivots) // k
+        out[d] = dim_v - len(pivots) // k + _koszul_rank(omega, 1, e) - _koszul_rank(omega, 2, d)
     return out, all(v == 0 for v in out.values())
 
 

@@ -478,11 +478,12 @@ class Polynomial:
         self._check_compatible(other)
         terms = dict(self.terms)
         for m, coef in other.terms.items():
-            s = terms.get(m, self.field.zero) + coef
-            if self.field.is_zero(s):
-                terms.pop(m, None)
-            else:
+            prev = terms.get(m)
+            s = coef if prev is None else prev + coef
+            if s:
                 terms[m] = s
+            else:
+                del terms[m]
         return self._new(terms)
 
     __radd__ = __add__
@@ -506,12 +507,12 @@ class Polynomial:
             return self._new({m: co * c for m, co in self.terms.items()})
         self._check_compatible(other)
         out = {}
-        zero = self.field.zero
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                s = out.get(m, zero) + c1 * c2
-                out[m] = s
+                c = c1 * c2
+                prev = out.get(m)
+                out[m] = c if prev is None else prev + c
         return self._new(out)
 
     __rmul__ = __mul__

@@ -173,9 +173,9 @@ def reference_maps(omega):
         "sealed": lambda v: [dot(PolyVector(*v), g),
                              normal_form(div(PolyVector(*v)), jacobian_basis(omega))],
         # the same condition modulo the first nonzero partial g_i alone, as
-        # the image of a multiplier u
-        "sealed_block": lambda v: [dot(PolyVector(*v[:3]), g),
-                                   div(PolyVector(*v[:3])) - v[3] * _first_nonzero(g)],
+        # the image of a multiplier u, the first source
+        "sealed_block": lambda v: [dot(PolyVector(*v[1:]), g),
+                                   div(PolyVector(*v[1:])) - v[0] * _first_nonzero(g)],
         "grad": lambda v: list(gradient(v[0]).comps),
         "curl": lambda v: list(curl(PolyVector(*v)).comps),
         "div": lambda v: [div(PolyVector(*v))],

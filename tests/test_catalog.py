@@ -1,8 +1,13 @@
 """Catalog data file: loading, filtering, and per-entry verification."""
 
+import math
+import random
+
 import pytest
 
-from wpoisson import catalog
+from wpoisson import QQ, Weights, catalog, monomial_basis
+from wpoisson.jacobian import gkdim
+from wpoisson.ring import Polynomial
 
 
 def test_catalog_loads_and_is_well_formed():
@@ -27,6 +32,63 @@ def test_type_distribution():
 def test_isolated_entries_are_the_i_type():
     for e in catalog.entries():
         assert e.expected_isolated == (e.type_label == "i")
+
+
+def _support(a, b, c):
+    """the exponents (i, j, k) of weighted degree a+b+c"""
+    n = a + b + c
+    return [((n - b * j - c * k) // a, j, k) for k in range(n // c + 1)
+            for j in range((n - c * k) // b + 1) if (n - b * j - c * k) % a == 0]
+
+
+def _isolated_candidates(top):
+    """(on the axes, kept): the reduced weights a <= b <= c <= top whose
+    support of degree a+b+c holds x_i^k or x_i^k x_j for each variable x_i,
+    else O and grad O vanish on the x_i axis; and of those, the ones where
+    no variable divides every monomial, else O = x_i F is singular along the
+    curve x_i = F = 0"""
+    axes, kept = [], []
+    for a in range(1, top + 1):
+        for b in range(a, top + 1):
+            for c in range(b, top + 1):
+                if math.gcd(a, b, c) != 1:
+                    continue
+                support = _support(a, b, c)
+                if not all(any(m[i] and sum(m) - m[i] <= 1 for m in support) for i in range(3)):
+                    continue
+                axes.append((a, b, c))
+                if not any(all(m[i] for m in support) for i in range(3)):
+                    kept.append((a, b, c))
+    return axes, kept
+
+
+def test_isolated_potentials_of_degree_a_b_c_live_on_three_weight_triples():
+    """the classification from outside the catalog: only the weights of the
+    simple elliptic singularities E6~, E7~ and E8~ (K. Saito, Invent. Math.
+    23, 1974) carry an isolated potential of degree a+b+c.  Isolatedness is
+    Zariski-open, so one seeded member with gkdim 0 certifies a triple."""
+    triples = [(1, 1, 1), (1, 1, 2), (1, 2, 3)]
+    axes, kept = _isolated_candidates(30)
+    # the axis condition alone keeps 43 more, such as (1, b, b) for b >= 2
+    assert len(axes) == 46 and (1, 5, 5) in axes and (2, 5, 5) in axes
+    assert kept == triples
+    assert _isolated_candidates(60)[1] == triples
+    rng = random.Random(6)
+    for t in triples:
+        w = Weights(*t)
+        support = monomial_basis(w, sum(t))
+        assert sorted(support) == sorted(_support(*t))
+        assert gkdim(Polynomial(w, QQ, {m: rng.randint(1, 9) for m in support})) == 0, t
+    # x divides every monomial of degree 5 on (1,2,2), and of degree 7 on (1,3,3)
+    for t in ((1, 2, 2), (1, 3, 3)):
+        w = Weights(*t)
+        seeded = Polynomial(w, QQ, {m: rng.randint(1, 9) for m in monomial_basis(w, sum(t))})
+        assert t in axes and t not in kept and gkdim(seeded) == 1, t
+    for e in catalog.entries():
+        if e.expected_isolated:
+            assert e.weights.tuple in triples, e.entry_id
+        if e.type_label == "i":
+            assert gkdim(e.omega) == 0, e.entry_id
 
 
 def test_rigid_iff_irreducible_on_exact_rows():

@@ -7,6 +7,7 @@ tests guard against regressions in the matrix assembly."""
 
 import copy
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -645,6 +646,95 @@ def test_ph_dims_match_the_isolated_closed_form(weights, text):
     table = complexes.ph_dims(om, top)
     for i, series in enumerate(isolated_ph(weights, n)):
         assert [table.dim(i, d) for d in range(lo, top + 1)] == series.expand(lo, top), i
+
+
+# ---------------------------------------------------------------------------
+# rank T_e read off the elimination of the sealed block B_e
+
+# assembled matrices told apart by their numbers of source and target
+# components; no catalog entry has the degree n != a+b+c at which the d1
+# matrix, also 3 x 3, is assembled
+_KINDS = {(3, 2): "T", (4, 2): "B", (3, 1): "K1", (3, 3): "K2", (1, 3): "d0"}
+
+
+def _sealed_degrees(om, bound):
+    """the degrees e = d - n of the sealed blocks to the bound, where X1_e
+    is nonzero"""
+    n = om.homogeneous_degree()
+    return [d - n for d in range(bound + 1) if complexes._koszul_dim(om, 1, d)]
+
+
+def _shared_ranks(om, bound):
+    """the ranks of T_e that sealed_k1_dims leaves in the memo, from empty
+    memos"""
+    _clear_memos()
+    complexes.sealed_k1_dims(om, bound)
+    shared = dict(complexes._t_ranks(om))
+    assert sorted(shared) == _sealed_degrees(om, bound)
+    return shared
+
+
+@pytest.mark.parametrize("weights, field, text", [
+    pytest.param(w, QQ, t, id=t) for w, t in _ISOLATED] + [
+    pytest.param(W111, ExtensionField([1, 1, 1]), "x^4+y^4+z^4+s*x^2*y*z", id="cube-root-field"),
+])
+def test_ranks_read_off_the_sealed_block_give_the_isolated_closed_form(
+        monkeypatch, weights, field, text):
+    """ph_dims reads rank T_d from the memo the sealed blocks filled, and
+    the closed forms of an isolated potential check it: the alternating sum
+    of AC8 cannot, as the ranks telescope away there"""
+    om = parse_poly(text, weights, field)
+    n = om.homogeneous_degree()
+    assert n != weights.n_default and has_isolated_singularity(om)
+    lo, top = -max(n, weights.n_default), 3 * n + 6
+    shared = _shared_ranks(om, top)
+    assembled = []
+    real = complexes.assemble
+
+    def spy(w, f, src_degs, tgt_degs, *rest):
+        if (len(src_degs), len(tgt_degs)) == (3, 2):
+            assembled.append(src_degs[0] - w.a)
+        return real(w, f, src_degs, tgt_degs, *rest)
+
+    monkeypatch.setattr(complexes, "assemble", spy)
+    table = complexes.ph_dims(om, top)
+    monkeypatch.undo()
+    assert assembled and not set(assembled) & set(shared)
+    for i, series in enumerate(isolated_ph(weights, n)):
+        assert [table.dim(i, d) for d in range(lo, top + 1)] == series.expand(lo, top), i
+
+
+@pytest.mark.parametrize("weights, field, text, top", [
+    pytest.param(e.weights, QQ, e.omega_text, e.degree + 6, id=e.entry_id)
+    for e in catalog.entries()] + [
+    pytest.param(W111, ExtensionField([1, 1, 1]), "x^4+y^4+z^4+s*x^2*y*z", 10,
+                 id="cube-root-field"),
+])
+def test_rank_t_read_off_the_sealed_block_equals_its_own_matrix(weights, field, text, top):
+    """the pivots of B_e past its u columns against the elimination of T_e
+    alone, at every sealed degree to n+6"""
+    om = parse_poly(text, weights, field)
+    shared = _shared_ranks(om, top)
+    _clear_memos()
+    assert shared == {e: complexes._ozone_rank(om, e) for e in shared}
+    assert complexes._t_ranks(om) == shared
+
+
+def test_a_catalog_pass_eliminates_no_t_at_a_sealed_degree(monkeypatch):
+    """a cold verify_entry of every catalog entry at n+6 reads rank T_e off
+    B_e wherever it eliminates B_e, and eliminates every other kind of
+    matrix as often as before"""
+    counts = Counter()
+    for e in catalog.entries():
+        calls = _capture(monkeypatch, lambda: catalog.verify_entry(e, e.degree + 6))
+        kinds = [_KINDS[len(src), len(tgt)] for src, tgt, _ in calls]
+        a = e.weights.a
+        t_degs = {src[0] - a for (src, _, _), kind in zip(calls, kinds) if kind == "T"}
+        b_degs = {src[1] - a for (src, _, _), kind in zip(calls, kinds) if kind == "B"}
+        assert b_degs and not t_degs & b_degs, e.entry_id
+        counts.update(kinds)
+    # 2,310 T matrices when each T_e was eliminated on its own
+    assert counts == {"T": 1046, "B": 1264, "K1": 470, "K2": 412, "d0": 295}
 
 
 # ---------------------------------------------------------------------------

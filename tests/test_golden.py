@@ -75,6 +75,20 @@ def test_catalog_verify_json_equals_golden():
     assert _verify_stdout() == VERIFY.read_text()
 
 
+@pytest.mark.parametrize("checks", ["sealed", "vacancy,sealed", "rgt,sealed",
+                                    "rgt,vacancy,sealed,cohomology"])
+def test_catalog_verify_rows_keep_the_report_order(checks):
+    """verify_entry computes the sealed table before rgt, vacancy and
+    cohomology, and still reports its rows in the order of the full report"""
+    res = CliRunner().invoke(main, VERIFY_ARGS + ["--checks", checks], catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    want = set(checks.split(","))
+    golden = json.loads(VERIFY.read_text())["results"]["rows"]
+    rows = json.loads(res.stdout)["results"]["rows"]
+    assert rows == [row for row in golden if row["check"] in want]
+    assert {row["check"] for row in rows} == want
+
+
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     tables = {e.entry_id: entry_tables(e) for e in catalog.entries()}

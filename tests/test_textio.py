@@ -85,10 +85,7 @@ def test_unit_coefficients_take_no_product_in_the_extension_field(monkeypatch):
     assert len(products) == 1
 
 
-def test_each_stored_coefficient_is_coerced_once(monkeypatch):
-    """Polynomial.__init__ tests the coerced coefficient itself for zero, so
-    storing a Q[s]/(m) term costs one ``coerce``"""
-    fld = ExtensionField([1, 1, 1])
+def _count_coerce(monkeypatch):
     calls = []
     coerce = ExtensionField.coerce
 
@@ -97,11 +94,35 @@ def test_each_stored_coefficient_is_coerced_once(monkeypatch):
         return coerce(self, v)
 
     monkeypatch.setattr(ExtensionField, "coerce", counted)
+    return calls
+
+
+def test_each_stored_coefficient_is_coerced_once(monkeypatch):
+    """Polynomial.__init__ tests the coerced coefficient itself for zero, so
+    storing a Q[s]/(m) term costs one ``coerce``"""
+    fld = ExtensionField([1, 1, 1])
+    calls = _count_coerce(monkeypatch)
     w = Weights(1, 1, 1)
-    for text, expected in (("x*y*z", 1), ("x^3+y^3+z^3+(2+s)*x*y*z", 6)):
+    for text, expected in (("x*y*z", 1), ("x^3+y^3+z^3+(2+s)*x*y*z", 5)):
         calls.clear()
         parse_poly(text, w, field=fld)
         assert len(calls) == expected, text
+
+
+def test_a_sum_coerces_each_shared_term_once(monkeypatch):
+    """Polynomial.__add__ adds only the terms both summands hold, tests the
+    sum itself for zero and stores it: one ``coerce`` in each such sum, and
+    one per stored term of the result"""
+    fld = ExtensionField([1, 1, 1])
+    w = Weights(1, 1, 1)
+    p = parse_poly("x^3-y^3+s*x*y*z+x^2*y", w, field=fld)
+    q = parse_poly("x^3+y^3+z^3+(2+s)*x*y*z", w, field=fld)
+    calls = _count_coerce(monkeypatch)
+    total = q + p
+    # three shared terms, y^3 cancelling, then four stored terms
+    assert len(calls) == 7
+    monkeypatch.undo()
+    assert total == parse_poly("2*x^3+x^2*y+(2+2*s)*x*y*z+z^3", w, field=fld)
 
 
 def test_parse_errors():
