@@ -1,7 +1,8 @@
 """Jacobian ideal machinery: Groebner bases under the fixed weighted order,
 normal forms, Hilbert data of the singular quotient, GK-dimension, isolated
 singularity detection, and the gcd of the partials: its degree is the
-multiplicity -N'(1) of the cached Hilbert numerator N, and the gcd itself
+multiplicity -N'(1) of the cached Hilbert numerator N.  When the monomial
+content of the partials has that degree, it is the gcd; otherwise the gcd
 comes from the kernel of the Koszul map K2 at the one degree that fixes, by
 the exact linear algebra of any supported field.
 
@@ -85,20 +86,28 @@ class GroebnerBasis:
     """Reduced Groebner basis under the weighted-degree grevlex order.
 
     Elements are monic, no head divides another head, tails fully reduced.
-    Construct through buchberger(), from the divisors of its elements."""
+    Construct through buchberger(), from the divisors of its elements.  The
+    monic polynomials are built on first use: heads, the Hilbert numerator,
+    the gcd and normal forms read the divisors alone."""
 
-    __slots__ = ("polys", "weights", "field", "_divisors")
+    __slots__ = ("weights", "field", "_divisors", "_polys")
 
     def __init__(self, divisors, weights, field):
-        one = field.one
         self._divisors = list(divisors)
         self.weights = weights
         self.field = field
-        # lc is 1 over Q(s), where the tail is monic already
-        self.polys = tuple(
-            Polynomial(weights, field, {h: one, **{m: c if lc == 1 else Fraction(c, lc)
-                                                   for m, c in tail}})
-            for h, lc, tail in self._divisors)
+        self._polys = None
+
+    @property
+    def polys(self):
+        if self._polys is None:
+            one = self.field.one
+            # lc is 1 over Q(s), where the tail is monic already
+            self._polys = tuple(
+                Polynomial(self.weights, self.field,
+                           {h: one, **{m: c if lc == 1 else Fraction(c, lc) for m, c in tail}})
+                for h, lc, tail in self._divisors)
+        return self._polys
 
     def heads(self):
         return tuple(h for h, _, _ in self._divisors)
@@ -107,7 +116,7 @@ class GroebnerBasis:
         return iter(self.polys)
 
     def __len__(self):
-        return len(self.polys)
+        return len(self._divisors)
 
     def __repr__(self):
         return "GroebnerBasis(%s)" % (list(self.polys),)
@@ -169,14 +178,17 @@ def normal_form(f, basis):
     """remainder of full division of f by the basis, each term reduced by the
     first element whose head divides it; zero iff f lies in the ideal when the
     basis is a Groebner basis"""
+    # reduction mixes their coefficients, so they must share weights and field;
+    # a GroebnerBasis carries both, as every element has them
     if isinstance(basis, GroebnerBasis):
-        polys, divisors = basis.polys, basis._divisors
+        f._check_compatible(basis)
+        divisors = basis._divisors
     else:
         polys = [g for g in basis if g.terms]
+        for g in polys:
+            f._check_compatible(g)
         divisors = [_divisor(g.field, g.leading_monomial(), _entry(g.field, g.terms)[1])
                     for g in polys]
-    for g in polys:
-        f._check_compatible(g)  # reduction mixes their coefficients
     if not f.terms:
         return f
     entry, terms = _entry(f.field, f.terms)
@@ -468,18 +480,36 @@ def gcd_partials(omega):
     at t = 1, so M vanishes to order >= 2 there.  Hence -N'(1) = deg h
     (Bruns-Herzog, Cohen-Macaulay Rings, 4.1).
 
-    With delta = deg h > 0, the Koszul map K2 -> K1, v -> v x g, has kernel
-    A g' (module docstring of ``complexes``), first met at total degree
-    d0 = 3n - (a+b+c) - delta, where it is the line through g'.  Its
-    vector there is u = c g' for a scalar c, so with g_i the first nonzero
-    partial the map (h', t) -> u_i h' - t g_i from degrees (delta, 0) to
-    deg g_i has the one-dimensional kernel spanned by (h, c); ``monic``
-    fixes the scale.  A kernel of any other dimension raises RingError."""
+    h is 1 when deg h = 0; otherwise two routes give it.  First the
+    monomial content m of the g, each variable's least exponent over all
+    their terms: when deg m = deg h, h is m, and no matrix is built.
+    Proof: m divides every g, so m | h; deg h = deg m, so h/m is a nonzero
+    constant, and the monic h is m.  Otherwise h comes from two kernels
+    (_gcd_from_koszul)."""
     check_potential(omega)
     weights, field = omega.weights, omega.field
     delta = -sum(d * c for d, c in _jacobian_numerator(omega))
     if not delta:
         return Polynomial.constant(weights, field.one, field)
+    exps = [m for g in gradient(omega).comps for m in g.terms]
+    content = tuple(min(m[v] for m in exps) for v in range(3))
+    if weights.mono_degree(content) == delta:
+        return Polynomial.monomial(weights, content, field.one, field)
+    return _gcd_from_koszul(omega, delta)
+
+
+def _gcd_from_koszul(omega, delta):
+    """the monic gcd h of the nonzero partials g of omega, of degree
+    delta > 0, from two kernels.
+
+    The Koszul map K2 -> K1, v -> v x g, has kernel A g', g' = g/h (module
+    docstring of ``complexes``), first met at total degree
+    d0 = 3n - (a+b+c) - delta, where it is the line through g'.  Its
+    vector there is u = c g' for a scalar c, so with g_i the first nonzero
+    partial the map (h', t) -> u_i h' - t g_i from degrees (delta, 0) to
+    deg g_i has the one-dimensional kernel spanned by (h, c); ``monic``
+    fixes the scale.  A kernel of any other dimension raises RingError."""
+    weights, field = omega.weights, omega.field
     d0 = 3 * omega.homogeneous_degree() - weights.n_default - delta
     u = _one_kernel_vector(weights, field, koszul_component_degs(omega, d0)[2],
                            _koszul_matrix(omega, 2, d0))

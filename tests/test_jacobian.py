@@ -355,18 +355,42 @@ def _pool_potentials(seed, weights, count):
         yield Polynomial(weights, QQ, {m: rng.choice(POOL_COEFFS) for m in support})
 
 
+def _matches_sympy_grevlex(sympy, omega, basis):
+    """on (1,1,1) the order is grevlex with x > y > z: the basis as a set of
+    sympy Polys against sympy's reduced Groebner basis of the partials"""
+    parts = [_to_sympy(sympy, g) for g in gradient(omega).comps if g.terms]
+    want = sympy.groebner(parts, *sympy.symbols("x y z"), order="grevlex", domain=sympy.QQ)
+    # Poly.monic divides by the lex leading coefficient
+    return ({_to_sympy(sympy, g) for g in basis}
+            == {p.quo_ground(p.LC(order="grevlex")) for p in want.polys})
+
+
 def test_reduced_bases_on_111_match_sympy_grevlex():
-    """on (1,1,1) the order is grevlex with x > y > z, so jacobian_basis must
-    be sympy's reduced Groebner basis of the partials, made monic"""
+    """jacobian_basis must be sympy's reduced Groebner basis, made monic"""
     sympy = pytest.importorskip("sympy")
-    x, y, z = sympy.symbols("x y z")
     pool = list(_pool_potentials(31, W111, 48)) + [parse_poly(W4, W111)]
     for omega in pool:
-        parts = [_to_sympy(sympy, g) for g in gradient(omega).comps if g.terms]
-        want = sympy.groebner(parts, x, y, z, order="grevlex", domain=sympy.QQ)
-        got = {_to_sympy(sympy, g) for g in jacobian_basis(omega)}
-        # Poly.monic divides by the lex leading coefficient
-        assert got == {p.quo_ground(p.LC(order="grevlex")) for p in want.polys}, omega
+        assert _matches_sympy_grevlex(sympy, omega, jacobian_basis(omega)), omega
+
+
+def test_hilbert_gkdim_and_gcd_build_no_basis_polynomial():
+    """a cold a_sing_hilbert + gkdim + gcd_partials reads heads and the
+    numerator only, so the basis builds no polynomial; iterating it then
+    builds the elements the sympy comparison above pins"""
+    sympy = pytest.importorskip("sympy")
+    pool = list(_pool_potentials(31, W111, 48))
+    routes = set()
+    for omega in pool[:12]:
+        jacobian.jacobian_basis.cache_clear()
+        jacobian._jacobian_numerator.cache_clear()
+        a_sing_hilbert(omega, omega.homogeneous_degree() + 4)
+        gkdim(omega)
+        routes.add(gcd_partials(omega).homogeneous_degree() > 0)
+        gb = jacobian_basis(omega)
+        assert gb._polys is None, omega
+        assert len(gb) == len(gb.heads()) and gb._polys is None, omega
+        assert _matches_sympy_grevlex(sympy, omega, gb), omega
+    assert routes == {False, True}
 
 
 def _numerator_gcd_degree(omega):
@@ -387,16 +411,28 @@ def test_gcd_degree_from_groebner_heads_matches_the_koszul_ranks():
         assert _numerator_gcd_degree(omega) == gcd_partials(omega).homogeneous_degree()
 
 
+def _content(omega):
+    """the monomial content of the nonzero partials, as a monic polynomial"""
+    exps = [m for g in gradient(omega).comps for m in g.terms]
+    return Polynomial.monomial(omega.weights, [min(m[v] for m in exps) for v in range(3)],
+                               omega.field.one, omega.field)
+
+
 _GUARDED = [(W111, QQ, "x^3+y^3+z^3"), (W112, QQ, "x^4"), (W111, QQ, "x^2*y^2"),
             (W123, QQ, "(x^2+y)^2*z"), (W111, QS_FIELDS[0], "(x+s*y)^2*z"),
-            (W112, QS_FIELDS[1], "x^2*(y^2+s*z)^2")]
+            (W112, QS_FIELDS[1], "x^2*(y^2+s*z)^2"),
+            # the content route on weights other than 1
+            (Weights(2, 3, 5), QQ, "x^5*y^5*z^5"),
+            # content y^4, a proper factor of the gcd x*y^4 - y^5
+            (Weights(1, 1, 3), QQ, "x^2*y^5-2*x*y^6+y^7")]
 
 
 @pytest.mark.parametrize("weights, field, text", _GUARDED, ids=[t for _, _, t in _GUARDED])
 def test_gcd_partials_takes_one_kernel_per_map_and_no_basis(monkeypatch, weights, field, text):
     """after the Hilbert numerator is cached, the gcd builds no Groebner
-    basis, takes no kernel when deg gcd is 0 and two otherwise: a degree
-    sweep would show as more"""
+    basis, takes no kernel when it is the monomial content of the partials
+    (deg gcd 0 included) and two otherwise: a degree sweep would show as
+    more"""
     omega = parse_poly(text, weights, field)
     a_sing_hilbert(omega, 0)
     calls = {"buchberger": 0, "kernel_basis": 0}
@@ -413,7 +449,46 @@ def test_gcd_partials_takes_one_kernel_per_map_and_no_basis(monkeypatch, weights
         monkeypatch.setattr(jacobian, name, counted(name))
     want = gcd_by_fold(omega)
     assert gcd_partials(omega) == want
-    assert calls == {"buchberger": 0, "kernel_basis": 2 if want.homogeneous_degree() else 0}
+    assert calls == {"buchberger": 0, "kernel_basis": 0 if want == _content(omega) else 2}
+
+
+def _routes(monkeypatch, suite):
+    """(content, koszul) counts of the route gcd_partials takes on the
+    potentials of the suite with a nonconstant gcd; each content-route gcd
+    must equal _gcd_from_koszul's, as a polynomial and as text"""
+    koszul = jacobian._gcd_from_koszul
+    taken = []
+
+    def counted(omega, delta):
+        taken.append(omega)
+        return koszul(omega, delta)
+
+    monkeypatch.setattr(jacobian, "_gcd_from_koszul", counted)
+    content = 0
+    for omega in suite:
+        before = len(taken)
+        got = gcd_partials(omega)
+        delta = got.homogeneous_degree()
+        if not delta or len(taken) > before:
+            continue
+        content += 1
+        want = koszul(omega, delta)
+        assert (got, format_poly(got)) == (want, format_poly(want)), omega
+        assert got == _content(omega), omega
+    return content, len(taken)
+
+
+@pytest.mark.parametrize("field, want", [(QQ, (28, 7)), (QS_FIELDS[0], (27, 6)),
+                                         (QS_FIELDS[1], (27, 6))], ids=["Q", "s2+s+1", "s2+1"])
+def test_the_content_route_matches_the_koszul_route_on_the_gcd_suite(monkeypatch, field, want):
+    """both routes are taken, and where the content applies the Koszul
+    kernels give the same gcd"""
+    assert _routes(monkeypatch, _gcd_suite(18, field)) == want
+
+
+def test_the_groebner_pool_takes_the_content_route_only(monkeypatch):
+    suite = [om for w in WEIGHT_POOL for om in _pool_potentials(31, Weights(*w), 48)]
+    assert _routes(monkeypatch, suite) == (79, 0)
 
 
 @pytest.mark.parametrize("weights, field, text", _GUARDED, ids=[t for _, _, t in _GUARDED])
