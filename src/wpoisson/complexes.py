@@ -63,7 +63,16 @@ slot up to the truncation bound D, and refuses a window with no degree
 Each operator table (d0, d1, Koszul, ozone) depends only on the potential
 and the index, so it is built once per potential, memoised beside the
 ranks, and shared by every degree; ``op_table`` makes tables immutable for
-that reason."""
+that reason.
+
+Over K = Q[s]/(m), a potential with no s-part in any coefficient builds its
+tables, and so its matrices, over Q (``_table_potential``), k = 1.  That
+changes no number: a matrix with rational entries has the same rank over K
+as over Q, as its minors are rational, and its kernel over K is the K-span
+of its kernel over Q.  So both have the same free columns under last-column
+pivots, and the kernel normal form, the one kernel basis with a one in a
+free column and zeros in the others, is the rational one.  Kernel vectors
+reach the caller's field through ``vector_to_polys``."""
 
 from __future__ import annotations
 
@@ -79,6 +88,7 @@ from .ring import (
     count_monomials,
     gradient,
     monomial_basis,
+    rational_copy,
 )
 
 
@@ -168,12 +178,21 @@ def vector_to_polys(weights, field, degs, coords):
         for m in basis:
             c = coords[pos]
             pos += 1
-            if not field.is_zero(c):
+            if c:
                 terms[m] = c
         out.append(Polynomial(weights, field, terms))
     if pos != len(coords):
         raise RingError("coefficient vector does not match the degree layout")
     return out
+
+
+@lru_cache(maxsize=1024)
+def _table_potential(omega):
+    """the potential whose operator tables build the matrices of omega: its
+    copy over Q when no coefficient has an s-part (module docstring), else
+    omega itself; computed once per potential"""
+    q = rational_copy(omega)
+    return omega if q is None else q
 
 
 class DimsTable:
@@ -234,7 +253,8 @@ def cochain_matrix(omega, i, d):
     sh = cochain_shifts(weights)
     src = [d + s for s in sh[i]]
     tgt = [d + w + s for s in sh[i + 1]]
-    return assemble(weights, omega.field, src, tgt, _cochain_table(omega, i))
+    om = _table_potential(omega)
+    return assemble(weights, om.field, src, tgt, _cochain_table(om, i))
 
 
 @lru_cache(maxsize=65536)
@@ -380,9 +400,9 @@ def _ozone_rank(omega, d):
     ranks = _t_ranks(omega)
     r = ranks.get(d)
     if r is None:
-        weights = omega.weights
-        r = ranks[d] = rank(assemble(weights, omega.field, [d + s for s in weights.tuple],
-                                     [d + omega.homogeneous_degree(), d], _ozone_table(omega)))
+        weights, om = omega.weights, _table_potential(omega)
+        r = ranks[d] = rank(assemble(weights, om.field, [d + s for s in weights.tuple],
+                                     [d + omega.homogeneous_degree(), d], _ozone_table(om)))
     return r
 
 
@@ -439,7 +459,8 @@ def _koszul_matrix(omega, i, d):
     """matrix of the Koszul differential K_i -> K_{i-1} at total degree d,
     for i = 1, 2 (K3 -> K2 is injective and never assembled)"""
     degs = koszul_component_degs(omega, d)
-    return assemble(omega.weights, omega.field, degs[i], degs[i - 1], _koszul_table(omega, i))
+    om = _table_potential(omega)
+    return assemble(omega.weights, om.field, degs[i], degs[i - 1], _koszul_table(om, i))
 
 
 def _koszul_dim(omega, i, d):
@@ -495,13 +516,14 @@ def sealed_k1_dims(omega, bound):
     flag)."""
     n = check_potential(omega)
     weights = omega.weights
-    field = omega.field
-    k = field.degree
+    om = _table_potential(omega)
+    field = om.field
     # B(u, v) = (v . g ; div v - u g_i): u times the first nonzero partial
-    # g_i, negated, on source 0, then T on sources 1..3
-    i = next(v for v in range(3) if not omega.partial(v).is_zero())
-    table = (op_table(field, [(1, 0, None, -omega.partial(i))])
-             + tuple((t, s + k, v, q) for t, s, v, q in _ozone_table(omega)))
+    # g_i, negated, on source 0, then T on sources 1..3; over the table's
+    # field, of degree k, a source is k restricted components
+    i = next(v for v in range(3) if not om.partial(v).is_zero())
+    table = (op_table(field, [(1, 0, None, -om.partial(i))])
+             + tuple((t, s + field.degree, v, q) for t, s, v, q in _ozone_table(om)))
     t_ranks = _t_ranks(omega)
     out = {}
     for d in _window("sealed", 0, bound):
@@ -513,7 +535,7 @@ def sealed_k1_dims(omega, bound):
             out[d] = 0
             continue
         u_deg = low[1][i]
-        pivots, _ = _pivots(assemble(weights, field, [u_deg] + degs[1], degs[0] + low[0], table))
+        pivots, k = _pivots(assemble(weights, field, [u_deg] + degs[1], degs[0] + low[0], table))
         # rank T_e: the pivots past the u columns (module docstring)
         u_cols = k * count_monomials(weights, u_deg)
         t_ranks[e] = sum(c >= u_cols for c in pivots) // k

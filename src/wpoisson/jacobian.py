@@ -18,6 +18,14 @@ the proofs below exact, and normal_form divides by the scalar once at the
 end.  Over Q(s) the divisors are monic: every scalar is 1 and the loop
 never scales, so no step takes a field inverse.
 
+Generators with no s-part in any coefficient run over Q.  Every
+S-polynomial and remainder of rational polynomials is rational, so the run
+over Q is also a run over Q(s), and the reduced Groebner basis of an ideal
+is unique (Cox, Little, O'Shea, Ideals, Varieties, and Algorithms, 2.7):
+``buchberger`` lifts the one over Q to monic divisors over Q(s).  The gcd
+of the partials comes from the matrices of the potential, which
+``complexes`` builds over Q for the same input, and is lifted likewise.
+
 Every Groebner basis is proved before it is returned, by Buchberger's
 criterion over the critical pairs only: a pair is skipped when its heads are
 coprime (product criterion) or when a third head divides the lcm of the two
@@ -39,7 +47,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, groupby
 
-from .complexes import _koszul_matrix, assemble, koszul_component_degs, op_table, vector_to_polys
+from .complexes import (_koszul_matrix, _table_potential, assemble, koszul_component_degs,
+                        op_table, vector_to_polys)
 from .hilbert import HilbertSeries
 from .linalg import kernel_basis
 from .ring import (
@@ -53,6 +62,7 @@ from .ring import (
     mono_lcm,
     mono_mul,
     monomial_basis,
+    rational_copy,
 )
 
 
@@ -289,6 +299,13 @@ def buchberger(gens):
         gens[0]._check_compatible(g)
     weights = gens[0].weights
     field = gens[0].field
+    if field != QQ:
+        rational = [rational_copy(g) for g in gens]
+        if all(g is not None for g in rational):
+            # the reduced basis over Q is the one over Q(s) (module docstring)
+            lifted = [(h, 1, [(m, field.coerce(Fraction(c, lc))) for m, c in tail])
+                      for h, lc, tail in buchberger(rational)._divisors]
+            return GroebnerBasis(lifted, weights, field)
     entries = [_entry(field, g.terms)[1] for g in gens]
     divisors = []
     for terms in entries:
@@ -509,13 +526,15 @@ def _gcd_from_koszul(omega, delta):
     partial the map (h', t) -> u_i h' - t g_i from degrees (delta, 0) to
     deg g_i has the one-dimensional kernel spanned by (h, c); ``monic``
     fixes the scale.  A kernel of any other dimension raises RingError."""
-    weights, field = omega.weights, omega.field
-    d0 = 3 * omega.homogeneous_degree() - weights.n_default - delta
-    u = _one_kernel_vector(weights, field, koszul_component_degs(omega, d0)[2],
-                           _koszul_matrix(omega, 2, d0))
-    i, g = next((i, g) for i, g in enumerate(gradient(omega).comps) if g.terms)
+    om = _table_potential(omega)
+    weights, field = om.weights, om.field
+    d0 = 3 * om.homogeneous_degree() - weights.n_default - delta
+    u = _one_kernel_vector(weights, field, koszul_component_degs(om, d0)[2],
+                           _koszul_matrix(om, 2, d0))
+    i, g = next((i, g) for i, g in enumerate(gradient(om).comps) if g.terms)
     table = op_table(field, [(0, 0, None, u[i]), (0, 1, None, -g)])
     degs = (delta, 0)
     h = _one_kernel_vector(weights, field, degs,
                            assemble(weights, field, degs, (g.homogeneous_degree(),), table))[0]
-    return h.monic()
+    # over the field of omega, where a rational h is the same gcd
+    return Polynomial(weights, omega.field, h.monic().terms)

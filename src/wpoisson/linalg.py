@@ -20,7 +20,10 @@ where the entries are made: ``Matrix`` expands K-valued rows, and
 ``complexes.assemble`` writes the Q-rows of a map straight from an operator
 table that ``complexes.op_table`` restricted once per table, so neither
 assembly nor elimination multiplies in K.  The layout, and so the kernel
-normal form, is the one a separate pass over each matrix made before.
+normal form, is the one a separate pass over each matrix made before.  A
+map whose coefficients have no s-part never reaches this layout:
+``complexes`` assembles it over Q, k = 1, with the same rank and kernel
+normal form (the ``complexes`` docstring).
 
 The kernel over Q of the restriction is the kernel over K read as
 Q-vectors, a K-subspace.  Under last-column pivots a column is free exactly
@@ -189,7 +192,7 @@ def kernel_basis(matrix: Matrix):
                 v[c] = -row[free]
         if field != QQ:
             # zero blocks share one element, as the rational zeros do
-            v = [ExtElem(field, v[j:j + k]) if any(v[j:j + k]) else zero
+            v = [ExtElem._exact(field, v[j:j + k]) if any(v[j:j + k]) else zero
                  for j in range(0, width, k)]
         basis.append(v)
     return basis

@@ -73,6 +73,7 @@ class RationalField:
 
 
 QQ = RationalField()
+_ZERO = Fraction(0)
 
 
 def format_rational(v: Fraction) -> str:
@@ -94,18 +95,27 @@ class ExtElem:
         if len(self.coeffs) != field.degree:
             raise RingError("extension element has wrong coefficient length")
 
+    @classmethod
+    def _exact(cls, field, coeffs):
+        """the element with these coefficients, taken unchecked: deg m
+        Fractions, as field arithmetic makes them"""
+        e = cls.__new__(cls)
+        e.field = field
+        e.coeffs = tuple(coeffs)
+        return e
+
     def __add__(self, other):
         other = self.field.coerce(other)
-        return ExtElem(self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return ExtElem._exact(self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtElem(self.field, [-a for a in self.coeffs])
+        return ExtElem._exact(self.field, [-a for a in self.coeffs])
 
     def __sub__(self, other):
         other = self.field.coerce(other)
-        return ExtElem(self.field, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return ExtElem._exact(self.field, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __rsub__(self, other):
         return (-self) + other
@@ -113,7 +123,7 @@ class ExtElem:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             # a rational scales the coefficients: no product to reduce mod m
-            return ExtElem(self.field, [a * other for a in self.coeffs])
+            return ExtElem._exact(self.field, [a * other for a in self.coeffs])
         other = self.field.coerce(other)
         return self.field._mul(self, other)
 
@@ -187,7 +197,8 @@ class ExtensionField:
                 raise RingError("element of a different extension field")
             return v
         if isinstance(v, (int, Fraction)):
-            return ExtElem(self, [Fraction(v)] + [Fraction(0)] * (self.degree - 1))
+            return ExtElem._exact(self, (v if type(v) is Fraction else Fraction(v),)
+                                  + (_ZERO,) * (self.degree - 1))
         raise RingError("cannot coerce %r into %r" % (v, self))
 
     @property
@@ -223,7 +234,7 @@ class ExtensionField:
             for t, m in enumerate(self._top):
                 if m != 0:
                     prod[k - d + t] += c * m
-        return ExtElem(self, prod[:d])
+        return ExtElem._exact(self, prod[:d])
 
     def _times_s(self, a):
         """s * a for a coefficient list a: a shifted up a degree, with s^k
@@ -261,7 +272,7 @@ class ExtensionField:
                 f = rows[r][c]
                 if r != c and f:
                     rows[r] = [a - f * b for a, b in zip(rows[r], pivot)]
-        return ExtElem(self, [row[k] for row in rows])
+        return ExtElem._exact(self, [row[k] for row in rows])
 
     def format(self, v) -> str:
         v = self.coerce(v)
@@ -593,6 +604,21 @@ class Polynomial:
                     term = term * power(idx, m[idx])
             acc = acc + term
         return acc
+
+
+def rational_copy(p: Polynomial):
+    """p over Q: p itself over Q; over Q[s]/(m) a copy over Q when no
+    coefficient has an s-part, else None.  Ranks, kernel normal forms and
+    reduced Groebner bases of rational input are the same over both fields,
+    so the engines compute them on this copy."""
+    if p.field == QQ:
+        return p
+    terms = {}
+    for m, c in p.terms.items():
+        if any(c.coeffs[1:]):
+            return None
+        terms[m] = c.coeffs[0]
+    return Polynomial(p.weights, QQ, terms)
 
 
 def check_potential(omega: Polynomial, abc_refusal=None) -> int:

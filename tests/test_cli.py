@@ -119,6 +119,45 @@ def test_singularity_over_an_extension_field_reports_the_planted_factor():
                    "isolated: False\ngkdim: 2\ngcd_of_partials: (1)*x+(s)*y\n")
 
 
+@pytest.mark.parametrize("args, out", [
+    (["singularity", "--field", "s^2+1", "-w", "1,1,1", "-p", "x^3+y^3+z^3"],
+     "# weights: 1,1,1\n# field: s^2+1\n# potential: x^3+y^3+z^3\n"
+     "isolated: True\ngkdim: 0\ngcd_of_partials: (1)\n"),
+    (["singularity", "--field", "s^2+1", "-w", "1,1,1", "-p", "x^3+y^3+z^3", "--format", "json"],
+     '{"command":"singularity","inputs":{"field":"s^2+1","potential":"x^3+y^3+z^3",'
+     '"weights":"1,1,1"},"results":{"gcd_of_partials":"(1)","gkdim":0,"isolated":true},'
+     '"truncation_bound":null,"version":"%s"}\n' % __version__),
+    # the gcd from the Koszul K2 kernel, and from the monomial content
+    (["singularity", "--field", "s^2+s+1", "-w", "1,1,1", "-p", "(x+y)^2*z"],
+     "# weights: 1,1,1\n# field: s^2+s+1\n# potential: (x+y)^2*z\n"
+     "isolated: False\ngkdim: 2\ngcd_of_partials: (1)*x+(1)*y\n"),
+    (["singularity", "--field", "s^2+s+1", "-w", "1,1,1", "-p", "x^2*y*z", "--format", "csv"],
+     "isolated,gkdim,gcd_of_partials\nFalse,2,(1)*x\n"),
+    (["cohomology", "--field", "s^2+s+1", "-w", "1,1,1", "-p", "x^3+y^3+z^3+3/2*x*y*z",
+      "-D", "2"],
+     "# weights: 1,1,1\n# field: s^2+s+1\n# potential: x^3+y^3+z^3+3/2*x*y*z\n"
+     "# truncation bound: 2\n"
+     "degree  ph0  ph1  ph2  ph3  closed0  closed1  closed2  closed3\n"
+     "-3      0    0    0    1    0        0        0        1      \n"
+     "-2      0    0    3    3    0        0        3        3      \n"
+     "-1      0    0    3    3    0        0        3        3      \n"
+     "0       1    1    2    2    1        1        2        2      \n"
+     "1       0    0    3    3    0        0        3        3      \n"
+     "2       0    0    3    3    0        0        3        3      \n"
+     "matches_closed_form: {'ph0': True, 'ph1': True, 'ph2': True, 'ph3': True}\n"),
+    (["cohomology", "--field", "s^2+1", "-w", "1,1,2", "-p", "x^4+2*x^2*y^2+y^4+z^2",
+      "-D", "1", "--format", "csv"],
+     "degree,ph0,ph1,ph2,ph3,closed0,closed1,closed2,closed3\n"
+     "-4,0,0,0,1,0,0,0,1\n-3,0,0,2,2,0,0,2,2\n-2,0,0,3,3,0,0,3,3\n"
+     "-1,0,0,2,2,0,0,2,2\n0,1,2,4,3,1,1,2,2\n1,0,0,2,2,0,0,2,2\n"),
+], ids=["singularity", "singularity-json", "koszul-gcd", "content-gcd", "cohomology",
+        "cohomology-singular"])
+def test_rational_potential_over_an_extension_field_prints_its_report(args, out):
+    """a potential with rational coefficients runs over Q, and its report
+    still names the field and prints the gcd over Q(s)"""
+    assert run(args) == (0, out)
+
+
 @pytest.mark.parametrize("args", [
     ["singularity", "-p", "(x+s*y)^2*z"],
     ["koszul", "-p", "x^3+y^3+z^3+s*x*y*z", "-D", "3"],
