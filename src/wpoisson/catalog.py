@@ -246,9 +246,9 @@ def _parse_record(line: str) -> CatalogEntry:
                            % (eid, expected_rgt, irreducible))
     if expected_rgt is None and irreducible:
         raise CatalogError("%s: irreducible entry needs exact rgt 0" % eid)
-    if expected_vacant_requires_witness(vac) and vacancy_witness is None:
+    if vac == "no" and vacancy_witness is None:
         raise CatalogError("%s: vacant=no needs vacwit" % eid)
-    if expected_vacant_requires_witness(seal) and sealed_witness is None:
+    if seal == "no" and sealed_witness is None:
         raise CatalogError("%s: sealed=no needs sealwit" % eid)
     if isolated != (typ == "i"):
         raise CatalogError("%s: type i and only type i is isolated" % eid)
@@ -264,10 +264,6 @@ def _parse_record(line: str) -> CatalogEntry:
         expected_vacant=vac, expected_sealed=seal, expected_isolated=isolated,
         table=table, family=family, lam=lam, vacancy_witness=vacancy_witness,
         sealed_witness=sealed_witness)
-
-
-def expected_vacant_requires_witness(verdict: str) -> bool:
-    return verdict == "no"
 
 
 def _load(path: Optional[Path] = None) -> List[CatalogEntry]:

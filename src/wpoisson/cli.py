@@ -186,13 +186,15 @@ def _emit(command, inputs, results, fmt, bound=None):
         click.echo("%s: %s" % (key, _scalar(value)))
 
 
+_format = click.option("--format", "fmt", default="table",
+                       type=click.Choice(["table", "json", "csv"]))
+
+
 def _common(fn):
     fn = click.option("--weights", "-w", required=True, help="a,b,c")(fn)
     fn = click.option("--field", "field_text", default="rationals",
                       help="rationals (default) or a monic modulus in s")(fn)
-    fn = click.option("--format", "fmt", default="table",
-                      type=click.Choice(["table", "json", "csv"]))(fn)
-    return fn
+    return _format(fn)
 
 
 class _Main(click.Group):
@@ -421,8 +423,7 @@ def catalog():
 @click.option("--checks", default=None,
               help="comma list: structure,rgt,gk,isolated,vacancy,sealed,cohomology")
 @click.option("--catalog-file", type=click.Path(exists=True), default=None)
-@click.option("--format", "fmt", default="table",
-              type=click.Choice(["table", "json", "csv"]))
+@_format
 def catalog_verify(selector, max_degree, checks, catalog_file, fmt):
     """Recompute every expected invariant; exit 1 on any mismatch."""
     check_list = None
@@ -461,8 +462,7 @@ def catalog_verify(selector, max_degree, checks, catalog_file, fmt):
 @catalog.command("list")
 @click.option("--filter", "selector", default=None)
 @click.option("--catalog-file", type=click.Path(exists=True), default=None)
-@click.option("--format", "fmt", default="table",
-              type=click.Choice(["table", "json", "csv"]))
+@_format
 def catalog_list(selector, catalog_file, fmt):
     """List catalog entries and their expected invariants."""
     try:
@@ -487,8 +487,7 @@ def catalog_list(selector, catalog_file, fmt):
 @main.command()
 @click.option("--seed", type=int, default=20240817)
 @click.option("--cases", type=click.IntRange(min=1), default=100)
-@click.option("--format", "fmt", default="table",
-              type=click.Choice(["table", "json", "csv"]))
+@_format
 def selftest(seed, cases, fmt):
     """Randomized property suites; exit 1 on any counterexample."""
     from .proptest import run_all_suites

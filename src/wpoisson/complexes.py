@@ -46,15 +46,16 @@ dim X1_e - rank B_e + rank K1 - rank K2, with K1 and K2 at total degree e
 and d.
 
 The same elimination gives rank T_e, as T_e is B_e without its u columns,
-which come first.  ``linalg._echelon`` pivots each row on its last column,
-so the pivot rows are a basis of the row space with distinct last columns.
-A row-space vector supported below a column j is a combination of them in
-which no pivot row past j takes part, as the largest such pivot would
-survive; so those vectors are exactly the span of the pivot rows below j.
-They are the kernel of the cut of the row space to the columns >= j, so the
-pivots in columns >= j number rank B[:, >= j].  Over K = Q[s]/(m), deg m =
-k, the u block is k Q-columns per monomial and pivots come in whole blocks,
-so the count is k times the rank over K.
+which come first; B and T share one table, and T_e is assembled from it
+with the u source at degree -1, which has no monomial.  ``linalg`` pivots
+each row on its last column, so the pivot rows are a basis of the row space
+with distinct last columns.  A row-space vector supported below a column j
+is a combination of them in which no pivot row past j takes part, as the
+largest such pivot would survive; so those vectors are exactly the span of
+the pivot rows below j.  They are the kernel of the cut of the row space to
+the columns >= j, so the pivots in columns >= j number rank B[:, >= j],
+over K = Q[s]/(m) too, where ``linalg.pivot_columns`` counts whole blocks
+of k Q-columns.
 
 Every per-degree table sweeps a window of degrees from its lowest nonzero
 slot up to the truncation bound D, and refuses a window with no degree
@@ -63,136 +64,16 @@ slot up to the truncation bound D, and refuses a window with no degree
 Each operator table (d0, d1, Koszul, ozone) depends only on the potential
 and the index, so it is built once per potential, memoised beside the
 ranks, and shared by every degree; ``op_table`` makes tables immutable for
-that reason.
-
-Over K = Q[s]/(m), a potential with no s-part in any coefficient builds its
-tables, and so its matrices, over Q (``_table_potential``), k = 1.  That
-changes no number: a matrix with rational entries has the same rank over K
-as over Q, as its minors are rational, and its kernel over K is the K-span
-of its kernel over Q.  So both have the same free columns under last-column
-pivots, and the kernel normal form, the one kernel basis with a one in a
-free column and zeros in the others, is the rational one.  Kernel vectors
-reach the caller's field through ``vector_to_polys``."""
+that reason.  A table over Q(s) whose coefficients have no s-part is made
+over Q, and so are its matrices (``linalg`` docstring)."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 
 from .hilbert import closed_form_ph, euler_rhs
-from .linalg import Matrix, _pivots, rank
-from .ring import (
-    Polynomial,
-    QQ,
-    RingError,
-    check_potential,
-    count_monomials,
-    gradient,
-    monomial_basis,
-    rational_copy,
-)
-
-
-def assemble(weights, field, src_degs, tgt_degs, table):
-    """Exact sparse matrix of a graded first-order linear differential
-    operator on the deterministic monomial bases, one column per source
-    monomial.  ``table`` lists the operator's terms (target, source, var,
-    coefs), restricted to Q by ``op_table``: target component ``target``
-    gains coef * m * d/d(var) of source component ``source``, or coef * m
-    times the source itself when var is None, for every monomial m -> coef
-    in ``coefs``.  Over K = Q[s]/(m), deg m = k, component t*k+u is the s^u
-    coordinate of component t; K-row i and K-column j come out as Q-rows
-    i*k+u and Q-columns j*k+t, the block layout of ``linalg.Matrix`` (so
-    kernels are unchanged), in int and Fraction arithmetic alone.  Outputs
-    must respect the target degrees."""
-    k = field.degree
-    row_of = {}
-    for t, td in enumerate(tgt_degs):
-        for m in monomial_basis(weights, td):
-            for u in range(t * k, t * k + k):
-                row_of[(u, m)] = len(row_of)
-    by_source = [[[] for _ in range(k)] for _ in src_degs]
-    for t, s, v, coefs in table:
-        by_source[s // k][s % k].append((t, v, coefs))
-    rows = [{} for _ in range(len(row_of))]
-    col = 0
-    for s, sd in enumerate(src_degs):
-        copies = by_source[s]
-        for m in monomial_basis(weights, sd):
-            for terms in copies:
-                out = {}
-                for t, v, coefs in terms:
-                    if v is None:
-                        f = 1
-                        m0, m1, m2 = m
-                    else:
-                        f = m[v]
-                        if not f:
-                            continue
-                        m0, m1, m2 = m[:v] + (f - 1,) + m[v + 1:]
-                    for (q0, q1, q2), c in coefs:
-                        key = (t, (m0 + q0, m1 + q1, m2 + q2))
-                        if f != 1:
-                            c = c * f
-                        prev = out.get(key)
-                        out[key] = c if prev is None else prev + c
-                for key, c in out.items():
-                    if not c:
-                        continue
-                    r = row_of.get(key)
-                    if r is None:
-                        raise RingError("graded map output escapes its degree slot")
-                    rows[r][col] = c
-                col += 1
-    return Matrix.restricted(len(rows) // k, col // k, rows, field)
-
-
-def op_table(field, terms):
-    """operator table for ``assemble`` from (target, source, var, coef)
-    terms, coef a Polynomial or a constant, restricted to Q here, once per
-    table: over K = Q[s]/(m), deg m = k, a term becomes the terms (t*k+u,
-    s*k+c, var, q), q the s^u coefficients of coef * s^c
-    (``ExtensionField.block``); over Q, k = 1.  Zero values are dropped and
-    whole ones stored as ints.  Each coefficient is the tuple of its
-    (monomial, value) items, so a table is immutable and may be shared."""
-    k = field.degree
-    table = []
-    for t, s, v, p in terms:
-        coefs = p.terms if isinstance(p, Polynomial) else {(0, 0, 0): field.coerce(p)}
-        blocks = [(m, field.block(c)) for m, c in coefs.items()]
-        for u in range(k):
-            for c in range(k):
-                q = tuple((m, b[u][c]) for m, b in blocks if b[u][c])
-                if q:
-                    table.append((t * k + u, s * k + c, v, q))
-    return tuple(table)
-
-
-def vector_to_polys(weights, field, degs, coords):
-    """inverse of the assemble() column convention: coefficient vector over
-    stacked monomial bases -> list of polynomials"""
-    out = []
-    pos = 0
-    for d in degs:
-        basis = monomial_basis(weights, d)
-        terms = {}
-        for m in basis:
-            c = coords[pos]
-            pos += 1
-            if c:
-                terms[m] = c
-        out.append(Polynomial(weights, field, terms))
-    if pos != len(coords):
-        raise RingError("coefficient vector does not match the degree layout")
-    return out
-
-
-@lru_cache(maxsize=1024)
-def _table_potential(omega):
-    """the potential whose operator tables build the matrices of omega: its
-    copy over Q when no coefficient has an s-part (module docstring), else
-    omega itself; computed once per potential"""
-    q = rational_copy(omega)
-    return omega if q is None else q
+from .linalg import assemble, op_table, pivot_columns, rank
+from .ring import QQ, RingError, check_potential, count_monomials, gradient
 
 
 class DimsTable:
@@ -253,8 +134,7 @@ def cochain_matrix(omega, i, d):
     sh = cochain_shifts(weights)
     src = [d + s for s in sh[i]]
     tgt = [d + w + s for s in sh[i + 1]]
-    om = _table_potential(omega)
-    return assemble(weights, om.field, src, tgt, _cochain_table(om, i))
+    return assemble(weights, src, tgt, _cochain_table(omega, i))
 
 
 @lru_cache(maxsize=65536)
@@ -379,12 +259,20 @@ def vacancy_check(omega, bound):
             for d in _window("vacancy", -n, bound)}
 
 
+def _first_partial(omega):
+    """the index i of g_i, the first nonzero partial"""
+    return next(v for v in range(3) if not omega.partial(v).is_zero())
+
+
 @lru_cache(maxsize=1024)
 def _ozone_table(omega):
-    """operator table of T = (v . g ; div v) on derivations v"""
+    """operator table of the sealed block B(u, v) = (v . g ; div v - u g_i):
+    u on source 0, then T = (v . g ; div v) on the derivations v on sources
+    1..3 (module docstring)"""
     g = gradient(omega).comps
-    return op_table(omega.field, [(0, s, None, g[s]) for s in range(3)]
-                    + [(1, s, s, 1) for s in range(3)])
+    return op_table(omega.field, [(1, 0, None, -g[_first_partial(omega)])]
+                    + [(0, s + 1, None, g[s]) for s in range(3)]
+                    + [(1, s + 1, s, 1) for s in range(3)])
 
 
 @lru_cache(maxsize=1024)
@@ -400,9 +288,10 @@ def _ozone_rank(omega, d):
     ranks = _t_ranks(omega)
     r = ranks.get(d)
     if r is None:
-        weights, om = omega.weights, _table_potential(omega)
-        r = ranks[d] = rank(assemble(weights, om.field, [d + s for s in weights.tuple],
-                                     [d + omega.homogeneous_degree(), d], _ozone_table(om)))
+        # the u source at degree -1, which has no monomial
+        weights = omega.weights
+        r = ranks[d] = rank(assemble(weights, [-1] + [d + s for s in weights.tuple],
+                                     [d + omega.homogeneous_degree(), d], _ozone_table(omega)))
     return r
 
 
@@ -459,8 +348,7 @@ def _koszul_matrix(omega, i, d):
     """matrix of the Koszul differential K_i -> K_{i-1} at total degree d,
     for i = 1, 2 (K3 -> K2 is injective and never assembled)"""
     degs = koszul_component_degs(omega, d)
-    om = _table_potential(omega)
-    return assemble(omega.weights, om.field, degs[i], degs[i - 1], _koszul_table(om, i))
+    return assemble(omega.weights, degs[i], degs[i - 1], _koszul_table(omega, i))
 
 
 def _koszul_dim(omega, i, d):
@@ -516,14 +404,8 @@ def sealed_k1_dims(omega, bound):
     flag)."""
     n = check_potential(omega)
     weights = omega.weights
-    om = _table_potential(omega)
-    field = om.field
-    # B(u, v) = (v . g ; div v - u g_i): u times the first nonzero partial
-    # g_i, negated, on source 0, then T on sources 1..3; over the table's
-    # field, of degree k, a source is k restricted components
-    i = next(v for v in range(3) if not om.partial(v).is_zero())
-    table = (op_table(field, [(1, 0, None, -om.partial(i))])
-             + tuple((t, s + field.degree, v, q) for t, s, v, q in _ozone_table(om)))
+    i = _first_partial(omega)
+    table = _ozone_table(omega)
     t_ranks = _t_ranks(omega)
     out = {}
     for d in _window("sealed", 0, bound):
@@ -535,11 +417,11 @@ def sealed_k1_dims(omega, bound):
             out[d] = 0
             continue
         u_deg = low[1][i]
-        pivots, k = _pivots(assemble(weights, field, [u_deg] + degs[1], degs[0] + low[0], table))
+        pivots = pivot_columns(assemble(weights, [u_deg] + degs[1], degs[0] + low[0], table))
         # rank T_e: the pivots past the u columns (module docstring)
-        u_cols = k * count_monomials(weights, u_deg)
-        t_ranks[e] = sum(c >= u_cols for c in pivots) // k
-        out[d] = dim_v - len(pivots) // k + _koszul_rank(omega, 1, e) - _koszul_rank(omega, 2, d)
+        u_cols = count_monomials(weights, u_deg)
+        t_ranks[e] = sum(c >= u_cols for c in pivots)
+        out[d] = dim_v - len(pivots) + _koszul_rank(omega, 1, e) - _koszul_rank(omega, 2, d)
     return out, all(v == 0 for v in out.values())
 
 
@@ -547,33 +429,27 @@ def sealed_k1_dims(omega, bound):
 # de Rham complex
 
 
-def derham_exactness_check(weights, bound, field=None):
+def derham_exactness_check(weights, bound):
     """rank check that the weighted de Rham complex is exact apart from the
     constants in degree zero; true is the only healthy answer"""
-    field = field or QQ
     a, b, c = weights.tuple
     one_forms = [-a, -b, -c]
     two_forms = [-b - c, -a - c, -a - b]
-    gradmap = op_table(field, [(k, 0, k, 1) for k in range(3)])
+    gradmap = op_table(QQ, [(k, 0, k, 1) for k in range(3)])
     # curl(v): component k is d_{k+1} v_{k+2} - d_{k+2} v_{k+1}
-    curlmap = op_table(field, [(k, (k + 2) % 3, (k + 1) % 3, 1) for k in range(3)]
-                       + [(k, (k + 1) % 3, (k + 2) % 3, -1) for k in range(3)])
-    divmap = op_table(field, [(0, s, s, 1) for s in range(3)])
+    curlmap = op_table(QQ, [(k, (k + 2) % 3, (k + 1) % 3, 1) for k in range(3)]
+                    + [(k, (k + 1) % 3, (k + 2) % 3, -1) for k in range(3)])
+    divmap = op_table(QQ, [(0, s, s, 1) for s in range(3)])
 
     for d in _window("de Rham", 0, bound):
         dim_a = count_monomials(weights, d)
         dim_1 = sum(count_monomials(weights, d + s) for s in one_forms)
         dim_2 = sum(count_monomials(weights, d + s) for s in two_forms)
         dim_3 = count_monomials(weights, d - a - b - c)
-        rank_g = rank(assemble(weights, field, [d], [d + s for s in one_forms], gradmap))
-        rank_c = rank(
-            assemble(
-                weights, field, [d + s for s in one_forms], [d + s for s in two_forms], curlmap
-            )
-        )
-        rank_d = rank(
-            assemble(weights, field, [d + s for s in two_forms], [d - a - b - c], divmap)
-        )
+        rank_g = rank(assemble(weights, [d], [d + s for s in one_forms], gradmap))
+        rank_c = rank(assemble(weights, [d + s for s in one_forms], [d + s for s in two_forms],
+                               curlmap))
+        rank_d = rank(assemble(weights, [d + s for s in two_forms], [d - a - b - c], divmap))
         if dim_a - rank_g != (1 if d == 0 else 0):
             return False
         if dim_1 - rank_c != rank_g:

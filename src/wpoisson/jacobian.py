@@ -22,9 +22,10 @@ Generators with no s-part in any coefficient run over Q.  Every
 S-polynomial and remainder of rational polynomials is rational, so the run
 over Q is also a run over Q(s), and the reduced Groebner basis of an ideal
 is unique (Cox, Little, O'Shea, Ideals, Varieties, and Algorithms, 2.7):
-``buchberger`` lifts the one over Q to monic divisors over Q(s).  The gcd
-of the partials comes from the matrices of the potential, which
-``complexes`` builds over Q for the same input, and is lifted likewise.
+``buchberger`` lifts the one over Q to monic divisors over Q(s).  The
+matrices of the gcd of the partials are assembled by ``linalg``, over Q
+when their tables have no s-part, and the gcd is read over the potential's
+field.
 
 Every Groebner basis is proved before it is returned, by Buchberger's
 criterion over the critical pairs only: a pair is skipped when its heads are
@@ -47,10 +48,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, groupby
 
-from .complexes import (_koszul_matrix, _table_potential, assemble, koszul_component_degs,
-                        op_table, vector_to_polys)
+from .complexes import _koszul_matrix, koszul_component_degs
 from .hilbert import HilbertSeries
-from .linalg import kernel_basis
+from .linalg import assemble, kernel_basis, op_table, vector_to_polys
 from .ring import (
     QQ,
     Polynomial,
@@ -526,15 +526,13 @@ def _gcd_from_koszul(omega, delta):
     partial the map (h', t) -> u_i h' - t g_i from degrees (delta, 0) to
     deg g_i has the one-dimensional kernel spanned by (h, c); ``monic``
     fixes the scale.  A kernel of any other dimension raises RingError."""
-    om = _table_potential(omega)
-    weights, field = om.weights, om.field
-    d0 = 3 * om.homogeneous_degree() - weights.n_default - delta
-    u = _one_kernel_vector(weights, field, koszul_component_degs(om, d0)[2],
-                           _koszul_matrix(om, 2, d0))
-    i, g = next((i, g) for i, g in enumerate(gradient(om).comps) if g.terms)
+    weights, field = omega.weights, omega.field
+    d0 = 3 * omega.homogeneous_degree() - weights.n_default - delta
+    u = _one_kernel_vector(weights, field, koszul_component_degs(omega, d0)[2],
+                           _koszul_matrix(omega, 2, d0))
+    i, g = next((i, g) for i, g in enumerate(gradient(omega).comps) if g.terms)
     table = op_table(field, [(0, 0, None, u[i]), (0, 1, None, -g)])
     degs = (delta, 0)
     h = _one_kernel_vector(weights, field, degs,
-                           assemble(weights, field, degs, (g.homogeneous_degree(),), table))[0]
-    # over the field of omega, where a rational h is the same gcd
-    return Polynomial(weights, omega.field, h.monic().terms)
+                           assemble(weights, degs, (g.homogeneous_degree(),), table))[0]
+    return h.monic()

@@ -1,4 +1,5 @@
-"""Exact linear algebra over the coefficient field.
+"""Exact linear algebra over the coefficient field, and the one assembler
+that turns an operator table into a matrix.
 
 There is one matrix representation: a sparse ``Matrix`` whose ``entries``
 hold one ``{col: nonzero rational}`` dict per row over Q, and one
@@ -17,23 +18,30 @@ and Q-column j*k+t holding the s^u coefficient of M_ij * s^t, that is each
 entry as the k x k rational block of multiplication by it on the basis 1,
 s, ..., s^(k-1) (``ExtensionField.block``).  The restriction happens once,
 where the entries are made: ``Matrix`` expands K-valued rows, and
-``complexes.assemble`` writes the Q-rows of a map straight from an operator
-table that ``complexes.op_table`` restricted once per table, so neither
-assembly nor elimination multiplies in K.  The layout, and so the kernel
-normal form, is the one a separate pass over each matrix made before.  A
-map whose coefficients have no s-part never reaches this layout:
-``complexes`` assembles it over Q, k = 1, with the same rank and kernel
-normal form (the ``complexes`` docstring).
+``assemble`` writes the Q-rows of a map straight from an operator table
+that ``op_table`` restricted once per table, so neither assembly nor
+elimination multiplies in K.  The layout, and so the kernel normal form, is
+the one a separate pass over each matrix made before.
+
+An operator table carries its field, and ``op_table`` makes it Q when no
+coefficient has an s-part, so its matrices are assembled over Q, k = 1.
+That changes no number: a matrix with rational entries has the same rank
+over K as over Q, as its minors are rational, and its kernel over K is the
+K-span of its kernel over Q.  So both have the same free columns under
+last-column pivots, and the kernel normal form, the one kernel basis with a
+one in a free column and zeros in the others, is the rational one.  Kernel
+vectors reach the caller's field through ``vector_to_polys``.
 
 The kernel over Q of the restriction is the kernel over K read as
 Q-vectors, a K-subspace.  Under last-column pivots a column is free exactly
-when it is the first nonzero coordinate of some kernel vector.  If a kernel vector has its first nonzero entry in column j,
-multiplying it by the inverse of that entry times s^t gives one whose first
-nonzero Q-coordinate is j*k+t, for every t: each block of k Q-columns is all
-free or all pivot.  The K-rank is the Q-rank over k, and the Q-kernel vector
-with its one at j*k is the K-kernel vector with its one at j.  A partial
-block of pivots can only come from a zero divisor, that is a reducible m,
-and is refused.
+when it is the first nonzero coordinate of some kernel vector.  If a kernel
+vector has its first nonzero entry in column j, multiplying it by the
+inverse of that entry times s^t gives one whose first nonzero Q-coordinate
+is j*k+t, for every t: each block of k Q-columns is all free or all pivot.
+The pivot columns over K (``pivot_columns``) are the pivot blocks, so the
+K-rank is the Q-rank over k, and the Q-kernel vector with its one at j*k is
+the K-kernel vector with its one at j.  A partial block of pivots can only
+come from a zero divisor, that is a reducible m, and is refused.
 
 Last-column pivots make the free columns the earliest ones the row space
 allows, so a kernel basis depends only on the matrix, not on the order of
@@ -47,7 +55,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .ring import QQ, ExtElem, RingError
+from .ring import QQ, ExtElem, Polynomial, RingError, monomial_basis
 
 
 class Matrix:
@@ -140,19 +148,24 @@ def _echelon(rows):
 
 
 def _pivots(matrix: Matrix):
-    """(echelon form over Q, k) of the entries, k = deg m Q-columns per
-    column over Q[s]/(m) (k = 1 over Q); there a partial block of pivots
-    means m is reducible."""
+    """echelon form over Q of the entries; over Q[s]/(m), deg m = k, a
+    partial block of k pivot Q-columns means m is reducible"""
     k = matrix.field.degree
     pivots = _echelon(matrix.entries)
     if k > 1 and len({c // k for c in pivots}) * k != len(pivots):
         raise RingError("modulus is not coprime with the element; m reducible?")
-    return pivots, k
+    return pivots
+
+
+def pivot_columns(matrix: Matrix):
+    """the set of pivot columns over the matrix's field: over Q[s]/(m), deg
+    m = k, the columns whose block of k Q-columns is pivot"""
+    k = matrix.field.degree
+    return {c // k for c in _pivots(matrix)}
 
 
 def rank(matrix: Matrix) -> int:
-    pivots, k = _pivots(matrix)
-    return len(pivots) // k
+    return len(pivot_columns(matrix))
 
 
 def kernel_basis(matrix: Matrix):
@@ -162,7 +175,8 @@ def kernel_basis(matrix: Matrix):
     Q[s]/(m) these are the Q-kernel vectors whose free Q-column is the first
     of its block, each run of k coordinates read back as one element."""
     field = matrix.field
-    pivots, k = _pivots(matrix)
+    k = field.degree
+    pivots = _pivots(matrix)
     reduced = {}
     for c in sorted(pivots):
         row = pivots[c]
@@ -196,3 +210,107 @@ def kernel_basis(matrix: Matrix):
                  for j in range(0, width, k)]
         basis.append(v)
     return basis
+
+
+# ---------------------------------------------------------------------------
+# operator tables and the assembler
+
+
+def op_table(field, terms):
+    """(field, table): the operator table for ``assemble`` from (target,
+    source, var, coef) terms, coef a Polynomial or a constant over field,
+    and the field it is over: Q when no coefficient has an s-part (module
+    docstring).  The table is restricted to Q here, once: over K =
+    Q[s]/(m), deg m = k, a term becomes the terms (t*k+u, s*k+c, var, q), q
+    the s^u coefficients of coef * s^c (``ExtensionField.block``); over Q,
+    k = 1.  Zero values are dropped and whole ones stored as ints.  Each
+    coefficient is the tuple of its (monomial, value) items, so a table is
+    immutable and may be shared."""
+    coefs = [p.terms if isinstance(p, Polynomial) else {(0, 0, 0): field.coerce(p)}
+             for _, _, _, p in terms]
+    if field != QQ and not any(any(c.coeffs[1:]) for cs in coefs for c in cs.values()):
+        field, coefs = QQ, [{m: c.coeffs[0] for m, c in cs.items()} for cs in coefs]
+    k = field.degree
+    table = []
+    for (t, s, v, _), cs in zip(terms, coefs):
+        blocks = [(m, field.block(c)) for m, c in cs.items()]
+        for u in range(k):
+            for c in range(k):
+                q = tuple((m, b[u][c]) for m, b in blocks if b[u][c])
+                if q:
+                    table.append((t * k + u, s * k + c, v, q))
+    return field, tuple(table)
+
+
+def assemble(weights, src_degs, tgt_degs, table):
+    """Exact sparse matrix of a graded first-order linear differential
+    operator on the deterministic monomial bases, one column per source
+    monomial, over the field of its ``op_table`` table.  The table lists
+    the operator's terms (target, source, var, coefs), restricted to Q:
+    target component ``target`` gains coef * m * d/d(var) of source
+    component ``source``, or coef * m times the source itself when var is
+    None, for every monomial m -> coef in ``coefs``.  Over K = Q[s]/(m),
+    deg m = k, component t*k+u is the s^u coordinate of component t; K-row
+    i and K-column j come out as Q-rows i*k+u and Q-columns j*k+t, the
+    block layout of ``Matrix`` (so kernels are unchanged), in int and
+    Fraction arithmetic alone.  Outputs must respect the target degrees."""
+    field, table = table
+    k = field.degree
+    row_of = {}
+    for t, td in enumerate(tgt_degs):
+        for m in monomial_basis(weights, td):
+            for u in range(t * k, t * k + k):
+                row_of[(u, m)] = len(row_of)
+    by_source = [[[] for _ in range(k)] for _ in src_degs]
+    for t, s, v, coefs in table:
+        by_source[s // k][s % k].append((t, v, coefs))
+    rows = [{} for _ in range(len(row_of))]
+    col = 0
+    for s, sd in enumerate(src_degs):
+        copies = by_source[s]
+        for m in monomial_basis(weights, sd):
+            for terms in copies:
+                out = {}
+                for t, v, coefs in terms:
+                    if v is None:
+                        f = 1
+                        m0, m1, m2 = m
+                    else:
+                        f = m[v]
+                        if not f:
+                            continue
+                        m0, m1, m2 = m[:v] + (f - 1,) + m[v + 1:]
+                    for (q0, q1, q2), c in coefs:
+                        key = (t, (m0 + q0, m1 + q1, m2 + q2))
+                        if f != 1:
+                            c = c * f
+                        prev = out.get(key)
+                        out[key] = c if prev is None else prev + c
+                for key, c in out.items():
+                    if not c:
+                        continue
+                    r = row_of.get(key)
+                    if r is None:
+                        raise RingError("graded map output escapes its degree slot")
+                    rows[r][col] = c
+                col += 1
+    return Matrix.restricted(len(rows) // k, col // k, rows, field)
+
+
+def vector_to_polys(weights, field, degs, coords):
+    """inverse of the assemble() column convention: coefficient vector over
+    stacked monomial bases -> list of polynomials over field"""
+    out = []
+    pos = 0
+    for d in degs:
+        basis = monomial_basis(weights, d)
+        terms = {}
+        for m in basis:
+            c = coords[pos]
+            pos += 1
+            if c:
+                terms[m] = c
+        out.append(Polynomial(weights, field, terms))
+    if pos != len(coords):
+        raise RingError("coefficient vector does not match the degree layout")
+    return out

@@ -20,9 +20,9 @@ For P = grad(O), curl P = 0: the jacobiator and the modular field vanish."""
 
 from __future__ import annotations
 
-from .complexes import _cochain_rank, cochain_matrix, ozone_dim, vector_to_polys
+from .complexes import _cochain_rank, cochain_matrix, ozone_dim
 from .jacobian import normal_form
-from .linalg import kernel_basis
+from .linalg import kernel_basis, vector_to_polys
 from .ring import (
     Polynomial,
     PolyVector,

@@ -21,7 +21,7 @@ from itertools import combinations
 from wpoisson import complexes, gradient, normal_form, rank
 from wpoisson.hilbert import _laurent_sub, _product_one_minus
 from wpoisson.jacobian import jacobian_basis
-from wpoisson.linalg import Matrix, kernel_basis
+from wpoisson.linalg import Matrix, assemble, kernel_basis, op_table, vector_to_polys
 from wpoisson.poisson import PoissonStructure
 from wpoisson.ring import (QQ, Polynomial, PolyVector, RingError, check_potential,
                            count_monomials, cross, curl, div, dot, mono_divides, mono_key,
@@ -99,9 +99,8 @@ def cochain2_table(omega):
     """operator table of the degree-2 cochain differential -div(v x g): the
     Hessian terms cancel (indices mod 3)"""
     g = gradient(omega).comps
-    return complexes.op_table(omega.field,
-                              [(0, (k + 2) % 3, k, g[(k + 1) % 3]) for k in range(3)]
-                              + [(0, (k + 1) % 3, k, -g[(k + 2) % 3]) for k in range(3)])
+    return op_table(omega.field, [(0, (k + 2) % 3, k, g[(k + 1) % 3]) for k in range(3)]
+                    + [(0, (k + 1) % 3, k, -g[(k + 2) % 3]) for k in range(3)])
 
 
 def _cochain_table(omega, i):
@@ -119,8 +118,7 @@ def _cochain_degs(omega, i, d):
 def cochain_matrix(omega, i, d):
     """matrix of the degree-i cochain differential on the degree-d slice of
     X^i from the operator tables: the package's for d0 and d1, ours for d2"""
-    return complexes.assemble(omega.weights, omega.field, *_cochain_degs(omega, i, d),
-                              _cochain_table(omega, i))
+    return assemble(omega.weights, *_cochain_degs(omega, i, d), _cochain_table(omega, i))
 
 
 def cochain_matrices(omega, d):
@@ -132,17 +130,18 @@ def cochain_matrices(omega, d):
 
 def cochain_apply(omega, i, comps):
     """the degree-i cochain differential applied to component polynomials
-    through its operator table.  Over Q[s]/(m), deg m = k, the table is
+    through its operator table.  A table over Q[s]/(m), deg m = k, is
     restricted to Q: a term on (t*k+u, s*k+c) takes the s^c coordinate of
     source component s, a polynomial over Q, to the s^u coordinate of
     target component t."""
     weights, field = omega.weights, omega.field
-    k = field.degree
-    powers = field_powers(field)
+    table_field, table = _cochain_table(omega, i)
+    k = table_field.degree
+    powers = field_powers(table_field)
     out = [Polynomial.zero(weights, field)] * len(complexes.cochain_shifts(weights)[i + 1])
-    for t, s, v, coefs in _cochain_table(omega, i):
+    for t, s, v, coefs in table:
         (t, u), (s, c) = divmod(t, k), divmod(s, k)
-        src = comps[s] if field == QQ else Polynomial(
+        src = comps[s] if table_field == QQ else Polynomial(
             weights, field, {m: a.coeffs[c] for m, a in comps[s].terms.items()})
         src = src if v is None else src.partial(v)
         coef = Polynomial(weights, field, {m: q * powers[u] for m, q in coefs})
@@ -264,16 +263,15 @@ def gcd_by_fold(omega):
     for g in grads[1:]:
         f, g = sorted((h, g), key=Polynomial.homogeneous_degree, reverse=True)
         p, q = f.homogeneous_degree(), g.homogeneous_degree()
-        table = complexes.op_table(field, [(0, 0, None, f), (0, 1, None, -g)])
+        table = op_table(field, [(0, 0, None, f), (0, 1, None, -g)])
         for e in range(q + 1):
-            kernel = kernel_basis(complexes.assemble(weights, field, (e, e + p - q), (e + p,),
-                                                     table))
+            kernel = kernel_basis(assemble(weights, (e, e + p - q), (e + p,), table))
             if kernel:
                 break
-        u = complexes.vector_to_polys(weights, field, (e, e + p - q), kernel[0])[0]
-        table = complexes.op_table(field, [(0, 0, None, u), (0, 1, None, -g)])
-        kernel = kernel_basis(complexes.assemble(weights, field, (q - e, 0), (q,), table))
-        h = complexes.vector_to_polys(weights, field, (q - e, 0), kernel[0])[0]
+        u = vector_to_polys(weights, field, (e, e + p - q), kernel[0])[0]
+        table = op_table(field, [(0, 0, None, u), (0, 1, None, -g)])
+        kernel = kernel_basis(assemble(weights, (q - e, 0), (q,), table))
+        h = vector_to_polys(weights, field, (q - e, 0), kernel[0])[0]
     return h.monic()
 
 

@@ -7,6 +7,7 @@ tests guard against regressions in the matrix assembly."""
 
 import copy
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -16,8 +17,9 @@ from wpoisson import (QQ, ExtensionField, Weights, catalog, gradient, has_isolat
                       parse_poly, rank)
 from wpoisson import complexes, poisson
 from wpoisson.jacobian import gcd_partials
+from wpoisson.linalg import assemble, kernel_basis, op_table
 from wpoisson.poisson import euler_derivation, from_potential
-from wpoisson.ring import Polynomial, RingError, count_monomials, monomial_basis
+from wpoisson.ring import Polynomial, RingError, count_monomials, monomial_basis, rational_copy
 
 from closed_forms import closed_form_lph2, isolated_ph
 from reference_maps import (cochain_apply, cochain_matrices, cochain_matrix, cochain_rank,
@@ -332,6 +334,22 @@ def test_dims_table_row_and_bounds():
 # ---------------------------------------------------------------------------
 # operator tables against the per-column Polynomial evaluation they replace
 
+# assembled matrices told apart by call site and numbers of source and
+# target components: T and B share one table, and a B_e whose u degree is
+# negative has no u column either
+_KINDS = {
+    ("_ozone_rank", 4, 2): "T",
+    ("sealed_k1_dims", 4, 2): "B",
+    ("_koszul_matrix", 3, 1): "K1",
+    ("_koszul_matrix", 3, 3): "K2",
+    ("cochain_matrix", 1, 3): "d0",
+    ("cochain_matrix", 3, 3): "d1",
+    ("derham_exactness_check", 1, 3): "grad",
+    ("derham_exactness_check", 3, 3): "curl",
+    ("derham_exactness_check", 3, 1): "div",
+}
+
+
 def _clear_memos():
     """empty every memo in complexes, so that a run assembles each matrix it
     ranks instead of finding the rank left by an earlier run"""
@@ -341,15 +359,16 @@ def _clear_memos():
 
 
 def _capture(monkeypatch, run):
-    """(src_degs, tgt_degs, matrix) of every assemble call made by run(),
-    from empty memos"""
+    """(kind, src_degs, tgt_degs, matrix) of every assemble call made by
+    run(), from empty memos, its kind from ``_KINDS``"""
     _clear_memos()
     calls = []
     real = complexes.assemble
 
-    def spy(weights, field, src_degs, tgt_degs, *rest):
-        m = real(weights, field, src_degs, tgt_degs, *rest)
-        calls.append((list(src_degs), list(tgt_degs), m))
+    def spy(weights, src_degs, tgt_degs, table):
+        m = real(weights, src_degs, tgt_degs, table)
+        kind = _KINDS[sys._getframe(1).f_code.co_name, len(src_degs), len(tgt_degs)]
+        calls.append((kind, list(src_degs), list(tgt_degs), m))
         return m
 
     monkeypatch.setattr(complexes, "assemble", spy)
@@ -377,17 +396,20 @@ def _table_potentials():
     ]
 
 
-def _seeded_operator(rng, field):
+def _seeded_operator(rng, field, rational=False):
     """a random first-order operator over field: weights, source and target
     degrees, (target, source, var, coef) terms whose coefficients have the
-    degree each term needs (some of them constants), and the same operator
-    as a function on component Polynomials"""
+    degree each term needs (some of them constants), with no s-part when
+    ``rational``, and the same operator as a function on component
+    Polynomials"""
     weights = Weights(*rng.choice([(1, 1, 1), (1, 1, 2), (1, 2, 3)]))
     src = [rng.randint(0, 5) for _ in range(rng.randint(1, 3))]
     tgt = [rng.randint(0, 7) for _ in range(rng.randint(1, 3))]
+    powers = field_powers(field)[:1] if rational else field_powers(field)
+
     def coef():
         return sum((Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * p
-                    for p in field_powers(field)), field.zero)
+                    for p in powers), field.zero)
 
     terms = []
     for t, td in enumerate(tgt):
@@ -412,13 +434,16 @@ def _seeded_operator(rng, field):
     return weights, src, tgt, terms, fn
 
 
-@pytest.mark.parametrize("modulus", [[1, 0, 1], [1, 1, 1], [-2, 0, 0, 1]],
-                         ids=["s^2+1", "s^2+s+1", "s^3-2"])
+@pytest.mark.parametrize("modulus, rational", [
+    ([1, 0, 1], False), ([1, 1, 1], False), ([-2, 0, 0, 1], False), ([1, 1, 1], True)],
+    ids=["s^2+1", "s^2+s+1", "s^3-2", "s^2+s+1-rational"])
 def test_seeded_tables_assemble_the_restricted_evaluation_without_field_products(
-        monkeypatch, modulus):
+        monkeypatch, modulus, rational):
     """over Q(s), assemble writes the restriction of scalars of the
     per-column ExtElem evaluation, and multiplies no two field elements
-    once op_table has restricted the table"""
+    once op_table has restricted the table.  A table whose coefficients
+    have no s-part is made over Q, and its matrix has the rank and kernel
+    of the evaluation over Q(s)."""
     field = ExtensionField(modulus)
     rng = random.Random(1968 + sum(modulus))
     products = []
@@ -430,13 +455,23 @@ def test_seeded_tables_assemble_the_restricted_evaluation_without_field_products
 
     nonzero = 0
     for _ in range(30):
-        weights, src, tgt, terms, fn = _seeded_operator(rng, field)
-        table = complexes.op_table(field, terms)
+        weights, src, tgt, terms, fn = _seeded_operator(rng, field, rational)
+        table = op_table(field, terms)
         monkeypatch.setattr(ExtensionField, "_mul", counting_mul)
-        new = complexes.assemble(weights, field, src, tgt, table)
+        new = assemble(weights, src, tgt, table)
         monkeypatch.undo()
         assert products == []
-        assert _same_matrix(new, reference_assemble(weights, field, src, tgt, fn))
+        ref = reference_assemble(weights, field, src, tgt, fn)
+        # made over Q exactly when no coefficient has an s-part, as always
+        # when rational
+        polys = [p if isinstance(p, Polynomial) else Polynomial.constant(weights, p, field)
+                 for _, _, _, p in terms]
+        assert (new.field == QQ) == all(rational_copy(p) is not None for p in polys)
+        if new.field == QQ:
+            assert rank(new) == rank(ref)
+            assert [[field.coerce(c) for c in v] for v in kernel_basis(new)] == kernel_basis(ref)
+        else:
+            assert _same_matrix(new, ref)
         nonzero += sum(map(len, new.entries))
     assert nonzero > 0
 
@@ -450,8 +485,8 @@ def test_operator_tables_match_per_column_evaluation(monkeypatch, weights, field
     sh = complexes.cochain_shifts(weights)
     degrees = range(-weights.n_default, n + 3)
 
-    def check(name, new, src, tgt):
-        expected = reference_assemble(weights, field, src, tgt, ref[name])
+    def check(name, new, src, tgt, over=field):
+        expected = reference_assemble(weights, over, src, tgt, ref[name])
         assert _same_matrix(new, expected), (name, src, tgt)
 
     for d in degrees:
@@ -462,31 +497,31 @@ def test_operator_tables_match_per_column_evaluation(monkeypatch, weights, field
         for i in (1, 2):
             check("koszul%d" % i, complexes._koszul_matrix(om, i, d), degs[i], degs[i - 1])
 
-    # the stacked maps, told from the cochain and Koszul matrices that the
-    # same runs assemble by their numbers of source and target components
+    # the stacked maps among the cochain and Koszul matrices that the same
+    # runs assemble; T_d is the sealed block with its u source at degree -1
+    reference = {"T": "sealed_block", "B": "sealed_block", "K1": "koszul1", "K2": "koszul2",
+                 "d0": "cochain0"}
     runs = [
-        ("ozone", lambda: complexes.ph_dims(om, n + 2), {(3, 2): "ozone", (1, 3): "cochain0"}),
-        ("ozone", lambda: complexes.ozone_vs_hamiltonian(om, n + 2),
-         {(3, 2): "ozone", (1, 3): "cochain0"}),
+        ("T", lambda: complexes.ph_dims(om, n + 2)),
+        ("T", lambda: complexes.ozone_vs_hamiltonian(om, n + 2)),
         # to 2n, where K1 meets a nonzero source and image
-        ("sealed_block", lambda: complexes.sealed_k1_dims(om, 2 * n),
-         {(4, 2): "sealed_block", (3, 1): "koszul1", (3, 3): "koszul2"}),
-        ("ozone", lambda: poisson.rgt(om), {(3, 2): "ozone"}),
+        ("B", lambda: complexes.sealed_k1_dims(om, 2 * n)),
+        ("T", lambda: poisson.rgt(om)),
     ]
-    for name, run, kinds in runs:
+    for name, run in runs:
         calls = _capture(monkeypatch, run)
-        seen = {kinds[len(src), len(tgt)] for src, tgt, _ in calls}
+        seen = {kind for kind, _, _, _ in calls}
         assert name in seen, name
-        if name == "sealed_block":
-            assert "koszul1" in seen
-        for src, tgt, m in calls:
-            check(kinds[len(src), len(tgt)], m, src, tgt)
+        if name == "B":
+            assert "K1" in seen
+        for kind, src, tgt, m in calls:
+            check(reference[kind], m, src, tgt)
 
-    calls = _capture(monkeypatch,
-                     lambda: complexes.derham_exactness_check(weights, n + 2, field))
+    # the de Rham maps are integer, so they are assembled over Q
+    calls = _capture(monkeypatch, lambda: complexes.derham_exactness_check(weights, n + 2))
     assert len(calls) == 3 * (n + 3)
-    for k, (src, tgt, m) in enumerate(calls):
-        check(("grad", "curl", "div")[k % 3], m, src, tgt)
+    for kind, src, tgt, m in calls:
+        check(kind, m, src, tgt, QQ)
 
 
 @pytest.mark.parametrize("weights, field, text", _table_potentials()[-2:])
@@ -651,11 +686,6 @@ def test_ph_dims_match_the_isolated_closed_form(weights, text):
 # ---------------------------------------------------------------------------
 # rank T_e read off the elimination of the sealed block B_e
 
-# assembled matrices told apart by their numbers of source and target
-# components; no catalog entry has the degree n != a+b+c at which the d1
-# matrix, also 3 x 3, is assembled
-_KINDS = {(3, 2): "T", (4, 2): "B", (3, 1): "K1", (3, 3): "K2", (1, 3): "d0"}
-
 
 def _sealed_degrees(om, bound):
     """the degrees e = d - n of the sealed blocks to the bound, where X1_e
@@ -691,10 +721,10 @@ def test_ranks_read_off_the_sealed_block_give_the_isolated_closed_form(
     assembled = []
     real = complexes.assemble
 
-    def spy(w, f, src_degs, tgt_degs, *rest):
-        if (len(src_degs), len(tgt_degs)) == (3, 2):
-            assembled.append(src_degs[0] - w.a)
-        return real(w, f, src_degs, tgt_degs, *rest)
+    def spy(w, src_degs, tgt_degs, table):
+        if sys._getframe(1).f_code.co_name == "_ozone_rank":
+            assembled.append(src_degs[1] - w.a)
+        return real(w, src_degs, tgt_degs, table)
 
     monkeypatch.setattr(complexes, "assemble", spy)
     table = complexes.ph_dims(om, top)
@@ -727,12 +757,11 @@ def test_a_catalog_pass_eliminates_no_t_at_a_sealed_degree(monkeypatch):
     counts = Counter()
     for e in catalog.entries():
         calls = _capture(monkeypatch, lambda: catalog.verify_entry(e, e.degree + 6))
-        kinds = [_KINDS[len(src), len(tgt)] for src, tgt, _ in calls]
         a = e.weights.a
-        t_degs = {src[0] - a for (src, _, _), kind in zip(calls, kinds) if kind == "T"}
-        b_degs = {src[1] - a for (src, _, _), kind in zip(calls, kinds) if kind == "B"}
+        t_degs = {src[1] - a for kind, src, _, _ in calls if kind == "T"}
+        b_degs = {src[1] - a for kind, src, _, _ in calls if kind == "B"}
         assert b_degs and not t_degs & b_degs, e.entry_id
-        counts.update(kinds)
+        counts.update(kind for kind, _, _, _ in calls)
     # 2,310 T matrices when each T_e was eliminated on its own
     assert counts == {"T": 1046, "B": 1264, "K1": 470, "K2": 412, "d0": 295}
 
