@@ -26,7 +26,6 @@ from .poisson import (
     modular_derivation,
     rgt,
     verify_automorphism,
-    verify_quotient_automorphism,
     jacobian_determinant,
     PoissonStructure,
 )
@@ -392,18 +391,12 @@ def verify_aut(omega, fmt, inputs, map_text, inverse_text, xi):
         psi = parse_map(inverse_text, omega.weights, field=omega.field) if inverse_text else None
     except (ParseError, RingError) as exc:
         _bad_input("bad map", exc)
-    det = jacobian_determinant(phi)
-    if xi is None:
-        ok = verify_automorphism(omega, phi)
-        results = {"passed": ok, "jacobian_det": format_poly(det),
-                   "mode": "graded"}
-    else:
-        xi_val = _xi_value(xi)
-        if psi is None:
-            _fail_usage("--xi verification needs --inverse")
-        ok = verify_quotient_automorphism(omega, xi_val, phi, psi)
-        results = {"passed": ok, "jacobian_det": format_poly(det),
-                   "mode": "quotient", "xi": str(xi_val)}
+    xi_val = None if xi is None else _xi_value(xi)
+    ok = verify_automorphism(omega, phi, psi, xi_val)
+    results = {"passed": ok, "jacobian_det": format_poly(jacobian_determinant(phi)),
+               "mode": "graded"}
+    if xi is not None:
+        results.update(mode="quotient", xi=str(xi_val))
     inputs.update(map=map_text, inverse=inverse_text, xi=xi)
     _emit("verify-aut", inputs, results, fmt)
     if not ok:

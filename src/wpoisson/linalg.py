@@ -228,7 +228,7 @@ def op_table(field, terms):
     immutable and may be shared."""
     coefs = [p.terms if isinstance(p, Polynomial) else {(0, 0, 0): field.coerce(p)}
              for _, _, _, p in terms]
-    if field != QQ and not any(any(c.coeffs[1:]) for cs in coefs for c in cs.values()):
+    if field != QQ and all(c.is_rational() for cs in coefs for c in cs.values()):
         field, coefs = QQ, [{m: c.coeffs[0] for m, c in cs.items()} for cs in coefs]
     k = field.degree
     table = []

@@ -2,7 +2,7 @@
 defined by a homogeneous potential, Jacobi and unimodularity diagnostics,
 Euler / Hamiltonian / modular derivations (each a PolyVector of its values
 on x, y, z), graded twists, the rigidity number, and verification of
-(quotient) automorphisms.
+Poisson automorphisms of A = k[x,y,z] and of A/(O - xi).
 
 A structure is kept as the vector field P = ({y,z}, {z,x}, {x,y}), which is
 grad(O) for the bracket of a potential O, and every diagnostic is a vector
@@ -16,9 +16,21 @@ identity on P.  By the biderivation rule {x_i, h} = (e_i x grad h) . P, so:
   - the twist by E ^ delta adds E(x_i) delta(x_j) - delta(x_i) E(x_j) to
     {x_i, x_j}, so it is P + E x delta;
   - the Jacobian determinant of (p, q, r) is grad p . (grad q x grad r).
-For P = grad(O), curl P = 0: the jacobiator and the modular field vanish."""
+For P = grad(O), curl P = 0: the jacobiator and the modular field vanish.
+
+A map phi, given by its generator images, is a Poisson map when it keeps
+the generator brackets, {phi(x_{i+1}), phi(x_{i+2})} = phi(P_i) with
+indices mod 3; by the biderivation rule it keeps every bracket.  On A an
+automorphism's Jacobian J is a unit, as (J(psi) o phi) J = 1 for its
+inverse psi, and the units of A are the nonzero constants: J in k*.  Then
+the chain rule turns the bracket law into grad(O o phi) = J grad(O), which
+O o phi = J O neither implies nor follows from: x -> x*y is no automorphism
+and takes x*y*z to y x*y*z; z -> z+1 keeps the brackets of x*y+z and moves
+it.  On A/(O - xi) every identity is read modulo O - xi."""
 
 from __future__ import annotations
+
+import itertools
 
 from .complexes import _cochain_rank, cochain_matrix, ozone_dim
 from .jacobian import normal_form
@@ -35,6 +47,7 @@ from .ring import (
     curl,
     dot,
     gradient,
+    rational_copy,
 )
 
 
@@ -182,40 +195,29 @@ def jacobian_determinant(images) -> Polynomial:
     return dot(gradient(p), cross(gradient(q), gradient(r)))
 
 
-def verify_automorphism(omega: Polynomial, phi) -> bool:
-    """check the compatibility law of a candidate automorphism given by its
-    generator images: the potential transforms by the Jacobian determinant"""
-    px, py, pz = phi
-    return omega.substitute((px, py, pz)) == jacobian_determinant((px, py, pz)) * omega
-
-
-def _reduces_to_zero(f: Polynomial, modulus: Polynomial) -> bool:
-    return normal_form(f, [modulus]).is_zero()
-
-
-def verify_quotient_automorphism(omega: Polynomial, xi, phi, psi) -> bool:
-    """check a candidate automorphism of the quotient by (potential - xi):
-    the potential is fixed, the bracket is respected, and psi inverts it,
-    all modulo the principal ideal"""
-    field = omega.field
-    xi = field.coerce(xi)
-    modulus = omega - Polynomial.constant(omega.weights, xi, field)
-    if modulus.is_zero():
-        raise RingError("potential minus the scalar is zero")
-    phi = tuple(phi)
-    psi = tuple(psi)
-    s = from_potential(omega)
-    x, y, z = s.variables()
-
-    if not _reduces_to_zero(omega.substitute(phi) - xi, modulus):
+def verify_automorphism(omega: Polynomial, phi, psi=None, xi=None) -> bool:
+    """whether phi, by its generator images, is a Poisson automorphism of A
+    or, given xi, of A/(O - xi) (module docstring): mod I = 0 or (O - xi),
+    phi(I) lies in I, {phi(x_{i+1}), phi(x_{i+2})} = phi(P_i), and psi o phi
+    = id when psi is given; on A also J(phi) in k*.  The quotient needs psi.
+    Input with no s-part is checked over Q, where each identity reads the same."""
+    check_potential(omega)
+    if xi is not None and psi is None:
+        raise RingError("quotient automorphism check needs the inverse map")
+    polys = [omega if xi is None else omega - omega.field.coerce(xi), *phi, *(psi or ())]
+    rational = [rational_copy(p) for p in polys]
+    gen, *images = polys if None in rational else rational  # gen: O - xi, or O on A
+    phi, psi = images[:3], images[3:]
+    ideal = [] if xi is None else [gen]
+    # {f, g} = P . (grad f x grad g), and J(phi) = grad phi_0 . cofactors[0]
+    grads = [gradient(f) for f in phi]
+    cofactors = [cross(grads[i - 2], grads[i - 1]) for i in range(3)]
+    if xi is None and dot(grads[0], cofactors[0]).degree() != 0:  # J not in k*
         return False
-
-    # P_i = {x_{i+1}, x_{i+2}}, indices mod 3
-    for i, p in enumerate(s.bivector.comps):
-        if not _reduces_to_zero(p.substitute(phi) - bracket(s, phi[i - 2], phi[i - 1]), modulus):
-            return False
-
-    for gen, psi_img in zip((x, y, z), psi):
-        if not _reduces_to_zero(psi_img.substitute(phi) - gen, modulus):
-            return False
-    return True
+    p = gradient(gen)  # grad(O - xi) = P, P_i = {x_{i+1}, x_{i+2}}, indices mod 3
+    residues = itertools.chain(
+        (g.substitute(phi) for g in ideal),
+        (dot(p, c) - p_i.substitute(phi) for c, p_i in zip(cofactors, p.comps)),
+        (img.substitute(phi) - Polynomial.variable(gen.weights, v, gen.field)
+         for img, v in zip(psi, "xyz")))
+    return all(normal_form(r, ideal).is_zero() for r in residues)

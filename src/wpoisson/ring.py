@@ -149,6 +149,10 @@ class ExtElem:
     def __bool__(self):
         return any(self.coeffs)
 
+    def is_rational(self) -> bool:
+        """whether self lies in Q: no coefficient of s, s^2, ... is nonzero"""
+        return not any(self.coeffs[1:])
+
     def __repr__(self):
         return self.field.format(self)
 
@@ -613,12 +617,9 @@ def rational_copy(p: Polynomial):
     so the engines compute them on this copy."""
     if p.field == QQ:
         return p
-    terms = {}
-    for m, c in p.terms.items():
-        if any(c.coeffs[1:]):
-            return None
-        terms[m] = c.coeffs[0]
-    return Polynomial(p.weights, QQ, terms)
+    if not all(c.is_rational() for c in p.terms.values()):
+        return None
+    return Polynomial(p.weights, QQ, {m: c.coeffs[0] for m, c in p.terms.items()})
 
 
 def check_potential(omega: Polynomial, abc_refusal=None) -> int:

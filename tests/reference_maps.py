@@ -14,7 +14,9 @@ coordinate.  Last, the Poisson layer at the level of its definitions: the
 bracket by components, the jacobiator from three brackets, the modular
 derivation from the divergences of the Hamiltonians, the twist by
 components and the determinant by cofactors, which the package now reads
-off the vector field P = ({y,z}, {z,x}, {x,y})."""
+off the vector field P = ({y,z}, {z,x}, {x,y}); and the automorphism test
+by the gradient of the composed potential, where the package checks the
+generator brackets."""
 
 from itertools import combinations
 
@@ -368,3 +370,15 @@ def determinant_by_cofactors(images):
     return (j[0][0] * (j[1][1] * j[2][2] - j[1][2] * j[2][1])
             - j[0][1] * (j[1][0] * j[2][2] - j[1][2] * j[2][0])
             + j[0][2] * (j[1][0] * j[2][1] - j[1][1] * j[2][0]))
+
+
+def is_automorphism_by_gradient(omega, phi):
+    """whether phi is a Poisson automorphism of the bracket of omega on A,
+    by the chain rule: grad(omega o phi) = D(phi)^T (grad(omega) o phi), and
+    the generator brackets are kept exactly when that is J(phi) grad(omega)
+    with J(phi) invertible; an automorphism's J is a unit, a constant in k*"""
+    det = determinant_by_cofactors(phi)
+    if set(det.terms) != {(0, 0, 0)}:
+        return False
+    composed = omega.substitute(phi)
+    return all(composed.partial(i) == det * omega.partial(i) for i in range(3))

@@ -7,10 +7,10 @@ import pytest
 from click.testing import CliRunner
 
 from wpoisson.cli import FIELD_MAX_DEGREE, main
-from wpoisson import Weights, __version__, parse_poly
+from wpoisson import Weights, __version__, parse_map, parse_poly, verify_automorphism
 from wpoisson.catalog import DATA_PATH
 from wpoisson.complexes import ph_dims
-from wpoisson.ring import Polynomial
+from wpoisson.ring import Polynomial, RingError
 
 
 def run(args, env=None):
@@ -555,6 +555,50 @@ def test_verify_aut_xi_past_the_integer_guard_prints_one_error_line(xi):
     assert res.stdout == ""
     assert res.stderr.splitlines() == [
         "error: bad --xi %r: integer exceeds the 10^6 guard" % xi]
+
+
+def test_verify_aut_rejects_a_non_invertible_map_that_scales_the_potential():
+    """x -> x*y takes x*y*z to y * x*y*z, its Jacobian y times the
+    potential, but {z, x*y} = 0 while phi({z,x}) = x*y*z"""
+    code, out = run(["verify-aut", "--weights", "1,1,1", "--potential", "x*y*z",
+                     "--map", "x->x*y; y->y; z->z"])
+    assert code == 1
+    assert out.endswith("passed: False\njacobian_det: y\nmode: graded\n")
+
+
+def test_verify_aut_accepts_a_translation_that_keeps_the_brackets():
+    """z -> z+1 keeps {x,y} = 1, {y,z} = y and {z,x} = x, though it moves
+    the potential x*y+z"""
+    code, out = run(["verify-aut", "--weights", "1,1,2", "--potential", "x*y+z",
+                     "--map", "x->x; y->y; z->z+1"])
+    assert code == 0
+    assert out.endswith("passed: True\njacobian_det: 1\nmode: graded\n")
+
+
+def test_verify_aut_refuses_a_non_homogeneous_potential():
+    res = CliRunner().invoke(main, ["verify-aut", "--weights", "1,1,1", "--potential",
+                                    "x^2+y^3", "--map", "x->x; y->y; z->z"],
+                             catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == ["error: potential must be nonzero homogeneous"]
+
+
+def test_verify_aut_checks_the_inverse_without_xi():
+    code, out = run(["verify-aut", "--weights", "1,1,1", "--potential", "x^3+y^3+z^3",
+                     "--map", "x->x; y->y; z->z", "--inverse", "x->2*x; y->y; z->z"])
+    assert code == 1
+    assert out.endswith("passed: False\njacobian_det: 1\nmode: graded\n")
+
+
+def test_quotient_automorphism_check_needs_the_inverse():
+    weights = Weights(1, 2, 3)
+    omega = parse_poly("x^6+y^3+z^2+x*y*z", weights)
+    with pytest.raises(RingError):
+        verify_automorphism(omega, parse_map("x->x; y->y; z->z", weights), xi=1)
+    res = CliRunner().invoke(main, _XI_ARGS[:7] + ["--xi", "1"], catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stderr.splitlines() == ["error: quotient automorphism check needs the inverse map"]
 
 
 def test_catalog_verify_and_list():

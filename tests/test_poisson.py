@@ -2,6 +2,7 @@
 checks, twists, graded derivation spaces, and the rigidity index."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -310,3 +311,72 @@ def test_verify_automorphism_identity_and_failure():
     assert verify_automorphism(om, ident)
     wrong = parse_map("x->y; y->x; z->z", W112)
     assert not verify_automorphism(om, wrong)
+
+
+
+# the oracle suite: on A, verify_automorphism must give the verdict of
+# ref.is_automorphism_by_gradient, J(phi) in k* and grad(O o phi) = J grad(O),
+# on seeded maps of five families, over the catalog potentials and the
+# potentials of the verify-aut reproducers in test_cli
+ORACLE_POTENTIALS = [(e.weights, e.omega_text) for e in catalog.entries()] + [
+    (W111, "x*y*z"), (W112, "x*y+z"), (W111, "x^3+y^3+z^3"), (W112, "z^2+x^3*y")]
+
+
+def _unit(rng, field):
+    """a nonzero scalar: +-1, +-2 or +-1/2, times 1, s or s^2 over Q(s)"""
+    c = field.coerce(rng.choice([1, -1]) * rng.choice([1, 2, Fraction(1, 2)]))
+    if field != QQ:
+        c = c * rng.choice([field.one, field.generator, field.generator * field.generator])
+    return c
+
+
+def _signed_permutation(rng, xs, field):
+    return tuple(xs[i] * rng.choice([1, -1]) for i in rng.sample(range(3), 3))
+
+
+def _diagonal(rng, xs, field):
+    return tuple(v * _unit(rng, field) for v in xs)
+
+
+def _triangular(rng, xs, field):
+    """x -> u x, y -> u' y + p(x), z -> u'' z + q(x, y), p and q of a few
+    terms of exponent at most 2 in each variable"""
+    x, y, z = xs
+    p = sum((x ** rng.randint(0, 2) * _unit(rng, field) for _ in range(rng.randint(0, 2))),
+            x * 0)
+    q = sum((x ** rng.randint(0, 2) * y ** rng.randint(0, 2) * _unit(rng, field)
+             for _ in range(rng.randint(0, 2))), x * 0)
+    return x * _unit(rng, field), y * _unit(rng, field) + p, z * _unit(rng, field) + q
+
+
+def _multiplier(rng, xs, field):
+    """x_i -> x_i x_j: its Jacobian is x_j or 2 x_i, never a unit"""
+    i, j = rng.randrange(3), rng.randrange(3)
+    return tuple(v * xs[j] if k == i else v for k, v in enumerate(xs))
+
+
+def _translation(rng, xs, field):
+    i = rng.randrange(3)
+    return tuple(v + _unit(rng, field) if k == i else v for k, v in enumerate(xs))
+
+
+# each family with the verdicts its draws must reach
+MAP_FAMILIES = [(_signed_permutation, {True, False}), (_diagonal, {True, False}),
+                (_triangular, {True, False}), (_multiplier, {False}),
+                (_translation, {True, False})]
+
+
+@pytest.mark.parametrize("field", list(FIELDS.values()), ids=list(FIELDS))
+def test_verify_automorphism_agrees_with_the_gradient_oracle(field):
+    rng = random.Random("oracle:%s" % field)
+    for family, reached in MAP_FAMILIES:
+        verdicts = set()
+        for w, text in ORACLE_POTENTIALS:
+            omega = parse_poly(text, w, field=field)
+            xs = tuple(Polynomial.variable(w, v, field) for v in "xyz")
+            for _ in range(2):
+                phi = family(rng, xs, field)
+                expected = ref.is_automorphism_by_gradient(omega, phi)
+                assert verify_automorphism(omega, phi) == expected, (family.__name__, text, phi)
+                verdicts.add(expected)
+        assert verdicts == reached, family.__name__

@@ -17,7 +17,8 @@ import pytest
 from wpoisson import (ExtensionField, Polynomial, Weights, a_sing_hilbert, buchberger,
                       complexes, format_poly, from_potential, gcd_partials, gkdim,
                       graded_derivation_space, jacobian, linalg, ozone_vs_hamiltonian,
-                      parse_poly, sealed_k1_dims, vacancy_check)
+                      parse_map, parse_poly, sealed_k1_dims, vacancy_check,
+                      verify_automorphism)
 from wpoisson.proptest import WEIGHT_POOL, random_homogeneous
 from wpoisson.ring import gradient, rational_copy
 
@@ -213,3 +214,76 @@ def test_rational_copy_reads_the_rational_part_or_refuses():
     assert copy.field == parse_poly("x", weights).field
     assert copy.terms == {(4, 0, 0): 1, (0, 0, 2): Fraction(-1, 2)}
     assert rational_copy(parse_poly("x^4+s*z^2", weights, GAUSS)) is None
+    assert GAUSS.coerce(Fraction(-1, 2)).is_rational() and not (GAUSS.generator + 1).is_rational()
+
+
+# verify_automorphism cases with a rational potential over Q(s): weights,
+# field, potential, map, inverse, xi (None on A) and the verdict; the maps
+# of the extension benchmark's families, the verify-aut reproducers and the
+# quotient maps of AC9, rational or not
+AUTOMORPHISMS = [
+    ((1, 1, 1), CUBE_ROOT, "x^3+y^3+z^3+3/2*x*y*z", "x->y; y->z; z->x", None, None, True),
+    ((1, 1, 1), CUBE_ROOT, "x^3+y^3+z^3+3/2*x*y*z", "x->s*x; y->s^2*y; z->z", None, None,
+     True),
+    ((1, 1, 1), CUBE_ROOT, "x^3+y^3+z^3+3/2*x*y*z", "x->y; y->x; z->-z", None, None, False),
+    ((1, 1, 2), GAUSS, "x^4+y^4+z^2-2*x*y*z", "x->s*x; y->-s*y; z->z", None, None, True),
+    ((1, 1, 2), GAUSS, "x^4+y^4+z^2-2*x*y*z", "x->y; y->x; z->z", None, None, False),
+    ((1, 1, 1), CUBE_ROOT, "x*y*z", "x->x*y; y->y; z->z", None, None, False),
+    ((1, 1, 2), GAUSS, "x*y+z", "x->x; y->y; z->z+1", "x->x; y->y; z->z-1", None, True),
+    ((1, 1, 1), CUBE_ROOT, "x^3+y^3+z^3", "x->x; y->y; z->z", "x->2*x; y->y; z->z", None,
+     False),
+    ((1, 1, 1), CUBE_ROOT, "x^3+y^3+z^3+3/2*x*y*z", "x->y; y->z; z->x", "x->z; y->x; z->y",
+     1, True),
+    ((1, 1, 1), CUBE_ROOT, "x^3+y^3+z^3+3/2*x*y*z", "x->y; y->x; z->-z", "x->y; y->x; z->-z",
+     2, False),
+    ((1, 1, 2), GAUSS, "x^4+y^4+z^2+x*y*z", "x->s*y; y->-s*x; z->-z-x*y",
+     "x->s*y; y->-s*x; z->-z-x*y", 1, True),
+    ((1, 2, 3), GAUSS, "x^6+y^3+z^2+x*y*z", "x->2*x; y->4*y; z->8*z",
+     "x->(1/2)*x; y->(1/4)*y; z->(1/8)*z", 1, False),
+]
+
+
+def _automorphism_input(w, field, potential, phi, psi):
+    weights = Weights(*w)
+    return (parse_poly(potential, weights, field), parse_map(phi, weights, field),
+            psi and parse_map(psi, weights, field))
+
+
+@pytest.mark.parametrize("w, field, potential, phi, psi, xi, verdict", AUTOMORPHISMS,
+                         ids=["%s-%s-%s" % (c[2], c[3], c[5]) for c in AUTOMORPHISMS])
+def test_rational_potential_has_the_automorphism_verdict_of_its_irrational_multiple(
+        w, field, potential, phi, psi, xi, verdict):
+    """s*O has the same Poisson maps as O, and (s*O - s*xi) = (O - xi)"""
+    omega, phi, psi = _automorphism_input(w, field, potential, phi, psi)
+    s = field.generator
+    assert verify_automorphism(omega, phi, psi, xi) == verdict
+    assert verify_automorphism(omega * s, phi, psi, None if xi is None else s * xi) == verdict
+
+
+def _field_products(monkeypatch, *args):
+    """the number of ExtensionField products one verify_automorphism makes"""
+    products = [0]
+    real_mul = ExtensionField._mul
+
+    def mul_spy(self, u, v):
+        products[0] += 1
+        return real_mul(self, u, v)
+
+    monkeypatch.setattr(ExtensionField, "_mul", mul_spy)
+    verify_automorphism(*args)
+    monkeypatch.undo()
+    return products[0]
+
+
+RATIONAL_AUTOMORPHISMS = [c for c in AUTOMORPHISMS if "s" not in c[3] + (c[4] or "")]
+
+
+@pytest.mark.parametrize("w, field, potential, phi, psi, xi, verdict", RATIONAL_AUTOMORPHISMS,
+                         ids=["%s-%s-%s" % (c[2], c[3], c[5]) for c in RATIONAL_AUTOMORPHISMS])
+def test_rational_automorphism_check_makes_no_field_product(monkeypatch, w, field, potential,
+                                                            phi, psi, xi, verdict):
+    omega, phi, psi = _automorphism_input(w, field, potential, phi, psi)
+    assert _field_products(monkeypatch, omega, phi, psi, xi) == 0
+    # s*O keeps the arithmetic of Q(s)
+    s = field.generator
+    assert _field_products(monkeypatch, omega * s, phi, psi, None if xi is None else s * xi) > 0
