@@ -284,14 +284,18 @@ def _t_ranks(omega):
 
 def _ozone_rank(omega, d):
     """rank of T_d: X1_d -> A_{d+n} + A_d, read off the sealed block where
-    that was eliminated first, else from T_d alone"""
+    that was eliminated first, else from T_d alone; 0 where X1_d = 0, with
+    no matrix"""
     ranks = _t_ranks(omega)
     r = ranks.get(d)
     if r is None:
-        # the u source at degree -1, which has no monomial
         weights = omega.weights
-        r = ranks[d] = rank(assemble(weights, [-1] + [d + s for s in weights.tuple],
-                                     [d + omega.homogeneous_degree(), d], _ozone_table(omega)))
+        r = 0
+        if _space_dim(weights, weights.tuple, d):
+            # the u source at degree -1, which has no monomial
+            r = rank(assemble(weights, [-1] + [d + s for s in weights.tuple],
+                              [d + omega.homogeneous_degree(), d], _ozone_table(omega)))
+        ranks[d] = r
     return r
 
 
@@ -300,8 +304,7 @@ def ozone_dim(omega, d):
     the kernel of T_d = (v . g ; div v): the ozone space, the cocycles that
     kill the potential, as d1(v) = div(v) g - grad(v . g)."""
     check_potential(omega)
-    dim_x1 = _space_dim(omega.weights, omega.weights.tuple, d)
-    return dim_x1 - _ozone_rank(omega, d) if dim_x1 else 0
+    return _space_dim(omega.weights, omega.weights.tuple, d) - _ozone_rank(omega, d)
 
 
 def ozone_vs_hamiltonian(omega, bound):

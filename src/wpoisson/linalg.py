@@ -10,7 +10,12 @@ once, on entry, updates are fraction-free (Bareiss-style cross-multiplication
 by the cofactors of the gcd), and each new pivot row is divided by its
 content.  Over Q, ``assemble`` makes int rows for an integer potential and
 hands them to ``Matrix.restricted`` as they are; a row of ints enters
-elimination as a copy divided by its content, with no denominators to clear.
+elimination as a copy divided by the one gcd of its values, with no
+denominators to clear, and a Fraction sends its row to the denominators.
+``assemble`` writes each term of an operator table straight into the row
+dict of its target monomial, adding to the entry in its column and deleting
+an entry that cancels to zero, so no other dict or key stands between a
+table and its matrix.
 
 A matrix over K = Q[s]/(m), deg m = k, reaches the same loop by restriction
 of scalars: its ``entries`` hold k rows over Q per row over K, Q-row i*k+u
@@ -105,12 +110,15 @@ class Matrix:
 def _coprime_ints(row):
     """a new dict: the row scaled to coprime integers (scaling never changes
     rank or kernel).  A row of ints, as ``assemble`` makes for an integer
-    potential, has no denominators to clear and is only copied, since
+    potential, has no denominators to clear: one gcd of its values, which
+    refuses a Fraction with a TypeError, divides a copy of it, since
     elimination consumes the dict it is given."""
-    if all(type(v) is int for v in row.values()):
-        return _divide_content(dict(row))
-    den = math.lcm(*(v.denominator for v in row.values()))
-    return _divide_content({c: v.numerator * (den // v.denominator) for c, v in row.items()})
+    try:
+        g = math.gcd(*row.values())
+    except TypeError:
+        den = math.lcm(*(v.denominator for v in row.values()))
+        return _divide_content({c: v.numerator * (den // v.denominator) for c, v in row.items()})
+    return dict(row) if g == 1 else {c: v // g for c, v in row.items()}
 
 
 def _divide_content(row):
@@ -253,47 +261,46 @@ def assemble(weights, src_degs, tgt_degs, table):
     deg m = k, component t*k+u is the s^u coordinate of component t; K-row
     i and K-column j come out as Q-rows i*k+u and Q-columns j*k+t, the
     block layout of ``Matrix`` (so kernels are unchanged), in int and
-    Fraction arithmetic alone.  Outputs must respect the target degrees."""
+    Fraction arithmetic alone.  Each Q-target slot maps its monomials to
+    their row dicts; term by term, over the source monomials of the term's
+    source slot, each coefficient is added in place at its row and column,
+    and an entry whose sum cancels to 0 is deleted, so no zero is stored.
+    An output outside its target slot's monomials is refused: outputs must
+    respect the target degrees."""
     field, table = table
     k = field.degree
-    row_of = {}
-    for t, td in enumerate(tgt_degs):
-        for m in monomial_basis(weights, td):
-            for u in range(t * k, t * k + k):
-                row_of[(u, m)] = len(row_of)
-    by_source = [[[] for _ in range(k)] for _ in src_degs]
+    rows, targets = [], []
+    for td in tgt_degs:
+        basis = monomial_basis(weights, td)
+        block = [{} for _ in range(len(basis) * k)]
+        rows += block
+        targets += [dict(zip(basis, block[u::k])) for u in range(k)]
+    col, sources = 0, []
+    for sd in src_degs:
+        basis = monomial_basis(weights, sd)
+        sources += [(basis, range(col + c, col + len(basis) * k, k)) for c in range(k)]
+        col += len(basis) * k
     for t, s, v, coefs in table:
-        by_source[s // k][s % k].append((t, v, coefs))
-    rows = [{} for _ in range(len(row_of))]
-    col = 0
-    for s, sd in enumerate(src_degs):
-        copies = by_source[s]
-        for m in monomial_basis(weights, sd):
-            for terms in copies:
-                out = {}
-                for t, v, coefs in terms:
-                    if v is None:
-                        f = 1
-                        m0, m1, m2 = m
-                    else:
-                        f = m[v]
-                        if not f:
-                            continue
-                        m0, m1, m2 = m[:v] + (f - 1,) + m[v + 1:]
-                    for (q0, q1, q2), c in coefs:
-                        key = (t, (m0 + q0, m1 + q1, m2 + q2))
-                        if f != 1:
-                            c = c * f
-                        prev = out.get(key)
-                        out[key] = c if prev is None else prev + c
-                for key, c in out.items():
-                    if not c:
-                        continue
-                    r = row_of.get(key)
-                    if r is None:
-                        raise RingError("graded map output escapes its degree slot")
-                    rows[r][col] = c
-                col += 1
+        target = targets[t].get
+        basis, cols = sources[s]
+        for m, j in zip(basis, cols):
+            if v is None:
+                f = 1
+                m0, m1, m2 = m
+            else:
+                f = m[v]
+                if not f:
+                    continue
+                m0, m1, m2 = m[:v] + (f - 1,) + m[v + 1:]
+            for (q0, q1, q2), c in coefs:
+                row = target((m0 + q0, m1 + q1, m2 + q2))
+                if row is None:
+                    raise RingError("graded map output escapes its degree slot")
+                c = row.get(j, 0) + (c if f == 1 else c * f)
+                if c:
+                    row[j] = c
+                else:
+                    del row[j]
     return Matrix.restricted(len(rows) // k, col // k, rows, field)
 
 

@@ -182,18 +182,7 @@ class ExtensionField:
         self.degree = len(mod) - 1
         # s^degree = -(m0 + m1 s + ... + m_{deg-1} s^{deg-1})
         self._top = tuple(-c for c in mod[:-1])
-        # a rational root of the monic integer m, a factor unless deg m = 1,
-        # is an integer dividing m0, and a repeated factor is shared with m'
-        m0 = int(abs(mod[0]))
-        roots = [r for d in range(1, math.isqrt(m0) + 1) if m0 % d == 0
-                 for r in (d, -d, m0 // d, -m0 // d)] if m0 else [0]
-        for r in roots:
-            if self.degree > 1 and sum(c * r ** i for i, c in enumerate(mod)) == 0:
-                raise RingError("modulus is reducible: it has the root %d" % r)
-        try:
-            self.inverse(ExtElem(self, [i * c for i, c in enumerate(mod)][1:]))
-        except RingError:
-            raise RingError("modulus is reducible: it has a repeated factor") from None
+        _check_irreducible(self)
 
     def coerce(self, v):
         if isinstance(v, ExtElem):
@@ -313,6 +302,25 @@ class ExtensionField:
         )
 
 
+@lru_cache(maxsize=256)
+def _check_irreducible(field):
+    """refuse a modulus m with an integer root or a repeated factor, once per
+    modulus (fields compare by it); a refusal raises, so it is never memoised.
+    A rational root of the monic integer m, a factor unless deg m = 1, is an
+    integer dividing m0, and a repeated factor is shared with m'."""
+    mod = field.modulus
+    m0 = int(abs(mod[0]))
+    roots = [r for d in range(1, math.isqrt(m0) + 1) if m0 % d == 0
+             for r in (d, -d, m0 // d, -m0 // d)] if m0 else [0]
+    for r in roots:
+        if field.degree > 1 and sum(c * r ** i for i, c in enumerate(mod)) == 0:
+            raise RingError("modulus is reducible: it has the root %d" % r)
+    try:
+        field.inverse(ExtElem(field, [i * c for i, c in enumerate(mod)][1:]))
+    except RingError:
+        raise RingError("modulus is reducible: it has a repeated factor") from None
+
+
 # ---------------------------------------------------------------------------
 # weights and monomials
 
@@ -320,23 +328,19 @@ class ExtensionField:
 class Weights:
     """Positive integer degrees (a, b, c) of x, y, z with gcd(a,b,c) = 1."""
 
-    __slots__ = ("a", "b", "c")
+    __slots__ = ("a", "b", "c", "tuple", "_hash")
 
     def __init__(self, a: int, b: int, c: int):
         if not all(isinstance(v, int) and v >= 1 for v in (a, b, c)):
             raise RingError("weights must be positive integers")
         if math.gcd(a, math.gcd(b, c)) != 1:
             raise RingError("weights must have gcd 1, got (%d,%d,%d)" % (a, b, c))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        t = (a, b, c)
+        for name, value in (("a", a), ("b", b), ("c", c), ("tuple", t), ("_hash", hash(t))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError("Weights is immutable")
-
-    @property
-    def tuple(self):
-        return (self.a, self.b, self.c)
 
     @property
     def n_default(self) -> int:
@@ -349,7 +353,7 @@ class Weights:
         return isinstance(other, Weights) and self.tuple == other.tuple
 
     def __hash__(self):
-        return hash(self.tuple)
+        return self._hash
 
     def __repr__(self):
         return "Weights(%d,%d,%d)" % self.tuple
@@ -383,13 +387,13 @@ def monomial_basis(weights: Weights, d: int) -> tuple:
         return ()
     a, b, c = weights.tuple
     out = []
-    for k in range(d // c + 1):
+    # one degree: ascending in the order is descending in z, then in y
+    for k in range(d // c, -1, -1):
         rem_k = d - c * k
-        for j in range(rem_k // b + 1):
+        for j in range(rem_k // b, -1, -1):
             rem = rem_k - b * j
             if rem % a == 0:
                 out.append((rem // a, j, k))
-    out.sort(key=lambda m: mono_key(weights, m))
     return tuple(out)
 
 
@@ -404,7 +408,7 @@ UNDEFINED_DEGREE = "undefined"  # degree sentinel of the zero polynomial
 
 
 class Polynomial:
-    __slots__ = ("weights", "field", "terms", "_hash")
+    __slots__ = ("weights", "field", "terms", "_hash", "_hdeg")
 
     def __init__(self, weights: Weights, field, terms):
         """terms: mapping exponent-triple -> coefficient; zeros are pruned."""
@@ -416,7 +420,7 @@ class Polynomial:
             if coef:
                 clean[m] = coef
         self.terms = clean
-        self._hash = None
+        self._hash = self._hdeg = None
 
     # -- constructors -------------------------------------------------------
 
@@ -458,11 +462,14 @@ class Polynomial:
         return len(degs) <= 1
 
     def homogeneous_degree(self) -> int:
-        """Degree of a nonzero homogeneous polynomial; error otherwise."""
-        degs = {self.weights.mono_degree(m) for m in self.terms}
-        if len(degs) != 1:
-            raise RingError("polynomial is zero or not homogeneous")
-        return degs.pop()
+        """Degree of a nonzero homogeneous polynomial, memoised like the
+        hash; error otherwise."""
+        if self._hdeg is None:
+            degs = {self.weights.mono_degree(m) for m in self.terms}
+            if len(degs) != 1:
+                raise RingError("polynomial is zero or not homogeneous")
+            self._hdeg = degs.pop()
+        return self._hdeg
 
     def coefficient(self, m):
         return self.terms.get(tuple(m), self.field.zero)

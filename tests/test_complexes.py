@@ -476,6 +476,46 @@ def test_seeded_tables_assemble_the_restricted_evaluation_without_field_products
     assert nonzero > 0
 
 
+def _first_order_fn(weights, field, terms):
+    """the one-component operator of (0, 0, var, coef) terms as a function
+    on component Polynomials"""
+    def fn(comps):
+        out = Polynomial.zero(weights, field)
+        for _, _, v, p in terms:
+            out = out + p * (comps[0] if v is None else comps[0].partial(v))
+        return [out]
+    return fn
+
+
+@pytest.mark.parametrize("field", [QQ, ExtensionField([1, 1, 1])], ids=["QQ", "s^2+s+1"])
+def test_terms_that_cancel_in_a_cell_leave_no_stored_zero(field):
+    """x d/dx - y d/dy on A_2 of (1,1,1) kills x*y: its two terms meet in
+    one cell and cancel, and the cell is left empty; a third term y d/dy
+    writes it again.  Over Q(s) every term carries the factor s."""
+    c = field.generator if field != QQ else 1
+    x, y = (Polynomial.variable(W111, v, field) * c for v in "xy")
+    basis = monomial_basis(W111, 2)
+    xy = basis.index((1, 1, 0))
+    k = field.degree
+    for terms, written in (([(0, 0, 0, x), (0, 0, 1, -y)], False),
+                           ([(0, 0, 0, x), (0, 0, 1, -y), (0, 0, 1, y)], True)):
+        new = assemble(W111, [2], [2], op_table(field, terms))
+        assert all(v for row in new.entries for v in row.values())
+        assert _same_matrix(new, reference_assemble(W111, field, [2], [2],
+                                                     _first_order_fn(W111, field, terms)))
+        cells = {(i // k, j // k) for i, row in enumerate(new.entries) for j in row}
+        assert ((xy, xy) in cells) == written
+
+
+def test_assemble_refuses_an_output_that_escapes_its_degree_slot():
+    """multiplication by x raises the degree by one: into A_1 it escapes,
+    into A_2 it lands"""
+    table = op_table(QQ, [(0, 0, None, Polynomial.variable(W111, "x"))])
+    with pytest.raises(RingError, match="graded map output escapes its degree slot"):
+        assemble(W111, [1], [1], table)
+    assert sum(map(len, assemble(W111, [1], [2], table).entries)) == 3
+
+
 @pytest.mark.parametrize("weights, field, text", _table_potentials())
 def test_operator_tables_match_per_column_evaluation(monkeypatch, weights, field, text):
     om = parse_poly(text, weights, field)
@@ -762,8 +802,9 @@ def test_a_catalog_pass_eliminates_no_t_at_a_sealed_degree(monkeypatch):
         b_degs = {src[1] - a for kind, src, _, _ in calls if kind == "B"}
         assert b_degs and not t_degs & b_degs, e.entry_id
         counts.update(kind for kind, _, _, _ in calls)
-    # 2,310 T matrices when each T_e was eliminated on its own
-    assert counts == {"T": 1046, "B": 1264, "K1": 470, "K2": 412, "d0": 295}
+    # 2,310 T matrices when each T_e was eliminated on its own; a T_d with
+    # no columns (X1_d = 0) is not assembled
+    assert counts == {"T": 794, "B": 1264, "K1": 470, "K2": 412, "d0": 295}
 
 
 # ---------------------------------------------------------------------------

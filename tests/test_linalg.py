@@ -321,3 +321,26 @@ def test_int_fraction_and_mixed_rows_match_sympy():
     for _ in range(150):
         for m in _representations(rng):
             _check_against_sympy(m, m.entries, QQs, lambda v: QQs(v.numerator, v.denominator))
+
+
+def test_rows_of_ints_fractions_and_whole_fractions_match_the_reference():
+    """a row of ints enters elimination through one gcd, which a Fraction
+    refuses, Fraction(n, 1) included, sending the row to its denominators:
+    rows of each kind and rows mixing all three against the unit-pivot
+    reference"""
+    rng = random.Random(2718)
+    kinds = {"int": lambda v: v, "whole": Fraction,
+             "proper": lambda v: Fraction(v, rng.randint(2, 5))}
+    for _ in range(200):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        grid = []
+        for _ in range(rows):
+            pick = rng.choice(["int", "whole", "mixed"])
+            grid.append({j: kinds[rng.choice(list(kinds)) if pick == "mixed" else pick](
+                rng.randint(-6, 6)) for j in range(cols) if rng.random() < 0.5})
+        if rows > 2:
+            grid[-1] = {j: 2 * grid[0].get(j, 0) - grid[1].get(j, 0)
+                        for j in set(grid[0]) | set(grid[1])}
+        m = Matrix(rows, cols, grid)
+        assert rank(m) == reference_rank(QQ, grid)
+        assert kernel_basis(m) == reference_kernel_basis(QQ, cols, grid)

@@ -20,7 +20,8 @@ from wpoisson import (
     monomial_basis,
     parse_poly,
 )
-from wpoisson.ring import ExtElem, Polynomial
+from wpoisson.proptest import WEIGHT_POOL
+from wpoisson.ring import ExtElem, Polynomial, count_monomials, mono_key
 
 
 def test_weights_basic():
@@ -55,6 +56,19 @@ def test_monomial_basis_sparse_weights():
     ])
     degs = [len(monomial_basis(w, d)) for d in range(11)]
     assert degs == [1, 0, 1, 1, 1, 2, 2, 2, 3, 3, 4]
+
+
+@pytest.mark.parametrize("abc", WEIGHT_POOL + [(1, 1, 7), (3, 5, 7)], ids=str)
+def test_monomial_basis_lists_each_degree_in_the_fixed_order(abc):
+    """the basis is listed in order, not sorted: it equals every triple of
+    the degree sorted by ``mono_key``"""
+    w = Weights(*abc)
+    a, b, c = abc
+    for d in range(41):
+        every = [(i, j, (d - a * i - b * j) // c) for i in range(d // a + 1)
+                 for j in range((d - a * i) // b + 1) if (d - a * i - b * j) % c == 0]
+        assert monomial_basis(w, d) == tuple(sorted(every, key=lambda m: mono_key(w, m)))
+        assert count_monomials(w, d) == len(every)
 
 
 def test_polynomial_arithmetic():
@@ -172,6 +186,22 @@ def test_extension_field_requires_monic():
 def test_extension_field_refuses_a_reducible_modulus(modulus, why):
     with pytest.raises(RingError, match="modulus is reducible: " + why):
         ExtensionField(modulus)
+
+
+def test_a_modulus_is_checked_once_and_refused_every_time(monkeypatch):
+    """the irreducibility check is memoised per modulus, so a second field
+    over it inverts nothing; a refusal is not memoised"""
+    ExtensionField([5, 3, 1])
+    inverses = []
+    real = ExtensionField.inverse
+    monkeypatch.setattr(ExtensionField, "inverse",
+                        lambda self, v: inverses.append(v) or real(self, v))
+    assert ExtensionField([5, 3, 1]) == ExtensionField([5, 3, 1, 0])
+    assert inverses == []
+    for _ in range(3):
+        with pytest.raises(RingError, match="it has a repeated factor"):
+            ExtensionField([1, 0, 2, 0, 1])
+    assert len(inverses) == 3
 
 
 @pytest.mark.parametrize("modulus", [[Fraction(-1, 4), 0, 1], [0.5, 1]],
