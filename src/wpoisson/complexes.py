@@ -1,7 +1,7 @@
-"""Degree-truncated homology of three complexes built from a homogeneous
-potential: the Poisson cochain complex on multiderivations, the Koszul complex
-on the gradient, and the de Rham complex; plus the exact-bivector space M2 and
-the vacancy / sealedness / ozone diagnostics.
+"""Degree-truncated homology of two complexes built from a homogeneous
+potential: the Poisson cochain complex on multiderivations and the Koszul
+complex on the gradient; plus the exact-bivector space M2 and the vacancy /
+sealedness / ozone diagnostics.
 
 Most ranks come from identities, not matrices; g = grad(O) is nonzero by
 Euler's identity, in the domain k[x,y,z], and T_d = (v . g ; div v) on the
@@ -71,9 +71,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .hilbert import closed_form_ph, euler_rhs
+from .hilbert import closed_form_ph
 from .linalg import assemble, op_table, pivot_columns, rank
-from .ring import QQ, RingError, check_potential, count_monomials, gradient
+from .ring import RingError, check_potential, count_monomials, gradient
 
 
 class DimsTable:
@@ -242,13 +242,6 @@ def _m2_dim(omega, d):
     return grads + _cochain_rank(omega, 0, e)
 
 
-def m2_dims(omega, bound):
-    """dimensions of the exact-bivector space M2 per degree, from
-    #A_{d+a+b+c} - [d = -(a+b+c)] + rank d0 at degree d-w"""
-    check_potential(omega)
-    return {d: _m2_dim(omega, d) for d in _window("M2", -omega.weights.n_default, bound)}
-
-
 def vacancy_check(omega, bound):
     """per-degree upper-division dimensions: ker of the top differential
     modulo M2, so dim X2_d - rank d2 - #A_{d+n} + [d = -n] - rank d0 at
@@ -321,14 +314,11 @@ def ozone_vs_hamiltonian(omega, bound):
 
 
 def koszul_component_degs(omega, d):
+    """component degrees of K_0..K_3 at total degree d: K_i is X^i at
+    degree d - i n"""
     n = omega.homogeneous_degree()
-    a, b, c = omega.weights.tuple
-    return (
-        [d],
-        [d - n + a, d - n + b, d - n + c],
-        [d - 2 * n + b + c, d - 2 * n + a + c, d - 2 * n + a + b],
-        [d - 3 * n + a + b + c],
-    )
+    shifts = cochain_shifts(omega.weights)
+    return [[d - i * n + s for s in shifts[i]] for i in range(4)]
 
 
 @lru_cache(maxsize=1024)
@@ -347,7 +337,7 @@ def _koszul_table(omega, i):
     return op_table(omega.field, terms)
 
 
-def _koszul_matrix(omega, i, d):
+def koszul_matrix(omega, i, d):
     """matrix of the Koszul differential K_i -> K_{i-1} at total degree d,
     for i = 1, 2 (K3 -> K2 is injective and never assembled)"""
     degs = koszul_component_degs(omega, d)
@@ -355,7 +345,8 @@ def _koszul_matrix(omega, i, d):
 
 
 def _koszul_dim(omega, i, d):
-    return sum(count_monomials(omega.weights, e) for e in koszul_component_degs(omega, d)[i])
+    weights = omega.weights
+    return _space_dim(weights, cochain_shifts(weights)[i], d - i * omega.homogeneous_degree())
 
 
 @lru_cache(maxsize=65536)
@@ -366,7 +357,7 @@ def _koszul_rank(omega, i, d):
         return dim
     if i == 2 and d >= _k2_window(omega).stop:
         return dim - count_monomials(omega.weights, d - _koszul_kernel_degree(omega))
-    return rank(_koszul_matrix(omega, i, d)) if dim else 0
+    return rank(koszul_matrix(omega, i, d)) if dim else 0
 
 
 @lru_cache(maxsize=1024)
@@ -426,60 +417,3 @@ def sealed_k1_dims(omega, bound):
         t_ranks[e] = sum(c >= u_cols for c in pivots)
         out[d] = dim_v - len(pivots) + _koszul_rank(omega, 1, e) - _koszul_rank(omega, 2, d)
     return out, all(v == 0 for v in out.values())
-
-
-# ---------------------------------------------------------------------------
-# de Rham complex
-
-
-def derham_exactness_check(weights, bound):
-    """rank check that the weighted de Rham complex is exact apart from the
-    constants in degree zero; true is the only healthy answer"""
-    a, b, c = weights.tuple
-    one_forms = [-a, -b, -c]
-    two_forms = [-b - c, -a - c, -a - b]
-    gradmap = op_table(QQ, [(k, 0, k, 1) for k in range(3)])
-    # curl(v): component k is d_{k+1} v_{k+2} - d_{k+2} v_{k+1}
-    curlmap = op_table(QQ, [(k, (k + 2) % 3, (k + 1) % 3, 1) for k in range(3)]
-                    + [(k, (k + 1) % 3, (k + 2) % 3, -1) for k in range(3)])
-    divmap = op_table(QQ, [(0, s, s, 1) for s in range(3)])
-
-    for d in _window("de Rham", 0, bound):
-        dim_a = count_monomials(weights, d)
-        dim_1 = sum(count_monomials(weights, d + s) for s in one_forms)
-        dim_2 = sum(count_monomials(weights, d + s) for s in two_forms)
-        dim_3 = count_monomials(weights, d - a - b - c)
-        rank_g = rank(assemble(weights, [d], [d + s for s in one_forms], gradmap))
-        rank_c = rank(assemble(weights, [d + s for s in one_forms], [d + s for s in two_forms],
-                               curlmap))
-        rank_d = rank(assemble(weights, [d + s for s in two_forms], [d - a - b - c], divmap))
-        if dim_a - rank_g != (1 if d == 0 else 0):
-            return False
-        if dim_1 - rank_c != rank_g:
-            return False
-        if dim_2 - rank_d != rank_c:
-            return False
-        if rank_d != dim_3:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Euler characteristic of the truncated cochain complex
-
-
-def euler_characteristic_check(omega, bound):
-    """verify that the alternating sum of cohomology dimensions matches the
-    closed rational function forced by additivity of Hilbert series"""
-    n = check_potential(omega)
-    weights = omega.weights
-    w = n - weights.a - weights.b - weights.c
-    pad = 3 * abs(w)
-    degrees = _window("Euler characteristic", -weights.n_default - pad, bound)
-    table = ph_dims(omega, bound + pad)
-    coeffs = euler_rhs(weights, n).expand(degrees.start, bound)
-    for e in degrees:
-        lhs = sum((-1) ** i * table.dim(i, e + i * w) for i in range(4))
-        if lhs != coeffs[e - degrees.start]:
-            return False
-    return True

@@ -104,24 +104,3 @@ def closed_form_ph(weights: Weights, i: int, n=None) -> HilbertSeries:
     full_den = _product_one_minus((n, a, b, c))
     num = _laurent_sub(top, full_den)
     return HilbertSeries({d - n0: cc for d, cc in num.items()}, (n, a, b, c))
-
-
-def closed_form_koszul_h1(a_p: int, b_p: int) -> HilbertSeries:
-    """First Koszul homology of the x*y*z + g(x,y) family, in the regrading
-    where x, y carry a_p, b_p: t^(c'+a'b') / (1 - t^c') with
-    c' = a'b' - a' - b'.  Requires a', b' >= 3."""
-    if a_p < 3 or b_p < 3:
-        raise RingError("regraded weights must both be at least 3")
-    c_p = a_p * b_p - a_p - b_p
-    return HilbertSeries({c_p + a_p * b_p: 1}, (c_p,))
-
-
-def euler_rhs(weights: Weights, n: int) -> HilbertSeries:
-    """The rational function every truncated Poisson-cohomology table must
-    telescope to: -(1/t^{3w+a+b+c}) (1-t^{w+a})(1-t^{w+b})(1-t^{w+c})
-    / ((1-t^a)(1-t^b)(1-t^c)) with w = n-a-b-c."""
-    a, b, c = weights.tuple
-    w = n - a - b - c
-    num = _product_one_minus((w + a, w + b, w + c))
-    shift = -(3 * w + a + b + c)
-    return HilbertSeries({d + shift: -cc for d, cc in num.items()}, (a, b, c))

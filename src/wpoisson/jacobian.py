@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, groupby
 
-from .complexes import _koszul_matrix, koszul_component_degs
+from .complexes import koszul_component_degs, koszul_matrix
 from .hilbert import HilbertSeries
 from .linalg import assemble, kernel_basis, op_table, vector_to_polys
 from .ring import (
@@ -61,7 +61,6 @@ from .ring import (
     mono_key,
     mono_lcm,
     mono_mul,
-    monomial_basis,
     rational_copy,
 )
 
@@ -445,11 +444,6 @@ def _hilbert_numerator(weights, gens):
     return {d: e for d, e in out.items() if e}
 
 
-def standard_monomials(weights, heads, d):
-    """monomials of degree d outside the monomial ideal generated by heads"""
-    return [m for m in monomial_basis(weights, d) if not any(mono_divides(h, m) for h in heads)]
-
-
 def a_sing_hilbert(omega, bound):
     """Hilbert data of the singular quotient A/(partials of omega):
     ({d: dim for 0 <= d <= bound}, exact rational series)"""
@@ -529,7 +523,7 @@ def _gcd_from_koszul(omega, delta):
     weights, field = omega.weights, omega.field
     d0 = 3 * omega.homogeneous_degree() - weights.n_default - delta
     u = _one_kernel_vector(weights, field, koszul_component_degs(omega, d0)[2],
-                           _koszul_matrix(omega, 2, d0))
+                           koszul_matrix(omega, 2, d0))
     i, g = next((i, g) for i, g in enumerate(gradient(omega).comps) if g.terms)
     table = op_table(field, [(0, 0, None, u[i]), (0, 1, None, -g)])
     degs = (delta, 0)

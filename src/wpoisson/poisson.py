@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 
-from .complexes import _cochain_rank, cochain_matrix, ozone_dim
+from .complexes import cochain_matrix, ozone_dim
 from .jacobian import normal_form
 from .linalg import kernel_basis, vector_to_polys
 from .ring import (
@@ -175,17 +175,6 @@ def rgt(omega: Polynomial) -> int:
     which is the ozone space in degree 0"""
     check_potential(omega, "rigidity needs a potential of degree a+b+c")
     return -ozone_dim(omega, 0)
-
-
-def negative_degree_pd_dims(omega: Polynomial):
-    """dimensions of the bracket-compatible derivations in each negative
-    degree down to -max(a,b,c), below which all generator values vanish:
-    dim X1_d - rank d1_d, the kernel of the condition that
-    ``graded_derivation_space`` solves"""
-    check_potential(omega, "diagnostic needs a potential of degree a+b+c")
-    weights = omega.weights
-    return {d: sum(count_monomials(weights, d + w) for w in weights.tuple)
-            - _cochain_rank(omega, 1, d) for d in range(-max(weights.tuple), 0)}
 
 
 def jacobian_determinant(images) -> Polynomial:

@@ -342,6 +342,10 @@ class Weights:
     def __setattr__(self, *a):
         raise AttributeError("Weights is immutable")
 
+    def __reduce__(self):
+        # the default restore of slot state would go through __setattr__
+        return Weights, self.tuple
+
     @property
     def n_default(self) -> int:
         return self.a + self.b + self.c

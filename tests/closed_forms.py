@@ -1,8 +1,11 @@
-"""Test-local closed forms: the lower Poisson cohomology LPH^2, and the
+"""Test-local closed forms: the lower Poisson cohomology LPH^2, the
 Poisson cohomology of an isolated potential of any degree (Pichereau,
-"Poisson (co)homology and isolated singularities", J. Algebra 299, 2006)."""
+"Poisson (co)homology and isolated singularities", J. Algebra 299, 2006),
+the first Koszul homology of the x*y*z + g(x,y) family, and the rational
+function the alternating sum of a cohomology table telescopes to."""
 
 from wpoisson import HilbertSeries, RingError, closed_form_ph
+from wpoisson.hilbert import _product_one_minus
 
 
 def closed_form_lph2(weights, n):
@@ -40,3 +43,24 @@ def isolated_ph(weights, n):
             HilbertSeries({}),
             HilbertSeries({d - s: c for d, c in minus_one.items()}, den),
             HilbertSeries({d - s: c for d, c in top.items()}, den)]
+
+
+def closed_form_koszul_h1(a_p, b_p):
+    """First Koszul homology of the x*y*z + g(x,y) family, in the regrading
+    where x, y carry a_p, b_p: t^(c'+a'b') / (1 - t^c') with
+    c' = a'b' - a' - b'.  Requires a', b' >= 3."""
+    if a_p < 3 or b_p < 3:
+        raise RingError("regraded weights must both be at least 3")
+    c_p = a_p * b_p - a_p - b_p
+    return HilbertSeries({c_p + a_p * b_p: 1}, (c_p,))
+
+
+def euler_rhs(weights, n):
+    """The rational function every truncated Poisson-cohomology table must
+    telescope to: -(1/t^{3w+a+b+c}) (1-t^{w+a})(1-t^{w+b})(1-t^{w+c})
+    / ((1-t^a)(1-t^b)(1-t^c)) with w = n-a-b-c."""
+    a, b, c = weights.tuple
+    w = n - a - b - c
+    num = _product_one_minus((w + a, w + b, w + c))
+    shift = -(3 * w + a + b + c)
+    return HilbertSeries({d + shift: -cc for d, cc in num.items()}, (a, b, c))

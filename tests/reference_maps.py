@@ -16,11 +16,17 @@ derivation from the divergences of the Hamiltonians, the twist by
 components and the determinant by cofactors, which the package now reads
 off the vector field P = ({y,z}, {z,x}, {x,y}); and the automorphism test
 by the gradient of the composed potential, where the package checks the
-generator brackets."""
+generator brackets.
+
+Beside them, the checks and tables that only the tests call: the de Rham
+exactness check, the alternating-sum (Euler characteristic) identity of a
+cohomology table, the M2 table, the standard monomials outside a set of
+heads, and the bracket-compatible derivations in negative degree."""
 
 from itertools import combinations
 
 from wpoisson import complexes, gradient, normal_form, rank
+from wpoisson.complexes import _cochain_rank, _m2_dim, _window, ph_dims
 from wpoisson.hilbert import _laurent_sub, _product_one_minus
 from wpoisson.jacobian import jacobian_basis
 from wpoisson.linalg import Matrix, assemble, kernel_basis, op_table, vector_to_polys
@@ -28,6 +34,8 @@ from wpoisson.poisson import PoissonStructure
 from wpoisson.ring import (QQ, Polynomial, PolyVector, RingError, check_potential,
                            count_monomials, cross, curl, div, dot, mono_divides, mono_key,
                            mono_lcm, mono_mul, monomial_basis)
+
+from closed_forms import euler_rhs
 
 
 def reference_assemble(weights, field, src_degs, tgt_degs, fn):
@@ -382,3 +390,75 @@ def is_automorphism_by_gradient(omega, phi):
         return False
     composed = omega.substitute(phi)
     return all(composed.partial(i) == det * omega.partial(i) for i in range(3))
+
+
+def derham_exactness_check(weights, bound):
+    """rank check that the weighted de Rham complex is exact apart from the
+    constants in degree zero; true is the only healthy answer"""
+    a, b, c = weights.tuple
+    one_forms = [-a, -b, -c]
+    two_forms = [-b - c, -a - c, -a - b]
+    gradmap = op_table(QQ, [(k, 0, k, 1) for k in range(3)])
+    # curl(v): component k is d_{k+1} v_{k+2} - d_{k+2} v_{k+1}
+    curlmap = op_table(QQ, [(k, (k + 2) % 3, (k + 1) % 3, 1) for k in range(3)]
+                    + [(k, (k + 1) % 3, (k + 2) % 3, -1) for k in range(3)])
+    divmap = op_table(QQ, [(0, s, s, 1) for s in range(3)])
+
+    for d in _window("de Rham", 0, bound):
+        dim_a = count_monomials(weights, d)
+        dim_1 = sum(count_monomials(weights, d + s) for s in one_forms)
+        dim_2 = sum(count_monomials(weights, d + s) for s in two_forms)
+        dim_3 = count_monomials(weights, d - a - b - c)
+        rank_g = rank(assemble(weights, [d], [d + s for s in one_forms], gradmap))
+        rank_c = rank(assemble(weights, [d + s for s in one_forms], [d + s for s in two_forms],
+                               curlmap))
+        rank_d = rank(assemble(weights, [d + s for s in two_forms], [d - a - b - c], divmap))
+        if dim_a - rank_g != (1 if d == 0 else 0):
+            return False
+        if dim_1 - rank_c != rank_g:
+            return False
+        if dim_2 - rank_d != rank_c:
+            return False
+        if rank_d != dim_3:
+            return False
+    return True
+
+
+def euler_characteristic_check(omega, bound):
+    """verify that the alternating sum of cohomology dimensions matches the
+    closed rational function forced by additivity of Hilbert series"""
+    n = check_potential(omega)
+    weights = omega.weights
+    w = n - weights.a - weights.b - weights.c
+    pad = 3 * abs(w)
+    degrees = _window("Euler characteristic", -weights.n_default - pad, bound)
+    table = ph_dims(omega, bound + pad)
+    coeffs = euler_rhs(weights, n).expand(degrees.start, bound)
+    for e in degrees:
+        lhs = sum((-1) ** i * table.dim(i, e + i * w) for i in range(4))
+        if lhs != coeffs[e - degrees.start]:
+            return False
+    return True
+
+
+def m2_dims(omega, bound):
+    """dimensions of the exact-bivector space M2 per degree, from
+    #A_{d+a+b+c} - [d = -(a+b+c)] + rank d0 at degree d-w"""
+    check_potential(omega)
+    return {d: _m2_dim(omega, d) for d in _window("M2", -omega.weights.n_default, bound)}
+
+
+def standard_monomials(weights, heads, d):
+    """monomials of degree d outside the monomial ideal generated by heads"""
+    return [m for m in monomial_basis(weights, d) if not any(mono_divides(h, m) for h in heads)]
+
+
+def negative_degree_pd_dims(omega):
+    """dimensions of the bracket-compatible derivations in each negative
+    degree down to -max(a,b,c), below which all generator values vanish:
+    dim X1_d - rank d1_d, the kernel of the condition that
+    ``graded_derivation_space`` solves"""
+    check_potential(omega, "diagnostic needs a potential of degree a+b+c")
+    weights = omega.weights
+    return {d: sum(count_monomials(weights, d + w) for w in weights.tuple)
+            - _cochain_rank(omega, 1, d) for d in range(-max(weights.tuple), 0)}

@@ -16,7 +16,6 @@ from wpoisson import (
     from_potential,
     jacobiator,
     modular_derivation,
-    negative_degree_pd_dims,
     parse_map,
     parse_poly,
     rgt,
@@ -25,7 +24,9 @@ from wpoisson import (
 from wpoisson import catalog, complexes, hilbert, jacobian, proptest, ring
 
 from conftest import record
-from reference_maps import koszul2_rank, koszul3_rank, reference_maps
+from closed_forms import closed_form_koszul_h1
+from reference_maps import (derham_exactness_check, euler_characteristic_check, koszul2_rank,
+                            koszul3_rank, negative_degree_pd_dims, reference_maps)
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +152,7 @@ def test_ac6_koszul_homology_xyz_x4_y4():
     om = parse_poly("x*y*z+x^4+y^4", w)
     bound = 40
     table = complexes.koszul_dims(om, bound)
-    closed = hilbert.closed_form_koszul_h1(4, 4)
+    closed = closed_form_koszul_h1(4, 4)
     # the regrading scales every original degree by 4
     h1_closed = closed.expand(0, 4 * bound)
     bad = []
@@ -197,7 +198,7 @@ def test_ac7_koszul_exactness_and_derham(all_entries):
                 bad.append(f"{e.entry_id}: H2/H3 nonzero at degree {d}")
                 break
     for trip in ((1, 1, 1), (1, 1, 2), (1, 2, 3), (2, 3, 5)):
-        if not complexes.derham_exactness_check(Weights(*trip), 25):
+        if not derham_exactness_check(Weights(*trip), 25):
             bad.append(f"de Rham exactness failed for {trip}")
     record("AC7", "fail" if bad else "pass",
            f"Koszul H2=H3=0 on {checked} coprime-partial entries; de Rham exact to 25")
@@ -207,13 +208,13 @@ def test_ac7_koszul_exactness_and_derham(all_entries):
 def test_ac8_euler_characteristic_identity(all_entries):
     bad = []
     for e in all_entries:
-        if not complexes.euler_characteristic_check(e.omega, e.degree + 4):
+        if not euler_characteristic_check(e.omega, e.degree + 4):
             bad.append(e.entry_id)
     for wtext, otext in AC3_ENTRIES:
         a, b, c = (int(t) for t in wtext.split(","))
         w = Weights(a, b, c)
         om = parse_poly(otext, w)
-        if not complexes.euler_characteristic_check(om, 3 * w.n_default + 12):
+        if not euler_characteristic_check(om, 3 * w.n_default + 12):
             bad.append(otext)
     record("AC8", "fail" if bad else "pass",
            f"alternating-sum identity holds for {len(all_entries)} entries "

@@ -21,10 +21,13 @@ from wpoisson.linalg import assemble, kernel_basis, op_table
 from wpoisson.poisson import euler_derivation, from_potential
 from wpoisson.ring import Polynomial, RingError, count_monomials, monomial_basis, rational_copy
 
+import reference_maps as ref
 from closed_forms import closed_form_lph2, isolated_ph
 from reference_maps import (cochain_apply, cochain_matrices, cochain_matrix, cochain_rank,
-                            d1_rank_and_ozone_kernel, field_powers, koszul3_rank, m2_rank,
-                            reference_assemble, reference_cochain, reference_maps, sealed_dims)
+                            d1_rank_and_ozone_kernel, derham_exactness_check,
+                            euler_characteristic_check, field_powers, koszul3_rank, m2_dims,
+                            m2_rank, reference_assemble, reference_cochain, reference_maps,
+                            sealed_dims)
 
 
 W111 = Weights(1, 1, 1)
@@ -145,7 +148,7 @@ def test_ph0_is_potential_polynomials_for_balanced_irreducible():
 
 def test_m2_dims_quadric_bw():
     om = parse_poly(QUADRIC_BW, W112)
-    m2 = complexes.m2_dims(om, 4)
+    m2 = m2_dims(om, 4)
     assert m2[0] == 9 and m2[1] == 14 and m2[2] == 20 and m2[4] == 33
     # below every component shift the space is empty
     assert m2[-4] == 0
@@ -154,7 +157,7 @@ def test_m2_dims_quadric_bw():
 def test_m2_between_image_and_kernel():
     for w, text in ((W112, QUADRIC_BW), (W123, CUSP)):
         om = parse_poly(text, w)
-        m2 = complexes.m2_dims(om, 8)
+        m2 = m2_dims(om, 8)
         for d in range(-w.n_default, 9):
             _, d1, d2 = cochain_matrices(om, d)
             im = rank(d1)
@@ -164,7 +167,7 @@ def test_m2_between_image_and_kernel():
 
 def test_lph2_matches_closed_form():
     om = parse_poly(QUADRIC_BW, W112)
-    m2 = complexes.m2_dims(om, 10)
+    m2 = m2_dims(om, 10)
     closed = closed_form_lph2(W112, 4).expand(-4, 10)
     for idx, d in enumerate(range(-4, 11)):
         _, d1, _ = cochain_matrices(om, d)
@@ -280,39 +283,39 @@ def test_sealed_k1():
 
 
 def test_derham_exactness():
-    assert complexes.derham_exactness_check(W111, 15)
-    assert complexes.derham_exactness_check(W123, 20)
+    assert derham_exactness_check(W111, 15)
+    assert derham_exactness_check(W123, 20)
 
 
 def test_euler_characteristic_check():
-    assert complexes.euler_characteristic_check(parse_poly(ELLIPTIC, W111), 25)
-    assert complexes.euler_characteristic_check(parse_poly("x*y*z", W111), 12)
-    assert complexes.euler_characteristic_check(parse_poly(CUSP, W123), 0)
+    assert euler_characteristic_check(parse_poly(ELLIPTIC, W111), 25)
+    assert euler_characteristic_check(parse_poly("x*y*z", W111), 12)
+    assert euler_characteristic_check(parse_poly(CUSP, W123), 0)
 
 
 # each per-degree table, its window's name and lowest degree for a cubic on
 # (1,1,1); the de Rham check takes the weights alone
 _WINDOWS = [
-    ("ph_dims", "cohomology", -3),
-    ("ph_closed_form_rows", "cohomology", -3),
-    ("m2_dims", "M2", -3),
-    ("vacancy_check", "vacancy", -3),
-    ("ozone_vs_hamiltonian", "ozone", -1),
-    ("koszul_dims", "koszul", 0),
-    ("sealed_k1_dims", "sealed", 0),
-    ("derham_exactness_check", "de Rham", 0),
-    ("euler_characteristic_check", "Euler characteristic", -3),
+    (complexes.ph_dims, "cohomology", -3),
+    (complexes.ph_closed_form_rows, "cohomology", -3),
+    (m2_dims, "M2", -3),
+    (complexes.vacancy_check, "vacancy", -3),
+    (complexes.ozone_vs_hamiltonian, "ozone", -1),
+    (complexes.koszul_dims, "koszul", 0),
+    (complexes.sealed_k1_dims, "sealed", 0),
+    (derham_exactness_check, "de Rham", 0),
+    (euler_characteristic_check, "Euler characteristic", -3),
 ]
 
 
-@pytest.mark.parametrize("fn, name, lo", [pytest.param(*w, id=w[0]) for w in _WINDOWS])
-def test_per_degree_tables_refuse_an_empty_window(fn, name, lo):
+@pytest.mark.parametrize("table, name, lo",
+                         [pytest.param(*w, id=w[0].__name__) for w in _WINDOWS])
+def test_per_degree_tables_refuse_an_empty_window(table, name, lo):
     """a window with no degree would read as all zero, or as a passed
     check: every per-degree table refuses it, and opens at its lowest
     degree"""
     om = parse_poly(ELLIPTIC, W111)
-    arg = W111 if fn == "derham_exactness_check" else om
-    table = getattr(complexes, fn)
+    arg = W111 if table is derham_exactness_check else om
     table(arg, lo)
     for bound in (lo - 1, -50):
         with pytest.raises(RingError) as err:
@@ -340,8 +343,8 @@ def test_dims_table_row_and_bounds():
 _KINDS = {
     ("_ozone_rank", 4, 2): "T",
     ("sealed_k1_dims", 4, 2): "B",
-    ("_koszul_matrix", 3, 1): "K1",
-    ("_koszul_matrix", 3, 3): "K2",
+    ("koszul_matrix", 3, 1): "K1",
+    ("koszul_matrix", 3, 3): "K2",
     ("cochain_matrix", 1, 3): "d0",
     ("cochain_matrix", 3, 3): "d1",
     ("derham_exactness_check", 1, 3): "grad",
@@ -360,7 +363,8 @@ def _clear_memos():
 
 def _capture(monkeypatch, run):
     """(kind, src_degs, tgt_degs, matrix) of every assemble call made by
-    run(), from empty memos, its kind from ``_KINDS``"""
+    run() in complexes or in the test-side de Rham check, from empty memos,
+    its kind from ``_KINDS``"""
     _clear_memos()
     calls = []
     real = complexes.assemble
@@ -372,6 +376,7 @@ def _capture(monkeypatch, run):
         return m
 
     monkeypatch.setattr(complexes, "assemble", spy)
+    monkeypatch.setattr(ref, "assemble", spy)
     run()
     monkeypatch.undo()
     return calls
@@ -535,7 +540,7 @@ def test_operator_tables_match_per_column_evaluation(monkeypatch, weights, field
                   [d + s for s in sh[i]], [d + w + s for s in sh[i + 1]])
         degs = complexes.koszul_component_degs(om, d)
         for i in (1, 2):
-            check("koszul%d" % i, complexes._koszul_matrix(om, i, d), degs[i], degs[i - 1])
+            check("koszul%d" % i, complexes.koszul_matrix(om, i, d), degs[i], degs[i - 1])
 
     # the stacked maps among the cochain and Koszul matrices that the same
     # runs assemble; T_d is the sealed block with its u source at degree -1
@@ -558,7 +563,7 @@ def test_operator_tables_match_per_column_evaluation(monkeypatch, weights, field
             check(reference[kind], m, src, tgt)
 
     # the de Rham maps are integer, so they are assembled over Q
-    calls = _capture(monkeypatch, lambda: complexes.derham_exactness_check(weights, n + 2))
+    calls = _capture(monkeypatch, lambda: derham_exactness_check(weights, n + 2))
     assert len(calls) == 3 * (n + 3)
     for kind, src, tgt, m in calls:
         check(kind, m, src, tgt, QQ)
@@ -636,7 +641,7 @@ def test_rank_identities_match_reference_matrices(weights, field, text, top):
         assert count_monomials(weights, n) > cochain_rank(om, 0, n, maps)
     degrees = range(-weights.n_default, top + 1)
     # M2: the Casimir count against the rank of the M2 map
-    assert complexes.m2_dims(om, top) == {d: m2_rank(om, d, maps) for d in degrees}
+    assert m2_dims(om, top) == {d: m2_rank(om, d, maps) for d in degrees}
     # ozone: the (v . g ; div v) kernel against d1 stacked over v . g
     ozone = {d: d1_ozone[d][1] for d in degrees}
     assert {d: complexes.ozone_dim(om, d) for d in degrees} == ozone
@@ -652,7 +657,7 @@ def test_rank_identities_match_reference_matrices(weights, field, text, top):
         dim_k2, dim_k3 = (sum(count_monomials(weights, e) for e in degs[i]) for i in (2, 3))
         rank_k3 = koszul3_rank(om, degs, maps)
         assert rank_k3 == dim_k3, d
-        rank_k2 = rank(complexes._koszul_matrix(om, 2, d)) if dim_k2 else 0
+        rank_k2 = rank(complexes.koszul_matrix(om, 2, d)) if dim_k2 else 0
         assert (table.dim(2, d), table.dim(3, d)) == (dim_k2 - rank_k2 - rank_k3, 0), d
 
 
@@ -673,7 +678,7 @@ def test_d0_and_k2_ranks_of_proper_powers_match_their_matrices(weights, field, t
     assert ([complexes._cochain_rank(om, 0, d) for d in range(-n, top + 1)]
             == [rank(complexes.cochain_matrix(om, 0, d)) for d in range(-n, top + 1)])
     assert ([complexes._koszul_rank(om, 2, d) for d in range(top + 1)]
-            == [rank(complexes._koszul_matrix(om, 2, d)) for d in range(top + 1)])
+            == [rank(complexes.koszul_matrix(om, 2, d)) for d in range(top + 1)])
     h = gcd_partials(om).homogeneous_degree()
     assert h > 0
     assert complexes._koszul_kernel_degree(om) == 3 * n - weights.n_default - h
@@ -870,7 +875,7 @@ def test_cached_tables_are_immutable_and_unchanged_by_use(weights, field, text):
         for i in range(2):
             rank(complexes.cochain_matrix(om, i, d + i * w))
         for i in (1, 2):
-            rank(complexes._koszul_matrix(om, i, d + n))
+            rank(complexes.koszul_matrix(om, i, d + n))
         complexes.ozone_dim(om, d)
     complexes.sealed_k1_dims(om, n + 2)
     assert tables == snapshot

@@ -20,6 +20,8 @@ from click.testing import CliRunner
 from wpoisson import catalog, complexes
 from wpoisson.cli import main
 
+from reference_maps import m2_dims
+
 DATA = Path(__file__).resolve().parent / "data"
 TABLES = DATA / "golden_tables.json"
 VERIFY = DATA / "catalog_verify_d9.json"
@@ -35,7 +37,7 @@ def entry_tables(entry):
         "sealed_k1": [sorted(sealed.items()), flag],
         "ph": sorted([i, d, v] for (i, d), v in complexes.ph_dims(om, bound).dims.items()),
         "koszul": sorted([i, d, v] for (i, d), v in complexes.koszul_dims(om, bound).dims.items()),
-        "m2": sorted(complexes.m2_dims(om, bound).items()),
+        "m2": sorted(m2_dims(om, bound).items()),
         "ozone": sorted([d, oz, ham] for d, (oz, ham) in
                         complexes.ozone_vs_hamiltonian(om, bound).items()),
     }

@@ -4,15 +4,10 @@ tables are checked against."""
 import pytest
 
 from wpoisson import Weights
-from wpoisson.hilbert import (
-    HilbertSeries,
-    closed_form_koszul_h1,
-    closed_form_ph,
-    euler_rhs,
-)
+from wpoisson.hilbert import HilbertSeries, closed_form_ph
 from wpoisson.ring import RingError
 
-from closed_forms import closed_form_lph2
+from closed_forms import closed_form_koszul_h1, closed_form_lph2, euler_rhs
 
 
 def _shift(h, shift):

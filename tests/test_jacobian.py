@@ -24,7 +24,6 @@ from wpoisson.jacobian import (
     has_isolated_singularity,
     jacobian_basis,
     normal_form,
-    standard_monomials,
 )
 from wpoisson.proptest import WEIGHT_POOL, random_homogeneous
 from wpoisson.ring import (
@@ -37,7 +36,8 @@ from wpoisson.ring import (
     mono_lcm,
 )
 
-from reference_maps import bigatti_numerator, critical_pairs_by_lcm_table, gcd_by_fold
+from reference_maps import (bigatti_numerator, critical_pairs_by_lcm_table, gcd_by_fold,
+                            standard_monomials)
 
 
 def _mul_term(p, m, coef):

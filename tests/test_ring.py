@@ -1,6 +1,8 @@
 """Unit tests for the weighted ring layer: weights, monomial bases,
 polynomial arithmetic, vector calculus and the coefficient fields."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -29,6 +31,22 @@ def test_weights_basic():
     assert w.tuple == (1, 2, 3)
     assert w.n_default == 6
     assert w.mono_degree((2, 1, 1)) == 7
+
+
+@pytest.mark.parametrize("field", [QQ, ExtensionField([1, 1, 1])], ids=["QQ", "Q(s)"])
+def test_weights_and_polynomials_survive_pickle_and_deepcopy(field):
+    """a pickled or deep-copied value equals the original, hashes the same
+    and computes on: Weights refuses attribute assignment, so it must not
+    be restored through it"""
+    w = Weights(1, 1, 2)
+    p = parse_poly("x*y+z" if field is QQ else "x*y+s*z", w, field)
+    for copy_of in (lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy):
+        for value in (w, p):
+            twin = copy_of(value)
+            assert twin == value and hash(twin) == hash(value)
+        twin = copy_of(p)
+        assert twin.weights == w and twin.homogeneous_degree() == 2
+        assert twin - p == Polynomial.zero(w, field)
 
 
 def test_weights_reject_nonpositive():
