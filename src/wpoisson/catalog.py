@@ -18,7 +18,7 @@ from math import lcm
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .ring import Polynomial, RingError, Weights
+from .ring import Polynomial, Weights
 from .textio import parse_poly
 from .poisson import (
     from_potential,
@@ -27,7 +27,7 @@ from .poisson import (
     rgt,
 )
 from .jacobian import gkdim, has_isolated_singularity
-from .complexes import ph_closed_form_rows, sealed_k1_dims, vacancy_check
+from .complexes import default_bound, ph_closed_form_rows, sealed_k1_dims, vacancy_check
 
 DATA_PATH = Path(__file__).resolve().parent / "data" / "catalog.txt"
 
@@ -364,47 +364,6 @@ def _check_yes_no(name, verdict, dims_items, report, bound):
     report.items.append(ReportItem(name, status, verdict, computed))
 
 
-def default_bound(n: int) -> int:
-    """The default truncation bound for a potential of degree n: 3n+12."""
-    return 3 * n + 12
-
-
-# the most monomials a truncation window may hold, summed over the degrees
-# 0..D+n that the maps at bound D reach; the largest default window in the
-# catalog holds 2,925
-WINDOW_BUDGET = 250_000
-
-
-def check_window_budget(weights: Weights, n: int, bound: int) -> None:
-    """Refuse, with RingError, a truncation bound whose window holds more
-    than WINDOW_BUDGET monomials.  The count runs over the exponents of z and
-    y and takes each column of x exponents in one step, stopping at the
-    budget, so it never lists a monomial and costs at most WINDOW_BUDGET
-    steps for any bound."""
-    a, b, c = weights.tuple
-    top = bound + n
-    count = 0
-    for k in range(top // c + 1):
-        rest = top - c * k
-        for j in range(rest // b + 1):
-            count += (rest - b * j) // a + 1
-            if count > WINDOW_BUDGET:
-                raise RingError(
-                    "truncation bound %d is over budget: degrees 0..%d hold more "
-                    "than %d monomials" % (bound, top, WINDOW_BUDGET))
-
-
-def truncation_bound(weights: Weights, n: int, max_degree: Optional[int] = None,
-                     reach: Sequence[int] = ()) -> int:
-    """The truncation bound D for a potential of degree n: ``max_degree``,
-    else ``default_bound(n)``.  Refused, before any monomial is listed, when
-    the window of the largest degree swept, D or one of ``reach``, passes
-    the budget (``check_window_budget``)."""
-    bound = default_bound(n) if max_degree is None else max_degree
-    check_window_budget(weights, n, max([bound, *reach]))
-    return bound
-
-
 def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
                  checks: Optional[Sequence[str]] = None) -> EntryReport:
     """Recompute the entry's invariants and compare with expectations.
@@ -425,15 +384,15 @@ def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
         ("sealed", entry.expected_sealed, entry.sealed_witness,
          lambda om, bound: sealed_k1_dims(om, bound)[0]),
     ) if check[0] in want]
-    # a "no" verdict looks at least as far as its recorded witness
-    reach = {name: w for name, verdict, w, _ in truncated if verdict == "no" and w is not None}
-    D = truncation_bound(entry.weights, entry.degree, max_degree, reach.values())
+    D = default_bound(entry.degree) if max_degree is None else max_degree
     report = EntryReport(entry=entry)
     omega = entry.omega
+    # a "no" verdict looks at least as far as its recorded witness
+    bounds = {name: max(D, w) if verdict == "no" and w is not None else D
+              for name, verdict, w, _ in truncated}
     # the tables come before every other check, sealed first: its block
     # eliminations leave the ranks of T_e that rgt, vacancy and cohomology
     # read (complexes docstring); the report keeps its row order
-    bounds = {name: max(D, reach.get(name, D)) for name, _, _, _ in truncated}
     dims = {name: table(omega, bounds[name]).items() for name, _, _, table in reversed(truncated)}
 
     if "structure" in want:

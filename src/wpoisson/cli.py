@@ -31,6 +31,7 @@ from .poisson import (
 )
 from .jacobian import gcd_partials, gkdim, has_isolated_singularity
 from .complexes import (
+    default_bound,
     koszul_dims,
     ozone_vs_hamiltonian,
     ph_closed_form_rows,
@@ -126,8 +127,8 @@ def _structure(weights, field, potential, pxy, pyz, pzx):
 
 
 def _bound(omega, max_degree):
-    """the truncation bound (``catalog.truncation_bound``)"""
-    return catalog_mod.truncation_bound(omega.weights, check_potential(omega), max_degree)
+    """the truncation bound: --max-degree, else ``complexes.default_bound``"""
+    return default_bound(check_potential(omega)) if max_degree is None else max_degree
 
 
 def _scalar(value):
@@ -153,17 +154,11 @@ def _emit(command, inputs, results, fmt, bound=None):
         return
     if fmt == "csv":
         buf = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()),
-                                    lineterminator="\n")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: _scalar(v) for k, v in row.items()})
-        else:
-            writer = csv.DictWriter(buf, fieldnames=list(results.keys()),
-                                    lineterminator="\n")
-            writer.writeheader()
-            writer.writerow({k: _scalar(v) for k, v in results.items()})
+        records = rows or [results]
+        writer = csv.DictWriter(buf, fieldnames=list(records[0]), lineterminator="\n")
+        writer.writeheader()
+        for record in records:
+            writer.writerow({k: _scalar(v) for k, v in record.items()})
         click.echo(buf.getvalue(), nl=False)
         return
     # table

@@ -58,8 +58,9 @@ over K = Q[s]/(m) too, where ``linalg.pivot_columns`` counts whole blocks
 of k Q-columns.
 
 Every per-degree table sweeps a window of degrees from its lowest nonzero
-slot up to the truncation bound D, and refuses a window with no degree
-(``_window``): every flag over an empty table would hold vacuously.
+slot up to the truncation bound D, and refuses, before it lists a monomial,
+a window with no degree, as every flag over an empty table would hold
+vacuously, or one whose maps would list too many monomials (``_window``).
 
 Each operator table (d0, d1, Koszul, ozone) depends only on the potential
 and the index, so it is built once per potential, memoised beside the
@@ -168,18 +169,54 @@ def _space_dim(weights, shifts, d):
     return sum(count_monomials(weights, d + s) for s in shifts)
 
 
-def _window(name, lo, bound):
-    """the degrees lo..bound of a per-degree table; a window with no degree
-    is refused, as every flag over it would hold vacuously"""
+def default_bound(n):
+    """the default truncation bound for a potential of degree n: 3n+12"""
+    return 3 * n + 12
+
+
+# the most monomials of degrees 0..T that the maps of a window may reach
+# (``_window``); the largest default window in the catalog holds 2,925
+WINDOW_BUDGET = 250_000
+
+
+def _window(omega, name, lo, bound):
+    """the degrees lo..bound of a per-degree table of omega.  A window with
+    no degree is refused, as every flag over it would hold vacuously, and so
+    is one whose maps reach more than WINDOW_BUDGET monomials, counted over
+    the degrees 0..T, T = max(D, n) + max(n, s) + max(0, s - n), with D the
+    bound, n = deg omega and s = a+b+c; T = D + n when n = s <= D.  T bounds
+    every slice a sweep lists, as, with d <= D:
+    - X^3_d = A_{d+s} reaches D + s, and T_d has targets at d + n;
+    - the sources of d_{i-1} into degree d sit at degree d - n + s, so their
+      slices, T's targets included, reach D + max(s, 2s - n);
+    - the Casimir search reaches 2n;
+    - the Koszul slices at total degree d lie below d + max(0, s - n), and
+      those of the K2 kernel search, run only when d passes 3n - s, below 2n.
+    The count takes each column of x exponents in one step and stops at the
+    budget, so it lists no monomial and makes at most WINDOW_BUDGET steps."""
     if bound < lo:
         raise RingError("empty %s window: truncation bound %d is below %d" % (name, bound, lo))
+    n = omega.homogeneous_degree()
+    a, b, c = omega.weights.tuple
+    s = a + b + c
+    top = max(bound, n) + max(n, s) + max(0, s - n)
+    count = 0
+    for k in range(top // c + 1):
+        rest = top - c * k
+        for j in range(rest // b + 1):
+            count += (rest - b * j) // a + 1
+            if count > WINDOW_BUDGET:
+                raise RingError(
+                    "truncation bound %d is over budget: degrees 0..%d hold more "
+                    "than %d monomials" % (bound, top, WINDOW_BUDGET))
     return range(lo, bound + 1)
 
 
 def _ph_window(omega, bound):
     """the cohomology window, from -max(n, a+b+c): every cochain space
     below -(a+b+c) is zero"""
-    return _window("cohomology", -max(check_potential(omega), omega.weights.n_default), bound)
+    n = check_potential(omega)
+    return _window(omega, "cohomology", -max(n, omega.weights.n_default), bound)
 
 
 def ph_dims(omega, bound):
@@ -249,7 +286,7 @@ def vacancy_check(omega, bound):
     n = check_potential(omega, "vacancy diagnostic requires degree a+b+c")
     x2 = cochain_shifts(omega.weights)[2]
     return {d: _space_dim(omega.weights, x2, d) - _cochain_rank(omega, 2, d) - _m2_dim(omega, d)
-            for d in _window("vacancy", -n, bound)}
+            for d in _window(omega, "vacancy", -n, bound)}
 
 
 def _first_partial(omega):
@@ -306,7 +343,7 @@ def ozone_vs_hamiltonian(omega, bound):
     ``ozone_dim``), vs the image of the hamiltonian map"""
     check_potential(omega, "ozone diagnostic requires degree a+b+c")
     return {d: (ozone_dim(omega, d), _cochain_rank(omega, 0, d))
-            for d in _window("ozone", -max(omega.weights.tuple), bound)}
+            for d in _window(omega, "ozone", -max(omega.weights.tuple), bound)}
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +418,7 @@ def koszul_dims(omega, bound):
     dim K3, as v0 -> v0 g is injective, so H_3 is zero"""
     check_potential(omega)
     dims = {}
-    for d in _window("koszul", 0, bound):
+    for d in _window(omega, "koszul", 0, bound):
         space = [_koszul_dim(omega, i, d) for i in range(4)]
         r1, r2 = _koszul_rank(omega, 1, d), _koszul_rank(omega, 2, d)
         dims[(0, d)] = space[0] - r1
@@ -402,7 +439,7 @@ def sealed_k1_dims(omega, bound):
     table = _ozone_table(omega)
     t_ranks = _t_ranks(omega)
     out = {}
-    for d in _window("sealed", 0, bound):
+    for d in _window(omega, "sealed", 0, bound):
         # K1 at degree d is X1 at degree e = d - n
         e = d - n
         degs, low = koszul_component_degs(omega, d), koszul_component_degs(omega, e)

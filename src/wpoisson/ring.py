@@ -486,8 +486,8 @@ class Polynomial:
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]
 
-    def sorted_terms(self, descending=True):
-        ms = sorted(self.terms, key=lambda m: mono_key(self.weights, m), reverse=descending)
+    def sorted_terms(self):
+        ms = sorted(self.terms, key=lambda m: mono_key(self.weights, m), reverse=True)
         return [(m, self.terms[m]) for m in ms]
 
     # -- arithmetic ----------------------------------------------------------

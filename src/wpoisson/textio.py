@@ -223,7 +223,7 @@ def format_poly(f: Polynomial) -> str:
     if f.is_zero():
         return "0"
     parts = []
-    for m, coef in f.sorted_terms(descending=True):
+    for m, coef in f.sorted_terms():
         factors = []
         for idx, e in enumerate(m):
             if e == 1:

@@ -21,7 +21,8 @@ generator brackets.
 Beside them, the checks and tables that only the tests call: the de Rham
 exactness check, the alternating-sum (Euler characteristic) identity of a
 cohomology table, the M2 table, the standard monomials outside a set of
-heads, and the bracket-compatible derivations in negative degree."""
+heads, the bracket-compatible derivations in negative degree, and the top
+degree that the maps of a truncation window reach."""
 
 from itertools import combinations
 
@@ -404,7 +405,9 @@ def derham_exactness_check(weights, bound):
                     + [(k, (k + 1) % 3, (k + 2) % 3, -1) for k in range(3)])
     divmap = op_table(QQ, [(0, s, s, 1) for s in range(3)])
 
-    for d in _window("de Rham", 0, bound):
+    if bound < 0:
+        raise RingError("empty de Rham window: truncation bound %d is below 0" % bound)
+    for d in range(bound + 1):
         dim_a = count_monomials(weights, d)
         dim_1 = sum(count_monomials(weights, d + s) for s in one_forms)
         dim_2 = sum(count_monomials(weights, d + s) for s in two_forms)
@@ -431,7 +434,7 @@ def euler_characteristic_check(omega, bound):
     weights = omega.weights
     w = n - weights.a - weights.b - weights.c
     pad = 3 * abs(w)
-    degrees = _window("Euler characteristic", -weights.n_default - pad, bound)
+    degrees = _window(omega, "Euler characteristic", -weights.n_default - pad, bound)
     table = ph_dims(omega, bound + pad)
     coeffs = euler_rhs(weights, n).expand(degrees.start, bound)
     for e in degrees:
@@ -441,11 +444,19 @@ def euler_characteristic_check(omega, bound):
     return True
 
 
+def window_top(omega, bound):
+    """T = max(D, n) + max(n, s) + max(0, s - n), s = a+b+c: the top degree
+    that the maps of a per-degree window at bound D reach, written out apart
+    from ``complexes._window``, which budgets the monomials of 0..T"""
+    n, s = omega.homogeneous_degree(), omega.weights.n_default
+    return max(bound, n) + max(n, s) + max(0, s - n)
+
+
 def m2_dims(omega, bound):
     """dimensions of the exact-bivector space M2 per degree, from
     #A_{d+a+b+c} - [d = -(a+b+c)] + rank d0 at degree d-w"""
     check_potential(omega)
-    return {d: _m2_dim(omega, d) for d in _window("M2", -omega.weights.n_default, bound)}
+    return {d: _m2_dim(omega, d) for d in _window(omega, "M2", -omega.weights.n_default, bound)}
 
 
 def standard_monomials(weights, heads, d):

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from wpoisson.cli import FIELD_MAX_DEGREE, main
-from wpoisson import Weights, __version__, parse_map, parse_poly, verify_automorphism
+from wpoisson import Weights, __version__, complexes, parse_map, parse_poly, verify_automorphism
 from wpoisson.catalog import DATA_PATH
 from wpoisson.complexes import ph_dims
 from wpoisson.ring import Polynomial, RingError
@@ -412,33 +412,43 @@ def test_bound_past_the_window_budget_exits_2_before_enumerating(monkeypatch, ar
     assert lines[0].endswith(" hold more than 250000 monomials")
 
 
-def test_window_budget_admits_every_catalog_default_window():
-    from wpoisson import catalog
-    from wpoisson.ring import count_monomials
-    largest = 0
-    for e in catalog.entries():
-        n = e.degree
-        D = catalog.default_bound(n)
-        catalog.check_window_budget(e.weights, n, D)
-        largest = max(largest, sum(count_monomials(e.weights, d) for d in range(D + n + 1)))
-    assert 50 * largest <= catalog.WINDOW_BUDGET
+# n = 5 is far below s = 1000002: the maps at D = 12 reach degree 2000011
+_SKEWED = ["-w", "1,1,1000000", "-p", "x^2*y^3", "-D", "12"]
 
 
-@pytest.mark.parametrize("budget", [1, 10, 500, 2925])
-def test_window_budget_counts_monomials_exactly(monkeypatch, budget):
-    from wpoisson import catalog
-    from wpoisson.ring import RingError, count_monomials
-    monkeypatch.setattr(catalog, "WINDOW_BUDGET", budget)
-    for w in (Weights(1, 1, 1), Weights(2, 3, 5), Weights(1, 2, 3), Weights(3, 3, 4)):
-        # top: the first degree at which the window passes the budget
-        total, top = 0, 0
-        while total + count_monomials(w, top) <= budget:
-            total += count_monomials(w, top)
-            top += 1
-        n = 2
-        catalog.check_window_budget(w, n, top - 1 - n)
-        with pytest.raises(RingError):
-            catalog.check_window_budget(w, n, top - n)
+@pytest.mark.parametrize("command", ["cohomology", "koszul", "sealed"])
+def test_skewed_weights_are_refused_before_enumerating(monkeypatch, command):
+    _refuse_enumeration(monkeypatch)
+    res = CliRunner().invoke(main, [command, *_SKEWED], catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "error: truncation bound 12 is over budget: degrees 0..2000011 hold more "
+        "than 250000 monomials"]
+
+
+@pytest.mark.parametrize("table", [complexes.ph_dims, complexes.koszul_dims,
+                                   complexes.sealed_k1_dims], ids=lambda f: f.__name__)
+def test_library_sweeps_on_skewed_weights_are_refused(monkeypatch, table):
+    _refuse_enumeration(monkeypatch)
+    omega = parse_poly("x^2*y^3", Weights(1, 1, 1000000))
+    with pytest.raises(RingError, match="^truncation bound 12 is over budget"):
+        table(omega, 12)
+
+
+def test_catalog_verify_budgets_only_the_checks_that_sweep(monkeypatch):
+    # rgt and gk sweep no window, so no bound is too large for them
+    verify = ["catalog", "verify", "--filter", "111-i-a", "-D", "1000000000"]
+    res = CliRunner().invoke(main, [*verify, "--checks", "rgt,gk"], catch_exceptions=False)
+    assert res.exit_code == 0
+    assert "ok: True" in res.stdout
+    _refuse_enumeration(monkeypatch)
+    res = CliRunner().invoke(main, [*verify, "--checks", "sealed"], catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "error: truncation bound 1000000000 is over budget: degrees 0..1000000003 hold "
+        "more than 250000 monomials"]
 
 
 def test_default_bound_follows_potential_degree():

@@ -324,6 +324,79 @@ def test_per_degree_tables_refuse_an_empty_window(table, name, lo):
             name, bound, lo)
 
 
+def test_window_budget_admits_every_catalog_default_window():
+    largest = 0
+    for e in catalog.entries():
+        D = complexes.default_bound(e.degree)
+        complexes._window(e.omega, "catalog", 0, D)
+        top = ref.window_top(e.omega, D)
+        largest = max(largest, sum(count_monomials(e.weights, d) for d in range(top + 1)))
+    assert 50 * largest <= complexes.WINDOW_BUDGET
+
+
+@pytest.mark.parametrize("budget", [1, 10, 102, 500, 2925])
+def test_window_budget_counts_monomials_exactly(monkeypatch, budget):
+    """at n = a+b+c and D >= n the maps reach degrees 0..D+n, so the
+    boundary falls where those monomials pass the budget; below n the
+    Casimir search still reaches 2n, and at budgets under the monomials of
+    degrees 0..2n every window is refused"""
+    monkeypatch.setattr(complexes, "WINDOW_BUDGET", budget)
+    for w in (W111, Weights(2, 3, 5), W123, Weights(3, 3, 4)):
+        om = parse_poly("x*y*z", w)
+        n = w.n_default
+        # top: the first degree at which the window passes the budget
+        total, top = 0, 0
+        while total + count_monomials(w, top) <= budget:
+            total += count_monomials(w, top)
+            top += 1
+        if top - 1 - n < n:
+            with pytest.raises(RingError, match="^truncation bound 0 is over budget"):
+                complexes._window(om, "koszul", 0, 0)
+            continue
+        complexes._window(om, "koszul", 0, top - 1 - n)
+        with pytest.raises(RingError):
+            complexes._window(om, "koszul", 0, top - n)
+
+
+_SWEEPS = [complexes.ph_dims, complexes.ph_closed_form_rows, complexes.koszul_dims,
+           complexes.sealed_k1_dims, complexes.vacancy_check, complexes.ozone_vs_hamiltonian]
+
+# three with n < s, one with n > s, and the catalog entries 111-i-a and
+# 123-i-a, with n = s
+_REACH_POTENTIALS = [((1, 1, 5), "x*y"), ((1, 1, 7), "x^2*y^3"), ((1, 2, 3), "x^4+y^2"),
+                     ((1, 1, 1), "x^5+y^5+z^5"), ((1, 1, 1), "x^3+y^2*z"),
+                     ((1, 2, 3), "z^2+y^3")]
+
+
+@pytest.mark.parametrize("weights, text", _REACH_POTENTIALS,
+                         ids=["%s:%s" % p for p in _REACH_POTENTIALS])
+def test_every_sweep_lists_no_degree_past_its_window_top(monkeypatch, weights, text):
+    """the budget counts degrees 0..T (``complexes._window``): a spy on the
+    monomial listing, from empty memos, sees no degree past T"""
+    om = parse_poly(text, Weights(*weights))
+    n = om.homogeneous_degree()
+    listed = []
+
+    def spy(w, d):
+        listed.append(d)
+        return monomial_basis(w, d)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "wpoisson" or name.startswith("wpoisson."):
+            for attr, value in list(vars(mod).items()):
+                if value is monomial_basis:
+                    monkeypatch.setattr(mod, attr, spy)
+    # vacancy and ozone refuse n != a+b+c
+    sweeps = _SWEEPS if n == om.weights.n_default else _SWEEPS[:4]
+    for bound in (0, 2, n, 2 * n + 3):
+        for sweep in sweeps:
+            _clear_memos()
+            del listed[:]
+            sweep(om, bound)
+            assert listed
+            assert max(listed) <= ref.window_top(om, bound), (sweep.__name__, bound)
+
+
 def test_dims_table_row_and_bounds():
     om = parse_poly(QUADRIC_BW, W112)
     tbl = complexes.ph_dims(om, 5)

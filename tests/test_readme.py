@@ -1,13 +1,18 @@
 """The README's examples, run as written: each line of the library quick
 start that is an expression must print the value its comment gives, and
 each command of the CLI block must exit 0 and print the lines its comments
-give."""
+give; and the window budget figures it quotes are the code's."""
 
 import os
 import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+from wpoisson import catalog, complexes
+from wpoisson.ring import count_monomials
+
+from reference_maps import window_top
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -64,3 +69,16 @@ def test_readme_cli_block_runs_and_shows_its_values():
         assert res.returncode == 0, (argv, res.stderr)
         lines = res.stdout.splitlines()
         assert all(line in lines for line in shown), (argv, shown)
+
+
+def test_readme_quotes_the_window_budget_and_the_largest_default_window():
+    """the budget and the largest monomial count of a catalog entry's
+    window at its default bound, as the code has them"""
+    largest = max(
+        sum(count_monomials(e.weights, d)
+            for d in range(window_top(e.omega, complexes.default_bound(e.degree)) + 1))
+        for e in catalog.entries())
+    text = " ".join(README.read_text().split())
+    assert ("`complexes.WINDOW_BUDGET` monomials (%s; the largest default window in the "
+            "catalog holds %s)" % (format(complexes.WINDOW_BUDGET, ","), format(largest, ","))
+            ) in text
