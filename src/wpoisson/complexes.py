@@ -34,6 +34,23 @@ dim ker d0_d.  Otherwise rank d1_d = rank T_d in the degrees without a
 Casimir, and the d1 matrix is assembled in those with one, as where d+n is
 zero.
 
+Derivations: ker d1_d = T_d^-1(ker L_d), and ker L_d is 0 in a degree with
+no Casimir.  Otherwise one vector c spans it: c = (n f O, (d+n) f), f
+spanning ker d0_d, when d+n is not zero, and c = (1, 0) when d = -n, as A_d
+is then 0 and grad h = 0 leaves the constants.  So ker d1_d is the
+projection (v, t) -> v of the kernel of [T_d | c], c its last column.  The
+projection is injective, as c is not zero, so every nonzero kernel vector
+has a nonzero v-part, and its first nonzero coordinate is that of its
+v-part.  Under last-column pivots a column is free exactly when it is the
+first nonzero coordinate of a kernel vector (``linalg``), so c's column is
+a pivot and the free columns of [T_d | c] are those of d1_d.  The kernel
+normal form is the one basis with a one in a free column and zeros in the
+others; projected, it keeps that shape, so it is the kernel normal form of
+d1_d, that is kernel_basis(cochain_matrix(O, 1, d)) (``derivation_kernel``).
+T_d comes from the sealed block's table and c from a one-column table,
+with f = O^(d/n) where n divides d, as O is a Casimir, and f read off
+ker d0_d otherwise.
+
 Sealed: with e = d - n and g_i the first nonzero partial, the degree-d
 Koszul 1-cycles v with div v in (g_i) are the projections of the kernel of
 B_e(u, v) = (v . g ; div v - u g_i) on A_{e-n+w_i} + X1_e, and the
@@ -61,6 +78,8 @@ Every per-degree table sweeps a window of degrees from its lowest nonzero
 slot up to the truncation bound D, and refuses, before it lists a monomial,
 a window with no degree, as every flag over an empty table would hold
 vacuously, or one whose maps would list too many monomials (``_window``).
+The maps of one degree, ``ozone_dim`` and ``derivation_kernel``, count the
+slices they list against the same budget (``_slice_budget``).
 
 Each operator table (d0, d1, Koszul, ozone) depends only on the potential
 and the index, so it is built once per potential, memoised beside the
@@ -70,11 +89,13 @@ over Q, and so are its matrices (``linalg`` docstring)."""
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from functools import lru_cache
 
 from .hilbert import closed_form_ph
-from .linalg import assemble, op_table, pivot_columns, rank
-from .ring import RingError, check_potential, count_monomials, gradient
+from .linalg import assemble, kernel_basis, op_table, pivot_columns, rank, vector_to_polys
+from .ring import QQ, RingError, check_potential, count_monomials, gradient
 
 
 class DimsTable:
@@ -147,14 +168,18 @@ def _cochain_rank(omega, i, d):
         return 0
     if i == 2:
         return _ozone_rank(omega, d) - count_monomials(weights, d)
-    # dim ker d0_d: the power of R in degree d, if any
-    casimirs = int(d == 0 or d > 0 and d % _casimir_degree(omega) == 0)
+    casimirs = _casimirs(omega, d)
     if i == 0:
         return count_monomials(weights, d) - casimirs
     n = omega.homogeneous_degree()
     if d + n and (not casimirs or n == weights.n_default):
         return _ozone_rank(omega, d) - casimirs
     return rank(cochain_matrix(omega, 1, d))
+
+
+def _casimirs(omega, d):
+    """dim ker d0_d: 1 where a power of R has degree d, else 0"""
+    return int(d == 0 or d > 0 and d % _casimir_degree(omega) == 0)
 
 
 @lru_cache(maxsize=1024)
@@ -210,6 +235,31 @@ def _window(omega, name, lo, bound):
                     "truncation bound %d is over budget: degrees 0..%d hold more "
                     "than %d monomials" % (bound, top, WINDOW_BUDGET))
     return range(lo, bound + 1)
+
+
+def _slice_budget(omega, name, d, degrees):
+    """refuse the degree-d map of omega whose slices have these degrees when
+    they hold more than WINDOW_BUDGET monomials.  Like ``_window``'s, the
+    count lists no monomial: with c the largest weight, those of degree t
+    with z^k solve a i + b j = t - c k, whose solutions j form one residue
+    class mod a/gcd(a, b); it stops at the budget."""
+    a, b, c = sorted(omega.weights.tuple)
+    g = math.gcd(a, b)
+    step = a // g
+    inverse = pow(b // g, -1, step)
+    count = 0
+    for t in degrees:
+        for k in range(t // c + 1):
+            r = t - c * k
+            if r % g:
+                continue
+            j = r // g * inverse % step  # the least j with b j = r mod a
+            if b * j <= r:
+                count += (r - b * j) // (b * step) + 1
+                if count > WINDOW_BUDGET:
+                    raise RingError(
+                        "degree %d is over budget: the slices of its %s map hold more "
+                        "than %d monomials" % (d, name, WINDOW_BUDGET))
 
 
 def _ph_window(omega, bound):
@@ -329,12 +379,67 @@ def _ozone_rank(omega, d):
     return r
 
 
+def _ozone_dim(omega, d):
+    return _space_dim(omega.weights, omega.weights.tuple, d) - _ozone_rank(omega, d)
+
+
 def ozone_dim(omega, d):
     """dimension of the degree-d derivations v with v . g = 0 and div v = 0,
     the kernel of T_d = (v . g ; div v): the ozone space, the cocycles that
-    kill the potential, as d1(v) = div(v) g - grad(v . g)."""
-    check_potential(omega)
-    return _space_dim(omega.weights, omega.weights.tuple, d) - _ozone_rank(omega, d)
+    kill the potential, as d1(v) = div(v) g - grad(v . g).  Refused before
+    any monomial is listed when the slices of T_d are over budget
+    (``_slice_budget``)."""
+    n = check_potential(omega)
+    a, b, c = omega.weights.tuple
+    _slice_budget(omega, "ozone", d, (d + a, d + b, d + c, d + n, d))
+    return _ozone_dim(omega, d)
+
+
+def _casimir_column(omega, d):
+    """c = (h, f) spanning ker L_d, up to a scalar, or None where ker L_d = 0
+    (module docstring); it calls no gradient"""
+    n = omega.homogeneous_degree()
+    if d == -n:
+        return 1, 0
+    if d < 0 or not _casimirs(omega, d):
+        return None
+    if d % n == 0:
+        f = omega ** (d // n)  # a Casimir, as O is one
+    else:
+        (coords,) = kernel_basis(cochain_matrix(omega, 0, d))
+        (f,) = vector_to_polys(omega.weights, omega.field, [d], coords)
+    # c / n
+    return f * omega, Fraction(d + n, n) * f
+
+
+def derivation_kernel(omega, d):
+    """the kernel normal form of d1 on the degree-d derivations, as vectors
+    over the slices d+a, d+b, d+c of X1_d, read off T_d with no d1 matrix:
+    the projection of the kernel of [T_d | c], c spanning ker L_d (module
+    docstring).  Refused before any monomial is listed when the slices of
+    d1 and T_d, and for d > 0 those of the Casimir search, are over budget
+    (``_slice_budget``)."""
+    n = check_potential(omega)
+    weights = omega.weights
+    src = [d + w for w in weights.tuple]
+    degrees = src + [d + n, d] + [d + n - w for w in weights.tuple]
+    if d > 0:
+        degrees += [e + t for e in range(1, n + 1) if n % e == 0
+                    for t in (0, *(n - w for w in weights.tuple))]
+    _slice_budget(omega, "derivation", d, degrees)
+    dim = _space_dim(weights, weights.tuple, d)
+    if not dim:
+        return []
+    field, table = _ozone_table(omega)
+    # the u source at degree -1, which has no monomial
+    src.insert(0, -1)
+    column = _casimir_column(omega, d)
+    if column is not None:
+        # c on one more source, the monomial 1, over the field of T's table
+        table += op_table(omega.field, [(t, 4, None, p) for t, p in enumerate(column)],
+                          reduce=field == QQ)[1]
+        src.append(0)
+    return [v[:dim] for v in kernel_basis(assemble(weights, src, [d + n, d], (field, table)))]
 
 
 def ozone_vs_hamiltonian(omega, bound):
@@ -342,7 +447,7 @@ def ozone_vs_hamiltonian(omega, bound):
     cocycles killing the potential, i.e. with v . g = 0 and div v = 0 (see
     ``ozone_dim``), vs the image of the hamiltonian map"""
     check_potential(omega, "ozone diagnostic requires degree a+b+c")
-    return {d: (ozone_dim(omega, d), _cochain_rank(omega, 0, d))
+    return {d: (_ozone_dim(omega, d), _cochain_rank(omega, 0, d))
             for d in _window(omega, "ozone", -max(omega.weights.tuple), bound)}
 
 

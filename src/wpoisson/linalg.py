@@ -6,16 +6,20 @@ hold one ``{col: nonzero rational}`` dict per row over Q, and one
 elimination loop, ``_echelon``, over Q.  It takes the nonzero rows shortest
 first and reduces each on its last (largest) column against the pivot rows
 found so far; no global pivot search.  A row is cleared to coprime integers
-once, on entry, updates are fraction-free (Bareiss-style cross-multiplication
-by the cofactors of the gcd), and each new pivot row is divided by its
-content.  Over Q, ``assemble`` makes int rows for an integer potential and
-hands them to ``Matrix.restricted`` as they are; a row of ints enters
-elimination as a copy divided by the one gcd of its values, with no
-denominators to clear, and a Fraction sends its row to the denominators.
-``assemble`` writes each term of an operator table straight into the row
-dict of its target monomial, adding to the entry in its column and deleting
-an entry that cancels to zero, so no other dict or key stands between a
-table and its matrix.
+once, on entry, updates are fraction-free (Bareiss-style
+cross-multiplication by the cofactors of the gcd), and each new pivot row
+is divided by its content.  ``kernel_basis`` back-substitutes the same way:
+it takes the pivot rows in increasing pivot order, clears the other pivot
+columns of each with the reduced rows before it, which hold only their own
+pivot and free columns, divides the result by its content, and makes one
+Fraction per kernel coordinate, at the end.  Over Q, ``assemble`` makes int
+rows for an integer potential and hands them to ``Matrix.restricted`` as
+they are; a row of ints enters elimination as a copy divided by the one gcd
+of its values, with no denominators to clear, and a Fraction sends its row
+to the denominators.  ``assemble`` writes each term of an operator table
+straight into the row dict of its target monomial, adding to the entry in
+its column and deleting an entry that cancels to zero, so no other dict or
+key stands between a table and its matrix.
 
 A matrix over K = Q[s]/(m), deg m = k, reaches the same loop by restriction
 of scalars: its ``entries`` hold k rows over Q per row over K, Q-row i*k+u
@@ -138,21 +142,29 @@ def _echelon(rows):
             if prow is None:
                 pivots[c] = _divide_content(row)
                 break
-            v = row.pop(c)
-            p = prow[c]
-            g = math.gcd(p, v)
-            p, v = p // g, v // g
-            if p != 1:
-                row = {j: p * u for j, u in row.items()}
-            for j, pv in prow.items():
-                if j == c:
-                    continue
-                nv = row.get(j, 0) - v * pv
-                if nv:
-                    row[j] = nv
-                else:
-                    row.pop(j, None)
+            row = _clear(row, prow, c)
     return pivots
+
+
+def _clear(row, prow, c):
+    """row, with its entry in column c popped, less the multiple of the
+    pivot row prow that clears c, fraction-free: both are scaled by the
+    cofactors of the gcd of their entries in c"""
+    v = row.pop(c)
+    p = prow[c]
+    g = math.gcd(p, v)
+    p, v = p // g, v // g
+    if p != 1:
+        row = {j: p * u for j, u in row.items()}
+    for j, pv in prow.items():
+        if j == c:
+            continue
+        nv = row.get(j, 0) - v * pv
+        if nv:
+            row[j] = nv
+        else:
+            row.pop(j, None)
+    return row
 
 
 def _pivots(matrix: Matrix):
@@ -181,26 +193,18 @@ def kernel_basis(matrix: Matrix):
     Vectors are lists over the field (Fractions over Q), one per free column,
     with a one in that column and zeros in the other free columns.  Over
     Q[s]/(m) these are the Q-kernel vectors whose free Q-column is the first
-    of its block, each run of k coordinates read back as one element."""
+    of its block, each run of k coordinates read back as one element.  The
+    back-substitution runs on the coprime integer pivot rows (module
+    docstring), and each kernel coordinate is one Fraction, made last."""
     field = matrix.field
     k = field.degree
     pivots = _pivots(matrix)
     reduced = {}
     for c in sorted(pivots):
         row = pivots[c]
-        p = row[c]
-        row = {j: Fraction(v, p) for j, v in row.items()}
         for j in [j for j in row if j in reduced]:
-            f = row.pop(j)
-            for i, u in reduced[j].items():
-                if i == j:
-                    continue
-                nv = row.get(i, 0) - f * u
-                if nv:
-                    row[i] = nv
-                else:
-                    row.pop(i, None)
-        reduced[c] = row
+            row = _clear(row, reduced[j], j)
+        reduced[c] = _divide_content(row)
     width = matrix.cols * k
     zero = field.zero
     basis = []
@@ -211,7 +215,7 @@ def kernel_basis(matrix: Matrix):
         v[free] = Fraction(1)
         for c, row in reduced.items():
             if free in row:
-                v[c] = -row[free]
+                v[c] = Fraction(-row[free], row[c])
         if field != QQ:
             # zero blocks share one element, as the rational zeros do
             v = [ExtElem._exact(field, v[j:j + k]) if any(v[j:j + k]) else zero
@@ -224,19 +228,20 @@ def kernel_basis(matrix: Matrix):
 # operator tables and the assembler
 
 
-def op_table(field, terms):
+def op_table(field, terms, reduce=True):
     """(field, table): the operator table for ``assemble`` from (target,
     source, var, coef) terms, coef a Polynomial or a constant over field,
     and the field it is over: Q when no coefficient has an s-part (module
-    docstring).  The table is restricted to Q here, once: over K =
-    Q[s]/(m), deg m = k, a term becomes the terms (t*k+u, s*k+c, var, q), q
-    the s^u coefficients of coef * s^c (``ExtensionField.block``); over Q,
-    k = 1.  Zero values are dropped and whole ones stored as ints.  Each
-    coefficient is the tuple of its (monomial, value) items, so a table is
-    immutable and may be shared."""
+    docstring), unless ``reduce`` is false, which keeps it over field so
+    that its terms may join a table over field.  The table is restricted to
+    Q here, once: over K = Q[s]/(m), deg m = k, a term becomes the terms
+    (t*k+u, s*k+c, var, q), q the s^u coefficients of coef * s^c
+    (``ExtensionField.block``); over Q, k = 1.  Zero values are dropped and
+    whole ones stored as ints.  Each coefficient is the tuple of its
+    (monomial, value) items, so a table is immutable and may be shared."""
     coefs = [p.terms if isinstance(p, Polynomial) else {(0, 0, 0): field.coerce(p)}
              for _, _, _, p in terms]
-    if field != QQ and all(c.is_rational() for cs in coefs for c in cs.values()):
+    if reduce and field != QQ and all(c.is_rational() for cs in coefs for c in cs.values()):
         field, coefs = QQ, [{m: c.coeffs[0] for m, c in cs.items()} for cs in coefs]
     k = field.degree
     table = []

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import itertools
 
-from .complexes import cochain_matrix, ozone_dim
+from .complexes import derivation_kernel, ozone_dim
 from .jacobian import normal_form
-from .linalg import kernel_basis, vector_to_polys
+from .linalg import vector_to_polys
 from .ring import (
     Polynomial,
     PolyVector,
@@ -42,7 +42,6 @@ from .ring import (
     RingError,
     Weights,
     check_potential,
-    count_monomials,
     cross,
     curl,
     dot,
@@ -152,21 +151,16 @@ def graded_twist(s: PoissonStructure, delta: PolyVector):
 
 def graded_derivation_space(s: PoissonStructure, d: int):
     """exact basis of the homogeneous degree-d derivations commuting with the
-    bracket, for a potential-tagged structure: kernel of the condition
-    div(delta) grad(O) = grad(delta(O)) on the finite coefficient space"""
+    bracket, for a potential-tagged structure: the kernel normal form of d1,
+    the condition div(delta) grad(O) = grad(delta(O)), which
+    ``complexes.derivation_kernel`` reads off T_d = (delta . grad(O) ;
+    div delta) with no d1 matrix.  A degree whose map is over budget is
+    refused with RingError."""
     if s.potential is None:
         raise RingError("operation needs a structure tagged with its potential")
-    omega = s.potential
-    weights = s.weights
-    a, b, c = weights.tuple
-    if all(count_monomials(weights, d + t) == 0 for t in (a, b, c)):
-        return []
-    matrix = cochain_matrix(omega, 1, d)
-    basis = []
-    for coords in kernel_basis(matrix):
-        comps = vector_to_polys(weights, s.field, [d + a, d + b, d + c], coords)
-        basis.append(PolyVector(*comps))
-    return basis
+    degs = [d + w for w in s.weights.tuple]
+    return [PolyVector(*vector_to_polys(s.weights, s.field, degs, coords))
+            for coords in derivation_kernel(s.potential, d)]
 
 
 def rgt(omega: Polynomial) -> int:

@@ -16,7 +16,9 @@ derivation from the divergences of the Hamiltonians, the twist by
 components and the determinant by cofactors, which the package now reads
 off the vector field P = ({y,z}, {z,x}, {x,y}); and the automorphism test
 by the gradient of the composed potential, where the package checks the
-generator brackets.
+generator brackets.  And the graded derivations commuting with the
+bracket as the kernel of the assembled d1 matrix, which the package now
+reads off (v . grad(O) ; div v) with one more column for a Casimir.
 
 Beside them, the checks and tables that only the tests call: the de Rham
 exactness check, the alternating-sum (Euler characteristic) identity of a
@@ -130,6 +132,18 @@ def cochain_matrix(omega, i, d):
     """matrix of the degree-i cochain differential on the degree-d slice of
     X^i from the operator tables: the package's for d0 and d1, ours for d2"""
     return assemble(omega.weights, *_cochain_degs(omega, i, d), _cochain_table(omega, i))
+
+
+def derivations_by_d1(s, d):
+    """the degree-d derivations commuting with the bracket of a
+    potential-tagged structure, as the kernel normal form of the assembled
+    d1 matrix on the degree-d slice of X^1"""
+    weights = s.weights
+    degs = [d + w for w in weights.tuple]
+    if not any(count_monomials(weights, e) for e in degs):
+        return []
+    return [PolyVector(*vector_to_polys(weights, s.field, degs, coords))
+            for coords in kernel_basis(cochain_matrix(s.potential, 1, d))]
 
 
 def cochain_matrices(omega, d):

@@ -232,6 +232,8 @@ def test_cohomology_window_keeps_degrees_down_to_minus_a_b_c():
     ["gkdim", "-w", "1,1,1", "-p", "x+y^2"],
     ["singularity", "--field", "s^2+s+1", "-w", "1,1,1", "-p", "x^2+s*y"],
     ["cohomology", "-w", "1,1,1", "-p", "x^3+y^3+z^3", "--max-degree", "-50"],
+    # a single-degree map over budget: T_0 would list the 10^6 monomials of A_n
+    pytest.param(["rgt", "--weights", "1,1,1000000", "-p", "x^2*z"], id="rgt-over-budget"),
     # a window with no degree: every flag over it would hold vacuously
     *[pytest.param([name, "-w", "1,1,1", "-p", "x^3+y^3+z^3", "-D", "-5"],
                    id=name + "-empty-window")
@@ -410,6 +412,17 @@ def test_bound_past_the_window_budget_exits_2_before_enumerating(monkeypatch, ar
     assert len(lines) == 1
     assert lines[0].startswith("error: truncation bound 1000000000 is over budget: degrees 0..")
     assert lines[0].endswith(" hold more than 250000 monomials")
+
+
+def test_single_degree_map_past_the_budget_exits_2_before_enumerating(monkeypatch):
+    _refuse_enumeration(monkeypatch)
+    res = CliRunner().invoke(main, ["rgt", "--weights", "1,1,1000000", "-p", "x^2*z"],
+                             catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "error: degree 0 is over budget: the slices of its ozone map hold more than "
+        "250000 monomials"]
 
 
 # n = 5 is far below s = 1000002: the maps at D = 12 reach degree 2000011

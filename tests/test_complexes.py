@@ -397,6 +397,47 @@ def test_every_sweep_lists_no_degree_past_its_window_top(monkeypatch, weights, t
             assert max(listed) <= ref.window_top(om, bound), (sweep.__name__, bound)
 
 
+def _slices(om, d, derivations):
+    """the slice degrees that the single-degree map lists: T_d, and for the
+    derivations also the targets of d1 and, for d > 0, the slices of d0 at
+    every divisor of n, where the Casimir search runs"""
+    n = om.homogeneous_degree()
+    weights = om.weights.tuple
+    out = [d + w for w in weights] + [d + n, d]
+    if derivations:
+        out += [d + n - w for w in weights]
+        out += [e + n - w for e in range(1, n + 1) if n % e == 0 and d > 0 for w in weights]
+        out += [e for e in range(1, n + 1) if n % e == 0 and d > 0]
+    return out
+
+
+# unsorted weights, two of them sharing a factor, beside the window's
+_BUDGET_POTENTIALS = _REACH_POTENTIALS + [((15, 6, 10), "x^2+y^5+z^3"),
+                                          ((3, 3, 4), "x^4+y^4+z^3")]
+
+
+@pytest.mark.parametrize("weights, text", _BUDGET_POTENTIALS,
+                         ids=["%s:%s" % p for p in _BUDGET_POTENTIALS])
+def test_single_degree_budget_counts_the_slices_exactly(monkeypatch, weights, text):
+    """ozone_dim and derivation_kernel admit a degree whose slices hold
+    exactly the budget, and refuse it one monomial below"""
+    om = parse_poly(text, Weights(*weights))
+    n = om.homogeneous_degree()
+    for name, fn, derivations in (("ozone", complexes.ozone_dim, False),
+                                  ("derivation", complexes.derivation_kernel, True)):
+        for d in range(-n - 1, 2 * n + 1):
+            count = sum(count_monomials(om.weights, t) for t in _slices(om, d, derivations))
+            monkeypatch.setattr(complexes, "WINDOW_BUDGET", count)
+            fn(om, d)
+            if count:
+                monkeypatch.setattr(complexes, "WINDOW_BUDGET", count - 1)
+                with pytest.raises(RingError) as err:
+                    fn(om, d)
+                assert str(err.value) == (
+                    "degree %d is over budget: the slices of its %s map hold more than %d "
+                    "monomials" % (d, name, count - 1))
+
+
 def test_dims_table_row_and_bounds():
     om = parse_poly(QUADRIC_BW, W112)
     tbl = complexes.ph_dims(om, 5)
@@ -917,15 +958,16 @@ def test_operator_tables_are_built_once_per_potential(monkeypatch, weights, fiel
         for d in range(-3, bound + 1):
             poisson.graded_derivation_space(structure, d)
             complexes.ozone_dim(om, d)
-    # cochain tables 0, 1 (d1 for the derivation spaces), Koszul tables 1, 2
-    # and the ozone table: every table the package builds
-    assert len(calls) == 5 and all(f == om for f in calls)
+    # cochain table 0, Koszul tables 1, 2 and the ozone table, which also
+    # serves the derivation spaces: the sweep builds no d1 table
+    assert len(calls) == 4 and all(f == om for f in calls)
     again = parse_poly(text, weights, field)
     assert all(complexes._cochain_table(again, i) is complexes._cochain_table(om, i)
                for i in range(2))
     assert all(complexes._koszul_table(again, i) is complexes._koszul_table(om, i)
                for i in (1, 2))
     assert complexes._ozone_table(again) is complexes._ozone_table(om)
+    # the d1 table, built once by the first of the lookups above
     assert len(calls) == 5
 
 

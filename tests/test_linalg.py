@@ -344,3 +344,42 @@ def test_rows_of_ints_fractions_and_whole_fractions_match_the_reference():
         m = Matrix(rows, cols, grid)
         assert rank(m) == reference_rank(QQ, grid)
         assert kernel_basis(m) == reference_kernel_basis(QQ, cols, grid)
+
+
+def _planted(rng, grid, cols, scalar):
+    """grid with 1-3 rows appended, each an earlier row plus a scalar in a
+    new last column: back-substitution cancels every other entry of such a
+    row to zero, and its column is zero in every kernel vector"""
+    for k in range(rng.randint(1, 3)):
+        row = dict(rng.choice(grid))
+        row[cols + k] = scalar()
+        grid.append(row)
+    return cols + k + 1
+
+
+def test_kernel_basis_back_substitution_matches_the_reference():
+    """seeded sparse rank-deficient matrices over Q, of int, Fraction and
+    Fraction(n, 1) entries, and over Q[s]/(s^2+s+1), with planted rows whose
+    back-substitution cancels to zero, against the unit-pivot reference"""
+    rng = random.Random(3003)
+    f = ExtensionField([1, 1, 1])
+    kinds = [lambda v: v, Fraction, lambda v: Fraction(v, rng.randint(2, 5))]
+
+    def ext(v):
+        return f.coerce(Fraction(v, rng.randint(1, 3))) + rng.randint(-2, 2) * f.generator
+
+    for field, entries in [(QQ, kind) for kind in kinds] + [(QQ, None), (f, ext)]:
+        for _ in range(60):
+            rows, cols = rng.randint(2, 8), rng.randint(2, 8)
+            kind = entries or (lambda v: rng.choice(kinds)(v))
+            grid = [{j: kind(rng.randint(-6, 6)) for j in range(cols) if rng.random() < 0.4}
+                    for _ in range(rows - 1)]
+            # the last row a combination of two: the rank is below the row count
+            grid.append({j: 2 * grid[0].get(j, 0) - 3 * grid[-1].get(j, 0)
+                         for j in set(grid[0]) | set(grid[-1])})
+            width = _planted(rng, grid, cols, lambda: kind(rng.randint(1, 5)))
+            m = Matrix(len(grid), width, grid, field)
+            assert rank(m) == reference_rank(field, grid) < len(grid)
+            ker = kernel_basis(m)
+            assert ker == reference_kernel_basis(field, width, grid)
+            assert all(not v[j] for v in ker for j in range(cols, width))

@@ -192,6 +192,74 @@ def test_graded_derivation_space_reducible_case():
     assert ["0", "x", "-3*y^2"] in flat
 
 
+def _formatted(basis):
+    return [[format_poly(c) for c in v.comps] for v in basis]
+
+
+def _assert_derivations_match_d1(omega, label):
+    """the derivation bases, formatted, equal those of the d1 kernel at every
+    degree from -n-1 to 2n"""
+    s = from_potential(omega)
+    n = omega.homogeneous_degree()
+    for d in range(-n - 1, 2 * n + 1):
+        assert (_formatted(graded_derivation_space(s, d))
+                == _formatted(ref.derivations_by_d1(s, d))), (label, d)
+
+
+def test_derivations_match_the_d1_kernel_on_the_catalog():
+    for e in catalog.entries():
+        _assert_derivations_match_d1(e.omega, e.entry_id)
+
+
+# the two extension families of the benchmark, each with a rational and a
+# non-rational parameter
+_EXTENSION_MEMBERS = [
+    pytest.param(W111, [1, 1, 1], "x^3+y^3+z^3+(%s)*x*y*z", lam, id="cubic(%s)" % lam)
+    for lam in ("-5/2", "2+s", "-3", "1-3*s")
+] + [
+    pytest.param(W112, [1, 0, 1], "x^4+y^4+z^2+(%s)*x*y*z", lam, id="quartic(%s)" % lam)
+    for lam in ("3/2", "-1+2*s", "0", "s")
+]
+
+
+@pytest.mark.parametrize("weights, modulus, template, lam", _EXTENSION_MEMBERS)
+def test_derivations_match_the_d1_kernel_on_the_extension_families(weights, modulus,
+                                                                    template, lam):
+    om = parse_poly(template % lam, weights, ExtensionField(modulus))
+    _assert_derivations_match_d1(om, lam)
+
+
+@pytest.mark.parametrize("weights, modulus, template, lam", _EXTENSION_MEMBERS)
+def test_derivations_assemble_no_d1_matrix(monkeypatch, weights, modulus, template, lam):
+    """a spy on the cochain tables and matrices: degrees 0..3 read the
+    derivations off T_d and assemble no d1 matrix"""
+    from wpoisson import complexes
+    om = parse_poly(template % lam, weights, ExtensionField(modulus))
+    indices = []
+    for name in ("_cochain_table", "cochain_matrix"):
+        real = getattr(complexes, name)
+        monkeypatch.setattr(complexes, name,
+                            lambda o, i, *rest, real=real: indices.append(i) or real(o, i, *rest))
+    s = from_potential(om)
+    for d in range(4):
+        graded_derivation_space(s, d)
+    assert 1 not in indices
+    # the spy sees the d1 route
+    ref.derivations_by_d1(s, 0)
+    assert 1 in indices
+
+
+@pytest.mark.parametrize("weights, field, text", [
+    (W111, QQ, "(x^2+y*z)^2"),
+    (W111, QQ, "x^3*y^3"),
+    (W111, QQ, "x^2*y^2*z^2"),
+    (W111, ExtensionField([1, 1, 1]), "(x^3+y^3+s*z^3)^2"),
+])
+def test_derivations_match_the_d1_kernel_on_proper_powers(weights, field, text):
+    """Casimirs in degrees that n does not divide, and n != a+b+c"""
+    _assert_derivations_match_d1(parse_poly(text, weights, field), text)
+
+
 def test_rgt_values():
     assert rgt(parse_poly("x^3+y^3+z^3+x*y*z", W111)) == 0
     assert rgt(parse_poly("x^2*z+x*y^3", W112)) == -1
