@@ -20,19 +20,26 @@ never scales, so no step takes a field inverse.
 
 Generators with no s-part in any coefficient run over Q.  Every
 S-polynomial and remainder of rational polynomials is rational, so the run
-over Q is also a run over Q(s), and the reduced Groebner basis of an ideal
-is unique (Cox, Little, O'Shea, Ideals, Varieties, and Algorithms, 2.7):
-``buchberger`` lifts the one over Q to monic divisors over Q(s).  The
-matrices of the gcd of the partials are assembled by ``linalg``, over Q
-when their tables have no s-part, and the gcd is read over the potential's
-field.
+over Q is also a run over Q(s): ``buchberger`` lifts its minimal basis to
+monic divisors over Q(s).  The matrices of the gcd of the partials are
+assembled by ``linalg``, over Q when their tables have no s-part, and the
+gcd is read over the potential's field.
 
-Every Groebner basis is proved before it is returned, by Buchberger's
-criterion over the critical pairs only: a pair is skipped when its heads are
-coprime (product criterion) or when a third head divides the lcm of the two
-strictly, with lcm(h_i, h_k) and lcm(h_k, h_j) both differing from it (chain
-criterion).  The remaining S-polynomials, built from the stored divisors,
-must all reduce to zero, and so must every generator.
+``buchberger`` returns a minimal Groebner basis, proved before it is
+returned by Buchberger's criterion over the critical pairs only: a pair is
+skipped when its heads are coprime (product criterion) or when a third head
+divides the lcm of the two strictly, with lcm(h_i, h_k) and lcm(h_k, h_j)
+both differing from it (chain criterion).  The remaining S-polynomials,
+built from the stored divisors, must all reduce to zero, and so must every
+generator.  Heads, the Hilbert numerator, the GK-dimension, the gcd and
+normal forms read this basis as it is.  A minimal basis has the heads and
+the size of the reduced one, and the remainder of f modulo any Groebner
+basis of I is the one element of f + I with no term in in(I) (Cox, Little,
+O'Shea, 2.6), so every normal form is the one by the reduced basis.  The
+reduced basis, the elements a caller sees, is made and proved by the same
+criterion when first read (``GroebnerBasis.polys``); it is unique (Cox,
+Little, O'Shea, Ideals, Varieties, and Algorithms, 2.7), so a lifted basis
+reduces to the reduced basis over Q.
 
 The Hilbert numerator of the singular quotient is computed once per
 potential from the heads of its basis and cached beside it.  It is read off
@@ -57,10 +64,7 @@ from .ring import (
     RingError,
     check_potential,
     gradient,
-    mono_divides,
     mono_key,
-    mono_lcm,
-    mono_mul,
     rational_copy,
 )
 
@@ -92,12 +96,15 @@ def _divisor(field, head, terms):
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis under the weighted-degree grevlex order.
+    """Groebner basis under the weighted-degree grevlex order.
 
-    Elements are monic, no head divides another head, tails fully reduced.
-    Construct through buchberger(), from the divisors of its elements.  The
-    monic polynomials are built on first use: heads, the Hilbert numerator,
-    the gcd and normal forms read the divisors alone."""
+    Construct through buchberger(), from the divisors of a minimal basis: no
+    head divides another, and each tail is as the run left it.  Heads, the
+    size, the Hilbert numerator, the gcd and normal forms read these
+    divisors alone.  ``polys``, and so iteration and repr, is the reduced
+    basis: monic elements, tails fully reduced.  It is built on first use,
+    by inter-reduction proved as buchberger's result is (RingError if the
+    proof fails), and cached."""
 
     __slots__ = ("weights", "field", "_divisors", "_polys")
 
@@ -115,7 +122,7 @@ class GroebnerBasis:
             self._polys = tuple(
                 Polynomial(self.weights, self.field,
                            {h: one, **{m: c if lc == 1 else Fraction(c, lc) for m, c in tail}})
-                for h, lc, tail in self._divisors)
+                for h, lc, tail in _inter_reduce(self.weights, self.field, self._divisors))
         return self._polys
 
     def heads(self):
@@ -143,8 +150,9 @@ def _reduce(weights, terms, divisors):
     field.  Terms enter the remainder largest first, so its first key is
     its head."""
     work = dict(terms)
+    wx, wy, wz = weights.tuple
     # min-heap on the negated order key (degree, -z, -y, -x): largest first
-    heap = [(-weights.mono_degree(m), m[2], m[1], m[0]) for m in work]
+    heap = [(-(wx * e0 + wy * e1 + wz * e2), e2, e1, e0) for e0, e1, e2 in work]
     heapq.heapify(heap)
     rem = {}
     scale = 1
@@ -154,8 +162,8 @@ def _reduce(weights, terms, divisors):
         coef = work.pop(m, None)
         if coef is None:
             continue  # cancelled after it was queued
-        for h, lc, tail in divisors:
-            if h[0] <= e0 and h[1] <= e1 and h[2] <= e2:
+        for (h0, h1, h2), lc, tail in divisors:
+            if h0 <= e0 and h1 <= e1 and h2 <= e2:
                 if lc != 1:
                     # over Q only: scale by a = lc/g, and step by coef/g
                     g = math.gcd(coef, lc)
@@ -164,13 +172,14 @@ def _reduce(weights, terms, divisors):
                         scale *= a
                         work = {t: c * a for t, c in work.items()}
                         rem = {t: c * a for t, c in rem.items()}
-                q0, q1, q2 = e0 - h[0], e1 - h[1], e2 - h[2]
+                q0, q1, q2 = e0 - h0, e1 - h1, e2 - h2
                 for (t0, t1, t2), c in tail:
                     t = (t0 + q0, t1 + q1, t2 + q2)
                     old = work.get(t)
                     if old is None:
                         work[t] = -(c * coef)
-                        heapq.heappush(heap, (-weights.mono_degree(t), t[2], t[1], t[0]))
+                        d = wx * t[0] + wy * t[1] + wz * t[2]
+                        heapq.heappush(heap, (-d, t[2], t[1], t[0]))
                         continue
                     s = old - c * coef
                     if s:
@@ -275,7 +284,7 @@ def _s_pairs_reduce_to_zero(weights, divisors):
 
 
 def buchberger(gens):
-    """reduced Groebner basis from a nonempty generator list, with the
+    """minimal Groebner basis from a nonempty generator list, with the
     Gebauer-Moeller pair criteria and the normal selection strategy.
 
     Over Q it runs on primitive integer divisors end to end, with the
@@ -284,13 +293,15 @@ def buchberger(gens):
     one times a nonzero scalar, so the same remainders are zero, the same
     pairs are reduced, and the proofs below are exact.
 
-    The result is proved, not sampled: every critical pair of the reduced
+    The result is proved, not sampled: every critical pair of the minimal
     basis, the pairs that neither the product criterion (coprime heads) nor
     the strict chain criterion drops (Buchberger, EUROSAM 1979;
     Becker-Weispfenning, Groebner Bases, 1993, 5.5), must reduce to zero,
     and so must every generator, or RingError is raised.  The first shows
     the result is a Groebner basis of the ideal it generates, the second
-    that this ideal holds the generators'."""
+    that this ideal holds the generators'.  Its tails are inter-reduced,
+    and the reduced basis proved by the same criterion, when
+    ``GroebnerBasis.polys`` is first read."""
     gens = [g for g in gens if g.terms]
     if not gens:
         raise RingError("ideal needs at least one nonzero generator")
@@ -301,7 +312,7 @@ def buchberger(gens):
     if field != QQ:
         rational = [rational_copy(g) for g in gens]
         if all(g is not None for g in rational):
-            # the reduced basis over Q is the one over Q(s) (module docstring)
+            # a run over Q is a run over Q(s) (module docstring)
             lifted = [(h, 1, [(m, field.coerce(Fraction(c, lc))) for m, c in tail])
                       for h, lc, tail in buchberger(rational)._divisors]
             return GroebnerBasis(lifted, weights, field)
@@ -312,37 +323,52 @@ def buchberger(gens):
         if r:
             divisors.append(_divisor(field, next(iter(r)), r))
     heads = [h for h, _, _ in divisors]
+    wx, wy, wz = weights.tuple
 
     pairs = {}  # live pairs (i, j), i < j -> lcm of the heads
     queue = []  # (lcm degree, i, j); pairs dropped by the B criterion go stale
     active = []  # indices whose head no later head divides
 
     def update(k):
-        hk = heads[k]
-        # M and F criteria on the new pairs; coprime pairs stay as witnesses
+        k0, k1, k2 = heads[k]
+        cand = []  # (t, lcm of heads t and k, whether they are coprime)
+        still = []
+        for t in active:
+            a0, a1, a2 = heads[t]
+            cand.append((t, (a0 if a0 > k0 else k0, a1 if a1 > k1 else k1, a2 if a2 > k2 else k2),
+                         not (a0 and k0 or a1 and k1 or a2 and k2)))
+            if a0 < k0 or a1 < k1 or a2 < k2:
+                still.append(t)
+        # M and F criteria on the new pairs: drop one when the lcm of a later
+        # or a kept one divides its lcm.  Coprime pairs stay as witnesses
         # until the product criterion drops them
-        cand = [(t, mono_lcm(heads[t], hk)) for t in active]
         kept = []
-        for pos, (t, lcm) in enumerate(cand):
-            coprime = lcm == mono_mul(heads[t], hk)
-            if coprime or not (
-                any(mono_divides(l2, lcm) for _, l2 in cand[pos + 1 :])
-                or any(mono_divides(l2, lcm) for _, l2, _ in kept)
-            ):
-                kept.append((t, lcm, coprime))
-        # B criterion on the old pairs
-        for (i, j), lcm in list(pairs.items()):
-            if (
-                mono_divides(hk, lcm)
-                and mono_lcm(heads[i], hk) != lcm
-                and mono_lcm(heads[j], hk) != lcm
-            ):
-                del pairs[(i, j)]
+        for pos, c in enumerate(cand):
+            l0, l1, l2 = c[1]
+            for _, (m0, m1, m2), _ in [] if c[2] else cand[pos + 1:] + kept:
+                if m0 <= l0 and m1 <= l1 and m2 <= l2:
+                    break
+            else:
+                kept.append(c)
+        # B criterion on the old pairs: h_k divides L, and lcm(h_i, h_k) and
+        # lcm(h_j, h_k) differ from L, that is both heads fall short of L in
+        # some coordinate where h_k does too
+        dead = []
+        for p, (l0, l1, l2) in pairs.items():
+            if k0 <= l0 and k1 <= l1 and k2 <= l2:
+                a0, a1, a2 = heads[p[0]]
+                b0, b1, b2 = heads[p[1]]
+                if ((a0 < l0 > k0 or a1 < l1 > k1 or a2 < l2 > k2)
+                        and (b0 < l0 > k0 or b1 < l1 > k1 or b2 < l2 > k2)):
+                    dead.append(p)
+        for p in dead:
+            del pairs[p]
         for t, lcm, coprime in kept:
             if not coprime:
                 pairs[(t, k)] = lcm
-                heapq.heappush(queue, (weights.mono_degree(lcm), t, k))
-        active[:] = [t for t in active if not mono_divides(hk, heads[t])] + [k]
+                heapq.heappush(queue, (wx * lcm[0] + wy * lcm[1] + wz * lcm[2], t, k))
+        still.append(k)
+        active[:] = still
 
     for k in range(len(divisors)):
         update(k)
@@ -358,24 +384,29 @@ def buchberger(gens):
             heads.append(divisors[-1][0])
             update(len(divisors) - 1)
 
-    # inter-reduce: drop redundant heads, then reduce each tail by the other
-    # kept divisors.  The kept heads divide none of each other, so every
-    # element keeps its head and the list stays sorted.
-    keep = []
-    for i in sorted(range(len(divisors)), key=lambda i: mono_key(weights, heads[i])):
-        if not any(mono_divides(heads[t], heads[i]) for t in keep):
-            keep.append(i)
-    kept = [divisors[i] for i in keep]
-    reduced = []
-    for pos, (h, lc, tail) in enumerate(kept):
-        r = _reduce(weights, [(h, lc)] + tail, kept[:pos] + kept[pos + 1 :])[0]
-        reduced.append(_divisor(field, h, r))
-    gb = GroebnerBasis(reduced, weights, field)
-    if not _s_pairs_reduce_to_zero(weights, reduced):
+    # every remainder is reduced, so no head is a multiple of an earlier one,
+    # and the active heads are those no other head divides: a minimal basis
+    minimal = [divisors[t] for t in sorted(active, key=lambda t: mono_key(weights, heads[t]))]
+    if not _s_pairs_reduce_to_zero(weights, minimal):
         raise RingError("Groebner construction failed the S-pair criterion")
-    if any(_reduce(weights, terms, reduced)[0] for terms in entries):
+    if any(_reduce(weights, terms, minimal)[0] for terms in entries):
         raise RingError("Groebner construction lost a generator of the ideal")
-    return gb
+    return GroebnerBasis(minimal, weights, field)
+
+
+def _inter_reduce(weights, field, divisors):
+    """the divisors of the reduced basis from those of a minimal Groebner
+    basis: each element reduced by the others.  No head divides another, so
+    every element keeps its head and the list its order.  Proved as
+    buchberger's result is, by the critical pairs: RingError unless each
+    reduces to zero.  The heads are those of the minimal basis and each
+    element lies in its ideal, so a Groebner basis with them generates it."""
+    reduced = [_divisor(field, h, _reduce(weights, [(h, lc)] + tail,
+                                          divisors[:pos] + divisors[pos + 1:])[0])
+               for pos, (h, lc, tail) in enumerate(divisors)]
+    if not _s_pairs_reduce_to_zero(weights, reduced):
+        raise RingError("the reduced Groebner basis failed the S-pair criterion")
+    return reduced
 
 
 @lru_cache(maxsize=256)

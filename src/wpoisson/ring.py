@@ -9,6 +9,7 @@ this package mutates a Polynomial after construction.
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 
@@ -138,7 +139,7 @@ class ExtElem:
 
     def __eq__(self, other):
         if isinstance(other, ExtElem):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return self.field is other.field and self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
             return self == self.field.coerce(other)
         return NotImplemented
@@ -162,11 +163,15 @@ class ExtensionField:
     coefficients [m0, m1, ..., 1] of size at most 10^6.  An m of degree 2 or
     more with an integer root, or with a repeated factor, is refused: that
     decides irreducibility up to degree 3.  Arithmetic reduces mod m after
-    every multiplication."""
+    every multiplication.  There is one live field object per modulus,
+    checked when it is made, so fields compare and hash by identity."""
 
     name = "QQ[s]"
+    # modulus -> its field while anything holds the field; a refused modulus
+    # never enters
+    _interned = weakref.WeakValueDictionary()
 
-    def __init__(self, modulus):
+    def __new__(cls, modulus):
         if not all(isinstance(c, (int, Fraction)) and c == int(c) for c in modulus):
             raise RingError("modulus coefficients must be integers")
         mod = [Fraction(c) for c in modulus]
@@ -178,15 +183,26 @@ class ExtensionField:
             raise RingError("modulus must be monic")
         if any(abs(c) > MAX_EXPONENT for c in mod):
             raise RingError("modulus coefficient %s exceeds the 10^6 guard" % max(mod, key=abs))
-        self.modulus = tuple(mod)
-        self.degree = len(mod) - 1
-        # s^degree = -(m0 + m1 s + ... + m_{deg-1} s^{deg-1})
-        self._top = tuple(-c for c in mod[:-1])
-        _check_irreducible(self)
+        field = cls._interned.get(tuple(mod))
+        if field is None:
+            field = super().__new__(cls)
+            field.modulus = tuple(mod)
+            field.degree = len(mod) - 1
+            # s^degree = -(m0 + m1 s + ... + m_{deg-1} s^{deg-1})
+            field._top = tuple(-c for c in mod[:-1])
+            _check_irreducible(field)
+            # setdefault: of two threads making one modulus, both get the first
+            field = cls._interned.setdefault(field.modulus, field)
+        return field
+
+    def __reduce__(self):
+        # unpickling and copying go through the constructor, and so to the
+        # interned field
+        return ExtensionField, (self.modulus,)
 
     def coerce(self, v):
         if isinstance(v, ExtElem):
-            if v.field != self:
+            if v.field is not self:
                 raise RingError("element of a different extension field")
             return v
         if isinstance(v, (int, Fraction)):
@@ -290,23 +306,15 @@ class ExtensionField:
             out += "+" + p if not p.startswith("-") else p
         return out
 
-    def __eq__(self, other):
-        return isinstance(other, ExtensionField) and self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash(("QQ[s]", self.modulus))
-
     def __repr__(self):
         return "QQ[s]/(%s)" % " + ".join(
             "%s*s^%d" % (format_rational(c), i) for i, c in enumerate(self.modulus) if c != 0
         )
 
 
-@lru_cache(maxsize=256)
 def _check_irreducible(field):
-    """refuse a modulus m with an integer root or a repeated factor, once per
-    modulus (fields compare by it); a refusal raises, so it is never memoised.
-    A rational root of the monic integer m, a factor unless deg m = 1, is an
+    """refuse a modulus m with an integer root or a repeated factor.  A
+    rational root of the monic integer m, a factor unless deg m = 1, is an
     integer dividing m0, and a repeated factor is shared with m'."""
     mod = field.modulus
     m0 = int(abs(mod[0]))
@@ -361,18 +369,6 @@ class Weights:
 
     def __repr__(self):
         return "Weights(%d,%d,%d)" % self.tuple
-
-
-def mono_mul(m1, m2):
-    return (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-
-
-def mono_divides(m1, m2) -> bool:
-    return m1[0] <= m2[0] and m1[1] <= m2[1] and m1[2] <= m2[2]
-
-
-def mono_lcm(m1, m2):
-    return (max(m1[0], m2[0]), max(m1[1], m2[1]), max(m1[2], m2[2]))
 
 
 def mono_key(weights: Weights, m) -> tuple:
@@ -602,13 +598,14 @@ class Polynomial:
         px, py, pz = images
         px._check_compatible(py)
         px._check_compatible(pz)
-        pow_cache = [{0: Polynomial.constant(px.weights, 1, px.field)} for _ in range(3)]
+        # powers[idx][e] is the e-th power of image idx, filled in order up
+        # to the largest exponent asked for, one product per power
+        powers = [[Polynomial.constant(px.weights, 1, px.field)] for _ in range(3)]
 
         def power(idx, e):
-            cache = pow_cache[idx]
-            if e not in cache:
-                base = (px, py, pz)[idx]
-                cache[e] = power(idx, e - 1) * base
+            cache = powers[idx]
+            while len(cache) <= e:
+                cache.append(cache[-1] * (px, py, pz)[idx])
             return cache[e]
 
         acc = Polynomial.zero(px.weights, px.field)

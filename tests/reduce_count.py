@@ -1,0 +1,69 @@
+"""A deterministic work count of the Groebner layer: the calls of
+``jacobian._reduce`` made while building the Jacobian bases of the
+benchmark's ``groebner`` pool at one seed.  The pool is the three jobs of a
+35 s run, 96 potentials each, with the basis cache emptied before each
+job, as every benchmark job starts in a cold worker.  The pool comes from
+``perfbench/inputs.py``, loaded without writing anything beside it.
+
+Print the count from the repository root with
+
+    PYTHONPATH=src python tests/reduce_count.py [seed]
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from wpoisson import Weights, jacobian, parse_poly
+
+ROOT = Path(__file__).resolve().parent.parent
+JOBS = 3
+
+
+def _load_inputs():
+    spec = importlib.util.spec_from_file_location("perfbench_inputs",
+                                                  ROOT / "perfbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def pool(seed):
+    """the pool's potentials, one list per job"""
+    jobs = _load_inputs().GroebnerJobs(ROOT, seed)
+    return [[parse_poly(op["potential"], Weights(*op["weights"])) for op in jobs.job(k)]
+            for k in range(JOBS)]
+
+
+def reduce_calls(seed=1):
+    """(potentials, calls of jacobian._reduce) over the pool of this seed"""
+    calls = 0
+    reduce = jacobian._reduce
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return reduce(*args)
+
+    jobs = pool(seed)
+    jacobian._reduce = counted
+    try:
+        for job in jobs:
+            jacobian.jacobian_basis.cache_clear()
+            for omega in job:
+                jacobian.jacobian_basis(omega)
+    finally:
+        jacobian._reduce = reduce
+        jacobian.jacobian_basis.cache_clear()
+    return sum(map(len, jobs)), calls
+
+
+if __name__ == "__main__":
+    seed = int(sys.argv[1]) if len(sys.argv) > 1 else 1
+    count, calls = reduce_calls(seed)
+    print("jacobian._reduce calls over the seed-%d groebner pool (%d potentials): %d"
+          % (seed, count, calls))

@@ -10,8 +10,10 @@ gcd fold, which sweeps degrees where the package reads deg gcd off the
 Hilbert numerator, Bigatti's pivot recursion for that numerator, which the
 package now reads off the z-slices of the initial ideal, and the lcm-table
 scan of the critical pairs, which the package now makes coordinate by
-coordinate.  Last, the Poisson layer at the level of its definitions: the
-bracket by components, the jacobiator from three brackets, the modular
+coordinate, and the eager inter-reduction of a minimal Groebner basis,
+which the package now makes when the reduced basis is first read.
+Last, the Poisson layer at the level of its definitions: the bracket by
+components, the jacobiator from three brackets, the modular
 derivation from the divergences of the Hamiltonians, the twist by
 components and the determinant by cofactors, which the package now reads
 off the vector field P = ({y,z}, {z,x}, {x,y}); and the automorphism test
@@ -35,10 +37,21 @@ from wpoisson.jacobian import jacobian_basis
 from wpoisson.linalg import Matrix, assemble, kernel_basis, op_table, vector_to_polys
 from wpoisson.poisson import PoissonStructure
 from wpoisson.ring import (QQ, Polynomial, PolyVector, RingError, check_potential,
-                           count_monomials, cross, curl, div, dot, mono_divides, mono_key,
-                           mono_lcm, mono_mul, monomial_basis)
+                           count_monomials, cross, curl, div, dot, mono_key, monomial_basis)
 
 from closed_forms import euler_rhs
+
+
+def mono_mul(m1, m2):
+    return (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+
+
+def mono_divides(m1, m2) -> bool:
+    return m1[0] <= m2[0] and m1[1] <= m2[1] and m1[2] <= m2[2]
+
+
+def mono_lcm(m1, m2):
+    return (max(m1[0], m2[0]), max(m1[1], m2[1]), max(m1[2], m2[2]))
 
 
 def reference_assemble(weights, field, src_degs, tgt_degs, fn):
@@ -347,6 +360,19 @@ def critical_pairs_by_lcm_table(heads):
             continue
         pairs.append((i, j))
     return pairs
+
+
+def eager_reduced_basis(gb):
+    """the reduced Groebner basis from the minimal one a GroebnerBasis
+    holds, eagerly, as the package made it before it reduced tails on first
+    read: each element reduced by all the others and made monic, over the
+    basis's own field.  The heads must divide none of each other."""
+    heads = gb.heads()
+    assert not any(i != j and mono_divides(a, b)
+                   for i, a in enumerate(heads) for j, b in enumerate(heads)), heads
+    polys = [Polynomial(gb.weights, gb.field, {h: lc, **dict(tail)})
+             for h, lc, tail in gb._divisors]
+    return tuple(normal_form(p, polys[:i] + polys[i + 1:]).monic() for i, p in enumerate(polys))
 
 
 def bracket_by_components(s, f, g):

@@ -551,6 +551,19 @@ def test_verify_aut_rejects_bad_scaling():
     assert "jacobian_det: 64" in out
 
 
+@pytest.mark.parametrize("args", [
+    ["-p", "x^990", "--map", "x->y; y->x; z->-z"],
+    ["-p", "x^3+y^3+z^3", "--map", "x->x; y->y; z->z", "--inverse", "x->x+y^1200; y->y; z->z"],
+], ids=["map", "inverse"])
+def test_verify_aut_reports_on_high_powers_without_recursing(args):
+    """a substitution builds each power of an image by one product on the
+    last, never one nested call per unit of exponent"""
+    res = CliRunner().invoke(main, ["verify-aut", "-w", "1,1,1"] + args, catch_exceptions=False)
+    assert res.exit_code == 1
+    assert "passed: False" in res.stdout
+    assert res.stderr == ""
+
+
 _XI_ARGS = ["verify-aut", "--weights", "1,2,3", "--potential", "x^6+y^3+z^2+x*y*z",
             "--map", "x->x; y->y; z->z", "--inverse", "x->x; y->y; z->z", "--xi"]
 

@@ -15,7 +15,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "wpoisson"
 
 # checks and tables that only the tests call; they live in tests/
 TEST_ONLY = ("derham_exactness_check", "euler_characteristic_check", "m2_dims", "euler_rhs",
-             "closed_form_koszul_h1", "standard_monomials", "negative_degree_pd_dims")
+             "closed_form_koszul_h1", "standard_monomials", "negative_degree_pd_dims",
+             "mono_mul", "mono_divides", "mono_lcm")
 
 
 def _imported_names(tree):

@@ -2,6 +2,7 @@
 polynomial arithmetic, vector calculus and the coefficient fields."""
 
 import copy
+import gc
 import pickle
 import random
 from fractions import Fraction
@@ -22,6 +23,7 @@ from wpoisson import (
     monomial_basis,
     parse_poly,
 )
+from wpoisson.cli import _parse_field
 from wpoisson.proptest import WEIGHT_POOL
 from wpoisson.ring import ExtElem, Polynomial, count_monomials, mono_key
 
@@ -207,19 +209,44 @@ def test_extension_field_refuses_a_reducible_modulus(modulus, why):
 
 
 def test_a_modulus_is_checked_once_and_refused_every_time(monkeypatch):
-    """the irreducibility check is memoised per modulus, so a second field
-    over it inverts nothing; a refusal is not memoised"""
-    ExtensionField([5, 3, 1])
+    """the irreducibility check is made once per live field, so a second
+    field over its modulus inverts nothing; a refusal is not memoised"""
+    field = ExtensionField([5, 3, 1])
     inverses = []
     real = ExtensionField.inverse
     monkeypatch.setattr(ExtensionField, "inverse",
                         lambda self, v: inverses.append(v) or real(self, v))
-    assert ExtensionField([5, 3, 1]) == ExtensionField([5, 3, 1, 0])
+    assert ExtensionField([5, 3, 1]) is field is ExtensionField([5, 3, 1, 0])
     assert inverses == []
     for _ in range(3):
         with pytest.raises(RingError, match="it has a repeated factor"):
             ExtensionField([1, 0, 2, 0, 1])
     assert len(inverses) == 3
+
+
+def test_a_modulus_has_one_field_object():
+    """fields are interned by modulus: equal parses, copies and pickles
+    are one object, and a refused modulus leaves no field behind"""
+    field = ExtensionField([1, 1, 1])
+    assert ExtensionField((Fraction(1), 1, 1, 0)) is field
+    assert _parse_field("s^2+s+1") is _parse_field("1+s+s^2") is field
+    assert parse_poly("s*x", Weights(1, 1, 1), ExtensionField([1, 1, 1])).field is field
+    assert pickle.loads(pickle.dumps(field)) is field and copy.deepcopy(field) is field
+    assert ExtensionField([1, 0, 1]) is not field
+    with pytest.raises(RingError, match="it has the root 1"):
+        ExtensionField([-1, 0, 1])
+    assert (Fraction(-1), Fraction(0), Fraction(1)) not in ExtensionField._interned
+
+
+def test_a_field_nothing_holds_leaves_the_intern_table():
+    """the table keeps a field only while something holds it, so a process
+    that makes many moduli does not keep them all"""
+    key = (Fraction(11), Fraction(3), Fraction(1))
+    field = ExtensionField([11, 3, 1])
+    assert ExtensionField._interned[key] is field
+    del field
+    gc.collect()
+    assert key not in ExtensionField._interned
 
 
 @pytest.mark.parametrize("modulus", [[Fraction(-1, 4), 0, 1], [0.5, 1]],
