@@ -8,8 +8,8 @@ Euler's identity, in the domain k[x,y,z], and T_d = (v . g ; div v) on the
 degree-d derivations.  M2: f g is a gradient iff curl(f g) = d0(f) is zero,
 as the weighted de Rham complex is exact.  Ozone: d1(v) = div(v) g -
 grad(v . g), so T_d serves ozone and rgt, its table serves the sealed
-block below, and its rank, memoised once per degree (read off that block
-where the block is eliminated), serves d1 and d2 too.
+block below and [T_d | c] for d1, and its rank, memoised once per degree
+(read off that block where the block is eliminated), serves d1 and d2 too.
 Koszul: K3 -> K2, v0 -> v0 g, is injective.
 
 d0: contracting df ^ dO = 0 with the Euler field gives n O df = k f dO for
@@ -27,29 +27,26 @@ d2: read as vector fields, -div(v x g) = -g . curl(v); curl maps X2_d onto
 the divergence-free derivations of degree d, and div(f E) = (d+a+b+c) f for
 the Euler field E, so div is onto A_d.  Hence rank d2_d = rank T_d - #A_d.
 
-d1: d1 = L T with L(h, f) = f g - grad(h).  By Euler's identity (h, f) lies
-in ker L exactly when f is a Casimir (d0 f = 0) and h = n f O/(d+n).  When
-n = a+b+c, T(f E/(d+n)) is that kernel vector, so rank d1_d = rank T_d -
-dim ker d0_d.  Otherwise rank d1_d = rank T_d in the degrees without a
-Casimir, and the d1 matrix is assembled in those with one, as where d+n is
-zero.
-
-Derivations: ker d1_d = T_d^-1(ker L_d), and ker L_d is 0 in a degree with
-no Casimir.  Otherwise one vector c spans it: c = (n f O, (d+n) f), f
-spanning ker d0_d, when d+n is not zero, and c = (1, 0) when d = -n, as A_d
-is then 0 and grad h = 0 leaves the constants.  So ker d1_d is the
-projection (v, t) -> v of the kernel of [T_d | c], c its last column.  The
-projection is injective, as c is not zero, so every nonzero kernel vector
-has a nonzero v-part, and its first nonzero coordinate is that of its
-v-part.  Under last-column pivots a column is free exactly when it is the
-first nonzero coordinate of a kernel vector (``linalg``), so c's column is
-a pivot and the free columns of [T_d | c] are those of d1_d.  The kernel
-normal form is the one basis with a one in a free column and zeros in the
-others; projected, it keeps that shape, so it is the kernel normal form of
-d1_d, that is kernel_basis(cochain_matrix(O, 1, d)) (``derivation_kernel``).
-T_d comes from the sealed block's table and c from a one-column table,
-with f = O^(d/n) where n divides d, as O is a Casimir, and f read off
-ker d0_d otherwise.
+d1: d1 = L T with L(h, f) = f g - grad(h), so ker d1_d = T_d^-1(ker L_d).
+By Euler's identity (h, f) lies in ker L exactly when f is a Casimir (d0
+f = 0) and h = n f O/(d+n).  So ker L_d is 0 in a degree with no Casimir,
+and there rank d1_d = rank T_d.  Otherwise one vector c spans it: c =
+(n f O, (d+n) f), f spanning ker d0_d, when d+n is not zero, and c =
+(1, 0) when d = -n, as A_d is then 0 and grad h = 0 leaves the constants.
+Then ker d1_d is the projection (v, t) -> v of the kernel of [T_d | c], c
+its last column, and the projection is injective, as c is not zero; so
+rank d1_d = rank [T_d | c] - 1.  When n = a+b+c, c is T(f E/(d+n)), E the
+Euler field, so it lies in the image of T_d and rank d1_d = rank T_d -
+dim ker d0_d with no matrix.  Every nonzero kernel vector has a nonzero
+v-part, and its first nonzero coordinate is that of its v-part.  Under
+last-column pivots a column is free exactly when it is the first nonzero
+coordinate of a kernel vector (``linalg``), so c's column is a pivot and
+the free columns of [T_d | c] are those of d1_d.  The kernel normal form
+is the one basis with a one in a free column and zeros in the others;
+projected, it keeps that shape, so it is the kernel normal form of d1_d
+(``derivation_kernel``).  T_d comes from the sealed block's table and c
+from a one-column table, with f = O^(d/n) where n divides d, as O is a
+Casimir, and f read off ker d0_d otherwise.
 
 Sealed: with e = d - n and g_i the first nonzero partial, the degree-d
 Koszul 1-cycles v with div v in (g_i) are the projections of the kernel of
@@ -63,16 +60,16 @@ dim X1_e - rank B_e + rank K1 - rank K2, with K1 and K2 at total degree e
 and d.
 
 The same elimination gives rank T_e, as T_e is B_e without its u columns,
-which come first; B and T share one table, and T_e is assembled from it
-with the u source at degree -1, which has no monomial.  ``linalg`` pivots
-each row on its last column, so the pivot rows are a basis of the row space
-with distinct last columns.  A row-space vector supported below a column j
-is a combination of them in which no pivot row past j takes part, as the
-largest such pivot would survive; so those vectors are exactly the span of
-the pivot rows below j.  They are the kernel of the cut of the row space to
-the columns >= j, so the pivots in columns >= j number rank B[:, >= j],
-over K = Q[s]/(m) too, where ``linalg.pivot_columns`` counts whole blocks
-of k Q-columns.
+which come first; B, T and [T | c] share one table, and one builder
+(``_t_block``) assembles them, T_e with the u source at degree -1, which
+has no monomial.  ``linalg`` pivots each row on its last column, so the
+pivot rows are a basis of the row space with distinct last columns.  A
+row-space vector supported below a column j is a combination of them in
+which no pivot row past j takes part, as the largest such pivot would
+survive; so those vectors are exactly the span of the pivot rows below j.
+They are the kernel of the cut of the row space to the columns >= j, so
+the pivots in columns >= j number rank B[:, >= j], over K = Q[s]/(m) too,
+where ``linalg.pivot_columns`` counts whole blocks of k Q-columns.
 
 Every per-degree table sweeps a window of degrees from its lowest nonzero
 slot up to the truncation bound D, and refuses, before it lists a monomial,
@@ -81,7 +78,7 @@ vacuously, or one whose maps would list too many monomials (``_window``).
 The maps of one degree, ``ozone_dim`` and ``derivation_kernel``, count the
 slices they list against the same budget (``_slice_budget``).
 
-Each operator table (d0, d1, Koszul, ozone) depends only on the potential
+Each operator table (d0, Koszul, ozone) depends only on the potential
 and the index, so it is built once per potential, memoised beside the
 ranks, and shared by every degree; ``op_table`` makes tables immutable for
 that reason.  A table over Q(s) whose coefficients have no s-part is made
@@ -128,41 +125,28 @@ def cochain_shifts(weights):
 
 
 @lru_cache(maxsize=1024)
-def _cochain_table(omega, i):
-    """operator table of the degree-i cochain differential for i = 0, 1,
-    from the gradient g of the potential and its Hessian (indices mod 3);
-    the rank of d2 comes from T_d (module docstring)"""
+def _d0_table(omega):
+    """operator table of d0, f -> grad(f) x g, from the gradient g of the
+    potential; the ranks of d1 and d2 come from T_d (module docstring)"""
     g = gradient(omega).comps
-    if i == 0:
-        # grad(f) x g: component k is g_{k+2} f_{k+1} - g_{k+1} f_{k+2}
-        terms = [(k, 0, (k + j) % 3, sign * g[(k - j) % 3])
-                 for k in range(3) for j, sign in ((1, 1), (2, -1))]
-    elif i == 1:
-        # div(v) g_k - d_k(v . g): the d_k v_k terms cancel
-        terms = ([(k, s, s, g[k]) for k in range(3) for s in range(3) if s != k]
-                 + [(k, s, k, -g[s]) for k in range(3) for s in range(3) if s != k]
-                 + [(k, s, None, -g[s].partial(k)) for k in range(3) for s in range(3)])
-    else:
-        raise RingError("cochain index out of range")
-    return op_table(omega.field, terms)
+    # component k is g_{k+2} f_{k+1} - g_{k+1} f_{k+2} (indices mod 3)
+    return op_table(omega.field, [(k, 0, (k + j) % 3, sign * g[(k - j) % 3])
+                                  for k in range(3) for j, sign in ((1, 1), (2, -1))])
 
 
-def cochain_matrix(omega, i, d):
-    """matrix of the degree-i differential (i = 0, 1) on the degree-d slice
-    of X^i, mapping into the degree d+w slice of X^{i+1}"""
-    n = check_potential(omega)
+def _d0_matrix(omega, d):
+    """matrix of d0 on A_d, mapping into the degree d+w slice of X^1"""
     weights = omega.weights
-    w = n - weights.a - weights.b - weights.c
-    sh = cochain_shifts(weights)
-    src = [d + s for s in sh[i]]
-    tgt = [d + w + s for s in sh[i + 1]]
-    return assemble(weights, src, tgt, _cochain_table(omega, i))
+    w = omega.homogeneous_degree() - weights.n_default
+    return assemble(weights, [d], [d + w + s for s in weights.tuple], _d0_table(omega))
 
 
 @lru_cache(maxsize=65536)
 def _cochain_rank(omega, i, d):
     """rank of the degree-i differential on the degree-d slice of X^i: d0
-    from the Casimir degree, d1 and d2 from rank T_d (module docstring)"""
+    from the Casimir degree, d2 from rank T_d, and d1 from rank T_d or,
+    where a Casimir column c need not lie in the image of T_d, from rank
+    [T_d | c] (module docstring)"""
     weights = omega.weights
     if _space_dim(weights, cochain_shifts(weights)[i], d) == 0:
         return 0
@@ -174,7 +158,7 @@ def _cochain_rank(omega, i, d):
     n = omega.homogeneous_degree()
     if d + n and (not casimirs or n == weights.n_default):
         return _ozone_rank(omega, d) - casimirs
-    return rank(cochain_matrix(omega, 1, d))
+    return rank(_t_block(omega, d, column=_casimir_column(omega, d))) - 1
 
 
 def _casimirs(omega, d):
@@ -187,7 +171,7 @@ def _casimir_degree(omega):
     """e = deg R: the least divisor of n with a Casimir (module docstring)"""
     n = omega.homogeneous_degree()
     return next(e for e in range(1, n + 1) if n % e == 0 and (
-        e == n or rank(cochain_matrix(omega, 0, e)) < count_monomials(omega.weights, e)))
+        e == n or rank(_d0_matrix(omega, e)) < count_monomials(omega.weights, e)))
 
 
 def _space_dim(weights, shifts, d):
@@ -355,6 +339,21 @@ def _ozone_table(omega):
                     + [(1, s + 1, s, 1) for s in range(3)])
 
 
+def _t_block(omega, d, u_deg=-1, column=None):
+    """the map of the ozone table at degree d, into A_{d+n} + A_d: B_d with
+    its u source at u_deg, T_d with it at the default -1, which has no
+    monomial, and [T_d | c] given the column c = (h, f), on one more source,
+    the monomial 1, over the field of T's table (module docstring)"""
+    weights = omega.weights
+    field, terms = _ozone_table(omega)
+    src = [u_deg] + [d + w for w in weights.tuple]
+    if column is not None:
+        terms += op_table(omega.field, [(t, 4, None, p) for t, p in enumerate(column)],
+                          reduce=field == QQ)[1]
+        src.append(0)
+    return assemble(weights, src, [d + omega.homogeneous_degree(), d], (field, terms))
+
+
 @lru_cache(maxsize=1024)
 def _t_ranks(omega):
     """the memo of rank T_d by degree d, one per potential: the sealed block
@@ -370,11 +369,7 @@ def _ozone_rank(omega, d):
     r = ranks.get(d)
     if r is None:
         weights = omega.weights
-        r = 0
-        if _space_dim(weights, weights.tuple, d):
-            # the u source at degree -1, which has no monomial
-            r = rank(assemble(weights, [-1] + [d + s for s in weights.tuple],
-                              [d + omega.homogeneous_degree(), d], _ozone_table(omega)))
+        r = rank(_t_block(omega, d)) if _space_dim(weights, weights.tuple, d) else 0
         ranks[d] = r
     return r
 
@@ -406,7 +401,7 @@ def _casimir_column(omega, d):
     if d % n == 0:
         f = omega ** (d // n)  # a Casimir, as O is one
     else:
-        (coords,) = kernel_basis(cochain_matrix(omega, 0, d))
+        (coords,) = kernel_basis(_d0_matrix(omega, d))
         (f,) = vector_to_polys(omega.weights, omega.field, [d], coords)
     # c / n
     return f * omega, Fraction(d + n, n) * f
@@ -421,8 +416,7 @@ def derivation_kernel(omega, d):
     (``_slice_budget``)."""
     n = check_potential(omega)
     weights = omega.weights
-    src = [d + w for w in weights.tuple]
-    degrees = src + [d + n, d] + [d + n - w for w in weights.tuple]
+    degrees = [d + w for w in weights.tuple] + [d + n, d] + [d + n - w for w in weights.tuple]
     if d > 0:
         degrees += [e + t for e in range(1, n + 1) if n % e == 0
                     for t in (0, *(n - w for w in weights.tuple))]
@@ -430,16 +424,7 @@ def derivation_kernel(omega, d):
     dim = _space_dim(weights, weights.tuple, d)
     if not dim:
         return []
-    field, table = _ozone_table(omega)
-    # the u source at degree -1, which has no monomial
-    src.insert(0, -1)
-    column = _casimir_column(omega, d)
-    if column is not None:
-        # c on one more source, the monomial 1, over the field of T's table
-        table += op_table(omega.field, [(t, 4, None, p) for t, p in enumerate(column)],
-                          reduce=field == QQ)[1]
-        src.append(0)
-    return [v[:dim] for v in kernel_basis(assemble(weights, src, [d + n, d], (field, table)))]
+    return [v[:dim] for v in kernel_basis(_t_block(omega, d, column=_casimir_column(omega, d)))]
 
 
 def ozone_vs_hamiltonian(omega, bound):
@@ -540,20 +525,18 @@ def sealed_k1_dims(omega, bound):
     flag)."""
     n = check_potential(omega)
     weights = omega.weights
-    i = _first_partial(omega)
-    table = _ozone_table(omega)
+    w_i = weights.tuple[_first_partial(omega)]
     t_ranks = _t_ranks(omega)
     out = {}
     for d in _window(omega, "sealed", 0, bound):
         # K1 at degree d is X1 at degree e = d - n
         e = d - n
-        degs, low = koszul_component_degs(omega, d), koszul_component_degs(omega, e)
         dim_v = _koszul_dim(omega, 1, d)
         if not dim_v:
             out[d] = 0
             continue
-        u_deg = low[1][i]
-        pivots = pivot_columns(assemble(weights, [u_deg] + degs[1], degs[0] + low[0], table))
+        u_deg = e - n + w_i
+        pivots = pivot_columns(_t_block(omega, e, u_deg))
         # rank T_e: the pivots past the u columns (module docstring)
         u_cols = count_monomials(weights, u_deg)
         t_ranks[e] = sum(c >= u_cols for c in pivots)

@@ -18,6 +18,10 @@ VAR_NAMES = ("x", "y", "z")
 # the largest integer a user may write, and the largest modulus coefficient
 MAX_EXPONENT = 10**6
 
+# the most terms that a power or product parsed from text (``textio``), or
+# built by ``Polynomial.substitute``, may expand to
+MAX_POWER_TERMS = 1000
+
 
 class RingError(ValueError):
     pass
@@ -594,8 +598,11 @@ class Polynomial:
         return self._new(out)
 
     def substitute(self, images) -> "Polynomial":
-        """Evaluate self at x,y,z -> images (three Polynomials)."""
-        px, py, pz = images
+        """Evaluate self at x,y,z -> images (three Polynomials).  A power of
+        an image, or a product of powers, that could expand past
+        MAX_POWER_TERMS terms is refused with RingError before it is
+        expanded, by the parser's rule."""
+        px, py, pz = images = tuple(images)
         px._check_compatible(py)
         px._check_compatible(pz)
         # powers[idx][e] is the e-th power of image idx, filled in order up
@@ -604,8 +611,12 @@ class Polynomial:
 
         def power(idx, e):
             cache = powers[idx]
+            k = len(images[idx].terms)
+            if len(cache) <= e and k > 1 and math.comb(e + k - 1, k - 1) > MAX_POWER_TERMS:
+                raise RingError("substitution power may expand past the %d-term budget"
+                                % MAX_POWER_TERMS)
             while len(cache) <= e:
-                cache.append(cache[-1] * (px, py, pz)[idx])
+                cache.append(cache[-1] * images[idx])
             return cache[e]
 
         acc = Polynomial.zero(px.weights, px.field)
@@ -613,7 +624,11 @@ class Polynomial:
             term = Polynomial.constant(px.weights, coef, px.field)
             for idx in range(3):
                 if m[idx]:
-                    term = term * power(idx, m[idx])
+                    factor = power(idx, m[idx])
+                    if len(term.terms) * len(factor.terms) > MAX_POWER_TERMS:
+                        raise RingError("substitution product may expand past the %d-term "
+                                        "budget" % MAX_POWER_TERMS)
+                    term = term * factor
             acc = acc + term
         return acc
 

@@ -21,14 +21,13 @@ from .ring import (
     ExtElem,
     ExtensionField,
     MAX_EXPONENT,
+    MAX_POWER_TERMS,
     Polynomial,
     QQ,
     VAR_NAMES,
     Weights,
     format_rational,
 )
-
-MAX_POWER_TERMS = 1000
 
 
 class ParseError(ValueError):

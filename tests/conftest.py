@@ -16,6 +16,14 @@ CRITERIA = [
 
 _RESULTS: dict[str, tuple[str, str]] = {}
 
+# the tests that -k, -m, --deselect or --lf dropped from this run, so that
+# test_readme can tell a run of the whole suite
+DESELECTED: list = []
+
+
+def pytest_deselected(items):
+    DESELECTED.extend(items)
+
 
 def record(criterion: str, status: str, detail: str = "") -> None:
     """Store the outcome for one acceptance criterion."""

@@ -4,8 +4,9 @@ matrices whose ranks the package now derives from identities (the M2 map,
 the cochain maps d0, d1 and d2, d1 stacked over v . grad(O), the Koszul
 maps K2 -> K1 and K3 -> K2, and the cycle condition over div v reduced
 modulo the Jacobian ideal, whose rank the package now takes from a block map).  The operator
-table of d2 lives here too: the package derives rank d2 from the
-(v . grad(O) ; div v) map and no longer assembles it.  So does the pairwise
+tables of d1, with its Hessian terms, and d2 live here too: the package
+derives both ranks from the (v . grad(O) ; div v) map, with one more
+column for a Casimir, and assembles neither.  So does the pairwise
 gcd fold, which sweeps degrees where the package reads deg gcd off the
 Hilbert numerator, Bigatti's pivot recursion for that numerator, which the
 package now reads off the z-slices of the initial ideal, and the lcm-table
@@ -28,6 +29,7 @@ cohomology table, the M2 table, the standard monomials outside a set of
 heads, the bracket-compatible derivations in negative degree, and the top
 degree that the maps of a truncation window reach."""
 
+from functools import lru_cache
 from itertools import combinations
 
 from wpoisson import complexes, gradient, normal_form, rank
@@ -129,8 +131,23 @@ def cochain2_table(omega):
                     + [(0, (k + 1) % 3, k, -g[(k + 2) % 3]) for k in range(3)])
 
 
+@lru_cache(maxsize=1024)
+def cochain1_table(omega):
+    """operator table of the degree-1 cochain differential div(v) g -
+    grad(v . g): the d_k v_k terms cancel, and the Hessian terms stay
+    (indices mod 3)"""
+    g = gradient(omega).comps
+    return op_table(omega.field,
+                    [(k, s, s, g[k]) for k in range(3) for s in range(3) if s != k]
+                    + [(k, s, k, -g[s]) for k in range(3) for s in range(3) if s != k]
+                    + [(k, s, None, -g[s].partial(k)) for k in range(3) for s in range(3)])
+
+
 def _cochain_table(omega, i):
-    return cochain2_table(omega) if i == 2 else complexes._cochain_table(omega, i)
+    """the package's table for d0, ours for d1 and d2"""
+    if i == 0:
+        return complexes._d0_table(omega)
+    return cochain1_table(omega) if i == 1 else cochain2_table(omega)
 
 
 def _cochain_degs(omega, i, d):
@@ -143,7 +160,7 @@ def _cochain_degs(omega, i, d):
 
 def cochain_matrix(omega, i, d):
     """matrix of the degree-i cochain differential on the degree-d slice of
-    X^i from the operator tables: the package's for d0 and d1, ours for d2"""
+    X^i from the operator tables: the package's for d0, ours for d1 and d2"""
     return assemble(omega.weights, *_cochain_degs(omega, i, d), _cochain_table(omega, i))
 
 

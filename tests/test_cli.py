@@ -234,6 +234,9 @@ def test_cohomology_window_keeps_degrees_down_to_minus_a_b_c():
     ["cohomology", "-w", "1,1,1", "-p", "x^3+y^3+z^3", "--max-degree", "-50"],
     # a single-degree map over budget: T_0 would list the 10^6 monomials of A_n
     pytest.param(["rgt", "--weights", "1,1,1000000", "-p", "x^2*z"], id="rgt-over-budget"),
+    # a substitution over budget: (x+y+z)^989 has 490,545 terms
+    pytest.param(["verify-aut", "--weights", "1,1,1", "-p", "x^990",
+                  "--map", "x->x+y+z; y->y; z->z"], id="verify-aut-substitution-over-budget"),
     # a window with no degree: every flag over it would hold vacuously
     *[pytest.param([name, "-w", "1,1,1", "-p", "x^3+y^3+z^3", "-D", "-5"],
                    id=name + "-empty-window")
@@ -350,6 +353,27 @@ def test_product_past_the_term_budget_exits_2_before_multiplying(monkeypatch):
     assert res.stdout == ""
     assert res.stderr.splitlines()[-1].endswith(
         ": product may expand past the 1000-term budget (at byte 99)")
+
+
+def test_substitution_past_the_term_budget_exits_2_before_expanding(monkeypatch):
+    """verify-aut substitutes the map into grad(x^990): the power of x+y+z
+    is refused before it is built, so no product the run makes reaches the
+    1,000-term budget"""
+    mul = Polynomial.__mul__
+
+    def small_products_only(self, other):
+        out = mul(self, other)
+        if isinstance(out, Polynomial) and len(out.terms) > 1000:
+            raise AssertionError("the substitution built a product past the budget")
+        return out
+
+    monkeypatch.setattr(Polynomial, "__mul__", small_products_only)
+    res = CliRunner().invoke(main, ["verify-aut", "--weights", "1,1,1", "-p", "x^990",
+                                    "--map", "x->x+y+z; y->y; z->z"], catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "error: substitution power may expand past the 1000-term budget"]
 
 
 @pytest.mark.parametrize("args, line", [

@@ -23,6 +23,7 @@ from wpoisson.ring import Polynomial, RingError, count_monomials, monomial_basis
 
 import reference_maps as ref
 from closed_forms import closed_form_lph2, isolated_ph
+from matrix_count import KINDS, clear_memos, matrix_counts, requester
 from reference_maps import (cochain_apply, cochain_matrices, cochain_matrix, cochain_rank,
                             d1_rank_and_ozone_kernel, derham_exactness_check,
                             euler_characteristic_check, field_powers, koszul3_rank, m2_dims,
@@ -390,7 +391,7 @@ def test_every_sweep_lists_no_degree_past_its_window_top(monkeypatch, weights, t
     sweeps = _SWEEPS if n == om.weights.n_default else _SWEEPS[:4]
     for bound in (0, 2, n, 2 * n + 3):
         for sweep in sweeps:
-            _clear_memos()
+            clear_memos()
             del listed[:]
             sweep(om, bound)
             assert listed
@@ -451,41 +452,28 @@ def test_dims_table_row_and_bounds():
 # ---------------------------------------------------------------------------
 # operator tables against the per-column Polynomial evaluation they replace
 
-# assembled matrices told apart by call site and numbers of source and
-# target components: T and B share one table, and a B_e whose u degree is
-# negative has no u column either
+# assembled matrices told apart by call site, looked up through
+# ``complexes._t_block`` to its caller, and numbers of source and target
+# components (``matrix_count``), with the test-side de Rham maps
 _KINDS = {
-    ("_ozone_rank", 4, 2): "T",
-    ("sealed_k1_dims", 4, 2): "B",
-    ("koszul_matrix", 3, 1): "K1",
-    ("koszul_matrix", 3, 3): "K2",
-    ("cochain_matrix", 1, 3): "d0",
-    ("cochain_matrix", 3, 3): "d1",
+    **KINDS,
     ("derham_exactness_check", 1, 3): "grad",
     ("derham_exactness_check", 3, 3): "curl",
     ("derham_exactness_check", 3, 1): "div",
 }
 
 
-def _clear_memos():
-    """empty every memo in complexes, so that a run assembles each matrix it
-    ranks instead of finding the rank left by an earlier run"""
-    for value in vars(complexes).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
-
-
 def _capture(monkeypatch, run):
     """(kind, src_degs, tgt_degs, matrix) of every assemble call made by
     run() in complexes or in the test-side de Rham check, from empty memos,
     its kind from ``_KINDS``"""
-    _clear_memos()
+    clear_memos()
     calls = []
     real = complexes.assemble
 
     def spy(weights, src_degs, tgt_degs, table):
         m = real(weights, src_degs, tgt_degs, table)
-        kind = _KINDS[sys._getframe(1).f_code.co_name, len(src_degs), len(tgt_degs)]
+        kind = _KINDS[requester(sys._getframe(1)), len(src_degs), len(tgt_degs)]
         calls.append((kind, list(src_degs), list(tgt_degs), m))
         return m
 
@@ -705,8 +693,10 @@ def test_cochain_apply_matches_polynomial_formulas(weights, field, text):
 
 def _off_catalog_potentials():
     """potentials off the catalog, of other degrees and over Q(s)/(s^2+s+1),
-    each to a bound of its own.  Those of degree n != a+b+c assemble the d1
-    matrix at every multiple of n, since O is a Casimir there."""
+    each to a bound of its own.  Those of degree n != a+b+c assemble
+    [T_d | c] at every multiple of n, since O is a Casimir there, and at
+    d = -n where X1_d is not zero, as for x^2+s*x*y+y^2 on (1,1,5): there
+    c = (1, 0) is rational while T's table is over Q(s)."""
     cube = ExtensionField([1, 1, 1])
     return [
         pytest.param(w, field, text, top, id=text)
@@ -725,6 +715,7 @@ def _off_catalog_potentials():
             (W111, QQ, "y^3*z+z^4", 12),
             (W111, cube, "x^3+y^3+z^3+s*x*y*z", 9),
             (W111, cube, "x^4+y^4+z^4+s*x^2*y*z", 8),
+            (Weights(1, 1, 5), cube, "x^2+s*x*y+y^2", 12),
         )]
 
 
@@ -790,7 +781,7 @@ def test_d0_and_k2_ranks_of_proper_powers_match_their_matrices(weights, field, t
     top = 3 * n + 12
     assert complexes._casimir_degree(om) < n
     assert ([complexes._cochain_rank(om, 0, d) for d in range(-n, top + 1)]
-            == [rank(complexes.cochain_matrix(om, 0, d)) for d in range(-n, top + 1)])
+            == [rank(cochain_matrix(om, 0, d)) for d in range(-n, top + 1)])
     assert ([complexes._koszul_rank(om, 2, d) for d in range(top + 1)]
             == [rank(complexes.koszul_matrix(om, 2, d)) for d in range(top + 1)])
     h = gcd_partials(om).homogeneous_degree()
@@ -810,7 +801,7 @@ def test_sealed_dims_match_the_normal_form_reference(weights, field, text, top):
 
 def test_rank_d1_falls_below_rank_t_where_a_casimir_meets_its_image():
     """off a+b+c, the image of T_d may meet ker L, and then rank d1_d is
-    below rank T_d: the d1 matrix assembled in degrees with a Casimir sees
+    below rank T_d: [T_d | c], assembled in degrees with a Casimir, sees
     it"""
     om = parse_poly("x^3*y+y^3*z", W111)
     for d in (0, 4):
@@ -830,7 +821,7 @@ _ISOLATED = [
 
 @pytest.mark.parametrize("weights, text", _ISOLATED, ids=[t for _, t in _ISOLATED])
 def test_ph_dims_match_the_isolated_closed_form(weights, text):
-    """rank d1 in the degrees with a Casimir, assembled only when
+    """rank d1 in the degrees with a Casimir, read off [T_d | c] only when
     n != a+b+c, against the closed forms of an isolated potential: a check
     of it that is not a second matrix"""
     om = parse_poly(text, weights)
@@ -856,7 +847,7 @@ def _sealed_degrees(om, bound):
 def _shared_ranks(om, bound):
     """the ranks of T_e that sealed_k1_dims leaves in the memo, from empty
     memos"""
-    _clear_memos()
+    clear_memos()
     complexes.sealed_k1_dims(om, bound)
     shared = dict(complexes._t_ranks(om))
     assert sorted(shared) == _sealed_degrees(om, bound)
@@ -881,7 +872,7 @@ def test_ranks_read_off_the_sealed_block_give_the_isolated_closed_form(
     real = complexes.assemble
 
     def spy(w, src_degs, tgt_degs, table):
-        if sys._getframe(1).f_code.co_name == "_ozone_rank":
+        if requester(sys._getframe(1)) == "_ozone_rank":
             assembled.append(src_degs[1] - w.a)
         return real(w, src_degs, tgt_degs, table)
 
@@ -904,7 +895,7 @@ def test_rank_t_read_off_the_sealed_block_equals_its_own_matrix(weights, field, 
     alone, at every sealed degree to n+6"""
     om = parse_poly(text, weights, field)
     shared = _shared_ranks(om, top)
-    _clear_memos()
+    clear_memos()
     assert shared == {e: complexes._ozone_rank(om, e) for e in shared}
     assert complexes._t_ranks(om) == shared
 
@@ -924,6 +915,12 @@ def test_a_catalog_pass_eliminates_no_t_at_a_sealed_degree(monkeypatch):
     # 2,310 T matrices when each T_e was eliminated on its own; a T_d with
     # no columns (X1_d = 0) is not assembled
     assert counts == {"T": 794, "B": 1264, "K1": 470, "K2": 412, "d0": 295}
+
+
+def test_a_default_catalog_pass_assembles_the_counted_matrices():
+    """``tests/matrix_count.py`` at the default bound 3n+12: no catalog
+    potential reaches [T_d | c], as every one has n = a+b+c"""
+    assert matrix_counts() == {"B": 3602, "T": 794, "K1": 2808, "K2": 555, "d0": 295}
 
 
 # ---------------------------------------------------------------------------
@@ -958,39 +955,35 @@ def test_operator_tables_are_built_once_per_potential(monkeypatch, weights, fiel
         for d in range(-3, bound + 1):
             poisson.graded_derivation_space(structure, d)
             complexes.ozone_dim(om, d)
-    # cochain table 0, Koszul tables 1, 2 and the ozone table, which also
-    # serves the derivation spaces: the sweep builds no d1 table
+    # the d0 table, Koszul tables 1, 2 and the ozone table, which also
+    # serves d1 and the derivation spaces: the package has no d1 table
     assert len(calls) == 4 and all(f == om for f in calls)
     again = parse_poly(text, weights, field)
-    assert all(complexes._cochain_table(again, i) is complexes._cochain_table(om, i)
-               for i in range(2))
+    assert complexes._d0_table(again) is complexes._d0_table(om)
     assert all(complexes._koszul_table(again, i) is complexes._koszul_table(om, i)
                for i in (1, 2))
     assert complexes._ozone_table(again) is complexes._ozone_table(om)
-    # the d1 table, built once by the first of the lookups above
-    assert len(calls) == 5
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("weights, field, text", _CACHE_POTENTIALS)
 def test_cached_tables_are_immutable_and_unchanged_by_use(weights, field, text):
     om = parse_poly(text, weights, field)
     n = om.homogeneous_degree()
-    w = n - weights.n_default
-    tables = ([complexes._cochain_table(om, i) for i in range(2)]
+    tables = ([complexes._d0_table(om)]
               + [complexes._koszul_table(om, i) for i in (1, 2)]
               + [complexes._ozone_table(om)])
     snapshot = copy.deepcopy(tables)
     # only a table of tuples and immutable values hashes: no dict inside
     for table in tables:
         hash(table)
-    polys = [parse_poly(t, weights, field) for t in ("x^2*y+3*z^3", "1/3*y^2-x*z", "z+x^4*y^2")]
-    for i in range(2):
-        cochain_apply(om, i, polys[:len(complexes.cochain_shifts(weights)[i])])
+    cochain_apply(om, 0, (parse_poly("x^2*y+3*z^3", weights, field),))
     for d in range(-weights.n_default, n + 3):
-        for i in range(2):
-            rank(complexes.cochain_matrix(om, i, d + i * w))
+        rank(complexes._d0_matrix(om, d))
         for i in (1, 2):
             rank(complexes.koszul_matrix(om, i, d + n))
         complexes.ozone_dim(om, d)
+        # [T_d | c] joins a column to the ozone table's terms
+        complexes.derivation_kernel(om, d)
     complexes.sealed_k1_dims(om, n + 2)
     assert tables == snapshot

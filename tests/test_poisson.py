@@ -231,22 +231,28 @@ def test_derivations_match_the_d1_kernel_on_the_extension_families(weights, modu
 
 @pytest.mark.parametrize("weights, modulus, template, lam", _EXTENSION_MEMBERS)
 def test_derivations_assemble_no_d1_matrix(monkeypatch, weights, modulus, template, lam):
-    """a spy on the cochain tables and matrices: degrees 0..3 read the
-    derivations off T_d and assemble no d1 matrix"""
+    """a spy on the package's assembler: degrees 0..3 read the derivations
+    off [T_d | c], whose two target slices are A_{d+n} and A_d, and assemble
+    no d1 matrix, which maps three slices of X^1 to three of X^2.  The
+    package ships no d1 table to build one from (``test_imports``)"""
     from wpoisson import complexes
     om = parse_poly(template % lam, weights, ExtensionField(modulus))
-    indices = []
-    for name in ("_cochain_table", "cochain_matrix"):
-        real = getattr(complexes, name)
-        monkeypatch.setattr(complexes, name,
-                            lambda o, i, *rest, real=real: indices.append(i) or real(o, i, *rest))
+    shapes = []
+    real = complexes.assemble
+
+    def spy(w, src_degs, tgt_degs, table):
+        shapes.append((len(src_degs), len(tgt_degs)))
+        return real(w, src_degs, tgt_degs, table)
+
+    monkeypatch.setattr(complexes, "assemble", spy)
     s = from_potential(om)
     for d in range(4):
         graded_derivation_space(s, d)
-    assert 1 not in indices
+    assert shapes and (3, 3) not in shapes
     # the spy sees the d1 route
+    monkeypatch.setattr(ref, "assemble", spy)
     ref.derivations_by_d1(s, 0)
-    assert 1 in indices
+    assert (3, 3) in shapes
 
 
 @pytest.mark.parametrize("weights, field, text", [
@@ -258,6 +264,14 @@ def test_derivations_assemble_no_d1_matrix(monkeypatch, weights, modulus, templa
 def test_derivations_match_the_d1_kernel_on_proper_powers(weights, field, text):
     """Casimirs in degrees that n does not divide, and n != a+b+c"""
     _assert_derivations_match_d1(parse_poly(text, weights, field), text)
+
+
+def test_derivations_match_the_d1_kernel_where_the_casimir_column_is_rational():
+    """at d = -n = -2, X1_d is not zero and c = (1, 0) has no s-part, while
+    the table of T is over Q(s): c must join it over Q(s), not over Q"""
+    om = parse_poly("x^2+s*x*y+y^2", Weights(1, 1, 5), ExtensionField([1, 1, 1]))
+    assert graded_derivation_space(from_potential(om), -2)
+    _assert_derivations_match_d1(om, "x^2+s*x*y+y^2")
 
 
 def test_rgt_values():

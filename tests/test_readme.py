@@ -1,17 +1,22 @@
 """The README's examples, run as written: each line of the library quick
 start that is an expression must print the value its comment gives, and
 each command of the CLI block must exit 0 and print the lines its comments
-give; and the window budget figures it quotes are the code's."""
+give; and the window budget figures and the test count it quotes are the
+code's."""
 
 import os
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from wpoisson import catalog, complexes
 from wpoisson.ring import count_monomials
 
+from conftest import DESELECTED
 from reference_maps import window_top
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,3 +87,14 @@ def test_readme_quotes_the_window_budget_and_the_largest_default_window():
     assert ("`complexes.WINDOW_BUDGET` monomials (%s; the largest default window in the "
             "catalog holds %s)" % (format(complexes.WINDOW_BUDGET, ","), format(largest, ","))
             ) in text
+
+
+def test_readme_quotes_the_test_count(request):
+    """the count in the README's Tests section is the number of tests the
+    whole suite collects; a run of part of the suite cannot check it"""
+    items = request.session.items
+    every = set(Path(__file__).resolve().parent.glob("test_*.py"))
+    if DESELECTED or not every <= {Path(str(item.fspath)) for item in items}:
+        pytest.skip("only part of the suite is collected")
+    (quoted,) = re.findall(r"^([\d,]+) tests, about", README.read_text(), re.M)
+    assert int(quoted.replace(",", "")) == len(items)

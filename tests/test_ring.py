@@ -143,6 +143,19 @@ def test_substitute_composes():
     assert f.substitute(images) == f
 
 
+def test_substitute_refuses_a_power_or_product_past_the_term_budget():
+    """(x+y+z)^43 has comb(45, 2) = 990 terms and is built; the 44th power
+    could have 1,035 and is refused, and so is the product of two powers of
+    231 terms each, before it is expanded"""
+    w = Weights(1, 1, 1)
+    images = [parse_poly(t, w) for t in ("x+y+z", "x-y", "z")]
+    assert len(parse_poly("x^43", w).substitute(images).terms) == 990
+    for text, what in (("x^44", "power"), ("x^20*y^230", "product")):
+        with pytest.raises(RingError, match="^substitution %s may expand past the 1000-term "
+                                            "budget$" % what):
+            parse_poly(text, w).substitute(images)
+
+
 def test_gradient_and_curl_identities():
     w = Weights(1, 2, 3)
     f = parse_poly("z^2+y^3+x^6", w)
