@@ -58,7 +58,7 @@ def _parse_weights(text):
     try:
         parts = [int(t) for t in text.split(",")]
         if len(parts) != 3:
-            raise ValueError
+            raise ValueError("need three weights a,b,c")
         return Weights(*parts)
     except (ValueError, RingError) as exc:
         _fail_usage("bad --weights %r: %s" % (text, exc))
@@ -75,6 +75,11 @@ def _parse_field(text):
     if text is None or text.strip() in ("", "rationals", "QQ", "Q"):
         return QQ
     src = text.replace(" ", "")
+    # a sign with no term after it, as in "s^2+s+1+" or "s^2--s+1", is no
+    # modulus: the terms below are split at signs, and a bare "-" would
+    # read as the constant -1 ("+-" is one minus sign)
+    if re.search(r"[+-]$|[+-]\+|--", src):
+        _fail_usage("bad --field modulus %r" % text)
     src = src.replace("-", "+-")
     terms = [t for t in src.split("+") if t]
     coeffs = {}

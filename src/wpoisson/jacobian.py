@@ -53,7 +53,7 @@ import heapq
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, groupby
+from itertools import groupby
 
 from .complexes import koszul_component_degs, koszul_matrix
 from .hilbert import HilbertSeries
@@ -484,16 +484,25 @@ def a_sing_hilbert(omega, bound):
     return dict(enumerate(series.expand(0, bound))) if bound >= 0 else {}, series
 
 
+# the nonempty sets of variables as bitmasks, bit v for x_v, and their
+# sizes, largest first
+_SUBSETS = ((7, 3), (3, 2), (5, 2), (6, 2), (1, 1), (2, 1), (4, 1))
+
+
 def gkdim(omega):
     """GK-dimension of the singular quotient A/J, in {0,1,2,3}: dim A/J =
     dim A/in(J), the size of the largest set S of variables with no head of
     the Groebner basis of J a monomial in S alone (Cox, Little, O'Shea,
-    Ideals, Varieties, and Algorithms, ch. 9)"""
+    Ideals, Varieties, and Algorithms, ch. 9), that is no head's support
+    inside S.  When no nonempty S qualifies the answer is 0, for the unit
+    ideal too, whose head 1 has the empty support."""
     check_potential(omega)
-    heads = jacobian_basis(omega).heads()
-    free = [S for k in range(4) for S in combinations(range(3), k)
-            if not any(all(h[v] == 0 for v in range(3) if v not in S) for h in heads)]
-    return max(map(len, free), default=0)
+    supports = {(h[0] > 0) | (h[1] > 0) << 1 | (h[2] > 0) << 2
+                for h in jacobian_basis(omega).heads()}
+    for s, size in _SUBSETS:
+        if all(m & ~s for m in supports):
+            return size
+    return 0
 
 
 def has_isolated_singularity(omega):
@@ -533,8 +542,10 @@ def gcd_partials(omega):
     delta = -sum(d * c for d, c in _jacobian_numerator(omega))
     if not delta:
         return Polynomial.constant(weights, field.one, field)
-    exps = [m for g in gradient(omega).comps for m in g.terms]
-    content = tuple(min(m[v] for m in exps) for v in range(3))
+    # the terms of the partial by x_v are the m - e_v, m a term of omega with
+    # m_v > 0: the coefficient m_v c is nonzero in characteristic 0
+    content = tuple(min(m[u] - (u == v) for m in omega.terms for v in range(3) if m[v])
+                    for u in range(3))
     if weights.mono_degree(content) == delta:
         return Polynomial.monomial(weights, content, field.one, field)
     return _gcd_from_koszul(omega, delta)

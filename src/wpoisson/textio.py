@@ -10,11 +10,19 @@ Grammar (ASCII, whitespace insignificant, explicit '*' required):
 
 "s" is accepted only when parsing over an extension field.  "xy" is a syntax
 error; write "x*y".
+
+A string is tokenised once, and the grammar runs over the token list.  The
+terms of a sum go into one {monomial: coefficient} dict, and one Polynomial
+is built at the end: a one-term product or power stays on exponent
+triples, and only a product or power of sums goes through Polynomial
+arithmetic, after its term budget is checked.  An error finds its offset by
+scanning the text again.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .ring import (
@@ -29,23 +37,37 @@ from .ring import (
     format_rational,
 )
 
+# parentheses nest at most this deep: each level is four frames of the
+# parser's recursion, and the default limit is 1000
+MAX_NESTING = 100
+
+# one token per match: a run of decimal digits (those int() reads), a
+# generator name with the word character after it, if any, so that "xy" is
+# one token, refused as implicit multiplication, or any other character
+# but whitespace
+_TOKEN = re.compile(r"\d+|[xyzs]\w?|[^ \t\r\n]")
+_UNIT = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
+_ONE = (0, 0, 0)
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__("%s (at byte %d)" % (message, offset))
+        self.message = message
         self.offset = offset
 
 
 class BudgetError(ParseError):
-    """well-formed input refused for its size: an integer past the guard, or
-    a power or product that could expand past the term budget"""
+    """well-formed input refused for its size: an integer past the guard,
+    parentheses nested past MAX_NESTING, or a power or product that could
+    expand past the term budget"""
 
 
 class _Written:
-    """the parser's coefficient ring: coefficients stay as written, an int,
-    a Fraction or (where s appears) an ExtElem, so a variable carries the
-    int 1 and no unit coefficient reaches ExtElem arithmetic; parse_poly
-    coerces each stored term into the field once"""
+    """the coefficient ring of the products and powers of sums: coefficients
+    stay as written, an int, a Fraction or (where s appears) an ExtElem, so a
+    variable carries the int 1 and no unit coefficient reaches ExtElem
+    arithmetic; parse_poly coerces each stored term into the field once"""
 
     zero, one = 0, 1
     coerce = staticmethod(lambda v: v)
@@ -67,147 +89,145 @@ def _power(c, e):
     return out
 
 
-class _Parser:
+class _Reader:
+    """the grammar over the tokens of one string.  A value is the dict
+    {monomial: written coefficient} of its nonzero terms; the token list
+    ends with "" for the end of the input."""
+
     def __init__(self, text: str, weights: Weights, field):
         self.text = text
-        self.pos = 0
+        self.toks = _TOKEN.findall(text) + [""]
+        self.i = 0
+        self.depth = 0
         self.weights = weights
         self.field = field
 
-    # -- token helpers -------------------------------------------------------
+    def fail(self, message, i, past=0, error=ParseError):
+        """raise at ``past`` characters into token i, or at the end of the
+        text for the end of the input"""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)]
+        raise error(message, starts[i] + past if i < len(starts) else len(self.text))
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def peek(self):
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str):
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, ch: str):
-        if not self.take(ch):
-            raise ParseError("expected %r" % ch, self.pos)
-
-    def uint(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        digits = self.text[start : self.pos].lstrip("0") or "0"
+    def uint(self, i) -> int:
+        tok = self.toks[i]
+        if not tok.isdecimal():
+            self.fail("expected an integer", i)
+        digits = tok.lstrip("0") or "0"
         # length first: int() refuses strings of more than 4300 digits
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-            raise BudgetError("integer exceeds the 10^6 guard", start)
+            self.fail("integer exceeds the 10^6 guard", i, error=BudgetError)
         return int(digits)
 
-    # -- grammar -------------------------------------------------------------
+    def _expand(self, terms):
+        return Polynomial(self.weights, _Written, terms)
 
-    def expr(self) -> Polynomial:
-        acc = self.term()
+    def expr(self) -> dict:
+        toks = self.toks
+        out = {}
         while True:
-            if self.take("+"):
-                acc = acc + self.term()
-            elif self.take("-"):
-                acc = acc - self.term()
-            else:
-                return acc
+            # the sign between two terms and the unary signs of the second
+            negate = False
+            tok = toks[self.i]
+            while tok == "+" or tok == "-":
+                negate ^= tok == "-"
+                self.i += 1
+                tok = toks[self.i]
+            for m, c in self.term().items():
+                if negate:
+                    c = -c
+                old = out.get(m)
+                if old is None:
+                    out[m] = c
+                    continue
+                s = old + c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+            tok = toks[self.i]
+            if tok != "+" and tok != "-":
+                return out
 
-    def term(self) -> Polynomial:
-        sign = 1
-        while True:
-            if self.take("-"):
-                sign = -sign
-            elif self.take("+"):
-                pass
-            else:
-                break
+    def term(self) -> dict:
+        toks = self.toks
         acc = self.factor()
-        while self.take("*"):
-            at = self.pos - 1
+        while toks[self.i] == "*":
+            at = self.i
+            self.i += 1
             factor = self.factor()
             # a product has at most the product of the term counts
-            if len(acc.terms) * len(factor.terms) > MAX_POWER_TERMS:
-                raise BudgetError("product may expand past the %d-term budget"
-                                 % MAX_POWER_TERMS, at)
-            if len(acc.terms) == 1 == len(factor.terms):
+            if len(acc) * len(factor) > MAX_POWER_TERMS:
+                self.fail("product may expand past the %d-term budget" % MAX_POWER_TERMS,
+                          at, error=BudgetError)
+            if len(acc) == 1 == len(factor):
                 # one term times one term: add exponents, multiply coefficients
-                ((m1, c1),), ((m2, c2),) = acc.terms.items(), factor.terms.items()
-                acc = Polynomial(self.weights, _Written,
-                                 {(m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2]): c1 * c2})
+                ((m1, c1),), ((m2, c2),) = acc.items(), factor.items()
+                acc = {(m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2]): c1 * c2}
             else:
-                acc = acc * factor
-        return acc if sign == 1 else -acc
+                acc = (self._expand(acc) * self._expand(factor)).terms
+        return acc
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> dict:
         base = self.base()
-        if self.take("^"):
-            at = self.pos
-            e = self.uint()
-            # a k-term base has at most comb(e+k-1, k-1) terms in its e-th
-            # power; refuse before expanding one that could pass the budget
-            k = len(base.terms)
-            if k > 1 and math.comb(e + k - 1, k - 1) > MAX_POWER_TERMS:
-                raise BudgetError("power may expand past the %d-term budget"
-                                 % MAX_POWER_TERMS, at)
-            if k == 1:
-                # a one-term power: scale the exponents, power the coefficient
-                ((m, c),) = base.terms.items()
-                return Polynomial(self.weights, _Written,
-                                  {(m[0] * e, m[1] * e, m[2] * e): _power(c, e)})
-            return base ** e
-        return base
+        if self.toks[self.i] != "^":
+            return base
+        at = self.i
+        e = self.uint(at + 1)
+        self.i = at + 2
+        # a k-term base has at most comb(e+k-1, k-1) terms in its e-th
+        # power; refuse before expanding one that could pass the budget
+        k = len(base)
+        if k > 1 and math.comb(e + k - 1, k - 1) > MAX_POWER_TERMS:
+            self.fail("power may expand past the %d-term budget" % MAX_POWER_TERMS,
+                      at, 1, BudgetError)
+        if k == 1:
+            # a one-term power: scale the exponents, power the coefficient
+            ((m, c),) = base.items()
+            return {(m[0] * e, m[1] * e, m[2] * e): _power(c, e)}
+        return (self._expand(base) ** e).terms
 
-    def base(self) -> Polynomial:
-        ch = self.peek()
-        if ch == "(":
-            self.expect("(")
+    def base(self) -> dict:
+        i = self.i
+        tok = self.toks[i]
+        self.i = i + 1
+        if tok in _UNIT:
+            return {_UNIT[tok]: 1}
+        if tok.isdecimal():
+            num = self.uint(i)
+            if self.toks[self.i] != "/":
+                return {_ONE: num} if num else {}
+            den = self.uint(self.i + 1)
+            self.i += 2
+            if den == 0:
+                self.fail("zero denominator", self.i - 1, len(self.toks[self.i - 1]))
+            return {_ONE: Fraction(num, den)} if num else {}
+        if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                self.fail("parentheses nest deeper than %d levels" % MAX_NESTING,
+                          i, error=BudgetError)
             inner = self.expr()
-            self.expect(")")
+            if self.toks[self.i] != ")":
+                self.fail("expected ')'", self.i)
+            self.i += 1
+            self.depth -= 1
             return inner
-        if ch in VAR_NAMES:
-            self.pos += 1
-            self._reject_adjacent_name()
-            return Polynomial.variable(self.weights, ch, _Written)
-        if ch == "s":
-            if not isinstance(self.field, ExtensionField):
-                raise ParseError("'s' requires an extension coefficient field", self.pos)
-            self.pos += 1
-            self._reject_adjacent_name()
-            return Polynomial.constant(self.weights, self.field.generator, _Written)
-        if ch.isdigit():
-            num = self.uint()
-            if self.take("/"):
-                den = self.uint()
-                if den == 0:
-                    raise ParseError("zero denominator", self.pos)
-                return Polynomial.constant(self.weights, Fraction(num, den), _Written)
-            return Polynomial.constant(self.weights, num, _Written)
-        raise ParseError("unexpected character %r" % (ch or "end of input"), self.pos)
-
-    def _reject_adjacent_name(self):
-        # implicit multiplication like "xy" or "2x" after a name is an error
-        if self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            raise ParseError(
-                "implicit multiplication is not accepted; write '*'", self.pos
-            )
+        if tok[:1] == "s" and not isinstance(self.field, ExtensionField):
+            self.fail("'s' requires an extension coefficient field", i)
+        if len(tok) == 2:
+            # a name with a letter, digit or "_" after it, as in "xy"
+            self.fail("implicit multiplication is not accepted; write '*'", i, 1)
+        if tok == "s":
+            return {_ONE: self.field.generator}
+        self.fail("unexpected character %r" % (tok or "end of input"), i)
 
 
 def parse_poly(text: str, weights: Weights, field=QQ) -> Polynomial:
-    p = _Parser(text, weights, field)
-    result = p.expr()
-    p._skip_ws()
-    if p.pos != len(text):
-        raise ParseError("trailing input", p.pos)
-    return Polynomial(weights, field, result.terms)
+    reader = _Reader(text, weights, field)
+    terms = reader.expr()
+    if reader.toks[reader.i]:
+        reader.fail("trailing input", reader.i)
+    return Polynomial(weights, field, terms)
 
 
 def _format_coeff(field, coef) -> str:
@@ -253,20 +273,29 @@ def format_poly(f: Polynomial) -> str:
 
 def parse_map(text: str, weights: Weights, field=QQ):
     """Parse "x->expr; y->expr; z->expr" into a triple of polynomials,
-    ordered (image of x, image of y, image of z)."""
+    ordered (image of x, image of y, image of z).  Every error carries its
+    offset in the whole text."""
     images = {}
-    chunks = [c for c in text.split(";") if c.strip()]
-    for chunk in chunks:
-        if "->" not in chunk:
-            raise ParseError("map entries must look like 'x->expr'", 0)
-        name, expr = chunk.split("->", 1)
+    start = 0  # the offset of the chunk
+    for chunk in text.split(";"):
+        name, arrow, expr = chunk.partition("->")
+        at = start + len(chunk) - len(chunk.lstrip())  # its first non-blank
+        offset = start + len(name) + len(arrow)  # where its image starts
+        start += len(chunk) + 1
+        if not chunk.strip():
+            continue
+        if not arrow:
+            raise ParseError("map entries must look like 'x->expr'", at)
         name = name.strip()
         if name not in VAR_NAMES:
-            raise ParseError("unknown generator %r" % name, 0)
+            raise ParseError("unknown generator %r" % name, at)
         if name in images:
-            raise ParseError("duplicate generator %r" % name, 0)
-        images[name] = parse_poly(expr, weights, field)
+            raise ParseError("duplicate generator %r" % name, at)
+        try:
+            images[name] = parse_poly(expr, weights, field)
+        except ParseError as exc:
+            raise type(exc)(exc.message, offset + exc.offset) from None
     missing = [v for v in VAR_NAMES if v not in images]
     if missing:
-        raise ParseError("missing generator %r" % missing[0], 0)
+        raise ParseError("missing generator %r" % missing[0], len(text))
     return (images["x"], images["y"], images["z"])

@@ -1,11 +1,12 @@
-"""A deterministic work count of the Groebner layer: the calls of
-``jacobian._reduce`` made while building the Jacobian bases of the
-benchmark's ``groebner`` pool at one seed.  The pool is the three jobs of a
-35 s run, 96 potentials each, with the basis cache emptied before each
-job, as every benchmark job starts in a cold worker.  The pool comes from
-``perfbench/inputs.py``, loaded without writing anything beside it.
+"""Deterministic work counts of the benchmark's ``groebner`` pool at one
+seed: the calls of ``jacobian._reduce`` made while building the Jacobian
+bases, and the ``Polynomial`` objects built while parsing the potentials.
+The pool is the three jobs of a 35 s run, 96 potentials each, with the
+basis cache emptied before each job, as every benchmark job starts in a
+cold worker.  The pool comes from ``perfbench/inputs.py``, loaded without
+writing anything beside it.
 
-Print the count from the repository root with
+Print the counts from the repository root with
 
     PYTHONPATH=src python tests/reduce_count.py [seed]
 """
@@ -14,7 +15,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from wpoisson import Weights, jacobian, parse_poly
+from wpoisson import Polynomial, Weights, jacobian, parse_poly
 
 ROOT = Path(__file__).resolve().parent.parent
 JOBS = 3
@@ -32,11 +33,40 @@ def _load_inputs():
     return module
 
 
+def _texts(seed):
+    """(potential text, weights) of the pool, one list per job"""
+    jobs = _load_inputs().GroebnerJobs(ROOT, seed)
+    return [[(op["potential"], Weights(*op["weights"])) for op in jobs.job(k)]
+            for k in range(JOBS)]
+
+
+def _parse(texts):
+    return [[parse_poly(text, weights) for text, weights in job] for job in texts]
+
+
 def pool(seed):
     """the pool's potentials, one list per job"""
-    jobs = _load_inputs().GroebnerJobs(ROOT, seed)
-    return [[parse_poly(op["potential"], Weights(*op["weights"])) for op in jobs.job(k)]
-            for k in range(JOBS)]
+    return _parse(_texts(seed))
+
+
+def parse_polynomials(seed=1):
+    """(potentials, Polynomial objects built while parsing them) over the
+    pool of this seed"""
+    built = 0
+    init = Polynomial.__init__
+
+    def counted(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    texts = _texts(seed)
+    Polynomial.__init__ = counted
+    try:
+        _parse(texts)
+    finally:
+        Polynomial.__init__ = init
+    return sum(map(len, texts)), built
 
 
 def reduce_calls(seed=1):
@@ -67,3 +97,6 @@ if __name__ == "__main__":
     count, calls = reduce_calls(seed)
     print("jacobian._reduce calls over the seed-%d groebner pool (%d potentials): %d"
           % (seed, count, calls))
+    count, built = parse_polynomials(seed)
+    print("Polynomial objects built parsing the seed-%d groebner pool (%d potentials): %d"
+          % (seed, count, built))

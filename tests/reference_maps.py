@@ -11,8 +11,12 @@ gcd fold, which sweeps degrees where the package reads deg gcd off the
 Hilbert numerator, Bigatti's pivot recursion for that numerator, which the
 package now reads off the z-slices of the initial ideal, and the lcm-table
 scan of the critical pairs, which the package now makes coordinate by
-coordinate, and the eager inter-reduction of a minimal Groebner basis,
-which the package now makes when the reduced basis is first read.
+coordinate, the eager inter-reduction of a minimal Groebner basis,
+which the package now makes when the reduced basis is first read, and the
+GK-dimension by the variable subsets, which the package now tests against
+the supports of the heads.  And the recursive-descent parser, character by
+character with one Polynomial per base, which the package replaced by one
+pass over a token list.
 Last, the Poisson layer at the level of its definitions: the bracket by
 components, the jacobiator from three brackets, the modular
 derivation from the divergences of the Hamiltonians, the twist by
@@ -29,17 +33,21 @@ cohomology table, the M2 table, the standard monomials outside a set of
 heads, the bracket-compatible derivations in negative degree, and the top
 degree that the maps of a truncation window reach."""
 
+import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from wpoisson import complexes, gradient, normal_form, rank
+from wpoisson import complexes, gradient, normal_form, rank, textio
 from wpoisson.complexes import _cochain_rank, _m2_dim, _window, ph_dims
 from wpoisson.hilbert import _laurent_sub, _product_one_minus
 from wpoisson.jacobian import jacobian_basis
 from wpoisson.linalg import Matrix, assemble, kernel_basis, op_table, vector_to_polys
 from wpoisson.poisson import PoissonStructure
-from wpoisson.ring import (QQ, Polynomial, PolyVector, RingError, check_potential,
-                           count_monomials, cross, curl, div, dot, mono_key, monomial_basis)
+from wpoisson.ring import (MAX_EXPONENT, QQ, VAR_NAMES, ExtensionField, Polynomial,
+                           PolyVector, RingError, check_potential, count_monomials, cross,
+                           curl, div, dot, mono_key, monomial_basis)
+from wpoisson.textio import BudgetError, ParseError, _power, _Written
 
 from closed_forms import euler_rhs
 
@@ -390,6 +398,163 @@ def eager_reduced_basis(gb):
     polys = [Polynomial(gb.weights, gb.field, {h: lc, **dict(tail)})
              for h, lc, tail in gb._divisors]
     return tuple(normal_form(p, polys[:i] + polys[i + 1:]).monic() for i, p in enumerate(polys))
+
+
+def gkdim_by_subsets(heads):
+    """GK-dimension of A modulo the ideal with these heads: the size of the
+    largest set S of variables with no head a monomial in S alone"""
+    free = [S for k in range(4) for S in combinations(range(3), k)
+            if not any(all(h[v] == 0 for v in range(3) if v not in S) for h in heads)]
+    return max(map(len, free), default=0)
+
+
+class _Parser:
+    """recursive descent over the characters of the text, one Polynomial
+    over the written coefficients per base, product and power; reads
+    ``textio.MAX_POWER_TERMS`` when it checks a budget"""
+
+    def __init__(self, text, weights, field):
+        self.text = text
+        self.pos = 0
+        self.weights = weights
+        self.field = field
+
+    # -- token helpers -------------------------------------------------------
+
+    def _skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
+            self.pos += 1
+
+    def peek(self):
+        self._skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, ch):
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, ch):
+        if not self.take(ch):
+            raise ParseError("expected %r" % ch, self.pos)
+
+    def uint(self):
+        self._skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            raise ParseError("expected an integer", start)
+        digits = self.text[start : self.pos].lstrip("0") or "0"
+        # length first: int() refuses strings of more than 4300 digits
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise BudgetError("integer exceeds the 10^6 guard", start)
+        return int(digits)
+
+    # -- grammar -------------------------------------------------------------
+
+    def expr(self):
+        acc = self.term()
+        while True:
+            if self.take("+"):
+                acc = acc + self.term()
+            elif self.take("-"):
+                acc = acc - self.term()
+            else:
+                return acc
+
+    def term(self):
+        sign = 1
+        while True:
+            if self.take("-"):
+                sign = -sign
+            elif self.take("+"):
+                pass
+            else:
+                break
+        acc = self.factor()
+        budget = textio.MAX_POWER_TERMS
+        while self.take("*"):
+            at = self.pos - 1
+            factor = self.factor()
+            # a product has at most the product of the term counts
+            if len(acc.terms) * len(factor.terms) > budget:
+                raise BudgetError("product may expand past the %d-term budget" % budget, at)
+            if len(acc.terms) == 1 == len(factor.terms):
+                # one term times one term: add exponents, multiply coefficients
+                ((m1, c1),), ((m2, c2),) = acc.terms.items(), factor.terms.items()
+                acc = Polynomial(self.weights, _Written,
+                                 {(m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2]): c1 * c2})
+            else:
+                acc = acc * factor
+        return acc if sign == 1 else -acc
+
+    def factor(self):
+        base = self.base()
+        if self.take("^"):
+            at = self.pos
+            e = self.uint()
+            # a k-term base has at most comb(e+k-1, k-1) terms in its e-th
+            # power; refuse before expanding one that could pass the budget
+            k = len(base.terms)
+            budget = textio.MAX_POWER_TERMS
+            if k > 1 and math.comb(e + k - 1, k - 1) > budget:
+                raise BudgetError("power may expand past the %d-term budget" % budget, at)
+            if k == 1:
+                # a one-term power: scale the exponents, power the coefficient
+                ((m, c),) = base.terms.items()
+                return Polynomial(self.weights, _Written,
+                                  {(m[0] * e, m[1] * e, m[2] * e): _power(c, e)})
+            return base ** e
+        return base
+
+    def base(self):
+        ch = self.peek()
+        if ch == "(":
+            self.expect("(")
+            inner = self.expr()
+            self.expect(")")
+            return inner
+        if ch in VAR_NAMES:
+            self.pos += 1
+            self._reject_adjacent_name()
+            return Polynomial.variable(self.weights, ch, _Written)
+        if ch == "s":
+            if not isinstance(self.field, ExtensionField):
+                raise ParseError("'s' requires an extension coefficient field", self.pos)
+            self.pos += 1
+            self._reject_adjacent_name()
+            return Polynomial.constant(self.weights, self.field.generator, _Written)
+        if ch.isdigit():
+            num = self.uint()
+            if self.take("/"):
+                den = self.uint()
+                if den == 0:
+                    raise ParseError("zero denominator", self.pos)
+                return Polynomial.constant(self.weights, Fraction(num, den), _Written)
+            return Polynomial.constant(self.weights, num, _Written)
+        raise ParseError("unexpected character %r" % (ch or "end of input"), self.pos)
+
+    def _reject_adjacent_name(self):
+        # implicit multiplication like "xy" or "2x" after a name is an error
+        if self.pos < len(self.text) and (
+            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
+        ):
+            raise ParseError(
+                "implicit multiplication is not accepted; write '*'", self.pos
+            )
+
+
+def parse_poly_by_descent(text, weights, field=QQ):
+    """``textio.parse_poly`` as the package made it before it parsed a token
+    list in one pass: the same grammar, values, errors and offsets"""
+    p = _Parser(text, weights, field)
+    result = p.expr()
+    p._skip_ws()
+    if p.pos != len(text):
+        raise ParseError("trailing input", p.pos)
+    return Polynomial(weights, field, result.terms)
 
 
 def bracket_by_components(s, f, g):

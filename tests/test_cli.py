@@ -274,12 +274,32 @@ def test_field_modulus_with_a_root_or_a_repeated_factor_is_refused(modulus, why)
     assert res.stderr.splitlines() == ["error: --field modulus %s is reducible: %s" % (modulus, why)]
 
 
-@pytest.mark.parametrize("modulus", ["s^2+1", "s^2+s+1", "s^3-2", "s-3"])
+@pytest.mark.parametrize("modulus", ["s^2+1", "s^2+s+1", "s^3-2", "s-3", "s^2+-s+1"])
 def test_irreducible_field_modulus_is_accepted(modulus):
     res = CliRunner().invoke(main, ["koszul", "-w", "1,1,1", "-p", "x^3+y^3+z^3+s*x*y*z",
                                     "--field", modulus, "-D", "3"], catch_exceptions=False)
     assert res.exit_code == 0, res.stderr
     assert "# field: %s\n" % modulus in res.stdout
+
+
+@pytest.mark.parametrize("modulus", ["s^2+s+1+", "s^2++s+1", "s^2--s+1", "s^2+s-", "s^2-+s+1"])
+def test_field_modulus_with_a_stray_sign_is_bad_input(modulus):
+    """a sign with no term after it was dropped, or read as the constant -1:
+    s^2+s- was taken as the field s^2+s-1, and s^2--s+1 as s^2-s"""
+    res = CliRunner().invoke(main, ["rgt", "-w", "1,1,1", "-p", "x^3+y^3+z^3",
+                                    "--field", modulus], catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines()[-1] == "Error: bad --field modulus %r" % modulus
+
+
+@pytest.mark.parametrize("weights", ["1,1", "1,1,1,1"])
+def test_weights_of_the_wrong_length_say_so(weights):
+    res = CliRunner().invoke(main, ["gkdim", "-w", weights, "-p", "x^3"], catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines()[-1] == (
+        "Error: bad --weights %r: need three weights a,b,c" % weights)
 
 
 def test_field_modulus_coefficient_past_the_guard_is_refused():
@@ -384,7 +404,11 @@ def test_substitution_past_the_term_budget_exits_2_before_expanding(monkeypatch)
      "error: bad polynomial 'x^3+y^3+z^3+2000000*x*y*z': integer exceeds the 10^6 guard"
      " (at byte 12)"),
     (["verify-aut", "-w", "1,1,1", "-p", "x^3+y^3+z^3", "--map", "x->(x+y)^2000; y->y; z->z"],
-     "error: bad map: power may expand past the 1000-term budget (at byte 6)"),
+     "error: bad map: power may expand past the 1000-term budget (at byte 9)"),
+    # nesting past the parser's recursion is refused, not a RecursionError
+    (["rgt", "-w", "1,1,1", "-p", "(" * 300 + "x^3" + ")" * 300],
+     "error: bad polynomial '%s': parentheses nest deeper than 100 levels (at byte 100)"
+     % ("(" * 300 + "x^3" + ")" * 300)),
 ])
 def test_budget_refusals_in_a_polynomial_print_one_error_line(args, line):
     res = CliRunner().invoke(main, args, catch_exceptions=False)
@@ -397,7 +421,17 @@ def test_budget_refusals_in_a_polynomial_print_one_error_line(args, line):
     (["rgt", "-w", "1,1,1", "-p", "x^3+y^3+"],
      "Error: bad polynomial 'x^3+y^3+': unexpected character 'end of input' (at byte 8)"),
     (["verify-aut", "-w", "1,1,1", "-p", "x^3+y^3+z^3", "--map", "x->2x; y->y; z->z"],
-     "Error: bad map: trailing input (at byte 1)"),
+     "Error: bad map: trailing input (at byte 4)"),
+    # a map error is placed in the whole --map text, not in one image
+    (["verify-aut", "-w", "1,1,1", "-p", "x^3+y^3+z^3", "--map", "x->y; y->z+q; z->x"],
+     "Error: bad map: unexpected character 'q' (at byte 11)"),
+    (["verify-aut", "-w", "1,1,1", "-p", "x^3+y^3+z^3", "--map", "x->y; w->z; z->x"],
+     "Error: bad map: unknown generator 'w' (at byte 6)"),
+    (["verify-aut", "-w", "1,1,1", "-p", "x^3+y^3+z^3", "--map", "x->y; y->x"],
+     "Error: bad map: missing generator 'z' (at byte 10)"),
+    # a digit that is not a decimal digit is no integer; int() refuses it
+    (["rgt", "-w", "1,1,1", "-p", "x^\u00b2+y^3+z^3"],
+     "Error: bad polynomial 'x^\u00b2+y^3+z^3': expected an integer (at byte 2)"),
 ])
 def test_syntax_errors_in_a_polynomial_stay_usage_errors(args, message):
     res = CliRunner().invoke(main, args, catch_exceptions=False)

@@ -1,0 +1,173 @@
+"""A seeded command-line fuzzer: valid and malformed --weights, --field,
+--potential, --map/--inverse and --max-degree values over the subcommands
+that take them.  Every case must exit 0, 1 or 2 and print no traceback; a
+case that exits 2 prints one ``error:`` line, or click's usage block ending
+in one ``Error:`` line.  Cases are bounded by counts, not by a clock: small
+weights, degrees and bounds, and bounds far past the window budget, which
+are refused before anything is listed."""
+
+import random
+
+import pytest
+from click.testing import CliRunner
+
+from wpoisson.cli import main
+
+VARS = "xyz"
+WEIGHTS = [(1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 1, 3), (1, 2, 2), (2, 3, 3), (1, 3, 3)]
+COEFFS = ["", "", "", "-", "2*", "-3*", "1/2*", "-5/3*"]
+EXT_COEFFS = ["s*", "(1+s)*", "-s*", "(2-s)*"]
+FIELDS = {"rationals": "rationals", "Q": "rationals", "s^2+s+1": "ext", "s^2 + 1": "ext"}
+BAD_FIELDS = ["s^2-1", "s", "2*s^2+1", "s^40+1", "s^2+s+1+q", "s^2+", "t^2+1",
+              "s^99999999999999999999+1", "s^2+1000001", "-s^2+1"]
+BAD_WEIGHTS = ["1,1", "1,1,1,1", "0,1,1", "-1,1,1", "a,b,c", "", "1,,1", "1.5,1,1",
+               "1;1;1", "9999999,1,1", "1,1,99999999999999999999"]
+BAD_BOUNDS = ["abc", "1.5", "", "1e3", "--", "0x10"]
+# the window budget refuses these bounds before a monomial is listed
+HUGE_BOUNDS = ["10000000", "99999999999999999999", "-10000000"]
+# a letter outside ASCII, and a digit that is not decimal: int() refuses it
+NOISE = "xyzs0123456789+-*^/()  q_;>é²"
+BOUND_COMMANDS = ["cohomology", "koszul", "sealed", "vacancy", "ozone"]
+PLAIN_COMMANDS = ["rgt", "gkdim", "singularity", "jacobi", "modular"]
+
+
+def _mutate(rng, text):
+    """text with one or two characters inserted, deleted or cut after"""
+    for _ in range(rng.randint(1, 2)):
+        at = rng.randint(0, len(text))
+        how = rng.random()
+        if how < 0.5:
+            text = text[:at] + rng.choice(NOISE) + text[at:]
+        elif how < 0.85:
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at]
+    return text
+
+
+def _monomials(weights, d):
+    a, b, c = weights
+    return [(i, j, (d - a * i - b * j) // c)
+            for i in range(d // a + 1) for j in range((d - a * i) // b + 1)
+            if (d - a * i - b * j) % c == 0]
+
+
+def _mono_text(m):
+    parts = [v if e == 1 else "%s^%d" % (v, e) for v, e in zip(VARS, m) if e]
+    return "*".join(parts) or "1"
+
+
+def _poly_text(rng, weights, d, ext):
+    mons = _monomials(weights, d)
+    coeffs = COEFFS + EXT_COEFFS if ext else COEFFS
+    chosen = rng.sample(mons, min(len(mons), rng.randint(1, 4)))
+    text = "+".join(rng.choice(coeffs) + _mono_text(m) for m in chosen)
+    return text.replace("+-", "-") or "0"
+
+
+def _potential(rng, weights, ext):
+    n = sum(weights)
+    d = rng.choice([max(weights), n, n, n + 1, 2 * n])
+    kind = rng.random()
+    if kind < 0.7:
+        return _poly_text(rng, weights, d, ext)
+    if kind < 0.8:  # not homogeneous
+        return _poly_text(rng, weights, d, ext) + "+" + _poly_text(rng, weights, d + 1, ext)
+    if kind < 0.85:
+        return rng.choice(["0", "1", "x-x", "s", "(x+y+z)^100000", "x^1000001"])
+    return _mutate(rng, _poly_text(rng, weights, d, ext))
+
+
+def _map(rng, weights, ext):
+    """a map text: the identity, or each generator to a sum of monomials of
+    its own weight (a graded map) or of another weight, with a generator
+    left out or repeated, or a mutated text"""
+    if rng.random() < 0.2:
+        return "x->x; y->y; z->z"
+    entries = []
+    for v, w in zip(VARS, weights):
+        d = w if rng.random() < 0.8 else w + 1
+        entries.append("%s->%s" % (v, _poly_text(rng, weights, d, ext)))
+    rng.shuffle(entries)
+    kind = rng.random()
+    if kind < 0.1:
+        entries.pop()
+    elif kind < 0.15:
+        entries.append(entries[0])
+    text = rng.choice(["; ", ";", " ; "]).join(entries)
+    return _mutate(rng, text) if rng.random() < 0.25 else text
+
+
+def _case(rng):
+    """one argument list"""
+    field_text = rng.choice(list(FIELDS) if rng.random() < 0.85 else BAD_FIELDS)
+    ext = FIELDS.get(field_text) == "ext"
+    weights = rng.choice(WEIGHTS)
+    weights_text = ",".join(map(str, weights)) if rng.random() < 0.9 else rng.choice(BAD_WEIGHTS)
+    common = ["-w", weights_text, "--potential", _potential(rng, weights, ext)]
+    if field_text != "rationals" or rng.random() < 0.2:
+        common += ["--field", field_text]
+    kind = rng.random()
+    if kind < 0.35:
+        args = [rng.choice(PLAIN_COMMANDS)] + common
+    elif kind < 0.65:
+        args = [rng.choice(BOUND_COMMANDS)] + common
+        bound = rng.random()
+        if bound < 0.1:
+            pass  # the default bound, 3n+12
+        elif bound < 0.75:
+            args += ["--max-degree", str(rng.randint(-2, 8))]
+        elif bound < 0.9:
+            args += ["--max-degree", rng.choice(HUGE_BOUNDS)]
+        else:
+            args += ["--max-degree", rng.choice(BAD_BOUNDS)]
+    elif kind < 0.95:
+        args = ["verify-aut"] + common + ["--map", _map(rng, weights, ext)]
+        if rng.random() < 0.3:
+            args += ["--inverse", _map(rng, weights, ext)]
+    else:
+        args = ["bracket"] + common + ["--f", _poly_text(rng, weights, 1, ext),
+                                       "--g", _mutate(rng, "x*y")]
+    if rng.random() < 0.2:
+        args += ["--format", rng.choice(["json", "csv", "table"])]
+    return args
+
+
+def _check(args, res):
+    what = "wpoisson %s" % " ".join(repr(a) for a in args)
+    exc = res.exception
+    assert exc is None or isinstance(exc, SystemExit), "%s raised %r" % (what, exc)
+    assert res.exit_code in (0, 1, 2), what
+    assert "Traceback" not in res.stdout + res.stderr, what
+    if res.exit_code != 2:
+        return
+    assert res.stdout == "", what
+    lines = res.stderr.splitlines()
+    # the error names its reason
+    assert not lines[-1].endswith(": "), what
+    if lines[0].startswith("error: "):
+        assert len(lines) == 1, what
+    else:
+        assert lines[0].startswith("Usage: ") and lines[-1].startswith("Error: "), what
+        assert sum(line.startswith("Error: ") for line in lines) == 1, what
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_seeded_cli_cases_exit_0_1_or_2_without_a_traceback(seed):
+    rng = random.Random("fuzz:%d" % seed)
+    runner = CliRunner()
+    codes = {0: 0, 1: 0, 2: 0}
+    for _ in range(250):
+        args = _case(rng)
+        res = runner.invoke(main, args)
+        _check(args, res)
+        codes[res.exit_code] += 1
+    # the cases reach answers and refusals alike
+    assert codes[0] > 10 and codes[2] > 10, codes
+
+
+def test_catalog_verify_takes_small_huge_and_malformed_bounds():
+    runner = CliRunner()
+    for bound in ["0", "3", "-2"] + HUGE_BOUNDS + BAD_BOUNDS:
+        args = ["catalog", "verify", "--filter", "111-i-c0", "--max-degree", bound]
+        _check(args, runner.invoke(main, args))

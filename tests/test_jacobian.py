@@ -36,8 +36,9 @@ from wpoisson.ring import (
 )
 
 from reference_maps import (bigatti_numerator, critical_pairs_by_lcm_table, eager_reduced_basis,
-                            gcd_by_fold, mono_divides, mono_lcm, standard_monomials)
-from reduce_count import reduce_calls
+                            gcd_by_fold, gkdim_by_subsets, mono_divides, mono_lcm,
+                            standard_monomials)
+from reduce_count import parse_polynomials, pool, reduce_calls
 
 
 def _mul_term(p, m, coef):
@@ -964,3 +965,32 @@ def test_reduce_calls_over_the_seed_1_groebner_pool():
     tails only on first read cut it from 10,141 calls, when every basis was
     inter-reduced and the reduced basis proved, to 8,024"""
     assert reduce_calls(1) == (288, 8024)
+
+
+def test_parsing_the_seed_1_groebner_pool_builds_one_polynomial_per_string():
+    """a deterministic work count: the one-pass parser builds each
+    potential's Polynomial once; the recursive-descent parser built 7,459
+    for these 288 strings"""
+    assert parse_polynomials(1) == (288, 288)
+
+
+def _gkdim_cases():
+    yield from (e.omega for e in catalog.entries())
+    for job in pool(1):
+        yield from job
+    # unit ideals: a partial is a nonzero constant
+    yield parse_poly("x", Weights(3, 1, 1))
+    yield parse_poly("x+y^2", Weights(2, 1, 1))
+
+
+def test_gkdim_by_head_supports_matches_the_subset_scan():
+    """the largest set of variables containing no head's support, read off
+    support bitmasks, against the scan of every subset by its variables"""
+    seen = {}
+    for omega in _gkdim_cases():
+        want = gkdim_by_subsets(jacobian_basis(omega).heads())
+        assert gkdim(omega) == want, omega
+        seen[want] = seen.get(want, 0) + 1
+    assert set(seen) == {0, 1, 2}, seen
+    assert gkdim(parse_poly("x", Weights(3, 1, 1))) == 0
+    assert jacobian_basis(parse_poly("x+y^2", Weights(2, 1, 1))).heads() == ((0, 0, 0),)

@@ -1,11 +1,17 @@
 """Parser and printer round trips, plus error reporting."""
 
+import random
+import re
+from fractions import Fraction
+
 import pytest
 
 from wpoisson import ExtensionField, Weights, format_poly, parse_map, parse_poly
 from wpoisson import textio
-from wpoisson.ring import Polynomial
-from wpoisson.textio import ParseError
+from wpoisson.ring import QQ, Polynomial
+from wpoisson.textio import BudgetError, ParseError
+
+from reference_maps import parse_poly_by_descent
 
 
 W112 = Weights(1, 1, 2)
@@ -216,3 +222,181 @@ def test_parse_map_extension_field():
     phi = parse_map("x->s*y; y->-s*x; z->-z-x*y", W112, field=fld)
     assert len(phi) == 3
     assert format_poly(phi[0]) == "(s)*y"
+
+
+# -- the one-pass parser against the recursive-descent oracle ---------------
+
+Q3 = ExtensionField([1, 1, 1])  # Q(s)/(s^2+s+1)
+W111 = Weights(1, 1, 1)
+
+
+def _ws(rng):
+    return rng.choice(["", "", "", "", " ", "  ", "\t", "\n", " \r\n "])
+
+
+def _integer(rng):
+    value = rng.choice([0, 1, 1, 2, 3, 5, 7, 12, rng.randint(0, 10 ** 6)])
+    return "0" * rng.choice([0, 0, 0, 0, 1, 3]) + str(value)
+
+
+def _base(rng, depth, names):
+    kind = rng.random()
+    if kind < 0.45:
+        return rng.choice(names)
+    if kind < 0.65:
+        return _integer(rng)
+    if kind < 0.75:
+        return "%s%s/%s%s" % (_integer(rng), _ws(rng), _ws(rng), rng.randint(1, 40))
+    if depth <= 0:
+        return rng.choice(names)
+    return "(" + _ws(rng) + _expr(rng, depth - 1, names) + _ws(rng) + ")"
+
+
+def _factor(rng, depth, names):
+    base = _base(rng, depth, names)
+    if rng.random() < 0.3:
+        # small exponents for sums and numbers, larger ones for a name
+        top = 40 if base in names else 3
+        base += _ws(rng) + "^" + _ws(rng) + str(rng.randint(0, top))
+    return base
+
+
+def _expr(rng, depth, names):
+    out = []
+    for k in range(rng.randint(1, 4)):
+        signs = "".join(rng.choice("+-") + _ws(rng) for _ in range(rng.choice([0, 0, 0, 1, 2, 3])))
+        if k:
+            signs = rng.choice("+-") + _ws(rng) + signs
+        factors = [_factor(rng, depth, names) for _ in range(rng.randint(1, 3))]
+        out.append(signs + (_ws(rng) + "*" + _ws(rng)).join(factors))
+    return _ws(rng).join(out)
+
+
+def valid_text(rng, ext=False):
+    """a seeded string of the grammar: nested parentheses, powers, repeated
+    unary signs, fractions, whitespace, and s over an extension field"""
+    names = "xyzs" if ext else "xyz"
+    return _ws(rng) + _expr(rng, 2, names) + _ws(rng)
+
+
+# characters a mutation inserts: the grammar's, whitespace, a name not in
+# it, a letter and a decimal digit outside ASCII
+_NOISE = "xyzs0123456789+-*^/()  \tq_.,eé٣"
+
+
+def malformed_text(rng, ext=False):
+    """a valid string with one to three characters inserted, deleted or
+    cut after"""
+    text = valid_text(rng, ext)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(0, len(text))
+        how = rng.random()
+        if how < 0.5:
+            text = text[:at] + rng.choice(_NOISE) + text[at:]
+        elif how < 0.85:
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at]
+    return text
+
+
+MALFORMED = ["x^", "x^ ", "x**2", "xy", "2x", "x2", "x_", "s*x", "x+", "x-", "x*", "x^2/2",
+             "x^2^3", "(x+y", "x+y)", "((x)", ")", "(", "", "  ", "1/0", "1/00", "1/ 0 + x",
+             "1/", "1/x", "9" * 5000, "9" * 5000 + "*x", "x^" + "9" * 5000, "x^1000001",
+             "1000001*x", "(x+y+z)^100000", "(x+y)^2000", "(1+x+y+z)*" * 10 + "(1+x+y+z)",
+             "x^3+q", "xé", "x+é", "x.5", "x,y", "x\u000by"]
+
+
+def _outcome(parse, text, weights, field):
+    try:
+        return parse(text, weights, field)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+def _agree(text, weights=W112, field=QQ):
+    got = _outcome(parse_poly, text, weights, field)
+    want = _outcome(parse_poly_by_descent, text, weights, field)
+    assert got == want, (text, got, want)
+    return got
+
+
+def test_the_token_parser_matches_the_descent_oracle_on_seeded_strings():
+    rng = random.Random(20261019)
+    outcomes = {"valid": 0, "refused": 0}
+    for k in range(2400):
+        field = Q3 if k % 4 == 3 else QQ
+        make = valid_text if k % 3 else malformed_text
+        got = _agree(make(rng, field is Q3), W112 if k % 2 else W111, field)
+        outcomes["valid" if isinstance(got, Polynomial) else "refused"] += 1
+    # both sides of the comparison are exercised
+    assert min(outcomes.values()) > 400, outcomes
+
+
+def test_the_token_parser_matches_the_descent_oracle_on_malformed_strings():
+    for text in MALFORMED:
+        assert not isinstance(_agree(text), Polynomial), text
+    # over Q(s) "s" is a coefficient; a name after it is implicit multiplication
+    for text in ("s", "s*x+s^2", "sx", "s_", "(s+1)^3*x", "s^0"):
+        _agree(text, field=Q3)
+
+
+def test_the_token_parser_matches_the_descent_oracle_under_a_small_budget(monkeypatch):
+    """both read textio.MAX_POWER_TERMS when they check a power or product"""
+    monkeypatch.setattr(textio, "MAX_POWER_TERMS", 12)
+    rng = random.Random(7)
+    refused = 0
+    for _ in range(300):
+        got = _agree(valid_text(rng))
+        refused += isinstance(got, tuple) and got[0] is BudgetError
+    assert refused > 10
+
+
+def test_non_decimal_digits_and_deep_nesting_are_parse_errors():
+    """the oracle raised a bare ValueError from int() on a digit that is not
+    decimal, and RecursionError past about 240 parentheses; both are now
+    refused with an offset"""
+    with pytest.raises(ParseError, match=r"expected an integer \(at byte 2\)"):
+        parse_poly("x^²", W112)
+    with pytest.raises(ParseError, match=r"unexpected character '²' \(at byte 0\)"):
+        parse_poly("²", W112)
+    with pytest.raises(ValueError) as err:
+        parse_poly_by_descent("x^²", W112)
+    assert not isinstance(err.value, ParseError)
+    assert parse_poly("(" * 100 + "x" + ")" * 100, W112) == parse_poly("x", W112)
+    with pytest.raises(BudgetError, match=r"nest deeper than 100 levels \(at byte 100\)"):
+        parse_poly("(" * 101 + "x" + ")" * 101, W112)
+    with pytest.raises(BudgetError):
+        parse_poly("(" * 100000, W112)
+
+
+def _sympy_value(sympy, text, field):
+    """the terms of text expanded by sympy, each coefficient an ascending
+    tuple of Fractions in s reduced mod s^2+s+1 (of length 1 over Q)"""
+    x, y, z, s = sympy.symbols("x y z s")
+    # no leading zeros, and a fraction is one base: a/b^e is (a/b)^e
+    python = re.sub(r"\d+", lambda m: str(int(m.group())), re.sub(r"\s", "", text))
+    python = re.sub(r"(\d+/\d+)", r"(\1)", python).replace("^", "**")
+    expr = sympy.parse_expr(python, local_dict={"x": x, "y": y, "z": z, "s": s})
+    # s^3 = 1 and s^2 = -1 - s
+    powers = [(1, 0), (0, 1), (-1, -1)] if field is Q3 else [(1,)]
+    out = {}
+    for (e0, e1, e2, es), c in sympy.Poly(expr, x, y, z, s).terms():
+        old = out.get((e0, e1, e2), (0,) * len(powers[0]))
+        out[(e0, e1, e2)] = tuple(a + Fraction(int(c.p), int(c.q)) * b
+                                  for a, b in zip(old, powers[es % 3]))
+    return {m: c for m, c in out.items() if any(c)}
+
+
+def test_parsed_values_match_sympy_expansion():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(33)
+    for k in range(150):
+        field = Q3 if k % 3 == 0 else QQ
+        text = valid_text(rng, field is Q3)
+        got = _outcome(parse_poly, text, W112, field)
+        if not isinstance(got, Polynomial):
+            assert got[0] is BudgetError, (text, got)
+            continue
+        terms = {m: c.coeffs if field is Q3 else (c,) for m, c in got.terms.items()}
+        assert terms == _sympy_value(sympy, text, field), text
