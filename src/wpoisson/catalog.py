@@ -391,8 +391,9 @@ def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
     bounds = {name: max(D, w) if verdict == "no" and w is not None else D
               for name, verdict, w, _ in truncated}
     # the tables come before every other check, sealed first: its block
-    # eliminations leave the ranks of T_e that rgt, vacancy and cohomology
-    # read (complexes docstring); the report keeps its row order
+    # eliminations leave the ranks of K1, which it reads itself, and of T_e,
+    # which rgt, vacancy and cohomology read (complexes docstring); the
+    # report keeps its row order
     dims = {name: table(omega, bounds[name]).items() for name, _, _, table in reversed(truncated)}
 
     if "structure" in want:

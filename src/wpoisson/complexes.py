@@ -7,10 +7,10 @@ Most ranks come from identities, not matrices; g = grad(O) is nonzero by
 Euler's identity, in the domain k[x,y,z], and T_d = (v . g ; div v) on the
 degree-d derivations.  M2: f g is a gradient iff curl(f g) = d0(f) is zero,
 as the weighted de Rham complex is exact.  Ozone: d1(v) = div(v) g -
-grad(v . g), so T_d serves ozone and rgt, its table serves the sealed
-block below and [T_d | c] for d1, and its rank, memoised once per degree
-(read off that block where the block is eliminated), serves d1 and d2 too.
-Koszul: K3 -> K2, v0 -> v0 g, is injective.
+grad(v . g), so rank T_d serves ozone and rgt and, memoised once per
+degree, d1 and d2 too; it comes from the Hamiltonian block below, and T_d
+itself is assembled only for the derivation basis.  Koszul: K3 -> K2, v0 ->
+v0 g, is injective.
 
 d0: contracting df ^ dO = 0 with the Euler field gives n O df = k f dO for
 a Casimir f of degree k > 0, so f^n / O^k is constant, and by unique
@@ -27,6 +27,24 @@ d2: read as vector fields, -div(v x g) = -g . curl(v); curl maps X2_d onto
 the divergence-free derivations of degree d, and div(f E) = (d+a+b+c) f for
 the Euler field E, so div is onto A_d.  Hence rank d2_d = rank T_d - #A_d.
 
+Rotations: with s = a+b+c, div(f E) = (d+s) f for f in A_d and E . g =
+n O.  X1_d is zero unless d > -s, and then v - div(v) E/(d+s) is
+divergence-free, so X1_d = A_d E + ker div.  ker div is curl X2_d (d2), the
+span of the rotations r(u) = d_z u d_x - d_x u d_z, u in A_{d+a+c}, r'(u) =
+d_z u d_y - d_y u d_z, u in A_{d+b+c}, and d_y u d_x - d_x u d_y; the last
+is r(d_y U) - r'(d_x U) for U in A_{d+s} with d_z U = u, so r and r' span
+it.  v . g maps r(u) to H(u) = g_x d_z u - g_z d_x u and r'(u) to H'(u) =
+g_y d_z u - g_z d_y u, in A_{d+n}.  So the block [H | H'] of two sources
+and one target carries every rank below:
+- rank T_d = #A_d + rank [H | H'], as div is onto A_d;
+- K1 at total degree d+n, v -> v . g on X1_d, has image O A_d + im [H | H'];
+- on the kernel of the second row of B_e below, div v = u g_i, so v = u g_i
+  E/(e+s) + r with r divergence-free, and rank B_e = #A_e + rank [O g_i A_u
+  | H | H'], A_u the multipliers u;
+- on the kernel of the second row of [T_d | c], c = (h, f), div v = -t f,
+  so v . g + t h = t c' + r . g with c' = h - n f O/(d+s), and rank [T_d |
+  c] = #A_d + rank [H | H' | c'].
+
 d1: d1 = L T with L(h, f) = f g - grad(h), so ker d1_d = T_d^-1(ker L_d).
 By Euler's identity (h, f) lies in ker L exactly when f is a Casimir (d0
 f = 0) and h = n f O/(d+n).  So ker L_d is 0 in a degree with no Casimir,
@@ -35,18 +53,19 @@ and there rank d1_d = rank T_d.  Otherwise one vector c spans it: c =
 (1, 0) when d = -n, as A_d is then 0 and grad h = 0 leaves the constants.
 Then ker d1_d is the projection (v, t) -> v of the kernel of [T_d | c], c
 its last column, and the projection is injective, as c is not zero; so
-rank d1_d = rank [T_d | c] - 1.  When n = a+b+c, c is T(f E/(d+n)), E the
-Euler field, so it lies in the image of T_d and rank d1_d = rank T_d -
-dim ker d0_d with no matrix.  Every nonzero kernel vector has a nonzero
-v-part, and its first nonzero coordinate is that of its v-part.  Under
-last-column pivots a column is free exactly when it is the first nonzero
-coordinate of a kernel vector (``linalg``), so c's column is a pivot and
-the free columns of [T_d | c] are those of d1_d.  The kernel normal form
-is the one basis with a one in a free column and zeros in the others;
-projected, it keeps that shape, so it is the kernel normal form of d1_d
-(``derivation_kernel``).  T_d comes from the sealed block's table and c
-from a one-column table, with f = O^(d/n) where n divides d, as O is a
-Casimir, and f read off ker d0_d otherwise.
+rank d1_d = rank [T_d | c] - 1 = #A_d + rank [H | H' | c'] - 1.  When n =
+a+b+c, c' = 0 for the Casimir column: c lies in the image of T_d, and rank
+d1_d = rank T_d - dim ker d0_d with no matrix.  Every nonzero kernel vector
+has a nonzero v-part, and its first nonzero coordinate is that of its
+v-part.  Under last-column pivots a column is free exactly when it is the
+first nonzero coordinate of a kernel vector (``linalg``), so c's column is
+a pivot and the free columns of [T_d | c] are those of d1_d.  The kernel
+normal form is the one basis with a one in a free column and zeros in the
+others; projected, it keeps that shape, so it is the kernel normal form of
+d1_d (``derivation_kernel``), the one caller that assembles T_d, as the
+normal form lives in X1_d.  c comes from a one-column table, with f =
+O^(d/n) where n divides d, as O is a Casimir, and f read off ker d0_d
+otherwise.
 
 Sealed: with e = d - n and g_i the first nonzero partial, the degree-d
 Koszul 1-cycles v with div v in (g_i) are the projections of the kernel of
@@ -59,17 +78,22 @@ in J number dim X1_e + #A_u - rank B_e + rank K1 - #A_u, and sealed_d =
 dim X1_e - rank B_e + rank K1 - rank K2, with K1 and K2 at total degree e
 and d.
 
-The same elimination gives rank T_e, as T_e is B_e without its u columns,
-which come first; B, T and [T | c] share one table, and one builder
-(``_t_block``) assembles them, T_e with the u source at degree -1, which
-has no monomial.  ``linalg`` pivots each row on its last column, so the
-pivot rows are a basis of the row space with distinct last columns.  A
-row-space vector supported below a column j is a combination of them in
-which no pivot row past j takes part, as the largest such pivot would
-survive; so those vectors are exactly the span of the pivot rows below j.
-They are the kernel of the cut of the row space to the columns >= j, so
-the pivots in columns >= j number rank B[:, >= j], over K = Q[s]/(m) too,
-where ``linalg.pivot_columns`` counts whole blocks of k Q-columns.
+One elimination per sealed degree gives rank B_e, rank T_e and rank K1 at
+total degree d: that of the block [O A_e | O g_i A_u | H | H'] into A_d,
+its sources in that order.  O g_i A_u lies in O A_e, as g_i A_u lies in
+A_e, so by Rotations its rank is rank K1 at d, the rank of its columns past
+O A_e is rank B_e - #A_e, and that of its columns past the u block rank T_e
+- #A_e.  ``linalg`` pivots each row on its last column, so the pivot rows
+are a basis of the row space with distinct last columns.  A row-space
+vector supported below a column j is a combination of them in which no
+pivot row past j takes part, as the largest such pivot would survive; so
+those vectors are exactly the span of the pivot rows below j.  They are the
+kernel of the cut of the row space to the columns >= j, so the pivots in
+columns >= j number rank B[:, >= j], over K = Q[s]/(m) too, where
+``linalg.pivot_columns`` counts whole blocks of k Q-columns.  The sweep
+runs up from degree 0 and reaches d - n before d, so the rank of K1 at
+total degree e that sealed_d needs was read off the block of degree e
+whenever X1 there is nonzero, and is 0 otherwise.
 
 Every per-degree table sweeps a window of degrees from its lowest nonzero
 slot up to the truncation bound D, and refuses, before it lists a monomial,
@@ -78,11 +102,13 @@ vacuously, or one whose maps would list too many monomials (``_window``).
 The maps of one degree, ``ozone_dim`` and ``derivation_kernel``, count the
 slices they list against the same budget (``_slice_budget``).
 
-Each operator table (d0, Koszul, ozone) depends only on the potential
-and the index, so it is built once per potential, memoised beside the
-ranks, and shared by every degree; ``op_table`` makes tables immutable for
-that reason.  A table over Q(s) whose coefficients have no s-part is made
-over Q, and so are its matrices (``linalg`` docstring)."""
+Each operator table (d0, Koszul, Hamiltonian, sealed, ozone) depends only
+on the potential and the index, so it is built once per potential, from
+the one memoised gradient (``ring.potential_gradient``), memoised beside
+the ranks, and shared by every degree; ``op_table`` makes tables immutable
+for that reason.  The sealed table, with its products O and O g_i, is built
+only for the sealed sweep.  A table over Q(s) whose coefficients have no
+s-part is made over Q, and so are its matrices (``linalg`` docstring)."""
 
 from __future__ import annotations
 
@@ -92,7 +118,7 @@ from functools import lru_cache
 
 from .hilbert import closed_form_ph
 from .linalg import assemble, kernel_basis, op_table, pivot_columns, rank, vector_to_polys
-from .ring import QQ, RingError, check_potential, count_monomials, gradient
+from .ring import QQ, RingError, check_potential, count_monomials, potential_gradient
 
 
 class DimsTable:
@@ -128,7 +154,7 @@ def cochain_shifts(weights):
 def _d0_table(omega):
     """operator table of d0, f -> grad(f) x g, from the gradient g of the
     potential; the ranks of d1 and d2 come from T_d (module docstring)"""
-    g = gradient(omega).comps
+    g = potential_gradient(omega).comps
     # component k is g_{k+2} f_{k+1} - g_{k+1} f_{k+2} (indices mod 3)
     return op_table(omega.field, [(k, 0, (k + j) % 3, sign * g[(k - j) % 3])
                                   for k in range(3) for j, sign in ((1, 1), (2, -1))])
@@ -158,7 +184,7 @@ def _cochain_rank(omega, i, d):
     n = omega.homogeneous_degree()
     if d + n and (not casimirs or n == weights.n_default):
         return _ozone_rank(omega, d) - casimirs
-    return rank(_t_block(omega, d, column=_casimir_column(omega, d))) - 1
+    return _hamiltonian_rank(omega, d, _casimir_column(omega, d)) - 1
 
 
 def _casimirs(omega, d):
@@ -325,30 +351,56 @@ def vacancy_check(omega, bound):
 
 def _first_partial(omega):
     """the index i of g_i, the first nonzero partial"""
-    return next(v for v in range(3) if not omega.partial(v).is_zero())
+    return next(v for v, g in enumerate(potential_gradient(omega).comps) if g.terms)
+
+
+def _rotation_degrees(weights, d):
+    """the degrees d+a+c, d+b+c of the rotation potentials u, the sources of
+    H and H' at degree d (module docstring)"""
+    a, b, c = weights.tuple
+    return [d + a + c, d + b + c]
+
+
+def _hamiltonian_terms(g, first):
+    """the terms of [H | H'], H(u) = g_x d_z u - g_z d_x u on source first
+    and H'(u) = g_y d_z u - g_z d_y u on the next, into one target"""
+    return [(0, first, 2, g[0]), (0, first, 0, -g[2]),
+            (0, first + 1, 2, g[1]), (0, first + 1, 1, -g[2])]
+
+
+@lru_cache(maxsize=1024)
+def _hamiltonian_table(omega):
+    """operator table of the Hamiltonian block [H | H'] (module docstring)"""
+    return op_table(omega.field, _hamiltonian_terms(potential_gradient(omega).comps, 0))
+
+
+@lru_cache(maxsize=1024)
+def _sealed_table(omega):
+    """operator table of the sealed block [O A_e | O g_i A_u | H | H']: the
+    products O and O g_i on sources 0 and 1, then H and H' (module
+    docstring)"""
+    g = potential_gradient(omega).comps
+    products = [(0, 0, None, omega), (0, 1, None, omega * g[_first_partial(omega)])]
+    return op_table(omega.field, products + _hamiltonian_terms(g, 2))
 
 
 @lru_cache(maxsize=1024)
 def _ozone_table(omega):
-    """operator table of the sealed block B(u, v) = (v . g ; div v - u g_i):
-    u on source 0, then T = (v . g ; div v) on the derivations v on sources
-    1..3 (module docstring)"""
-    g = gradient(omega).comps
-    return op_table(omega.field, [(1, 0, None, -g[_first_partial(omega)])]
-                    + [(0, s + 1, None, g[s]) for s in range(3)]
-                    + [(1, s + 1, s, 1) for s in range(3)])
+    """operator table of T = (v . g ; div v) on the derivations v, sources
+    0..2"""
+    g = potential_gradient(omega).comps
+    return op_table(omega.field, [(0, s, None, g[s]) for s in range(3)]
+                    + [(1, s, s, 1) for s in range(3)])
 
 
-def _t_block(omega, d, u_deg=-1, column=None):
-    """the map of the ozone table at degree d, into A_{d+n} + A_d: B_d with
-    its u source at u_deg, T_d with it at the default -1, which has no
-    monomial, and [T_d | c] given the column c = (h, f), on one more source,
-    the monomial 1, over the field of T's table (module docstring)"""
+def _t_block(omega, d, column=None):
+    """T_d, into A_{d+n} + A_d, and [T_d | c] given the column c = (h, f),
+    on one more source, the monomial 1, over the field of T's table"""
     weights = omega.weights
     field, terms = _ozone_table(omega)
-    src = [u_deg] + [d + w for w in weights.tuple]
+    src = [d + w for w in weights.tuple]
     if column is not None:
-        terms += op_table(omega.field, [(t, 4, None, p) for t, p in enumerate(column)],
+        terms += op_table(omega.field, [(t, 3, None, p) for t, p in enumerate(column)],
                           reduce=field == QQ)[1]
         src.append(0)
     return assemble(weights, src, [d + omega.homogeneous_degree(), d], (field, terms))
@@ -363,15 +415,32 @@ def _t_ranks(omega):
 
 def _ozone_rank(omega, d):
     """rank of T_d: X1_d -> A_{d+n} + A_d, read off the sealed block where
-    that was eliminated first, else from T_d alone; 0 where X1_d = 0, with
-    no matrix"""
+    that was eliminated, else off [H | H']; 0 where X1_d = 0, with no
+    matrix"""
     ranks = _t_ranks(omega)
     r = ranks.get(d)
     if r is None:
         weights = omega.weights
-        r = rank(_t_block(omega, d)) if _space_dim(weights, weights.tuple, d) else 0
+        r = _hamiltonian_rank(omega, d) if _space_dim(weights, weights.tuple, d) else 0
         ranks[d] = r
     return r
+
+
+def _hamiltonian_rank(omega, d, column=None):
+    """#A_d + rank [H | H'] at degree d, which is rank T_d, and given the
+    column c = (h, f) #A_d + rank [H | H' | c'], which is rank [T_d | c],
+    with c' = h - n f O/(d+s) on one more source, the monomial 1 (module
+    docstring); c' = h where d + s = 0, as A_d = 0 there"""
+    weights = omega.weights
+    n, s = omega.homogeneous_degree(), weights.n_default
+    field, terms = _hamiltonian_table(omega)
+    src = _rotation_degrees(weights, d)
+    if column is not None:
+        h, f = column
+        reduced = h - f * omega * Fraction(n, d + s) if d + s else h
+        terms += op_table(omega.field, [(0, 2, None, reduced)], reduce=field == QQ)[1]
+        src.append(0)
+    return count_monomials(weights, d) + rank(assemble(weights, src, [d + n], (field, terms)))
 
 
 def _ozone_dim(omega, d):
@@ -382,11 +451,12 @@ def ozone_dim(omega, d):
     """dimension of the degree-d derivations v with v . g = 0 and div v = 0,
     the kernel of T_d = (v . g ; div v): the ozone space, the cocycles that
     kill the potential, as d1(v) = div(v) g - grad(v . g).  Refused before
-    any monomial is listed when the slices of T_d are over budget
-    (``_slice_budget``)."""
+    any monomial is listed when the slices of X1_d, A_d and [H | H'] are
+    over budget (``_slice_budget``)."""
     n = check_potential(omega)
     a, b, c = omega.weights.tuple
-    _slice_budget(omega, "ozone", d, (d + a, d + b, d + c, d + n, d))
+    _slice_budget(omega, "ozone", d,
+                  [d + a, d + b, d + c, d + n, d] + _rotation_degrees(omega.weights, d))
     return _ozone_dim(omega, d)
 
 
@@ -451,7 +521,7 @@ def koszul_component_degs(omega, d):
 @lru_cache(maxsize=1024)
 def _koszul_table(omega, i):
     """operator table of the Koszul differential K_i -> K_{i-1}"""
-    g = gradient(omega).comps
+    g = potential_gradient(omega).comps
     if i == 1:
         # v . g
         terms = [(0, s, None, g[s]) for s in range(3)]
@@ -466,8 +536,11 @@ def _koszul_table(omega, i):
 
 def koszul_matrix(omega, i, d):
     """matrix of the Koszul differential K_i -> K_{i-1} at total degree d,
-    for i = 1, 2 (K3 -> K2 is injective and never assembled)"""
+    for i = 1, 2 (K3 -> K2 is injective and never assembled).  Refused
+    before any monomial is listed when its slices are over budget
+    (``_slice_budget``)."""
     degs = koszul_component_degs(omega, d)
+    _slice_budget(omega, "koszul", d, degs[i] + degs[i - 1])
     return assemble(omega.weights, degs[i], degs[i - 1], _koszul_table(omega, i))
 
 
@@ -476,10 +549,20 @@ def _koszul_dim(omega, i, d):
     return _space_dim(weights, cochain_shifts(weights)[i], d - i * omega.homogeneous_degree())
 
 
+@lru_cache(maxsize=1024)
+def _k1_ranks(omega):
+    """the memo of rank K1 by total degree, one per potential, which the
+    sealed blocks fill"""
+    return {}
+
+
 @lru_cache(maxsize=65536)
 def _koszul_rank(omega, i, d):
-    """rank of K_i -> K_{i-1} at total degree d, K2 by Koszul depth (module docstring)"""
+    """rank of K_i -> K_{i-1} at total degree d: K1 read off the sealed
+    block where that was eliminated, K2 by Koszul depth (module docstring)"""
     dim = _koszul_dim(omega, i, d)
+    if i == 1 and d in _k1_ranks(omega):
+        return _k1_ranks(omega)[d]
     if i == 2 and d < _k2_window(omega).start:
         return dim
     if i == 2 and d >= _k2_window(omega).stop:
@@ -492,7 +575,8 @@ def _k2_window(omega):
     """the degrees 3n - (a+b+c) - p_max .. 3n - (a+b+c), where d0 lies"""
     n = omega.homogeneous_degree()
     top = 3 * n - omega.weights.n_default
-    p_max = min(n - w for v, w in enumerate(omega.weights.tuple) if not omega.partial(v).is_zero())
+    p_max = min(n - w for w, g in zip(omega.weights.tuple, potential_gradient(omega).comps)
+                if g.terms)
     return range(top - p_max, top + 1)
 
 
@@ -518,15 +602,29 @@ def koszul_dims(omega, bound):
     return DimsTable(dims, bound)
 
 
+def _sealed_ranks(omega, e):
+    """(rank K1 at total degree e+n, rank B_e, rank T_e) from one elimination
+    of [O A_e | O g_i A_u | H | H'] into A_{e+n}: #A_e and its pivots, those
+    past the O A_e columns, and those past the u columns (module
+    docstring)"""
+    weights = omega.weights
+    n = omega.homogeneous_degree()
+    u_deg = e - n + weights.tuple[_first_partial(omega)]
+    src = [e, u_deg] + _rotation_degrees(weights, e)
+    pivots = pivot_columns(assemble(weights, src, [e + n], _sealed_table(omega)))
+    lead = count_monomials(weights, e)
+    past_u = lead + count_monomials(weights, u_deg)
+    return (len(pivots), lead + sum(c >= lead for c in pivots),
+            lead + sum(c >= past_u for c in pivots))
+
+
 def sealed_k1_dims(omega, bound):
     """per-degree dimensions of sealed first Koszul homology: cycles whose
     divergence lies in the Jacobian ideal, modulo boundaries, from the rank
     of the block map B (module docstring).  Returns ({degree: dim}, all-zero
-    flag)."""
+    flag).  Each degree's block leaves rank K1 and rank T_e in the memos."""
     n = check_potential(omega)
-    weights = omega.weights
-    w_i = weights.tuple[_first_partial(omega)]
-    t_ranks = _t_ranks(omega)
+    t_ranks, k1_ranks = _t_ranks(omega), _k1_ranks(omega)
     out = {}
     for d in _window(omega, "sealed", 0, bound):
         # K1 at degree d is X1 at degree e = d - n
@@ -535,10 +633,6 @@ def sealed_k1_dims(omega, bound):
         if not dim_v:
             out[d] = 0
             continue
-        u_deg = e - n + w_i
-        pivots = pivot_columns(_t_block(omega, e, u_deg))
-        # rank T_e: the pivots past the u columns (module docstring)
-        u_cols = count_monomials(weights, u_deg)
-        t_ranks[e] = sum(c >= u_cols for c in pivots)
-        out[d] = dim_v - len(pivots) + _koszul_rank(omega, 1, e) - _koszul_rank(omega, 2, d)
+        k1_ranks[d], rank_b, t_ranks[e] = _sealed_ranks(omega, e)
+        out[d] = dim_v - rank_b + _koszul_rank(omega, 1, e) - _koszul_rank(omega, 2, d)
     return out, all(v == 0 for v in out.values())

@@ -63,8 +63,8 @@ from .ring import (
     Polynomial,
     RingError,
     check_potential,
-    gradient,
     mono_key,
+    potential_gradient,
     rational_copy,
 )
 
@@ -412,7 +412,7 @@ def _inter_reduce(weights, field, divisors):
 @lru_cache(maxsize=256)
 def jacobian_basis(omega):
     """cached Groebner basis of the ideal of partial derivatives"""
-    grads = [g for g in gradient(omega).comps if g.terms]
+    grads = [g for g in potential_gradient(omega).comps if g.terms]
     if not grads:
         raise RingError("all partial derivatives vanish")
     return buchberger(grads)
@@ -566,7 +566,7 @@ def _gcd_from_koszul(omega, delta):
     d0 = 3 * omega.homogeneous_degree() - weights.n_default - delta
     u = _one_kernel_vector(weights, field, koszul_component_degs(omega, d0)[2],
                            koszul_matrix(omega, 2, d0))
-    i, g = next((i, g) for i, g in enumerate(gradient(omega).comps) if g.terms)
+    i, g = next((i, g) for i, g in enumerate(potential_gradient(omega).comps) if g.terms)
     table = op_table(field, [(0, 0, None, u[i]), (0, 1, None, -g)])
     degs = (delta, 0)
     h = _one_kernel_vector(weights, field, degs,

@@ -46,6 +46,7 @@ from .ring import (
     curl,
     dot,
     gradient,
+    potential_gradient,
     rational_copy,
 )
 
@@ -60,7 +61,7 @@ class PoissonStructure:
 
     def __init__(self, pxy: Polynomial, pyz: Polynomial, pzx: Polynomial, potential=None):
         self.bivector = PolyVector(pyz, pzx, pxy)
-        if potential is not None and gradient(potential) != self.bivector:
+        if potential is not None and potential_gradient(potential) != self.bivector:
             raise RingError("potential tag does not match the bracket: grad(O) != P")
         self.weights = pxy.weights
         self.field = pxy.field
@@ -99,7 +100,8 @@ def from_potential(omega: Polynomial) -> PoissonStructure:
     """bracket defined by a nonzero homogeneous potential of positive degree:
     {x,y} = dO/dz, {y,z} = dO/dx, {z,x} = dO/dy"""
     check_potential(omega)
-    return PoissonStructure(omega.partial(2), omega.partial(0), omega.partial(1), omega)
+    g = potential_gradient(omega)
+    return PoissonStructure(g.f3, g.f1, g.f2, omega)
 
 
 def bracket(s: PoissonStructure, f: Polynomial, g: Polynomial) -> Polynomial:

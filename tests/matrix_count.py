@@ -2,8 +2,11 @@
 that ``complexes`` assembles, by kind, over a cold ``catalog verify`` of
 all 125 entries at the default bound 3n+12.  A matrix's kind comes from the
 function that asked for it, looked up through ``complexes._t_block``, the
-one builder of B_e, T_d and [T_d | c], to its caller, and from its numbers
-of source and target slices.
+builder of T_d and [T_d | c] for the derivation basis, to its caller, and
+from its numbers of source and target slices.  Every Hamiltonian block,
+the sealed block [O A_e | O g_i A_u | H | H'] and [H | H'] alone, is of
+kind H; the sealed block gives rank K1 too, so a catalog pass assembles no
+K1 matrix.
 
 Print the count from the repository root with
 
@@ -15,14 +18,13 @@ from collections import Counter
 
 from wpoisson import catalog, complexes
 
-# (caller, source slices, target slices) -> kind.  T and B share one table,
-# and a B_e whose u degree is negative keeps its empty u slice
+# (caller, source slices, target slices) -> kind
 KINDS = {
-    ("sealed_k1_dims", 4, 2): "B",
-    ("_ozone_rank", 4, 2): "T",
-    ("derivation_kernel", 4, 2): "T",
-    ("_cochain_rank", 5, 2): "T|c",
-    ("derivation_kernel", 5, 2): "T|c",
+    ("_sealed_ranks", 4, 1): "H",
+    ("_hamiltonian_rank", 2, 1): "H",
+    ("_hamiltonian_rank", 3, 1): "H|c",
+    ("derivation_kernel", 3, 2): "T",
+    ("derivation_kernel", 4, 2): "T|c",
     ("koszul_matrix", 3, 1): "K1",
     ("koszul_matrix", 3, 3): "K2",
     ("_d0_matrix", 1, 3): "d0",
@@ -66,5 +68,6 @@ def matrix_counts(bound=None):
 
 if __name__ == "__main__":
     counts = matrix_counts()
+    counts.update({kind: 0 for kind in set(KINDS.values())})
     print("matrices assembled by catalog verify at 3n+12: %d (%s)" % (
         sum(counts.values()), ", ".join("%s %d" % kv for kv in sorted(counts.items()))))

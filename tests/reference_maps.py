@@ -3,7 +3,10 @@ column on Polynomials, independently of the operator tables, plus the
 matrices whose ranks the package now derives from identities (the M2 map,
 the cochain maps d0, d1 and d2, d1 stacked over v . grad(O), the Koszul
 maps K2 -> K1 and K3 -> K2, and the cycle condition over div v reduced
-modulo the Jacobian ideal, whose rank the package now takes from a block map).  The operator
+modulo the Jacobian ideal, whose rank the package now takes from a block map),
+and T_d, B_e and [T_d | c] assembled whole with their divergence rows,
+beside K1 from its own matrix: the divergence route, whose ranks the package
+now reads off one Hamiltonian block per degree.  The operator
 tables of d1, with its Hessian terms, and d2 live here too: the package
 derives both ranks from the (v . grad(O) ; div v) map, with one more
 column for a Casimir, and assembles neither.  So does the pairwise
@@ -216,9 +219,54 @@ def _first_nonzero(g):
     return next(gk for gk in g.comps if not gk.is_zero())
 
 
+# the divergence route to the ranks that ``complexes`` reads off the
+# Hamiltonian block [H | H']: T_d, B_e and [T_d | c] assembled whole, with
+# their divergence rows, from the table of the sealed block B(u, v) = (v . g ;
+# div v - u g_i), and K1 from ``complexes.koszul_matrix``
+
+
+@lru_cache(maxsize=1024)
+def divergence_table(omega):
+    """operator table of B(u, v) = (v . g ; div v - u g_i): u on source 0,
+    then T = (v . g ; div v) on the derivations v on sources 1..3"""
+    g = gradient(omega)
+    return op_table(omega.field, [(1, 0, None, -_first_nonzero(g))]
+                    + [(0, s + 1, None, g.comps[s]) for s in range(3)]
+                    + [(1, s + 1, s, 1) for s in range(3)])
+
+
+def divergence_block(omega, d, u_deg=-1, column=None):
+    """the map of the divergence table at degree d, into A_{d+n} + A_d: B_d
+    with its u source at u_deg, T_d with it at the default -1, which has no
+    monomial, and [T_d | c] given the column c = (h, f), on one more source,
+    the monomial 1"""
+    weights = omega.weights
+    field, terms = divergence_table(omega)
+    src = [u_deg] + [d + w for w in weights.tuple]
+    if column is not None:
+        terms += op_table(omega.field, [(t, 4, None, p) for t, p in enumerate(column)],
+                          reduce=field == QQ)[1]
+        src.append(0)
+    return assemble(weights, src, [d + omega.homogeneous_degree(), d], (field, terms))
+
+
+def divergence_ranks(omega, e):
+    """(rank K1 at total degree e+n, rank B_e, rank T_e) by the divergence
+    route, each from a matrix of its own"""
+    n = omega.homogeneous_degree()
+    w_i = next(w for w, g in zip(omega.weights.tuple, gradient(omega).comps) if g.terms)
+    return (rank(complexes.koszul_matrix(omega, 1, e + n)),
+            rank(divergence_block(omega, e, e - n + w_i)), rank(divergence_block(omega, e)))
+
+
 def reference_maps(omega):
     """the fn closure of every graded map, by name"""
     g = gradient(omega)
+
+    def hamiltonian(u, u2):
+        """v . g on r(u) + r'(u2), r(u) = d_z u d_x - d_x u d_z and r'(u2) =
+        d_z u2 d_y - d_y u2 d_z"""
+        return dot(PolyVector(u.partial(2), u2.partial(2), -u.partial(0) - u2.partial(1)), g)
     return {
         "cochain0": lambda v: reference_cochain(g, 0, v),
         "cochain1": lambda v: reference_cochain(g, 1, v),
@@ -238,6 +286,11 @@ def reference_maps(omega):
         # the image of a multiplier u, the first source
         "sealed_block": lambda v: [dot(PolyVector(*v[1:]), g),
                                    div(PolyVector(*v[1:])) - v[0] * _first_nonzero(g)],
+        # v . g on the rotations r(u), r'(u) of u on sources 0 and 1
+        "hamiltonian": lambda v: [hamiltonian(v[0], v[1])],
+        # O A_e, O g_i A_u, then the Hamiltonian block
+        "sealed_hamiltonian": lambda v: [omega * (v[0] + _first_nonzero(g) * v[1])
+                                         + hamiltonian(v[2], v[3])],
         "grad": lambda v: list(gradient(v[0]).comps),
         "curl": lambda v: list(curl(PolyVector(*v)).comps),
         "div": lambda v: [div(PolyVector(*v))],

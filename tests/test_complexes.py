@@ -15,7 +15,7 @@ import pytest
 
 from wpoisson import (QQ, ExtensionField, Weights, catalog, gradient, has_isolated_singularity,
                       parse_poly, rank)
-from wpoisson import complexes, poisson
+from wpoisson import complexes, jacobian, poisson, ring
 from wpoisson.jacobian import gcd_partials
 from wpoisson.linalg import assemble, kernel_basis, op_table
 from wpoisson.poisson import euler_derivation, from_potential
@@ -25,7 +25,8 @@ import reference_maps as ref
 from closed_forms import closed_form_lph2, isolated_ph
 from matrix_count import KINDS, clear_memos, matrix_counts, requester
 from reference_maps import (cochain_apply, cochain_matrices, cochain_matrix, cochain_rank,
-                            d1_rank_and_ozone_kernel, derham_exactness_check,
+                            d1_rank_and_ozone_kernel, derham_exactness_check, divergence_block,
+                            divergence_ranks,
                             euler_characteristic_check, field_powers, koszul3_rank, m2_dims,
                             m2_rank, reference_assemble, reference_cochain, reference_maps,
                             sealed_dims)
@@ -399,12 +400,17 @@ def test_every_sweep_lists_no_degree_past_its_window_top(monkeypatch, weights, t
 
 
 def _slices(om, d, derivations):
-    """the slice degrees that the single-degree map lists: T_d, and for the
-    derivations also the targets of d1 and, for d > 0, the slices of d0 at
-    every divisor of n, where the Casimir search runs"""
+    """the slice degrees that the single-degree map lists: T_d; for the
+    ozone space also the sources d+a+c, d+b+c of [H | H'], which it ranks;
+    for the derivations, which take the kernel of T_d, the targets of d1
+    and, for d > 0, the slices of d0 at every divisor of n, where the
+    Casimir search runs"""
     n = om.homogeneous_degree()
     weights = om.weights.tuple
+    a, b, c = weights
     out = [d + w for w in weights] + [d + n, d]
+    if not derivations:
+        out += [d + a + c, d + b + c]
     if derivations:
         out += [d + n - w for w in weights]
         out += [e + n - w for e in range(1, n + 1) if n % e == 0 and d > 0 for w in weights]
@@ -447,6 +453,53 @@ def test_dims_table_row_and_bounds():
     assert min(row3) == -4 and max(row3) == 5
     assert tbl.dim(2, -99) == 0
     assert tbl.dim(0, -1) == 0
+
+
+@pytest.mark.parametrize("weights, text", _BUDGET_POTENTIALS,
+                         ids=["%s:%s" % p for p in _BUDGET_POTENTIALS])
+def test_koszul_matrix_budget_counts_its_slices_exactly(monkeypatch, weights, text):
+    """koszul_matrix admits a degree whose source and target slices hold
+    exactly the budget, and refuses it one monomial below"""
+    om = parse_poly(text, Weights(*weights))
+    n = om.homogeneous_degree()
+    for i in (1, 2):
+        for d in range(3 * n + 1):
+            degs = complexes.koszul_component_degs(om, d)
+            count = sum(count_monomials(om.weights, t) for t in degs[i] + degs[i - 1])
+            monkeypatch.setattr(complexes, "WINDOW_BUDGET", count)
+            complexes.koszul_matrix(om, i, d)
+            if count:
+                monkeypatch.setattr(complexes, "WINDOW_BUDGET", count - 1)
+                with pytest.raises(RingError) as err:
+                    complexes.koszul_matrix(om, i, d)
+                assert str(err.value) == (
+                    "degree %d is over budget: the slices of its koszul map hold more than %d "
+                    "monomials" % (d, count - 1))
+
+
+@pytest.mark.parametrize("weights, text", [((1, 1, 1), "x^3+y^3+z^3"),
+                                           ((2, 3, 5), "x^5+z^2+x^2*y^2")])
+def test_koszul_matrix_refuses_a_huge_degree_before_it_lists_a_monomial(
+        monkeypatch, weights, text):
+    """a library caller's huge degree is refused by the slice count, with no
+    monomial listed: a spy on the listing counts none"""
+    om = parse_poly(text, Weights(*weights))
+    listed = []
+
+    def spy(w, d):
+        listed.append(d)
+        return monomial_basis(w, d)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "wpoisson" or name.startswith("wpoisson."):
+            for attr, value in list(vars(mod).items()):
+                if value is monomial_basis:
+                    monkeypatch.setattr(mod, attr, spy)
+    for i in (1, 2):
+        with pytest.raises(RingError, match="^degree 1000000000 is over budget: the slices of "
+                                            "its koszul map"):
+            complexes.koszul_matrix(om, i, 10 ** 9)
+    assert listed == []
 
 
 # ---------------------------------------------------------------------------
@@ -644,25 +697,34 @@ def test_operator_tables_match_per_column_evaluation(monkeypatch, weights, field
         for i in (1, 2):
             check("koszul%d" % i, complexes.koszul_matrix(om, i, d), degs[i], degs[i - 1])
 
-    # the stacked maps among the cochain and Koszul matrices that the same
-    # runs assemble; T_d is the sealed block with its u source at degree -1
-    reference = {"T": "sealed_block", "B": "sealed_block", "K1": "koszul1", "K2": "koszul2",
-                 "d0": "cochain0"}
+    # the divergence route's blocks, the oracle of the Hamiltonian ranks
+    for d in degrees:
+        u_deg = d - n + weights.tuple[complexes._first_partial(om)]
+        check("sealed_block", divergence_block(om, d, u_deg), [u_deg] + [d + s for s in sh[1]],
+              [d + n, d])
+
+    # the maps among the Hamiltonian blocks, T_d and the cochain and Koszul
+    # matrices that the same runs assemble, by kind and number of sources;
+    # the sealed block gives rank K1, so no run assembles K1
+    reference = {("H", 2): "hamiltonian", ("H", 4): "sealed_hamiltonian", ("T", 3): "ozone",
+                 ("K2", 3): "koszul2", ("d0", 1): "cochain0"}
     runs = [
-        ("T", lambda: complexes.ph_dims(om, n + 2)),
-        ("T", lambda: complexes.ozone_vs_hamiltonian(om, n + 2)),
+        ("H", 2, lambda: complexes.ph_dims(om, n + 2)),
+        ("H", 2, lambda: complexes.ozone_vs_hamiltonian(om, n + 2)),
         # to 2n, where K1 meets a nonzero source and image
-        ("B", lambda: complexes.sealed_k1_dims(om, 2 * n)),
-        ("T", lambda: poisson.rgt(om)),
+        ("H", 4, lambda: complexes.sealed_k1_dims(om, 2 * n)),
+        ("H", 2, lambda: poisson.rgt(om)),
+        # T_d alone in the degrees with no Casimir column
+        ("T", 3, lambda: [complexes.derivation_kernel(om, d) for d in range(-1, n + 2)
+                          if complexes._casimir_column(om, d) is None]),
     ]
-    for name, run in runs:
+    for name, sources, run in runs:
         calls = _capture(monkeypatch, run)
-        seen = {kind for kind, _, _, _ in calls}
-        assert name in seen, name
-        if name == "B":
-            assert "K1" in seen
+        seen = {(kind, len(src)) for kind, src, _, _ in calls}
+        assert (name, sources) in seen, name
+        assert "K1" not in {kind for kind, _ in seen}
         for kind, src, tgt, m in calls:
-            check(reference[kind], m, src, tgt)
+            check(reference[kind, len(src)], m, src, tgt)
 
     # the de Rham maps are integer, so they are assembled over Q
     calls = _capture(monkeypatch, lambda: derham_exactness_check(weights, n + 2))
@@ -834,6 +896,79 @@ def test_ph_dims_match_the_isolated_closed_form(weights, text):
 
 
 # ---------------------------------------------------------------------------
+# the Hamiltonian block against the divergence route
+
+
+def _seeded_potentials():
+    """seeded potentials of degree a+b+c and of other degrees, over Q and
+    over Q(s)/(s^2+s+1), each to the bound n+6; (1,1,5) at n = 2 has X1 at
+    d = -n, where c = (1, 0)"""
+    cube = ExtensionField([1, 1, 1])
+    rng = random.Random(1994)
+    out = []
+    for weights, n, field in (((1, 1, 1), 3, QQ), ((1, 1, 1), 4, QQ), ((1, 1, 2), 4, QQ),
+                              ((1, 1, 2), 6, cube), ((1, 2, 3), 6, QQ), ((1, 2, 3), 5, cube),
+                              ((1, 1, 5), 2, QQ), ((1, 1, 5), 2, cube), ((2, 3, 5), 10, QQ)):
+        w = Weights(*weights)
+        basis = monomial_basis(w, n)
+        powers = field_powers(field)
+        terms = {m: sum((rng.randint(-4, 4) * p for p in powers), field.zero)
+                 for m in rng.sample(basis, min(len(basis), 4))}
+        terms = {m: c for m, c in terms.items() if c} or {basis[0]: field.one}
+        om = Polynomial(w, field, terms)
+        out.append(pytest.param(w, field, om, n + 6, id="%s:%s" % (weights, om)))
+    return out
+
+
+def _hamiltonian_potentials():
+    """every catalog entry and the seeded potentials, each to n+6"""
+    return [pytest.param(e.weights, QQ, e.omega, e.degree + 6, id=e.entry_id)
+            for e in catalog.entries()] + _seeded_potentials()
+
+
+@pytest.mark.parametrize("weights, field, om, top", _hamiltonian_potentials())
+def test_hamiltonian_block_ranks_match_the_divergence_route(weights, field, om, top):
+    """one elimination of [O A_e | O g_i A_u | H | H'] gives rank K1 at total
+    degree e+n, rank B_e and rank T_e, and [H | H'] alone rank T_e, each
+    against its own matrix by the divergence route (``reference_maps``), at
+    every degree e from -n to n+6 with X1_e nonzero"""
+    n = om.homogeneous_degree()
+    degrees = [e for e in range(-n, top + 1) if complexes._koszul_dim(om, 1, e + n)]
+    assert degrees
+    clear_memos()
+    for e in degrees:
+        k1, rank_b, rank_t = divergence_ranks(om, e)
+        assert complexes._sealed_ranks(om, e) == (k1, rank_b, rank_t), e
+        assert complexes._hamiltonian_rank(om, e) == rank_t, e
+
+
+@pytest.mark.parametrize("weights, field, om, top", _seeded_potentials())
+def test_column_rank_matches_the_divergence_route(weights, field, om, top):
+    """rank [T_d | c] = #A_d + rank [H | H' | c'], c' = h - n f O/(d+s), for
+    the Casimir column, (1, 0) at d = -n, and seeded columns c = (h, f),
+    against [T_d | c] assembled whole"""
+    n = om.homogeneous_degree()
+    rng = random.Random(str(om))
+    # a column over Q when T's table is, as the Casimir columns are
+    powers = field_powers(field if rational_copy(om) is None else QQ)
+    seen = Counter()
+    for d in range(-n, top + 1):
+        if not complexes._space_dim(weights, weights.tuple, d):
+            continue
+        casimir = complexes._casimir_column(om, d)
+        seeded = [tuple(Polynomial(weights, field, {
+            m: sum((rng.randint(-3, 3) * p for p in powers), field.zero)
+            for m in monomial_basis(weights, t)}) for t in (d + n, d)) for _ in range(2)]
+        for column in [casimir] * (casimir is not None) + seeded:
+            assert (complexes._hamiltonian_rank(om, d, column)
+                    == rank(divergence_block(om, d, column=column))), (d, column)
+        seen["casimir"] += casimir is not None
+        seen["-n"] += d == -n
+    assert seen["casimir"]
+    assert seen["-n"] == (n <= max(weights.tuple))
+
+
+# ---------------------------------------------------------------------------
 # rank T_e read off the elimination of the sealed block B_e
 
 
@@ -861,8 +996,9 @@ def _shared_ranks(om, bound):
 def test_ranks_read_off_the_sealed_block_give_the_isolated_closed_form(
         monkeypatch, weights, field, text):
     """ph_dims reads rank T_d from the memo the sealed blocks filled, and
-    the closed forms of an isolated potential check it: the alternating sum
-    of AC8 cannot, as the ranks telescope away there"""
+    ranks [H | H'] only in the other degrees; the closed forms of an
+    isolated potential check it: the alternating sum of AC8 cannot, as the
+    ranks telescope away there"""
     om = parse_poly(text, weights, field)
     n = om.homogeneous_degree()
     assert n != weights.n_default and has_isolated_singularity(om)
@@ -872,8 +1008,9 @@ def test_ranks_read_off_the_sealed_block_give_the_isolated_closed_form(
     real = complexes.assemble
 
     def spy(w, src_degs, tgt_degs, table):
-        if requester(sys._getframe(1)) == "_ozone_rank":
-            assembled.append(src_degs[1] - w.a)
+        # [H | H'] alone, not [H | H' | c'] in the degrees with a Casimir
+        if requester(sys._getframe(1)) == "_hamiltonian_rank" and len(src_degs) == 2:
+            assembled.append(tgt_degs[0] - n)
         return real(w, src_degs, tgt_degs, table)
 
     monkeypatch.setattr(complexes, "assemble", spy)
@@ -901,26 +1038,30 @@ def test_rank_t_read_off_the_sealed_block_equals_its_own_matrix(weights, field, 
 
 
 def test_a_catalog_pass_eliminates_no_t_at_a_sealed_degree(monkeypatch):
-    """a cold verify_entry of every catalog entry at n+6 reads rank T_e off
-    B_e wherever it eliminates B_e, and eliminates every other kind of
-    matrix as often as before"""
+    """a cold verify_entry of every catalog entry at n+6 reads rank T_e and
+    rank K1 off the sealed block [O A_e | O g_i A_u | H | H'] wherever it
+    eliminates it, ranks [H | H'] alone only at the other degrees, and
+    eliminates K2 and d0 as often as before"""
     counts = Counter()
     for e in catalog.entries():
         calls = _capture(monkeypatch, lambda: catalog.verify_entry(e, e.degree + 6))
-        a = e.weights.a
-        t_degs = {src[1] - a for kind, src, _, _ in calls if kind == "T"}
-        b_degs = {src[1] - a for kind, src, _, _ in calls if kind == "B"}
+        # both blocks map into A_{d+n} at degree d
+        t_degs = {tgt[0] - e.degree for kind, src, tgt, _ in calls if len(src) == 2}
+        b_degs = {tgt[0] - e.degree for kind, src, tgt, _ in calls if len(src) == 4}
         assert b_degs and not t_degs & b_degs, e.entry_id
         counts.update(kind for kind, _, _, _ in calls)
-    # 2,310 T matrices when each T_e was eliminated on its own; a T_d with
-    # no columns (X1_d = 0) is not assembled
-    assert counts == {"T": 794, "B": 1264, "K1": 470, "K2": 412, "d0": 295}
+    # 794 [H | H'] blocks and 1,264 sealed blocks; the divergence route
+    # assembled 794 T, 1,264 B and 470 K1
+    assert counts == {"H": 2058, "K2": 412, "d0": 295} and counts["K1"] == 0
 
 
 def test_a_default_catalog_pass_assembles_the_counted_matrices():
     """``tests/matrix_count.py`` at the default bound 3n+12: no catalog
-    potential reaches [T_d | c], as every one has n = a+b+c"""
-    assert matrix_counts() == {"B": 3602, "T": 794, "K1": 2808, "K2": 555, "d0": 295}
+    potential reaches [T_d | c], as every one has n = a+b+c, and the sealed
+    blocks leave no K1 matrix to assemble (8,054 matrices by the divergence
+    route: B 3,602, T 794, K1 2,808, K2 555, d0 295)"""
+    counts = matrix_counts()
+    assert counts == {"H": 4396, "K2": 555, "d0": 295} and counts["K1"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -933,18 +1074,39 @@ _CACHE_POTENTIALS = [
 ]
 
 
-@pytest.mark.parametrize("weights, field, text", _CACHE_POTENTIALS)
-def test_operator_tables_are_built_once_per_potential(monkeypatch, weights, field, text):
-    om = parse_poly(text, weights, field)
-    n = om.homogeneous_degree()
+def _tables(om):
+    """every operator table of a potential: d0, Koszul 1 and 2, the
+    Hamiltonian and sealed blocks, and T for the derivation basis"""
+    return ([complexes._d0_table(om)] + [complexes._koszul_table(om, i) for i in (1, 2)]
+            + [complexes._hamiltonian_table(om), complexes._sealed_table(om),
+               complexes._ozone_table(om)])
+
+
+def _counting_gradients(monkeypatch):
+    """the calls of ``gradient`` made through every package module, from
+    empty memos"""
+    clear_memos()
+    ring.potential_gradient.cache_clear()
+    jacobian.jacobian_basis.cache_clear()
     calls = []
-    real = complexes.gradient
+    real = ring.gradient
 
     def counting_gradient(f):
         calls.append(f)
         return real(f)
 
-    monkeypatch.setattr(complexes, "gradient", counting_gradient)
+    for name, mod in list(sys.modules.items()):
+        if name == "wpoisson" or name.startswith("wpoisson."):
+            if getattr(mod, "gradient", None) is real:
+                monkeypatch.setattr(mod, "gradient", counting_gradient)
+    return calls
+
+
+@pytest.mark.parametrize("weights, field, text", _CACHE_POTENTIALS)
+def test_operator_tables_are_built_once_per_potential(monkeypatch, weights, field, text):
+    om = parse_poly(text, weights, field)
+    n = om.homogeneous_degree()
+    calls = _counting_gradients(monkeypatch)
     structure = from_potential(om)
     for bound in (n + 1, n + 4):
         complexes.ph_dims(om, bound)
@@ -955,24 +1117,44 @@ def test_operator_tables_are_built_once_per_potential(monkeypatch, weights, fiel
         for d in range(-3, bound + 1):
             poisson.graded_derivation_space(structure, d)
             complexes.ozone_dim(om, d)
-    # the d0 table, Koszul tables 1, 2 and the ozone table, which also
-    # serves d1 and the derivation spaces: the package has no d1 table
-    assert len(calls) == 4 and all(f == om for f in calls)
+    # one gradient serves every table, and the bracket; the package has
+    # no d1 table
+    assert calls == [om]
     again = parse_poly(text, weights, field)
-    assert complexes._d0_table(again) is complexes._d0_table(om)
-    assert all(complexes._koszul_table(again, i) is complexes._koszul_table(om, i)
-               for i in (1, 2))
-    assert complexes._ozone_table(again) is complexes._ozone_table(om)
-    assert len(calls) == 4
+    assert all(new is old for new, old in zip(_tables(again), _tables(om)))
+    assert calls == [om]
+
+
+@pytest.mark.parametrize("weights, field, text", _CACHE_POTENTIALS)
+def test_ph_dims_builds_no_sealed_table(weights, field, text):
+    """the products O and O g_i are made for the sealed sweep alone: ph_dims,
+    koszul_dims and the derivation spaces build no sealed table"""
+    om = parse_poly(text, weights, field)
+    clear_memos()
+    complexes.ph_dims(om, 6)
+    complexes.koszul_dims(om, 9)
+    for d in range(4):
+        poisson.graded_derivation_space(from_potential(om), d)
+    assert complexes._sealed_table.cache_info().currsize == 0
+    complexes.sealed_k1_dims(om, 6)
+    assert complexes._sealed_table.cache_info().currsize == 1
+
+
+def test_a_catalog_entry_computes_its_gradient_once(monkeypatch):
+    """every check of verify_entry, the tables, the Groebner basis and the
+    bracket, reads the one memoised gradient of the potential"""
+    for e in list(catalog.entries())[::25]:
+        calls = _counting_gradients(monkeypatch)
+        assert catalog.verify_entry(e).ok
+        assert [f for f in calls if f == e.omega] == [e.omega], e.entry_id
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("weights, field, text", _CACHE_POTENTIALS)
 def test_cached_tables_are_immutable_and_unchanged_by_use(weights, field, text):
     om = parse_poly(text, weights, field)
     n = om.homogeneous_degree()
-    tables = ([complexes._d0_table(om)]
-              + [complexes._koszul_table(om, i) for i in (1, 2)]
-              + [complexes._ozone_table(om)])
+    tables = _tables(om)
     snapshot = copy.deepcopy(tables)
     # only a table of tuples and immutable values hashes: no dict inside
     for table in tables:
