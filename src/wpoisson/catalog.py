@@ -9,11 +9,17 @@ them from scratch and reports agreement item by item.
 Every numeric expectation in the data file was confirmed by an independent
 computation before being frozen.  Entries whose vacancy or sealedness verdict
 is "no" carry a witness degree (the smallest degree where a nonzero dimension
-appears) so verification knows how far it must look.
+appears) so verification knows how far it must look.  Verification sweeps
+each of those two tables in rising degree and stops at its sixth nonzero
+degree, the last one its report item prints, as no later degree changes the
+item; a "yes" verdict, which holds only when every degree is zero, an item
+with fewer than six nonzero degrees and the cohomology tables still sweep to
+the bound.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -27,7 +33,7 @@ from .poisson import (
     rgt,
 )
 from .jacobian import gkdim, has_isolated_singularity
-from .complexes import default_bound, ph_closed_form_rows, sealed_k1_dims, vacancy_check
+from .complexes import default_bound, ph_closed_form_rows, sealed_degrees, vacancy_degrees
 
 DATA_PATH = Path(__file__).resolve().parent / "data" / "catalog.txt"
 
@@ -353,10 +359,14 @@ def entries(selector: Optional[str] = None,
     raise CatalogError("unknown selector %r" % selector)
 
 
-def _check_yes_no(name, verdict, dims_items, report, bound):
+# the nonzero degrees a vacancy or sealedness item prints; its sweep stops
+# at the last of them, as no later degree changes the item
+NONZERO_SHOWN = 6
+
+
+def _check_yes_no(name, verdict, nonzero, report, bound):
     """Shared shape for the vacancy and sealedness items."""
-    nonzero = sorted(d for d, v in dims_items if v)
-    computed = "nonzero at %s" % nonzero[:6] if nonzero else "all zero to %d" % bound
+    computed = "nonzero at %s" % nonzero if nonzero else "all zero to %d" % bound
     if verdict == "unknown":
         status = "info"
     else:
@@ -380,9 +390,8 @@ def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
         raise CatalogError("checks must be a nonempty subset of %s; unknown: %s"
                            % (",".join(CHECKS), ",".join(sorted(unknown)) or "none"))
     truncated = [check for check in (
-        ("vacancy", entry.expected_vacant, entry.vacancy_witness, vacancy_check),
-        ("sealed", entry.expected_sealed, entry.sealed_witness,
-         lambda om, bound: sealed_k1_dims(om, bound)[0]),
+        ("vacancy", entry.expected_vacant, entry.vacancy_witness, vacancy_degrees),
+        ("sealed", entry.expected_sealed, entry.sealed_witness, sealed_degrees),
     ) if check[0] in want]
     D = default_bound(entry.degree) if max_degree is None else max_degree
     report = EntryReport(entry=entry)
@@ -390,11 +399,12 @@ def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
     # a "no" verdict looks at least as far as its recorded witness
     bounds = {name: max(D, w) if verdict == "no" and w is not None else D
               for name, verdict, w, _ in truncated}
-    # the tables come before every other check, sealed first: its block
+    # the sweeps come before every other check, sealed first: its block
     # eliminations leave the ranks of K1, which it reads itself, and of T_e,
-    # which rgt, vacancy and cohomology read (complexes docstring); the
-    # report keeps its row order
-    dims = {name: table(omega, bounds[name]).items() for name, _, _, table in reversed(truncated)}
+    # which rgt, vacancy and cohomology read (complexes docstring).  Each
+    # stops at its last printed nonzero degree; the report keeps its row order
+    nonzero = {name: list(islice((d for d, v in sweep(omega, bounds[name]) if v), NONZERO_SHOWN))
+               for name, _, _, sweep in reversed(truncated)}
 
     if "structure" in want:
         s = from_potential(omega)
@@ -422,7 +432,7 @@ def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
             "isolated", "pass" if iso == entry.expected_isolated else "fail",
             str(entry.expected_isolated).lower(), str(iso).lower()))
     for name, verdict, _, _ in truncated:
-        _check_yes_no(name, verdict, dims[name], report, bounds[name])
+        _check_yes_no(name, verdict, nonzero[name], report, bounds[name])
     if "cohomology" in want and entry.type_label in ("i", "q", "bw"):
         _, matches = ph_closed_form_rows(omega, D)
         bad = ["PH%d" % i for i in range(4) if not matches["ph%d" % i]]

@@ -99,6 +99,13 @@ Every per-degree table sweeps a window of degrees from its lowest nonzero
 slot up to the truncation bound D, and refuses, before it lists a monomial,
 a window with no degree, as every flag over an empty table would hold
 vacuously, or one whose maps would list too many monomials (``_window``).
+The vacancy and sealed sweeps are generators, ``vacancy_degrees`` and
+``sealed_degrees``, that rank a degree only when it is read: catalog verify
+stops each at its sixth nonzero degree, the last its report prints, while a
+"yes" verdict, the cohomology tables and the ``vacancy_check`` and
+``sealed_k1_dims`` tables still sweep to D.  A sealed sweep cut short leaves
+rank T_e in the memo only up to its stop; past it, rank T_d comes from
+[H | H'] alone.
 The maps of one degree, ``ozone_dim`` and ``derivation_kernel``, count the
 slices they list against the same budget (``_slice_budget``).
 
@@ -339,14 +346,20 @@ def _m2_dim(omega, d):
     return grads + _cochain_rank(omega, 0, e)
 
 
+def vacancy_degrees(omega, bound):
+    """(degree, dimension) of ``vacancy_check`` in rising degree, each
+    degree ranked only when it is read; the window is checked at the call"""
+    n = check_potential(omega, "vacancy diagnostic requires degree a+b+c")
+    x2 = cochain_shifts(omega.weights)[2]
+    return ((d, _space_dim(omega.weights, x2, d) - _cochain_rank(omega, 2, d) - _m2_dim(omega, d))
+            for d in _window(omega, "vacancy", -n, bound))
+
+
 def vacancy_check(omega, bound):
     """per-degree upper-division dimensions: ker of the top differential
     modulo M2, so dim X2_d - rank d2 - #A_{d+n} + [d = -n] - rank d0 at
     degree d; the potential is vacant up to the bound iff all zero"""
-    n = check_potential(omega, "vacancy diagnostic requires degree a+b+c")
-    x2 = cochain_shifts(omega.weights)[2]
-    return {d: _space_dim(omega.weights, x2, d) - _cochain_rank(omega, 2, d) - _m2_dim(omega, d)
-            for d in _window(omega, "vacancy", -n, bound)}
+    return dict(vacancy_degrees(omega, bound))
 
 
 def _first_partial(omega):
@@ -618,21 +631,29 @@ def _sealed_ranks(omega, e):
             lead + sum(c >= past_u for c in pivots))
 
 
+def _sealed_dim(omega, d):
+    """sealed_d from the block of degree e = d - n, which leaves rank K1 and
+    rank T_e in the memos; K1 at degree d is X1 at degree e"""
+    e = d - omega.homogeneous_degree()
+    dim_v = _koszul_dim(omega, 1, d)
+    if not dim_v:
+        return 0
+    _k1_ranks(omega)[d], rank_b, _t_ranks(omega)[e] = _sealed_ranks(omega, e)
+    return dim_v - rank_b + _koszul_rank(omega, 1, e) - _koszul_rank(omega, 2, d)
+
+
+def sealed_degrees(omega, bound):
+    """(degree, dimension) of ``sealed_k1_dims`` in rising degree, each
+    degree's block eliminated only when it is read; the window is checked at
+    the call"""
+    check_potential(omega)
+    return ((d, _sealed_dim(omega, d)) for d in _window(omega, "sealed", 0, bound))
+
+
 def sealed_k1_dims(omega, bound):
     """per-degree dimensions of sealed first Koszul homology: cycles whose
     divergence lies in the Jacobian ideal, modulo boundaries, from the rank
     of the block map B (module docstring).  Returns ({degree: dim}, all-zero
     flag).  Each degree's block leaves rank K1 and rank T_e in the memos."""
-    n = check_potential(omega)
-    t_ranks, k1_ranks = _t_ranks(omega), _k1_ranks(omega)
-    out = {}
-    for d in _window(omega, "sealed", 0, bound):
-        # K1 at degree d is X1 at degree e = d - n
-        e = d - n
-        dim_v = _koszul_dim(omega, 1, d)
-        if not dim_v:
-            out[d] = 0
-            continue
-        k1_ranks[d], rank_b, t_ranks[e] = _sealed_ranks(omega, e)
-        out[d] = dim_v - rank_b + _koszul_rank(omega, 1, e) - _koszul_rank(omega, 2, d)
+    out = dict(sealed_degrees(omega, bound))
     return out, all(v == 0 for v in out.values())

@@ -1,6 +1,7 @@
 """A deterministic work count of the linear-algebra layer: the matrices
 that ``complexes`` assembles, by kind, over a cold ``catalog verify`` of
-all 125 entries at the default bound 3n+12.  A matrix's kind comes from the
+all 125 entries at the default bound 3n+12, and at n+6, the bound of the
+benchmark's ``catalog`` workload.  A matrix's kind comes from the
 function that asked for it, looked up through ``complexes._t_block``, the
 builder of T_d and [T_d | c] for the derivation basis, to its caller, and
 from its numbers of source and target slices.  Every Hamiltonian block,
@@ -8,7 +9,7 @@ the sealed block [O A_e | O g_i A_u | H | H'] and [H | H'] alone, is of
 kind H; the sealed block gives rank K1 too, so a catalog pass assembles no
 K1 matrix.
 
-Print the count from the repository root with
+Print the counts from the repository root with
 
     PYTHONPATH=src python tests/matrix_count.py
 """
@@ -47,9 +48,9 @@ def clear_memos():
             value.cache_clear()
 
 
-def matrix_counts(bound=None):
-    """{kind: matrices} assembled by ``catalog.verify_all`` at ``bound``, by
-    default 3n+12 for each entry, from empty memos"""
+def matrix_counts(bound_of=complexes.default_bound):
+    """{kind: matrices} assembled by ``catalog.verify_entry`` on every entry
+    at the bound ``bound_of(n)``, by default 3n+12, from empty memos"""
     counts = Counter()
     real = complexes.assemble
 
@@ -60,14 +61,17 @@ def matrix_counts(bound=None):
     clear_memos()
     complexes.assemble = spy
     try:
-        catalog.verify_all(bound)
+        for entry in catalog.entries():
+            catalog.verify_entry(entry, bound_of(entry.degree))
     finally:
         complexes.assemble = real
     return counts
 
 
 if __name__ == "__main__":
-    counts = matrix_counts()
-    counts.update({kind: 0 for kind in set(KINDS.values())})
-    print("matrices assembled by catalog verify at 3n+12: %d (%s)" % (
-        sum(counts.values()), ", ".join("%s %d" % kv for kv in sorted(counts.items()))))
+    for label, bound_of in (("3n+12", complexes.default_bound), ("n+6", lambda n: n + 6)):
+        counts = matrix_counts(bound_of)
+        counts.update({kind: 0 for kind in set(KINDS.values())})
+        print("matrices assembled by catalog verify at %s: %d (%s)" % (
+            label, sum(counts.values()),
+            ", ".join("%s %d" % kv for kv in sorted(counts.items()))))

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from wpoisson import QQ, Weights, catalog, monomial_basis
+from wpoisson import QQ, Weights, catalog, complexes, monomial_basis
 from wpoisson.jacobian import gkdim
 from wpoisson.ring import Polynomial
 
@@ -188,3 +188,38 @@ def test_entry_reports_collect_failures():
     e = catalog.entries("111-i-a")[0]
     rep = catalog.verify_entry(e, max_degree=4, checks=("structure",))
     assert rep.failures == []
+
+
+def _swept_item(name, verdict, dims, bound):
+    """the vacancy or sealedness item built from the whole table to the
+    bound: the oracle for the sweep that stops at the last printed degree"""
+    nonzero = sorted(d for d, v in dims.items() if v)
+    computed = "nonzero at %s" % nonzero[:6] if nonzero else "all zero to %d" % bound
+    if verdict == "unknown":
+        return (name, "info", verdict, computed)
+    return (name, "pass" if bool(nonzero) == (verdict == "no") else "fail", verdict, computed)
+
+
+def test_yes_no_items_equal_the_items_of_the_whole_tables():
+    """on every entry at n+6, the vacancy and sealed items of verify_entry,
+    whose sweeps stop at their sixth nonzero degree, equal those built from
+    the tables swept to the bound (to the witness, past it); and each sweep,
+    read whole, gives its table in rising degree"""
+    for e in catalog.entries():
+        D = e.degree + 6
+        got = [(i.name, i.status, i.expected, i.computed) for i in
+               catalog.verify_entry(e, D, checks=("vacancy", "sealed")).items]
+        want = []
+        for name, verdict, witness, table_of, sweep in (
+                ("vacancy", e.expected_vacant, e.vacancy_witness, complexes.vacancy_check,
+                 complexes.vacancy_degrees),
+                ("sealed", e.expected_sealed, e.sealed_witness,
+                 lambda om, bound: complexes.sealed_k1_dims(om, bound)[0],
+                 complexes.sealed_degrees)):
+            bound = max(D, witness) if verdict == "no" else D
+            table = table_of(e.omega, bound)
+            want.append(_swept_item(name, verdict, table, bound))
+            degrees = list(sweep(e.omega, bound))
+            assert [d for d, _ in degrees] == sorted(table), e.entry_id
+            assert dict(degrees) == table, e.entry_id
+        assert got == want, e.entry_id

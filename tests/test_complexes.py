@@ -1050,18 +1050,46 @@ def test_a_catalog_pass_eliminates_no_t_at_a_sealed_degree(monkeypatch):
         b_degs = {tgt[0] - e.degree for kind, src, tgt, _ in calls if len(src) == 4}
         assert b_degs and not t_degs & b_degs, e.entry_id
         counts.update(kind for kind, _, _, _ in calls)
-    # 794 [H | H'] blocks and 1,264 sealed blocks; the divergence route
-    # assembled 794 T, 1,264 B and 470 K1
-    assert counts == {"H": 2058, "K2": 412, "d0": 295} and counts["K1"] == 0
+    # 463 [H | H'] blocks and 1,121 sealed blocks, as each yes/no sweep stops
+    # at its sixth nonzero degree; swept to n+6 they were 794 and 1,264, with
+    # K2 412 and d0 295, and the divergence route assembled 794 T, 1,264 B
+    # and 470 K1
+    assert counts == {"H": 1584, "K2": 303, "d0": 281} and counts["K1"] == 0
 
 
 def test_a_default_catalog_pass_assembles_the_counted_matrices():
     """``tests/matrix_count.py`` at the default bound 3n+12: no catalog
     potential reaches [T_d | c], as every one has n = a+b+c, and the sealed
-    blocks leave no K1 matrix to assemble (8,054 matrices by the divergence
-    route: B 3,602, T 794, K1 2,808, K2 555, d0 295)"""
+    blocks leave no K1 matrix to assemble.  Swept to 3n+12, the yes/no checks
+    assembled 5,246 matrices (H 4,396, K2 555, d0 295); by the divergence
+    route 8,054 (B 3,602, T 794, K1 2,808, K2 555, d0 295)"""
     counts = matrix_counts()
-    assert counts == {"H": 4396, "K2": 555, "d0": 295} and counts["K1"] == 0
+    assert counts == {"H": 3041, "K2": 394, "d0": 281} and counts["K1"] == 0
+
+
+def test_catalog_verify_stops_a_yes_no_sweep_at_its_sixth_nonzero_degree(monkeypatch):
+    """x^3 on (1,1,1) at D = 9: sealed is nonzero at 2..7 and vacancy at -1..4,
+    so the sealed blocks stop at e = 7 - n = 4, and vacancy reads every rank
+    T_d it needs off them, with no [H | H'] block; swept to 9 they reached
+    e = 6, and vacancy added [H | H'] at 7, 8, 9.  x^3+y^2*z is vacant, so
+    its vacancy sweep still reaches 9, past the sealed blocks"""
+    def blocks(entry_id):
+        (entry,) = catalog.entries(entry_id)
+        reports = []
+        calls = _capture(monkeypatch, lambda: reports.append(catalog.verify_entry(entry, 9)))
+        items = {item.name: item.computed for item in reports[0].items}
+        # the sealed block of degree e has sources e, ..; both map into A_{d+n}
+        sealed = [src[0] for kind, src, _, _ in calls if kind == "H" and len(src) == 4]
+        alone = [tgt[0] - 3 for kind, src, tgt, _ in calls if kind == "H" and len(src) == 2]
+        return items, sealed, alone
+
+    items, sealed, alone = blocks("111-r-a")
+    assert items["sealed"] == "nonzero at [2, 3, 4, 5, 6, 7]"
+    assert items["vacancy"] == "nonzero at [-1, 0, 1, 2, 3, 4]"
+    assert sealed == list(range(-1, 5)) and alone == []
+    items, sealed, alone = blocks("111-i-a")
+    assert items["vacancy"] == "all zero to 9" and items["sealed"] == "all zero to 9"
+    assert sealed == list(range(-1, 7)) and alone == [7, 8, 9]
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,22 @@
 --potential, --map/--inverse and --max-degree values over the subcommands
 that take them.  Every case must exit 0, 1 or 2 and print no traceback; a
 case that exits 2 prints one ``error:`` line, or click's usage block ending
-in one ``Error:`` line.  Cases are bounded by counts, not by a clock: small
-weights, degrees and bounds, and bounds far past the window budget, which
-are refused before anything is listed."""
+in one ``Error:`` line.  ``catalog verify`` cases draw --filter by entry id
+and by type, --checks subsets and bounds, and must pass or be refused.
+Cases are bounded by counts, not by a clock: small weights, degrees and
+bounds, and bounds far past the window budget, which are refused before
+anything is listed."""
 
+import json
 import random
 
 import pytest
 from click.testing import CliRunner
 
+from wpoisson import catalog
 from wpoisson.cli import main
+
+from matrix_count import clear_memos
 
 VARS = "xyz"
 WEIGHTS = [(1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 1, 3), (1, 2, 2), (2, 3, 3), (1, 3, 3)]
@@ -28,6 +34,9 @@ HUGE_BOUNDS = ["10000000", "99999999999999999999", "-10000000"]
 # a letter outside ASCII, and a digit that is not decimal: int() refuses it
 NOISE = "xyzs0123456789+-*^/()  q_;>é²"
 BOUND_COMMANDS = ["cohomology", "koszul", "sealed", "vacancy", "ozone"]
+# a type filter selects 3 to 84 entries, so its cases take small bounds only
+BAD_FILTERS = ["type:", "type:x", "table:999", "weights:1,1", ""]
+BAD_CHECKS = ["", ",", "rgt,,gk", "vacancy,nope", "all", "Sealed"]
 PLAIN_COMMANDS = ["rgt", "gkdim", "singularity", "jacobi", "modular"]
 
 
@@ -164,6 +173,81 @@ def test_seeded_cli_cases_exit_0_1_or_2_without_a_traceback(seed):
         codes[res.exit_code] += 1
     # the cases reach answers and refusals alike
     assert codes[0] > 10 and codes[2] > 10, codes
+
+
+def _catalog_case(rng):
+    """one ``catalog verify`` argument list: --filter by an entry id, a
+    mutated id or a type, --checks a subset of the checks, and a bound"""
+    ids = [e.entry_id for e in catalog.entries()]
+    kind = rng.random()
+    if kind < 0.45:
+        selector = rng.choice(ids)
+    elif kind < 0.55:
+        selector = _mutate(rng, rng.choice(ids))
+    elif kind < 0.9:
+        selector = "type:" + rng.choice(catalog.TYPE_LABELS)
+    else:
+        selector = rng.choice(BAD_FILTERS)
+    args = ["catalog", "verify", "--filter", selector]
+    kind = rng.random()
+    if kind < 0.8:
+        checks = rng.sample(catalog.CHECKS, rng.randint(1, len(catalog.CHECKS)))
+        args += ["--checks", ",".join(checks)]
+    elif kind < 0.9:
+        args += ["--checks", rng.choice(BAD_CHECKS)]
+    kind = rng.random()
+    if kind < 0.15 and not selector.startswith("type:"):
+        pass  # the default bound, 3n+12
+    elif kind < 0.85:
+        args += ["--max-degree", str(rng.randint(-2, 8))]
+    elif kind < 0.95:
+        args += ["--max-degree", rng.choice(HUGE_BOUNDS)]
+    else:
+        args += ["--max-degree", rng.choice(BAD_BOUNDS)]
+    if rng.random() < 0.3:
+        args += ["--format", rng.choice(["json", "csv", "table"])]
+    return args
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_seeded_catalog_verify_cases_pass_or_are_refused(seed):
+    """every entry's expectations hold at every bound, so a case exits 0
+    or is refused with exit 2, never 1"""
+    rng = random.Random("fuzz-catalog:%d" % seed)
+    runner = CliRunner()
+    codes = {0: 0, 2: 0}
+    for _ in range(40):
+        args = _catalog_case(rng)
+        res = runner.invoke(main, args)
+        _check(args, res)
+        assert res.exit_code != 1, "wpoisson %s" % " ".join(repr(a) for a in args)
+        codes[res.exit_code] += 1
+    assert codes[0] > 5 and codes[2] > 5, codes
+
+
+@pytest.mark.parametrize("selector", ["table:111", "weights:1,2,3"])
+def test_a_check_reports_the_same_rows_alone_as_beside_the_others(selector):
+    """each check run alone from empty memos gives the rows it gives run
+    with every other check from empty memos: the sealed sweep, run first
+    and stopped at its sixth nonzero degree, leaves the ranks the later
+    checks read in the memos only up to its stop"""
+    runner = CliRunner()
+
+    def rows(*checks):
+        clear_memos()
+        args = ["catalog", "verify", "--filter", selector, "--format", "json"]
+        res = runner.invoke(main, args + (["--checks", ",".join(checks)] if checks else []))
+        assert res.exit_code == 0, res.output
+        return json.loads(res.stdout)["results"]["rows"]
+
+    together = rows()
+    seen = []
+    for check in catalog.CHECKS:
+        alone = rows(check)
+        names = {row["check"] for row in alone}
+        assert alone == [row for row in together if row["check"] in names], check
+        seen += alone
+    assert sorted(seen, key=json.dumps) == sorted(together, key=json.dumps)
 
 
 def test_catalog_verify_takes_small_huge_and_malformed_bounds():
