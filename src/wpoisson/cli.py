@@ -68,6 +68,9 @@ _MOD_TERM = re.compile(r"^([+-]?\d*)(?:\*?s(?:\^(\d+))?)?$")
 # the largest --field modulus degree; the paper's fields have degree 2, and
 # every product in the field costs the square of the degree
 FIELD_MAX_DEGREE = 32
+# the most cases selftest runs per suite: a case of the four suites takes
+# about 1 ms on a two-core machine, so the limit runs in about 10 s
+SELFTEST_MAX_CASES = 10_000
 
 
 def _parse_field(text):
@@ -479,7 +482,7 @@ def catalog_list(selector, catalog_file, fmt):
 
 @main.command()
 @click.option("--seed", type=int, default=20240817)
-@click.option("--cases", type=click.IntRange(min=1), default=100)
+@click.option("--cases", type=click.IntRange(min=1, max=SELFTEST_MAX_CASES), default=100)
 @_format
 def selftest(seed, cases, fmt):
     """Randomized property suites; exit 1 on any counterexample."""

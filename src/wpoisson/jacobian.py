@@ -31,15 +31,18 @@ skipped when its heads are coprime (product criterion) or when a third head
 divides the lcm of the two strictly, with lcm(h_i, h_k) and lcm(h_k, h_j)
 both differing from it (chain criterion).  The remaining S-polynomials,
 built from the stored divisors, must all reduce to zero, and so must every
-generator.  Heads, the Hilbert numerator, the GK-dimension, the gcd and
-normal forms read this basis as it is.  A minimal basis has the heads and
-the size of the reduced one, and the remainder of f modulo any Groebner
-basis of I is the one element of f + I with no term in in(I) (Cox, Little,
-O'Shea, 2.6), so every normal form is the one by the reduced basis.  The
-reduced basis, the elements a caller sees, is made and proved by the same
-criterion when first read (``GroebnerBasis.polys``); it is unique (Cox,
-Little, O'Shea, Ideals, Varieties, and Algorithms, 2.7), so a lifted basis
-reduces to the reduced basis over Q.
+generator.  A pair or generator that the run itself reduced, against
+divisors the minimal basis holds, has reduced to zero modulo that basis
+already (lemma at ``buchberger``): it is certified, and only the others
+are reduced again.  Heads, the Hilbert numerator, the GK-dimension, the
+gcd and normal forms read this basis as it is.  A minimal basis has the
+heads and the size of the reduced one, and the remainder of f modulo any
+Groebner basis of I is the one element of f + I with no term in in(I)
+(Cox, Little, O'Shea, 2.6), so every normal form is the one by the
+reduced basis.  The reduced basis, the elements a caller sees, is made and
+proved by the same criterion when first read (``GroebnerBasis.polys``); it
+is unique (Cox, Little, O'Shea, Ideals, Varieties, and Algorithms, 2.7),
+so a lifted basis reduces to the reduced basis over Q.
 
 The Hilbert numerator of the singular quotient is computed once per
 potential from the heads of its basis and cached beside it.  It is read off
@@ -245,14 +248,17 @@ def _s_terms(di, dj):
     return out
 
 
-def _critical_pairs(heads):
+def _critical_pairs(heads, certified=()):
     """index pairs (i, j), i < j, whose S-polynomials must reduce to zero for
     a set with these heads to be a Groebner basis.  A pair is dropped when
     its heads are coprime (product criterion), or when some third head h_k
     divides L = lcm(h_i, h_j) with lcm(h_i, h_k) != L != lcm(h_k, h_j)
     (chain criterion).  The chain is strict, so (i, k) and (k, j) have lcms
     properly dividing L, and induction on L under divisibility shows that
-    dropping every such pair at once keeps the check a proof."""
+    dropping every such pair at once keeps the check a proof.  A pair in
+    ``certified``, one whose S-polynomial is known to reduce to zero modulo
+    the set, is dropped before the chain scan: it enters that induction as
+    proved, the way a reduced pair does."""
     n = len(heads)
     pairs = []
     for i, (a0, a1, a2) in enumerate(heads):
@@ -260,7 +266,9 @@ def _critical_pairs(heads):
             b0, b1, b2 = heads[j]
             if (not a0 or not b0) and (not a1 or not b1) and (not a2 or not b2):
                 continue  # coprime: lcm = product
-            l0, l1, l2 = max(a0, b0), max(a1, b1), max(a2, b2)
+            if (i, j) in certified:
+                continue
+            l0, l1, l2 = a0 if a0 > b0 else b0, a1 if a1 > b1 else b1, a2 if a2 > b2 else b2
             # given h_k | L, lcm(h_i, h_k) != L iff h_i and h_k both fall short
             # of L in some coordinate, and likewise for lcm(h_k, h_j); a head
             # equal to h_i or h_j, k = i and k = j included, fails one of them
@@ -274,12 +282,14 @@ def _critical_pairs(heads):
     return pairs
 
 
-def _s_pairs_reduce_to_zero(weights, divisors):
+def _s_pairs_reduce_to_zero(weights, divisors, certified=()):
     """Buchberger's criterion over the critical pairs only: true iff the
-    polynomials behind these divisors form a Groebner basis"""
+    polynomials behind these divisors form a Groebner basis, given that the
+    S-polynomial of each index pair in ``certified`` reduces to zero modulo
+    them"""
     return not any(
         _reduce(weights, _s_terms(divisors[i], divisors[j]), divisors)[0]
-        for i, j in _critical_pairs([h for h, _, _ in divisors])
+        for i, j in _critical_pairs([h for h, _, _ in divisors], certified)
     )
 
 
@@ -301,7 +311,21 @@ def buchberger(gens):
     the result is a Groebner basis of the ideal it generates, the second
     that this ideal holds the generators'.  Its tails are inter-reduced,
     and the reduced basis proved by the same criterion, when
-    ``GroebnerBasis.polys`` is first read."""
+    ``GroebnerBasis.polys`` is first read.
+
+    A reduction the run made already counts (``_certified``).  Lemma: let
+    G be the minimal basis.  If the run reduced the S-polynomial of a pair
+    of G, or a generator, against divisors that all lie in G, and its
+    remainder was zero or is the one an element of G was made from, then it
+    reduces to zero modulo G.  Proof: a divisor is never changed once made,
+    so each step of that reduction is a step modulo G; a nonzero remainder
+    r is a nonzero scalar times the divisor made from it, so one more step
+    by that element of G takes r to zero.  The steps write the
+    S-polynomial as a sum of multiples of elements of G with heads at or
+    below its own head, so below the lcm of the pair, and that is all the
+    chain criterion's induction needs of a pair.  So a certified pair is
+    not reduced again and enters no chain scan, and a certified generator
+    is not reduced again; every other critical pair and generator is."""
     gens = [g for g in gens if g.terms]
     if not gens:
         raise RingError("ideal needs at least one nonzero generator")
@@ -317,19 +341,36 @@ def buchberger(gens):
                       for h, lc, tail in buchberger(rational)._divisors]
             return GroebnerBasis(lifted, weights, field)
     entries = [_entry(field, g.terms)[1] for g in gens]
+    divisors, order, pair_used, gen_used = _run(weights, field, entries)
+    minimal = [divisors[t] for t in order]
+    _prove(weights, minimal, entries, *_certified(order, pair_used, gen_used))
+    return GroebnerBasis(minimal, weights, field)
+
+
+def _run(weights, field, entries):
+    """Buchberger's main loop over the generators' entries.  Returns
+    (divisors, order, pair_used, gen_used): every divisor the run made, by
+    index; the indices of the minimal basis, sorted by the monomial order;
+    for each S-pair (i, j) it reduced, and for each generator by its
+    number, the indices of the divisors that reduction ran against, with
+    the index of the divisor made from its remainder when that was nonzero"""
     divisors = []
+    gen_used = []
     for terms in entries:
         r = _reduce(weights, terms, divisors)[0]
         if r:
             divisors.append(_divisor(field, next(iter(r)), r))
+        gen_used.append(range(len(divisors)))
     heads = [h for h, _, _ in divisors]
     wx, wy, wz = weights.tuple
 
     pairs = {}  # live pairs (i, j), i < j -> lcm of the heads
     queue = []  # (lcm degree, i, j); pairs dropped by the B criterion go stale
-    active = []  # indices whose head no later head divides
+    active = ()  # indices whose head no later head divides
+    reducers = []  # their divisors
 
     def update(k):
+        nonlocal active, reducers
         k0, k1, k2 = heads[k]
         cand = []  # (t, lcm of heads t and k, whether they are coprime)
         still = []
@@ -367,31 +408,57 @@ def buchberger(gens):
             if not coprime:
                 pairs[(t, k)] = lcm
                 heapq.heappush(queue, (wx * lcm[0] + wy * lcm[1] + wz * lcm[2], t, k))
-        still.append(k)
-        active[:] = still
+        # a new tuple per update, shared by the records of the pairs reduced
+        # against it
+        active = (*still, k)
+        reducers = [divisors[t] for t in active]
 
     for k in range(len(divisors)):
         update(k)
+    pair_used = {}
     while queue:
         # normal strategy: smallest lcm degree first, then index order
         _, i, j = heapq.heappop(queue)
         if pairs.pop((i, j), None) is None:
             continue
-        r = _reduce(weights, _s_terms(divisors[i], divisors[j]),
-                    [divisors[t] for t in active])[0]
+        r = _reduce(weights, _s_terms(divisors[i], divisors[j]), reducers)[0]
         if r:
+            pair_used[(i, j)] = (*active, len(divisors))
             divisors.append(_divisor(field, next(iter(r)), r))
             heads.append(divisors[-1][0])
             update(len(divisors) - 1)
+        else:
+            pair_used[(i, j)] = active
 
     # every remainder is reduced, so no head is a multiple of an earlier one,
     # and the active heads are those no other head divides: a minimal basis
-    minimal = [divisors[t] for t in sorted(active, key=lambda t: mono_key(weights, heads[t]))]
-    if not _s_pairs_reduce_to_zero(weights, minimal):
+    return divisors, sorted(active, key=lambda t: mono_key(weights, heads[t])), pair_used, gen_used
+
+
+def _certified(order, pair_used, gen_used):
+    """(pairs, generators) that the run reduced to zero modulo the minimal
+    basis divisors[order] (lemma at ``buchberger``): the position pairs
+    (p, q), p < q, of that basis and the generator numbers whose recorded
+    reduction used only divisors of it"""
+    final = set(order)
+    pos = {t: p for p, t in enumerate(order)}
+    pairs = set()
+    for (i, j), used in pair_used.items():
+        if i in final and j in final and final.issuperset(used):
+            p, q = pos[i], pos[j]
+            pairs.add((p, q) if p < q else (q, p))
+    return pairs, {k for k, used in enumerate(gen_used) if final.issuperset(used)}
+
+
+def _prove(weights, minimal, entries, pairs, gens):
+    """Buchberger's criterion on the minimal basis and the membership of each
+    generator, reducing only what the certificate (pairs, gens) of
+    ``_certified`` does not cover; RingError if either fails"""
+    if not _s_pairs_reduce_to_zero(weights, minimal, pairs):
         raise RingError("Groebner construction failed the S-pair criterion")
-    if any(_reduce(weights, terms, minimal)[0] for terms in entries):
+    if any(_reduce(weights, terms, minimal)[0]
+           for k, terms in enumerate(entries) if k not in gens):
         raise RingError("Groebner construction lost a generator of the ideal")
-    return GroebnerBasis(minimal, weights, field)
 
 
 def _inter_reduce(weights, field, divisors):

@@ -1,9 +1,10 @@
 """Deterministic work counts of the benchmark's ``groebner`` pool at one
 seed: the calls of ``jacobian._reduce`` made while building the Jacobian
-bases, and the ``Polynomial`` objects built while parsing the potentials.
-The pool is the three jobs of a 35 s run, 96 potentials each, with the
-basis cache emptied before each job, as every benchmark job starts in a
-cold worker.  The pool comes from ``perfbench/inputs.py``, loaded without
+bases, in all and split between Buchberger's main loop and the final
+proof's re-reductions, and the ``Polynomial`` objects built while parsing
+the potentials.  The pool is the three jobs of a 35 s run, 96 potentials
+each, with the basis cache emptied before each job, as every benchmark job
+starts in a cold worker.  The pool comes from ``perfbench/inputs.py``, loaded without
 writing anything beside it.
 
 Print the counts from the repository root with
@@ -69,34 +70,55 @@ def parse_polynomials(seed=1):
     return sum(map(len, texts)), built
 
 
-def reduce_calls(seed=1):
-    """(potentials, calls of jacobian._reduce) over the pool of this seed"""
-    calls = 0
-    reduce = jacobian._reduce
+def reduce_phases(seed=1):
+    """(potentials, main-loop calls, final-proof calls) of jacobian._reduce
+    over the pool of this seed.  A call made inside ``jacobian._prove``, the
+    re-reduction of the pairs and generators that the main loop's own zero
+    reductions do not certify, is a final-proof call; every other call,
+    the main loop's reductions of generators and S-pairs, is a main-loop
+    call"""
+    calls = [0, 0]
+    proving = 0
+    reduce, prove = jacobian._reduce, jacobian._prove
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
+    def counted_reduce(*args):
+        calls[proving] += 1
         return reduce(*args)
 
+    def counted_prove(*args):
+        nonlocal proving
+        proving = 1
+        try:
+            return prove(*args)
+        finally:
+            proving = 0
+
     jobs = pool(seed)
-    jacobian._reduce = counted
+    jacobian._reduce, jacobian._prove = counted_reduce, counted_prove
     try:
         for job in jobs:
             jacobian.jacobian_basis.cache_clear()
             for omega in job:
                 jacobian.jacobian_basis(omega)
     finally:
-        jacobian._reduce = reduce
+        jacobian._reduce, jacobian._prove = reduce, prove
         jacobian.jacobian_basis.cache_clear()
-    return sum(map(len, jobs)), calls
+    return sum(map(len, jobs)), calls[0], calls[1]
+
+
+def reduce_calls(seed=1):
+    """(potentials, calls of jacobian._reduce) over the pool of this seed"""
+    count, main, proof = reduce_phases(seed)
+    return count, main + proof
 
 
 if __name__ == "__main__":
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 1
-    count, calls = reduce_calls(seed)
+    count, main, proof = reduce_phases(seed)
     print("jacobian._reduce calls over the seed-%d groebner pool (%d potentials): %d"
-          % (seed, count, calls))
+          % (seed, count, main + proof))
+    print("  in Buchberger's main loop: %d; re-reductions of the final proof: %d"
+          % (main, proof))
     count, built = parse_polynomials(seed)
     print("Polynomial objects built parsing the seed-%d groebner pool (%d potentials): %d"
           % (seed, count, built))

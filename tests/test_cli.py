@@ -6,8 +6,9 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from wpoisson.cli import FIELD_MAX_DEGREE, main
-from wpoisson import Weights, __version__, complexes, parse_map, parse_poly, verify_automorphism
+from wpoisson.cli import FIELD_MAX_DEGREE, SELFTEST_MAX_CASES, main
+from wpoisson import (Weights, __version__, complexes, parse_map, parse_poly, proptest,
+                      verify_automorphism)
 from wpoisson.catalog import DATA_PATH
 from wpoisson.complexes import ph_dims
 from wpoisson.ring import Polynomial, RingError
@@ -762,6 +763,38 @@ def test_selftest_refuses_a_run_of_no_cases(cases):
     code, out = run(["selftest", "--cases", cases])
     assert code == 2
     assert "ok: True" not in out
+
+
+def _no_suites(monkeypatch):
+    """the suites, replaced by a stub that records the case count it is
+    asked for and runs nothing"""
+    asked = []
+
+    def stub(seed, cases):
+        asked.append(cases)
+        return [("stub", cases, 0)]
+
+    monkeypatch.setattr(proptest, "run_all_suites", stub)
+    return asked
+
+
+@pytest.mark.parametrize("cases, code", [
+    ("10000", 0),
+    ("10001", 2),
+    ("100000000", 2),
+    ("99999999999999999999999", 2),
+])
+def test_selftest_runs_at_most_its_case_limit(monkeypatch, cases, code):
+    asked = _no_suites(monkeypatch)
+    res = CliRunner().invoke(main, ["selftest", "--cases", cases], catch_exceptions=False)
+    assert SELFTEST_MAX_CASES == 10_000
+    assert res.exit_code == code
+    if code:
+        assert asked == [] and res.stdout == ""
+        assert res.stderr.splitlines()[-1] == (
+            "Error: Invalid value for '--cases': %s is not in the range 1<=x<=10000." % cases)
+    else:
+        assert asked == [10_000]
 
 
 _CATALOG_LINE = ("111-i-a | 1,1,1 | x^3+y^2*z | bw | true | 0 | 1 | yes | unknown | false"

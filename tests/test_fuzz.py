@@ -1,9 +1,11 @@
 """A seeded command-line fuzzer: valid and malformed --weights, --field,
 --potential, --map/--inverse and --max-degree values over the subcommands
-that take them.  Every case must exit 0, 1 or 2 and print no traceback; a
-case that exits 2 prints one ``error:`` line, or click's usage block ending
-in one ``Error:`` line.  ``catalog verify`` cases draw --filter by entry id
-and by type, --checks subsets and bounds, and must pass or be refused.
+that take them, and --xi on verify-aut, the --pxy/--pyz/--pzx components
+of the structure commands and selftest's --cases and --seed.  Every case
+must exit 0, 1 or 2 and print no traceback; a case that exits 2 prints one
+``error:`` line, or click's usage block ending in one ``Error:`` line.
+``catalog verify`` cases draw --filter by entry id and by type, --checks
+subsets and bounds, and must pass or be refused.
 Cases are bounded by counts, not by a clock: small weights, degrees and
 bounds, and bounds far past the window budget, which are refused before
 anything is listed."""
@@ -38,6 +40,17 @@ BOUND_COMMANDS = ["cohomology", "koszul", "sealed", "vacancy", "ozone"]
 BAD_FILTERS = ["type:", "type:x", "table:999", "weights:1,1", ""]
 BAD_CHECKS = ["", ",", "rgt,,gk", "vacancy,nope", "all", "Sealed"]
 PLAIN_COMMANDS = ["rgt", "gkdim", "singularity", "jacobi", "modular"]
+STRUCTURE_COMMANDS = ["bracket", "jacobi", "modular"]
+COMPONENTS = ["--pxy", "--pyz", "--pzx"]
+XI_VALUES = ["0", "1", "-2", "1/2", "-3/4", "5/3", "0.5", "1e2", "-1e-3", "1_000"]
+# malformed text and zero denominators are usage errors; the last three are
+# past the 10^6 guard, which refuses them before a power of ten is expanded
+BAD_XI = ["", "abc", "1/", "/2", "1//2", "x", "1/0", "0/0", "-3/0", "2000000",
+          "-1/1000001", "1e999999", "1e-9999999", "99999999999999999999"]
+SMALL_CASES = ["1", "2", "3"]
+BAD_CASES = ["0", "-1", "abc", "", "1.5", "0x10", "10001", "100000000",
+             "99999999999999999999"]
+SEEDS = ["0", "1", "-7", "20240817", "99999999999999999999", "abc", "", "1.5"]
 
 
 def _mutate(rng, text):
@@ -159,6 +172,70 @@ def _check(args, res):
     else:
         assert lines[0].startswith("Usage: ") and lines[-1].startswith("Error: "), what
         assert sum(line.startswith("Error: ") for line in lines) == 1, what
+
+
+def _structure_case(rng):
+    """a structure command on --pxy/--pyz/--pzx: all three, some missing,
+    mutated, or beside --potential"""
+    weights = rng.choice(WEIGHTS)
+    n = sum(weights)
+    args = [rng.choice(STRUCTURE_COMMANDS), "-w", ",".join(map(str, weights))]
+    # {x_i, x_j} has degree n - w_k for a potential of degree n
+    for name, w in zip(COMPONENTS, reversed(weights)):
+        if rng.random() < 0.85:
+            text = _poly_text(rng, weights, n - w, False)
+            args += [name, _mutate(rng, text) if rng.random() < 0.15 else text]
+    if rng.random() < 0.15:
+        args += ["--potential", _potential(rng, weights, False)]
+    if args[0] == "bracket":
+        args += ["--f", rng.choice(VARS), "--g", _mutate(rng, "x*y")]
+    return args
+
+
+def _xi_case(rng):
+    """verify-aut on a potential's fiber Omega = xi, with or without the
+    inverse map the quotient check requires; the map is mostly the
+    identity, its own inverse, so that most cases reach --xi"""
+    weights = rng.choice(WEIGHTS)
+    identity = "x->x; y->y; z->z"
+    phi = identity if rng.random() < 0.6 else _map(rng, weights, False)
+    args = ["verify-aut", "-w", ",".join(map(str, weights)),
+            "--potential", _poly_text(rng, weights, sum(weights), False), "--map", phi]
+    if rng.random() < 0.85:
+        args += ["--inverse", phi if phi == identity else _map(rng, weights, False)]
+    xi = rng.choice(XI_VALUES if rng.random() < 0.5 else BAD_XI)
+    return args + ["--xi", _mutate(rng, xi) if rng.random() < 0.15 else xi]
+
+
+def _selftest_case(rng):
+    """selftest with a small, malformed or over-limit --cases and a --seed"""
+    args = ["selftest"]
+    if rng.random() < 0.9:
+        args += ["--cases", rng.choice(SMALL_CASES if rng.random() < 0.5 else BAD_CASES)]
+    if rng.random() < 0.7:
+        args += ["--seed", rng.choice(SEEDS)]
+    return args
+
+
+OPTION_CASES = [_structure_case, _xi_case, _selftest_case]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_seeded_option_cases_exit_0_1_or_2_without_a_traceback(seed):
+    """--xi, the bracket components and selftest's options, 60 cases a seed;
+    a selftest case runs at most 3 cases of each suite"""
+    rng = random.Random("fuzz-options:%d" % seed)
+    runner = CliRunner()
+    codes = {0: 0, 1: 0, 2: 0}
+    kinds = set()
+    for _ in range(60):
+        args = rng.choice(OPTION_CASES)(rng)
+        res = runner.invoke(main, args)
+        _check(args, res)
+        codes[res.exit_code] += 1
+        kinds.add((args[0], res.exit_code))
+    assert codes[0] > 5 and codes[2] > 5, codes
+    assert {("verify-aut", 0), ("verify-aut", 2), ("selftest", 0), ("selftest", 2)} <= kinds, kinds
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

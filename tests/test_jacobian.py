@@ -13,11 +13,15 @@ from wpoisson import complexes, jacobian
 from wpoisson.complexes import koszul_dims
 from wpoisson.jacobian import (
     GroebnerBasis,
+    _certified,
     _critical_pairs,
     _divisor,
     _entry,
     _hilbert_numerator,
+    _reduce,
+    _run,
     _s_pairs_reduce_to_zero,
+    _s_terms,
     a_sing_hilbert,
     buchberger,
     gcd_partials,
@@ -33,12 +37,13 @@ from wpoisson.ring import (
     Polynomial,
     RingError,
     gradient,
+    rational_copy,
 )
 
 from reference_maps import (bigatti_numerator, critical_pairs_by_lcm_table, eager_reduced_basis,
                             gcd_by_fold, gkdim_by_subsets, mono_divides, mono_lcm,
                             standard_monomials)
-from reduce_count import parse_polynomials, pool, reduce_calls
+from reduce_count import parse_polynomials, pool, reduce_calls, reduce_phases
 
 
 def _mul_term(p, m, coef):
@@ -963,8 +968,12 @@ def test_a_corrupted_tail_is_refused_when_the_reduced_basis_is_first_read():
 def test_reduce_calls_over_the_seed_1_groebner_pool():
     """a deterministic work count: proving the minimal basis and reducing
     tails only on first read cut it from 10,141 calls, when every basis was
-    inter-reduced and the reduced basis proved, to 8,024"""
-    assert reduce_calls(1) == (288, 8024)
+    inter-reduced and the reduced basis proved, to 8,024; re-reducing in the
+    final proof only the pairs and generators that the main loop's own zero
+    reductions do not certify cut it to 4,710.  The main loop makes 3,803 of
+    them, the same as before; the final proof made 4,221 and makes 907"""
+    assert reduce_calls(1) == (288, 4710)
+    assert reduce_phases(1) == (288, 3803, 907)
 
 
 def test_parsing_the_seed_1_groebner_pool_builds_one_polynomial_per_string():
@@ -994,3 +1003,122 @@ def test_gkdim_by_head_supports_matches_the_subset_scan():
     assert set(seen) == {0, 1, 2}, seen
     assert gkdim(parse_poly("x", Weights(3, 1, 1))) == 0
     assert jacobian_basis(parse_poly("x+y^2", Weights(2, 1, 1))).heads() == ((0, 0, 0),)
+
+
+def _certified_run(gens):
+    """buchberger's run on these generators, over Q when they are rational,
+    as (weights, minimal divisors, generator entries, certified pairs,
+    certified generators, record) with record = (order, pair_used)"""
+    gens = [g for g in gens if g.terms]
+    rational = [rational_copy(g) for g in gens]
+    if all(g is not None for g in rational):
+        gens = rational
+    weights, field = gens[0].weights, gens[0].field
+    entries = [_entry(field, g.terms)[1] for g in gens]
+    divisors, order, pair_used, gen_used = _run(weights, field, entries)
+    pairs, proved = _certified(order, pair_used, gen_used)
+    return (weights, [divisors[t] for t in order], entries, pairs, proved,
+            (order, pair_used))
+
+
+def _certificate_cases():
+    """the lazy-basis cases (catalog, seeded pool potentials on every
+    property-suite weight triple, the extension families lifted from Q and
+    not) and the seed-1 groebner pool"""
+    yield from _lazy_basis_cases()
+    for job in pool(1):
+        for omega in job:
+            yield "pool", omega
+
+
+def test_every_pair_and_generator_the_run_certifies_reduces_to_zero():
+    """each pair and generator whose main-loop reduction the final proof
+    trusts reduces to zero modulo the minimal basis by the full route, which
+    also proves that basis with no certificate; over Q(s) the certificate of
+    a non-rational run is read over Q(s)"""
+    trusted, reduced, lifted = 0, 0, set()
+    for label, om in _certificate_cases():
+        weights, minimal, entries, pairs, proved, _ = _certified_run(gradient(om).comps)
+        assert tuple(h for h, _, _ in minimal) == jacobian_basis(om).heads(), label
+        if om.field != QQ:
+            lifted.add(rational_copy(om) is not None)
+        for p, q in pairs:
+            assert p < q < len(minimal)
+            assert not _reduce(weights, _s_terms(minimal[p], minimal[q]), minimal)[0], label
+        for k in proved:
+            assert not _reduce(weights, entries[k], minimal)[0], label
+        assert _s_pairs_reduce_to_zero(weights, minimal), label
+        heads = [h for h, _, _ in minimal]
+        trusted += len(pairs) + len(proved)
+        reduced += len(_critical_pairs(heads, pairs)) + len(entries) - len(proved)
+    assert lifted == {True, False}
+    assert trusted > 0 and reduced > 0
+
+
+def test_the_certificate_trusts_only_reductions_by_divisors_of_the_minimal_basis():
+    """a record naming a divisor outside the minimal basis, the remainder's
+    own divisor included, certifies nothing"""
+    order = [0, 2, 3]
+    pair_used = {(0, 2): (0, 2), (2, 3): (0, 1, 2, 3), (0, 3): (0, 2, 3, 4), (3, 5): (2, 3)}
+    gen_used = [range(1), range(2), range(3)]
+    assert _certified(order, pair_used, gen_used) == ({(0, 1)}, {0})
+    assert _certified([3, 2, 0], pair_used, gen_used) == ({(1, 2)}, {0})
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=["Q", "Q(s)"])
+def test_a_pair_reduced_by_a_divisor_that_left_the_active_set_is_reduced_again(field):
+    """a pair of the minimal basis whose main-loop reduction ran against a
+    divisor that a later head removed is not trusted: when it is critical,
+    the final proof reduces it again.  The Jacobian cases above meet no
+    such pair, so the generators are the seeded mixed-degree ones"""
+    rng = random.Random(808)
+    stale, again = 0, 0
+    for _ in range(240):
+        gens = [g for g in _random_generators(rng, field) if g.terms]
+        if not gens:
+            continue
+        weights, minimal, _, pairs, _, (order, pair_used) = _certified_run(gens)
+        pos = {t: p for p, t in enumerate(order)}
+        heads = [h for h, _, _ in minimal]
+        critical = set(_critical_pairs(heads))
+        reduced = set(_critical_pairs(heads, pairs))
+        for (i, j), used in pair_used.items():
+            if i in pos and j in pos and not set(used) <= pos.keys():
+                pair = tuple(sorted((pos[i], pos[j])))
+                assert pair not in pairs
+                assert not _reduce(weights, _s_terms(*(minimal[p] for p in pair)), minimal)[0]
+                stale += 1
+                if pair in critical:
+                    assert pair in reduced
+                    again += 1
+    assert stale > 0 and again > 0
+
+
+def test_the_pool_proof_still_reduces_pairs_the_run_left_unproved():
+    """the final proof of the seed-1 pool reduces 604 of the 3,387 critical
+    pairs it reduced before the certificate, so its check is never vacuous"""
+    critical, reduced = 0, 0
+    for job in pool(1):
+        for om in job:
+            _, minimal, _, pairs, _, _ = _certified_run(gradient(om).comps)
+            heads = [h for h, _, _ in minimal]
+            critical += len(_critical_pairs(heads))
+            reduced += len(_critical_pairs(heads, pairs))
+    assert (critical, reduced) == (3387, 604)
+
+
+def test_a_run_that_loses_a_basis_element_is_refused(monkeypatch):
+    """the final proof stays a proof: drop the last divisor of the minimal
+    basis after the main loop, and the records that name it certify nothing,
+    so buchberger raises RingError"""
+    run = jacobian._run
+
+    def lossy(*args):
+        divisors, order, pair_used, gen_used = run(*args)
+        return divisors, order[:-1], pair_used, gen_used
+
+    monkeypatch.setattr(jacobian, "_run", lossy)
+    for text in (CUBE, W4, "x^5+y^5+z^5+x^2*y^2*z"):
+        parts = list(gradient(parse_poly(text, W111)).comps)
+        with pytest.raises(RingError, match="Groebner construction"):
+            buchberger(parts)
