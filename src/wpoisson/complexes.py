@@ -103,29 +103,29 @@ The vacancy and sealed sweeps are generators, ``vacancy_degrees`` and
 ``sealed_degrees``, that rank a degree only when it is read: catalog verify
 stops each at its sixth nonzero degree, the last its report prints, while a
 "yes" verdict, the cohomology tables and the ``vacancy_check`` and
-``sealed_k1_dims`` tables still sweep to D.  A sealed sweep cut short leaves
-rank T_e in the memo only up to its stop; past it, rank T_d comes from
-[H | H'] alone.
-The maps of one degree, ``ozone_dim`` and ``derivation_kernel``, count the
-slices they list against the same budget (``_slice_budget``).
+``sealed_k1_dims`` tables still sweep to D.  Past a sealed sweep's stop,
+rank T_d comes from [H | H'] alone.  The maps of one degree, ``ozone_dim``
+and ``derivation_kernel``, count the slices they list against the same
+budget, and ``derivation_kernel`` the basis it returns (``_slice_budget``).
 
-Each operator table (d0, Koszul, Hamiltonian, sealed, ozone) depends only
-on the potential and the index, so it is built once per potential, from
-the one memoised gradient (``ring.potential_gradient``), memoised beside
-the ranks, and shared by every degree; ``op_table`` makes tables immutable
-for that reason.  The sealed table, with its products O and O g_i, is built
-only for the sealed sweep.  A table over Q(s) whose coefficients have no
-s-part is made over Q, and so are its matrices (``linalg`` docstring)."""
+What depends on the potential alone, its gradient, tables, ranks by degree
+and Groebner data, lives in one record per potential value
+(``potential_memo``): equal potentials parsed apart share it, and a sweep
+reads on with the record's own potential, found by identity, not by
+comparing terms.  Each (immutable) table is shared by every degree; the
+sealed table, with its products O and O g_i, is built only for the sealed
+sweep.  A table over Q(s) whose coefficients have no s-part is made over
+Q, and so are its matrices (``linalg`` docstring)."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .hilbert import closed_form_ph
 from .linalg import assemble, kernel_basis, op_table, pivot_columns, rank, vector_to_polys
-from .ring import QQ, RingError, check_potential, count_monomials, potential_gradient
+from .ring import QQ, RingError, check_potential, count_monomials, gradient
 
 
 class DimsTable:
@@ -148,6 +148,100 @@ class DimsTable:
 
 
 # ---------------------------------------------------------------------------
+# the memo of each potential
+
+# the most potentials whose records ``potential_memo`` keeps alive
+MEMO_SIZE = 4
+
+
+class _Memo:
+    """the state one potential's invariants share, each piece built when
+    first read: the gradient, operator tables and three degrees; rank
+    [T_d | c] and rank T_d by d and the Koszul ranks by (i, d), which the
+    sweeps fill; the Groebner basis and Hilbert numerator of ``jacobian``.
+    ``potential_memo`` keys records by value, so equal potentials parsed
+    apart share one, and drops the least recently used past MEMO_SIZE."""
+
+    def __init__(self, omega):
+        self.omega, self.column_ranks, self.t_ranks, self.koszul_ranks = omega, {}, {}, {}
+        self.groebner_basis = self.hilbert_numerator = None
+
+    @cached_property
+    def gradient(self):
+        return gradient(self.omega)
+
+    @cached_property
+    def d0_table(self):
+        """operator table of d0, f -> grad(f) x g (module docstring)"""
+        g = self.gradient.comps
+        # component k is g_{k+2} f_{k+1} - g_{k+1} f_{k+2} (indices mod 3)
+        return op_table(self.omega.field, [(k, 0, (k + j) % 3, sign * g[(k - j) % 3])
+                                           for k in range(3) for j, sign in ((1, 1), (2, -1))])
+
+    @cached_property
+    def koszul_tables(self):
+        """operator tables of K_i -> K_{i-1} by i: v . g on K1, v x g on K2"""
+        g, field = self.gradient.comps, self.omega.field
+        # component k of v x g is g_{k+2} v_{k+1} - g_{k+1} v_{k+2}
+        return {1: op_table(field, [(0, s, None, g[s]) for s in range(3)]),
+                2: op_table(field, [(k, (k + j) % 3, None, sign * g[(k - j) % 3])
+                                    for k in range(3) for j, sign in ((1, 1), (2, -1))])}
+
+    @cached_property
+    def hamiltonian_table(self):
+        """operator table of the Hamiltonian block [H | H'] (module docstring)"""
+        return op_table(self.omega.field, _hamiltonian_terms(self.gradient.comps, 0))
+
+    @cached_property
+    def sealed_table(self):
+        """operator table of the sealed block [O A_e | O g_i A_u | H | H']"""
+        omega, g = self.omega, self.gradient.comps
+        products = [(0, 0, None, omega), (0, 1, None, omega * g[self.first_partial])]
+        return op_table(omega.field, products + _hamiltonian_terms(g, 2))
+
+    @cached_property
+    def ozone_table(self):
+        """operator table of T = (v . g ; div v) on the derivations, sources 0..2"""
+        g = self.gradient.comps
+        return op_table(self.omega.field, [(0, s, None, g[s]) for s in range(3)]
+                        + [(1, s, s, 1) for s in range(3)])
+
+    @cached_property
+    def first_partial(self):
+        """the index i of g_i, the first nonzero partial"""
+        return next(v for v, g in enumerate(self.gradient.comps) if g.terms)
+
+    @cached_property
+    def casimir_degree(self):
+        """e = deg R: the least divisor of n with a Casimir (module docstring)"""
+        omega, n = self.omega, self.omega.homogeneous_degree()
+        return next(e for e in range(1, n + 1) if n % e == 0 and (
+            e == n or rank(_d0_matrix(omega, e)) < count_monomials(omega.weights, e)))
+
+    @cached_property
+    def k2_window(self):
+        """the degrees 3n - (a+b+c) - p_max .. 3n - (a+b+c) of k2_kernel_degree"""
+        weights, n = self.omega.weights, self.omega.homogeneous_degree()
+        top = 3 * n - weights.n_default
+        p_max = min(n - w for w, g in zip(weights.tuple, self.gradient.comps) if g.terms)
+        return range(top - p_max, top + 1)
+
+    @cached_property
+    def k2_kernel_degree(self):
+        """3n - (a+b+c) - deg gcd(g): the first degree where K2 has a kernel"""
+        return next(d for d in self.k2_window
+                    if _koszul_rank(self.omega, 2, d) < _koszul_dim(self.omega, 2, d))
+
+
+potential_memo = lru_cache(maxsize=MEMO_SIZE)(_Memo)
+
+
+def potential_gradient(omega):
+    """gradient(omega), made once per potential for its tables, basis and bracket"""
+    return potential_memo(omega).gradient
+
+
+# ---------------------------------------------------------------------------
 # Poisson cochain complex
 
 
@@ -157,29 +251,22 @@ def cochain_shifts(weights):
     return ((0,), (a, b, c), (b + c, a + c, a + b), (a + b + c,))
 
 
-@lru_cache(maxsize=1024)
-def _d0_table(omega):
-    """operator table of d0, f -> grad(f) x g, from the gradient g of the
-    potential; the ranks of d1 and d2 come from T_d (module docstring)"""
-    g = potential_gradient(omega).comps
-    # component k is g_{k+2} f_{k+1} - g_{k+1} f_{k+2} (indices mod 3)
-    return op_table(omega.field, [(k, 0, (k + j) % 3, sign * g[(k - j) % 3])
-                                  for k in range(3) for j, sign in ((1, 1), (2, -1))])
+def _d0_slices(omega, d):
+    """the degrees of A_d and of the slice d + n - (a+b+c) of X^1, d0's target"""
+    w = omega.homogeneous_degree() - omega.weights.n_default
+    return [d], [d + w + s for s in omega.weights.tuple]
 
 
 def _d0_matrix(omega, d):
-    """matrix of d0 on A_d, mapping into the degree d+w slice of X^1"""
-    weights = omega.weights
-    w = omega.homogeneous_degree() - weights.n_default
-    return assemble(weights, [d], [d + w + s for s in weights.tuple], _d0_table(omega))
+    """matrix of d0 on A_d"""
+    return assemble(omega.weights, *_d0_slices(omega, d), potential_memo(omega).d0_table)
 
 
-@lru_cache(maxsize=65536)
 def _cochain_rank(omega, i, d):
     """rank of the degree-i differential on the degree-d slice of X^i: d0
     from the Casimir degree, d2 from rank T_d, and d1 from rank T_d or,
     where a Casimir column c need not lie in the image of T_d, from rank
-    [T_d | c] (module docstring)"""
+    [T_d | c], memoised by d (module docstring)"""
     weights = omega.weights
     if _space_dim(weights, cochain_shifts(weights)[i], d) == 0:
         return 0
@@ -191,20 +278,15 @@ def _cochain_rank(omega, i, d):
     n = omega.homogeneous_degree()
     if d + n and (not casimirs or n == weights.n_default):
         return _ozone_rank(omega, d) - casimirs
-    return _hamiltonian_rank(omega, d, _casimir_column(omega, d)) - 1
+    ranks = potential_memo(omega).column_ranks
+    if d not in ranks:
+        ranks[d] = _hamiltonian_rank(omega, d, _casimir_column(omega, d))
+    return ranks[d] - 1
 
 
 def _casimirs(omega, d):
     """dim ker d0_d: 1 where a power of R has degree d, else 0"""
-    return int(d == 0 or d > 0 and d % _casimir_degree(omega) == 0)
-
-
-@lru_cache(maxsize=1024)
-def _casimir_degree(omega):
-    """e = deg R: the least divisor of n with a Casimir (module docstring)"""
-    n = omega.homogeneous_degree()
-    return next(e for e in range(1, n + 1) if n % e == 0 and (
-        e == n or rank(_d0_matrix(omega, e)) < count_monomials(omega.weights, e)))
+    return int(d == 0 or d > 0 and d % potential_memo(omega).casimir_degree == 0)
 
 
 def _space_dim(weights, shifts, d):
@@ -254,18 +336,24 @@ def _window(omega, name, lo, bound):
     return range(lo, bound + 1)
 
 
-def _slice_budget(omega, name, d, degrees):
+_SLICE_REFUSAL = "degree %d is over budget: the slices of its %s map hold more than %d monomials"
+
+
+def _slice_budget(omega, name, d, degrees, basis=False):
     """refuse the degree-d map of omega whose slices have these degrees when
-    they hold more than WINDOW_BUDGET monomials.  Like ``_window``'s, the
-    count lists no monomial: with c the largest weight, those of degree t
-    with z^k solve a i + b j = t - c k, whose solutions j form one residue
-    class mod a/gcd(a, b); it stops at the budget."""
+    they hold more than WINDOW_BUDGET monomials; with basis, the first five
+    are X1_d and A_d, and the count adds (dim X1_d + 1 - #A_d) dim X1_d, a
+    bound on the entries of the kernel basis of [T_d | c], as div maps onto
+    A_d.  Like ``_window``'s, the count lists no monomial: with c the largest
+    weight, those of degree t with z^k solve a i + b j = t - c k, whose
+    solutions j form one residue class mod a/gcd(a, b); it stops there."""
     a, b, c = sorted(omega.weights.tuple)
     g = math.gcd(a, b)
     step = a // g
     inverse = pow(b // g, -1, step)
-    count = 0
+    count, sizes = 0, []
     for t in degrees:
+        start = count
         for k in range(t // c + 1):
             r = t - c * k
             if r % g:
@@ -274,9 +362,10 @@ def _slice_budget(omega, name, d, degrees):
             if b * j <= r:
                 count += (r - b * j) // (b * step) + 1
                 if count > WINDOW_BUDGET:
-                    raise RingError(
-                        "degree %d is over budget: the slices of its %s map hold more "
-                        "than %d monomials" % (d, name, WINDOW_BUDGET))
+                    raise RingError(_SLICE_REFUSAL % (d, name, WINDOW_BUDGET))
+        sizes.append(count - start)
+    if basis and count + (sum(sizes[:3]) + 1 - sizes[4]) * sum(sizes[:3]) > WINDOW_BUDGET:
+        raise RingError(_SLICE_REFUSAL % (d, name, WINDOW_BUDGET))
 
 
 def _ph_window(omega, bound):
@@ -290,6 +379,7 @@ def ph_dims(omega, bound):
     """Poisson cohomology dimensions PH^0..PH^3 per degree, down from
     -max(n, a+b+c) up to the bound"""
     degrees = _ph_window(omega, bound)
+    omega = potential_memo(omega).omega
     weights = omega.weights
     w = omega.homogeneous_degree() - weights.n_default
     sh = cochain_shifts(weights)
@@ -350,7 +440,7 @@ def vacancy_degrees(omega, bound):
     """(degree, dimension) of ``vacancy_check`` in rising degree, each
     degree ranked only when it is read; the window is checked at the call"""
     n = check_potential(omega, "vacancy diagnostic requires degree a+b+c")
-    x2 = cochain_shifts(omega.weights)[2]
+    omega, x2 = potential_memo(omega).omega, cochain_shifts(omega.weights)[2]
     return ((d, _space_dim(omega.weights, x2, d) - _cochain_rank(omega, 2, d) - _m2_dim(omega, d))
             for d in _window(omega, "vacancy", -n, bound))
 
@@ -360,11 +450,6 @@ def vacancy_check(omega, bound):
     modulo M2, so dim X2_d - rank d2 - #A_{d+n} + [d = -n] - rank d0 at
     degree d; the potential is vacant up to the bound iff all zero"""
     return dict(vacancy_degrees(omega, bound))
-
-
-def _first_partial(omega):
-    """the index i of g_i, the first nonzero partial"""
-    return next(v for v, g in enumerate(potential_gradient(omega).comps) if g.terms)
 
 
 def _rotation_degrees(weights, d):
@@ -381,62 +466,14 @@ def _hamiltonian_terms(g, first):
             (0, first + 1, 2, g[1]), (0, first + 1, 1, -g[2])]
 
 
-@lru_cache(maxsize=1024)
-def _hamiltonian_table(omega):
-    """operator table of the Hamiltonian block [H | H'] (module docstring)"""
-    return op_table(omega.field, _hamiltonian_terms(potential_gradient(omega).comps, 0))
-
-
-@lru_cache(maxsize=1024)
-def _sealed_table(omega):
-    """operator table of the sealed block [O A_e | O g_i A_u | H | H']: the
-    products O and O g_i on sources 0 and 1, then H and H' (module
-    docstring)"""
-    g = potential_gradient(omega).comps
-    products = [(0, 0, None, omega), (0, 1, None, omega * g[_first_partial(omega)])]
-    return op_table(omega.field, products + _hamiltonian_terms(g, 2))
-
-
-@lru_cache(maxsize=1024)
-def _ozone_table(omega):
-    """operator table of T = (v . g ; div v) on the derivations v, sources
-    0..2"""
-    g = potential_gradient(omega).comps
-    return op_table(omega.field, [(0, s, None, g[s]) for s in range(3)]
-                    + [(1, s, s, 1) for s in range(3)])
-
-
-def _t_block(omega, d, column=None):
-    """T_d, into A_{d+n} + A_d, and [T_d | c] given the column c = (h, f),
-    on one more source, the monomial 1, over the field of T's table"""
-    weights = omega.weights
-    field, terms = _ozone_table(omega)
-    src = [d + w for w in weights.tuple]
-    if column is not None:
-        terms += op_table(omega.field, [(t, 3, None, p) for t, p in enumerate(column)],
-                          reduce=field == QQ)[1]
-        src.append(0)
-    return assemble(weights, src, [d + omega.homogeneous_degree(), d], (field, terms))
-
-
-@lru_cache(maxsize=1024)
-def _t_ranks(omega):
-    """the memo of rank T_d by degree d, one per potential: the sealed block
-    fills it, and ``_ozone_rank`` the degrees it leaves out"""
-    return {}
-
-
 def _ozone_rank(omega, d):
-    """rank of T_d: X1_d -> A_{d+n} + A_d, read off the sealed block where
-    that was eliminated, else off [H | H']; 0 where X1_d = 0, with no
-    matrix"""
-    ranks = _t_ranks(omega)
-    r = ranks.get(d)
-    if r is None:
+    """rank of T_d: X1_d -> A_{d+n} + A_d, memoised by d, where the sealed
+    blocks leave it; else off [H | H'], or 0 with no matrix where X1_d = 0"""
+    ranks = potential_memo(omega).t_ranks
+    if d not in ranks:
         weights = omega.weights
-        r = _hamiltonian_rank(omega, d) if _space_dim(weights, weights.tuple, d) else 0
-        ranks[d] = r
-    return r
+        ranks[d] = _hamiltonian_rank(omega, d) if _space_dim(weights, weights.tuple, d) else 0
+    return ranks[d]
 
 
 def _hamiltonian_rank(omega, d, column=None):
@@ -446,7 +483,7 @@ def _hamiltonian_rank(omega, d, column=None):
     docstring); c' = h where d + s = 0, as A_d = 0 there"""
     weights = omega.weights
     n, s = omega.homogeneous_degree(), weights.n_default
-    field, terms = _hamiltonian_table(omega)
+    field, terms = potential_memo(omega).hamiltonian_table
     src = _rotation_degrees(weights, d)
     if column is not None:
         h, f = column
@@ -454,10 +491,6 @@ def _hamiltonian_rank(omega, d, column=None):
         terms += op_table(omega.field, [(0, 2, None, reduced)], reduce=field == QQ)[1]
         src.append(0)
     return count_monomials(weights, d) + rank(assemble(weights, src, [d + n], (field, terms)))
-
-
-def _ozone_dim(omega, d):
-    return _space_dim(omega.weights, omega.weights.tuple, d) - _ozone_rank(omega, d)
 
 
 def ozone_dim(omega, d):
@@ -470,7 +503,7 @@ def ozone_dim(omega, d):
     a, b, c = omega.weights.tuple
     _slice_budget(omega, "ozone", d,
                   [d + a, d + b, d + c, d + n, d] + _rotation_degrees(omega.weights, d))
-    return _ozone_dim(omega, d)
+    return _space_dim(omega.weights, omega.weights.tuple, d) - _ozone_rank(omega, d)
 
 
 def _casimir_column(omega, d):
@@ -494,20 +527,26 @@ def derivation_kernel(omega, d):
     """the kernel normal form of d1 on the degree-d derivations, as vectors
     over the slices d+a, d+b, d+c of X1_d, read off T_d with no d1 matrix:
     the projection of the kernel of [T_d | c], c spanning ker L_d (module
-    docstring).  Refused before any monomial is listed when the slices of
-    d1 and T_d, and for d > 0 those of the Casimir search, are over budget
-    (``_slice_budget``)."""
+    docstring).  Refused, before it lists a monomial, when its basis and the
+    slices it may list, those of [T_d | c] and for d > 0 of d0 at d and at
+    each divisor of n, the Casimir search, are over budget (``_slice_budget``)."""
     n = check_potential(omega)
     weights = omega.weights
-    degrees = [d + w for w in weights.tuple] + [d + n, d] + [d + n - w for w in weights.tuple]
+    degrees = [d + w for w in weights.tuple] + [d + n, d] + [0] * (d == -n or d >= 0)
     if d > 0:
-        degrees += [e + t for e in range(1, n + 1) if n % e == 0
-                    for t in (0, *(n - w for w in weights.tuple))]
-    _slice_budget(omega, "derivation", d, degrees)
+        for e in [e for e in range(1, n + 1) if n % e == 0] + [d] * (d % n > 0):
+            degrees += sum(_d0_slices(omega, e), [])
+    _slice_budget(omega, "derivation", d, degrees, basis=True)
     dim = _space_dim(weights, weights.tuple, d)
     if not dim:
         return []
-    return [v[:dim] for v in kernel_basis(_t_block(omega, d, column=_casimir_column(omega, d)))]
+    field, terms = potential_memo(omega).ozone_table
+    src, column = [d + w for w in weights.tuple], _casimir_column(omega, d)
+    if column is not None:
+        terms += op_table(omega.field, [(t, 3, None, p) for t, p in enumerate(column)],
+                          reduce=field == QQ)[1]
+        src.append(0)
+    return [v[:dim] for v in kernel_basis(assemble(weights, src, [d + n, d], (field, terms)))]
 
 
 def ozone_vs_hamiltonian(omega, bound):
@@ -515,7 +554,9 @@ def ozone_vs_hamiltonian(omega, bound):
     cocycles killing the potential, i.e. with v . g = 0 and div v = 0 (see
     ``ozone_dim``), vs the image of the hamiltonian map"""
     check_potential(omega, "ozone diagnostic requires degree a+b+c")
-    return {d: (_ozone_dim(omega, d), _cochain_rank(omega, 0, d))
+    omega, x1 = potential_memo(omega).omega, omega.weights.tuple
+    return {d: (_space_dim(omega.weights, x1, d) - _ozone_rank(omega, d),
+                _cochain_rank(omega, 0, d))
             for d in _window(omega, "ozone", -max(omega.weights.tuple), bound)}
 
 
@@ -531,22 +572,6 @@ def koszul_component_degs(omega, d):
     return [[d - i * n + s for s in shifts[i]] for i in range(4)]
 
 
-@lru_cache(maxsize=1024)
-def _koszul_table(omega, i):
-    """operator table of the Koszul differential K_i -> K_{i-1}"""
-    g = potential_gradient(omega).comps
-    if i == 1:
-        # v . g
-        terms = [(0, s, None, g[s]) for s in range(3)]
-    elif i == 2:
-        # v x g: component k is g_{k+2} v_{k+1} - g_{k+1} v_{k+2}
-        terms = [(k, (k + j) % 3, None, sign * g[(k - j) % 3])
-                 for k in range(3) for j, sign in ((1, 1), (2, -1))]
-    else:
-        raise RingError("koszul index out of range")
-    return op_table(omega.field, terms)
-
-
 def koszul_matrix(omega, i, d):
     """matrix of the Koszul differential K_i -> K_{i-1} at total degree d,
     for i = 1, 2 (K3 -> K2 is injective and never assembled).  Refused
@@ -554,7 +579,10 @@ def koszul_matrix(omega, i, d):
     (``_slice_budget``)."""
     degs = koszul_component_degs(omega, d)
     _slice_budget(omega, "koszul", d, degs[i] + degs[i - 1])
-    return assemble(omega.weights, degs[i], degs[i - 1], _koszul_table(omega, i))
+    tables = potential_memo(omega).koszul_tables
+    if i not in tables:
+        raise RingError("koszul index out of range")
+    return assemble(omega.weights, degs[i], degs[i - 1], tables[i])
 
 
 def _koszul_dim(omega, i, d):
@@ -562,48 +590,27 @@ def _koszul_dim(omega, i, d):
     return _space_dim(weights, cochain_shifts(weights)[i], d - i * omega.homogeneous_degree())
 
 
-@lru_cache(maxsize=1024)
-def _k1_ranks(omega):
-    """the memo of rank K1 by total degree, one per potential, which the
-    sealed blocks fill"""
-    return {}
-
-
-@lru_cache(maxsize=65536)
 def _koszul_rank(omega, i, d):
-    """rank of K_i -> K_{i-1} at total degree d: K1 read off the sealed
-    block where that was eliminated, K2 by Koszul depth (module docstring)"""
-    dim = _koszul_dim(omega, i, d)
-    if i == 1 and d in _k1_ranks(omega):
-        return _k1_ranks(omega)[d]
-    if i == 2 and d < _k2_window(omega).start:
-        return dim
-    if i == 2 and d >= _k2_window(omega).stop:
-        return dim - count_monomials(omega.weights, d - _koszul_kernel_degree(omega))
-    return rank(koszul_matrix(omega, i, d)) if dim else 0
-
-
-@lru_cache(maxsize=1024)
-def _k2_window(omega):
-    """the degrees 3n - (a+b+c) - p_max .. 3n - (a+b+c), where d0 lies"""
-    n = omega.homogeneous_degree()
-    top = 3 * n - omega.weights.n_default
-    p_max = min(n - w for w, g in zip(omega.weights.tuple, potential_gradient(omega).comps)
-                if g.terms)
-    return range(top - p_max, top + 1)
-
-
-@lru_cache(maxsize=1024)
-def _koszul_kernel_degree(omega):
-    """d0 = 3n - (a+b+c) - deg gcd(g): the first degree where K2 has a kernel"""
-    return next(d for d in _k2_window(omega)
-                if _koszul_rank(omega, 2, d) < _koszul_dim(omega, 2, d))
+    """rank of K_i -> K_{i-1} at total degree d, memoised by (i, d), where the
+    sealed blocks leave K1; K2 by Koszul depth (module docstring)"""
+    memo = potential_memo(omega)
+    ranks = memo.koszul_ranks
+    if (i, d) not in ranks:
+        dim = _koszul_dim(omega, i, d)
+        if i == 2 and d < memo.k2_window.start:
+            ranks[i, d] = dim
+        elif i == 2 and d >= memo.k2_window.stop:
+            ranks[i, d] = dim - count_monomials(omega.weights, d - memo.k2_kernel_degree)
+        else:
+            ranks[i, d] = rank(koszul_matrix(omega, i, d)) if dim else 0
+    return ranks[i, d]
 
 
 def koszul_dims(omega, bound):
     """Koszul homology dimensions H_0..H_3 per total degree; rank K3 is
     dim K3, as v0 -> v0 g is injective, so H_3 is zero"""
     check_potential(omega)
+    omega = potential_memo(omega).omega
     dims = {}
     for d in _window(omega, "koszul", 0, bound):
         space = [_koszul_dim(omega, i, d) for i in range(4)]
@@ -622,9 +629,9 @@ def _sealed_ranks(omega, e):
     docstring)"""
     weights = omega.weights
     n = omega.homogeneous_degree()
-    u_deg = e - n + weights.tuple[_first_partial(omega)]
+    u_deg = e - n + weights.tuple[potential_memo(omega).first_partial]
     src = [e, u_deg] + _rotation_degrees(weights, e)
-    pivots = pivot_columns(assemble(weights, src, [e + n], _sealed_table(omega)))
+    pivots = pivot_columns(assemble(weights, src, [e + n], potential_memo(omega).sealed_table))
     lead = count_monomials(weights, e)
     past_u = lead + count_monomials(weights, u_deg)
     return (len(pivots), lead + sum(c >= lead for c in pivots),
@@ -638,7 +645,8 @@ def _sealed_dim(omega, d):
     dim_v = _koszul_dim(omega, 1, d)
     if not dim_v:
         return 0
-    _k1_ranks(omega)[d], rank_b, _t_ranks(omega)[e] = _sealed_ranks(omega, e)
+    memo = potential_memo(omega)
+    memo.koszul_ranks[1, d], rank_b, memo.t_ranks[e] = _sealed_ranks(omega, e)
     return dim_v - rank_b + _koszul_rank(omega, 1, e) - _koszul_rank(omega, 2, d)
 
 
@@ -647,6 +655,7 @@ def sealed_degrees(omega, bound):
     degree's block eliminated only when it is read; the window is checked at
     the call"""
     check_potential(omega)
+    omega = potential_memo(omega).omega
     return ((d, _sealed_dim(omega, d)) for d in _window(omega, "sealed", 0, bound))
 
 

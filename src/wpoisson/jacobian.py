@@ -55,10 +55,9 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import groupby
 
-from .complexes import koszul_component_degs, koszul_matrix
+from .complexes import koszul_component_degs, koszul_matrix, potential_gradient, potential_memo
 from .hilbert import HilbertSeries
 from .linalg import assemble, kernel_basis, op_table, vector_to_polys
 from .ring import (
@@ -67,7 +66,6 @@ from .ring import (
     RingError,
     check_potential,
     mono_key,
-    potential_gradient,
     rational_copy,
 )
 
@@ -476,20 +474,24 @@ def _inter_reduce(weights, field, divisors):
     return reduced
 
 
-@lru_cache(maxsize=256)
 def jacobian_basis(omega):
-    """cached Groebner basis of the ideal of partial derivatives"""
-    grads = [g for g in potential_gradient(omega).comps if g.terms]
-    if not grads:
-        raise RingError("all partial derivatives vanish")
-    return buchberger(grads)
+    """Groebner basis of the ideal of partials, kept in the potential's memo"""
+    memo = potential_memo(omega)
+    if memo.groebner_basis is None:
+        grads = [g for g in potential_gradient(omega).comps if g.terms]
+        if not grads:
+            raise RingError("all partial derivatives vanish")
+        memo.groebner_basis = buchberger(grads)
+    return memo.groebner_basis
 
 
-@lru_cache(maxsize=256)
 def _jacobian_numerator(omega):
-    """cached Hilbert numerator of the singular quotient, as an immutable
-    tuple of (degree, coefficient) items"""
-    return tuple(_hilbert_numerator(omega.weights, jacobian_basis(omega).heads()).items())
+    """Hilbert numerator of A/J, kept as a tuple of (degree, coefficient)"""
+    memo = potential_memo(omega)
+    if memo.hilbert_numerator is None:
+        heads = jacobian_basis(omega).heads()
+        memo.hilbert_numerator = tuple(_hilbert_numerator(omega.weights, heads).items())
+    return memo.hilbert_numerator
 
 
 def _hilbert_numerator(weights, gens):

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 
-from .complexes import derivation_kernel, ozone_dim
+from .complexes import derivation_kernel, ozone_dim, potential_gradient
 from .jacobian import normal_form
 from .linalg import vector_to_polys
 from .ring import (
@@ -46,7 +46,6 @@ from .ring import (
     curl,
     dot,
     gradient,
-    potential_gradient,
     rational_copy,
 )
 

@@ -713,16 +713,6 @@ def gradient(f: Polynomial) -> PolyVector:
     return PolyVector(f.partial(0), f.partial(1), f.partial(2))
 
 
-@lru_cache(maxsize=4)
-def potential_gradient(omega: Polynomial) -> PolyVector:
-    """gradient(omega), memoised: the operator tables, the Groebner basis
-    and the bracket of one potential share it.  They are built together,
-    and the tables and the basis are memoised themselves, so a few recent
-    potentials suffice; a pass over many potentials keeps no gradient of
-    the earlier ones alive"""
-    return gradient(omega)
-
-
 def div(v: PolyVector) -> Polynomial:
     return v.f1.partial(0) + v.f2.partial(1) + v.f3.partial(2)
 

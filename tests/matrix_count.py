@@ -2,12 +2,10 @@
 that ``complexes`` assembles, by kind, over a cold ``catalog verify`` of
 all 125 entries at the default bound 3n+12, and at n+6, the bound of the
 benchmark's ``catalog`` workload.  A matrix's kind comes from the
-function that asked for it, looked up through ``complexes._t_block``, the
-builder of T_d and [T_d | c] for the derivation basis, to its caller, and
-from its numbers of source and target slices.  Every Hamiltonian block,
-the sealed block [O A_e | O g_i A_u | H | H'] and [H | H'] alone, is of
-kind H; the sealed block gives rank K1 too, so a catalog pass assembles no
-K1 matrix.
+function that asked for it and from its numbers of source and target
+slices.  Every Hamiltonian block, the sealed block [O A_e | O g_i A_u |
+H | H'] and [H | H'] alone, is of kind H; the sealed block gives rank K1
+too, so a catalog pass assembles no K1 matrix.
 
 Print the counts from the repository root with
 
@@ -34,18 +32,8 @@ KINDS = {
 
 def requester(frame):
     """the name of the function that asked for the matrix whose ``assemble``
-    call ``frame`` made, looking through ``_t_block`` to its caller"""
-    if frame.f_code.co_name == "_t_block":
-        frame = frame.f_back
+    call ``frame`` made"""
     return frame.f_code.co_name
-
-
-def clear_memos():
-    """empty every memo in complexes, so that a run assembles each matrix it
-    ranks instead of finding the rank left by an earlier run"""
-    for value in vars(complexes).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
 
 
 def matrix_counts(bound_of=complexes.default_bound):
@@ -58,7 +46,7 @@ def matrix_counts(bound_of=complexes.default_bound):
         counts[KINDS[requester(sys._getframe(1)), len(src_degs), len(tgt_degs)]] += 1
         return real(weights, src_degs, tgt_degs, table)
 
-    clear_memos()
+    complexes.potential_memo.cache_clear()
     complexes.assemble = spy
     try:
         for entry in catalog.entries():

@@ -16,7 +16,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from wpoisson import Polynomial, Weights, jacobian, parse_poly
+from wpoisson import Polynomial, Weights, complexes, jacobian, parse_poly
 
 ROOT = Path(__file__).resolve().parent.parent
 JOBS = 3
@@ -97,12 +97,12 @@ def reduce_phases(seed=1):
     jacobian._reduce, jacobian._prove = counted_reduce, counted_prove
     try:
         for job in jobs:
-            jacobian.jacobian_basis.cache_clear()
+            complexes.potential_memo.cache_clear()
             for omega in job:
                 jacobian.jacobian_basis(omega)
     finally:
         jacobian._reduce, jacobian._prove = reduce, prove
-        jacobian.jacobian_basis.cache_clear()
+        complexes.potential_memo.cache_clear()
     return sum(map(len, jobs)), calls[0], calls[1]
 
 

@@ -157,7 +157,7 @@ def cochain1_table(omega):
 def _cochain_table(omega, i):
     """the package's table for d0, ours for d1 and d2"""
     if i == 0:
-        return complexes._d0_table(omega)
+        return complexes.potential_memo(omega).d0_table
     return cochain1_table(omega) if i == 1 else cochain2_table(omega)
 
 

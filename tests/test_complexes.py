@@ -6,24 +6,28 @@ scripts (kernel/rank counts assembled degree by degree) and frozen; the
 tests guard against regressions in the matrix assembly."""
 
 import copy
+import gc
 import random
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
 from wpoisson import (QQ, ExtensionField, Weights, catalog, gradient, has_isolated_singularity,
                       parse_poly, rank)
-from wpoisson import complexes, jacobian, poisson, ring
+from wpoisson import complexes, poisson, ring
 from wpoisson.jacobian import gcd_partials
 from wpoisson.linalg import assemble, kernel_basis, op_table
+from wpoisson.cli import main
 from wpoisson.poisson import euler_derivation, from_potential
 from wpoisson.ring import Polynomial, RingError, count_monomials, monomial_basis, rational_copy
 
 import reference_maps as ref
 from closed_forms import closed_form_lph2, isolated_ph
-from matrix_count import KINDS, clear_memos, matrix_counts, requester
+from matrix_count import KINDS, matrix_counts, requester
 from reference_maps import (cochain_apply, cochain_matrices, cochain_matrix, cochain_rank,
                             d1_rank_and_ozone_kernel, derham_exactness_check, divergence_block,
                             divergence_ranks,
@@ -392,7 +396,7 @@ def test_every_sweep_lists_no_degree_past_its_window_top(monkeypatch, weights, t
     sweeps = _SWEEPS if n == om.weights.n_default else _SWEEPS[:4]
     for bound in (0, 2, n, 2 * n + 3):
         for sweep in sweeps:
-            clear_memos()
+            complexes.potential_memo.cache_clear()
             del listed[:]
             sweep(om, bound)
             assert listed
@@ -400,11 +404,12 @@ def test_every_sweep_lists_no_degree_past_its_window_top(monkeypatch, weights, t
 
 
 def _slices(om, d, derivations):
-    """the slice degrees that the single-degree map lists: T_d; for the
+    """the slice degrees that the single-degree map may list: T_d; for the
     ozone space also the sources d+a+c, d+b+c of [H | H'], which it ranks;
-    for the derivations, which take the kernel of T_d, the targets of d1
-    and, for d > 0, the slices of d0 at every divisor of n, where the
-    Casimir search runs"""
+    for the derivations, which take the kernel of [T_d | c], the column's
+    monomial 1 where d = -n or d >= 0 and, for d > 0, the source and
+    targets of d0 at every divisor of n, where the Casimir search runs, and
+    at d unless n divides it, where a Casimir column may need ker d0_d"""
     n = om.homogeneous_degree()
     weights = om.weights.tuple
     a, b, c = weights
@@ -412,10 +417,17 @@ def _slices(om, d, derivations):
     if not derivations:
         out += [d + a + c, d + b + c]
     if derivations:
-        out += [d + n - w for w in weights]
-        out += [e + n - w for e in range(1, n + 1) if n % e == 0 and d > 0 for w in weights]
-        out += [e for e in range(1, n + 1) if n % e == 0 and d > 0]
+        out += [0] * (d == -n or d >= 0)
+        d0 = [e for e in range(1, n + 1) if n % e == 0 and d > 0] + [d] * (d > 0 and d % n > 0)
+        out += [t for e in d0 for t in [e] + [e + n - (a + b + c) + w for w in weights]]
     return out
+
+
+def _basis_entries(om, d):
+    """(dim X1_d + 1 - #A_d) dim X1_d: the bound on the entries of the
+    derivation basis, as div maps X1_d onto A_d"""
+    dim = sum(count_monomials(om.weights, d + w) for w in om.weights.tuple)
+    return (dim + 1 - count_monomials(om.weights, d)) * dim
 
 
 # unsorted weights, two of them sharing a factor, beside the window's
@@ -426,14 +438,16 @@ _BUDGET_POTENTIALS = _REACH_POTENTIALS + [((15, 6, 10), "x^2+y^5+z^3"),
 @pytest.mark.parametrize("weights, text", _BUDGET_POTENTIALS,
                          ids=["%s:%s" % p for p in _BUDGET_POTENTIALS])
 def test_single_degree_budget_counts_the_slices_exactly(monkeypatch, weights, text):
-    """ozone_dim and derivation_kernel admit a degree whose slices hold
-    exactly the budget, and refuse it one monomial below"""
+    """ozone_dim and derivation_kernel admit a degree whose slices, and for
+    the derivations the entries of their basis, hold exactly the budget, and
+    refuse it one monomial below"""
     om = parse_poly(text, Weights(*weights))
     n = om.homogeneous_degree()
     for name, fn, derivations in (("ozone", complexes.ozone_dim, False),
                                   ("derivation", complexes.derivation_kernel, True)):
         for d in range(-n - 1, 2 * n + 1):
             count = sum(count_monomials(om.weights, t) for t in _slices(om, d, derivations))
+            count += _basis_entries(om, d) if derivations else 0
             monkeypatch.setattr(complexes, "WINDOW_BUDGET", count)
             fn(om, d)
             if count:
@@ -477,13 +491,9 @@ def test_koszul_matrix_budget_counts_its_slices_exactly(monkeypatch, weights, te
                     "monomials" % (d, count - 1))
 
 
-@pytest.mark.parametrize("weights, text", [((1, 1, 1), "x^3+y^3+z^3"),
-                                           ((2, 3, 5), "x^5+z^2+x^2*y^2")])
-def test_koszul_matrix_refuses_a_huge_degree_before_it_lists_a_monomial(
-        monkeypatch, weights, text):
-    """a library caller's huge degree is refused by the slice count, with no
-    monomial listed: a spy on the listing counts none"""
-    om = parse_poly(text, Weights(*weights))
+def _spy_on_listing(monkeypatch):
+    """the degrees of every monomial_basis call made through a package
+    module from now on"""
     listed = []
 
     def spy(w, d):
@@ -495,6 +505,35 @@ def test_koszul_matrix_refuses_a_huge_degree_before_it_lists_a_monomial(
             for attr, value in list(vars(mod).items()):
                 if value is monomial_basis:
                     monkeypatch.setattr(mod, attr, spy)
+    return listed
+
+
+def test_derivation_kernel_counts_the_basis_it_would_return(monkeypatch):
+    """on x^3+y^3+z^3 the count refuses d = 250, whose dense basis a run
+    could not hold, and d = 18, whose slices hold 1,150 monomials but whose
+    basis may hold (dim X1_d + 1 - #A_d) dim X1_d = 277,830 entries, with
+    no monomial listed; it admits d = 17, the largest degree it admits"""
+    om = parse_poly("x^3+y^3+z^3", W111)
+    assert sum(count_monomials(W111, t) for t in _slices(om, 18, True)) == 1150
+    assert _basis_entries(om, 18) == 277_830
+    listed = _spy_on_listing(monkeypatch)
+    for d in (250, 18):
+        with pytest.raises(RingError, match="^degree %d is over budget: the slices of its "
+                                            "derivation map hold more than 250000" % d):
+            complexes.derivation_kernel(om, d)
+    assert listed == []
+    basis = complexes.derivation_kernel(om, 17)
+    assert len(basis) == complexes._space_dim(W111, W111.tuple, 17) - cochain_rank(om, 1, 17)
+
+
+@pytest.mark.parametrize("weights, text", [((1, 1, 1), "x^3+y^3+z^3"),
+                                           ((2, 3, 5), "x^5+z^2+x^2*y^2")])
+def test_koszul_matrix_refuses_a_huge_degree_before_it_lists_a_monomial(
+        monkeypatch, weights, text):
+    """a library caller's huge degree is refused by the slice count, with no
+    monomial listed: a spy on the listing counts none"""
+    om = parse_poly(text, Weights(*weights))
+    listed = _spy_on_listing(monkeypatch)
     for i in (1, 2):
         with pytest.raises(RingError, match="^degree 1000000000 is over budget: the slices of "
                                             "its koszul map"):
@@ -505,9 +544,8 @@ def test_koszul_matrix_refuses_a_huge_degree_before_it_lists_a_monomial(
 # ---------------------------------------------------------------------------
 # operator tables against the per-column Polynomial evaluation they replace
 
-# assembled matrices told apart by call site, looked up through
-# ``complexes._t_block`` to its caller, and numbers of source and target
-# components (``matrix_count``), with the test-side de Rham maps
+# assembled matrices told apart by call site and numbers of source and
+# target components (``matrix_count``), with the test-side de Rham maps
 _KINDS = {
     **KINDS,
     ("derham_exactness_check", 1, 3): "grad",
@@ -520,7 +558,7 @@ def _capture(monkeypatch, run):
     """(kind, src_degs, tgt_degs, matrix) of every assemble call made by
     run() in complexes or in the test-side de Rham check, from empty memos,
     its kind from ``_KINDS``"""
-    clear_memos()
+    complexes.potential_memo.cache_clear()
     calls = []
     real = complexes.assemble
 
@@ -699,7 +737,7 @@ def test_operator_tables_match_per_column_evaluation(monkeypatch, weights, field
 
     # the divergence route's blocks, the oracle of the Hamiltonian ranks
     for d in degrees:
-        u_deg = d - n + weights.tuple[complexes._first_partial(om)]
+        u_deg = d - n + weights.tuple[complexes.potential_memo(om).first_partial]
         check("sealed_block", divergence_block(om, d, u_deg), [u_deg] + [d + s for s in sh[1]],
               [d + n, d])
 
@@ -841,14 +879,14 @@ def test_d0_and_k2_ranks_of_proper_powers_match_their_matrices(weights, field, t
     om = parse_poly(text, weights, field)
     n = om.homogeneous_degree()
     top = 3 * n + 12
-    assert complexes._casimir_degree(om) < n
+    assert complexes.potential_memo(om).casimir_degree < n
     assert ([complexes._cochain_rank(om, 0, d) for d in range(-n, top + 1)]
             == [rank(cochain_matrix(om, 0, d)) for d in range(-n, top + 1)])
     assert ([complexes._koszul_rank(om, 2, d) for d in range(top + 1)]
             == [rank(complexes.koszul_matrix(om, 2, d)) for d in range(top + 1)])
     h = gcd_partials(om).homogeneous_degree()
     assert h > 0
-    assert complexes._koszul_kernel_degree(om) == 3 * n - weights.n_default - h
+    assert complexes.potential_memo(om).k2_kernel_degree == 3 * n - weights.n_default - h
 
 
 @pytest.mark.parametrize("weights, field, text, top", _off_catalog_potentials())
@@ -935,7 +973,7 @@ def test_hamiltonian_block_ranks_match_the_divergence_route(weights, field, om, 
     n = om.homogeneous_degree()
     degrees = [e for e in range(-n, top + 1) if complexes._koszul_dim(om, 1, e + n)]
     assert degrees
-    clear_memos()
+    complexes.potential_memo.cache_clear()
     for e in degrees:
         k1, rank_b, rank_t = divergence_ranks(om, e)
         assert complexes._sealed_ranks(om, e) == (k1, rank_b, rank_t), e
@@ -982,9 +1020,9 @@ def _sealed_degrees(om, bound):
 def _shared_ranks(om, bound):
     """the ranks of T_e that sealed_k1_dims leaves in the memo, from empty
     memos"""
-    clear_memos()
+    complexes.potential_memo.cache_clear()
     complexes.sealed_k1_dims(om, bound)
-    shared = dict(complexes._t_ranks(om))
+    shared = dict(complexes.potential_memo(om).t_ranks)
     assert sorted(shared) == _sealed_degrees(om, bound)
     return shared
 
@@ -1032,9 +1070,9 @@ def test_rank_t_read_off_the_sealed_block_equals_its_own_matrix(weights, field, 
     alone, at every sealed degree to n+6"""
     om = parse_poly(text, weights, field)
     shared = _shared_ranks(om, top)
-    clear_memos()
+    complexes.potential_memo.cache_clear()
     assert shared == {e: complexes._ozone_rank(om, e) for e in shared}
-    assert complexes._t_ranks(om) == shared
+    assert complexes.potential_memo(om).t_ranks == shared
 
 
 def test_a_catalog_pass_eliminates_no_t_at_a_sealed_degree(monkeypatch):
@@ -1105,17 +1143,15 @@ _CACHE_POTENTIALS = [
 def _tables(om):
     """every operator table of a potential: d0, Koszul 1 and 2, the
     Hamiltonian and sealed blocks, and T for the derivation basis"""
-    return ([complexes._d0_table(om)] + [complexes._koszul_table(om, i) for i in (1, 2)]
-            + [complexes._hamiltonian_table(om), complexes._sealed_table(om),
-               complexes._ozone_table(om)])
+    memo = complexes.potential_memo(om)
+    return [memo.d0_table, memo.koszul_tables[1], memo.koszul_tables[2], memo.hamiltonian_table,
+            memo.sealed_table, memo.ozone_table]
 
 
 def _counting_gradients(monkeypatch):
     """the calls of ``gradient`` made through every package module, from
     empty memos"""
-    clear_memos()
-    ring.potential_gradient.cache_clear()
-    jacobian.jacobian_basis.cache_clear()
+    complexes.potential_memo.cache_clear()
     calls = []
     real = ring.gradient
 
@@ -1158,14 +1194,73 @@ def test_ph_dims_builds_no_sealed_table(weights, field, text):
     """the products O and O g_i are made for the sealed sweep alone: ph_dims,
     koszul_dims and the derivation spaces build no sealed table"""
     om = parse_poly(text, weights, field)
-    clear_memos()
+    complexes.potential_memo.cache_clear()
     complexes.ph_dims(om, 6)
     complexes.koszul_dims(om, 9)
     for d in range(4):
         poisson.graded_derivation_space(from_potential(om), d)
-    assert complexes._sealed_table.cache_info().currsize == 0
+    assert "sealed_table" not in vars(complexes.potential_memo(om))
     complexes.sealed_k1_dims(om, 6)
-    assert complexes._sealed_table.cache_info().currsize == 1
+    assert "sealed_table" in vars(complexes.potential_memo(om))
+
+
+@pytest.mark.parametrize("weights, field, text", _CACHE_POTENTIALS)
+def test_equal_potentials_parsed_apart_share_one_record(monkeypatch, weights, field, text):
+    """the memo is keyed by the potential's value: a second parse finds the
+    record of the first, so its rank tables assemble no matrix (the sealed
+    sweep and the derivation bases eliminate on every call)"""
+    om = parse_poly(text, weights, field)
+    complexes.potential_memo.cache_clear()
+
+    def tables(p):
+        return (complexes.ph_dims(p, 6).dims, complexes.koszul_dims(p, 9).dims,
+                [complexes.ozone_dim(p, d) for d in range(-3, 7)])
+
+    first = tables(om)
+    assembled = []
+    real = complexes.assemble
+
+    def spy(*args):
+        assembled.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(complexes, "assemble", spy)
+    again = parse_poly(text, weights, field)
+    assert again is not om and complexes.potential_memo(again) is complexes.potential_memo(om)
+    assert tables(again) == first
+    assert assembled == []
+
+
+def test_the_memo_drops_the_least_recently_used_record():
+    """past MEMO_SIZE potentials the oldest record is dropped whole, and
+    nothing else keeps it alive; the newer ones stay"""
+    complexes.potential_memo.cache_clear()
+    pots = [parse_poly("x^3+y^3+z^3+%d*x*y*z" % k, W111)
+            for k in range(1, complexes.MEMO_SIZE + 2)]
+    records = []
+    for om in pots:
+        complexes.ph_dims(om, 3)
+        records.append(complexes.potential_memo(om))
+    info = complexes.potential_memo.cache_info()
+    assert info.maxsize == info.currsize == complexes.MEMO_SIZE
+    assert all(complexes.potential_memo(om) is r for om, r in zip(pots[1:], records[1:]))
+    oldest = weakref.ref(records[0])
+    del records[0]
+    gc.collect()
+    assert oldest() is None
+    assert "d0_table" not in vars(complexes.potential_memo(pots[0]))
+
+
+def test_a_catalog_verify_leaves_at_most_memo_size_records():
+    """a cold ``catalog verify`` of every entry holds no more than MEMO_SIZE
+    potentials' state at its end"""
+    complexes.potential_memo.cache_clear()
+    res = CliRunner().invoke(main, ["catalog", "verify", "--max-degree", "9"])
+    assert res.exit_code == 0, res.output
+    assert complexes.potential_memo.cache_info().misses >= len(catalog.entries())
+    gc.collect()
+    alive = [o for o in gc.get_objects() if isinstance(o, complexes._Memo)]
+    assert 0 < len(alive) <= complexes.MEMO_SIZE
 
 
 def test_a_catalog_entry_computes_its_gradient_once(monkeypatch):

@@ -16,10 +16,8 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from wpoisson import catalog
+from wpoisson import catalog, complexes
 from wpoisson.cli import main
-
-from matrix_count import clear_memos
 
 VARS = "xyz"
 WEIGHTS = [(1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 1, 3), (1, 2, 2), (2, 3, 3), (1, 3, 3)]
@@ -311,7 +309,7 @@ def test_a_check_reports_the_same_rows_alone_as_beside_the_others(selector):
     runner = CliRunner()
 
     def rows(*checks):
-        clear_memos()
+        complexes.potential_memo.cache_clear()
         args = ["catalog", "verify", "--filter", selector, "--format", "json"]
         res = runner.invoke(main, args + (["--checks", ",".join(checks)] if checks else []))
         assert res.exit_code == 0, res.output

@@ -387,8 +387,7 @@ def test_hilbert_gkdim_and_gcd_build_no_basis_polynomial():
     pool = list(_pool_potentials(31, W111, 48))
     routes = set()
     for omega in pool[:12]:
-        jacobian.jacobian_basis.cache_clear()
-        jacobian._jacobian_numerator.cache_clear()
+        complexes.potential_memo.cache_clear()
         a_sing_hilbert(omega, omega.homogeneous_degree() + 4)
         gkdim(omega)
         routes.add(gcd_partials(omega).homogeneous_degree() > 0)
@@ -413,7 +412,7 @@ def test_gcd_degree_from_groebner_heads_matches_the_koszul_ranks():
     for omega in suite:
         n = omega.homogeneous_degree()
         assert (_numerator_gcd_degree(omega) == 3 * n - omega.weights.n_default
-                - complexes._koszul_kernel_degree(omega)), omega
+                - complexes.potential_memo(omega).k2_kernel_degree), omega
         assert _numerator_gcd_degree(omega) == gcd_partials(omega).homogeneous_degree()
 
 
@@ -764,7 +763,7 @@ def test_w4_checks_129_of_1225_pairs():
 
 def _count_numerator_calls(monkeypatch):
     """the heads of every call of the numerator routine from now on, with
-    the per-potential numerator cache emptied"""
+    every potential's memo emptied"""
     calls = []
     numerator_of = jacobian._hilbert_numerator
 
@@ -773,7 +772,7 @@ def _count_numerator_calls(monkeypatch):
         return numerator_of(weights, heads)
 
     monkeypatch.setattr(jacobian, "_hilbert_numerator", counted)
-    jacobian._jacobian_numerator.cache_clear()
+    complexes.potential_memo.cache_clear()
     return calls
 
 

@@ -65,13 +65,6 @@ def _members():
             + _seeded_pool())
 
 
-def _clear_memos():
-    for module in (complexes, jacobian):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-
-
 def _tables(omega):
     """every table of the complexes layer, and the formatted derivation
     bases in degrees 0 to 2"""
@@ -125,7 +118,7 @@ def test_the_members_reach_both_gcd_routes_and_both_kinds_of_singularity():
 def _matrix_fields(monkeypatch, omega):
     """the field degree of every matrix that the tables, the Groebner data
     and the gcd of omega build, from empty memos"""
-    _clear_memos()
+    complexes.potential_memo.cache_clear()
     degrees = []
     real = linalg.Matrix.restricted.__func__
 
@@ -143,7 +136,7 @@ def _matrix_fields(monkeypatch, omega):
 def _products_in_reduce(monkeypatch, omega):
     """the number of ExtensionField products made inside jacobian._reduce
     while the Groebner basis of omega's partials is built and proved"""
-    _clear_memos()
+    complexes.potential_memo.cache_clear()
     inside = [0]
     products = [0]
     real_reduce, real_mul = jacobian._reduce, ExtensionField._mul
