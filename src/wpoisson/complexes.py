@@ -110,12 +110,12 @@ budget, and ``derivation_kernel`` the basis it returns (``_slice_budget``).
 
 What depends on the potential alone, its gradient, tables, ranks by degree
 and Groebner data, lives in one record per potential value
-(``potential_memo``): equal potentials parsed apart share it, and a sweep
-reads on with the record's own potential, found by identity, not by
-comparing terms.  Each (immutable) table is shared by every degree; the
-sealed table, with its products O and O g_i, is built only for the sealed
-sweep.  A table over Q(s) whose coefficients have no s-part is made over
-Q, and so are its matrices (``linalg`` docstring)."""
+(``potential_memo``), and equal potentials parsed apart share it.  The
+ranks by degree are methods of the record, so each public sweep or map
+looks its record up once.  Each (immutable) table is shared by every
+degree; the sealed table, with its products O and O g_i, is built only for
+the sealed sweep.  A table over Q(s) whose coefficients have no s-part is
+made over Q, and so are its matrices (``linalg`` docstring)."""
 
 from __future__ import annotations
 
@@ -157,14 +157,17 @@ MEMO_SIZE = 4
 class _Memo:
     """the state one potential's invariants share, each piece built when
     first read: the gradient, operator tables and three degrees; rank
-    [T_d | c] and rank T_d by d and the Koszul ranks by (i, d), which the
-    sweeps fill; the Groebner basis and Hilbert numerator of ``jacobian``.
-    ``potential_memo`` keys records by value, so equal potentials parsed
-    apart share one, and drops the least recently used past MEMO_SIZE."""
+    [T_d | c] and rank T_d by d, the Koszul ranks by (i, d) and sealed_d by
+    d, which its rank methods fill; the Groebner basis and Hilbert numerator
+    of ``jacobian``.  ``potential_memo`` keys records by value, so equal
+    potentials parsed apart share one, and drops the least recently used
+    past MEMO_SIZE.  The degree n is read only by the ranks, so the record
+    of a polynomial that is not homogeneous, as ``poisson`` checks a
+    potential tag with, still gives its gradient."""
 
     def __init__(self, omega):
-        self.omega, self.column_ranks, self.t_ranks, self.koszul_ranks = omega, {}, {}, {}
-        self.groebner_basis = self.hilbert_numerator = None
+        self.omega, self.groebner_basis, self.hilbert_numerator = omega, None, None
+        self.column_ranks, self.t_ranks, self.koszul_ranks, self.sealed_dims = {}, {}, {}, {}
 
     @cached_property
     def gradient(self):
@@ -216,7 +219,7 @@ class _Memo:
         """e = deg R: the least divisor of n with a Casimir (module docstring)"""
         omega, n = self.omega, self.omega.homogeneous_degree()
         return next(e for e in range(1, n + 1) if n % e == 0 and (
-            e == n or rank(_d0_matrix(omega, e)) < count_monomials(omega.weights, e)))
+            e == n or rank(self.d0_matrix(e)) < count_monomials(omega.weights, e)))
 
     @cached_property
     def k2_window(self):
@@ -230,15 +233,143 @@ class _Memo:
     def k2_kernel_degree(self):
         """3n - (a+b+c) - deg gcd(g): the first degree where K2 has a kernel"""
         return next(d for d in self.k2_window
-                    if _koszul_rank(self.omega, 2, d) < _koszul_dim(self.omega, 2, d))
+                    if self.koszul_rank(2, d) < _koszul_dim(self.omega, 2, d))
+
+    def d0_matrix(self, d):
+        """matrix of d0 on A_d"""
+        return assemble(self.omega.weights, *_d0_slices(self.omega, d), self.d0_table)
+
+    def casimirs(self, d):
+        """dim ker d0_d: 1 where a power of R has degree d, else 0"""
+        return int(d == 0 or d > 0 and d % self.casimir_degree == 0)
+
+    def cochain_rank(self, i, d):
+        """rank of the degree-i differential on the degree-d slice of X^i: d0
+        from the Casimir degree, d2 from rank T_d, and d1 from rank T_d or,
+        where a Casimir column c need not lie in the image of T_d, from rank
+        [T_d | c], memoised by d (module docstring)"""
+        weights = self.omega.weights
+        if _space_dim(weights, cochain_shifts(weights)[i], d) == 0:
+            return 0
+        if i == 2:
+            return self.ozone_rank(d) - count_monomials(weights, d)
+        casimirs = self.casimirs(d)
+        if i == 0:
+            return count_monomials(weights, d) - casimirs
+        n = self.omega.homogeneous_degree()
+        if d + n and (not casimirs or n == weights.n_default):
+            return self.ozone_rank(d) - casimirs
+        ranks = self.column_ranks
+        if d not in ranks:
+            ranks[d] = self.hamiltonian_rank(d, self.casimir_column(d))
+        return ranks[d] - 1
+
+    def casimir_column(self, d):
+        """c = (h, f) spanning ker L_d, up to a scalar, or None where ker L_d = 0
+        (module docstring); it calls no gradient"""
+        omega = self.omega
+        n = omega.homogeneous_degree()
+        if d == -n:
+            return 1, 0
+        if d < 0 or not self.casimirs(d):
+            return None
+        if d % n == 0:
+            f = omega ** (d // n)  # a Casimir, as O is one
+        else:
+            (coords,) = kernel_basis(self.d0_matrix(d))
+            (f,) = vector_to_polys(omega.weights, omega.field, [d], coords)
+        # c / n
+        return f * omega, Fraction(d + n, n) * f
+
+    def m2_dim(self, d):
+        """dim M2_d: the gradients of degree d+a+b+c (a constant has none), plus
+        the multiples f g from degree d-w, less the f g that are gradients.  Those
+        are the f with d0(f) = 0, so the multiples add rank d0 at degree d-w."""
+        weights = self.omega.weights
+        abc = weights.n_default
+        e = d - self.omega.homogeneous_degree() + abc
+        grads = count_monomials(weights, d + abc) - (d == -abc)
+        return grads + self.cochain_rank(0, e)
+
+    def ozone_rank(self, d):
+        """rank of T_d: X1_d -> A_{d+n} + A_d, memoised by d, where the sealed
+        blocks leave it; else off [H | H'], or 0 with no matrix where X1_d = 0"""
+        ranks = self.t_ranks
+        if d not in ranks:
+            weights = self.omega.weights
+            ranks[d] = self.hamiltonian_rank(d) if _space_dim(weights, weights.tuple, d) else 0
+        return ranks[d]
+
+    def hamiltonian_rank(self, d, column=None):
+        """#A_d + rank [H | H'] at degree d, which is rank T_d, and given the
+        column c = (h, f) #A_d + rank [H | H' | c'], which is rank [T_d | c],
+        with c' = h - n f O/(d+s) on one more source, the monomial 1 (module
+        docstring); c' = h where d + s = 0, as A_d = 0 there"""
+        omega = self.omega
+        weights = omega.weights
+        n, s = omega.homogeneous_degree(), weights.n_default
+        field, terms = self.hamiltonian_table
+        src = _rotation_degrees(weights, d)
+        if column is not None:
+            h, f = column
+            reduced = h - f * omega * Fraction(n, d + s) if d + s else h
+            terms += op_table(omega.field, [(0, 2, None, reduced)], reduce=field == QQ)[1]
+            src.append(0)
+        return count_monomials(weights, d) + rank(assemble(weights, src, [d + n], (field, terms)))
+
+    def koszul_matrix(self, i, d):
+        """matrix of K_i -> K_{i-1} at total degree d (``koszul_matrix``)"""
+        if i not in (1, 2):
+            raise RingError("koszul index out of range")
+        degs = koszul_component_degs(self.omega, d)
+        _slice_budget(self.omega, "koszul", d, degs[i] + degs[i - 1])
+        return assemble(self.omega.weights, degs[i], degs[i - 1], self.koszul_tables[i])
+
+    def koszul_rank(self, i, d):
+        """rank of K_i -> K_{i-1} at total degree d, memoised by (i, d), where the
+        sealed blocks leave K1; K2 by Koszul depth (module docstring)"""
+        ranks = self.koszul_ranks
+        if (i, d) not in ranks:
+            dim = _koszul_dim(self.omega, i, d)
+            if i == 2 and d < self.k2_window.start:
+                ranks[i, d] = dim
+            elif i == 2 and d >= self.k2_window.stop:
+                ranks[i, d] = dim - count_monomials(self.omega.weights, d - self.k2_kernel_degree)
+            else:
+                ranks[i, d] = rank(self.koszul_matrix(i, d)) if dim else 0
+        return ranks[i, d]
+
+    def sealed_ranks(self, e):
+        """(rank K1 at total degree e+n, rank B_e, rank T_e) from one elimination
+        of [O A_e | O g_i A_u | H | H'] into A_{e+n}: #A_e and its pivots, those
+        past the O A_e columns, and those past the u columns (module
+        docstring)"""
+        weights = self.omega.weights
+        n = self.omega.homogeneous_degree()
+        u_deg = e - n + weights.tuple[self.first_partial]
+        src = [e, u_deg] + _rotation_degrees(weights, e)
+        pivots = pivot_columns(assemble(weights, src, [e + n], self.sealed_table))
+        lead = count_monomials(weights, e)
+        past_u = lead + count_monomials(weights, u_deg)
+        return (len(pivots), lead + sum(c >= lead for c in pivots),
+                lead + sum(c >= past_u for c in pivots))
+
+    def sealed_dim(self, d):
+        """sealed_d, memoised by d, from the block of degree e = d - n, which
+        leaves rank K1 and rank T_e in the memos; K1 at degree d is X1 at
+        degree e"""
+        dims = self.sealed_dims
+        if d not in dims:
+            dim_v = _koszul_dim(self.omega, 1, d)
+            if dim_v:
+                e = d - self.omega.homogeneous_degree()
+                self.koszul_ranks[1, d], rank_b, self.t_ranks[e] = self.sealed_ranks(e)
+                dim_v += self.koszul_rank(1, e) - rank_b - self.koszul_rank(2, d)
+            dims[d] = dim_v
+        return dims[d]
 
 
 potential_memo = lru_cache(maxsize=MEMO_SIZE)(_Memo)
-
-
-def potential_gradient(omega):
-    """gradient(omega), made once per potential for its tables, basis and bracket"""
-    return potential_memo(omega).gradient
 
 
 # ---------------------------------------------------------------------------
@@ -255,38 +386,6 @@ def _d0_slices(omega, d):
     """the degrees of A_d and of the slice d + n - (a+b+c) of X^1, d0's target"""
     w = omega.homogeneous_degree() - omega.weights.n_default
     return [d], [d + w + s for s in omega.weights.tuple]
-
-
-def _d0_matrix(omega, d):
-    """matrix of d0 on A_d"""
-    return assemble(omega.weights, *_d0_slices(omega, d), potential_memo(omega).d0_table)
-
-
-def _cochain_rank(omega, i, d):
-    """rank of the degree-i differential on the degree-d slice of X^i: d0
-    from the Casimir degree, d2 from rank T_d, and d1 from rank T_d or,
-    where a Casimir column c need not lie in the image of T_d, from rank
-    [T_d | c], memoised by d (module docstring)"""
-    weights = omega.weights
-    if _space_dim(weights, cochain_shifts(weights)[i], d) == 0:
-        return 0
-    if i == 2:
-        return _ozone_rank(omega, d) - count_monomials(weights, d)
-    casimirs = _casimirs(omega, d)
-    if i == 0:
-        return count_monomials(weights, d) - casimirs
-    n = omega.homogeneous_degree()
-    if d + n and (not casimirs or n == weights.n_default):
-        return _ozone_rank(omega, d) - casimirs
-    ranks = potential_memo(omega).column_ranks
-    if d not in ranks:
-        ranks[d] = _hamiltonian_rank(omega, d, _casimir_column(omega, d))
-    return ranks[d] - 1
-
-
-def _casimirs(omega, d):
-    """dim ker d0_d: 1 where a power of R has degree d, else 0"""
-    return int(d == 0 or d > 0 and d % potential_memo(omega).casimir_degree == 0)
 
 
 def _space_dim(weights, shifts, d):
@@ -379,8 +478,7 @@ def ph_dims(omega, bound):
     """Poisson cohomology dimensions PH^0..PH^3 per degree, down from
     -max(n, a+b+c) up to the bound"""
     degrees = _ph_window(omega, bound)
-    omega = potential_memo(omega).omega
-    weights = omega.weights
+    memo, weights = potential_memo(omega), omega.weights
     w = omega.homogeneous_degree() - weights.n_default
     sh = cochain_shifts(weights)
     dims = {}
@@ -390,8 +488,8 @@ def ph_dims(omega, bound):
             if dim_x == 0:
                 dims[(i, d)] = 0
                 continue
-            r_out = _cochain_rank(omega, i, d) if i < 3 else 0
-            r_in = _cochain_rank(omega, i - 1, d - w) if i > 0 else 0
+            r_out = memo.cochain_rank(i, d) if i < 3 else 0
+            r_in = memo.cochain_rank(i - 1, d - w) if i > 0 else 0
             dims[(i, d)] = dim_x - r_out - r_in
     return DimsTable(dims, bound)
 
@@ -425,23 +523,12 @@ def ph_closed_form_rows(omega, bound):
 # exact bivectors M2, vacancy, ozone, minimality
 
 
-def _m2_dim(omega, d):
-    """dim M2_d: the gradients of degree d+a+b+c (a constant has none), plus
-    the multiples f g from degree d-w, less the f g that are gradients.  Those
-    are the f with d0(f) = 0, so the multiples add rank d0 at degree d-w."""
-    weights = omega.weights
-    abc = weights.a + weights.b + weights.c
-    e = d - check_potential(omega) + abc
-    grads = count_monomials(weights, d + abc) - (d == -abc)
-    return grads + _cochain_rank(omega, 0, e)
-
-
 def vacancy_degrees(omega, bound):
     """(degree, dimension) of ``vacancy_check`` in rising degree, each
     degree ranked only when it is read; the window is checked at the call"""
     n = check_potential(omega, "vacancy diagnostic requires degree a+b+c")
-    omega, x2 = potential_memo(omega).omega, cochain_shifts(omega.weights)[2]
-    return ((d, _space_dim(omega.weights, x2, d) - _cochain_rank(omega, 2, d) - _m2_dim(omega, d))
+    memo, x2 = potential_memo(omega), cochain_shifts(omega.weights)[2]
+    return ((d, _space_dim(omega.weights, x2, d) - memo.cochain_rank(2, d) - memo.m2_dim(d))
             for d in _window(omega, "vacancy", -n, bound))
 
 
@@ -466,33 +553,6 @@ def _hamiltonian_terms(g, first):
             (0, first + 1, 2, g[1]), (0, first + 1, 1, -g[2])]
 
 
-def _ozone_rank(omega, d):
-    """rank of T_d: X1_d -> A_{d+n} + A_d, memoised by d, where the sealed
-    blocks leave it; else off [H | H'], or 0 with no matrix where X1_d = 0"""
-    ranks = potential_memo(omega).t_ranks
-    if d not in ranks:
-        weights = omega.weights
-        ranks[d] = _hamiltonian_rank(omega, d) if _space_dim(weights, weights.tuple, d) else 0
-    return ranks[d]
-
-
-def _hamiltonian_rank(omega, d, column=None):
-    """#A_d + rank [H | H'] at degree d, which is rank T_d, and given the
-    column c = (h, f) #A_d + rank [H | H' | c'], which is rank [T_d | c],
-    with c' = h - n f O/(d+s) on one more source, the monomial 1 (module
-    docstring); c' = h where d + s = 0, as A_d = 0 there"""
-    weights = omega.weights
-    n, s = omega.homogeneous_degree(), weights.n_default
-    field, terms = potential_memo(omega).hamiltonian_table
-    src = _rotation_degrees(weights, d)
-    if column is not None:
-        h, f = column
-        reduced = h - f * omega * Fraction(n, d + s) if d + s else h
-        terms += op_table(omega.field, [(0, 2, None, reduced)], reduce=field == QQ)[1]
-        src.append(0)
-    return count_monomials(weights, d) + rank(assemble(weights, src, [d + n], (field, terms)))
-
-
 def ozone_dim(omega, d):
     """dimension of the degree-d derivations v with v . g = 0 and div v = 0,
     the kernel of T_d = (v . g ; div v): the ozone space, the cocycles that
@@ -503,24 +563,7 @@ def ozone_dim(omega, d):
     a, b, c = omega.weights.tuple
     _slice_budget(omega, "ozone", d,
                   [d + a, d + b, d + c, d + n, d] + _rotation_degrees(omega.weights, d))
-    return _space_dim(omega.weights, omega.weights.tuple, d) - _ozone_rank(omega, d)
-
-
-def _casimir_column(omega, d):
-    """c = (h, f) spanning ker L_d, up to a scalar, or None where ker L_d = 0
-    (module docstring); it calls no gradient"""
-    n = omega.homogeneous_degree()
-    if d == -n:
-        return 1, 0
-    if d < 0 or not _casimirs(omega, d):
-        return None
-    if d % n == 0:
-        f = omega ** (d // n)  # a Casimir, as O is one
-    else:
-        (coords,) = kernel_basis(_d0_matrix(omega, d))
-        (f,) = vector_to_polys(omega.weights, omega.field, [d], coords)
-    # c / n
-    return f * omega, Fraction(d + n, n) * f
+    return _space_dim(omega.weights, omega.weights.tuple, d) - potential_memo(omega).ozone_rank(d)
 
 
 def derivation_kernel(omega, d):
@@ -540,8 +583,9 @@ def derivation_kernel(omega, d):
     dim = _space_dim(weights, weights.tuple, d)
     if not dim:
         return []
-    field, terms = potential_memo(omega).ozone_table
-    src, column = [d + w for w in weights.tuple], _casimir_column(omega, d)
+    memo = potential_memo(omega)
+    field, terms = memo.ozone_table
+    src, column = [d + w for w in weights.tuple], memo.casimir_column(d)
     if column is not None:
         terms += op_table(omega.field, [(t, 3, None, p) for t, p in enumerate(column)],
                           reduce=field == QQ)[1]
@@ -554,9 +598,8 @@ def ozone_vs_hamiltonian(omega, bound):
     cocycles killing the potential, i.e. with v . g = 0 and div v = 0 (see
     ``ozone_dim``), vs the image of the hamiltonian map"""
     check_potential(omega, "ozone diagnostic requires degree a+b+c")
-    omega, x1 = potential_memo(omega).omega, omega.weights.tuple
-    return {d: (_space_dim(omega.weights, x1, d) - _ozone_rank(omega, d),
-                _cochain_rank(omega, 0, d))
+    memo, x1 = potential_memo(omega), omega.weights.tuple
+    return {d: (_space_dim(omega.weights, x1, d) - memo.ozone_rank(d), memo.cochain_rank(0, d))
             for d in _window(omega, "ozone", -max(omega.weights.tuple), bound)}
 
 
@@ -576,13 +619,8 @@ def koszul_matrix(omega, i, d):
     """matrix of the Koszul differential K_i -> K_{i-1} at total degree d,
     for i = 1, 2 (K3 -> K2 is injective and never assembled).  Refused
     before any monomial is listed when its slices are over budget
-    (``_slice_budget``)."""
-    degs = koszul_component_degs(omega, d)
-    _slice_budget(omega, "koszul", d, degs[i] + degs[i - 1])
-    tables = potential_memo(omega).koszul_tables
-    if i not in tables:
-        raise RingError("koszul index out of range")
-    return assemble(omega.weights, degs[i], degs[i - 1], tables[i])
+    (``_slice_budget``); any other i is refused before that count."""
+    return potential_memo(omega).koszul_matrix(i, d)
 
 
 def _koszul_dim(omega, i, d):
@@ -590,31 +628,14 @@ def _koszul_dim(omega, i, d):
     return _space_dim(weights, cochain_shifts(weights)[i], d - i * omega.homogeneous_degree())
 
 
-def _koszul_rank(omega, i, d):
-    """rank of K_i -> K_{i-1} at total degree d, memoised by (i, d), where the
-    sealed blocks leave K1; K2 by Koszul depth (module docstring)"""
-    memo = potential_memo(omega)
-    ranks = memo.koszul_ranks
-    if (i, d) not in ranks:
-        dim = _koszul_dim(omega, i, d)
-        if i == 2 and d < memo.k2_window.start:
-            ranks[i, d] = dim
-        elif i == 2 and d >= memo.k2_window.stop:
-            ranks[i, d] = dim - count_monomials(omega.weights, d - memo.k2_kernel_degree)
-        else:
-            ranks[i, d] = rank(koszul_matrix(omega, i, d)) if dim else 0
-    return ranks[i, d]
-
-
 def koszul_dims(omega, bound):
     """Koszul homology dimensions H_0..H_3 per total degree; rank K3 is
     dim K3, as v0 -> v0 g is injective, so H_3 is zero"""
     check_potential(omega)
-    omega = potential_memo(omega).omega
-    dims = {}
+    memo, dims = potential_memo(omega), {}
     for d in _window(omega, "koszul", 0, bound):
         space = [_koszul_dim(omega, i, d) for i in range(4)]
-        r1, r2 = _koszul_rank(omega, 1, d), _koszul_rank(omega, 2, d)
+        r1, r2 = memo.koszul_rank(1, d), memo.koszul_rank(2, d)
         dims[(0, d)] = space[0] - r1
         dims[(1, d)] = space[1] - r1 - r2
         dims[(2, d)] = space[2] - r2 - space[3]
@@ -622,41 +643,13 @@ def koszul_dims(omega, bound):
     return DimsTable(dims, bound)
 
 
-def _sealed_ranks(omega, e):
-    """(rank K1 at total degree e+n, rank B_e, rank T_e) from one elimination
-    of [O A_e | O g_i A_u | H | H'] into A_{e+n}: #A_e and its pivots, those
-    past the O A_e columns, and those past the u columns (module
-    docstring)"""
-    weights = omega.weights
-    n = omega.homogeneous_degree()
-    u_deg = e - n + weights.tuple[potential_memo(omega).first_partial]
-    src = [e, u_deg] + _rotation_degrees(weights, e)
-    pivots = pivot_columns(assemble(weights, src, [e + n], potential_memo(omega).sealed_table))
-    lead = count_monomials(weights, e)
-    past_u = lead + count_monomials(weights, u_deg)
-    return (len(pivots), lead + sum(c >= lead for c in pivots),
-            lead + sum(c >= past_u for c in pivots))
-
-
-def _sealed_dim(omega, d):
-    """sealed_d from the block of degree e = d - n, which leaves rank K1 and
-    rank T_e in the memos; K1 at degree d is X1 at degree e"""
-    e = d - omega.homogeneous_degree()
-    dim_v = _koszul_dim(omega, 1, d)
-    if not dim_v:
-        return 0
-    memo = potential_memo(omega)
-    memo.koszul_ranks[1, d], rank_b, memo.t_ranks[e] = _sealed_ranks(omega, e)
-    return dim_v - rank_b + _koszul_rank(omega, 1, e) - _koszul_rank(omega, 2, d)
-
-
 def sealed_degrees(omega, bound):
     """(degree, dimension) of ``sealed_k1_dims`` in rising degree, each
     degree's block eliminated only when it is read; the window is checked at
     the call"""
     check_potential(omega)
-    omega = potential_memo(omega).omega
-    return ((d, _sealed_dim(omega, d)) for d in _window(omega, "sealed", 0, bound))
+    memo = potential_memo(omega)
+    return ((d, memo.sealed_dim(d)) for d in _window(omega, "sealed", 0, bound))
 
 
 def sealed_k1_dims(omega, bound):

@@ -57,7 +57,7 @@ import math
 from fractions import Fraction
 from itertools import groupby
 
-from .complexes import koszul_component_degs, koszul_matrix, potential_gradient, potential_memo
+from .complexes import koszul_component_degs, koszul_matrix, potential_memo
 from .hilbert import HilbertSeries
 from .linalg import assemble, kernel_basis, op_table, vector_to_polys
 from .ring import (
@@ -478,7 +478,7 @@ def jacobian_basis(omega):
     """Groebner basis of the ideal of partials, kept in the potential's memo"""
     memo = potential_memo(omega)
     if memo.groebner_basis is None:
-        grads = [g for g in potential_gradient(omega).comps if g.terms]
+        grads = [g for g in memo.gradient.comps if g.terms]
         if not grads:
             raise RingError("all partial derivatives vanish")
         memo.groebner_basis = buchberger(grads)
@@ -635,7 +635,7 @@ def _gcd_from_koszul(omega, delta):
     d0 = 3 * omega.homogeneous_degree() - weights.n_default - delta
     u = _one_kernel_vector(weights, field, koszul_component_degs(omega, d0)[2],
                            koszul_matrix(omega, 2, d0))
-    i, g = next((i, g) for i, g in enumerate(potential_gradient(omega).comps) if g.terms)
+    i, g = next((i, g) for i, g in enumerate(potential_memo(omega).gradient.comps) if g.terms)
     table = op_table(field, [(0, 0, None, u[i]), (0, 1, None, -g)])
     degs = (delta, 0)
     h = _one_kernel_vector(weights, field, degs,

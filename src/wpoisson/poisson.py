@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 
-from .complexes import derivation_kernel, ozone_dim, potential_gradient
+from .complexes import derivation_kernel, ozone_dim, potential_memo
 from .jacobian import normal_form
 from .linalg import vector_to_polys
 from .ring import (
@@ -60,7 +60,7 @@ class PoissonStructure:
 
     def __init__(self, pxy: Polynomial, pyz: Polynomial, pzx: Polynomial, potential=None):
         self.bivector = PolyVector(pyz, pzx, pxy)
-        if potential is not None and potential_gradient(potential) != self.bivector:
+        if potential is not None and potential_memo(potential).gradient != self.bivector:
             raise RingError("potential tag does not match the bracket: grad(O) != P")
         self.weights = pxy.weights
         self.field = pxy.field
@@ -99,7 +99,7 @@ def from_potential(omega: Polynomial) -> PoissonStructure:
     """bracket defined by a nonzero homogeneous potential of positive degree:
     {x,y} = dO/dz, {y,z} = dO/dx, {z,x} = dO/dy"""
     check_potential(omega)
-    g = potential_gradient(omega)
+    g = potential_memo(omega).gradient
     return PoissonStructure(g.f3, g.f1, g.f2, omega)
 
 

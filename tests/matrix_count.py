@@ -5,7 +5,9 @@ benchmark's ``catalog`` workload.  A matrix's kind comes from the
 function that asked for it and from its numbers of source and target
 slices.  Every Hamiltonian block, the sealed block [O A_e | O g_i A_u |
 H | H'] and [H | H'] alone, is of kind H; the sealed block gives rank K1
-too, so a catalog pass assembles no K1 matrix.
+too, so a catalog pass assembles no K1 matrix.  Beside the matrices it
+prints the lookups of the memo record ``complexes.potential_memo`` over
+each pass, hits and misses, which count the public calls into the record.
 
 Print the counts from the repository root with
 
@@ -19,14 +21,14 @@ from wpoisson import catalog, complexes
 
 # (caller, source slices, target slices) -> kind
 KINDS = {
-    ("_sealed_ranks", 4, 1): "H",
-    ("_hamiltonian_rank", 2, 1): "H",
-    ("_hamiltonian_rank", 3, 1): "H|c",
+    ("sealed_ranks", 4, 1): "H",
+    ("hamiltonian_rank", 2, 1): "H",
+    ("hamiltonian_rank", 3, 1): "H|c",
     ("derivation_kernel", 3, 2): "T",
     ("derivation_kernel", 4, 2): "T|c",
     ("koszul_matrix", 3, 1): "K1",
     ("koszul_matrix", 3, 3): "K2",
-    ("_d0_matrix", 1, 3): "d0",
+    ("d0_matrix", 1, 3): "d0",
 }
 
 
@@ -34,6 +36,12 @@ def requester(frame):
     """the name of the function that asked for the matrix whose ``assemble``
     call ``frame`` made"""
     return frame.f_code.co_name
+
+
+def memo_lookups():
+    """the lookups of ``complexes.potential_memo`` since its last clear"""
+    info = complexes.potential_memo.cache_info()
+    return info.hits + info.misses
 
 
 def matrix_counts(bound_of=complexes.default_bound):
@@ -63,3 +71,4 @@ if __name__ == "__main__":
         print("matrices assembled by catalog verify at %s: %d (%s)" % (
             label, sum(counts.values()),
             ", ".join("%s %d" % kv for kv in sorted(counts.items()))))
+        print("potential_memo lookups of catalog verify at %s: %d" % (label, memo_lookups()))

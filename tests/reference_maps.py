@@ -42,7 +42,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from wpoisson import complexes, gradient, normal_form, rank, textio
-from wpoisson.complexes import _cochain_rank, _m2_dim, _window, ph_dims
+from wpoisson.complexes import _window, ph_dims, potential_memo
 from wpoisson.hilbert import _laurent_sub, _product_one_minus
 from wpoisson.jacobian import jacobian_basis
 from wpoisson.linalg import Matrix, assemble, kernel_basis, op_table, vector_to_polys
@@ -731,7 +731,8 @@ def m2_dims(omega, bound):
     """dimensions of the exact-bivector space M2 per degree, from
     #A_{d+a+b+c} - [d = -(a+b+c)] + rank d0 at degree d-w"""
     check_potential(omega)
-    return {d: _m2_dim(omega, d) for d in _window(omega, "M2", -omega.weights.n_default, bound)}
+    memo = potential_memo(omega)
+    return {d: memo.m2_dim(d) for d in _window(omega, "M2", -omega.weights.n_default, bound)}
 
 
 def standard_monomials(weights, heads, d):
@@ -745,6 +746,6 @@ def negative_degree_pd_dims(omega):
     dim X1_d - rank d1_d, the kernel of the condition that
     ``graded_derivation_space`` solves"""
     check_potential(omega, "diagnostic needs a potential of degree a+b+c")
-    weights = omega.weights
+    weights, memo = omega.weights, potential_memo(omega)
     return {d: sum(count_monomials(weights, d + w) for w in weights.tuple)
-            - _cochain_rank(omega, 1, d) for d in range(-max(weights.tuple), 0)}
+            - memo.cochain_rank(1, d) for d in range(-max(weights.tuple), 0)}

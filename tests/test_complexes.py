@@ -27,7 +27,7 @@ from wpoisson.ring import Polynomial, RingError, count_monomials, monomial_basis
 
 import reference_maps as ref
 from closed_forms import closed_form_lph2, isolated_ph
-from matrix_count import KINDS, matrix_counts, requester
+from matrix_count import KINDS, matrix_counts, memo_lookups, requester
 from reference_maps import (cochain_apply, cochain_matrices, cochain_matrix, cochain_rank,
                             d1_rank_and_ozone_kernel, derham_exactness_check, divergence_block,
                             divergence_ranks,
@@ -541,6 +541,19 @@ def test_koszul_matrix_refuses_a_huge_degree_before_it_lists_a_monomial(
     assert listed == []
 
 
+def test_koszul_matrix_refuses_an_index_outside_one_and_two_first(monkeypatch):
+    """K3 -> K2 is injective and never assembled, and no other index has a
+    map: any i outside {1, 2} is refused before the slice count, which a
+    budget of 0 would refuse, with no monomial listed"""
+    om = parse_poly(ELLIPTIC, W111)
+    monkeypatch.setattr(complexes, "WINDOW_BUDGET", 0)
+    listed = _spy_on_listing(monkeypatch)
+    for i in (0, 3, 4, -5):
+        with pytest.raises(RingError, match="^koszul index out of range$"):
+            complexes.koszul_matrix(om, i, 6)
+    assert listed == []
+
+
 # ---------------------------------------------------------------------------
 # operator tables against the per-column Polynomial evaluation they replace
 
@@ -754,7 +767,7 @@ def test_operator_tables_match_per_column_evaluation(monkeypatch, weights, field
         ("H", 2, lambda: poisson.rgt(om)),
         # T_d alone in the degrees with no Casimir column
         ("T", 3, lambda: [complexes.derivation_kernel(om, d) for d in range(-1, n + 2)
-                          if complexes._casimir_column(om, d) is None]),
+                          if complexes.potential_memo(om).casimir_column(d) is None]),
     ]
     for name, sources, run in runs:
         calls = _capture(monkeypatch, run)
@@ -834,13 +847,14 @@ def test_rank_identities_match_reference_matrices(weights, field, text, top):
     # cochain matrices, from the lowest degree with a nonzero cochain space;
     # d1 comes with its stack over v . g, whose kernel is the ozone space
     slots = range(-max(n, weights.n_default), top + 1)
+    memo = complexes.potential_memo(om)
     # d0 from the Casimir degree against the cochain matrices
-    assert ({d: complexes._cochain_rank(om, 0, d) for d in slots}
+    assert ({d: memo.cochain_rank(0, d) for d in slots}
             == {d: cochain_rank(om, 0, d, maps) for d in slots})
     d1_ozone = {d: d1_rank_and_ozone_kernel(om, d, maps) for d in slots}
-    assert ({d: complexes._cochain_rank(om, 1, d) for d in slots}
+    assert ({d: memo.cochain_rank(1, d) for d in slots}
             == {d: pair[0] for d, pair in d1_ozone.items()})
-    assert ({d: complexes._cochain_rank(om, 2, d) for d in slots}
+    assert ({d: memo.cochain_rank(2, d) for d in slots}
             == {d: cochain_rank(om, 2, d, maps) for d in slots})
     if n != weights.n_default and n <= top:
         assert count_monomials(weights, n) > cochain_rank(om, 0, n, maps)
@@ -880,9 +894,9 @@ def test_d0_and_k2_ranks_of_proper_powers_match_their_matrices(weights, field, t
     n = om.homogeneous_degree()
     top = 3 * n + 12
     assert complexes.potential_memo(om).casimir_degree < n
-    assert ([complexes._cochain_rank(om, 0, d) for d in range(-n, top + 1)]
+    assert ([complexes.potential_memo(om).cochain_rank(0, d) for d in range(-n, top + 1)]
             == [rank(cochain_matrix(om, 0, d)) for d in range(-n, top + 1)])
-    assert ([complexes._koszul_rank(om, 2, d) for d in range(top + 1)]
+    assert ([complexes.potential_memo(om).koszul_rank(2, d) for d in range(top + 1)]
             == [rank(complexes.koszul_matrix(om, 2, d)) for d in range(top + 1)])
     h = gcd_partials(om).homogeneous_degree()
     assert h > 0
@@ -904,9 +918,10 @@ def test_rank_d1_falls_below_rank_t_where_a_casimir_meets_its_image():
     below rank T_d: [T_d | c], assembled in degrees with a Casimir, sees
     it"""
     om = parse_poly("x^3*y+y^3*z", W111)
+    memo = complexes.potential_memo(om)
     for d in (0, 4):
-        assert complexes._cochain_rank(om, 1, d) == complexes._ozone_rank(om, d) - 1
-        assert complexes._cochain_rank(om, 1, d) == cochain_rank(om, 1, d)
+        assert memo.cochain_rank(1, d) == memo.ozone_rank(d) - 1
+        assert memo.cochain_rank(1, d) == cochain_rank(om, 1, d)
 
 
 _ISOLATED = [
@@ -974,10 +989,11 @@ def test_hamiltonian_block_ranks_match_the_divergence_route(weights, field, om, 
     degrees = [e for e in range(-n, top + 1) if complexes._koszul_dim(om, 1, e + n)]
     assert degrees
     complexes.potential_memo.cache_clear()
+    memo = complexes.potential_memo(om)
     for e in degrees:
         k1, rank_b, rank_t = divergence_ranks(om, e)
-        assert complexes._sealed_ranks(om, e) == (k1, rank_b, rank_t), e
-        assert complexes._hamiltonian_rank(om, e) == rank_t, e
+        assert memo.sealed_ranks(e) == (k1, rank_b, rank_t), e
+        assert memo.hamiltonian_rank(e) == rank_t, e
 
 
 @pytest.mark.parametrize("weights, field, om, top", _seeded_potentials())
@@ -989,16 +1005,16 @@ def test_column_rank_matches_the_divergence_route(weights, field, om, top):
     rng = random.Random(str(om))
     # a column over Q when T's table is, as the Casimir columns are
     powers = field_powers(field if rational_copy(om) is None else QQ)
-    seen = Counter()
+    seen, memo = Counter(), complexes.potential_memo(om)
     for d in range(-n, top + 1):
         if not complexes._space_dim(weights, weights.tuple, d):
             continue
-        casimir = complexes._casimir_column(om, d)
+        casimir = memo.casimir_column(d)
         seeded = [tuple(Polynomial(weights, field, {
             m: sum((rng.randint(-3, 3) * p for p in powers), field.zero)
             for m in monomial_basis(weights, t)}) for t in (d + n, d)) for _ in range(2)]
         for column in [casimir] * (casimir is not None) + seeded:
-            assert (complexes._hamiltonian_rank(om, d, column)
+            assert (memo.hamiltonian_rank(d, column)
                     == rank(divergence_block(om, d, column=column))), (d, column)
         seen["casimir"] += casimir is not None
         seen["-n"] += d == -n
@@ -1047,7 +1063,7 @@ def test_ranks_read_off_the_sealed_block_give_the_isolated_closed_form(
 
     def spy(w, src_degs, tgt_degs, table):
         # [H | H'] alone, not [H | H' | c'] in the degrees with a Casimir
-        if requester(sys._getframe(1)) == "_hamiltonian_rank" and len(src_degs) == 2:
+        if requester(sys._getframe(1)) == "hamiltonian_rank" and len(src_degs) == 2:
             assembled.append(tgt_degs[0] - n)
         return real(w, src_degs, tgt_degs, table)
 
@@ -1071,7 +1087,7 @@ def test_rank_t_read_off_the_sealed_block_equals_its_own_matrix(weights, field, 
     om = parse_poly(text, weights, field)
     shared = _shared_ranks(om, top)
     complexes.potential_memo.cache_clear()
-    assert shared == {e: complexes._ozone_rank(om, e) for e in shared}
+    assert shared == {e: complexes.potential_memo(om).ozone_rank(e) for e in shared}
     assert complexes.potential_memo(om).t_ranks == shared
 
 
@@ -1080,9 +1096,10 @@ def test_a_catalog_pass_eliminates_no_t_at_a_sealed_degree(monkeypatch):
     rank K1 off the sealed block [O A_e | O g_i A_u | H | H'] wherever it
     eliminates it, ranks [H | H'] alone only at the other degrees, and
     eliminates K2 and d0 as often as before"""
-    counts = Counter()
+    counts, lookups = Counter(), 0
     for e in catalog.entries():
         calls = _capture(monkeypatch, lambda: catalog.verify_entry(e, e.degree + 6))
+        lookups += memo_lookups()
         # both blocks map into A_{d+n} at degree d
         t_degs = {tgt[0] - e.degree for kind, src, tgt, _ in calls if len(src) == 2}
         b_degs = {tgt[0] - e.degree for kind, src, tgt, _ in calls if len(src) == 4}
@@ -1093,6 +1110,9 @@ def test_a_catalog_pass_eliminates_no_t_at_a_sealed_degree(monkeypatch):
     # K2 412 and d0 295, and the divergence route assembled 794 T, 1,264 B
     # and 470 K1
     assert counts == {"H": 1584, "K2": 303, "d0": 281} and counts["K1"] == 0
+    # one lookup of the memo record per public call; 14,957 when every rank
+    # looked the record up again
+    assert lookups == 913
 
 
 def test_a_default_catalog_pass_assembles_the_counted_matrices():
@@ -1100,9 +1120,12 @@ def test_a_default_catalog_pass_assembles_the_counted_matrices():
     potential reaches [T_d | c], as every one has n = a+b+c, and the sealed
     blocks leave no K1 matrix to assemble.  Swept to 3n+12, the yes/no checks
     assembled 5,246 matrices (H 4,396, K2 555, d0 295); by the divergence
-    route 8,054 (B 3,602, T 794, K1 2,808, K2 555, d0 295)"""
+    route 8,054 (B 3,602, T 794, K1 2,808, K2 555, d0 295).  The pass looks
+    the memo record up once per public call, as at n+6; 30,626 times when
+    every rank looked it up again"""
     counts = matrix_counts()
     assert counts == {"H": 3041, "K2": 394, "d0": 281} and counts["K1"] == 0
+    assert memo_lookups() == 913
 
 
 def test_catalog_verify_stops_a_yes_no_sweep_at_its_sixth_nonzero_degree(monkeypatch):
@@ -1207,14 +1230,14 @@ def test_ph_dims_builds_no_sealed_table(weights, field, text):
 @pytest.mark.parametrize("weights, field, text", _CACHE_POTENTIALS)
 def test_equal_potentials_parsed_apart_share_one_record(monkeypatch, weights, field, text):
     """the memo is keyed by the potential's value: a second parse finds the
-    record of the first, so its rank tables assemble no matrix (the sealed
-    sweep and the derivation bases eliminate on every call)"""
+    record of the first, so its rank tables assemble no matrix (the
+    derivation bases eliminate on every call, as they return bases)"""
     om = parse_poly(text, weights, field)
     complexes.potential_memo.cache_clear()
 
     def tables(p):
         return (complexes.ph_dims(p, 6).dims, complexes.koszul_dims(p, 9).dims,
-                [complexes.ozone_dim(p, d) for d in range(-3, 7)])
+                [complexes.ozone_dim(p, d) for d in range(-3, 7)], complexes.sealed_k1_dims(p, 6))
 
     first = tables(om)
     assembled = []
@@ -1229,6 +1252,43 @@ def test_equal_potentials_parsed_apart_share_one_record(monkeypatch, weights, fi
     assert again is not om and complexes.potential_memo(again) is complexes.potential_memo(om)
     assert tables(again) == first
     assert assembled == []
+
+
+# (name, call on a potential of degree n, whether it needs n = a+b+c); the
+# derivation degrees have a Casimir column: O itself at d = n, and for a
+# proper power a root of O at d = 2
+_PUBLIC_CALLS = [
+    ("ph_dims", lambda om, n: complexes.ph_dims(om, n + 3), False),
+    ("vacancy_degrees", lambda om, n: list(complexes.vacancy_degrees(om, n + 3)), True),
+    ("vacancy_check", lambda om, n: complexes.vacancy_check(om, n + 3), True),
+    ("ozone_dim", lambda om, n: complexes.ozone_dim(om, 2), False),
+    ("derivation_kernel at 2", lambda om, n: complexes.derivation_kernel(om, 2), False),
+    ("derivation_kernel at n", lambda om, n: complexes.derivation_kernel(om, n), False),
+    ("ozone_vs_hamiltonian", lambda om, n: complexes.ozone_vs_hamiltonian(om, n + 3), True),
+    # past 3n - (a+b+c), where rank K2 comes from the kernel degree
+    ("koszul_dims", lambda om, n: complexes.koszul_dims(om, 3 * n + 2), False),
+    ("sealed_degrees", lambda om, n: list(complexes.sealed_degrees(om, n + 3)), False),
+    ("sealed_k1_dims", lambda om, n: complexes.sealed_k1_dims(om, n + 3), False),
+    ("koszul_matrix", lambda om, n: complexes.koszul_matrix(om, 2, 2 * n), False),
+]
+
+
+@pytest.mark.parametrize("weights, field, text", _CACHE_POTENTIALS + [
+    pytest.param(W111, QQ, "x^4+y^4+z^4", id="quartic"),
+    pytest.param(W111, QQ, "(x^2+y*z)^2", id="proper-power"),
+])
+def test_each_public_call_looks_its_record_up_once(weights, field, text):
+    """a cold call of each public sweep and single-degree map of complexes
+    looks the potential's memo record up once, however many degrees it
+    ranks: the change in the hits plus misses of potential_memo"""
+    om = parse_poly(text, weights, field)
+    n = om.homogeneous_degree()
+    for name, call, needs_abc in _PUBLIC_CALLS:
+        if needs_abc and n != weights.n_default:
+            continue
+        complexes.potential_memo.cache_clear()
+        call(om, n)
+        assert memo_lookups() == 1, name
 
 
 def test_the_memo_drops_the_least_recently_used_record():
@@ -1284,7 +1344,7 @@ def test_cached_tables_are_immutable_and_unchanged_by_use(weights, field, text):
         hash(table)
     cochain_apply(om, 0, (parse_poly("x^2*y+3*z^3", weights, field),))
     for d in range(-weights.n_default, n + 3):
-        rank(complexes._d0_matrix(om, d))
+        rank(complexes.potential_memo(om).d0_matrix(d))
         for i in (1, 2):
             rank(complexes.koszul_matrix(om, i, d + n))
         complexes.ozone_dim(om, d)
