@@ -16,6 +16,14 @@ d0: contracting df ^ dO = 0 with the Euler field gives n O df = k f dO for
 a Casimir f of degree k > 0, so f^n / O^k is constant, and by unique
 factorisation f is a scalar times a power of the primitive root R of O (O =
 c R^r, r maximal).  So rank d0_d = #A_d - [d >= 0 and e | d], e = deg R.
+And p = O/c has a monic q-th root just when q | r: R is the root for the
+largest divisor q of n with one, or p.  ``_root`` builds it head first: the
+weighted order is multiplicative, so head(R) = head(p)^(1/q), and with R
+right above the head m of p - R^q, (R+t)^q - R^q has head q head(R)^(q-1) t
+and the rest below m, so t = (coefficient of m / q) m / head(R)^(q-1), or no
+root if an exponent is negative.  The head of p - R^q falls inside degree n,
+so the loop ends; each step is forced, so even over the algebraic closure a
+monic root is this one, over K.
 
 K2: with h the gcd of the partials, of degree p, and g = h g', v x g =
 h (v x g').  The coprime entries of g' generate the unit ideal or one of
@@ -49,7 +57,7 @@ d1: d1 = L T with L(h, f) = f g - grad(h), so ker d1_d = T_d^-1(ker L_d).
 By Euler's identity (h, f) lies in ker L exactly when f is a Casimir (d0
 f = 0) and h = n f O/(d+n).  So ker L_d is 0 in a degree with no Casimir,
 and there rank d1_d = rank T_d.  Otherwise one vector c spans it: c =
-(n f O, (d+n) f), f spanning ker d0_d, when d+n is not zero, and c =
+(n f O, (d+n) f), f = R^(d/e) (d0), when d+n is not zero, and c =
 (1, 0) when d = -n, as A_d is then 0 and grad h = 0 leaves the constants.
 Then ker d1_d is the projection (v, t) -> v of the kernel of [T_d | c], c
 its last column, and the projection is injective, as c is not zero; so
@@ -63,9 +71,7 @@ a pivot and the free columns of [T_d | c] are those of d1_d.  The kernel
 normal form is the one basis with a one in a free column and zeros in the
 others; projected, it keeps that shape, so it is the kernel normal form of
 d1_d (``derivation_kernel``), the one caller that assembles T_d, as the
-normal form lives in X1_d.  c comes from a one-column table, with f =
-O^(d/n) where n divides d, as O is a Casimir, and f read off ker d0_d
-otherwise.
+normal form lives in X1_d.
 
 Sealed: with e = d - n and g_i the first nonzero partial, the degree-d
 Koszul 1-cycles v with div v in (g_i) are the projections of the kernel of
@@ -124,8 +130,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .hilbert import closed_form_ph
-from .linalg import assemble, kernel_basis, op_table, pivot_columns, rank, vector_to_polys
-from .ring import QQ, RingError, check_potential, count_monomials, gradient
+from .linalg import assemble, kernel_basis, op_table, pivot_columns, rank
+from .ring import QQ, Polynomial, RingError, check_potential, count_monomials, gradient
 
 
 class DimsTable:
@@ -156,14 +162,14 @@ MEMO_SIZE = 4
 
 class _Memo:
     """the state one potential's invariants share, each piece built when
-    first read: the gradient, operator tables and three degrees; rank
-    [T_d | c] and rank T_d by d, the Koszul ranks by (i, d) and sealed_d by
-    d, which its rank methods fill; the Groebner basis and Hilbert numerator
-    of ``jacobian``.  ``potential_memo`` keys records by value, so equal
-    potentials parsed apart share one, and drops the least recently used
-    past MEMO_SIZE.  The degree n is read only by the ranks, so the record
-    of a polynomial that is not homogeneous, as ``poisson`` checks a
-    potential tag with, still gives its gradient."""
+    first read: the gradient, operator tables, the primitive root R of O and
+    three degrees; rank [T_d | c] and rank T_d by d, the Koszul ranks by (i,
+    d) and sealed_d by d, which its rank methods fill; the Groebner basis and
+    Hilbert numerator of ``jacobian``.  ``potential_memo`` keys records by
+    value, so equal potentials parsed apart share one, and drops the least
+    recently used past MEMO_SIZE.  The degree n is read only by the ranks, so
+    the record of a polynomial that is not homogeneous, as ``poisson`` checks
+    a potential tag with, still gives its gradient."""
 
     def __init__(self, omega):
         self.omega, self.groebner_basis, self.hilbert_numerator = omega, None, None
@@ -172,14 +178,6 @@ class _Memo:
     @cached_property
     def gradient(self):
         return gradient(self.omega)
-
-    @cached_property
-    def d0_table(self):
-        """operator table of d0, f -> grad(f) x g (module docstring)"""
-        g = self.gradient.comps
-        # component k is g_{k+2} f_{k+1} - g_{k+1} f_{k+2} (indices mod 3)
-        return op_table(self.omega.field, [(k, 0, (k + j) % 3, sign * g[(k - j) % 3])
-                                           for k in range(3) for j, sign in ((1, 1), (2, -1))])
 
     @cached_property
     def koszul_tables(self):
@@ -215,11 +213,16 @@ class _Memo:
         return next(v for v, g in enumerate(self.gradient.comps) if g.terms)
 
     @cached_property
+    def casimir_root(self):
+        """R: the monic root of O/lc(O) of the largest order r | n it has (d0)"""
+        p, n = self.omega.monic(), self.omega.homogeneous_degree()
+        roots = (_root(p, r) for r in range(n, 1, -1) if n % r == 0)
+        return next((root for root in roots if root is not None), p)
+
+    @cached_property
     def casimir_degree(self):
-        """e = deg R: the least divisor of n with a Casimir (module docstring)"""
-        omega, n = self.omega, self.omega.homogeneous_degree()
-        return next(e for e in range(1, n + 1) if n % e == 0 and (
-            e == n or rank(self.d0_matrix(e)) < count_monomials(omega.weights, e)))
+        """e = deg R: the least positive degree with a Casimir (module docstring)"""
+        return self.casimir_root.homogeneous_degree()
 
     @cached_property
     def k2_window(self):
@@ -234,10 +237,6 @@ class _Memo:
         """3n - (a+b+c) - deg gcd(g): the first degree where K2 has a kernel"""
         return next(d for d in self.k2_window
                     if self.koszul_rank(2, d) < _koszul_dim(self.omega, 2, d))
-
-    def d0_matrix(self, d):
-        """matrix of d0 on A_d"""
-        return assemble(self.omega.weights, *_d0_slices(self.omega, d), self.d0_table)
 
     def casimirs(self, d):
         """dim ker d0_d: 1 where a power of R has degree d, else 0"""
@@ -265,21 +264,16 @@ class _Memo:
         return ranks[d] - 1
 
     def casimir_column(self, d):
-        """c = (h, f) spanning ker L_d, up to a scalar, or None where ker L_d = 0
-        (module docstring); it calls no gradient"""
-        omega = self.omega
-        n = omega.homogeneous_degree()
+        """c = (h, f) spanning ker L_d, up to a scalar, with f = R^(d/e), or
+        None where ker L_d = 0 (module docstring); it calls no gradient"""
+        n = self.omega.homogeneous_degree()
         if d == -n:
             return 1, 0
         if d < 0 or not self.casimirs(d):
             return None
-        if d % n == 0:
-            f = omega ** (d // n)  # a Casimir, as O is one
-        else:
-            (coords,) = kernel_basis(self.d0_matrix(d))
-            (f,) = vector_to_polys(omega.weights, omega.field, [d], coords)
+        f = self.casimir_root ** (d // self.casimir_degree)
         # c / n
-        return f * omega, Fraction(d + n, n) * f
+        return f * self.omega, Fraction(d + n, n) * f
 
     def m2_dim(self, d):
         """dim M2_d: the gradients of degree d+a+b+c (a constant has none), plus
@@ -382,10 +376,19 @@ def cochain_shifts(weights):
     return ((0,), (a, b, c), (b + c, a + c, a + b), (a + b + c,))
 
 
-def _d0_slices(omega, d):
-    """the degrees of A_d and of the slice d + n - (a+b+c) of X^1, d0's target"""
-    w = omega.homogeneous_degree() - omega.weights.n_default
-    return [d], [d + w + s for s in omega.weights.tuple]
+def _root(p, r):
+    """the monic r-th root of the monic p, or None (module docstring)"""
+    lead, excess = zip(*(divmod(u, r) for u in p.leading_monomial()))
+    if any(excess):
+        return None
+    root = Polynomial(p.weights, p.field, {lead: 1})
+    while (rest := p - root ** r).terms:
+        m = rest.leading_monomial()
+        t = tuple(u - (r - 1) * v for u, v in zip(m, lead))  # m / head(R)^(r-1)
+        if min(t) < 0:
+            return None
+        root += Polynomial(p.weights, p.field, {t: rest.terms[m] * Fraction(1, r)})
+    return root
 
 
 def _space_dim(weights, shifts, d):
@@ -412,7 +415,6 @@ def _window(omega, name, lo, bound):
     - X^3_d = A_{d+s} reaches D + s, and T_d has targets at d + n;
     - the sources of d_{i-1} into degree d sit at degree d - n + s, so their
       slices, T's targets included, reach D + max(s, 2s - n);
-    - the Casimir search reaches 2n;
     - the Koszul slices at total degree d lie below d + max(0, s - n), and
       those of the K2 kernel search, run only when d passes 3n - s, below 2n.
     The count takes each column of x exponents in one step and stops at the
@@ -571,14 +573,10 @@ def derivation_kernel(omega, d):
     over the slices d+a, d+b, d+c of X1_d, read off T_d with no d1 matrix:
     the projection of the kernel of [T_d | c], c spanning ker L_d (module
     docstring).  Refused, before it lists a monomial, when its basis and the
-    slices it may list, those of [T_d | c] and for d > 0 of d0 at d and at
-    each divisor of n, the Casimir search, are over budget (``_slice_budget``)."""
+    slices of [T_d | c], its f in A_d, are over budget (``_slice_budget``)."""
     n = check_potential(omega)
     weights = omega.weights
     degrees = [d + w for w in weights.tuple] + [d + n, d] + [0] * (d == -n or d >= 0)
-    if d > 0:
-        for e in [e for e in range(1, n + 1) if n % e == 0] + [d] * (d % n > 0):
-            degrees += sum(_d0_slices(omega, e), [])
     _slice_budget(omega, "derivation", d, degrees, basis=True)
     dim = _space_dim(weights, weights.tuple, d)
     if not dim:

@@ -57,7 +57,7 @@ import math
 from fractions import Fraction
 from itertools import groupby
 
-from .complexes import koszul_component_degs, koszul_matrix, potential_memo
+from .complexes import koszul_component_degs, potential_memo
 from .hilbert import HilbertSeries
 from .linalg import assemble, kernel_basis, op_table, vector_to_polys
 from .ring import (
@@ -476,7 +476,10 @@ def _inter_reduce(weights, field, divisors):
 
 def jacobian_basis(omega):
     """Groebner basis of the ideal of partials, kept in the potential's memo"""
-    memo = potential_memo(omega)
+    return _groebner_basis(potential_memo(omega))
+
+
+def _groebner_basis(memo):
     if memo.groebner_basis is None:
         grads = [g for g in memo.gradient.comps if g.terms]
         if not grads:
@@ -485,12 +488,11 @@ def jacobian_basis(omega):
     return memo.groebner_basis
 
 
-def _jacobian_numerator(omega):
+def _jacobian_numerator(memo):
     """Hilbert numerator of A/J, kept as a tuple of (degree, coefficient)"""
-    memo = potential_memo(omega)
     if memo.hilbert_numerator is None:
-        heads = jacobian_basis(omega).heads()
-        memo.hilbert_numerator = tuple(_hilbert_numerator(omega.weights, heads).items())
+        heads = _groebner_basis(memo).heads()
+        memo.hilbert_numerator = tuple(_hilbert_numerator(memo.omega.weights, heads).items())
     return memo.hilbert_numerator
 
 
@@ -549,7 +551,7 @@ def a_sing_hilbert(omega, bound):
     ({d: dim for 0 <= d <= bound}, exact rational series)"""
     check_potential(omega)
     # a fresh series per call: its numerator is a mutable dict
-    series = HilbertSeries(dict(_jacobian_numerator(omega)), omega.weights.tuple)
+    series = HilbertSeries(dict(_jacobian_numerator(potential_memo(omega))), omega.weights.tuple)
     return dict(enumerate(series.expand(0, bound))) if bound >= 0 else {}, series
 
 
@@ -607,8 +609,8 @@ def gcd_partials(omega):
     constant, and the monic h is m.  Otherwise h comes from two kernels
     (_gcd_from_koszul)."""
     check_potential(omega)
-    weights, field = omega.weights, omega.field
-    delta = -sum(d * c for d, c in _jacobian_numerator(omega))
+    memo, weights, field = potential_memo(omega), omega.weights, omega.field
+    delta = -sum(d * c for d, c in _jacobian_numerator(memo))
     if not delta:
         return Polynomial.constant(weights, field.one, field)
     # the terms of the partial by x_v are the m - e_v, m a term of omega with
@@ -617,12 +619,12 @@ def gcd_partials(omega):
                     for u in range(3))
     if weights.mono_degree(content) == delta:
         return Polynomial.monomial(weights, content, field.one, field)
-    return _gcd_from_koszul(omega, delta)
+    return _gcd_from_koszul(memo, delta)
 
 
-def _gcd_from_koszul(omega, delta):
-    """the monic gcd h of the nonzero partials g of omega, of degree
-    delta > 0, from two kernels.
+def _gcd_from_koszul(memo, delta):
+    """the monic gcd h of the nonzero partials g of the record's potential,
+    of degree delta > 0, from two kernels.
 
     The Koszul map K2 -> K1, v -> v x g, has kernel A g', g' = g/h (module
     docstring of ``complexes``), first met at total degree
@@ -631,11 +633,11 @@ def _gcd_from_koszul(omega, delta):
     partial the map (h', t) -> u_i h' - t g_i from degrees (delta, 0) to
     deg g_i has the one-dimensional kernel spanned by (h, c); ``monic``
     fixes the scale.  A kernel of any other dimension raises RingError."""
-    weights, field = omega.weights, omega.field
-    d0 = 3 * omega.homogeneous_degree() - weights.n_default - delta
-    u = _one_kernel_vector(weights, field, koszul_component_degs(omega, d0)[2],
-                           koszul_matrix(omega, 2, d0))
-    i, g = next((i, g) for i, g in enumerate(potential_memo(omega).gradient.comps) if g.terms)
+    weights, field = memo.omega.weights, memo.omega.field
+    d0 = 3 * memo.omega.homogeneous_degree() - weights.n_default - delta
+    u = _one_kernel_vector(weights, field, koszul_component_degs(memo.omega, d0)[2],
+                           memo.koszul_matrix(2, d0))
+    i, g = next((i, g) for i, g in enumerate(memo.gradient.comps) if g.terms)
     table = op_table(field, [(0, 0, None, u[i]), (0, 1, None, -g)])
     degs = (delta, 0)
     h = _one_kernel_vector(weights, field, degs,

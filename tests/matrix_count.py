@@ -5,9 +5,12 @@ benchmark's ``catalog`` workload.  A matrix's kind comes from the
 function that asked for it and from its numbers of source and target
 slices.  Every Hamiltonian block, the sealed block [O A_e | O g_i A_u |
 H | H'] and [H | H'] alone, is of kind H; the sealed block gives rank K1
-too, so a catalog pass assembles no K1 matrix.  Beside the matrices it
-prints the lookups of the memo record ``complexes.potential_memo`` over
-each pass, hits and misses, which count the public calls into the record.
+too, so a catalog pass assembles no K1 matrix, and the Casimirs come
+from the primitive root of the potential, so it assembles no d0 matrix.
+Beside the matrices it prints the calls of ``complexes._root`` over each
+pass, the roots of a potential tried while its record finds the primitive
+one, and the lookups of the memo record ``complexes.potential_memo``, hits
+and misses, which count the public calls into the record.
 
 Print the counts from the repository root with
 
@@ -28,7 +31,6 @@ KINDS = {
     ("derivation_kernel", 4, 2): "T|c",
     ("koszul_matrix", 3, 1): "K1",
     ("koszul_matrix", 3, 3): "K2",
-    ("d0_matrix", 1, 3): "d0",
 }
 
 
@@ -45,30 +47,36 @@ def memo_lookups():
 
 
 def matrix_counts(bound_of=complexes.default_bound):
-    """{kind: matrices} assembled by ``catalog.verify_entry`` on every entry
-    at the bound ``bound_of(n)``, by default 3n+12, from empty memos"""
-    counts = Counter()
-    real = complexes.assemble
+    """({kind: matrices} assembled, root attempts) by ``catalog.verify_entry``
+    on every entry at the bound ``bound_of(n)``, by default 3n+12, from
+    empty memos"""
+    counts, attempts = Counter(), []
+    real, real_root = complexes.assemble, complexes._root
 
     def spy(weights, src_degs, tgt_degs, table):
         counts[KINDS[requester(sys._getframe(1)), len(src_degs), len(tgt_degs)]] += 1
         return real(weights, src_degs, tgt_degs, table)
 
+    def root_spy(p, r):
+        attempts.append(r)
+        return real_root(p, r)
+
     complexes.potential_memo.cache_clear()
-    complexes.assemble = spy
+    complexes.assemble, complexes._root = spy, root_spy
     try:
         for entry in catalog.entries():
             catalog.verify_entry(entry, bound_of(entry.degree))
     finally:
-        complexes.assemble = real
-    return counts
+        complexes.assemble, complexes._root = real, real_root
+    return counts, len(attempts)
 
 
 if __name__ == "__main__":
     for label, bound_of in (("3n+12", complexes.default_bound), ("n+6", lambda n: n + 6)):
-        counts = matrix_counts(bound_of)
+        counts, attempts = matrix_counts(bound_of)
         counts.update({kind: 0 for kind in set(KINDS.values())})
         print("matrices assembled by catalog verify at %s: %d (%s)" % (
             label, sum(counts.values()),
             ", ".join("%s %d" % kv for kv in sorted(counts.items()))))
+        print("root attempts of catalog verify at %s: %d" % (label, attempts))
         print("potential_memo lookups of catalog verify at %s: %d" % (label, memo_lookups()))

@@ -7,9 +7,10 @@ modulo the Jacobian ideal, whose rank the package now takes from a block map),
 and T_d, B_e and [T_d | c] assembled whole with their divergence rows,
 beside K1 from its own matrix: the divergence route, whose ranks the package
 now reads off one Hamiltonian block per degree.  The operator
-tables of d1, with its Hessian terms, and d2 live here too: the package
-derives both ranks from the (v . grad(O) ; div v) map, with one more
-column for a Casimir, and assembles neither.  So does the pairwise
+tables of d0, of d1, with its Hessian terms, and of d2 live here too: the
+package reads rank d0 off the primitive root of O, derives the other two
+ranks from the (v . grad(O) ; div v) map, with one more column for a
+Casimir, and assembles none of the three.  So does the pairwise
 gcd fold, which sweeps degrees where the package reads deg gcd off the
 Hilbert numerator, Bigatti's pivot recursion for that numerator, which the
 package now reads off the z-slices of the initial ideal, and the lcm-table
@@ -134,6 +135,15 @@ def reference_cochain(grad_o, i, comps):
     return [-div(cross(v, grad_o))]
 
 
+@lru_cache(maxsize=1024)
+def cochain0_table(omega):
+    """operator table of the degree-0 cochain differential f -> grad(f) x
+    g: component k is d_{k+1} f g_{k+2} - d_{k+2} f g_{k+1} (indices mod 3)"""
+    g = gradient(omega).comps
+    return op_table(omega.field, [(k, 0, (k + 1) % 3, g[(k + 2) % 3]) for k in range(3)]
+                    + [(k, 0, (k + 2) % 3, -g[(k + 1) % 3]) for k in range(3)])
+
+
 def cochain2_table(omega):
     """operator table of the degree-2 cochain differential -div(v x g): the
     Hessian terms cancel (indices mod 3)"""
@@ -155,10 +165,8 @@ def cochain1_table(omega):
 
 
 def _cochain_table(omega, i):
-    """the package's table for d0, ours for d1 and d2"""
-    if i == 0:
-        return complexes.potential_memo(omega).d0_table
-    return cochain1_table(omega) if i == 1 else cochain2_table(omega)
+    """our table of the degree-i cochain differential"""
+    return (cochain0_table, cochain1_table, cochain2_table)[i](omega)
 
 
 def _cochain_degs(omega, i, d):
@@ -171,7 +179,7 @@ def _cochain_degs(omega, i, d):
 
 def cochain_matrix(omega, i, d):
     """matrix of the degree-i cochain differential on the degree-d slice of
-    X^i from the operator tables: the package's for d0, ours for d1 and d2"""
+    X^i from our operator tables"""
     return assemble(omega.weights, *_cochain_degs(omega, i, d), _cochain_table(omega, i))
 
 

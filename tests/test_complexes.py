@@ -19,8 +19,9 @@ from click.testing import CliRunner
 from wpoisson import (QQ, ExtensionField, Weights, catalog, gradient, has_isolated_singularity,
                       parse_poly, rank)
 from wpoisson import complexes, poisson, ring
-from wpoisson.jacobian import gcd_partials
-from wpoisson.linalg import assemble, kernel_basis, op_table
+from wpoisson.jacobian import a_sing_hilbert, gcd_partials, gkdim, jacobian_basis
+from wpoisson.linalg import assemble, kernel_basis, op_table, vector_to_polys
+from wpoisson.proptest import WEIGHT_POOL
 from wpoisson.cli import main
 from wpoisson.poisson import euler_derivation, from_potential
 from wpoisson.ring import Polynomial, RingError, count_monomials, monomial_basis, rational_copy
@@ -407,19 +408,15 @@ def _slices(om, d, derivations):
     """the slice degrees that the single-degree map may list: T_d; for the
     ozone space also the sources d+a+c, d+b+c of [H | H'], which it ranks;
     for the derivations, which take the kernel of [T_d | c], the column's
-    monomial 1 where d = -n or d >= 0 and, for d > 0, the source and
-    targets of d0 at every divisor of n, where the Casimir search runs, and
-    at d unless n divides it, where a Casimir column may need ker d0_d"""
+    monomial 1 where d = -n or d >= 0.  The column's f, a power of the
+    primitive root of O, lies in A_d"""
     n = om.homogeneous_degree()
-    weights = om.weights.tuple
-    a, b, c = weights
-    out = [d + w for w in weights] + [d + n, d]
+    a, b, c = om.weights.tuple
+    out = [d + a, d + b, d + c, d + n, d]
     if not derivations:
         out += [d + a + c, d + b + c]
     if derivations:
         out += [0] * (d == -n or d >= 0)
-        d0 = [e for e in range(1, n + 1) if n % e == 0 and d > 0] + [d] * (d > 0 and d % n > 0)
-        out += [t for e in d0 for t in [e] + [e + n - (a + b + c) + w for w in weights]]
     return out
 
 
@@ -430,9 +427,11 @@ def _basis_entries(om, d):
     return (dim + 1 - count_monomials(om.weights, d)) * dim
 
 
-# unsorted weights, two of them sharing a factor, beside the window's
+# unsorted weights, two of them sharing a factor, and a proper power, with
+# Casimir degrees that n does not divide, beside the window's
 _BUDGET_POTENTIALS = _REACH_POTENTIALS + [((15, 6, 10), "x^2+y^5+z^3"),
-                                          ((3, 3, 4), "x^4+y^4+z^3")]
+                                          ((3, 3, 4), "x^4+y^4+z^3"),
+                                          ((1, 1, 1), "(x^2+y*z)^2")]
 
 
 @pytest.mark.parametrize("weights, text", _BUDGET_POTENTIALS,
@@ -510,11 +509,11 @@ def _spy_on_listing(monkeypatch):
 
 def test_derivation_kernel_counts_the_basis_it_would_return(monkeypatch):
     """on x^3+y^3+z^3 the count refuses d = 250, whose dense basis a run
-    could not hold, and d = 18, whose slices hold 1,150 monomials but whose
+    could not hold, and d = 18, whose slices hold 1,074 monomials but whose
     basis may hold (dim X1_d + 1 - #A_d) dim X1_d = 277,830 entries, with
     no monomial listed; it admits d = 17, the largest degree it admits"""
     om = parse_poly("x^3+y^3+z^3", W111)
-    assert sum(count_monomials(W111, t) for t in _slices(om, 18, True)) == 1150
+    assert sum(count_monomials(W111, t) for t in _slices(om, 18, True)) == 1074
     assert _basis_entries(om, 18) == 277_830
     listed = _spy_on_listing(monkeypatch)
     for d in (250, 18):
@@ -524,6 +523,22 @@ def test_derivation_kernel_counts_the_basis_it_would_return(monkeypatch):
     assert listed == []
     basis = complexes.derivation_kernel(om, 17)
     assert len(basis) == complexes._space_dim(W111, W111.tuple, 17) - cochain_rank(om, 1, 17)
+
+
+@pytest.mark.parametrize("weights, text", _BUDGET_POTENTIALS,
+                         ids=["%s:%s" % p for p in _BUDGET_POTENTIALS])
+def test_derivation_kernel_lists_only_the_slices_it_counts(monkeypatch, weights, text):
+    """from empty memos, derivation_kernel lists no slice but those of
+    [T_d | c] and the column's monomial 1: the Casimir column is a power of
+    the primitive root of O, found with no matrix and no listing"""
+    om = parse_poly(text, Weights(*weights))
+    n = om.homogeneous_degree()
+    listed = _spy_on_listing(monkeypatch)
+    for d in range(-n - 1, 2 * n + 1):
+        complexes.potential_memo.cache_clear()
+        del listed[:]
+        complexes.derivation_kernel(om, d)
+        assert set(listed) <= set(_slices(om, d, True)), d
 
 
 @pytest.mark.parametrize("weights, text", [((1, 1, 1), "x^3+y^3+z^3"),
@@ -581,10 +596,10 @@ def _capture(monkeypatch, run):
         calls.append((kind, list(src_degs), list(tgt_degs), m))
         return m
 
-    monkeypatch.setattr(complexes, "assemble", spy)
-    monkeypatch.setattr(ref, "assemble", spy)
-    run()
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(complexes, "assemble", spy)
+        patch.setattr(ref, "assemble", spy)
+        run()
     return calls
 
 
@@ -758,7 +773,7 @@ def test_operator_tables_match_per_column_evaluation(monkeypatch, weights, field
     # matrices that the same runs assemble, by kind and number of sources;
     # the sealed block gives rank K1, so no run assembles K1
     reference = {("H", 2): "hamiltonian", ("H", 4): "sealed_hamiltonian", ("T", 3): "ozone",
-                 ("K2", 3): "koszul2", ("d0", 1): "cochain0"}
+                 ("K2", 3): "koszul2"}
     runs = [
         ("H", 2, lambda: complexes.ph_dims(om, n + 2)),
         ("H", 2, lambda: complexes.ozone_vs_hamiltonian(om, n + 2)),
@@ -880,16 +895,20 @@ def test_rank_identities_match_reference_matrices(weights, field, text, top):
         assert (table.dim(2, d), table.dim(3, d)) == (dim_k2 - rank_k2 - rank_k3, 0), d
 
 
-@pytest.mark.parametrize("weights, field, text", [
+_PROPER_POWERS = [
     pytest.param(W111, QQ, "(x^2+y*z)^2", id="(x^2+y*z)^2"),
     pytest.param(W111, QQ, "x^3*y^3", id="x^3*y^3"),
     pytest.param(W111, QQ, "x^2*y^2*z^2", id="x^2*y^2*z^2"),
     pytest.param(W111, ExtensionField([1, 1, 1]), "(x^3+y^3+s*z^3)^2", id="(x^3+y^3+s*z^3)^2"),
-])
+]
+
+
+@pytest.mark.parametrize("weights, field, text", _PROPER_POWERS)
 def test_d0_and_k2_ranks_of_proper_powers_match_their_matrices(weights, field, text):
     """a proper power O = c R^r, r > 1, has Casimirs below n and partials
     with a gcd h of positive degree: ranks d0 and K2 against their matrices,
-    to 3n+12, where the kernel of K2 starts at 3n - (a+b+c) - deg h"""
+    d0's from the tests' own table, to 3n+12, where the kernel of K2 starts
+    at 3n - (a+b+c) - deg h"""
     om = parse_poly(text, weights, field)
     n = om.homogeneous_degree()
     top = 3 * n + 12
@@ -901,6 +920,77 @@ def test_d0_and_k2_ranks_of_proper_powers_match_their_matrices(weights, field, t
     h = gcd_partials(om).homogeneous_degree()
     assert h > 0
     assert complexes.potential_memo(om).k2_kernel_degree == 3 * n - weights.n_default - h
+
+
+def _root_potentials():
+    """every catalog entry, the proper powers above, and seeded c R^r, r in
+    {2, 3}, with R of degree a+b+c, over Q and over Q(s)/(s^2+s+1), on every
+    weight triple of the property suite"""
+    cube = ExtensionField([1, 1, 1])
+    rng = random.Random(2023)
+    out = [pytest.param(e.weights, e.omega, id=e.entry_id) for e in catalog.entries()]
+    out += [pytest.param(w, parse_poly(text, w, field), id=p.id)
+            for p in _PROPER_POWERS for w, field, text in [p.values]]
+
+    def coefficient(field):
+        """nonzero: a nonzero rational part, and for Q(s) an s-part"""
+        s_part = sum(rng.randint(-2, 2) * p for p in field_powers(field)[1:])
+        return rng.choice((-3, -2, -1, 1, 2, 3)) + s_part
+
+    for weights in map(lambda t: Weights(*t), WEIGHT_POOL):
+        basis = monomial_basis(weights, weights.n_default)
+        for r, field in ((2, QQ), (3, QQ), (2, cube), (3, cube)):
+            root = Polynomial(weights, field, {m: coefficient(field)
+                                               for m in rng.sample(basis, min(len(basis), 3))})
+            om = root ** r * coefficient(field)
+            out.append(pytest.param(weights, om, id="%d,%d,%d:(%s)^%d" % (*weights.tuple, root, r)))
+    return out
+
+
+@pytest.mark.parametrize("weights, om", _root_potentials())
+def test_the_casimir_root_gives_the_least_casimir_degree(weights, om):
+    """casimir_degree is the least divisor e of n where d0_e, from the
+    tests' own table, has a kernel, and casimir_root^(n/e) is O/lc(O)"""
+    n = om.homogeneous_degree()
+    e = next(e for e in range(1, n + 1) if n % e == 0
+             and rank(cochain_matrix(om, 0, e)) < count_monomials(weights, e))
+    complexes.potential_memo.cache_clear()
+    memo = complexes.potential_memo(om)
+    assert memo.casimir_degree == e
+    assert memo.casimir_root ** (n // e) == om.monic()
+
+
+@pytest.mark.parametrize("text", ["x^2+y^2", "x^2*y^2+x*y^3+z^4"])
+def test_a_non_power_with_a_square_head_has_no_proper_root(text):
+    """the heads x^2 and x^2*y^2 are squares, but neither potential is a
+    proper power: the root search fails, at the second term of x^2+y^2 and
+    at the third of x^2*y^2+x*y^3+z^4, and e = n"""
+    om = parse_poly(text, W111)
+    n = om.homogeneous_degree()
+    assert all(u % 2 == 0 for u in om.leading_monomial())
+    assert complexes._root(om, 2) is None
+    memo = complexes.potential_memo(om)
+    assert (memo.casimir_degree, memo.casimir_root) == (n, om)
+
+
+@pytest.mark.parametrize("weights, field, text", _PROPER_POWERS)
+def test_the_casimir_column_spans_the_kernel_of_d0(weights, field, text):
+    """on a proper power, the f of casimir_column(d), a power of the root of
+    O, spans the kernel of d0_d from the tests' own table at every d from
+    -n to 3n+12; at d = -n the column is (1, 0), and d0 has no source"""
+    om = parse_poly(text, weights, field)
+    n = om.homogeneous_degree()
+    memo = complexes.potential_memo(om)
+    for d in range(-n, 3 * n + 13):
+        kernel = kernel_basis(cochain_matrix(om, 0, d))
+        column = memo.casimir_column(d)
+        if d == -n:
+            assert (column, kernel) == ((1, 0), [])
+            continue
+        assert len(kernel) == (column is not None), d
+        if kernel:
+            (g,) = vector_to_polys(weights, field, [d], kernel[0])
+            assert column[1] * Fraction(n, d + n) == g.monic(), d
 
 
 @pytest.mark.parametrize("weights, field, text, top", _off_catalog_potentials())
@@ -1094,9 +1184,12 @@ def test_rank_t_read_off_the_sealed_block_equals_its_own_matrix(weights, field, 
 def test_a_catalog_pass_eliminates_no_t_at_a_sealed_degree(monkeypatch):
     """a cold verify_entry of every catalog entry at n+6 reads rank T_e and
     rank K1 off the sealed block [O A_e | O g_i A_u | H | H'] wherever it
-    eliminates it, ranks [H | H'] alone only at the other degrees, and
-    eliminates K2 and d0 as often as before"""
-    counts, lookups = Counter(), 0
+    eliminates it, ranks [H | H'] alone only at the other degrees,
+    eliminates K2 as often as before, and tries one root of the potential
+    where it eliminated d0"""
+    counts, lookups, attempts = Counter(), 0, []
+    real_root = complexes._root
+    monkeypatch.setattr(complexes, "_root", lambda p, r: attempts.append(r) or real_root(p, r))
     for e in catalog.entries():
         calls = _capture(monkeypatch, lambda: catalog.verify_entry(e, e.degree + 6))
         lookups += memo_lookups()
@@ -1108,8 +1201,9 @@ def test_a_catalog_pass_eliminates_no_t_at_a_sealed_degree(monkeypatch):
     # 463 [H | H'] blocks and 1,121 sealed blocks, as each yes/no sweep stops
     # at its sixth nonzero degree; swept to n+6 they were 794 and 1,264, with
     # K2 412 and d0 295, and the divergence route assembled 794 T, 1,264 B
-    # and 470 K1
-    assert counts == {"H": 1584, "K2": 303, "d0": 281} and counts["K1"] == 0
+    # and 470 K1; the Casimir search assembled 281 d0 matrices
+    assert counts == {"H": 1584, "K2": 303} and counts["K1"] == 0
+    assert len(attempts) == 281
     # one lookup of the memo record per public call; 14,957 when every rank
     # looked the record up again
     assert lookups == 913
@@ -1120,11 +1214,13 @@ def test_a_default_catalog_pass_assembles_the_counted_matrices():
     potential reaches [T_d | c], as every one has n = a+b+c, and the sealed
     blocks leave no K1 matrix to assemble.  Swept to 3n+12, the yes/no checks
     assembled 5,246 matrices (H 4,396, K2 555, d0 295); by the divergence
-    route 8,054 (B 3,602, T 794, K1 2,808, K2 555, d0 295).  The pass looks
-    the memo record up once per public call, as at n+6; 30,626 times when
-    every rank looked it up again"""
-    counts = matrix_counts()
-    assert counts == {"H": 3041, "K2": 394, "d0": 281} and counts["K1"] == 0
+    route 8,054 (B 3,602, T 794, K1 2,808, K2 555, d0 295).  The Casimir
+    search assembled 281 d0 matrices, where the pass now tries 281 roots of
+    the potentials.  The pass looks the memo record up once per public call,
+    as at n+6; 30,626 times when every rank looked it up again"""
+    counts, attempts = matrix_counts()
+    assert counts == {"H": 3041, "K2": 394} and counts["K1"] == 0
+    assert attempts == 281
     assert memo_lookups() == 913
 
 
@@ -1164,10 +1260,10 @@ _CACHE_POTENTIALS = [
 
 
 def _tables(om):
-    """every operator table of a potential: d0, Koszul 1 and 2, the
-    Hamiltonian and sealed blocks, and T for the derivation basis"""
+    """every operator table of a potential: Koszul 1 and 2, the Hamiltonian
+    and sealed blocks, and T for the derivation basis"""
     memo = complexes.potential_memo(om)
-    return [memo.d0_table, memo.koszul_tables[1], memo.koszul_tables[2], memo.hamiltonian_table,
+    return [memo.koszul_tables[1], memo.koszul_tables[2], memo.hamiltonian_table,
             memo.sealed_table, memo.ozone_table]
 
 
@@ -1270,17 +1366,27 @@ _PUBLIC_CALLS = [
     ("sealed_degrees", lambda om, n: list(complexes.sealed_degrees(om, n + 3)), False),
     ("sealed_k1_dims", lambda om, n: complexes.sealed_k1_dims(om, n + 3), False),
     ("koszul_matrix", lambda om, n: complexes.koszul_matrix(om, 2, 2 * n), False),
+    # jacobian's, which keep the Groebner data in the same record
+    ("jacobian_basis", lambda om, n: jacobian_basis(om), False),
+    ("gkdim", lambda om, n: gkdim(om), False),
+    ("has_isolated_singularity", lambda om, n: has_isolated_singularity(om), False),
+    ("a_sing_hilbert", lambda om, n: a_sing_hilbert(om, n), False),
+    ("gcd_partials", lambda om, n: gcd_partials(om), False),
 ]
 
 
 @pytest.mark.parametrize("weights, field, text", _CACHE_POTENTIALS + [
     pytest.param(W111, QQ, "x^4+y^4+z^4", id="quartic"),
     pytest.param(W111, QQ, "(x^2+y*z)^2", id="proper-power"),
+    # y^5 (y - x)^2: gcd_partials takes the Koszul K2 route, as the gcd
+    # y^4 (y - x) is not the monomial content y^4
+    pytest.param(Weights(1, 1, 3), QQ, "y^7+x^2*y^5-2*x*y^6", id="k2-gcd-route"),
 ])
 def test_each_public_call_looks_its_record_up_once(weights, field, text):
-    """a cold call of each public sweep and single-degree map of complexes
-    looks the potential's memo record up once, however many degrees it
-    ranks: the change in the hits plus misses of potential_memo"""
+    """a cold call of each public sweep and single-degree map of complexes,
+    and of each Groebner entry point of jacobian, looks the potential's memo
+    record up once, however many degrees it ranks: the change in the hits
+    plus misses of potential_memo"""
     om = parse_poly(text, weights, field)
     n = om.homogeneous_degree()
     for name, call, needs_abc in _PUBLIC_CALLS:
@@ -1308,7 +1414,7 @@ def test_the_memo_drops_the_least_recently_used_record():
     del records[0]
     gc.collect()
     assert oldest() is None
-    assert "d0_table" not in vars(complexes.potential_memo(pots[0]))
+    assert "hamiltonian_table" not in vars(complexes.potential_memo(pots[0]))
 
 
 def test_a_catalog_verify_leaves_at_most_memo_size_records():
@@ -1342,9 +1448,7 @@ def test_cached_tables_are_immutable_and_unchanged_by_use(weights, field, text):
     # only a table of tuples and immutable values hashes: no dict inside
     for table in tables:
         hash(table)
-    cochain_apply(om, 0, (parse_poly("x^2*y+3*z^3", weights, field),))
     for d in range(-weights.n_default, n + 3):
-        rank(complexes.potential_memo(om).d0_matrix(d))
         for i in (1, 2):
             rank(complexes.koszul_matrix(om, i, d + n))
         complexes.ozone_dim(om, d)

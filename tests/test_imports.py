@@ -16,15 +16,16 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "wpoisson"
 # checks and tables that only the tests call; they live in tests/.  The d1
 # table and the cochain matrices built from it are the oracle of the ranks
 # and derivation bases that the package reads off T_d, so the package
-# assembles no d1 matrix.  The divergence table and its blocks B_e, T_d and
+# assembles no d1 matrix; the d0 table is the oracle of the Casimirs that it
+# reads off the primitive root of the potential.  The divergence table and its blocks B_e, T_d and
 # [T_d | c] are the oracle of the ranks that the package reads off the
 # Hamiltonian block.  The recursive-descent parser is the oracle of the
 # package's one parser, and the subset scan that of gkdim
 TEST_ONLY = ("derham_exactness_check", "euler_characteristic_check", "m2_dims", "euler_rhs",
              "closed_form_koszul_h1", "standard_monomials", "negative_degree_pd_dims",
-             "mono_mul", "mono_divides", "mono_lcm", "cochain1_table", "cochain_matrix",
-             "divergence_table", "divergence_block", "_Parser", "parse_poly_by_descent",
-             "gkdim_by_subsets")
+             "mono_mul", "mono_divides", "mono_lcm", "cochain0_table", "cochain1_table",
+             "cochain_matrix", "divergence_table", "divergence_block", "_Parser",
+             "parse_poly_by_descent", "gkdim_by_subsets")
 
 
 def _imported_names(tree):

@@ -464,9 +464,9 @@ def _routes(monkeypatch, suite):
     koszul = jacobian._gcd_from_koszul
     taken = []
 
-    def counted(omega, delta):
-        taken.append(omega)
-        return koszul(omega, delta)
+    def counted(memo, delta):
+        taken.append(memo.omega)
+        return koszul(memo, delta)
 
     monkeypatch.setattr(jacobian, "_gcd_from_koszul", counted)
     content = 0
@@ -477,7 +477,7 @@ def _routes(monkeypatch, suite):
         if not delta or len(taken) > before:
             continue
         content += 1
-        want = koszul(omega, delta)
+        want = koszul(complexes.potential_memo(omega), delta)
         assert (got, format_poly(got)) == (want, format_poly(want)), omega
         assert got == _content(omega), omega
     return content, len(taken)
@@ -502,8 +502,8 @@ def test_gcd_partials_refuses_a_numerator_one_degree_off(monkeypatch, weights, f
     below the Koszul kernel: RingError, not a wrong gcd"""
     numerator_of = jacobian._jacobian_numerator
 
-    def corrupted(omega):
-        num = dict(numerator_of(omega))
+    def corrupted(memo):
+        num = dict(numerator_of(memo))
         for d, c in ((0, 1), (1, -1)):  # adds 1 - t: N(1) stays, -N'(1) grows by 1
             num[d] = num.get(d, 0) + c
         return tuple((d, c) for d, c in num.items() if c)
