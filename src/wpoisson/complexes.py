@@ -1,16 +1,22 @@
 """Degree-truncated homology of two complexes built from a homogeneous
 potential: the Poisson cochain complex on multiderivations and the Koszul
-complex on the gradient; plus the exact-bivector space M2 and the vacancy /
-sealedness / ozone diagnostics.
+complex on the gradient; plus the vacancy / sealedness / ozone diagnostics.
 
 Most ranks come from identities, not matrices; g = grad(O) is nonzero by
 Euler's identity, in the domain k[x,y,z], and T_d = (v . g ; div v) on the
-degree-d derivations.  M2: f g is a gradient iff curl(f g) = d0(f) is zero,
-as the weighted de Rham complex is exact.  Ozone: d1(v) = div(v) g -
-grad(v . g), so rank T_d serves ozone and rgt and, memoised once per
-degree, d1 and d2 too; it comes from the Hamiltonian block below, and T_d
-itself is assembled only for the derivation basis.  Koszul: K3 -> K2, v0 ->
-v0 g, is injective.
+degree-d derivations.  Ozone: d1(v) = div(v) g - grad(v . g), so rank T_d
+serves ozone and rgt and, memoised once per degree, d1 and d2 too; it
+comes from the Hamiltonian block below, and T_d itself is assembled only
+for the derivation basis.  Koszul: K3 -> K2, v0 -> v0 g, is injective.
+
+Vacancy, for n = s = a+b+c: sum_i (-1)^i dim X^i_d = -[d = -s], as prod_i
+(1 - t^(-w_i))/(1 - t^(w_i)) = -t^(-s), so dim X2_d = dim X1_d - #A_d +
+#A_(d+s) - [d = -s].  The exact bivectors M2_d, the f g and the gradients,
+number #A_(d+s) - [d = -s] + rank d0_d, as f g is a gradient iff curl(f g)
+= d0(f) is zero (de Rham), and rank d2_d = rank T_d - #A_d (d2); so
+vacancy_d = dim ker d2_d - dim M2_d = dim X1_d - rank T_d - rank d0_d,
+ozone less Hamiltonians, and, as rank d1_d = rank T_d - dim PH0_d (d1),
+PH1_d - PH0_d.  No M2 dimension is computed here.
 
 d0: contracting df ^ dO = 0 with the Euler field gives n O df = k f dO for
 a Casimir f of degree k > 0, so f^n / O^k is constant, and by unique
@@ -263,6 +269,17 @@ class _Memo:
             ranks[d] = self.hamiltonian_rank(d, self.casimir_column(d))
         return ranks[d] - 1
 
+    def ph_dim(self, i, d):
+        """dim PH^i_d: dim X^i_d less rank d^i at d and rank d^(i-1) at d - w,
+        w = n - (a+b+c)"""
+        weights = self.omega.weights
+        dim = _space_dim(weights, cochain_shifts(weights)[i], d)
+        if dim == 0:
+            return 0
+        w = self.omega.homogeneous_degree() - weights.n_default
+        return (dim - (self.cochain_rank(i, d) if i < 3 else 0)
+                - (self.cochain_rank(i - 1, d - w) if i > 0 else 0))
+
     def casimir_column(self, d):
         """c = (h, f) spanning ker L_d, up to a scalar, with f = R^(d/e), or
         None where ker L_d = 0 (module docstring); it calls no gradient"""
@@ -274,16 +291,6 @@ class _Memo:
         f = self.casimir_root ** (d // self.casimir_degree)
         # c / n
         return f * self.omega, Fraction(d + n, n) * f
-
-    def m2_dim(self, d):
-        """dim M2_d: the gradients of degree d+a+b+c (a constant has none), plus
-        the multiples f g from degree d-w, less the f g that are gradients.  Those
-        are the f with d0(f) = 0, so the multiples add rank d0 at degree d-w."""
-        weights = self.omega.weights
-        abc = weights.n_default
-        e = d - self.omega.homogeneous_degree() + abc
-        grads = count_monomials(weights, d + abc) - (d == -abc)
-        return grads + self.cochain_rank(0, e)
 
     def ozone_rank(self, d):
         """rank of T_d: X1_d -> A_{d+n} + A_d, memoised by d, where the sealed
@@ -480,20 +487,8 @@ def ph_dims(omega, bound):
     """Poisson cohomology dimensions PH^0..PH^3 per degree, down from
     -max(n, a+b+c) up to the bound"""
     degrees = _ph_window(omega, bound)
-    memo, weights = potential_memo(omega), omega.weights
-    w = omega.homogeneous_degree() - weights.n_default
-    sh = cochain_shifts(weights)
-    dims = {}
-    for i in range(4):
-        for d in degrees:
-            dim_x = _space_dim(weights, sh[i], d)
-            if dim_x == 0:
-                dims[(i, d)] = 0
-                continue
-            r_out = memo.cochain_rank(i, d) if i < 3 else 0
-            r_in = memo.cochain_rank(i - 1, d - w) if i > 0 else 0
-            dims[(i, d)] = dim_x - r_out - r_in
-    return DimsTable(dims, bound)
+    memo = potential_memo(omega)
+    return DimsTable({(i, d): memo.ph_dim(i, d) for i in range(4) for d in degrees}, bound)
 
 
 def ph_closed_form_rows(omega, bound):
@@ -522,22 +517,23 @@ def ph_closed_form_rows(omega, bound):
 
 
 # ---------------------------------------------------------------------------
-# exact bivectors M2, vacancy, ozone, minimality
+# vacancy, ozone, minimality
 
 
 def vacancy_degrees(omega, bound):
     """(degree, dimension) of ``vacancy_check`` in rising degree, each
     degree ranked only when it is read; the window is checked at the call"""
     n = check_potential(omega, "vacancy diagnostic requires degree a+b+c")
-    memo, x2 = potential_memo(omega), cochain_shifts(omega.weights)[2]
-    return ((d, _space_dim(omega.weights, x2, d) - memo.cochain_rank(2, d) - memo.m2_dim(d))
+    memo, x1 = potential_memo(omega), omega.weights.tuple
+    return ((d, _space_dim(omega.weights, x1, d) - memo.ozone_rank(d) - memo.cochain_rank(0, d))
             for d in _window(omega, "vacancy", -n, bound))
 
 
 def vacancy_check(omega, bound):
-    """per-degree upper-division dimensions: ker of the top differential
-    modulo M2, so dim X2_d - rank d2 - #A_{d+n} + [d = -n] - rank d0 at
-    degree d; the potential is vacant up to the bound iff all zero"""
+    """per-degree upper-division dimensions: ker d2 modulo the exact
+    bivectors M2, which is ozone less Hamiltonians, dim X1_d - rank T_d -
+    rank d0_d, and PH1_d - PH0_d (module docstring); the potential is vacant
+    up to the bound iff all zero"""
     return dict(vacancy_degrees(omega, bound))
 
 

@@ -97,10 +97,12 @@ class PoissonStructure:
 
 def from_potential(omega: Polynomial) -> PoissonStructure:
     """bracket defined by a nonzero homogeneous potential of positive degree:
-    {x,y} = dO/dz, {y,z} = dO/dx, {z,x} = dO/dy"""
+    {x,y} = dO/dz, {y,z} = dO/dx, {z,x} = dO/dy.  The tag is the record's
+    own potential, so the structure's lookups find the record by identity"""
     check_potential(omega)
-    g = potential_memo(omega).gradient
-    return PoissonStructure(g.f3, g.f1, g.f2, omega)
+    memo = potential_memo(omega)
+    g = memo.gradient
+    return PoissonStructure(g.f3, g.f1, g.f2, memo.omega)
 
 
 def bracket(s: PoissonStructure, f: Polynomial, g: Polynomial) -> Polynomial:

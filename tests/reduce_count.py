@@ -22,9 +22,11 @@ ROOT = Path(__file__).resolve().parent.parent
 JOBS = 3
 
 
-def _load_inputs():
-    spec = importlib.util.spec_from_file_location("perfbench_inputs",
-                                                  ROOT / "perfbench" / "inputs.py")
+def load_perfbench(name):
+    """``perfbench/<name>.py`` as a module, loaded without writing anything
+    beside it"""
+    spec = importlib.util.spec_from_file_location("perfbench_" + name,
+                                                  ROOT / "perfbench" / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
@@ -36,7 +38,7 @@ def _load_inputs():
 
 def _texts(seed):
     """(potential text, weights) of the pool, one list per job"""
-    jobs = _load_inputs().GroebnerJobs(ROOT, seed)
+    jobs = load_perfbench("inputs").GroebnerJobs(ROOT, seed)
     return [[(op["potential"], Weights(*op["weights"])) for op in jobs.job(k)]
             for k in range(JOBS)]
 

@@ -1,8 +1,9 @@
 """Test-local reference matrices: every graded map evaluated column by
-column on Polynomials, independently of the operator tables, plus the
-matrices whose ranks the package now derives from identities (the M2 map,
-the cochain maps d0, d1 and d2, d1 stacked over v . grad(O), the Koszul
-maps K2 -> K1 and K3 -> K2, and the cycle condition over div v reduced
+column on Polynomials, independently of the operator tables, plus the M2
+map, whose dimension the package never needs, as vacancy is ozone less
+Hamiltonians, and the matrices whose ranks the package now derives from
+identities (the cochain maps d0, d1 and d2, d1 stacked over v . grad(O),
+the Koszul maps K2 -> K1 and K3 -> K2, and the cycle condition over div v reduced
 modulo the Jacobian ideal, whose rank the package now takes from a block map),
 and T_d, B_e and [T_d | c] assembled whole with their divergence rows,
 beside K1 from its own matrix: the divergence route, whose ranks the package
@@ -736,11 +737,17 @@ def window_top(omega, bound):
 
 
 def m2_dims(omega, bound):
-    """dimensions of the exact-bivector space M2 per degree, from
-    #A_{d+a+b+c} - [d = -(a+b+c)] + rank d0 at degree d-w"""
+    """dimensions of the exact-bivector space M2 per degree: the gradients of
+    degree d+a+b+c (a constant has none), plus the multiples f g from degree
+    d-w, less the f g that are gradients.  Those are the f with curl(f g) =
+    d0(f) = 0, as the weighted de Rham complex is exact, so the multiples add
+    rank d0 at degree d-w"""
     check_potential(omega)
-    memo = potential_memo(omega)
-    return {d: memo.m2_dim(d) for d in _window(omega, "M2", -omega.weights.n_default, bound)}
+    memo, weights = potential_memo(omega), omega.weights
+    s = weights.n_default
+    w = omega.homogeneous_degree() - s
+    return {d: count_monomials(weights, d + s) - (d == -s) + memo.cochain_rank(0, d - w)
+            for d in _window(omega, "M2", -s, bound)}
 
 
 def standard_monomials(weights, heads, d):

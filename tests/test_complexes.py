@@ -847,6 +847,52 @@ def _off_catalog_potentials():
         )]
 
 
+def _assert_vacancy_identity(om, top, d2, m2):
+    """at every degree of the vacancy window, vacancy_check = PH1 - PH0 =
+    ozone - hamiltonian = dim X2 - rank d2 - dim M2, its definition, with
+    the ranks of d2 and M2 by degree from their assembled matrices"""
+    weights = om.weights
+    vacancy = complexes.vacancy_check(om, top)
+    assert list(vacancy) == list(range(-om.homogeneous_degree(), top + 1))
+    ph = complexes.ph_dims(om, top)
+    assert vacancy == {d: ph.dim(1, d) - ph.dim(0, d) for d in vacancy}
+    ozone = complexes.ozone_vs_hamiltonian(om, top)
+    assert vacancy == {d: ozone[d][0] - ozone[d][1] if d in ozone else 0 for d in vacancy}
+    x2 = complexes.cochain_shifts(weights)[2]
+    assert vacancy == {d: complexes._space_dim(weights, x2, d) - d2[d] - m2[d]
+                       for d in vacancy}
+
+
+def _vacancy_potentials():
+    """seeded potentials of degree a+b+c on every weight triple of the
+    property suites, over Q and over Q(s)/(s^2+s+1), of three terms: on a
+    denser one over Q(s) the eliminations at 3n+12 take tens of seconds
+    (ROADMAP item 18)"""
+    cube = ExtensionField([1, 1, 1])
+    rng = random.Random("vacancy")
+    out = []
+    for weights in map(lambda t: Weights(*t), WEIGHT_POOL):
+        basis = monomial_basis(weights, weights.n_default)
+        for field in (QQ, cube):
+            terms = {m: sum((rng.randint(-4, 4) * p for p in field_powers(field)), field.zero)
+                     for m in rng.sample(basis, min(len(basis), 3))}
+            om = Polynomial(weights, field, {m: c for m, c in terms.items() if c}
+                            or {basis[0]: field.one})
+            out.append(pytest.param(om, id="%d,%d,%d:%s" % (*weights.tuple, om)))
+    return out
+
+
+@pytest.mark.parametrize("om", _vacancy_potentials())
+def test_vacancy_is_ozone_less_hamiltonians_and_ph1_less_ph0(om):
+    """the vacancy identity of the module docstring at 3n+12, against d2 and
+    M2 assembled column by column"""
+    n, maps = om.homogeneous_degree(), reference_maps(om)
+    top = complexes.default_bound(n)
+    degrees = range(-n, top + 1)
+    _assert_vacancy_identity(om, top, {d: cochain_rank(om, 2, d, maps) for d in degrees},
+                             {d: m2_rank(om, d, maps) for d in degrees})
+
+
 def _identity_potentials():
     """every catalog entry to n+6, then the off-catalog potentials"""
     return [pytest.param(e.weights, QQ, e.omega_text, e.degree + 6, id=e.entry_id)
@@ -869,13 +915,16 @@ def test_rank_identities_match_reference_matrices(weights, field, text, top):
     d1_ozone = {d: d1_rank_and_ozone_kernel(om, d, maps) for d in slots}
     assert ({d: memo.cochain_rank(1, d) for d in slots}
             == {d: pair[0] for d, pair in d1_ozone.items()})
-    assert ({d: memo.cochain_rank(2, d) for d in slots}
-            == {d: cochain_rank(om, 2, d, maps) for d in slots})
+    d2 = {d: cochain_rank(om, 2, d, maps) for d in slots}
+    assert {d: memo.cochain_rank(2, d) for d in slots} == d2
     if n != weights.n_default and n <= top:
         assert count_monomials(weights, n) > cochain_rank(om, 0, n, maps)
     degrees = range(-weights.n_default, top + 1)
     # M2: the Casimir count against the rank of the M2 map
-    assert m2_dims(om, top) == {d: m2_rank(om, d, maps) for d in degrees}
+    m2 = {d: m2_rank(om, d, maps) for d in degrees}
+    assert m2_dims(om, top) == m2
+    if n == weights.n_default:
+        _assert_vacancy_identity(om, top, d2, m2)
     # ozone: the (v . g ; div v) kernel against d1 stacked over v . g
     ozone = {d: d1_ozone[d][1] for d in degrees}
     assert {d: complexes.ozone_dim(om, d) for d in degrees} == ozone
@@ -1181,6 +1230,14 @@ def test_rank_t_read_off_the_sealed_block_equals_its_own_matrix(weights, field, 
     assert complexes.potential_memo(om).t_ranks == shared
 
 
+# the work of a cold catalog pass, pinned below and quoted in the README:
+# the matrices by kind at each bound, and the root attempts and memo record
+# lookups, the same at both
+PASS_MATRICES = {"3n+12": {"H": 3041, "K2": 394}, "n+6": {"H": 1584, "K2": 303}}
+PASS_ROOT_ATTEMPTS = 281
+PASS_MEMO_LOOKUPS = 913
+
+
 def test_a_catalog_pass_eliminates_no_t_at_a_sealed_degree(monkeypatch):
     """a cold verify_entry of every catalog entry at n+6 reads rank T_e and
     rank K1 off the sealed block [O A_e | O g_i A_u | H | H'] wherever it
@@ -1202,11 +1259,11 @@ def test_a_catalog_pass_eliminates_no_t_at_a_sealed_degree(monkeypatch):
     # at its sixth nonzero degree; swept to n+6 they were 794 and 1,264, with
     # K2 412 and d0 295, and the divergence route assembled 794 T, 1,264 B
     # and 470 K1; the Casimir search assembled 281 d0 matrices
-    assert counts == {"H": 1584, "K2": 303} and counts["K1"] == 0
-    assert len(attempts) == 281
+    assert counts == PASS_MATRICES["n+6"] and counts["K1"] == 0
+    assert len(attempts) == PASS_ROOT_ATTEMPTS
     # one lookup of the memo record per public call; 14,957 when every rank
     # looked the record up again
-    assert lookups == 913
+    assert lookups == PASS_MEMO_LOOKUPS
 
 
 def test_a_default_catalog_pass_assembles_the_counted_matrices():
@@ -1219,9 +1276,9 @@ def test_a_default_catalog_pass_assembles_the_counted_matrices():
     the potentials.  The pass looks the memo record up once per public call,
     as at n+6; 30,626 times when every rank looked it up again"""
     counts, attempts = matrix_counts()
-    assert counts == {"H": 3041, "K2": 394} and counts["K1"] == 0
-    assert attempts == 281
-    assert memo_lookups() == 913
+    assert counts == PASS_MATRICES["3n+12"] and counts["K1"] == 0
+    assert attempts == PASS_ROOT_ATTEMPTS
+    assert memo_lookups() == PASS_MEMO_LOOKUPS
 
 
 def test_catalog_verify_stops_a_yes_no_sweep_at_its_sixth_nonzero_degree(monkeypatch):

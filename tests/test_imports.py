@@ -19,8 +19,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "wpoisson"
 # assembles no d1 matrix; the d0 table is the oracle of the Casimirs that it
 # reads off the primitive root of the potential.  The divergence table and its blocks B_e, T_d and
 # [T_d | c] are the oracle of the ranks that the package reads off the
-# Hamiltonian block.  The recursive-descent parser is the oracle of the
-# package's one parser, and the subset scan that of gkdim
+# Hamiltonian block.  The M2 table, beside the assembled M2 map, is the
+# oracle of the vacancy that the package reads as ozone less Hamiltonians.
+# The recursive-descent parser is the oracle of the package's one parser,
+# and the subset scan that of gkdim
 TEST_ONLY = ("derham_exactness_check", "euler_characteristic_check", "m2_dims", "euler_rhs",
              "closed_form_koszul_h1", "standard_monomials", "negative_degree_pd_dims",
              "mono_mul", "mono_divides", "mono_lcm", "cochain0_table", "cochain1_table",

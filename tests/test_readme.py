@@ -1,8 +1,8 @@
 """The README's examples, run as written: each line of the library quick
 start that is an expression must print the value its comment gives, and
 each command of the CLI block must exit 0 and print the lines its comments
-give; and the window budget figures and the test count it quotes are the
-code's."""
+give; and the window budget figures, the test count and the work counts
+it quotes are the code's."""
 
 import os
 import re
@@ -18,6 +18,9 @@ from wpoisson.ring import count_monomials
 
 from conftest import DESELECTED
 from reference_maps import window_top
+from test_complexes import PASS_MATRICES, PASS_MEMO_LOOKUPS, PASS_ROOT_ATTEMPTS
+from test_jacobian import REDUCE_PHASES
+from test_poisson import EXTENSION_RECORD_LOOKUPS
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -98,3 +101,18 @@ def test_readme_quotes_the_test_count(request):
         pytest.skip("only part of the suite is collected")
     (quoted,) = re.findall(r"^([\d,]+) tests, about", README.read_text(), re.M)
     assert int(quoted.replace(",", "")) == len(items)
+
+
+def test_readme_quotes_the_work_counts():
+    """the CI paragraph's work counts are the constants that the counter
+    tests pin; its times are not, as they depend on the machine"""
+    _, main, proof = REDUCE_PHASES
+    quotes = ["(%s: %s and %s)" % tuple(format(n, ",") for n in (main + proof, main, proof))]
+    quotes += ["%s: H %s and K2 %s" % tuple(format(n, ",") for n in (
+        sum(PASS_MATRICES[bound].values()), PASS_MATRICES[bound]["H"], PASS_MATRICES[bound]["K2"]))
+        for bound in ("3n+12", "n+6")]
+    quotes += ["the %d root attempts and the %d memo record lookups of each pass"
+               % (PASS_ROOT_ATTEMPTS, PASS_MEMO_LOOKUPS),
+               "(`tests/lookup_count.py`; %d)" % EXTENSION_RECORD_LOOKUPS[2]]
+    text = " ".join(README.read_text().split())
+    assert [q for q in quotes if q not in text] == []
