@@ -7,14 +7,16 @@ singularity at the origin is isolated.  ``verify_entry`` recomputes all of
 them from scratch and reports agreement item by item.
 
 Every numeric expectation in the data file was confirmed by an independent
-computation before being frozen.  Entries whose vacancy or sealedness verdict
-is "no" carry a witness degree (the smallest degree where a nonzero dimension
-appears) so verification knows how far it must look.  Verification sweeps
-each of those two tables in rising degree and stops at its sixth nonzero
-degree, the last one its report item prints, as no later degree changes the
-item; a "yes" verdict, which holds only when every degree is zero, an item
-with fewer than six nonzero degrees and the cohomology tables still sweep to
-the bound.
+computation before being frozen.  An rgt is exact or an upper bound, a
+GK-dimension one value or a choice of values, and every ``cond=`` note names
+a weight condition of ``_CONDITIONS`` that the record's weights must meet.
+Entries whose vacancy or sealedness verdict is "no" carry a witness degree
+(the smallest degree where a nonzero dimension appears) so verification
+knows how far it must look.  Verification sweeps each of those two tables in
+rising degree and stops at its sixth nonzero degree, the last one its report
+item prints, as no later degree changes the item; a "yes" verdict, which
+holds only when every degree is zero, an item with fewer than six nonzero
+degrees and the cohomology tables still sweep to the bound.
 """
 
 from dataclasses import dataclass, field
@@ -51,6 +53,24 @@ _TABLE_SHAPES: Dict[str, Callable[[int, int, int], bool]] = {
     "abc": lambda a, b, c: a < b < c and (a, b, c) != (1, 2, 3),
 }
 
+# key of a typed note -> its type; any other key=value note is kept as text
+_NOTE_TYPES: Dict[str, Callable[[str], object]] = {
+    "lambda": Fraction, "vacwit": int, "sealwit": int, "k": int, "m": int, "n": int}
+
+# cond= note -> predicate on the weights and the notes, which give k, m and n
+_CONDITIONS: Dict[str, Callable[[int, int, int, Dict[str, object]], bool]] = {
+    "c=k*a": lambda a, b, c, p: a == b and "k" in p and c == p["k"] * a,
+    "c!=k*a": lambda a, b, c, p: a == b and c % a != 0,
+    "c=a+b": lambda a, b, c, p: c == a + b,
+    "c=m*a+n*b": lambda a, b, c, p: "m" in p and "n" in p and c == p["m"] * a + p["n"] * b,
+    "c!=m*a+n*b": lambda a, b, c, p: all(m * a + n * b != c for m in range(1, c // a + 1)
+                                         for n in range(1, c // b + 1)),
+    "c=lcm(a,b)-a-b": lambda a, b, c, p: c == lcm(a, b) - a - b,
+    "a-div-b": lambda a, b, c, p: b % a == 0,
+    "a-ndiv-b": lambda a, b, c, p: b % a != 0,
+    "b!=2*a": lambda a, b, c, p: b != 2 * a,
+}
+
 
 class CatalogError(ValueError):
     pass
@@ -64,11 +84,9 @@ class CatalogEntry:
     omega: Polynomial
     type_label: str
     irreducible: bool
-    # exact expectation or a range; exactly one of the pair is set
-    expected_rgt: Optional[int]
-    rgt_bound: Optional[int]          # expectation: rgt <= rgt_bound
-    expected_gk: Optional[int]
-    gk_choices: Optional[Tuple[int, ...]]
+    rgt: int
+    rgt_is_bound: bool                # expectation: rgt <= self.rgt
+    gk_choices: Tuple[int, ...]       # one element when exact
     expected_vacant: str
     expected_sealed: str
     expected_isolated: bool
@@ -83,23 +101,15 @@ class CatalogEntry:
         return self.weights.n_default
 
     def rgt_matches(self, value: int) -> bool:
-        if self.expected_rgt is not None:
-            return value == self.expected_rgt
-        return value <= self.rgt_bound
+        return value <= self.rgt if self.rgt_is_bound else value == self.rgt
 
     def gk_matches(self, value: int) -> bool:
-        if self.expected_gk is not None:
-            return value == self.expected_gk
         return value in self.gk_choices
 
     def describe_rgt(self) -> str:
-        if self.expected_rgt is not None:
-            return str(self.expected_rgt)
-        return "<=%d" % self.rgt_bound
+        return ("<=%d" if self.rgt_is_bound else "%d") % self.rgt
 
     def describe_gk(self) -> str:
-        if self.expected_gk is not None:
-            return str(self.expected_gk)
         return "or".join(str(v) for v in self.gk_choices)
 
 
@@ -123,57 +133,6 @@ class EntryReport:
     @property
     def failures(self) -> List[ReportItem]:
         return [item for item in self.items if item.status == "fail"]
-
-
-@dataclass
-class CatalogReport:
-    reports: List[EntryReport]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.reports)
-
-    @property
-    def mismatch_count(self) -> int:
-        return sum(len(r.failures) for r in self.reports)
-
-
-def _check_conditions(entry_id, weights, conds, params):
-    a, b, c = weights
-    for cond in conds:
-        if cond == "c=k*a":
-            k = params.get("k")
-            if k is None or c != k * a or a != b:
-                raise CatalogError("%s: condition c=k*a fails" % entry_id)
-        elif cond == "c!=k*a":
-            if a != b or c % a == 0:
-                raise CatalogError("%s: condition c!=k*a fails" % entry_id)
-        elif cond == "c=a+b":
-            if c != a + b:
-                raise CatalogError("%s: condition c=a+b fails" % entry_id)
-        elif cond == "c=m*a+n*b":
-            m, n = params.get("m"), params.get("n")
-            if m is None or n is None or c != m * a + n * b:
-                raise CatalogError("%s: condition c=m*a+n*b fails" % entry_id)
-        elif cond == "c!=m*a+n*b":
-            hits = [(m, n) for m in range(1, c // a + 1)
-                    for n in range(1, c // b + 1) if m * a + n * b == c]
-            if hits:
-                raise CatalogError("%s: c is m*a+n*b via %s" % (entry_id, hits))
-        elif cond == "c=lcm(a,b)-a-b":
-            if c != lcm(a, b) - a - b:
-                raise CatalogError("%s: condition c=lcm(a,b)-a-b fails" % entry_id)
-        elif cond == "a-div-b":
-            if b % a != 0:
-                raise CatalogError("%s: condition a|b fails" % entry_id)
-        elif cond == "a-ndiv-b":
-            if b % a == 0:
-                raise CatalogError("%s: condition a∤b fails" % entry_id)
-        elif cond == "b!=2*a":
-            if b == 2 * a:
-                raise CatalogError("%s: condition b!=2a fails" % entry_id)
-        else:
-            raise CatalogError("%s: unknown condition %r" % (entry_id, cond))
 
 
 def _parse_record(line: str) -> CatalogEntry:
@@ -200,76 +159,56 @@ def _parse_record(line: str) -> CatalogEntry:
     if irreducible != (typ != "r"):
         raise CatalogError("%s: type %r inconsistent with irreducible=%s"
                            % (eid, typ, irreducible))
-    if rgt_s.startswith("<="):
-        expected_rgt, rgt_bound = None, int(rgt_s[2:])
-    else:
-        expected_rgt, rgt_bound = int(rgt_s), None
-    if "or" in gk_s:
-        expected_gk, gk_choices = None, tuple(int(t) for t in gk_s.split("or"))
-    else:
-        expected_gk, gk_choices = int(gk_s), None
+    rgt_is_bound = rgt_s.startswith("<=")
+    rgt_value = int(rgt_s[2:] if rgt_is_bound else rgt_s)
+    gk_choices = tuple(int(t) for t in gk_s.split("or"))
 
     omega = parse_poly(omtext, weights)
     n = weights.n_default
     if not omega.is_homogeneous() or omega.homogeneous_degree() != n:
         raise CatalogError("%s: potential not homogeneous of degree %d" % (eid, n))
 
-    table = None
-    family = None
-    lam = None
-    vacancy_witness = None
-    sealed_witness = None
+    # key=value notes, each read as its type and the last of a repeated key
+    # kept, and the cond= notes; a token with no "=" is a free-form annotation
+    kv: Dict[str, object] = {}
     conds: List[str] = []
-    params: Dict[str, int] = {}
-    for token in notes.split(";"):
-        token = token.strip()
-        if not token:
-            continue
-        if token.startswith("table="):
-            table = token[6:]
-        elif token.startswith("family="):
-            family = token[7:]
-        elif token.startswith("lambda="):
-            lam = Fraction(token[7:])
-        elif token.startswith("vacwit="):
-            vacancy_witness = int(token[7:])
-        elif token.startswith("sealwit="):
-            sealed_witness = int(token[8:])
-        elif token.startswith("cond="):
-            conds.append(token[5:])
-        elif token in ("k", "m", "n"):
+    for token in filter(None, (t.strip() for t in notes.split(";"))):
+        if token in ("k", "m", "n"):
             raise CatalogError("%s: bare parameter token" % eid)
-        elif len(token) > 2 and token[1] == "=" and token[0] in "kmn":
-            params[token[0]] = int(token[2:])
-        # remaining tokens are free-form annotations
+        key, eq, value = token.partition("=")
+        if eq and key == "cond":
+            conds.append(value)
+        elif eq:
+            kv[key] = _NOTE_TYPES.get(key, str)(value)
+    table = kv.get("table")
     if table not in _TABLE_SHAPES:
         raise CatalogError("%s: missing or unknown table key %r" % (eid, table))
     if not _TABLE_SHAPES[table](a, b, c):
         raise CatalogError("%s: weights %s do not fit group %r" % (eid, (a, b, c), table))
-    _check_conditions(eid, (a, b, c), conds, params)
-    if expected_rgt is not None and (expected_rgt == 0) != irreducible:
-        raise CatalogError("%s: rgt %d inconsistent with irreducible=%s"
-                           % (eid, expected_rgt, irreducible))
-    if expected_rgt is None and irreducible:
+    for cond in conds:
+        if cond not in _CONDITIONS:
+            raise CatalogError("%s: unknown condition %r" % (eid, cond))
+        if not _CONDITIONS[cond](a, b, c, kv):
+            raise CatalogError("%s: condition %s fails" % (eid, cond))
+    if irreducible and (rgt_is_bound or rgt_value != 0):
         raise CatalogError("%s: irreducible entry needs exact rgt 0" % eid)
-    if vac == "no" and vacancy_witness is None:
+    if not irreducible and rgt_value > -1:
+        raise CatalogError("%s: reducible rgt must be <= -1" % eid)
+    if vac == "no" and "vacwit" not in kv:
         raise CatalogError("%s: vacant=no needs vacwit" % eid)
-    if seal == "no" and sealed_witness is None:
+    if seal == "no" and "sealwit" not in kv:
         raise CatalogError("%s: sealed=no needs sealwit" % eid)
     if isolated != (typ == "i"):
         raise CatalogError("%s: type i and only type i is isolated" % eid)
-    if not irreducible and expected_rgt is not None and expected_rgt > -1:
-        raise CatalogError("%s: reducible rgt must be <= -1" % eid)
     if typ in ("nw", "r") and (vac != "no" or seal != "no"):
         raise CatalogError("%s: %s entries are non-vacant and unsealed" % (eid, typ))
     return CatalogEntry(
         entry_id=eid, weights=weights, omega_text=omtext, omega=omega,
         type_label=typ, irreducible=irreducible,
-        expected_rgt=expected_rgt, rgt_bound=rgt_bound,
-        expected_gk=expected_gk, gk_choices=gk_choices,
+        rgt=rgt_value, rgt_is_bound=rgt_is_bound, gk_choices=gk_choices,
         expected_vacant=vac, expected_sealed=seal, expected_isolated=isolated,
-        table=table, family=family, lam=lam, vacancy_witness=vacancy_witness,
-        sealed_witness=sealed_witness)
+        table=table, family=kv.get("family"), lam=kv.get("lambda"),
+        vacancy_witness=kv.get("vacwit"), sealed_witness=kv.get("sealwit"))
 
 
 def _load(path: Optional[Path] = None) -> List[CatalogEntry]:
@@ -397,7 +336,7 @@ def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
     report = EntryReport(entry=entry)
     omega = entry.omega
     # a "no" verdict looks at least as far as its recorded witness
-    bounds = {name: max(D, w) if verdict == "no" and w is not None else D
+    bounds = {name: max(D, w) if verdict == "no" else D
               for name, verdict, w, _ in truncated}
     # the sweeps come before every other check, sealed first: its block
     # eliminations leave the ranks of K1, which it reads itself, and of T_e,
@@ -447,7 +386,7 @@ def verify_all(max_degree: Optional[int] = None,
                selector: Optional[str] = None,
                checks: Optional[Sequence[str]] = None,
                progress: Optional[Callable[[EntryReport], None]] = None,
-               path: Optional[Path] = None) -> CatalogReport:
+               path: Optional[Path] = None) -> List[EntryReport]:
     """Verify every selected entry.  A selection that checks nothing (no
     entry matches, or no selected check applies) raises CatalogError."""
     selected = entries(selector, path=path)
@@ -461,4 +400,4 @@ def verify_all(max_degree: Optional[int] = None,
         reports.append(rep)
     if not any(rep.items for rep in reports):
         raise CatalogError("no selected check applies to the selected entries")
-    return CatalogReport(reports)
+    return reports

@@ -426,13 +426,13 @@ def catalog_verify(selector, max_degree, checks, catalog_file, fmt):
     if checks:
         check_list = [c.strip() for c in checks.split(",") if c.strip()]
     try:
-        report = catalog_mod.verify_all(max_degree, selector, check_list,
-                                        path=catalog_file)
+        reports = catalog_mod.verify_all(max_degree, selector, check_list,
+                                         path=catalog_file)
     except catalog_mod.CatalogError as exc:
         _fail_usage(str(exc))
-    mismatches = report.mismatch_count
+    mismatches = sum(len(rep.failures) for rep in reports)
     rows = []
-    for rep in report.reports:
+    for rep in reports:
         for item in rep.items:
             rows.append({
                 "entry": rep.entry.entry_id,
@@ -444,7 +444,7 @@ def catalog_verify(selector, max_degree, checks, catalog_file, fmt):
                 "computed": item.computed,
             })
     results = {
-        "entries": len(report.reports),
+        "entries": len(reports),
         "mismatches": mismatches,
         "ok": mismatches == 0,
         "rows": rows,

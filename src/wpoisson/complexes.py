@@ -499,7 +499,7 @@ def ph_closed_form_rows(omega, bound):
     to whether the column equals its closed form, or is None when they do
     not apply."""
     degrees = _ph_window(omega, bound)
-    tab = ph_dims(omega, bound)
+    memo = potential_memo(omega)
     weights = omega.weights
     n = omega.homogeneous_degree()
     applicable = n == weights.n_default
@@ -508,7 +508,7 @@ def ph_closed_form_rows(omega, bound):
     rows = []
     for d in degrees:
         row = {"degree": d}
-        row.update(("ph%d" % i, tab.dim(i, d)) for i in range(4))
+        row.update(("ph%d" % i, memo.ph_dim(i, d)) for i in range(4))
         row.update(("closed%d" % i, col[d - degrees.start]) for i, col in enumerate(closed))
         rows.append(row)
     if not applicable:

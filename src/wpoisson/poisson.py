@@ -192,7 +192,8 @@ def verify_automorphism(omega: Polynomial, phi, psi=None, xi=None) -> bool:
         raise RingError("quotient automorphism check needs the inverse map")
     polys = [omega if xi is None else omega - omega.field.coerce(xi), *phi, *(psi or ())]
     rational = [rational_copy(p) for p in polys]
-    gen, *images = polys if None in rational else rational  # gen: O - xi, or O on A
+    # gen: O - xi, or O on A
+    gen, *images = polys if any(p is None for p in rational) else rational
     phi, psi = images[:3], images[3:]
     ideal = [] if xi is None else [gen]
     # {f, g} = P . (grad f x grad g), and J(phi) = grad phi_0 . cofactors[0]

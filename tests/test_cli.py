@@ -807,10 +807,11 @@ _CATALOG_LINE = ("111-i-a | 1,1,1 | x^3+y^2*z | bw | true | 0 | 1 | yes | unknow
     ("table=111", "table=111;lambda=abc", "Invalid literal for Fraction: 'abc'"),
     ("table=111", "table=111;vacwit=x", "invalid literal for int() with base 10: 'x'"),
     ("table=111", "table=111;k=x", "invalid literal for int() with base 10: 'x'"),
+    ("table=111", "table=111;k=", "invalid literal for int() with base 10: ''"),
     ("x^3+y^2*z", "x^3+", "unexpected character 'end of input' (at byte 4)"),
     ("x^3+y^2*z", "x^3+s*y^2*z", "'s' requires an extension coefficient field (at byte 4)"),
     ("x^3+y^2*z", "x^3+2000000*y^2*z", "integer exceeds the 10^6 guard (at byte 4)"),
-], ids=["rgt", "gk", "lambda", "vacwit", "param", "syntax", "field", "budget"])
+], ids=["rgt", "gk", "lambda", "vacwit", "param", "empty-param", "syntax", "field", "budget"])
 @pytest.mark.parametrize("command", ["list", "verify"])
 def test_malformed_catalog_record_is_a_usage_error(tmp_path, command, old, new, message):
     text = DATA_PATH.read_text(encoding="utf-8")
@@ -838,23 +839,106 @@ def test_a_one_record_catalog_file_is_accepted(tmp_path, args):
     assert res.stdout.splitlines()[-1] in ("count: 1", "ok: True")
 
 
+# one record per weight condition that the catalog checks: a record whose
+# weights meet the condition, and one whose weights or parameters do not
+_CONDITION_CASES = {
+    "c=k*a": (
+        "aabc-i-a | 1,1,3 | x^2*z+y^5 | bw | true | 0 | 1 | yes | unknown | false"
+        " | table=aabc;cond=c=k*a;k=3",
+        "aabc-i-a | 1,1,3 | x^2*z+y^5 | bw | true | 0 | 1 | yes | unknown | false"
+        " | table=aabc;cond=c=k*a;k=2"),
+    "c!=k*a": (
+        "aabc-r-f | 2,2,3 | x*y*z | r | false | -2 | 1 | no | no | false"
+        " | table=aabc;cond=c!=k*a;vacwit=0;sealwit=7",
+        "aabc-r-c | 1,1,3 | x*y*z | r | false | -2 | 1 | no | no | false"
+        " | table=aabc;cond=c!=k*a;vacwit=0;sealwit=5"),
+    "c=a+b": (
+        "abc-i-b2 | 2,3,5 | z^2+x^2*y^2+x^5 | q | true | 0 | 1 | yes | yes | false"
+        " | table=abc;cond=c=a+b",
+        "abc-r-n1 | 2,3,4 | x*y*z | r | false | -2 | 1 | no | no | false"
+        " | table=abc;cond=c=a+b;vacwit=0;sealwit=9"),
+    "c=m*a+n*b": (
+        "abc-i-d1 | 2,3,7 | x*y*z+x^6+y^4 | q | true | 0 | 1 | yes | yes | false"
+        " | table=abc;cond=c=m*a+n*b;m=2;n=1",
+        "abc-i-d1 | 2,3,7 | x*y*z+x^6+y^4 | q | true | 0 | 1 | yes | yes | false"
+        " | table=abc;cond=c=m*a+n*b;m=1;n=1"),
+    "c!=m*a+n*b": (
+        "abc-r-n1 | 2,3,4 | x*y*z | r | false | -2 | 1 | no | no | false"
+        " | table=abc;cond=c!=m*a+n*b;vacwit=0;sealwit=9",
+        "abc-i-b2 | 2,3,5 | z^2+x^2*y^2+x^5 | q | true | 0 | 1 | yes | yes | false"
+        " | table=abc;cond=c!=m*a+n*b"),
+    "c=lcm(a,b)-a-b": (
+        "abc-r-f2 | 3,4,5 | x*y*z | r | false | -2 | 1 | no | no | false"
+        " | table=abc;cond=c=lcm(a,b)-a-b;vacwit=0;sealwit=12",
+        "abc-r-n1 | 2,3,4 | x*y*z | r | false | -2 | 1 | no | no | false"
+        " | table=abc;cond=c=lcm(a,b)-a-b;vacwit=0;sealwit=9"),
+    "a-div-b": (
+        "abbc-r-a | 1,2,2 | x*y*z | r | false | -2 | 1 | no | no | false"
+        " | table=abbc;cond=a-div-b;vacwit=0;sealwit=5",
+        "abbc-r-i | 2,3,3 | x^4 | r | false | -3 | 2 | no | no | false"
+        " | table=abbc;cond=a-div-b;vacwit=-3;sealwit=5"),
+    "a-ndiv-b": (
+        "abbc-r-i | 2,3,3 | x^4 | r | false | -3 | 2 | no | no | false"
+        " | table=abbc;cond=a-ndiv-b;vacwit=-3;sealwit=5",
+        "abbc-r-a | 1,2,2 | x*y*z | r | false | -2 | 1 | no | no | false"
+        " | table=abbc;cond=a-ndiv-b;vacwit=0;sealwit=5"),
+    "b!=2*a": (
+        "abc-i-c1 | 1,3,4 | z^2+x^5*y | bw | true | 0 | 1 | yes | yes | false"
+        " | table=abc;cond=b!=2*a",
+        "abc-i-e2 | 1,2,5 | x^3*z+y^4 | bw | true | 0 | 1 | yes | unknown | false"
+        " | table=abc;cond=b!=2*a"),
+}
+
+
+def _one_record(tmp_path, command, line):
+    """``catalog list`` or ``catalog verify`` (structure only) over a file
+    of this one record"""
+    one = tmp_path / "one.txt"
+    one.write_text(line + "\n", encoding="utf-8")
+    args = ["catalog", command, "--catalog-file", str(one)]
+    if command == "verify":
+        args += ["--checks", "structure"]
+    return CliRunner().invoke(main, args, catch_exceptions=False)
+
+
 @pytest.mark.parametrize("line, message", [
     ("111-i-c0 | 1,1,1 | x^3+y^3+z^3 | i | true | 0 | 0 | yes | yes | false | table=111",
      "111-i-c0: type i and only type i is isolated"),
     (_CATALOG_LINE.replace("| false", "| true"), "111-i-a: type i and only type i is isolated"),
     ("112-r-a | 1,1,2 | x^4 | r | false | 1 | 2 | no | no | false | table=112;vacwit=-2;sealwit=2",
      "112-r-a: reducible rgt must be <= -1"),
+    ("112-r-a | 1,1,2 | x^4 | r | false | <=0 | 2 | no | no | false | table=112;vacwit=-2;sealwit=2",
+     "112-r-a: reducible rgt must be <= -1"),
     ("112-r-a | 1,1,2 | x^4 | r | false | -5 | 2 | yes | no | false | table=112;sealwit=2",
      "112-r-a: r entries are non-vacant and unsealed"),
     ("123-i-a | 1,2,3 | z^2+y^3 | nw | true | 0 | 1 | no | yes | false | table=123;vacwit=-1",
      "123-i-a: nw entries are non-vacant and unsealed"),
-], ids=["i-not-isolated", "isolated-not-i", "reducible-rgt", "r-vacant", "nw-sealed"])
+    (_CATALOG_LINE + ";cond=c=a*b", "111-i-a: unknown condition 'c=a*b'"),
+    (_CONDITION_CASES["c=k*a"][0].replace(";k=3", ""), "aabc-i-a: condition c=k*a fails"),
+], ids=["i-not-isolated", "isolated-not-i", "reducible-rgt", "reducible-rgt-bound", "r-vacant",
+        "nw-sealed", "unknown-condition", "c=k*a-without-k"])
 @pytest.mark.parametrize("command", ["list", "verify"])
 def test_every_catalog_file_gets_the_per_record_rules(tmp_path, command, line, message):
-    one = tmp_path / "one.txt"
-    one.write_text(line + "\n", encoding="utf-8")
-    res = CliRunner().invoke(main, ["catalog", command, "--catalog-file", str(one)],
-                             catch_exceptions=False)
+    res = _one_record(tmp_path, command, line)
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr.splitlines()[-1] == "Error: " + message
+
+
+@pytest.mark.parametrize("command", ["list", "verify"])
+@pytest.mark.parametrize("cond", sorted(_CONDITION_CASES))
+def test_a_record_that_meets_its_condition_is_accepted(tmp_path, command, cond):
+    met, _ = _CONDITION_CASES[cond]
+    res = _one_record(tmp_path, command, met)
+    assert res.exit_code == 0, res.output
+    assert met.split(" | ")[0] in res.stdout
+
+
+@pytest.mark.parametrize("command", ["list", "verify"])
+@pytest.mark.parametrize("cond", sorted(_CONDITION_CASES))
+def test_a_record_that_fails_its_condition_is_refused(tmp_path, command, cond):
+    _, failed = _CONDITION_CASES[cond]
+    res = _one_record(tmp_path, command, failed)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines()[-1].startswith("Error: %s: " % failed.split(" | ")[0])

@@ -331,6 +331,28 @@ def test_per_degree_tables_refuse_an_empty_window(table, name, lo):
             name, bound, lo)
 
 
+def test_ph_closed_form_rows_counts_its_window_once(monkeypatch):
+    """the closed-form rows read PH^i_d off the memo record, so each call
+    counts its cohomology window once, and gives the rows of ph_dims"""
+    real = complexes._window
+    names = []
+
+    def spy(omega, name, lo, bound):
+        names.append(name)
+        return real(omega, name, lo, bound)
+
+    monkeypatch.setattr(complexes, "_window", spy)
+    for weights, text in ((W111, ELLIPTIC), (Weights(1, 2, 3), CUSP)):
+        om = parse_poly(text, weights)
+        for bound in (0, 6):
+            del names[:]
+            rows, _ = complexes.ph_closed_form_rows(om, bound)
+            assert names == ["cohomology"]
+            tab = complexes.ph_dims(om, bound)
+            assert [[r["ph%d" % i] for i in range(4)] for r in rows] == [
+                [tab.dim(i, d) for i in range(4)] for d in range(rows[0]["degree"], bound + 1)]
+
+
 def test_window_budget_admits_every_catalog_default_window():
     largest = 0
     for e in catalog.entries():

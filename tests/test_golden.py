@@ -5,12 +5,16 @@ performance changes.
 ``tests/data/golden_tables.json`` holds, for each of the 125 catalog entries
 at bound n+6, the vacancy, sealed K1, PH, Koszul, M2 and ozone tables;
 ``tests/data/catalog_verify_d9.json`` is the stdout of ``wpoisson catalog
-verify --max-degree 9 --format json``, which exits 0.  Regenerate both, only
-on purpose and from a commit whose numbers are trusted, with
+verify --max-degree 9 --format json``, which exits 0; and
+``tests/data/catalog_list.json`` is the stdout of ``wpoisson catalog list
+--format json``, whose SHA-256 CI also checks against
+``tests/data/catalog_list.sha256``.  Regenerate all of them, only on purpose
+and from a commit whose numbers are trusted, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -26,6 +30,9 @@ DATA = Path(__file__).resolve().parent / "data"
 TABLES = DATA / "golden_tables.json"
 VERIFY = DATA / "catalog_verify_d9.json"
 VERIFY_ARGS = ["catalog", "verify", "--max-degree", "9", "--format", "json"]
+LIST = DATA / "catalog_list.json"
+LIST_SHA = DATA / "catalog_list.sha256"
+LIST_ARGS = ["catalog", "list", "--format", "json"]
 
 
 def entry_tables(entry):
@@ -48,8 +55,8 @@ def _normalise(tables):
     return json.loads(json.dumps(tables))
 
 
-def _verify_stdout():
-    res = CliRunner().invoke(main, VERIFY_ARGS, catch_exceptions=False)
+def _stdout(args):
+    res = CliRunner().invoke(main, args, catch_exceptions=False)
     assert res.exit_code == 0, res.output
     return res.stdout
 
@@ -74,7 +81,12 @@ def test_catalog_tables_equal_golden(golden_tables, entry):
 
 
 def test_catalog_verify_json_equals_golden():
-    assert _verify_stdout() == VERIFY.read_text()
+    assert _stdout(VERIFY_ARGS) == VERIFY.read_text()
+
+
+def test_catalog_list_json_equals_golden():
+    assert _stdout(LIST_ARGS) == LIST.read_text()
+    assert hashlib.sha256(LIST.read_bytes()).hexdigest() == LIST_SHA.read_text().strip()
 
 
 @pytest.mark.parametrize("checks", ["sealed", "vacancy,sealed", "rgt,sealed",
@@ -97,4 +109,6 @@ if __name__ == "__main__":
     # one entry per line, so a changed table shows as a changed line
     TABLES.write_text("{\n%s\n}\n" % ",\n".join(
         "%s: %s" % (json.dumps(eid), json.dumps(tables[eid])) for eid in sorted(tables)))
-    VERIFY.write_text(_verify_stdout())
+    VERIFY.write_text(_stdout(VERIFY_ARGS))
+    LIST.write_text(_stdout(LIST_ARGS))
+    LIST_SHA.write_text(hashlib.sha256(LIST.read_bytes()).hexdigest() + "\n")

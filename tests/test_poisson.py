@@ -413,6 +413,28 @@ def test_verify_automorphism_identity_and_failure():
     assert not verify_automorphism(om, wrong)
 
 
+def test_verify_automorphism_compares_no_polynomial_with_none(monkeypatch):
+    """the check for an input with an s-part tests each rational copy for
+    None by identity, so it calls no Polynomial.__eq__ with None"""
+    real = Polynomial.__eq__
+    with_none = []
+
+    def spy(p, other):
+        if other is None:
+            with_none.append(p)
+        return real(p, other)
+
+    monkeypatch.setattr(Polynomial, "__eq__", spy)
+    qs = FIELDS["Q(s)"]
+    for field, text in ((QQ, "z^2+x^3*y"), (qs, "z^2+x^3*y"), (qs, "z^2+s*x^3*y")):
+        om = parse_poly(text, W112, field=field)
+        for phi in ("x->x; y->y; z->z", "x->y; y->x; z->z", "x->x; y->y; z->-z"):
+            verify_automorphism(om, parse_map(phi, W112, field=field))
+        ident = parse_map("x->x; y->y; z->z", W112, field=field)
+        assert verify_automorphism(om, ident, ident, xi=1)
+    assert with_none == []
+
+
 
 # the oracle suite: on A, verify_automorphism must give the verdict of
 # ref.is_automorphism_by_gradient, J(phi) in k* and grad(O o phi) = J grad(O),
