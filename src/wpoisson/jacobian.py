@@ -20,10 +20,14 @@ never scales, so no step takes a field inverse.
 
 Generators with no s-part in any coefficient run over Q.  Every
 S-polynomial and remainder of rational polynomials is rational, so the run
-over Q is also a run over Q(s): ``buchberger`` lifts its minimal basis to
-monic divisors over Q(s).  The matrices of the gcd of the partials are
-assembled by ``linalg``, over Q when their tables have no s-part, and the
-gcd is read over the potential's field.
+over Q is also a run over Q(s), and its minimal basis is lifted to monic
+divisors over Q(s).  A potential's memo takes its generators, the nonzero
+partials, from the potential's own terms, with no gradient built: over Q,
+or over Q(s) with no s-part, the partials of its primitive integer
+multiple, each over its content, the entries ``buchberger`` makes of the
+partials; else the partials of its terms as they are.  The matrices of the
+gcd of the partials are assembled by ``linalg``, over Q when their tables
+have no s-part, and the gcd is read over the potential's field.
 
 ``buchberger`` returns a minimal Groebner basis, proved before it is
 returned by Buchberger's criterion over the critical pairs only: a pair is
@@ -99,10 +103,10 @@ def _divisor(field, head, terms):
 class GroebnerBasis:
     """Groebner basis under the weighted-degree grevlex order.
 
-    Construct through buchberger(), from the divisors of a minimal basis: no
-    head divides another, and each tail is as the run left it.  Heads, the
-    size, the Hilbert numerator, the gcd and normal forms read these
-    divisors alone.  ``polys``, and so iteration and repr, is the reduced
+    Construct through buchberger() or jacobian_basis(), from the divisors of
+    a minimal basis: no head divides another, each tail as the run left it.
+    Heads, the size, the Hilbert numerator, the gcd and normal forms read
+    these divisors alone.  ``polys``, and so iteration and repr, is the reduced
     basis: monic elements, tails fully reduced.  It is built on first use,
     by inter-reduction proved as buchberger's result is (RingError if the
     proof fails), and cached."""
@@ -329,19 +333,24 @@ def buchberger(gens):
         raise RingError("ideal needs at least one nonzero generator")
     for g in gens[1:]:
         gens[0]._check_compatible(g)
-    weights = gens[0].weights
-    field = gens[0].field
-    if field != QQ:
-        rational = [rational_copy(g) for g in gens]
-        if all(g is not None for g in rational):
-            # a run over Q is a run over Q(s) (module docstring)
-            lifted = [(h, 1, [(m, field.coerce(Fraction(c, lc))) for m, c in tail])
-                      for h, lc, tail in buchberger(rational)._divisors]
-            return GroebnerBasis(lifted, weights, field)
-    entries = [_entry(field, g.terms)[1] for g in gens]
-    divisors, order, pair_used, gen_used = _run(weights, field, entries)
+    rational = [rational_copy(g) for g in gens]
+    if any(g is None for g in rational):
+        return _basis(gens[0].weights, gens[0].field, [g.terms for g in gens], False)
+    return _basis(gens[0].weights, gens[0].field,
+                  [_entry(QQ, g.terms)[1] for g in rational], True)
+
+
+def _basis(weights, field, entries, over_q):
+    """the proved minimal basis over ``field`` of the generators with these
+    loop entries: primitive integer terms when ``over_q``, run over Q and
+    lifted to monic divisors over ``field``, else terms over ``field``"""
+    run_field = QQ if over_q else field
+    divisors, order, pair_used, gen_used = _run(weights, run_field, entries)
     minimal = [divisors[t] for t in order]
     _prove(weights, minimal, entries, *_certified(order, pair_used, gen_used))
+    if run_field != field:
+        minimal = [(h, 1, [(m, field.coerce(Fraction(c, lc))) for m, c in tail])
+                   for h, lc, tail in minimal]
     return GroebnerBasis(minimal, weights, field)
 
 
@@ -480,11 +489,23 @@ def jacobian_basis(omega):
 
 
 def _groebner_basis(memo):
+    """the record's basis, from the partials of its potential's own terms
+    (module docstring)"""
     if memo.groebner_basis is None:
-        grads = [g for g in memo.gradient.comps if g.terms]
-        if not grads:
+        omega, entries = memo.omega, []
+        rational = rational_copy(omega)
+        terms = omega.terms if rational is None else _entry(QQ, rational.terms)[1]
+        for part in ({(e0 - 1, e1, e2): c * e0 for (e0, e1, e2), c in terms.items() if e0},
+                     {(e0, e1 - 1, e2): c * e1 for (e0, e1, e2), c in terms.items() if e1},
+                     {(e0, e1, e2 - 1): c * e2 for (e0, e1, e2), c in terms.items() if e2}):
+            if part:
+                # over Q, omega is k P with k > 0 and P = terms primitive, so a
+                # partial of P over its content is the entry _entry makes of omega's
+                g = 1 if rational is None else math.gcd(*part.values())
+                entries.append(part if g == 1 else {m: c // g for m, c in part.items()})
+        if not entries:
             raise RingError("all partial derivatives vanish")
-        memo.groebner_basis = buchberger(grads)
+        memo.groebner_basis = _basis(omega.weights, omega.field, entries, rational is not None)
     return memo.groebner_basis
 
 

@@ -2,10 +2,11 @@
 seed: the calls of ``jacobian._reduce`` made while building the Jacobian
 bases, in all and split between Buchberger's main loop and the final
 proof's re-reductions, and the ``Polynomial`` objects built while parsing
-the potentials.  The pool is the three jobs of a 35 s run, 96 potentials
-each, with the basis cache emptied before each job, as every benchmark job
-starts in a cold worker.  The pool comes from ``perfbench/inputs.py``, loaded without
-writing anything beside it.
+the potentials and while building their Jacobian bases.  The pool is the
+three jobs of a 35 s run, 96 potentials each, with the basis cache emptied
+before each job, as every benchmark job starts in a cold worker.  The pool
+comes from ``perfbench/inputs.py``, loaded without writing anything beside
+it.
 
 Print the counts from the repository root with
 
@@ -52,9 +53,8 @@ def pool(seed):
     return _parse(_texts(seed))
 
 
-def parse_polynomials(seed=1):
-    """(potentials, Polynomial objects built while parsing them) over the
-    pool of this seed"""
+def _count_polynomials(work):
+    """the Polynomial objects built while work() runs"""
     built = 0
     init = Polynomial.__init__
 
@@ -63,13 +63,38 @@ def parse_polynomials(seed=1):
         built += 1
         init(self, *args)
 
-    texts = _texts(seed)
     Polynomial.__init__ = counted
     try:
-        _parse(texts)
+        work()
     finally:
         Polynomial.__init__ = init
-    return sum(map(len, texts)), built
+    return built
+
+
+def _build_bases(jobs):
+    """the Jacobian basis of every potential, the memo emptied before each
+    job and after the last"""
+    try:
+        for job in jobs:
+            complexes.potential_memo.cache_clear()
+            for omega in job:
+                jacobian.jacobian_basis(omega)
+    finally:
+        complexes.potential_memo.cache_clear()
+
+
+def parse_polynomials(seed=1):
+    """(potentials, Polynomial objects built while parsing them) over the
+    pool of this seed"""
+    texts = _texts(seed)
+    return sum(map(len, texts)), _count_polynomials(lambda: _parse(texts))
+
+
+def basis_polynomials(seed=1):
+    """(potentials, Polynomial objects built while building their Jacobian
+    bases) over the pool of this seed"""
+    jobs = pool(seed)
+    return sum(map(len, jobs)), _count_polynomials(lambda: _build_bases(jobs))
 
 
 def reduce_phases(seed=1):
@@ -98,13 +123,9 @@ def reduce_phases(seed=1):
     jobs = pool(seed)
     jacobian._reduce, jacobian._prove = counted_reduce, counted_prove
     try:
-        for job in jobs:
-            complexes.potential_memo.cache_clear()
-            for omega in job:
-                jacobian.jacobian_basis(omega)
+        _build_bases(jobs)
     finally:
         jacobian._reduce, jacobian._prove = reduce, prove
-        complexes.potential_memo.cache_clear()
     return sum(map(len, jobs)), calls[0], calls[1]
 
 
@@ -124,3 +145,5 @@ if __name__ == "__main__":
     count, built = parse_polynomials(seed)
     print("Polynomial objects built parsing the seed-%d groebner pool (%d potentials): %d"
           % (seed, count, built))
+    count, built = basis_polynomials(seed)
+    print("Polynomial objects built building the Jacobian bases of that pool: %d" % built)

@@ -43,7 +43,8 @@ from wpoisson.ring import (
 from reference_maps import (bigatti_numerator, critical_pairs_by_lcm_table, eager_reduced_basis,
                             gcd_by_fold, gkdim_by_subsets, mono_divides, mono_lcm,
                             standard_monomials)
-from reduce_count import parse_polynomials, pool, reduce_calls, reduce_phases
+from reduce_count import (basis_polynomials, load_perfbench, parse_polynomials, pool,
+                          reduce_calls, reduce_phases)
 
 
 def _mul_term(p, m, coef):
@@ -985,6 +986,73 @@ def test_parsing_the_seed_1_groebner_pool_builds_one_polynomial_per_string():
     potential's Polynomial once; the recursive-descent parser built 7,459
     for these 288 strings"""
     assert parse_polynomials(1) == (288, 288)
+
+
+# (potentials, Polynomial objects built while building their Jacobian bases)
+# over the seed-1 groebner pool, pinned below and quoted in the README
+BASIS_POLYNOMIALS = (288, 0)
+
+
+def test_building_the_seed_1_jacobian_bases_builds_no_polynomial():
+    """a deterministic work count: the memo's bases start from the partials
+    of the potential's own terms; the Fraction gradient they started from
+    built 864, three per potential, each turned straight back into integer
+    terms"""
+    assert basis_polynomials(1) == BASIS_POLYNOMIALS
+
+
+def _route_cases():
+    """the catalog, the seed-1 groebner pool, two unit ideals, and both
+    extension families of the benchmark, each with rational lambdas and
+    lambdas outside Q"""
+    yield from _gkdim_cases()
+    inputs = load_perfbench("inputs")
+    for fam, lams in ((inputs.CUBIC, ["-3", "3/2", "-1/3", "1+s", "-2-3*s", "3+3*s"]),
+                      (inputs.QUARTIC, ["2", "-5/2", "1/3", "s", "-1+2*s", "3-s"])):
+        field = ExtensionField(list(fam["modulus"]))
+        for lam in lams:
+            yield parse_poly(fam["template"] % lam, Weights(*fam["weights"]), field)
+
+
+def test_the_memo_basis_is_the_basis_of_the_nonzero_partials(monkeypatch):
+    """jacobian_basis starts from the potential's terms, not from its
+    gradient, yet must hand Buchberger's loop the entries, term for term and
+    in the same order, that buchberger makes of the nonzero partials, and so
+    give the same divisors and reduced basis"""
+    runs = []
+    run = jacobian._run
+
+    def spy(weights, field, entries):
+        runs.append((field, [list(terms.items()) for terms in entries]))
+        return run(weights, field, entries)
+
+    monkeypatch.setattr(jacobian, "_run", spy)
+    fields = {}
+    for omega in _route_cases():
+        complexes.potential_memo.cache_clear()
+        got = jacobian_basis(omega)
+        want = buchberger([g for g in gradient(omega).comps if g.terms])
+        assert len(runs) == 2 and runs[0] == runs[1], omega
+        assert got._divisors == want._divisors, omega
+        assert got.polys == want.polys, omega
+        key = (omega.field, runs[0][0] == QQ)
+        fields[key] = fields.get(key, 0) + 1
+        runs.clear()
+    assert sum(fields.values()) == 125 + 288 + 2 + 12
+    assert len(fields) == 5 and min(fields.values()) == 3, fields
+
+
+def test_the_refusals_of_an_empty_ideal_are_unchanged():
+    """a nonzero constant has no nonzero partial, over Q and over Q(s),
+    with and without an s-part; buchberger needs a nonzero generator"""
+    field = ExtensionField([1, 1, 1])
+    for omega in (parse_poly("5/2", W111), parse_poly("3", W111, field),
+                  parse_poly("1+s", W111, field)):
+        with pytest.raises(RingError, match="^all partial derivatives vanish$"):
+            jacobian_basis(omega)
+    for gens in ([], [Polynomial.zero(W111)]):
+        with pytest.raises(RingError, match="^ideal needs at least one nonzero generator$"):
+            buchberger(gens)
 
 
 def _gkdim_cases():

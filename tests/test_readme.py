@@ -19,7 +19,7 @@ from wpoisson.ring import count_monomials
 from conftest import DESELECTED
 from reference_maps import window_top
 from test_complexes import PASS_MATRICES, PASS_MEMO_LOOKUPS, PASS_ROOT_ATTEMPTS
-from test_jacobian import REDUCE_PHASES
+from test_jacobian import BASIS_POLYNOMIALS, REDUCE_PHASES
 from test_poisson import EXTENSION_RECORD_LOOKUPS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -107,7 +107,8 @@ def test_readme_quotes_the_work_counts():
     """the CI paragraph's work counts are the constants that the counter
     tests pin; its times are not, as they depend on the machine"""
     _, main, proof = REDUCE_PHASES
-    quotes = ["(%s: %s and %s)" % tuple(format(n, ",") for n in (main + proof, main, proof))]
+    quotes = ["(%s: %s and %s)" % tuple(format(n, ",") for n in (main + proof, main, proof)),
+              "building its Jacobian bases (%s;" % format(BASIS_POLYNOMIALS[1], ",")]
     quotes += ["%s: H %s and K2 %s" % tuple(format(n, ",") for n in (
         sum(PASS_MATRICES[bound].values()), PASS_MATRICES[bound]["H"], PASS_MATRICES[bound]["K2"]))
         for bound in ("3n+12", "n+6")]
