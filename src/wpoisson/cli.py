@@ -1,13 +1,16 @@
 """Command-line surface.
 
-Every computation the library offers is reachable from here.  Output is
-deterministic: identical inputs produce byte-identical text in all three
-formats.  Exit codes: 0 success (and all verifications passed), 1 a
-verification-style command found a mismatch, 2 malformed input or usage.
+Every invariant the paper tabulates is reachable from here; graded
+derivation spaces, graded twists, the Hilbert function of A/J and the
+Koszul matrices are library only.  Output is deterministic: identical
+inputs produce byte-identical text in all three formats.  Exit codes: 0
+success (and all verifications passed), 1 a checking command reports its
+checked flag false, 2 malformed input or usage.
 """
 
 import csv
 import functools
+import inspect
 import io
 import json
 import re
@@ -29,7 +32,7 @@ from .poisson import (
     jacobian_determinant,
     PoissonStructure,
 )
-from .jacobian import gcd_partials, gkdim, has_isolated_singularity
+from .jacobian import gcd_partials, gkdim
 from .complexes import (
     default_bound,
     koszul_dims,
@@ -110,11 +113,6 @@ def _parse_field(text):
         raise RingError("--field " + msg) from None
 
 
-def _field_input(field, text):
-    """the --field text to report, or None over Q, whose reports omit it"""
-    return None if field is QQ else text
-
-
 def _poly(text, weights, field):
     try:
         return parse_poly(text, weights, field=field)
@@ -134,20 +132,11 @@ def _structure(weights, field, potential, pxy, pyz, pzx):
                             _poly(pzx, weights, field))
 
 
-def _bound(omega, max_degree):
-    """the truncation bound: --max-degree, else ``complexes.default_bound``"""
-    return default_bound(check_potential(omega)) if max_degree is None else max_degree
-
-
-def _scalar(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
-
-
-def _emit(command, inputs, results, fmt, bound=None):
-    """Render one report.  ``results["rows"]``, when present, is the list of
-    dicts that the table and csv formats lay out as rows."""
+def _emit(command, inputs, results, fmt, bound=None, check=None):
+    """Render one report, and exit 1 when ``check`` names a result flag that
+    is false, so the exit code is read off the report.  ``results["rows"]``,
+    when present, is the list of dicts that the table and csv formats lay
+    out as rows."""
     inputs = {k: v for k, v in inputs.items() if v is not None}
     rows = results.get("rows")
     if fmt == "json":
@@ -159,44 +148,33 @@ def _emit(command, inputs, results, fmt, bound=None):
             "version": __version__,
         }
         click.echo(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-        return
-    if fmt == "csv":
+    elif fmt == "csv":
         buf = io.StringIO()
         records = rows or [results]
         writer = csv.DictWriter(buf, fieldnames=list(records[0]), lineterminator="\n")
         writer.writeheader()
-        for record in records:
-            writer.writerow({k: _scalar(v) for k, v in record.items()})
+        writer.writerows(records)
         click.echo(buf.getvalue(), nl=False)
-        return
-    # table
-    for key, value in inputs.items():
-        click.echo("# %s: %s" % (key, value))
-    if bound is not None:
-        click.echo("# truncation bound: %d" % bound)
-    if rows:
-        headers = list(rows[0].keys())
-        widths = [max(len(str(h)), max(len(str(_scalar(r[h]))) for r in rows))
-                  for h in headers]
-        click.echo("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-        for row in rows:
-            click.echo("  ".join(str(_scalar(row[h])).ljust(w)
-                                 for h, w in zip(headers, widths)))
-    for key, value in results.items():
-        if rows and key == "rows":
-            continue
-        click.echo("%s: %s" % (key, _scalar(value)))
+    else:
+        for key, value in inputs.items():
+            click.echo("# %s: %s" % (key, value))
+        if bound is not None:
+            click.echo("# truncation bound: %d" % bound)
+        if rows:
+            headers = list(rows[0].keys())
+            widths = [max(len(str(h)), max(len(str(r[h])) for r in rows)) for h in headers]
+            click.echo("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
+            for row in rows:
+                click.echo("  ".join(str(row[h]).ljust(w) for h, w in zip(headers, widths)))
+        for key, value in results.items():
+            if not (rows and key == "rows"):
+                click.echo("%s: %s" % (key, value))
+    if check is not None and not results[check]:
+        sys.exit(1)
 
 
 _format = click.option("--format", "fmt", default="table",
                        type=click.Choice(["table", "json", "csv"]))
-
-
-def _common(fn):
-    fn = click.option("--weights", "-w", required=True, help="a,b,c")(fn)
-    fn = click.option("--field", "field_text", default="rationals",
-                      help="rationals (default) or a monic modulus in s")(fn)
-    return _format(fn)
 
 
 class _Main(click.Group):
@@ -217,152 +195,137 @@ def main():
     """Exact computations for weighted graded Poisson structures on k[x,y,z]."""
 
 
-def _structure_command(body):
-    """Register a command on a bracket given by --potential or by the three
-    --pxy/--pyz/--pzx components.  The body gets the structure, the format,
-    the inputs to report and its own options."""
-
-    @functools.wraps(body)
-    def command(weights, field_text, fmt, potential, pxy, pyz, pzx, **options):
-        field = _parse_field(field_text)
-        s = _structure(_parse_weights(weights), field, potential, pxy, pyz, pzx)
-        inputs = {"weights": weights, "field": _field_input(field, field_text),
-                  "potential": potential, "pxy": pxy, "pyz": pyz, "pzx": pzx}
-        body(s, fmt, inputs, **options)
-
-    # click lists options last-applied first: --help shows the shared
-    # options, then the structure, then the body's own
-    fn = command
-    for name in ("--pzx", "--pyz", "--pxy"):
-        fn = click.option(name, default=None)(fn)
-    fn = click.option("--potential", "-p", default=None)(fn)
-    return main.command()(_common(fn))
-
-
-def _potential_command(name, bound=False):
-    """Register a command on one --potential.  The body gets the potential,
-    the format, the inputs to report and its own options; with ``bound``
-    (which adds --max-degree) also the truncation bound."""
+def _command(name, structure=False, bound=False, check=None):
+    """Register a command on one --potential or, with ``structure``, on a
+    bracket given by --potential or by the three --pxy/--pyz/--pzx
+    components.  The body gets that subject, its own options and, with
+    ``bound`` (which adds --max-degree), the truncation bound, and returns
+    its results.  The report's inputs are the shared options, then the
+    body's own, each named as its flag; ``check`` names the result flag
+    that exits 1 when false."""
 
     def register(body):
-        @functools.wraps(body)
-        def command(weights, field_text, fmt, potential, **options):
-            field = _parse_field(field_text)
-            omega = _poly(potential, _parse_weights(weights), field)
-            if bound:
-                options["bound"] = _bound(omega, options.pop("max_degree"))
-            inputs = {"weights": weights, "field": _field_input(field, field_text),
-                      "potential": potential}
-            body(omega, fmt, inputs, **options)
+        # click passes options in the order they were given; report the
+        # body's own in the order of its signature
+        order = list(inspect.signature(body).parameters)
 
+        @functools.wraps(body)
+        def command(weights, field_text, fmt, potential, pxy=None, pyz=None, pzx=None,
+                    max_degree=None, **options):
+            field = _parse_field(field_text)
+            if structure:
+                subject = _structure(_parse_weights(weights), field, potential, pxy, pyz, pzx)
+            else:
+                subject = _poly(potential, _parse_weights(weights), field)
+            inputs = {"weights": weights, "field": None if field is QQ else field_text,
+                      "potential": potential, "pxy": pxy, "pyz": pyz, "pzx": pzx}
+            inputs.update((k, options[k]) for k in order if k in options)
+            if bound:
+                options["bound"] = (default_bound(check_potential(subject))
+                                    if max_degree is None else max_degree)
+            _emit(name, inputs, body(subject, **options), fmt, options.get("bound"), check)
+
+        # click lists options last-applied first: --help shows the shared
+        # options, then the subject, then the body's own
         fn = command
-        if bound:
-            fn = click.option("--max-degree", "-D", type=int, default=None)(fn)
-        fn = click.option("--potential", "-p", required=True)(fn)
-        return main.command(name)(_common(fn))
+        if structure:
+            for flag in ("--pzx", "--pyz", "--pxy"):
+                fn = click.option(flag, default=None)(fn)
+            fn = click.option("--potential", "-p", default=None)(fn)
+        else:
+            if bound:
+                fn = click.option("--max-degree", "-D", type=int, default=None)(fn)
+            fn = click.option("--potential", "-p", required=True)(fn)
+        fn = click.option("--weights", "-w", required=True, help="a,b,c")(fn)
+        fn = click.option("--field", "field_text", default="rationals",
+                          help="rationals (default) or a monic modulus in s")(fn)
+        return main.command(name)(_format(fn))
 
     return register
 
 
-@_structure_command
-@click.option("--f", "f_text", required=True)
-@click.option("--g", "g_text", required=True)
-def bracket(s, fmt, inputs, f_text, g_text):
+@_command("bracket", structure=True)
+@click.option("--f", required=True)
+@click.option("--g", required=True)
+def bracket(s, f, g):
     """Poisson bracket {f, g}."""
-    result = poisson_bracket(s, _poly(f_text, s.weights, s.field),
-                             _poly(g_text, s.weights, s.field))
-    _emit("bracket", {**inputs, "f": f_text, "g": g_text},
-          {"bracket": format_poly(result)}, fmt)
+    result = poisson_bracket(s, _poly(f, s.weights, s.field), _poly(g, s.weights, s.field))
+    return {"bracket": format_poly(result)}
 
 
-@_structure_command
-def jacobi(s, fmt, inputs):
+@_command("jacobi", structure=True, check="is_zero")
+def jacobi(s):
     """Jacobiator of the structure; exit 1 if nonzero."""
     j = jacobiator(s)
-    ok = j.is_zero()
-    _emit("jacobi", inputs, {"jacobiator": format_poly(j), "is_zero": ok}, fmt)
-    if not ok:
-        sys.exit(1)
+    return {"jacobiator": format_poly(j), "is_zero": j.is_zero()}
 
 
-@_structure_command
-def modular(s, fmt, inputs):
+@_command("modular", structure=True, check="is_zero")
+def modular(s):
     """Modular vector field; exit 1 if nonzero (non-unimodular)."""
     m = modular_derivation(s)
-    ok = m.is_zero()
-    results = {"components": [format_poly(c) for c in m.comps], "is_zero": ok}
-    _emit("modular", inputs, results, fmt)
-    if not ok:
-        sys.exit(1)
+    return {"components": [format_poly(c) for c in m.comps], "is_zero": m.is_zero()}
 
 
-@_potential_command("rgt")
-def rgt_cmd(omega, fmt, inputs):
+@_command("rgt")
+def rgt_cmd(omega):
     """Rigidity index of the graded twist space."""
-    _emit("rgt", inputs, {"rgt": rgt(omega)}, fmt)
+    return {"rgt": rgt(omega)}
 
 
-@_potential_command("gkdim")
-def gkdim_cmd(omega, fmt, inputs):
+@_command("gkdim")
+def gkdim_cmd(omega):
     """GK-dimension of the singular quotient ring."""
-    _emit("gkdim", inputs, {"gkdim": gkdim(omega)}, fmt)
+    return {"gkdim": gkdim(omega)}
 
 
-@_potential_command("singularity")
-def singularity(omega, fmt, inputs):
+@_command("singularity")
+def singularity(omega):
     """Isolated-singularity test with supporting data."""
-    results = {
-        "isolated": has_isolated_singularity(omega),
-        "gkdim": gkdim(omega),
-        "gcd_of_partials": format_poly(gcd_partials(omega)),
-    }
-    _emit("singularity", inputs, results, fmt)
+    dim = gkdim(omega)
+    return {"isolated": dim == 0, "gkdim": dim,
+            "gcd_of_partials": format_poly(gcd_partials(omega))}
 
 
-@_potential_command("cohomology", bound=True)
-def cohomology(omega, fmt, inputs, bound):
+@_command("cohomology", bound=True)
+def cohomology(omega, bound):
     """Poisson cohomology dimension table, with closed-form comparison."""
     rows, matches = ph_closed_form_rows(omega, bound)
-    _emit("cohomology", inputs, {
-        "rows": rows,
-        "matches_closed_form": "not applicable" if matches is None else matches,
-    }, fmt, bound)
+    return {"rows": rows,
+            "matches_closed_form": "not applicable" if matches is None else matches}
 
 
-@_potential_command("koszul", bound=True)
-def koszul(omega, fmt, inputs, bound):
+@_command("koszul", bound=True)
+def koszul(omega, bound):
     """Koszul homology dimensions for the partial-derivative sequence."""
     tab = koszul_dims(omega, bound)
-    rows = [{"degree": d, **{"h%d" % i: tab.dim(i, d) for i in range(4)}}
-            for d in range(0, bound + 1)]
-    _emit("koszul", inputs, {"rows": rows}, fmt, bound)
+    return {"rows": [{"degree": d, **{"h%d" % i: tab.dim(i, d) for i in range(4)}}
+                     for d in range(0, bound + 1)]}
 
 
-@_potential_command("sealed", bound=True)
-def sealed(omega, fmt, inputs, bound):
+@_command("sealed", bound=True)
+def sealed(omega, bound):
     """Sealed first Koszul homology deviation, per degree up to the bound."""
     dims, all_zero = sealed_k1_dims(omega, bound)
-    rows = [{"degree": d, "dim": dims[d]} for d in sorted(dims)]
-    _emit("sealed", inputs, {"rows": rows, "all_zero_up_to_bound": all_zero}, fmt, bound)
+    return {"rows": [{"degree": d, "dim": dims[d]} for d in sorted(dims)],
+            "all_zero_up_to_bound": all_zero}
 
 
-@_potential_command("vacancy", bound=True)
-def vacancy(omega, fmt, inputs, bound):
+@_command("vacancy", bound=True)
+def vacancy(omega, bound):
     """Unresolved second-cohomology dimensions, per degree up to the bound."""
     dims = vacancy_check(omega, bound)
-    rows = [{"degree": d, "dim": dims[d]} for d in sorted(dims)]
-    _emit("vacancy", inputs, {
-        "rows": rows, "all_zero_up_to_bound": all(v == 0 for v in dims.values())}, fmt, bound)
+    return {"rows": [{"degree": d, "dim": dims[d]} for d in sorted(dims)],
+            "all_zero_up_to_bound": all(v == 0 for v in dims.values())}
 
 
-@_potential_command("ozone", bound=True)
-def ozone(omega, fmt, inputs, bound):
+@_command("ozone", bound=True)
+def ozone(omega, bound):
     """Ozone-vs-hamiltonian dimension comparison per degree."""
     table = ozone_vs_hamiltonian(omega, bound)
     rows = [{"degree": d, "ozone": o, "hamiltonian": h, "equal": o == h}
             for d, (o, h) in sorted(table.items())]
-    _emit("ozone", inputs, {
-        "rows": rows, "agree_up_to_bound": all(r["equal"] for r in rows)}, fmt, bound)
+    return {"rows": rows, "agree_up_to_bound": all(r["equal"] for r in rows)}
 
 
 def _xi_value(text):
@@ -382,28 +345,23 @@ def _xi_value(text):
     raise RingError("bad --xi %r: integer exceeds the 10^6 guard" % text)
 
 
-@_potential_command("verify-aut")
-@click.option("--map", "map_text", required=True,
-              help='"x->expr; y->expr; z->expr"')
-@click.option("--inverse", "inverse_text", default=None)
+@_command("verify-aut", check="passed")
+@click.option("--map", required=True, help='"x->expr; y->expr; z->expr"')
+@click.option("--inverse", default=None)
 @click.option("--xi", default=None, help="verify on the fiber Omega = xi")
-def verify_aut(omega, fmt, inputs, map_text, inverse_text, xi):
+def verify_aut(omega, map, inverse, xi):
     """Check a substitution map as a (quotient) Poisson automorphism."""
     try:
-        phi = parse_map(map_text, omega.weights, field=omega.field)
-        psi = parse_map(inverse_text, omega.weights, field=omega.field) if inverse_text else None
+        phi = parse_map(map, omega.weights, field=omega.field)
+        psi = parse_map(inverse, omega.weights, field=omega.field) if inverse else None
     except (ParseError, RingError) as exc:
         _bad_input("bad map", exc)
     xi_val = None if xi is None else _xi_value(xi)
-    ok = verify_automorphism(omega, phi, psi, xi_val)
-    results = {"passed": ok, "jacobian_det": format_poly(jacobian_determinant(phi)),
-               "mode": "graded"}
+    results = {"passed": verify_automorphism(omega, phi, psi, xi_val),
+               "jacobian_det": format_poly(jacobian_determinant(phi)), "mode": "graded"}
     if xi is not None:
         results.update(mode="quotient", xi=str(xi_val))
-    inputs.update(map=map_text, inverse=inverse_text, xi=xi)
-    _emit("verify-aut", inputs, results, fmt)
-    if not ok:
-        sys.exit(1)
+    return results
 
 
 @main.group()
@@ -450,9 +408,7 @@ def catalog_verify(selector, max_degree, checks, catalog_file, fmt):
         "rows": rows,
     }
     inputs = {"filter": selector, "max_degree": max_degree, "checks": checks}
-    _emit("catalog-verify", inputs, results, fmt, bound=max_degree)
-    if mismatches:
-        sys.exit(1)
+    _emit("catalog-verify", inputs, results, fmt, max_degree, check="ok")
 
 
 @catalog.command("list")
@@ -491,9 +447,7 @@ def selftest(seed, cases, fmt):
     rows = [{"suite": name, "cases": n, "failures": bad}
             for name, n, bad in outcomes]
     ok = all(bad == 0 for _, _, bad in outcomes)
-    _emit("selftest", {"seed": seed, "cases": cases}, {"rows": rows, "ok": ok}, fmt)
-    if not ok:
-        sys.exit(1)
+    _emit("selftest", {"seed": seed, "cases": cases}, {"rows": rows, "ok": ok}, fmt, check="ok")
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 import json
 import sys
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -942,3 +943,56 @@ def test_a_record_that_fails_its_condition_is_refused(tmp_path, command, cond):
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr.splitlines()[-1].startswith("Error: %s: " % failed.split(" | ")[0])
+
+
+# the flags of every subcommand, in --help order: the flag strings, whether
+# it is required, its default and its choices.  README calls them public
+# contract, so a change to any of them must show here
+_FORMAT = (("--format",), False, "table", ("table", "json", "csv"))
+_SHARED = [_FORMAT, (("--field",), False, "rationals", None),
+           (("--weights", "-w"), True, None, None)]
+_STRUCTURE = _SHARED + [(("--potential", "-p"), False, None, None),
+                        (("--pxy",), False, None, None), (("--pyz",), False, None, None),
+                        (("--pzx",), False, None, None)]
+_POTENTIAL = (("--potential", "-p"), True, None, None)
+_MAX_DEGREE = (("--max-degree", "-D"), False, None, None)
+_FLAGS = {
+    "bracket": _STRUCTURE + [(("--f",), True, None, None), (("--g",), True, None, None)],
+    "jacobi": _STRUCTURE,
+    "modular": _STRUCTURE,
+    **{name: _SHARED + [_POTENTIAL] for name in ("rgt", "gkdim", "singularity")},
+    **{name: _SHARED + [_POTENTIAL, _MAX_DEGREE]
+       for name in ("cohomology", "koszul", "sealed", "vacancy", "ozone")},
+    "verify-aut": _SHARED + [_POTENTIAL, (("--map",), True, None, None),
+                             (("--inverse",), False, None, None), (("--xi",), False, None, None)],
+    "catalog verify": [(("--filter",), False, None, None), _MAX_DEGREE,
+                       (("--checks",), False, None, None),
+                       (("--catalog-file",), False, None, None), _FORMAT],
+    "catalog list": [(("--filter",), False, None, None),
+                     (("--catalog-file",), False, None, None), _FORMAT],
+    "selftest": [(("--seed",), False, 20240817, None), (("--cases",), False, 100, None),
+                 _FORMAT],
+}
+
+
+def _subcommands(group, prefix=""):
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from _subcommands(command, prefix + name + " ")
+        else:
+            yield prefix + name, command
+
+
+def _flag(param):
+    # click 8.3 marks an option with no default by a sentinel, older click by
+    # None; older click keeps the choices as given, a list
+    default = None if param.default is getattr(click.core, "UNSET", None) else param.default
+    choices = getattr(param.type, "choices", None)
+    return (tuple(param.opts), param.required, default, choices and tuple(choices))
+
+
+def test_every_subcommand_keeps_its_flags():
+    flags = {name: [_flag(p) for p in command.params] for name, command in _subcommands(main)}
+    assert sorted(flags) == sorted(_FLAGS)
+    for name, want in _FLAGS.items():
+        assert flags[name] == want, name

@@ -3,7 +3,9 @@
 that take them, and --xi on verify-aut, the --pxy/--pyz/--pzx components
 of the structure commands and selftest's --cases and --seed.  Every case
 must exit 0, 1 or 2 and print no traceback; a case that exits 2 prints one
-``error:`` line, or click's usage block ending in one ``Error:`` line.
+``error:`` line, or click's usage block ending in one ``Error:`` line.  A
+case that exits 0 or 1 in ``--format json`` exits 1 exactly when the flag
+its command checks is false in its report.
 ``catalog verify`` cases draw --filter by entry id and by type, --checks
 subsets and bounds, and must pass or be refused.
 Cases are bounded by counts, not by a clock: small weights, degrees and
@@ -49,6 +51,10 @@ SMALL_CASES = ["1", "2", "3"]
 BAD_CASES = ["0", "-1", "abc", "", "1.5", "0x10", "10001", "100000000",
              "99999999999999999999"]
 SEEDS = ["0", "1", "-7", "20240817", "99999999999999999999", "abc", "", "1.5"]
+# the reported flag that each checking command reads its exit code off;
+# every other command exits 0 when it reports
+CHECKED_FLAGS = {"jacobi": "is_zero", "modular": "is_zero", "verify-aut": "passed",
+                 "catalog-verify": "ok", "selftest": "ok"}
 
 
 def _mutate(rng, text):
@@ -148,9 +154,18 @@ def _case(rng):
     else:
         args = ["bracket"] + common + ["--f", _poly_text(rng, weights, 1, ext),
                                        "--g", _mutate(rng, "x*y")]
-    if rng.random() < 0.2:
+    fmt = rng.random()
+    if fmt < 0.2:
         args += ["--format", rng.choice(["json", "csv", "table"])]
+    elif fmt < 0.5 and args[0] in CHECKED_FLAGS:
+        args += ["--format", "json"]
     return args
+
+
+def _format(args):
+    """the --format a case runs in: click takes the last one given"""
+    at = [i for i, a in enumerate(args) if a == "--format"]
+    return args[at[-1] + 1] if at else "table"
 
 
 def _check(args, res):
@@ -160,6 +175,11 @@ def _check(args, res):
     assert res.exit_code in (0, 1, 2), what
     assert "Traceback" not in res.stdout + res.stderr, what
     if res.exit_code != 2:
+        if _format(args) == "json":
+            doc = json.loads(res.stdout)
+            flag = CHECKED_FLAGS.get(doc["command"])
+            failed = flag is not None and doc["results"][flag] is False
+            assert res.exit_code == (1 if failed else 0), what
         return
     assert res.stdout == "", what
     lines = res.stderr.splitlines()
@@ -187,6 +207,8 @@ def _structure_case(rng):
         args += ["--potential", _potential(rng, weights, False)]
     if args[0] == "bracket":
         args += ["--f", rng.choice(VARS), "--g", _mutate(rng, "x*y")]
+    elif rng.random() < 0.5:
+        args += ["--format", "json"]
     return args
 
 
@@ -202,7 +224,8 @@ def _xi_case(rng):
     if rng.random() < 0.85:
         args += ["--inverse", phi if phi == identity else _map(rng, weights, False)]
     xi = rng.choice(XI_VALUES if rng.random() < 0.5 else BAD_XI)
-    return args + ["--xi", _mutate(rng, xi) if rng.random() < 0.15 else xi]
+    args += ["--xi", _mutate(rng, xi) if rng.random() < 0.15 else xi]
+    return args + ["--format", "json"] if rng.random() < 0.5 else args
 
 
 def _selftest_case(rng):
@@ -279,8 +302,11 @@ def _catalog_case(rng):
         args += ["--max-degree", rng.choice(HUGE_BOUNDS)]
     else:
         args += ["--max-degree", rng.choice(BAD_BOUNDS)]
-    if rng.random() < 0.3:
+    fmt = rng.random()
+    if fmt < 0.3:
         args += ["--format", rng.choice(["json", "csv", "table"])]
+    elif fmt < 0.6:
+        args += ["--format", "json"]
     return args
 
 

@@ -8,14 +8,20 @@ at bound n+6, the vacancy, sealed K1, PH, Koszul, M2 and ozone tables;
 verify --max-degree 9 --format json``, which exits 0; and
 ``tests/data/catalog_list.json`` is the stdout of ``wpoisson catalog list
 --format json``, whose SHA-256 CI also checks against
-``tests/data/catalog_list.sha256``.  Regenerate all of them, only on purpose
-and from a commit whose numbers are trusted, with
+``tests/data/catalog_list.sha256``; and ``tests/data/cli_reports.json``
+holds the stdout and exit code of every subcommand in all three formats, of
+failing ``jacobi``, ``modular``, ``verify-aut`` and ``catalog verify`` runs,
+and of five refusals, with the last stderr line of each run that exits 2.
+Rendered ``--help`` text is left out, as its layout depends on the click
+version.  Regenerate all of them, only on purpose and from a commit whose
+numbers are trusted, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -33,6 +39,50 @@ VERIFY_ARGS = ["catalog", "verify", "--max-degree", "9", "--format", "json"]
 LIST = DATA / "catalog_list.json"
 LIST_SHA = DATA / "catalog_list.sha256"
 LIST_ARGS = ["catalog", "list", "--format", "json"]
+REPORTS = DATA / "cli_reports.json"
+# a catalog record whose rgt is wrong: x*y*z has rgt -2
+WRONG_RGT = ("111-r-c | 1,1,1 | x*y*z | r | false | -1 | 1 | no | no | false"
+             " | table=111;vacwit=0;sealwit=3")
+# one input per subcommand, each run in all three formats, then the runs
+# whose checked flag fails (exit 1); {wrong_rgt} stands for a file of WRONG_RGT.
+# A table lists a command's own options in their declared order, however
+# they are given: bracket and the first verify-aut give them out of order
+_REPORTED = [
+    ["bracket", "-w", "1,1,2", "-p", "z^2+x^3*y", "--g", "y", "--f", "x"],
+    ["jacobi", "-w", "1,2,3", "-p", "z^2+y^3"],
+    ["modular", "-w", "1,1,1", "--pxy", "z", "--pyz", "x", "--pzx", "y"],
+    ["rgt", "-w", "1,1,2", "-p", "x^2*z+x*y^3"],
+    ["gkdim", "-w", "1,1,1", "-p", "x*y*z"],
+    ["singularity", "--field", "s^2+s+1", "-w", "1,1,1", "-p", "(x+s*y)^2*z"],
+    ["cohomology", "-w", "1,1,1", "-p", "x^3+y^3+z^3+x*y*z", "-D", "4"],
+    ["koszul", "-w", "1,1,2", "-p", "z^2+x^3*y", "-D", "5"],
+    ["sealed", "-w", "1,1,1", "-p", "x^3+y^3+z^3", "-D", "5"],
+    ["vacancy", "-w", "1,2,2", "-p", "x*y*z", "-D", "6"],
+    ["ozone", "-w", "1,2,3", "-p", "z^2+y^3", "-D", "6"],
+    ["verify-aut", "-w", "1,1,2", "-p", "x^4+y^4+z^2+x*y*z", "--field", "s^2+1",
+     "--xi", "1", "--inverse", "x->s*y; y->-s*x; z->-z-x*y",
+     "--map", "x->s*y; y->-s*x; z->-z-x*y"],
+    ["catalog", "verify", "--filter", "111-i-c1", "--max-degree", "5"],
+    ["catalog", "list", "--filter", "type:nw"],
+    ["selftest", "--cases", "2"],
+    ["jacobi", "-w", "1,1,1", "--pxy", "x", "--pyz", "y", "--pzx", "z"],
+    ["modular", "-w", "1,1,1", "--pxy", "x*y", "--pyz", "y*z", "--pzx", "x^2"],
+    ["verify-aut", "-w", "1,1,1", "-p", "x*y*z", "--map", "x->x*y; y->y; z->z"],
+    ["verify-aut", "-w", "1,2,3", "-p", "x^6+y^3+z^2+x*y*z", "--map", "x->2*x; y->4*y; z->8*z",
+     "--inverse", "x->(1/2)*x; y->(1/4)*y; z->(1/8)*z", "--xi", "1"],
+    ["catalog", "verify", "--catalog-file", "{wrong_rgt}", "--max-degree", "4"],
+]
+# refusals: an empty window, an over-budget bound, a reducible --field, a
+# syntax error and a budget error
+_REFUSED = [
+    ["vacancy", "-w", "1,1,1", "-p", "x^3+y^3+z^3", "-D", "-5"],
+    ["koszul", "-w", "1,1,1", "-p", "x^3+y^3+z^3", "-D", "1000000000"],
+    ["rgt", "-w", "1,1,1", "--field", "s^2-1", "-p", "x^3+y^3+z^3"],
+    ["rgt", "-w", "1,1,1", "-p", "x^3+y^3+"],
+    ["rgt", "-w", "1,1,1", "-p", "x^3+y^3+z^3+2000000*x*y*z"],
+]
+CLI_CASES = [args + ["--format", fmt] for args in _REPORTED
+             for fmt in ("table", "json", "csv")] + _REFUSED
 
 
 def entry_tables(entry):
@@ -59,6 +109,19 @@ def _stdout(args):
     res = CliRunner().invoke(main, args, catch_exceptions=False)
     assert res.exit_code == 0, res.output
     return res.stdout
+
+
+def _transcript(args, tmp_dir):
+    """the exit code and stdout of one run, and its last stderr line when it
+    exits 2"""
+    wrong_rgt = Path(tmp_dir) / "wrong_rgt.txt"
+    wrong_rgt.write_text(WRONG_RGT + "\n", encoding="utf-8")
+    argv = [a.replace("{wrong_rgt}", str(wrong_rgt)) for a in args]
+    res = CliRunner().invoke(main, argv, catch_exceptions=False)
+    record = {"args": args, "exit_code": res.exit_code, "stdout": res.stdout}
+    if res.exit_code == 2:
+        record["stderr"] = res.stderr.splitlines()[-1]
+    return record
 
 
 def _golden_entries():
@@ -89,6 +152,23 @@ def test_catalog_list_json_equals_golden():
     assert hashlib.sha256(LIST.read_bytes()).hexdigest() == LIST_SHA.read_text().strip()
 
 
+@pytest.fixture(scope="module")
+def golden_reports():
+    return json.loads(REPORTS.read_text())
+
+
+def test_golden_reports_cover_the_cases(golden_reports):
+    assert [r["args"] for r in golden_reports] == CLI_CASES
+    assert {r["exit_code"] for r in golden_reports} == {0, 1, 2}
+
+
+@pytest.mark.parametrize("index", range(len(CLI_CASES)),
+                         ids=["-".join(a[:2] if a[0] == "catalog" else a[:1]) + "-%d" % i
+                              for i, a in enumerate(CLI_CASES)])
+def test_cli_report_equals_golden(golden_reports, tmp_path, index):
+    assert _transcript(CLI_CASES[index], tmp_path) == golden_reports[index]
+
+
 @pytest.mark.parametrize("checks", ["sealed", "vacancy,sealed", "rgt,sealed",
                                     "rgt,vacancy,sealed,cohomology"])
 def test_catalog_verify_rows_keep_the_report_order(checks):
@@ -112,3 +192,7 @@ if __name__ == "__main__":
     VERIFY.write_text(_stdout(VERIFY_ARGS))
     LIST.write_text(_stdout(LIST_ARGS))
     LIST_SHA.write_text(hashlib.sha256(LIST.read_bytes()).hexdigest() + "\n")
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        reports = [_transcript(args, tmp_dir) for args in CLI_CASES]
+    # one run per line
+    REPORTS.write_text("[\n%s\n]\n" % ",\n".join(json.dumps(r) for r in reports))
