@@ -4,7 +4,7 @@ Each record pins a potential at a concrete weight triple together with the
 invariant values it is expected to have: rigidity index, GK-dimension of the
 singular quotient, vacancy and sealedness verdicts, and whether the
 singularity at the origin is isolated.  ``verify_entry`` recomputes all of
-them from scratch and reports agreement item by item.
+them from scratch and reports agreement row by row.
 
 Every numeric expectation in the data file was confirmed by an independent
 computation before being frozen.  An rgt is exact or an upper bound, a
@@ -14,12 +14,12 @@ Entries whose vacancy or sealedness verdict is "no" carry a witness degree
 (the smallest degree where a nonzero dimension appears) so verification
 knows how far it must look.  Verification sweeps each of those two tables in
 rising degree and stops at its sixth nonzero degree, the last one its report
-item prints, as no later degree changes the item; a "yes" verdict, which
-holds only when every degree is zero, an item with fewer than six nonzero
+row prints, as no later degree changes the row; a "yes" verdict, which
+holds only when every degree is zero, a row with fewer than six nonzero
 degrees and the cohomology tables still sweep to the bound.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
@@ -111,28 +111,6 @@ class CatalogEntry:
 
     def describe_gk(self) -> str:
         return "or".join(str(v) for v in self.gk_choices)
-
-
-@dataclass
-class ReportItem:
-    name: str
-    status: str                 # pass / fail / info
-    expected: str
-    computed: str
-
-
-@dataclass
-class EntryReport:
-    entry: CatalogEntry
-    items: List[ReportItem] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(item.status != "fail" for item in self.items)
-
-    @property
-    def failures(self) -> List[ReportItem]:
-        return [item for item in self.items if item.status == "fail"]
 
 
 def _parse_record(line: str) -> CatalogEntry:
@@ -298,30 +276,23 @@ def entries(selector: Optional[str] = None,
     raise CatalogError("unknown selector %r" % selector)
 
 
-# the nonzero degrees a vacancy or sealedness item prints; its sweep stops
-# at the last of them, as no later degree changes the item
+# the nonzero degrees a vacancy or sealedness row prints; its sweep stops
+# at the last of them, as no later degree changes the row
 NONZERO_SHOWN = 6
 
 
-def _check_yes_no(name, verdict, nonzero, report, bound):
-    """Shared shape for the vacancy and sealedness items."""
-    computed = "nonzero at %s" % nonzero if nonzero else "all zero to %d" % bound
-    if verdict == "unknown":
-        status = "info"
-    else:
-        status = "pass" if bool(nonzero) == (verdict == "no") else "fail"
-    report.items.append(ReportItem(name, status, verdict, computed))
-
-
 def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
-                 checks: Optional[Sequence[str]] = None) -> EntryReport:
+                 checks: Optional[Sequence[str]] = None) -> List[Dict[str, str]]:
     """Recompute the entry's invariants and compare with expectations.
 
-    ``max_degree`` bounds the degree-truncated checks (vacancy, sealedness,
-    cohomology tables); it defaults to ``default_bound(deg(omega))``.  Exact
-    checks (jacobiator, modular vector field, rigidity, GK-dimension,
-    isolated singularity) do not depend on it.  ``checks`` restricts to a
-    nonempty subset of ``CHECKS``.
+    Returns the report rows, one dict per item with the keys ``check``,
+    ``status`` (pass, fail, or info where the expectation is unknown),
+    ``expected`` and ``computed``.  ``max_degree`` bounds the
+    degree-truncated checks (vacancy, sealedness, cohomology tables); it
+    defaults to ``default_bound(deg(omega))``.  Exact checks (jacobiator,
+    modular vector field, rigidity, GK-dimension, isolated singularity) do
+    not depend on it.  ``checks`` restricts to a nonempty subset of
+    ``CHECKS``.
     """
     want = set(CHECKS if checks is None else checks)
     unknown = want - set(CHECKS)
@@ -333,7 +304,6 @@ def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
         ("sealed", entry.expected_sealed, entry.sealed_witness, sealed_degrees),
     ) if check[0] in want]
     D = default_bound(entry.degree) if max_degree is None else max_degree
-    report = EntryReport(entry=entry)
     omega = entry.omega
     # a "no" verdict looks at least as far as its recorded witness
     bounds = {name: max(D, w) if verdict == "no" else D
@@ -344,60 +314,51 @@ def verify_entry(entry: CatalogEntry, max_degree: Optional[int] = None,
     # stops at its last printed nonzero degree; the report keeps its row order
     nonzero = {name: list(islice((d for d, v in sweep(omega, bounds[name]) if v), NONZERO_SHOWN))
                for name, _, _, sweep in reversed(truncated)}
+    rows: List[Dict[str, str]] = []
+
+    def row(check, ok, expected, computed):
+        # ok is None where the expectation is unknown
+        status = "info" if ok is None else "pass" if ok else "fail"
+        rows.append({"check": check, "status": status, "expected": expected,
+                     "computed": computed})
 
     if "structure" in want:
         s = from_potential(omega)
-        jz = jacobiator(s).is_zero()
-        report.items.append(ReportItem(
-            "jacobiator", "pass" if jz else "fail", "0",
-            "0" if jz else "nonzero"))
-        mz = modular_derivation(s).is_zero()
-        report.items.append(ReportItem(
-            "modular", "pass" if mz else "fail", "0",
-            "0" if mz else "nonzero"))
+        for name, value in (("jacobiator", jacobiator(s)), ("modular", modular_derivation(s))):
+            row(name, value.is_zero(), "0", "0" if value.is_zero() else "nonzero")
     if "rgt" in want:
         r = rgt(omega)
-        report.items.append(ReportItem(
-            "rgt", "pass" if entry.rgt_matches(r) else "fail",
-            entry.describe_rgt(), str(r)))
+        row("rgt", entry.rgt_matches(r), entry.describe_rgt(), str(r))
     if "gk" in want:
         g = gkdim(omega)
-        report.items.append(ReportItem(
-            "gkdim", "pass" if entry.gk_matches(g) else "fail",
-            entry.describe_gk(), str(g)))
+        row("gkdim", entry.gk_matches(g), entry.describe_gk(), str(g))
     if "isolated" in want:
         iso = has_isolated_singularity(omega)
-        report.items.append(ReportItem(
-            "isolated", "pass" if iso == entry.expected_isolated else "fail",
-            str(entry.expected_isolated).lower(), str(iso).lower()))
+        row("isolated", iso == entry.expected_isolated,
+            str(entry.expected_isolated).lower(), str(iso).lower())
     for name, verdict, _, _ in truncated:
-        _check_yes_no(name, verdict, nonzero[name], report, bounds[name])
+        found = nonzero[name]
+        row(name, None if verdict == "unknown" else bool(found) == (verdict == "no"), verdict,
+            "nonzero at %s" % found if found else "all zero to %d" % bounds[name])
     if "cohomology" in want and entry.type_label in ("i", "q", "bw"):
         _, matches = ph_closed_form_rows(omega, D)
         bad = ["PH%d" % i for i in range(4) if not matches["ph%d" % i]]
-        report.items.append(ReportItem(
-            "cohomology", "pass" if not bad else "fail",
-            "closed-form tables to %d" % D,
-            "match" if not bad else "mismatch in %s" % ",".join(bad)))
-    return report
+        row("cohomology", not bad, "closed-form tables to %d" % D,
+            "mismatch in %s" % ",".join(bad) if bad else "match")
+    return rows
 
 
 def verify_all(max_degree: Optional[int] = None,
                selector: Optional[str] = None,
                checks: Optional[Sequence[str]] = None,
-               progress: Optional[Callable[[EntryReport], None]] = None,
-               path: Optional[Path] = None) -> List[EntryReport]:
-    """Verify every selected entry.  A selection that checks nothing (no
-    entry matches, or no selected check applies) raises CatalogError."""
+               path: Optional[Path] = None) -> List[Tuple[CatalogEntry, List[Dict[str, str]]]]:
+    """Each selected entry with its report rows.  A selection that checks
+    nothing (no entry matches, or no selected check applies) raises
+    CatalogError."""
     selected = entries(selector, path=path)
     if not selected:
         raise CatalogError("no catalog entries match %r" % selector)
-    reports = []
-    for entry in selected:
-        rep = verify_entry(entry, max_degree, checks=checks)
-        if progress is not None:
-            progress(rep)
-        reports.append(rep)
-    if not any(rep.items for rep in reports):
+    reports = [(entry, verify_entry(entry, max_degree, checks=checks)) for entry in selected]
+    if not any(rows for _, rows in reports):
         raise CatalogError("no selected check applies to the selected entries")
     return reports

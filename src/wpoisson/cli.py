@@ -132,13 +132,20 @@ def _structure(weights, field, potential, pxy, pyz, pzx):
                             _poly(pzx, weights, field))
 
 
+def _json(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def _emit(command, inputs, results, fmt, bound=None, check=None):
     """Render one report, and exit 1 when ``check`` names a result flag that
     is false, so the exit code is read off the report.  ``results["rows"]``,
     when present, is the list of dicts that the table and csv formats lay
-    out as rows."""
+    out as rows; any other list or dict value they print as the JSON text
+    that the json format embeds."""
     inputs = {k: v for k, v in inputs.items() if v is not None}
     rows = results.get("rows")
+    shown = {k: _json(v) if k != "rows" and isinstance(v, (list, dict)) else v
+             for k, v in results.items()}
     if fmt == "json":
         doc = {
             "command": command,
@@ -147,10 +154,10 @@ def _emit(command, inputs, results, fmt, bound=None, check=None):
             "truncation_bound": bound,
             "version": __version__,
         }
-        click.echo(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        click.echo(_json(doc))
     elif fmt == "csv":
         buf = io.StringIO()
-        records = rows or [results]
+        records = rows or [shown]
         writer = csv.DictWriter(buf, fieldnames=list(records[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(records)
@@ -166,7 +173,7 @@ def _emit(command, inputs, results, fmt, bound=None, check=None):
             click.echo("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
             for row in rows:
                 click.echo("  ".join(str(row[h]).ljust(w) for h, w in zip(headers, widths)))
-        for key, value in results.items():
+        for key, value in shown.items():
             if not (rows and key == "rows"):
                 click.echo("%s: %s" % (key, value))
     if check is not None and not results[check]:
@@ -369,6 +376,12 @@ def catalog():
     """Operations on the built-in potential catalog."""
 
 
+def _entry_columns(e):
+    """The columns that name a catalog entry in the rows of list and verify."""
+    return {"entry": e.entry_id, "weights": "%d,%d,%d" % e.weights.tuple,
+            "potential": e.omega_text}
+
+
 @catalog.command("verify")
 @click.option("--filter", "selector", default=None,
               help="table:112 / type:i / weights:1,2,3 / entry id")
@@ -380,27 +393,14 @@ def catalog():
 @_format
 def catalog_verify(selector, max_degree, checks, catalog_file, fmt):
     """Recompute every expected invariant; exit 1 on any mismatch."""
-    check_list = None
-    if checks:
-        check_list = [c.strip() for c in checks.split(",") if c.strip()]
+    check_list = None if checks is None else [c.strip() for c in checks.split(",") if c.strip()]
     try:
         reports = catalog_mod.verify_all(max_degree, selector, check_list,
                                          path=catalog_file)
     except catalog_mod.CatalogError as exc:
         _fail_usage(str(exc))
-    mismatches = sum(len(rep.failures) for rep in reports)
-    rows = []
-    for rep in reports:
-        for item in rep.items:
-            rows.append({
-                "entry": rep.entry.entry_id,
-                "weights": "%d,%d,%d" % rep.entry.weights.tuple,
-                "potential": rep.entry.omega_text,
-                "check": item.name,
-                "status": item.status,
-                "expected": item.expected,
-                "computed": item.computed,
-            })
+    rows = [{**_entry_columns(e), **row} for e, entry_rows in reports for row in entry_rows]
+    mismatches = sum(row["status"] == "fail" for row in rows)
     results = {
         "entries": len(reports),
         "mismatches": mismatches,
@@ -422,9 +422,7 @@ def catalog_list(selector, catalog_file, fmt):
     except catalog_mod.CatalogError as exc:
         _fail_usage(str(exc))
     rows = [{
-        "entry": e.entry_id,
-        "weights": "%d,%d,%d" % e.weights.tuple,
-        "potential": e.omega_text,
+        **_entry_columns(e),
         "type": e.type_label,
         "irreducible": e.irreducible,
         "rgt": e.describe_rgt(),

@@ -151,11 +151,11 @@ def test_range_rows_describe_bounds():
 
 def test_verify_entry_full_checks_on_negative_class():
     e = catalog.entries("123-i-a")[0]
-    rep = catalog.verify_entry(
+    rows = catalog.verify_entry(
         e, max_degree=8,
         checks=("structure", "rgt", "gk", "isolated", "vacancy", "sealed"))
-    assert rep.ok
-    statuses = {i.name: i.status for i in rep.items}
+    assert [list(row) for row in rows] == [["check", "status", "expected", "computed"]] * 7
+    statuses = {row["check"]: row["status"] for row in rows}
     assert statuses == {"jacobiator": "pass", "modular": "pass",
                         "rgt": "pass", "gkdim": "pass", "isolated": "pass",
                         "vacancy": "pass", "sealed": "pass"}
@@ -164,28 +164,25 @@ def test_verify_entry_full_checks_on_negative_class():
 def test_verify_entry_unknown_sealedness_reports_info():
     e = catalog.entries("111-i-a")[0]
     assert e.expected_sealed == "unknown"
-    rep = catalog.verify_entry(e, max_degree=6, checks=("sealed",))
-    assert rep.ok
-    assert [i.status for i in rep.items] == ["info"]
+    rows = catalog.verify_entry(e, max_degree=6, checks=("sealed",))
+    assert [row["status"] for row in rows] == ["info"]
 
 
 def test_verify_entry_cohomology_compares_closed_forms():
     e = catalog.entries("111-i-c1")[0]
-    rep = catalog.verify_entry(e, max_degree=9, checks=("cohomology",))
-    assert rep.ok
-    assert any(i.name == "cohomology" and i.status == "pass" for i in rep.items)
+    rows = catalog.verify_entry(e, max_degree=9, checks=("cohomology",))
+    assert [(row["check"], row["status"]) for row in rows] == [("cohomology", "pass")]
 
 
 def test_verify_all_small_selector():
     reports = catalog.verify_all(max_degree=6, selector="weights:1,1,1",
                                  checks=("structure", "rgt", "gk"))
-    assert [rep.failures for rep in reports] == [[]] * 12
-
-
-def test_entry_reports_collect_failures():
-    e = catalog.entries("111-i-a")[0]
-    rep = catalog.verify_entry(e, max_degree=4, checks=("structure",))
-    assert rep.failures == []
+    assert len(reports) == 12
+    for e, rows in reports:
+        assert e.weights.tuple == (1, 1, 1)
+        # the structure rows of every entry pass, as do its rgt and gk
+        assert [(row["check"], row["status"]) for row in rows] == [
+            ("jacobiator", "pass"), ("modular", "pass"), ("rgt", "pass"), ("gkdim", "pass")]
 
 
 def _swept_item(name, verdict, dims, bound):
@@ -199,14 +196,14 @@ def _swept_item(name, verdict, dims, bound):
 
 
 def test_yes_no_items_equal_the_items_of_the_whole_tables():
-    """on every entry at n+6, the vacancy and sealed items of verify_entry,
+    """on every entry at n+6, the vacancy and sealed rows of verify_entry,
     whose sweeps stop at their sixth nonzero degree, equal those built from
     the tables swept to the bound (to the witness, past it); and each sweep,
     read whole, gives its table in rising degree"""
     for e in catalog.entries():
         D = e.degree + 6
-        got = [(i.name, i.status, i.expected, i.computed) for i in
-               catalog.verify_entry(e, D, checks=("vacancy", "sealed")).items]
+        got = [tuple(row.values()) for row in
+               catalog.verify_entry(e, D, checks=("vacancy", "sealed"))]
         want = []
         for name, verdict, witness, table_of, sweep in (
                 ("vacancy", e.expected_vacant, e.vacancy_witness, complexes.vacancy_check,

@@ -146,7 +146,7 @@ def test_singularity_over_an_extension_field_reports_the_planted_factor():
      "0       1    1    2    2    1        1        2        2      \n"
      "1       0    0    3    3    0        0        3        3      \n"
      "2       0    0    3    3    0        0        3        3      \n"
-     "matches_closed_form: {'ph0': True, 'ph1': True, 'ph2': True, 'ph3': True}\n"),
+     'matches_closed_form: {"ph0":true,"ph1":true,"ph2":true,"ph3":true}\n'),
     (["cohomology", "--field", "s^2+1", "-w", "1,1,2", "-p", "x^4+2*x^2*y^2+y^4+z^2",
       "-D", "1", "--format", "csv"],
      "degree,ph0,ph1,ph2,ph3,closed0,closed1,closed2,closed3\n"
@@ -727,6 +727,11 @@ def test_catalog_verify_rejects_unknown_check():
     assert code == 2
     assert "bogus" in out
     assert "structure,rgt,gk,isolated,vacancy,sealed,cohomology" in out
+    # an empty list names no check, and runs none rather than all
+    for checks in ("", ","):
+        code, out = run(["catalog", "verify", "--checks", checks, "--filter", "111-i-a"])
+        assert code == 2
+        assert "checks must be a nonempty subset of" in out
 
 
 def test_catalog_verify_rejects_a_selection_that_checks_nothing():
@@ -838,6 +843,30 @@ def test_a_one_record_catalog_file_is_accepted(tmp_path, args):
     assert res.exit_code == 0, res.output
     assert "111-i-a" in res.stdout
     assert res.stdout.splitlines()[-1] in ("count: 1", "ok: True")
+
+
+# one record per check that a catalog file can get wrong, each obeying the
+# per-record rules: the gk of x*y*z is 1, x^3+y^3+z^3 is isolated, and
+# x^3+y^2*z and z^2+x^3*y are vacant and sealed to 4
+@pytest.mark.parametrize("line, check", [
+    ("111-r-c | 1,1,1 | x*y*z | r | false | -2 | 2 | no | no | false"
+     " | table=111;vacwit=0;sealwit=3", "gkdim"),
+    ("111-i-c0 | 1,1,1 | x^3+y^3+z^3 | bw | true | 0 | 0 | yes | yes | false | table=111",
+     "isolated"),
+    ("111-i-a | 1,1,1 | x^3+y^2*z | bw | true | 0 | 1 | no | unknown | false"
+     " | table=111;vacwit=0", "vacancy"),
+    ("112-i-a | 1,1,2 | z^2+x^3*y | bw | true | 0 | 1 | yes | no | false"
+     " | table=112;sealwit=0", "sealed"),
+], ids=["gk", "isolated", "vacancy", "sealed"])
+def test_a_wrong_expectation_fails_its_one_row(tmp_path, line, check):
+    one = tmp_path / "one.txt"
+    one.write_text(line + "\n", encoding="utf-8")
+    res = CliRunner().invoke(main, ["catalog", "verify", "--catalog-file", str(one), "-D", "4",
+                                    "--format", "json"], catch_exceptions=False)
+    assert res.exit_code == 1, res.output
+    results = json.loads(res.stdout)["results"]
+    assert results["mismatches"] == 1 and results["ok"] is False
+    assert [row["check"] for row in results["rows"] if row["status"] == "fail"] == [check]
 
 
 # one record per weight condition that the catalog checks: a record whose
