@@ -6,19 +6,6 @@ from __future__ import annotations
 from .ring import RingError, Weights
 
 
-def _laurent_mul(p: dict, q: dict) -> dict:
-    out = {}
-    for d1, c1 in p.items():
-        for d2, c2 in q.items():
-            d = d1 + d2
-            s = out.get(d, 0) + c1 * c2
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-    return out
-
-
 def _laurent_sub(p: dict, q: dict) -> dict:
     out = dict(p)
     for d, c in q.items():
@@ -28,12 +15,6 @@ def _laurent_sub(p: dict, q: dict) -> dict:
         else:
             out.pop(d, None)
     return out
-
-
-def _one_minus(e: int) -> dict:
-    if e == 0:
-        return {}  # 1 - t^0 is the zero polynomial
-    return {0: 1, e: -1}
 
 
 class HilbertSeries:
@@ -79,7 +60,8 @@ class HilbertSeries:
 def _product_one_minus(exponents) -> dict:
     out = {0: 1}
     for e in exponents:
-        out = _laurent_mul(out, _one_minus(e))
+        # times 1 - t^e, the zero polynomial when e = 0
+        out = _laurent_sub(out, {d + e: c for d, c in out.items()})
     return out
 
 

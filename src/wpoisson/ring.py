@@ -34,7 +34,6 @@ class RingError(ValueError):
 class RationalField:
     """Arbitrary-precision rationals (the default coefficient field)."""
 
-    name = "QQ"
     degree = 1
 
     def coerce(self, v):
@@ -170,7 +169,6 @@ class ExtensionField:
     every multiplication.  There is one live field object per modulus,
     checked when it is made, so fields compare and hash by identity."""
 
-    name = "QQ[s]"
     # modulus -> its field while anything holds the field; a refused modulus
     # never enters
     _interned = weakref.WeakValueDictionary()

@@ -1,18 +1,20 @@
 """Command-line interface: report formats, exit codes, determinism."""
 
 import json
-import sys
+from contextlib import contextmanager
 
 import click
 import pytest
 from click.testing import CliRunner
 
 from wpoisson.cli import FIELD_MAX_DEGREE, SELFTEST_MAX_CASES, main
-from wpoisson import (Weights, __version__, complexes, parse_map, parse_poly, proptest,
-                      verify_automorphism)
+from wpoisson import (Weights, __version__, complexes, linalg, parse_map, parse_poly, proptest,
+                      ring, verify_automorphism)
 from wpoisson.catalog import DATA_PATH
 from wpoisson.complexes import ph_dims
 from wpoisson.ring import Polynomial, RingError
+
+from work_counts import spy
 
 
 def run(args, env=None):
@@ -443,19 +445,17 @@ def test_syntax_errors_in_a_polynomial_stay_usage_errors(args, message):
     assert lines[0].startswith("Usage: ") and lines[-1] == message
 
 
-def _refuse_enumeration(monkeypatch):
-    """make listing a monomial basis or assembling a matrix fail anywhere"""
-    from wpoisson import complexes, ring
+@contextmanager
+def _refusing_enumeration():
+    """listing a monomial basis or assembling a matrix fails anywhere inside
+    the block"""
+    def fail(real):
+        def call(*args, **kwargs):
+            raise AssertionError("the window was enumerated")
+        return call
 
-    def fail(*args, **kwargs):
-        raise AssertionError("the window was enumerated")
-
-    for original in (ring.monomial_basis, complexes.assemble):
-        for name, mod in list(sys.modules.items()):
-            if name == "wpoisson" or name.startswith("wpoisson."):
-                for attr, value in list(vars(mod).items()):
-                    if value is original:
-                        monkeypatch.setattr(mod, attr, fail)
+    with spy(ring, "monomial_basis", fail), spy(linalg, "assemble", fail):
+        yield
 
 
 @pytest.mark.parametrize("args", [
@@ -463,9 +463,9 @@ def _refuse_enumeration(monkeypatch):
     ["cohomology", "-w", "1,2,3", "-p", "z^2+y^3", "-D", "1000000000"],
     ["catalog", "verify", "--filter", "111-i-a", "-D", "1000000000"],
 ], ids=["max-degree", "weighted", "catalog"])
-def test_bound_past_the_window_budget_exits_2_before_enumerating(monkeypatch, args):
-    _refuse_enumeration(monkeypatch)
-    res = CliRunner().invoke(main, args, catch_exceptions=False)
+def test_bound_past_the_window_budget_exits_2_before_enumerating(args):
+    with _refusing_enumeration():
+        res = CliRunner().invoke(main, args, catch_exceptions=False)
     assert res.exit_code == 2
     assert res.stdout == ""
     lines = res.stderr.splitlines()
@@ -474,10 +474,10 @@ def test_bound_past_the_window_budget_exits_2_before_enumerating(monkeypatch, ar
     assert lines[0].endswith(" hold more than 250000 monomials")
 
 
-def test_single_degree_map_past_the_budget_exits_2_before_enumerating(monkeypatch):
-    _refuse_enumeration(monkeypatch)
-    res = CliRunner().invoke(main, ["rgt", "--weights", "1,1,1000000", "-p", "x^2*z"],
-                             catch_exceptions=False)
+def test_single_degree_map_past_the_budget_exits_2_before_enumerating():
+    with _refusing_enumeration():
+        res = CliRunner().invoke(main, ["rgt", "--weights", "1,1,1000000", "-p", "x^2*z"],
+                                 catch_exceptions=False)
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr.splitlines() == [
@@ -490,9 +490,9 @@ _SKEWED = ["-w", "1,1,1000000", "-p", "x^2*y^3", "-D", "12"]
 
 
 @pytest.mark.parametrize("command", ["cohomology", "koszul", "sealed"])
-def test_skewed_weights_are_refused_before_enumerating(monkeypatch, command):
-    _refuse_enumeration(monkeypatch)
-    res = CliRunner().invoke(main, [command, *_SKEWED], catch_exceptions=False)
+def test_skewed_weights_are_refused_before_enumerating(command):
+    with _refusing_enumeration():
+        res = CliRunner().invoke(main, [command, *_SKEWED], catch_exceptions=False)
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr.splitlines() == [
@@ -502,21 +502,21 @@ def test_skewed_weights_are_refused_before_enumerating(monkeypatch, command):
 
 @pytest.mark.parametrize("table", [complexes.ph_dims, complexes.koszul_dims,
                                    complexes.sealed_k1_dims], ids=lambda f: f.__name__)
-def test_library_sweeps_on_skewed_weights_are_refused(monkeypatch, table):
-    _refuse_enumeration(monkeypatch)
+def test_library_sweeps_on_skewed_weights_are_refused(table):
     omega = parse_poly("x^2*y^3", Weights(1, 1, 1000000))
-    with pytest.raises(RingError, match="^truncation bound 12 is over budget"):
+    with _refusing_enumeration(), pytest.raises(RingError,
+                                                match="^truncation bound 12 is over budget"):
         table(omega, 12)
 
 
-def test_catalog_verify_budgets_only_the_checks_that_sweep(monkeypatch):
+def test_catalog_verify_budgets_only_the_checks_that_sweep():
     # rgt and gk sweep no window, so no bound is too large for them
     verify = ["catalog", "verify", "--filter", "111-i-a", "-D", "1000000000"]
     res = CliRunner().invoke(main, [*verify, "--checks", "rgt,gk"], catch_exceptions=False)
     assert res.exit_code == 0
     assert "ok: True" in res.stdout
-    _refuse_enumeration(monkeypatch)
-    res = CliRunner().invoke(main, [*verify, "--checks", "sealed"], catch_exceptions=False)
+    with _refusing_enumeration():
+        res = CliRunner().invoke(main, [*verify, "--checks", "sealed"], catch_exceptions=False)
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr.splitlines() == [

@@ -18,7 +18,7 @@ from click.testing import CliRunner
 
 from wpoisson import (QQ, ExtensionField, Weights, catalog, gradient, has_isolated_singularity,
                       parse_poly, rank)
-from wpoisson import complexes, poisson, ring
+from wpoisson import complexes, jacobian, linalg, poisson, ring
 from wpoisson.jacobian import a_sing_hilbert, gcd_partials, gkdim, jacobian_basis
 from wpoisson.linalg import assemble, kernel_basis, op_table, vector_to_polys
 from wpoisson.proptest import WEIGHT_POOL
@@ -28,7 +28,7 @@ from wpoisson.ring import Polynomial, RingError, count_monomials, monomial_basis
 
 import reference_maps as ref
 from closed_forms import closed_form_lph2, isolated_ph
-from matrix_count import KINDS, matrix_counts, memo_lookups, requester
+from work_counts import KINDS, memo_lookups, pass_counts, spy
 from reference_maps import (cochain_apply, cochain_matrices, cochain_matrix, cochain_rank,
                             d1_rank_and_ozone_kernel, derham_exactness_check, divergence_block,
                             divergence_ranks,
@@ -331,26 +331,20 @@ def test_per_degree_tables_refuse_an_empty_window(table, name, lo):
             name, bound, lo)
 
 
-def test_ph_closed_form_rows_counts_its_window_once(monkeypatch):
+def test_ph_closed_form_rows_counts_its_window_once():
     """the closed-form rows read PH^i_d off the memo record, so each call
     counts its cohomology window once, and gives the rows of ph_dims"""
-    real = complexes._window
     names = []
-
-    def spy(omega, name, lo, bound):
-        names.append(name)
-        return real(omega, name, lo, bound)
-
-    monkeypatch.setattr(complexes, "_window", spy)
-    for weights, text in ((W111, ELLIPTIC), (Weights(1, 2, 3), CUSP)):
-        om = parse_poly(text, weights)
-        for bound in (0, 6):
-            del names[:]
-            rows, _ = complexes.ph_closed_form_rows(om, bound)
-            assert names == ["cohomology"]
-            tab = complexes.ph_dims(om, bound)
-            assert [[r["ph%d" % i] for i in range(4)] for r in rows] == [
-                [tab.dim(i, d) for i in range(4)] for d in range(rows[0]["degree"], bound + 1)]
+    with spy(complexes, "_window", lambda real: lambda *args: names.append(args[1]) or real(*args)):
+        for weights, text in ((W111, ELLIPTIC), (Weights(1, 2, 3), CUSP)):
+            om = parse_poly(text, weights)
+            for bound in (0, 6):
+                del names[:]
+                rows, _ = complexes.ph_closed_form_rows(om, bound)
+                assert names == ["cohomology"]
+                tab = complexes.ph_dims(om, bound)
+                assert [[r["ph%d" % i] for i in range(4)] for r in rows] == [
+                    [tab.dim(i, d) for i in range(4)] for d in range(rows[0]["degree"], bound + 1)]
 
 
 def test_window_budget_admits_every_catalog_default_window():
@@ -392,6 +386,15 @@ _SWEEPS = [complexes.ph_dims, complexes.ph_closed_form_rows, complexes.koszul_di
 
 # three with n < s, one with n > s, and the catalog entries 111-i-a and
 # 123-i-a, with n = s
+@pytest.fixture
+def listed():
+    """the degrees of every monomial_basis call made through a package
+    module during the test"""
+    degrees = []
+    with spy(ring, "monomial_basis", lambda real: lambda w, d: degrees.append(d) or real(w, d)):
+        yield degrees
+
+
 _REACH_POTENTIALS = [((1, 1, 5), "x*y"), ((1, 1, 7), "x^2*y^3"), ((1, 2, 3), "x^4+y^2"),
                      ((1, 1, 1), "x^5+y^5+z^5"), ((1, 1, 1), "x^3+y^2*z"),
                      ((1, 2, 3), "z^2+y^3")]
@@ -399,22 +402,11 @@ _REACH_POTENTIALS = [((1, 1, 5), "x*y"), ((1, 1, 7), "x^2*y^3"), ((1, 2, 3), "x^
 
 @pytest.mark.parametrize("weights, text", _REACH_POTENTIALS,
                          ids=["%s:%s" % p for p in _REACH_POTENTIALS])
-def test_every_sweep_lists_no_degree_past_its_window_top(monkeypatch, weights, text):
+def test_every_sweep_lists_no_degree_past_its_window_top(listed, weights, text):
     """the budget counts degrees 0..T (``complexes._window``): a spy on the
     monomial listing, from empty memos, sees no degree past T"""
     om = parse_poly(text, Weights(*weights))
     n = om.homogeneous_degree()
-    listed = []
-
-    def spy(w, d):
-        listed.append(d)
-        return monomial_basis(w, d)
-
-    for name, mod in list(sys.modules.items()):
-        if name == "wpoisson" or name.startswith("wpoisson."):
-            for attr, value in list(vars(mod).items()):
-                if value is monomial_basis:
-                    monkeypatch.setattr(mod, attr, spy)
     # vacancy and ozone refuse n != a+b+c
     sweeps = _SWEEPS if n == om.weights.n_default else _SWEEPS[:4]
     for bound in (0, 2, n, 2 * n + 3):
@@ -512,50 +504,31 @@ def test_koszul_matrix_budget_counts_its_slices_exactly(monkeypatch, weights, te
                     "monomials" % (d, count - 1))
 
 
-def _spy_on_listing(monkeypatch):
-    """the degrees of every monomial_basis call made through a package
-    module from now on"""
-    listed = []
-
-    def spy(w, d):
-        listed.append(d)
-        return monomial_basis(w, d)
-
-    for name, mod in list(sys.modules.items()):
-        if name == "wpoisson" or name.startswith("wpoisson."):
-            for attr, value in list(vars(mod).items()):
-                if value is monomial_basis:
-                    monkeypatch.setattr(mod, attr, spy)
-    return listed
-
-
-def test_derivation_kernel_counts_the_basis_it_would_return(monkeypatch):
+def test_derivation_kernel_counts_the_basis_it_would_return(listed):
     """on x^3+y^3+z^3 the count refuses d = 250, whose dense basis a run
     could not hold, and d = 18, whose slices hold 1,074 monomials but whose
     basis may hold (dim X1_d + 1 - #A_d) dim X1_d = 277,830 entries, with
     no monomial listed; it admits d = 17, the largest degree it admits"""
     om = parse_poly("x^3+y^3+z^3", W111)
-    assert sum(count_monomials(W111, t) for t in _slices(om, 18, True)) == 1074
-    assert _basis_entries(om, 18) == 277_830
-    listed = _spy_on_listing(monkeypatch)
     for d in (250, 18):
         with pytest.raises(RingError, match="^degree %d is over budget: the slices of its "
                                             "derivation map hold more than 250000" % d):
             complexes.derivation_kernel(om, d)
     assert listed == []
+    assert sum(count_monomials(W111, t) for t in _slices(om, 18, True)) == 1074
+    assert _basis_entries(om, 18) == 277_830
     basis = complexes.derivation_kernel(om, 17)
     assert len(basis) == complexes._space_dim(W111, W111.tuple, 17) - cochain_rank(om, 1, 17)
 
 
 @pytest.mark.parametrize("weights, text", _BUDGET_POTENTIALS,
                          ids=["%s:%s" % p for p in _BUDGET_POTENTIALS])
-def test_derivation_kernel_lists_only_the_slices_it_counts(monkeypatch, weights, text):
+def test_derivation_kernel_lists_only_the_slices_it_counts(listed, weights, text):
     """from empty memos, derivation_kernel lists no slice but those of
     [T_d | c] and the column's monomial 1: the Casimir column is a power of
     the primitive root of O, found with no matrix and no listing"""
     om = parse_poly(text, Weights(*weights))
     n = om.homogeneous_degree()
-    listed = _spy_on_listing(monkeypatch)
     for d in range(-n - 1, 2 * n + 1):
         complexes.potential_memo.cache_clear()
         del listed[:]
@@ -566,11 +539,10 @@ def test_derivation_kernel_lists_only_the_slices_it_counts(monkeypatch, weights,
 @pytest.mark.parametrize("weights, text", [((1, 1, 1), "x^3+y^3+z^3"),
                                            ((2, 3, 5), "x^5+z^2+x^2*y^2")])
 def test_koszul_matrix_refuses_a_huge_degree_before_it_lists_a_monomial(
-        monkeypatch, weights, text):
+        listed, weights, text):
     """a library caller's huge degree is refused by the slice count, with no
     monomial listed: a spy on the listing counts none"""
     om = parse_poly(text, Weights(*weights))
-    listed = _spy_on_listing(monkeypatch)
     for i in (1, 2):
         with pytest.raises(RingError, match="^degree 1000000000 is over budget: the slices of "
                                             "its koszul map"):
@@ -578,13 +550,12 @@ def test_koszul_matrix_refuses_a_huge_degree_before_it_lists_a_monomial(
     assert listed == []
 
 
-def test_koszul_matrix_refuses_an_index_outside_one_and_two_first(monkeypatch):
+def test_koszul_matrix_refuses_an_index_outside_one_and_two_first(monkeypatch, listed):
     """K3 -> K2 is injective and never assembled, and no other index has a
     map: any i outside {1, 2} is refused before the slice count, which a
     budget of 0 would refuse, with no monomial listed"""
     om = parse_poly(ELLIPTIC, W111)
     monkeypatch.setattr(complexes, "WINDOW_BUDGET", 0)
-    listed = _spy_on_listing(monkeypatch)
     for i in (0, 3, 4, -5):
         with pytest.raises(RingError, match="^koszul index out of range$"):
             complexes.koszul_matrix(om, i, 6)
@@ -595,7 +566,7 @@ def test_koszul_matrix_refuses_an_index_outside_one_and_two_first(monkeypatch):
 # operator tables against the per-column Polynomial evaluation they replace
 
 # assembled matrices told apart by call site and numbers of source and
-# target components (``matrix_count``), with the test-side de Rham maps
+# target components (``work_counts``), with the test-side de Rham maps
 _KINDS = {
     **KINDS,
     ("derham_exactness_check", 1, 3): "grad",
@@ -604,25 +575,42 @@ _KINDS = {
 }
 
 
-def _capture(monkeypatch, run):
+def _capture(run):
     """(kind, src_degs, tgt_degs, matrix) of every assemble call made by
-    run() in complexes or in the test-side de Rham check, from empty memos,
-    its kind from ``_KINDS``"""
+    run() in the package or in the test-side de Rham check, from empty
+    memos, its kind from ``_KINDS``"""
     complexes.potential_memo.cache_clear()
     calls = []
-    real = complexes.assemble
 
-    def spy(weights, src_degs, tgt_degs, table):
-        m = real(weights, src_degs, tgt_degs, table)
-        kind = _KINDS[requester(sys._getframe(1)), len(src_degs), len(tgt_degs)]
-        calls.append((kind, list(src_degs), list(tgt_degs), m))
-        return m
+    def capture(real):
+        def call(weights, src_degs, tgt_degs, table):
+            m = real(weights, src_degs, tgt_degs, table)
+            kind = _KINDS[sys._getframe(1).f_code.co_name, len(src_degs), len(tgt_degs)]
+            calls.append((kind, list(src_degs), list(tgt_degs), m))
+            return m
+        return call
 
-    with monkeypatch.context() as patch:
-        patch.setattr(complexes, "assemble", spy)
-        patch.setattr(ref, "assemble", spy)
+    with spy(linalg, "assemble", capture):
         run()
     return calls
+
+
+def test_a_spy_sees_the_matrices_asked_for_through_every_name_of_the_assembler():
+    """a spy on ``linalg.assemble`` rebinds each module's name for it, so it
+    sees both matrices of a cold gcd on the Koszul route: K2 through
+    complexes' name and the second kernel's map through jacobian's.  On
+    exit every name is the assembler again"""
+    owners = (linalg, complexes, jacobian, ref)
+    om = parse_poly("y^7+x^2*y^5-2*x*y^6", Weights(1, 1, 3))
+    asked = []
+    complexes.potential_memo.cache_clear()
+    with spy(linalg, "assemble", lambda real: lambda *args: (
+            asked.append(sys._getframe(1).f_code.co_name) or real(*args))):
+        spied = {m.assemble for m in owners}
+        assert len(spied) == 1 and assemble not in spied
+        gcd_partials(om)
+    assert {m.assemble for m in owners} == {assemble}
+    assert asked == ["koszul_matrix", "_gcd_from_koszul"]
 
 
 def _same_matrix(new, ref):
@@ -765,7 +753,7 @@ def test_assemble_refuses_an_output_that_escapes_its_degree_slot():
 
 
 @pytest.mark.parametrize("weights, field, text", _table_potentials())
-def test_operator_tables_match_per_column_evaluation(monkeypatch, weights, field, text):
+def test_operator_tables_match_per_column_evaluation(weights, field, text):
     om = parse_poly(text, weights, field)
     n = om.homogeneous_degree()
     w = n - weights.n_default
@@ -807,7 +795,7 @@ def test_operator_tables_match_per_column_evaluation(monkeypatch, weights, field
                           if complexes.potential_memo(om).casimir_column(d) is None]),
     ]
     for name, sources, run in runs:
-        calls = _capture(monkeypatch, run)
+        calls = _capture(run)
         seen = {(kind, len(src)) for kind, src, _, _ in calls}
         assert (name, sources) in seen, name
         assert "K1" not in {kind for kind, _ in seen}
@@ -815,7 +803,7 @@ def test_operator_tables_match_per_column_evaluation(monkeypatch, weights, field
             check(reference[kind, len(src)], m, src, tgt)
 
     # the de Rham maps are integer, so they are assembled over Q
-    calls = _capture(monkeypatch, lambda: derham_exactness_check(weights, n + 2))
+    calls = _capture(lambda: derham_exactness_check(weights, n + 2))
     assert len(calls) == 3 * (n + 3)
     for kind, src, tgt, m in calls:
         check(kind, m, src, tgt, QQ)
@@ -1208,8 +1196,7 @@ def _shared_ranks(om, bound):
     pytest.param(w, QQ, t, id=t) for w, t in _ISOLATED] + [
     pytest.param(W111, ExtensionField([1, 1, 1]), "x^4+y^4+z^4+s*x^2*y*z", id="cube-root-field"),
 ])
-def test_ranks_read_off_the_sealed_block_give_the_isolated_closed_form(
-        monkeypatch, weights, field, text):
+def test_ranks_read_off_the_sealed_block_give_the_isolated_closed_form(weights, field, text):
     """ph_dims reads rank T_d from the memo the sealed blocks filled, and
     ranks [H | H'] only in the other degrees; the closed forms of an
     isolated potential check it: the alternating sum of AC8 cannot, as the
@@ -1220,17 +1207,17 @@ def test_ranks_read_off_the_sealed_block_give_the_isolated_closed_form(
     lo, top = -max(n, weights.n_default), 3 * n + 6
     shared = _shared_ranks(om, top)
     assembled = []
-    real = complexes.assemble
 
-    def spy(w, src_degs, tgt_degs, table):
-        # [H | H'] alone, not [H | H' | c'] in the degrees with a Casimir
-        if requester(sys._getframe(1)) == "hamiltonian_rank" and len(src_degs) == 2:
-            assembled.append(tgt_degs[0] - n)
-        return real(w, src_degs, tgt_degs, table)
+    def record(real):
+        def call(w, src_degs, tgt_degs, table):
+            # [H | H'] alone, not [H | H' | c'] in the degrees with a Casimir
+            if sys._getframe(1).f_code.co_name == "hamiltonian_rank" and len(src_degs) == 2:
+                assembled.append(tgt_degs[0] - n)
+            return real(w, src_degs, tgt_degs, table)
+        return call
 
-    monkeypatch.setattr(complexes, "assemble", spy)
-    table = complexes.ph_dims(om, top)
-    monkeypatch.undo()
+    with spy(linalg, "assemble", record):
+        table = complexes.ph_dims(om, top)
     assert assembled and not set(assembled) & set(shared)
     for i, series in enumerate(isolated_ph(weights, n)):
         assert [table.dim(i, d) for d in range(lo, top + 1)] == series.expand(lo, top), i
@@ -1270,7 +1257,7 @@ def test_a_catalog_pass_eliminates_no_t_at_a_sealed_degree(monkeypatch):
     real_root = complexes._root
     monkeypatch.setattr(complexes, "_root", lambda p, r: attempts.append(r) or real_root(p, r))
     for e in catalog.entries():
-        calls = _capture(monkeypatch, lambda: catalog.verify_entry(e, e.degree + 6))
+        calls = _capture(lambda: catalog.verify_entry(e, e.degree + 6))
         lookups += memo_lookups()
         # both blocks map into A_{d+n} at degree d
         t_degs = {tgt[0] - e.degree for kind, src, tgt, _ in calls if len(src) == 2}
@@ -1289,7 +1276,7 @@ def test_a_catalog_pass_eliminates_no_t_at_a_sealed_degree(monkeypatch):
 
 
 def test_a_default_catalog_pass_assembles_the_counted_matrices():
-    """``tests/matrix_count.py`` at the default bound 3n+12: no catalog
+    """``tests/work_counts.py`` at the default bound 3n+12: no catalog
     potential reaches [T_d | c], as every one has n = a+b+c, and the sealed
     blocks leave no K1 matrix to assemble.  Swept to 3n+12, the yes/no checks
     assembled 5,246 matrices (H 4,396, K2 555, d0 295); by the divergence
@@ -1297,13 +1284,13 @@ def test_a_default_catalog_pass_assembles_the_counted_matrices():
     search assembled 281 d0 matrices, where the pass now tries 281 roots of
     the potentials.  The pass looks the memo record up once per public call,
     as at n+6; 30,626 times when every rank looked it up again"""
-    counts, attempts = matrix_counts()
+    counts, attempts, lookups = pass_counts()
     assert counts == PASS_MATRICES["3n+12"] and counts["K1"] == 0
     assert attempts == PASS_ROOT_ATTEMPTS
-    assert memo_lookups() == PASS_MEMO_LOOKUPS
+    assert lookups == PASS_MEMO_LOOKUPS
 
 
-def test_catalog_verify_stops_a_yes_no_sweep_at_its_sixth_nonzero_degree(monkeypatch):
+def test_catalog_verify_stops_a_yes_no_sweep_at_its_sixth_nonzero_degree():
     """x^3 on (1,1,1) at D = 9: sealed is nonzero at 2..7 and vacancy at -1..4,
     so the sealed blocks stop at e = 7 - n = 4, and vacancy reads every rank
     T_d it needs off them, with no [H | H'] block; swept to 9 they reached
@@ -1312,7 +1299,7 @@ def test_catalog_verify_stops_a_yes_no_sweep_at_its_sixth_nonzero_degree(monkeyp
     def blocks(entry_id):
         (entry,) = catalog.entries(entry_id)
         reports = []
-        calls = _capture(monkeypatch, lambda: reports.append(catalog.verify_entry(entry, 9)))
+        calls = _capture(lambda: reports.append(catalog.verify_entry(entry, 9)))
         items = {row["check"]: row["computed"] for row in reports[0]}
         # the sealed block of degree e has sources e, ..; both map into A_{d+n}
         sealed = [src[0] for kind, src, _, _ in calls if kind == "H" and len(src) == 4]
@@ -1346,29 +1333,20 @@ def _tables(om):
             memo.sealed_table, memo.ozone_table]
 
 
-def _counting_gradients(monkeypatch):
-    """the calls of ``gradient`` made through every package module, from
-    empty memos"""
-    complexes.potential_memo.cache_clear()
+@pytest.fixture
+def gradients():
+    """the calls of ``gradient`` made through every package module during
+    the test"""
     calls = []
-    real = ring.gradient
-
-    def counting_gradient(f):
-        calls.append(f)
-        return real(f)
-
-    for name, mod in list(sys.modules.items()):
-        if name == "wpoisson" or name.startswith("wpoisson."):
-            if getattr(mod, "gradient", None) is real:
-                monkeypatch.setattr(mod, "gradient", counting_gradient)
-    return calls
+    with spy(ring, "gradient", lambda real: lambda f: calls.append(f) or real(f)):
+        yield calls
 
 
 @pytest.mark.parametrize("weights, field, text", _CACHE_POTENTIALS)
-def test_operator_tables_are_built_once_per_potential(monkeypatch, weights, field, text):
+def test_operator_tables_are_built_once_per_potential(gradients, weights, field, text):
     om = parse_poly(text, weights, field)
     n = om.homogeneous_degree()
-    calls = _counting_gradients(monkeypatch)
+    complexes.potential_memo.cache_clear()
     structure = from_potential(om)
     for bound in (n + 1, n + 4):
         complexes.ph_dims(om, bound)
@@ -1381,10 +1359,10 @@ def test_operator_tables_are_built_once_per_potential(monkeypatch, weights, fiel
             complexes.ozone_dim(om, d)
     # one gradient serves every table, and the bracket; the package has
     # no d1 table
-    assert calls == [om]
+    assert gradients == [om]
     again = parse_poly(text, weights, field)
     assert all(new is old for new, old in zip(_tables(again), _tables(om)))
-    assert calls == [om]
+    assert gradients == [om]
 
 
 @pytest.mark.parametrize("weights, field, text", _CACHE_POTENTIALS)
@@ -1403,7 +1381,7 @@ def test_ph_dims_builds_no_sealed_table(weights, field, text):
 
 
 @pytest.mark.parametrize("weights, field, text", _CACHE_POTENTIALS)
-def test_equal_potentials_parsed_apart_share_one_record(monkeypatch, weights, field, text):
+def test_equal_potentials_parsed_apart_share_one_record(weights, field, text):
     """the memo is keyed by the potential's value: a second parse finds the
     record of the first, so its rank tables assemble no matrix (the
     derivation bases eliminate on every call, as they return bases)"""
@@ -1416,16 +1394,10 @@ def test_equal_potentials_parsed_apart_share_one_record(monkeypatch, weights, fi
 
     first = tables(om)
     assembled = []
-    real = complexes.assemble
-
-    def spy(*args):
-        assembled.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(complexes, "assemble", spy)
     again = parse_poly(text, weights, field)
     assert again is not om and complexes.potential_memo(again) is complexes.potential_memo(om)
-    assert tables(again) == first
+    with spy(linalg, "assemble", lambda real: lambda *args: assembled.append(args) or real(*args)):
+        assert tables(again) == first
     assert assembled == []
 
 
@@ -1508,14 +1480,14 @@ def test_a_catalog_verify_leaves_at_most_memo_size_records():
     assert 0 < len(alive) <= complexes.MEMO_SIZE
 
 
-def test_a_catalog_entry_computes_its_gradient_once(monkeypatch):
+def test_a_catalog_entry_computes_its_gradient_once(gradients):
     """every check of verify_entry, the tables, the Groebner basis and the
     bracket, reads the one memoised gradient of the potential"""
     for e in list(catalog.entries())[::25]:
-        calls = _counting_gradients(monkeypatch)
+        complexes.potential_memo.cache_clear()
+        del gradients[:]
         assert all(row["status"] != "fail" for row in catalog.verify_entry(e))
-        assert [f for f in calls if f == e.omega] == [e.omega], e.entry_id
-        monkeypatch.undo()
+        assert [f for f in gradients if f == e.omega] == [e.omega], e.entry_id
 
 
 @pytest.mark.parametrize("weights, field, text", _CACHE_POTENTIALS)

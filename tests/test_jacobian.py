@@ -43,8 +43,7 @@ from wpoisson.ring import (
 from reference_maps import (bigatti_numerator, critical_pairs_by_lcm_table, eager_reduced_basis,
                             gcd_by_fold, gkdim_by_subsets, mono_divides, mono_lcm,
                             standard_monomials)
-from reduce_count import (basis_polynomials, load_perfbench, parse_polynomials, pool,
-                          reduce_calls, reduce_phases)
+from work_counts import groebner_counts, load_perfbench, pool, spy
 
 
 def _mul_term(p, m, coef):
@@ -434,28 +433,28 @@ _GUARDED = [(W111, QQ, "x^3+y^3+z^3"), (W112, QQ, "x^4"), (W111, QQ, "x^2*y^2"),
 
 
 @pytest.mark.parametrize("weights, field, text", _GUARDED, ids=[t for _, _, t in _GUARDED])
-def test_gcd_partials_takes_one_kernel_per_map_and_no_basis(monkeypatch, weights, field, text):
+def test_gcd_partials_takes_one_kernel_per_map_and_no_basis(weights, field, text):
     """after the Hilbert numerator is cached, the gcd builds no Groebner
-    basis, takes no kernel when it is the monomial content of the partials
-    (deg gcd 0 included) and two otherwise: a degree sweep would show as
-    more"""
+    basis (``_basis``, the core of every basis build), takes no kernel when
+    it is the monomial content of the partials (deg gcd 0 included) and two
+    otherwise: a degree sweep would show as more"""
     omega = parse_poly(text, weights, field)
     a_sing_hilbert(omega, 0)
-    calls = {"buchberger": 0, "kernel_basis": 0}
+    want = gcd_by_fold(omega)
+    calls = {"_basis": 0, "kernel_basis": 0}
 
     def counted(name):
-        real = getattr(jacobian, name)
+        def wrap(real):
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+            return call
+        return wrap
 
-        def call(*args):
-            calls[name] += 1
-            return real(*args)
-        return call
-
-    for name in calls:
-        monkeypatch.setattr(jacobian, name, counted(name))
-    want = gcd_by_fold(omega)
-    assert gcd_partials(omega) == want
-    assert calls == {"buchberger": 0, "kernel_basis": 0 if want == _content(omega) else 2}
+    with spy(jacobian, "_basis", counted("_basis")), \
+            spy(jacobian, "kernel_basis", counted("kernel_basis")):
+        assert gcd_partials(omega) == want
+    assert calls == {"_basis": 0, "kernel_basis": 0 if want == _content(omega) else 2}
 
 
 def _routes(monkeypatch, suite):
@@ -977,15 +976,17 @@ def test_reduce_calls_over_the_seed_1_groebner_pool():
     final proof only the pairs and generators that the main loop's own zero
     reductions do not certify cut it to 4,710.  The main loop makes 3,803 of
     them, the same as before; the final proof made 4,221 and makes 907"""
-    assert reduce_calls(1) == (288, 4710)
-    assert reduce_phases(1) == REDUCE_PHASES
+    count, _, main, proof, _ = groebner_counts(1)
+    assert (count, main + proof) == (288, 4710)
+    assert (count, main, proof) == REDUCE_PHASES
 
 
 def test_parsing_the_seed_1_groebner_pool_builds_one_polynomial_per_string():
     """a deterministic work count: the one-pass parser builds each
     potential's Polynomial once; the recursive-descent parser built 7,459
     for these 288 strings"""
-    assert parse_polynomials(1) == (288, 288)
+    count, parsed, _, _, _ = groebner_counts(1)
+    assert (count, parsed) == (288, 288)
 
 
 # (potentials, Polynomial objects built while building their Jacobian bases)
@@ -998,7 +999,8 @@ def test_building_the_seed_1_jacobian_bases_builds_no_polynomial():
     of the potential's own terms; the Fraction gradient they started from
     built 864, three per potential, each turned straight back into integer
     terms"""
-    assert basis_polynomials(1) == BASIS_POLYNOMIALS
+    count, _, _, _, built = groebner_counts(1)
+    assert (count, built) == BASIS_POLYNOMIALS
 
 
 def _route_cases():

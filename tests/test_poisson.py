@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import reference_maps as ref
-from lookup_count import record_lookups
+from work_counts import record_lookups, spy
 from wpoisson import (
     PolyVector,
     Weights,
@@ -16,6 +16,7 @@ from wpoisson import (
     format_poly,
     from_potential,
     jacobiator,
+    linalg,
     modular_derivation,
     parse_map,
     parse_poly,
@@ -232,28 +233,27 @@ def test_derivations_match_the_d1_kernel_on_the_extension_families(weights, modu
 
 
 @pytest.mark.parametrize("weights, modulus, template, lam", _EXTENSION_MEMBERS)
-def test_derivations_assemble_no_d1_matrix(monkeypatch, weights, modulus, template, lam):
-    """a spy on the package's assembler: degrees 0..3 read the derivations
-    off [T_d | c], whose two target slices are A_{d+n} and A_d, and assemble
-    no d1 matrix, which maps three slices of X^1 to three of X^2.  The
-    package ships no d1 table to build one from (``test_imports``)"""
-    from wpoisson import complexes
+def test_derivations_assemble_no_d1_matrix(weights, modulus, template, lam):
+    """a spy on the assembler: degrees 0..3 read the derivations off
+    [T_d | c], whose two target slices are A_{d+n} and A_d, and assemble no
+    d1 matrix, which maps three slices of X^1 to three of X^2.  The package
+    ships no d1 table to build one from (``test_imports``)"""
     om = parse_poly(template % lam, weights, ExtensionField(modulus))
     shapes = []
-    real = complexes.assemble
 
-    def spy(w, src_degs, tgt_degs, table):
-        shapes.append((len(src_degs), len(tgt_degs)))
-        return real(w, src_degs, tgt_degs, table)
+    def record(real):
+        def call(w, src_degs, tgt_degs, table):
+            shapes.append((len(src_degs), len(tgt_degs)))
+            return real(w, src_degs, tgt_degs, table)
+        return call
 
-    monkeypatch.setattr(complexes, "assemble", spy)
-    s = from_potential(om)
-    for d in range(4):
-        graded_derivation_space(s, d)
-    assert shapes and (3, 3) not in shapes
-    # the spy sees the d1 route
-    monkeypatch.setattr(ref, "assemble", spy)
-    ref.derivations_by_d1(s, 0)
+    with spy(linalg, "assemble", record):
+        s = from_potential(om)
+        for d in range(4):
+            graded_derivation_space(s, d)
+        assert shapes and (3, 3) not in shapes
+        # the spy sees the d1 route
+        ref.derivations_by_d1(s, 0)
     assert (3, 3) in shapes
 
 
@@ -333,7 +333,7 @@ def test_a_structure_finds_its_record_by_identity():
     by term comparison.  Over the seed-1 extension jobs the lookups with a
     potential other than the record's own went 208 -> 80, one for each
     operation that looks up a record it did not create for its freshly
-    parsed potential (``tests/lookup_count.py``)"""
+    parsed potential (``tests/work_counts.py``)"""
     record = complexes.potential_memo(parse_poly("x^3+y^3+z^3", W111))
     assert from_potential(parse_poly("x^3+y^3+z^3", W111)).potential is record.omega
     assert record_lookups(1) == EXTENSION_RECORD_LOOKUPS

@@ -114,6 +114,6 @@ def test_readme_quotes_the_work_counts():
         for bound in ("3n+12", "n+6")]
     quotes += ["the %d root attempts and the %d memo record lookups of each pass"
                % (PASS_ROOT_ATTEMPTS, PASS_MEMO_LOOKUPS),
-               "(`tests/lookup_count.py`; %d)" % EXTENSION_RECORD_LOOKUPS[2]]
+               "(`tests/work_counts.py`; %d)" % EXTENSION_RECORD_LOOKUPS[2]]
     text = " ".join(README.read_text().split())
     assert [q for q in quotes if q not in text] == []
