@@ -498,18 +498,18 @@ def ph_closed_form_rows(omega, bound):
     degree the closed forms cover), closed0..closed3; matches maps ph0..ph3
     to whether the column equals its closed form, or is None when they do
     not apply."""
-    degrees = _ph_window(omega, bound)
-    memo = potential_memo(omega)
+    table = ph_dims(omega, bound)
+    degrees = list(table.row(0))
     weights = omega.weights
     n = omega.homogeneous_degree()
     applicable = n == weights.n_default
-    closed = ([closed_form_ph(weights, i, n).expand(degrees.start, bound) for i in range(4)]
+    closed = ([closed_form_ph(weights, i, n).expand(degrees[0], bound) for i in range(4)]
               if applicable else [])
     rows = []
-    for d in degrees:
+    for k, d in enumerate(degrees):
         row = {"degree": d}
-        row.update(("ph%d" % i, memo.ph_dim(i, d)) for i in range(4))
-        row.update(("closed%d" % i, col[d - degrees.start]) for i, col in enumerate(closed))
+        row.update(("ph%d" % i, table.dim(i, d)) for i in range(4))
+        row.update(("closed%d" % i, col[k]) for i, col in enumerate(closed))
         rows.append(row)
     if not applicable:
         return rows, None

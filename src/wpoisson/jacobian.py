@@ -658,7 +658,8 @@ def _gcd_from_koszul(memo, delta):
     d0 = 3 * memo.omega.homogeneous_degree() - weights.n_default - delta
     u = _one_kernel_vector(weights, field, koszul_component_degs(memo.omega, d0)[2],
                            memo.koszul_matrix(2, d0))
-    i, g = next((i, g) for i, g in enumerate(memo.gradient.comps) if g.terms)
+    i = memo.first_partial
+    g = memo.gradient.comps[i]
     table = op_table(field, [(0, 0, None, u[i]), (0, 1, None, -g)])
     degs = (delta, 0)
     h = _one_kernel_vector(weights, field, degs,

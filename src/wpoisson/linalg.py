@@ -72,14 +72,13 @@ class Matrix:
 
     def __init__(self, rows: int, cols: int, entries, field=QQ):
         """``entries`` is a list of ``rows`` dicts ``{col: value}``; values are
-        coerced into the field and zeros are dropped.  Over Q a value may be an
-        ``int`` or a ``Fraction``; ints are kept as they are.  Over K each
-        value is stored as its k x k block (module docstring)."""
+        coerced into the field and zeros are dropped.  Each value is stored as
+        its k x k block (module docstring), k = 1 over Q; whole values are
+        stored as ints, as in ``op_table``."""
         if rows < 0 or cols < 0:
             raise RingError("negative matrix dimensions")
         if len(entries) != rows:
             raise RingError("row count does not match declared dimensions")
-        rational = field == QQ
         k = field.degree
         qrows = []
         for row in entries:
@@ -89,11 +88,6 @@ class Matrix:
             for c, v in row.items():
                 if not (isinstance(c, int) and 0 <= c < cols):
                     raise RingError("column index %r out of range" % (c,))
-                if rational:
-                    v = v if type(v) is int else field.coerce(v)
-                    if v:
-                        clean[0][c] = v
-                    continue
                 for u, brow in enumerate(field.block(v)):
                     clean[u].update((c * k + t, q) for t, q in enumerate(brow) if q)
             qrows += clean

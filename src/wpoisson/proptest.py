@@ -1,8 +1,9 @@
 """Seeded randomized property suites.
 
-Four independent suites, each checking an algebraic law on generated inputs:
+Four laws, each checking one generated case of an algebraic identity:
 bracket antisymmetry and the Leibniz rule, rank plus nullity against column
-count, curl of a gradient vanishing, and text round-tripping.  Deterministic
+count, curl of a gradient vanishing, and text round-tripping.  One runner,
+``run_all_suites``, draws every case and counts the failures.  Deterministic
 for a fixed seed; used both by the test suite and the `selftest` subcommand.
 """
 
@@ -56,94 +57,69 @@ def random_homogeneous(rng, weights, degree):
     return f
 
 
-def suite_bracket_laws(seed, cases):
-    """{f,g} = -{g,f} and {f, g*h} = g*{f,h} + {f,g}*h for potential brackets."""
-    rng = random.Random(seed)
-    failures = 0
-    for _ in range(cases):
-        weights = Weights(*rng.choice(WEIGHT_POOL))
-        n = weights.n_default + rng.randint(0, 2)
-        omega = random_homogeneous(rng, weights, n)
-        if omega.is_zero():
-            omega = (Polynomial.variable(weights, "x")
-                     * Polynomial.variable(weights, "y")
-                     * Polynomial.variable(weights, "z"))
-        s = from_potential(omega)
-        f = random_polynomial(rng, weights, max_degree=6, max_terms=3)
-        g = random_polynomial(rng, weights, max_degree=6, max_terms=3)
-        h = random_polynomial(rng, weights, max_degree=4, max_terms=2)
-        anti = bracket(s, f, g) + bracket(s, g, f)
-        leib = bracket(s, f, g * h) - g * bracket(s, f, h) - bracket(s, f, g) * h
-        if not anti.is_zero() or not leib.is_zero():
-            failures += 1
-    return failures
+def bracket_laws(rng, case):
+    """{f,g} = -{g,f} and {f, g*h} = g*{f,h} + {f,g}*h for a potential
+    bracket; a degree n >= a+b+c has a monomial on every pool triple, so the
+    potential is never zero"""
+    weights = Weights(*rng.choice(WEIGHT_POOL))
+    n = weights.n_default + rng.randint(0, 2)
+    s = from_potential(random_homogeneous(rng, weights, n))
+    f = random_polynomial(rng, weights, max_degree=6, max_terms=3)
+    g = random_polynomial(rng, weights, max_degree=6, max_terms=3)
+    h = random_polynomial(rng, weights, max_degree=4, max_terms=2)
+    anti = bracket(s, f, g) + bracket(s, g, f)
+    leib = bracket(s, f, g * h) - g * bracket(s, f, h) - bracket(s, f, g) * h
+    return anti.is_zero() and leib.is_zero()
 
 
-def suite_rank_nullity(seed, cases):
-    """rank(M) + dim ker(M) equals the column count; every other case is
-    over Q[s]/(s^2+s+1), whose elimination restricts scalars to Q."""
-    rng = random.Random(seed)
-    w = ExtensionField([1, 1, 1]).generator  # a primitive cube root of unity
-    failures = 0
-    for case in range(cases):
-        over_q = case % 2 == 0
-        rows = rng.randint(0, 7)
-        cols = rng.randint(0, 7)
-        grid = [{j: _random_coef(rng) if over_q else _random_coef(rng) + _random_coef(rng) * w
-                 for j in range(cols) if rng.random() < 0.45}
-                for _ in range(rows)]
-        m = Matrix(rows, cols, grid, QQ if over_q else w.field)
-        ker = kernel_basis(m)
-        if rank(m) + len(ker) != cols:
-            failures += 1
-            continue
-        # every reported kernel vector must annihilate the rows drawn
-        for vec in ker:
-            img = [sum(v * vec[j] for j, v in row.items()) for row in grid]
-            if any(v != 0 for v in img):
-                failures += 1
-                break
-    return failures
+_CUBE_ROOT = ExtensionField([1, 1, 1]).generator  # a primitive cube root of unity
 
 
-def suite_curl_grad(seed, cases):
-    """curl(grad f) = 0 for random polynomials."""
-    rng = random.Random(seed)
-    failures = 0
-    for _ in range(cases):
-        weights = Weights(*rng.choice(WEIGHT_POOL))
-        f = random_polynomial(rng, weights, max_degree=10, max_terms=5)
-        c = curl(gradient(f))
-        if not (c.f1.is_zero() and c.f2.is_zero() and c.f3.is_zero()):
-            failures += 1
-    return failures
+def rank_nullity(rng, case):
+    """rank(M) + dim ker(M) equals the column count, and every kernel vector
+    annihilates the rows drawn; odd cases are over Q[s]/(s^2+s+1), whose
+    elimination restricts scalars to Q"""
+    over_q = case % 2 == 0
+    rows = rng.randint(0, 7)
+    cols = rng.randint(0, 7)
+    grid = [{j: _random_coef(rng) if over_q else _random_coef(rng) + _random_coef(rng) * _CUBE_ROOT
+             for j in range(cols) if rng.random() < 0.45}
+            for _ in range(rows)]
+    m = Matrix(rows, cols, grid, QQ if over_q else _CUBE_ROOT.field)
+    ker = kernel_basis(m)
+    return rank(m) + len(ker) == cols and all(
+        sum(v * vec[j] for j, v in row.items()) == 0 for vec in ker for row in grid)
 
 
-def suite_roundtrip(seed, cases):
-    """parse(format(f)) = f, and formatting is idempotent through a parse."""
-    rng = random.Random(seed)
-    failures = 0
-    for _ in range(cases):
-        weights = Weights(*rng.choice(WEIGHT_POOL))
-        f = random_polynomial(rng, weights, max_degree=12, max_terms=6)
-        text = format_poly(f)
-        back = parse_poly(text, weights)
-        if back != f or format_poly(back) != text:
-            failures += 1
-    return failures
+def curl_grad(rng, case):
+    """curl(grad f) = 0"""
+    weights = Weights(*rng.choice(WEIGHT_POOL))
+    c = curl(gradient(random_polynomial(rng, weights, max_degree=10, max_terms=5)))
+    return c.f1.is_zero() and c.f2.is_zero() and c.f3.is_zero()
+
+
+def roundtrip(rng, case):
+    """parse(format(f)) = f, and formatting is idempotent through a parse"""
+    weights = Weights(*rng.choice(WEIGHT_POOL))
+    f = random_polynomial(rng, weights, max_degree=12, max_terms=6)
+    text = format_poly(f)
+    back = parse_poly(text, weights)
+    return back == f and format_poly(back) == text
 
 
 SUITES = [
-    ("bracket-laws", suite_bracket_laws),
-    ("rank-nullity", suite_rank_nullity),
-    ("curl-grad", suite_curl_grad),
-    ("parse-format-roundtrip", suite_roundtrip),
+    ("bracket-laws", bracket_laws),
+    ("rank-nullity", rank_nullity),
+    ("curl-grad", curl_grad),
+    ("parse-format-roundtrip", roundtrip),
 ]
 
 
 def run_all_suites(seed=20240817, cases=100):
-    """Run the four suites; returns [(name, cases, failures)]."""
+    """Check each law on ``cases`` cases drawn from random.Random(seed + k)
+    for suite k; returns [(name, cases, failures)]."""
     outcomes = []
-    for offset, (name, fn) in enumerate(SUITES):
-        outcomes.append((name, cases, fn(seed + offset, cases)))
+    for offset, (name, law) in enumerate(SUITES):
+        rng = random.Random(seed + offset)
+        outcomes.append((name, cases, sum(not law(rng, case) for case in range(cases))))
     return outcomes

@@ -230,12 +230,6 @@ def parse_poly(text: str, weights: Weights, field=QQ) -> Polynomial:
     return Polynomial(weights, field, terms)
 
 
-def _format_coeff(field, coef) -> str:
-    if isinstance(coef, ExtElem):
-        return "(" + field.format(coef) + ")"
-    return format_rational(coef)
-
-
 def format_poly(f: Polynomial) -> str:
     """Canonical form: terms in descending monomial order, reduced fractions.
     parse_poly(format_poly(f)) == f."""
@@ -251,7 +245,7 @@ def format_poly(f: Polynomial) -> str:
                 factors.append("%s^%d" % (VAR_NAMES[idx], e))
         body = "*".join(factors)
         if isinstance(coef, ExtElem):
-            cs = _format_coeff(f.field, coef)
+            cs = "(" + f.field.format(coef) + ")"
             text = cs + "*" + body if body else cs
             parts.append(("+", text))
             continue

@@ -1,5 +1,6 @@
 """Catalog data file: loading, filtering, and per-entry verification."""
 
+import dataclasses
 import math
 import random
 
@@ -135,6 +136,28 @@ def test_filter_errors():
         catalog.entries("weights:1,2")
     with pytest.raises(catalog.CatalogError):
         catalog.entries("no-such-entry")
+
+
+def _without(predicate):
+    return [e for e in catalog.entries() if not predicate(e)]
+
+
+@pytest.mark.parametrize("edited, message", [
+    (lambda: _without(lambda e: e.entry_id == "112-i-b"),
+     r"^expected 16 parameter-free \(1,1,2\) entries, got 15$"),
+    (lambda: _without(lambda e: e.type_label == "i" and e.table == "112"),
+     r"^expected exactly 3 isolated families, got \{'[^']*', '[^']*'\}$"),
+    (lambda: [dataclasses.replace(e, family=None) if e.entry_id == "111-i-c5" else e
+              for e in catalog.entries()],
+     r"^expected exactly 3 isolated families, got \{.*None.*\}$"),
+    (lambda: _without(lambda e: e.entry_id == "111-i-a"), r"^spot check failed for 111-i-a$"),
+    (lambda: [dataclasses.replace(e, type_label="q") if e.entry_id == "123-i-a" else e
+              for e in catalog.entries()], r"^spot check failed for 123-i-a$"),
+], ids=["free-112", "two-families", "no-family", "spot-missing", "spot-type"])
+def test_the_whole_catalog_facts_refuse_an_edited_catalog(edited, message):
+    catalog._sanity(catalog.entries())
+    with pytest.raises(catalog.CatalogError, match=message):
+        catalog._sanity(edited())
 
 
 def test_range_rows_describe_bounds():

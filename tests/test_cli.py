@@ -945,14 +945,52 @@ def _one_record(tmp_path, command, line):
      "123-i-a: nw entries are non-vacant and unsealed"),
     (_CATALOG_LINE + ";cond=c=a*b", "111-i-a: unknown condition 'c=a*b'"),
     (_CONDITION_CASES["c=k*a"][0].replace(";k=3", ""), "aabc-i-a: condition c=k*a fails"),
+    (_CATALOG_LINE.rsplit(" | ", 1)[0], "record needs 11 fields, got 10: %r"
+     % _CATALOG_LINE.rsplit(" | ", 1)[0]),
+    (_CATALOG_LINE.replace("1,1,1", "1,x,1"), "111-i-a: bad weights '1,x,1'"),
+    (_CATALOG_LINE.replace("1,1,1", "2,2,2"), "111-i-a: weights must have gcd 1, got (2,2,2)"),
+    (_CATALOG_LINE.replace("| bw |", "| bx |"), "111-i-a: bad type 'bx'"),
+    (_CATALOG_LINE.replace("| unknown |", "| maybe |"), "111-i-a: bad verdict"),
+    (_CATALOG_LINE.replace("| true |", "| yes |"), "111-i-a: bad boolean"),
+    ("111-r-c | 1,1,1 | x*y*z | r | true | 0 | 1 | no | no | false | table=111;vacwit=0;sealwit=3",
+     "111-r-c: type 'r' inconsistent with irreducible=True"),
+    (_CATALOG_LINE.replace("x^3+y^2*z", "x^3+y^2"),
+     "111-i-a: potential not homogeneous of degree 3"),
+    (_CATALOG_LINE + ";k", "111-i-a: bare parameter token"),
+    (_CATALOG_LINE.replace("table=111", "family=f"), "111-i-a: missing or unknown table key None"),
+    (_CATALOG_LINE.replace("table=111", "table=110"),
+     "111-i-a: missing or unknown table key '110'"),
+    (_CATALOG_LINE.replace("table=111", "table=112"),
+     "111-i-a: weights (1, 1, 1) do not fit group '112'"),
+    (_CATALOG_LINE.replace("| 0 | 1 |", "| <=0 | 1 |"),
+     "111-i-a: irreducible entry needs exact rgt 0"),
+    (_CATALOG_LINE.replace("| 0 | 1 |", "| 1 | 1 |"),
+     "111-i-a: irreducible entry needs exact rgt 0"),
+    (_CATALOG_LINE.replace("| yes |", "| no |"), "111-i-a: vacant=no needs vacwit"),
+    (_CATALOG_LINE.replace("| unknown |", "| no |"), "111-i-a: sealed=no needs sealwit"),
+    (_CATALOG_LINE + "\n" + _CATALOG_LINE, "duplicate id 111-i-a"),
 ], ids=["i-not-isolated", "isolated-not-i", "reducible-rgt", "reducible-rgt-bound", "r-vacant",
-        "nw-sealed", "unknown-condition", "c=k*a-without-k"])
+        "nw-sealed", "unknown-condition", "c=k*a-without-k", "ten-fields", "bad-weights",
+        "weights-gcd", "bad-type", "bad-verdict", "bad-boolean", "type-not-irreducible",
+        "inhomogeneous", "bare-parameter", "no-table", "unknown-table", "outside-table",
+        "irreducible-rgt-bound", "irreducible-rgt-1", "vacant-no-witness", "sealed-no-witness",
+        "duplicate-id"])
 @pytest.mark.parametrize("command", ["list", "verify"])
 def test_every_catalog_file_gets_the_per_record_rules(tmp_path, command, line, message):
     res = _one_record(tmp_path, command, line)
     assert res.exit_code == 2
     assert res.stdout == ""
-    assert res.stderr.splitlines()[-1] == "Error: " + message
+    lines = res.stderr.splitlines()
+    assert [text for text in lines if text.startswith("Usage: ")] == [lines[0]]
+    assert lines[-1] == "Error: " + message
+
+
+def test_a_weights_filter_of_non_integers_is_a_usage_error():
+    res = CliRunner().invoke(main, ["catalog", "list", "--filter", "weights:1,x,1"],
+                             catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines()[-1] == "Error: bad weights selector 'weights:1,x,1'"
 
 
 @pytest.mark.parametrize("command", ["list", "verify"])

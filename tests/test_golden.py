@@ -5,10 +5,12 @@ performance changes.
 ``tests/data/golden_tables.json`` holds, for each of the 125 catalog entries
 at bound n+6, the vacancy, sealed K1, PH, Koszul, M2 and ozone tables;
 ``tests/data/catalog_verify_d9.json`` is the stdout of ``wpoisson catalog
-verify --max-degree 9 --format json``, which exits 0; and
+verify --max-degree 9 --format json``, which exits 0;
+``tests/data/catalog_verify_default.sha256`` is the SHA-256 of the stdout of
+``wpoisson catalog verify --format json``, at the default bound 3n+12;
 ``tests/data/catalog_list.json`` is the stdout of ``wpoisson catalog list
---format json``, whose SHA-256 CI also checks against
-``tests/data/catalog_list.sha256``; and ``tests/data/cli_reports.json``
+--format json``, with its SHA-256 in ``tests/data/catalog_list.sha256``;
+and ``tests/data/cli_reports.json``
 holds the stdout and exit code of every subcommand in all three formats, of
 failing ``jacobi``, ``modular``, ``verify-aut`` and ``catalog verify`` runs,
 and of five refusals, with the last stderr line of each run that exits 2.
@@ -36,6 +38,8 @@ DATA = Path(__file__).resolve().parent / "data"
 TABLES = DATA / "golden_tables.json"
 VERIFY = DATA / "catalog_verify_d9.json"
 VERIFY_ARGS = ["catalog", "verify", "--max-degree", "9", "--format", "json"]
+VERIFY_DEFAULT_SHA = DATA / "catalog_verify_default.sha256"
+VERIFY_DEFAULT_ARGS = ["catalog", "verify", "--format", "json"]
 LIST = DATA / "catalog_list.json"
 LIST_SHA = DATA / "catalog_list.sha256"
 LIST_ARGS = ["catalog", "list", "--format", "json"]
@@ -147,6 +151,14 @@ def test_catalog_verify_json_equals_golden():
     assert _stdout(VERIFY_ARGS) == VERIFY.read_text()
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_catalog_verify_json_at_the_default_bound_hashes_to_golden():
+    assert _sha256(_stdout(VERIFY_DEFAULT_ARGS)) == VERIFY_DEFAULT_SHA.read_text().strip()
+
+
 def test_catalog_list_json_equals_golden():
     assert _stdout(LIST_ARGS) == LIST.read_text()
     assert hashlib.sha256(LIST.read_bytes()).hexdigest() == LIST_SHA.read_text().strip()
@@ -190,6 +202,7 @@ if __name__ == "__main__":
     TABLES.write_text("{\n%s\n}\n" % ",\n".join(
         "%s: %s" % (json.dumps(eid), json.dumps(tables[eid])) for eid in sorted(tables)))
     VERIFY.write_text(_stdout(VERIFY_ARGS))
+    VERIFY_DEFAULT_SHA.write_text(_sha256(_stdout(VERIFY_DEFAULT_ARGS)) + "\n")
     LIST.write_text(_stdout(LIST_ARGS))
     LIST_SHA.write_text(hashlib.sha256(LIST.read_bytes()).hexdigest() + "\n")
     with tempfile.TemporaryDirectory() as tmp_dir:

@@ -99,3 +99,12 @@ def test_euler_rhs_balanced_degree():
 def test_euler_rhs_positive_twist():
     got = euler_rhs(Weights(1, 1, 1), 4).expand(-7, 0)
     assert got == [0, -1, -3, -3, -1, 0, 0, 0]
+
+
+def test_every_series_refusal_names_its_fault():
+    with pytest.raises(RingError, match="^denominator exponents must be positive$"):
+        HilbertSeries({0: 1}, (1, 0))
+    with pytest.raises(RingError, match="^empty expansion window$"):
+        HilbertSeries({0: 1}, (1,)).expand(2, 1)
+    with pytest.raises(RingError, match="^potential degree must be positive$"):
+        closed_form_ph(Weights(1, 1, 1), 0, 0)

@@ -8,6 +8,7 @@ import pytest
 
 from wpoisson import (ExtensionField, Matrix, QQ, Weights, kernel_basis,
                       parse_poly, rank)
+from wpoisson.linalg import vector_to_polys
 from wpoisson.ring import ExtElem, RingError
 
 from reference_linalg import reference_kernel_basis, reference_rank
@@ -281,7 +282,7 @@ def test_constructor_validates_every_column_and_drops_zero_ints():
             Matrix(1, 3, [{bad: Fraction(1, 2)}])
     m = Matrix(3, 3, [{0: 0, 1: 5, 2: 0}, {2: Fraction(0)}, {0: Fraction(2), 1: -7}])
     assert m.entries == [{1: 5}, {}, {0: 2, 1: -7}]
-    assert type(m.entries[0][1]) is int and type(m.entries[2][0]) is Fraction
+    assert type(m.entries[0][1]) is int and type(m.entries[2][0]) is int
     # over Q(s)/(s^2+s+1) each value is its 2 x 2 block: 2 is twice the
     # identity, and s takes 1 to s and s to s^2 = -1 - s
     f = ExtensionField([1, 1, 1])
@@ -383,3 +384,13 @@ def test_kernel_basis_back_substitution_matches_the_reference():
             ker = kernel_basis(m)
             assert ker == reference_kernel_basis(field, width, grid)
             assert all(not v[j] for v in ker for j in range(cols, width))
+
+
+def test_every_matrix_refusal_names_its_fault():
+    with pytest.raises(RingError, match="^negative matrix dimensions$"):
+        Matrix(-1, 2, [])
+    with pytest.raises(RingError, match=r"^matrix rows must be \{column: value\} dicts$"):
+        Matrix(1, 1, [[1]])
+    # degree 1 on (1,1,1) has three monomials, so four coordinates do not fit
+    with pytest.raises(RingError, match="^coefficient vector does not match the degree layout$"):
+        vector_to_polys(Weights(1, 1, 1), QQ, [1], [0, 1, 0, 0])

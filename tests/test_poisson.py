@@ -502,3 +502,9 @@ def test_verify_automorphism_agrees_with_the_gradient_oracle(field):
                 assert verify_automorphism(omega, phi) == expected, (family.__name__, text, phi)
                 verdicts.add(expected)
         assert verdicts == reached, family.__name__
+
+
+def test_derivations_need_a_structure_tagged_with_its_potential():
+    x, y, z = (Polynomial.variable(W111, v) for v in "xyz")
+    with pytest.raises(RingError, match="^operation needs a structure tagged with its potential$"):
+        graded_derivation_space(PoissonStructure(z, x, y), 0)

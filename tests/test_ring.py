@@ -356,3 +356,29 @@ def test_mixed_weight_operations_rejected():
     x2 = Polynomial.variable(Weights(1, 1, 2), "x")
     with pytest.raises(RingError):
         _ = x1 + x2
+
+
+def test_every_ring_refusal_names_its_fault():
+    f, g = ExtensionField([1, 1, 1]), ExtensionField([1, 0, 1])
+    w = Weights(1, 1, 1)
+    with pytest.raises(RingError, match="^cannot coerce an extension element into QQ$"):
+        QQ.coerce(f.generator)
+    with pytest.raises(RingError, match="^extension element has wrong coefficient length$"):
+        ExtElem(f, [1])
+    with pytest.raises(RingError, match="^modulus must have degree >= 1$"):
+        ExtensionField([1])
+    with pytest.raises(RingError, match="^element of a different extension field$"):
+        g.coerce(f.generator)
+    with pytest.raises(RingError, match="^cannot coerce 'x' into "):
+        f.coerce("x")
+    with pytest.raises(ZeroDivisionError, match="^division by zero in extension field$"):
+        f.inverse(f.zero)
+    with pytest.raises(RingError, match=r"^weights must have gcd 1, got \(2,4,6\)$"):
+        Weights(2, 4, 6)
+    with pytest.raises(AttributeError, match="^Weights is immutable$"):
+        w.a = 2
+    with pytest.raises(RingError, match="^zero polynomial has no leading monomial$"):
+        Polynomial.zero(w).leading_monomial()
+    with pytest.raises(RingError,
+                       match="^polynomial powers need a non-negative integer exponent$"):
+        Polynomial.variable(w, "x") ** -1
