@@ -107,6 +107,31 @@ runs up from degree 0 and reaches d - n before d, so the rank of K1 at
 total degree e that sealed_d needs was read off the block of degree e
 whenever X1 there is nonzero, and is 0 otherwise.
 
+Ranks mod p.  Over K = Q[s]/(m), deg m <= 3, for a potential with an
+s-part, each rank read eliminates its K-matrix once mod p, with s -> r
+(``linalg``): [H | H'] for rank T_d, K1, K2 inside ``k2_window``, and the
+sealed block.  The argument on cuts above holds over any field, so the
+pivots mod p in the columns >= j number the rank over F_p of the cut to
+those columns, and as a nonzero minor mod p lifts, each is a lower bound on
+the rank of that cut over K.  The complex bounds each from above:
+- rank T_d <= dim X1_d - rank d0 at d - n + s, as the Hamiltonians of
+  degree d, the image of d0 there, lie in ker T_d; equality is ozone =
+  Hamiltonians;
+- rank K1 <= dim K1 - rank K2 at one total degree, as the Koszul boundaries
+  lie in ker K1; equality is H1 = 0;
+- rank K2 <= dim K2 - dim K3, as K3 -> K2 is injective into ker K2;
+  equality is H2 = 0;
+- rank B_e <= dim X1_e + rank K1_e - rank K2_d (Sealed), as sealed_d >= 0.
+A rank mod p that meets its bound is the rank over K, and the read keeps it;
+a matrix with any cut short of its bound is eliminated over K by restriction
+of scalars, as is every later matrix of that potential, whose bounds, as it
+is not isolated or p is unlucky, would mostly miss again, and every matrix
+where no listed prime serves, so no number depends on p.  The bounds read
+only ranks the sweeps read anyway.  Rank [T_d | c], with its Casimir
+column, and the kernel bases stay exact, and a modulus of degree 4 or more,
+whose irreducibility ``ExtensionField`` does not decide, keeps every rank
+exact.
+
 Every per-degree table sweeps a window of degrees from its lowest nonzero
 slot up to the truncation bound D, and refuses, before it lists a monomial,
 a window with no degree, as every flag over an empty table would hold
@@ -127,7 +152,10 @@ ranks by degree are methods of the record, so each public sweep or map
 looks its record up once.  Each (immutable) table is shared by every
 degree; the sealed table, with its products O and O g_i, is built only for
 the sealed sweep.  A table over Q(s) whose coefficients have no s-part is
-made over Q, and so are its matrices (``linalg`` docstring)."""
+made over Q, and so are its matrices (``linalg`` docstring).  The record
+decides once, on first read, whether its ranks go mod p (``reduction``),
+stops at its first miss, and builds each table over F_p only when a read
+first needs it."""
 
 from __future__ import annotations
 
@@ -136,7 +164,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .hilbert import closed_form_ph
-from .linalg import assemble, kernel_basis, op_table, pivot_columns, rank
+from .linalg import (assemble, kernel_basis, op_table, pivot_columns, rank, reduction,
+                     residue_pivots)
 from .ring import QQ, Polynomial, RingError, check_potential, count_monomials, gradient
 
 
@@ -188,11 +217,7 @@ class _Memo:
     @cached_property
     def koszul_tables(self):
         """operator tables of K_i -> K_{i-1} by i: v . g on K1, v x g on K2"""
-        g, field = self.gradient.comps, self.omega.field
-        # component k of v x g is g_{k+2} v_{k+1} - g_{k+1} v_{k+2}
-        return {1: op_table(field, [(0, s, None, g[s]) for s in range(3)]),
-                2: op_table(field, [(k, (k + j) % 3, None, sign * g[(k - j) % 3])
-                                    for k in range(3) for j, sign in ((1, 1), (2, -1))])}
+        return _koszul_tables(self.omega.field, self.gradient.comps)
 
     @cached_property
     def hamiltonian_table(self):
@@ -202,9 +227,38 @@ class _Memo:
     @cached_property
     def sealed_table(self):
         """operator table of the sealed block [O A_e | O g_i A_u | H | H']"""
+        return op_table(self.omega.field, self._sealed_terms())
+
+    @cached_property
+    def reduction(self):
+        """the map s -> r onto F_p of the modular ranks, or None, which keeps
+        every rank exact: over Q, where the potential has no s-part, where deg
+        m > 3, or where no listed prime qualifies (``linalg.reduction``), and
+        after the first miss (``_certified``)"""
+        field, coefs = self.omega.field, self.omega.terms.values()
+        if field == QQ or field.degree > 3 or all(c.is_rational() for c in coefs):
+            return None
+        return reduction(field, math.lcm(*(q.denominator for c in coefs for q in c.coeffs)))
+
+    @cached_property
+    def residue_koszul_tables(self):
+        """the Koszul tables over F_p"""
+        return _koszul_tables(self.reduction, self.gradient.comps)
+
+    @cached_property
+    def residue_hamiltonian_table(self):
+        """the table of [H | H'] over F_p"""
+        return op_table(self.reduction, _hamiltonian_terms(self.gradient.comps, 0))
+
+    @cached_property
+    def residue_sealed_table(self):
+        """the table of the sealed block over F_p"""
+        return op_table(self.reduction, self._sealed_terms())
+
+    def _sealed_terms(self):
         omega, g = self.omega, self.gradient.comps
         products = [(0, 0, None, omega), (0, 1, None, omega * g[self.first_partial])]
-        return op_table(omega.field, products + _hamiltonian_terms(g, 2))
+        return products + _hamiltonian_terms(g, 2)
 
     @cached_property
     def ozone_table(self):
@@ -305,30 +359,60 @@ class _Memo:
         """#A_d + rank [H | H'] at degree d, which is rank T_d, and given the
         column c = (h, f) #A_d + rank [H | H' | c'], which is rank [T_d | c],
         with c' = h - n f O/(d+s) on one more source, the monomial 1 (module
-        docstring); c' = h where d + s = 0, as A_d = 0 there"""
+        docstring); c' = h where d + s = 0, as A_d = 0 there.  Rank T_d is
+        taken mod p where its bound certifies it (module docstring)"""
         omega = self.omega
         weights = omega.weights
         n, s = omega.homogeneous_degree(), weights.n_default
+        src, lead = _rotation_degrees(weights, d), count_monomials(weights, d)
+        if column is None and self.reduction is not None:
+            bound = self.t_bound(d)
+            matrix = assemble(weights, src, [d + n], self.residue_hamiltonian_table)
+            if self._certified(matrix, [(0, bound - lead)]):
+                return bound
         field, terms = self.hamiltonian_table
-        src = _rotation_degrees(weights, d)
         if column is not None:
             h, f = column
             reduced = h - f * omega * Fraction(n, d + s) if d + s else h
             terms += op_table(omega.field, [(0, 2, None, reduced)], reduce=field == QQ)[1]
             src.append(0)
-        return count_monomials(weights, d) + rank(assemble(weights, src, [d + n], (field, terms)))
+        return lead + rank(assemble(weights, src, [d + n], (field, terms)))
 
-    def koszul_matrix(self, i, d):
-        """matrix of K_i -> K_{i-1} at total degree d (``koszul_matrix``)"""
+    def _certified(self, matrix, cuts):
+        """whether the matrix over F_p has, for each (column, bound) in cuts,
+        as many pivots in the columns >= column as bound, an upper bound on
+        the rank of that cut over K, which it then equals (module docstring).
+        A miss sets ``reduction`` to None, so every later read of the record
+        is exact: the bounds of a potential that is not isolated miss on most
+        blocks, and each miss costs an elimination mod p and one over K"""
+        pivots = residue_pivots(matrix)
+        if all(sum(c >= cut for c in pivots) == bound for cut, bound in cuts):
+            return True
+        self.__dict__["reduction"] = None  # where cached_property keeps it
+        return False
+
+    def t_bound(self, d):
+        """dim X1_d - rank d0 at d - n + s, an upper bound on rank T_d, as the
+        Hamiltonians of that degree lie in ker T_d"""
+        weights = self.omega.weights
+        w = self.omega.homogeneous_degree() - weights.n_default
+        return _space_dim(weights, weights.tuple, d) - self.cochain_rank(0, d - w)
+
+    def koszul_matrix(self, i, d, tables=None):
+        """matrix of K_i -> K_{i-1} at total degree d (``koszul_matrix``), from
+        the record's Koszul tables or from ``tables``"""
         if i not in (1, 2):
             raise RingError("koszul index out of range")
         degs = koszul_component_degs(self.omega, d)
         _slice_budget(self.omega, "koszul", d, degs[i] + degs[i - 1])
-        return assemble(self.omega.weights, degs[i], degs[i - 1], self.koszul_tables[i])
+        table = (tables or self.koszul_tables)[i]
+        return assemble(self.omega.weights, degs[i], degs[i - 1], table)
 
     def koszul_rank(self, i, d):
         """rank of K_i -> K_{i-1} at total degree d, memoised by (i, d), where the
-        sealed blocks leave K1; K2 by Koszul depth (module docstring)"""
+        sealed blocks leave K1; K2 by Koszul depth; a matrix rank mod p where
+        its bound, dim K1 - rank K2 or dim K2 - dim K3, certifies it (module
+        docstring)"""
         ranks = self.koszul_ranks
         if (i, d) not in ranks:
             dim = _koszul_dim(self.omega, i, d)
@@ -336,22 +420,41 @@ class _Memo:
                 ranks[i, d] = dim
             elif i == 2 and d >= self.k2_window.stop:
                 ranks[i, d] = dim - count_monomials(self.omega.weights, d - self.k2_kernel_degree)
+            elif not dim:
+                ranks[i, d] = 0
+            elif self.reduction is None:
+                ranks[i, d] = rank(self.koszul_matrix(i, d))
             else:
-                ranks[i, d] = rank(self.koszul_matrix(i, d)) if dim else 0
+                # rank K1 <= dim K1 - rank K2, rank K2 <= dim K2 - dim K3; a
+                # miss in reading rank K2 leaves this read exact too
+                bound = dim - (self.koszul_rank(2, d) if i == 1 else _koszul_dim(self.omega, 3, d))
+                certified = self.reduction is not None and self._certified(
+                    self.koszul_matrix(i, d, self.residue_koszul_tables), [(0, bound)])
+                ranks[i, d] = bound if certified else rank(self.koszul_matrix(i, d))
         return ranks[i, d]
 
     def sealed_ranks(self, e):
         """(rank K1 at total degree e+n, rank B_e, rank T_e) from one elimination
         of [O A_e | O g_i A_u | H | H'] into A_{e+n}: #A_e and its pivots, those
         past the O A_e columns, and those past the u columns (module
-        docstring)"""
+        docstring); mod p where the bounds of all three certify them"""
         weights = self.omega.weights
         n = self.omega.homogeneous_degree()
         u_deg = e - n + weights.tuple[self.first_partial]
         src = [e, u_deg] + _rotation_degrees(weights, e)
-        pivots = pivot_columns(assemble(weights, src, [e + n], self.sealed_table))
         lead = count_monomials(weights, e)
         past_u = lead + count_monomials(weights, u_deg)
+        if self.reduction is not None:
+            # rank K1 <= dim K1 - rank K2, rank B_e <= dim X1_e + rank K1_e -
+            # rank K2, with K1 and K2 at total degree e + n, and rank T_e; a
+            # miss in reading these leaves this read exact too
+            k2, x1 = self.koszul_rank(2, e + n), _koszul_dim(self.omega, 1, e + n)
+            bounds = x1 - k2, x1 + self.koszul_rank(1, e) - k2, self.t_bound(e)
+            if self.reduction is not None and self._certified(
+                    assemble(weights, src, [e + n], self.residue_sealed_table),
+                    [(0, bounds[0]), (lead, bounds[1] - lead), (past_u, bounds[2] - lead)]):
+                return bounds
+        pivots = pivot_columns(assemble(weights, src, [e + n], self.sealed_table))
         return (len(pivots), lead + sum(c >= lead for c in pivots),
                 lead + sum(c >= past_u for c in pivots))
 
@@ -542,6 +645,14 @@ def _rotation_degrees(weights, d):
     H and H' at degree d (module docstring)"""
     a, b, c = weights.tuple
     return [d + a + c, d + b + c]
+
+
+def _koszul_tables(field, g):
+    """the tables of K1, v -> v . g, and K2, v -> v x g, over field, by i"""
+    # component k of v x g is g_{k+2} v_{k+1} - g_{k+1} v_{k+2}
+    return {1: op_table(field, [(0, s, None, g[s]) for s in range(3)]),
+            2: op_table(field, [(k, (k + j) % 3, None, sign * g[(k - j) % 3])
+                                for k in range(3) for j, sign in ((1, 1), (2, -1))])}
 
 
 def _hamiltonian_terms(g, first):

@@ -3,9 +3,10 @@ that turns an operator table into a matrix.
 
 There is one matrix representation: a sparse ``Matrix`` whose ``entries``
 hold one ``{col: nonzero rational}`` dict per row over Q, and one
-elimination loop, ``_echelon``, over Q.  It takes the nonzero rows shortest
-first and reduces each on its last (largest) column against the pivot rows
-found so far; no global pivot search.  A row is cleared to coprime integers
+elimination loop, ``_echelon``, over Q, with one beside it over F_p for the
+ranks mod p (below).  It takes the nonzero rows shortest first and reduces
+each on its last (largest) column against the pivot rows found so far; no
+global pivot search.  A row is cleared to coprime integers
 once, on entry, updates are fraction-free (Bareiss-style
 cross-multiplication by the cofactors of the gcd), and each new pivot row
 is divided by its content.  ``kernel_basis`` back-substitutes the same way:
@@ -57,14 +58,32 @@ allows, so a kernel basis depends only on the matrix, not on the order of
 elimination.  They were chosen over leftmost pivots, which free the latest
 columns instead and so change the kernel bases the tests pin, such as the
 degree-0 derivations [x, y, 2z], [0, x, -3y^2] of x^2*z+x*y^3 on (1,1,2).
+
+Ranks mod p, for the rank reads of ``complexes`` over K, deg m <= 3.
+``reduction`` takes the first of the fixed PRIMES that divides no
+denominator of the potential and at which m has a root r, found once per
+modulus and prime by one splitting method for degrees 2 and 3; ``op_table``
+over that ``Reduction`` maps each coefficient to its residue under s -> r,
+so ``assemble`` builds the image of the K-matrix in F_p, k = 1, and
+``residue_pivots`` eliminates it with ``_echelon``'s last-column rule.  The
+map Z_(p)[s]/(m) -> F_p, s -> r, is a ring homomorphism, as m is monic with
+integer coefficients and m(r) = 0 mod p, and every entry lies in its
+domain, as no denominator is divisible by p and products of such entries
+reduced mod m keep that.  It maps each minor of the matrix to the same
+minor of the image, so a nonzero minor mod p comes from a nonzero minor
+over K, and the rank mod p is at most the rank over K.  It is only a lower
+bound: ``complexes`` keeps it where an exact upper bound meets it, and
+otherwise eliminates over K as above.  So no result depends on the primes,
+only the time taken.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
-from .ring import QQ, ExtElem, Polynomial, RingError, monomial_basis
+from .ring import QQ, ExtElem, ExtensionField, Polynomial, RingError, monomial_basis
 
 
 class Matrix:
@@ -219,23 +238,164 @@ def kernel_basis(matrix: Matrix):
 
 
 # ---------------------------------------------------------------------------
+# ranks mod p
+
+# the primes of ``reduction``, tried in this order; all odd
+PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+          2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399)
+
+# (modulus, p) -> a root of the modulus mod p, or None, found on first use
+_ROOTS = {}
+
+
+class Reduction(namedtuple("Reduction", "field p r")):
+    """the ring map Z_(p)[s]/(m) -> F_p, s -> r, r a root of m mod p, as the
+    field of an operator table (``op_table``) and of its matrices, k = 1:
+    ``block`` maps a value of the source field to its residue"""
+
+    degree = 1
+    __slots__ = ()
+
+    def block(self, v):
+        """the 1 x 1 matrix of v's residue: its s-coefficients, each a
+        numerator times the inverse of its denominator, at s = r"""
+        p, out = self.p, 0
+        for q in reversed(self.field.coerce(v).coeffs):
+            out = (out * self.r + q.numerator * pow(q.denominator, -1, p)) % p
+        return ((out,),)
+
+    def __repr__(self):
+        return "F_%d (s -> %d)" % (self.p, self.r)
+
+
+def reduction(field, denominator):
+    """the map s -> r onto F_p for the first of PRIMES that does not divide
+    ``denominator``, the one of a potential's coefficients, and at which the
+    modulus of field has a root r; None when no listed prime qualifies"""
+    for p in PRIMES:
+        if denominator % p == 0:
+            continue
+        key = field.modulus, p
+        if key not in _ROOTS:
+            _ROOTS[key] = _root_mod(key[0], p)
+        if _ROOTS[key] is not None:
+            return Reduction(field, p, _ROOTS[key])
+    return None
+
+
+def _root_mod(modulus, p):
+    """a root of the monic integer polynomial modulus mod the odd prime p, or
+    None: the product g of the distinct linear factors of m is gcd(m, s^p -
+    s), and gcd(g, (s + a)^((p-1)/2) - 1), for a = 0, 1, ... in turn, splits
+    g until one factor is left (Cantor-Zassenhaus, von zur Gathen and
+    Gerhard, "Modern Computer Algebra", ch. 14)"""
+    m = [int(c) % p for c in modulus]
+    g = _poly_gcd(m, _poly_sub(_poly_powmod([0, 1], p, m, p), [0, 1], p), p)
+    a = 0
+    while len(g) > 2:
+        h = _poly_gcd(g, _poly_sub(_poly_powmod([a, 1], (p - 1) // 2, g, p), [1], p), p)
+        if 1 < len(h) < len(g):
+            g = h
+        a += 1
+    return -g[0] % p if len(g) == 2 else None
+
+
+# polynomials over F_p: coefficient lists, lowest degree first, with no
+# trailing zero
+
+
+def _poly_rem(a, b, p):
+    a = list(a)
+    inverse = pow(b[-1], -1, p)
+    while len(a) >= len(b):
+        q, shift = a[-1] * inverse % p, len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] = (a[shift + i] - q * c) % p
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _poly_sub(a, b, p):
+    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
+           for i in range(max(len(a), len(b)))]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _poly_powmod(a, e, m, p):
+    """a^e mod the monic m"""
+    out, a = [1], _poly_rem(a, m, p)
+    while e:
+        if e & 1:
+            out = _poly_mulmod(out, a, m, p)
+        a, e = _poly_mulmod(a, a, m, p), e >> 1
+    return out
+
+
+def _poly_mulmod(a, b, m, p):
+    prod = [0] * (len(a) + len(b))
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            prod[i + j] += u * v
+    return _poly_rem([c % p for c in prod], m, p)
+
+
+def _poly_gcd(a, b, p):
+    """the monic gcd of a and b, a nonzero"""
+    while b:
+        a, b = b, _poly_rem(a, b, p)
+    inverse = pow(a[-1], -1, p)
+    return [c * inverse % p for c in a]
+
+
+def residue_pivots(matrix: Matrix):
+    """the pivot columns of a matrix over F_p (``Reduction``), by the
+    last-column rule of ``_echelon``: the rows shortest first, each reduced
+    mod p on entry and then on its last column against monic pivot rows"""
+    p = matrix.field.p
+    pivots = {}
+    for row in sorted((r for r in matrix.entries if r), key=len):
+        row = {c: v % p for c, v in row.items() if v % p}
+        while row:
+            c = max(row)
+            prow = pivots.get(c)
+            if prow is None:
+                inverse = pow(row[c], -1, p)
+                pivots[c] = {j: u * inverse % p for j, u in row.items()}
+                break
+            v = row.pop(c)
+            for j, u in prow.items():
+                if j != c:
+                    u = (row.get(j, 0) - v * u) % p
+                    if u:
+                        row[j] = u
+                    else:
+                        row.pop(j, None)
+    return set(pivots)
+
+
+# ---------------------------------------------------------------------------
 # operator tables and the assembler
 
 
 def op_table(field, terms, reduce=True):
     """(field, table): the operator table for ``assemble`` from (target,
     source, var, coef) terms, coef a Polynomial or a constant over field,
-    and the field it is over: Q when no coefficient has an s-part (module
-    docstring), unless ``reduce`` is false, which keeps it over field so
-    that its terms may join a table over field.  The table is restricted to
-    Q here, once: over K = Q[s]/(m), deg m = k, a term becomes the terms
-    (t*k+u, s*k+c, var, q), q the s^u coefficients of coef * s^c
-    (``ExtensionField.block``); over Q, k = 1.  Zero values are dropped and
-    whole ones stored as ints.  Each coefficient is the tuple of its
-    (monomial, value) items, so a table is immutable and may be shared."""
+    and the field it is over: Q when field is some K and no coefficient has
+    an s-part (module docstring), unless ``reduce`` is false, which keeps it
+    over field so that its terms may join a table over field.  The table is
+    restricted to Q here, once: over K = Q[s]/(m), deg m = k, a term becomes
+    the terms (t*k+u, s*k+c, var, q), q the s^u coefficients of coef * s^c
+    (``ExtensionField.block``); over Q, k = 1, and over a ``Reduction``, k
+    = 1 and each coefficient becomes its residue mod p.  Zero values are
+    dropped and whole ones stored as ints.  Each coefficient is the tuple of
+    its (monomial, value) items, so a table is immutable and may be shared."""
     coefs = [p.terms if isinstance(p, Polynomial) else {(0, 0, 0): field.coerce(p)}
              for _, _, _, p in terms]
-    if reduce and field != QQ and all(c.is_rational() for cs in coefs for c in cs.values()):
+    if (reduce and isinstance(field, ExtensionField)
+            and all(c.is_rational() for cs in coefs for c in cs.values())):
         field, coefs = QQ, [{m: c.coeffs[0] for m, c in cs.items()} for cs in coefs]
     k = field.degree
     table = []

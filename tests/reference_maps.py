@@ -1,5 +1,6 @@
 """Test-local reference matrices: every graded map evaluated column by
-column on Polynomials, independently of the operator tables, plus the M2
+column on Polynomials, independently of the operator tables, and mapped to
+F_p by s -> r for the K-matrices that the rank reads eliminate mod p, plus the M2
 map, whose dimension the package never needs, as vacancy is ozone less
 Hamiltonians, and the matrices whose ranks the package now derives from
 identities (the cochain maps d0, d1 and d2, d1 stacked over v . grad(O),
@@ -72,6 +73,31 @@ def mono_lcm(m1, m2):
 def reference_assemble(weights, field, src_degs, tgt_degs, fn):
     """the callback assembler: evaluate fn on every source monomial as a
     component list of Polynomials and read the output terms"""
+    rows, cols = _evaluate(weights, field, src_degs, tgt_degs, fn)
+    return Matrix.restricted(len(rows), cols, restrict(field, rows), field)
+
+
+def reference_residues(weights, field, p, r, src_degs, tgt_degs, fn):
+    """(rows, number of columns) of the callback assembler's matrix over
+    field with each entry mapped to F_p by s -> r: its s-coefficients summed
+    against the powers of r as one Fraction, whose denominator is then
+    inverted mod p, independently of ``linalg.Reduction``; zero residues are
+    dropped"""
+    rows, cols = _evaluate(weights, field, src_degs, tgt_degs, fn)
+    out = []
+    for row in rows:
+        images = {}
+        for j, c in row.items():
+            v = sum(q * r ** i for i, q in enumerate(field.coerce(c).coeffs))
+            v = v.numerator * pow(v.denominator, -1, p) % p
+            if v:
+                images[j] = v
+        out.append(images)
+    return out, cols
+
+
+def _evaluate(weights, field, src_degs, tgt_degs, fn):
+    """(rows over field, number of columns) of the callback assembler"""
     index, offsets, total = [], [], 0
     for td in tgt_degs:
         tb = monomial_basis(weights, td)
@@ -92,7 +118,7 @@ def reference_assemble(weights, field, src_degs, tgt_degs, fn):
                         raise RingError("graded map output escapes its degree slot")
                     rows[offsets[ti] + pos][col] = coef
             col += 1
-    return Matrix.restricted(total, col, restrict(field, rows), field)
+    return rows, col
 
 
 def field_powers(field):

@@ -34,7 +34,7 @@ from reference_maps import (cochain_apply, cochain_matrices, cochain_matrix, coc
                             divergence_ranks,
                             euler_characteristic_check, field_powers, koszul3_rank, m2_dims,
                             m2_rank, reference_assemble, reference_cochain, reference_maps,
-                            sealed_dims)
+                            reference_residues, sealed_dims)
 
 
 W111 = Weights(1, 1, 1)
@@ -753,7 +753,7 @@ def test_assemble_refuses_an_output_that_escapes_its_degree_slot():
 
 
 @pytest.mark.parametrize("weights, field, text", _table_potentials())
-def test_operator_tables_match_per_column_evaluation(weights, field, text):
+def test_operator_tables_match_per_column_evaluation(monkeypatch, weights, field, text):
     om = parse_poly(text, weights, field)
     n = om.homogeneous_degree()
     w = n - weights.n_default
@@ -762,8 +762,21 @@ def test_operator_tables_match_per_column_evaluation(weights, field, text):
     degrees = range(-weights.n_default, n + 3)
 
     def check(name, new, src, tgt, over=field):
+        if isinstance(new.field, linalg.Reduction):
+            # the K-matrix mod p of a rank read (``complexes``)
+            p, r = new.field.p, new.field.r
+            rows, cols = reference_residues(weights, over, p, r, src, tgt, ref[name])
+            assert new.field.field is over
+            assert sum(int(c) * r ** i for i, c in enumerate(over.modulus)) % p == 0
+            assert (new.rows, new.cols, [{j: v % p for j, v in row.items() if v % p}
+                                         for row in new.entries]) == (len(rows), cols, rows)
+            residues.add(name)
+            return
         expected = reference_assemble(weights, over, src, tgt, ref[name])
         assert _same_matrix(new, expected), (name, src, tgt)
+        exact.add(name)
+
+    residues, exact = set(), set()
 
     for d in degrees:
         for i in range(3):
@@ -794,13 +807,31 @@ def test_operator_tables_match_per_column_evaluation(weights, field, text):
         ("T", 3, lambda: [complexes.derivation_kernel(om, d) for d in range(-1, n + 2)
                           if complexes.potential_memo(om).casimir_column(d) is None]),
     ]
-    for name, sources, run in runs:
-        calls = _capture(run)
-        seen = {(kind, len(src)) for kind, src, _, _ in calls}
-        assert (name, sources) in seen, name
-        assert "K1" not in {kind for kind, _ in seen}
-        for kind, src, tgt, m in calls:
-            check(reference[kind, len(src)], m, src, tgt)
+
+    def check_runs():
+        exact.clear()
+        for name, sources, run in runs:
+            calls = _capture(run)
+            seen = {(kind, len(src)) for kind, src, _, _ in calls}
+            assert (name, sources) in seen, name
+            assert "K1" not in {kind for kind, _ in seen}
+            for kind, src, tgt, m in calls:
+                check(reference[kind, len(src)], m, src, tgt)
+
+    check_runs()
+    # over Q(s) every rank read assembled its K-matrix mod p, and each was
+    # checked above against the evaluation mapped by s -> r; T, whose kernel
+    # basis derivation_kernel returns, stays exact
+    kinds = {"hamiltonian", "sealed_hamiltonian", "koszul2"}
+    assert residues == (kinds if field != QQ else set())
+    assert exact == ({"ozone"} if field != QQ else kinds | {"ozone"})
+    if field != QQ:
+        # with no listed prime the same runs assemble the exact K-matrices,
+        # each checked against the evaluation itself
+        monkeypatch.setattr(linalg, "PRIMES", ())
+        check_runs()
+        assert exact == kinds | {"ozone"}
+        monkeypatch.undo()
 
     # the de Rham maps are integer, so they are assembled over Q
     calls = _capture(lambda: derham_exactness_check(weights, n + 2))
@@ -1327,10 +1358,14 @@ _CACHE_POTENTIALS = [
 
 def _tables(om):
     """every operator table of a potential: Koszul 1 and 2, the Hamiltonian
-    and sealed blocks, and T for the derivation basis"""
+    and sealed blocks, and T for the derivation basis; over Q(s) also the
+    first four over F_p"""
     memo = complexes.potential_memo(om)
+    residues = [] if memo.reduction is None else [
+        memo.residue_koszul_tables[1], memo.residue_koszul_tables[2],
+        memo.residue_hamiltonian_table, memo.residue_sealed_table]
     return [memo.koszul_tables[1], memo.koszul_tables[2], memo.hamiltonian_table,
-            memo.sealed_table, memo.ozone_table]
+            memo.sealed_table, memo.ozone_table] + residues
 
 
 @pytest.fixture
@@ -1368,16 +1403,20 @@ def test_operator_tables_are_built_once_per_potential(gradients, weights, field,
 @pytest.mark.parametrize("weights, field, text", _CACHE_POTENTIALS)
 def test_ph_dims_builds_no_sealed_table(weights, field, text):
     """the products O and O g_i are made for the sealed sweep alone: ph_dims,
-    koszul_dims and the derivation spaces build no sealed table"""
+    koszul_dims and the derivation spaces build no sealed table.  Over Q(s)
+    the sweep builds the table over F_p alone, as its bounds certify every
+    block of this isolated potential, so no block is eliminated over Q(s)"""
     om = parse_poly(text, weights, field)
     complexes.potential_memo.cache_clear()
     complexes.ph_dims(om, 6)
     complexes.koszul_dims(om, 9)
     for d in range(4):
         poisson.graded_derivation_space(from_potential(om), d)
-    assert "sealed_table" not in vars(complexes.potential_memo(om))
+    memo = complexes.potential_memo(om)
+    sealed = {"sealed_table", "residue_sealed_table"}
+    assert sealed & set(vars(memo)) == set()
     complexes.sealed_k1_dims(om, 6)
-    assert "sealed_table" in vars(complexes.potential_memo(om))
+    assert sealed & set(vars(memo)) == {"sealed_table" if field == QQ else "residue_sealed_table"}
 
 
 @pytest.mark.parametrize("weights, field, text", _CACHE_POTENTIALS)

@@ -20,6 +20,7 @@ from conftest import DESELECTED
 from reference_maps import window_top
 from test_complexes import PASS_MATRICES, PASS_MEMO_LOOKUPS, PASS_ROOT_ATTEMPTS
 from test_jacobian import BASIS_POLYNOMIALS, REDUCE_PHASES
+from test_modular_ranks import CUBIC_ELIMINATIONS, EXTENSION_ELIMINATIONS
 from test_poisson import EXTENSION_RECORD_LOOKUPS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -114,6 +115,8 @@ def test_readme_quotes_the_work_counts():
         for bound in ("3n+12", "n+6")]
     quotes += ["the %d root attempts and the %d memo record lookups of each pass"
                % (PASS_ROOT_ATTEMPTS, PASS_MEMO_LOOKUPS),
-               "(`tests/work_counts.py`; %d)" % EXTENSION_RECORD_LOOKUPS[2]]
+               "(`tests/work_counts.py`; %d)" % EXTENSION_RECORD_LOOKUPS[2],
+               "over those jobs (%d, %d and %d," % EXTENSION_ELIMINATIONS,
+               "at D = 21 (%d, %d and %d;" % CUBIC_ELIMINATIONS]
     text = " ".join(README.read_text().split())
     assert [q for q in quotes if q not in text] == []

@@ -29,7 +29,14 @@ The counts, each of which repeats exactly on any machine:
 - over the benchmark's ``extension`` workload at one seed, the four jobs
   of a 35 s run through the benchmark's own ``perfbench/ops.py``: the memo
   record lookups, and those made with an equal potential other than the
-  record's own, each of which compares the two term by term.
+  record's own, each of which compares the two term by term;
+- the eliminations of matrices over K = Q[s]/(m), deg m > 1, over those
+  jobs and in ``ph_dims`` plus ``sealed_k1_dims`` of the dense Q(s) cubic
+  ``QS_CUBIC`` at D = 21: the rank reads eliminated mod p whose bounds
+  certified them (``complexes._Memo._certified``), those that fell back,
+  at most one per record, and the exact eliminations of restricted
+  K-matrices (``linalg._pivots``), among them the fallback's, every later
+  rank read of its record and the kernel bases.
 
 Every job starts from an empty memo, as every benchmark job starts in a
 cold worker.  ``perfbench/inputs.py`` and ``perfbench/ops.py`` are loaded
@@ -50,6 +57,9 @@ import wpoisson
 from wpoisson import Polynomial, Weights, catalog, complexes, jacobian, linalg, parse_poly
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# the dense cubic over Q[s]/(s^2+s+1) of the modular ranks' counts
+QS_CUBIC = "3*x^3+5*y^3-7*z^3+2*x^2*y-3*x*y*z+s*x*z^2+4*y^2*z-(2+s)*x^2*z+y*z^2"
 
 # (requesting function, source slices, target slices) -> kind
 KINDS = {
@@ -174,12 +184,28 @@ def groebner_counts(seed=1):
             counts["reduce", "proof"], counts["built", "main"] + counts["built", "proof"])
 
 
+def _run_extension_jobs(seed, memo=complexes.potential_memo):
+    """run the four extension jobs of this seed, each from an empty memo, and
+    return the number of operations; ``memo`` is the real record memo, which
+    a spy may have rebound"""
+    inputs, ops = load_perfbench("inputs"), load_perfbench("ops")
+    jobs = inputs.ExtensionJobs(ROOT, seed)
+    done = 0
+    try:
+        for k in range(4):
+            memo.cache_clear()
+            for op in jobs.job(k):
+                ops.run(wpoisson, op)
+                done += 1
+    finally:
+        memo.cache_clear()
+    return done
+
+
 def record_lookups(seed=1):
     """(operations, lookups, lookups by value) over the extension jobs of
     this seed, a lookup by value being one whose potential is not the
     record's own object"""
-    inputs, ops = load_perfbench("inputs"), load_perfbench("ops")
-    jobs = inputs.ExtensionJobs(ROOT, seed)
     memo = complexes.potential_memo
     counts = [0, 0]
 
@@ -188,17 +214,53 @@ def record_lookups(seed=1):
         counts[record.omega is not omega] += 1
         return record
 
-    done = 0
     with spy(complexes, "potential_memo", lambda real: look_up):
-        try:
-            for k in range(4):
-                memo.cache_clear()
-                for op in jobs.job(k):
-                    ops.run(wpoisson, op)
-                    done += 1
-        finally:
-            memo.cache_clear()
+        done = _run_extension_jobs(seed, memo)
     return done, sum(counts), counts[1]
+
+
+def k_eliminations(run):
+    """(certified, fallback, exact) eliminations of K-matrices made by run():
+    those mod p whose bounds certified them, those whose bounds did not, and
+    the exact eliminations of matrices over Q[s]/(m), deg m > 1"""
+    counts = Counter()
+
+    def certify(real):
+        def call(memo, matrix, cuts):
+            certified = real(memo, matrix, cuts)
+            counts[certified] += 1
+            return certified
+        return call
+
+    def pivots(real):
+        def call(matrix):
+            counts["exact"] += matrix.field.degree > 1
+            return real(matrix)
+        return call
+
+    with spy(complexes._Memo, "_certified", certify), spy(linalg, "_pivots", pivots):
+        run()
+    return counts[True], counts[False], counts["exact"]
+
+
+def extension_eliminations(seed=1):
+    """``k_eliminations`` over the extension jobs of this seed"""
+    return k_eliminations(lambda: _run_extension_jobs(seed))
+
+
+def cubic_eliminations(bound=21):
+    """``k_eliminations`` of ``ph_dims`` and ``sealed_k1_dims`` of QS_CUBIC
+    to this bound, from an empty memo"""
+    omega = parse_poly(QS_CUBIC, Weights(1, 1, 1), wpoisson.ExtensionField([1, 1, 1]))
+
+    def run():
+        complexes.potential_memo.cache_clear()
+        try:
+            complexes.ph_dims(omega, bound)
+            complexes.sealed_k1_dims(omega, bound)
+        finally:
+            complexes.potential_memo.cache_clear()
+    return k_eliminations(run)
 
 
 if __name__ == "__main__":
@@ -212,6 +274,10 @@ if __name__ == "__main__":
     print("Polynomial objects built building the Jacobian bases of that pool: %d" % built)
     print("potential_memo lookups over the seed-%d extension jobs (%d operations): %d, "
           "%d of them with a potential other than the record's own" % (seed, *record_lookups(seed)))
+    print("K-matrix eliminations over the seed-%d extension jobs: %d certified mod p, "
+          "%d fallback, %d exact" % (seed, *extension_eliminations(seed)))
+    print("K-matrix eliminations of ph_dims and sealed_k1_dims of the dense Q(s) cubic at "
+          "D = 21: %d certified mod p, %d fallback, %d exact" % cubic_eliminations())
     for label, bound_of in (("3n+12", complexes.default_bound), ("n+6", lambda n: n + 6)):
         counts, attempts, lookups = pass_counts(bound_of)
         counts.update({kind: 0 for kind in set(KINDS.values())})
