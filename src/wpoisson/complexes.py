@@ -122,15 +122,17 @@ the rank of that cut over K.  The complex bounds each from above:
 - rank K2 <= dim K2 - dim K3, as K3 -> K2 is injective into ker K2;
   equality is H2 = 0;
 - rank B_e <= dim X1_e + rank K1_e - rank K2_d (Sealed), as sealed_d >= 0.
-A rank mod p that meets its bound is the rank over K, and the read keeps it;
-a matrix with any cut short of its bound is eliminated over K by restriction
-of scalars, as is every later matrix of that potential, whose bounds, as it
-is not isolated or p is unlucky, would mostly miss again, and every matrix
-where no listed prime serves, so no number depends on p.  The bounds read
-only ranks the sweeps read anyway.  Rank [T_d | c], with its Casimir
-column, and the kernel bases stay exact, and a modulus of degree 4 or more,
-whose irreducibility ``ExtensionField`` does not decide, keeps every rank
-exact.
+All four reads go through one, ``certified_ranks``: it reads the bounds of
+a block's cuts, then keeps the counts mod p that meet them, each the rank
+over K.  A block with any cut short of its bound is eliminated over K by
+restriction of scalars, as is every later block of that potential, whose
+bounds, as it is not isolated or p is unlucky, would mostly miss again;
+so is a block whose bounds were read by a read that missed, and every
+block where no listed prime serves, so no number depends on p.  The bounds
+read only ranks the sweeps read anyway.  Rank [T_d | c], with its Casimir
+column (``column_rank``), and the kernel bases stay exact, and a modulus of
+degree 4 or more, whose irreducibility ``ExtensionField`` does not decide,
+keeps every rank exact.
 
 Every per-degree table sweeps a window of degrees from its lowest nonzero
 slot up to the truncation bound D, and refuses, before it lists a monomial,
@@ -150,12 +152,13 @@ and Groebner data, lives in one record per potential value
 (``potential_memo``), and equal potentials parsed apart share it.  The
 ranks by degree are methods of the record, so each public sweep or map
 looks its record up once.  Each (immutable) table is shared by every
-degree; the sealed table, with its products O and O g_i, is built only for
-the sealed sweep.  A table over Q(s) whose coefficients have no s-part is
-made over Q, and so are its matrices (``linalg`` docstring).  The record
-decides once, on first read, whether its ranks go mod p (``reduction``),
-stops at its first miss, and builds each table over F_p only when a read
-first needs it."""
+degree, built by ``table`` when a read first needs it and kept by (block,
+field), the field the potential's or the record's ``reduction``; the
+sealed table, with its products O and O g_i, is built only for the sealed
+sweep.  A table over Q(s) whose coefficients have no s-part is made over
+Q, and so are its matrices (``linalg`` docstring).  The record decides
+once, on first read, whether its ranks go mod p (``reduction``), and stops
+at its first miss."""
 
 from __future__ import annotations
 
@@ -164,8 +167,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .hilbert import closed_form_ph
-from .linalg import (assemble, kernel_basis, op_table, pivot_columns, rank, reduction,
-                     residue_pivots)
+from .linalg import assemble, kernel_basis, op_table, pivot_columns, rank, reduction
 from .ring import QQ, Polynomial, RingError, check_potential, count_monomials, gradient
 
 
@@ -197,75 +199,60 @@ MEMO_SIZE = 4
 
 class _Memo:
     """the state one potential's invariants share, each piece built when
-    first read: the gradient, operator tables, the primitive root R of O and
-    three degrees; rank [T_d | c] and rank T_d by d, the Koszul ranks by (i,
-    d) and sealed_d by d, which its rank methods fill; the Groebner basis and
-    Hilbert numerator of ``jacobian``.  ``potential_memo`` keys records by
-    value, so equal potentials parsed apart share one, and drops the least
-    recently used past MEMO_SIZE.  The degree n is read only by the ranks, so
-    the record of a polynomial that is not homogeneous, as ``poisson`` checks
-    a potential tag with, still gives its gradient."""
+    first read: the gradient, operator tables by (block, field), the
+    primitive root R of O and three degrees; rank [T_d | c] and rank T_d by
+    d, the Koszul ranks by (i, d) and sealed_d by d, which its rank methods
+    fill; the Groebner basis and Hilbert numerator of ``jacobian``.
+    ``potential_memo`` keys records by value, so equal potentials parsed
+    apart share one, and drops the least recently used past MEMO_SIZE.  The
+    degree n is read only by the ranks, so the record of a polynomial that is
+    not homogeneous, as ``poisson`` checks a potential tag with, still gives
+    its gradient."""
 
     def __init__(self, omega):
         self.omega, self.groebner_basis, self.hilbert_numerator = omega, None, None
         self.column_ranks, self.t_ranks, self.koszul_ranks, self.sealed_dims = {}, {}, {}, {}
+        self.tables = {}
 
     @cached_property
     def gradient(self):
         return gradient(self.omega)
 
-    @cached_property
-    def koszul_tables(self):
-        """operator tables of K_i -> K_{i-1} by i: v . g on K1, v x g on K2"""
-        return _koszul_tables(self.omega.field, self.gradient.comps)
-
-    @cached_property
-    def hamiltonian_table(self):
-        """operator table of the Hamiltonian block [H | H'] (module docstring)"""
-        return op_table(self.omega.field, _hamiltonian_terms(self.gradient.comps, 0))
-
-    @cached_property
-    def sealed_table(self):
-        """operator table of the sealed block [O A_e | O g_i A_u | H | H']"""
-        return op_table(self.omega.field, self._sealed_terms())
+    def table(self, block, field=None):
+        """the operator table of a block over field, by default the
+        potential's, built once per (block, field): K1, v -> v . g, and K2, v
+        -> v x g, of the Koszul complex; H, [H | H'], and sealed, [O A_e | O
+        g_i A_u | H | H'] (module docstring); and T = (v . g ; div v) on the
+        derivations, sources 0..2"""
+        field = self.omega.field if field is None else field
+        key = block, field
+        if key not in self.tables:
+            g = self.gradient.comps
+            if block in ("K1", "T"):
+                terms = [(0, s, None, g[s]) for s in range(3)]
+                terms += [(1, s, s, 1) for s in range(3)] if block == "T" else []
+            elif block == "K2":
+                # component k of v x g is g_{k+2} v_{k+1} - g_{k+1} v_{k+2}
+                terms = [(k, (k + j) % 3, None, sign * g[(k - j) % 3])
+                         for k in range(3) for j, sign in ((1, 1), (2, -1))]
+            elif block == "H":
+                terms = _hamiltonian_terms(g, 0)
+            else:
+                terms = [(0, 0, None, self.omega), (0, 1, None, self.omega * g[self.first_partial])]
+                terms += _hamiltonian_terms(g, 2)
+            self.tables[key] = op_table(field, terms)
+        return self.tables[key]
 
     @cached_property
     def reduction(self):
         """the map s -> r onto F_p of the modular ranks, or None, which keeps
         every rank exact: over Q, where the potential has no s-part, where deg
         m > 3, or where no listed prime qualifies (``linalg.reduction``), and
-        after the first miss (``_certified``)"""
+        after the first miss (``certified_ranks``)"""
         field, coefs = self.omega.field, self.omega.terms.values()
         if field == QQ or field.degree > 3 or all(c.is_rational() for c in coefs):
             return None
         return reduction(field, math.lcm(*(q.denominator for c in coefs for q in c.coeffs)))
-
-    @cached_property
-    def residue_koszul_tables(self):
-        """the Koszul tables over F_p"""
-        return _koszul_tables(self.reduction, self.gradient.comps)
-
-    @cached_property
-    def residue_hamiltonian_table(self):
-        """the table of [H | H'] over F_p"""
-        return op_table(self.reduction, _hamiltonian_terms(self.gradient.comps, 0))
-
-    @cached_property
-    def residue_sealed_table(self):
-        """the table of the sealed block over F_p"""
-        return op_table(self.reduction, self._sealed_terms())
-
-    def _sealed_terms(self):
-        omega, g = self.omega, self.gradient.comps
-        products = [(0, 0, None, omega), (0, 1, None, omega * g[self.first_partial])]
-        return products + _hamiltonian_terms(g, 2)
-
-    @cached_property
-    def ozone_table(self):
-        """operator table of T = (v . g ; div v) on the derivations, sources 0..2"""
-        g = self.gradient.comps
-        return op_table(self.omega.field, [(0, s, None, g[s]) for s in range(3)]
-                        + [(1, s, s, 1) for s in range(3)])
 
     @cached_property
     def first_partial(self):
@@ -320,7 +307,7 @@ class _Memo:
             return self.ozone_rank(d) - casimirs
         ranks = self.column_ranks
         if d not in ranks:
-            ranks[d] = self.hamiltonian_rank(d, self.casimir_column(d))
+            ranks[d] = self.column_rank(d, self.casimir_column(d))
         return ranks[d] - 1
 
     def ph_dim(self, i, d):
@@ -355,41 +342,48 @@ class _Memo:
             ranks[d] = self.hamiltonian_rank(d) if _space_dim(weights, weights.tuple, d) else 0
         return ranks[d]
 
-    def hamiltonian_rank(self, d, column=None):
-        """#A_d + rank [H | H'] at degree d, which is rank T_d, and given the
-        column c = (h, f) #A_d + rank [H | H' | c'], which is rank [T_d | c],
+    def certified_ranks(self, block, src, tgt, cuts, bounds):
+        """the ranks of the block's matrix from the slices src into tgt past
+        each column in cuts, its pivots there (module docstring).  While the
+        record has a ``reduction``, the pivots are taken mod p, and the counts
+        are kept when they equal bounds(), upper bounds on those ranks over
+        K, which they then are.  A miss sets ``reduction`` to None, here
+        alone, and the block is eliminated over K, as is every later block of
+        the record: the bounds of a potential that is not isolated miss on
+        most blocks, and each miss costs an elimination mod p and one over K"""
+        if self.reduction is not None:
+            bounds = bounds()  # a miss in reading them leaves this read exact
+        while True:
+            field = self.reduction
+            pivots = pivot_columns(assemble(self.omega.weights, src, tgt, self.table(block, field)))
+            ranks = [sum(c >= cut for c in pivots) for cut in cuts]
+            if field is None or ranks == bounds:
+                return ranks
+            self.__dict__["reduction"] = None  # where cached_property keeps it
+
+    def hamiltonian_rank(self, d):
+        """#A_d + rank [H | H'] at degree d, which is rank T_d (module
+        docstring), mod p where its bound ``t_bound`` certifies it"""
+        weights = self.omega.weights
+        lead = count_monomials(weights, d)
+        (rank_h,) = self.certified_ranks(
+            "H", _rotation_degrees(weights, d), [d + self.omega.homogeneous_degree()], [0],
+            lambda: [self.t_bound(d) - lead])
+        return lead + rank_h
+
+    def column_rank(self, d, column):
+        """rank [T_d | c] for the column c = (h, f): #A_d + rank [H | H' | c'],
         with c' = h - n f O/(d+s) on one more source, the monomial 1 (module
-        docstring); c' = h where d + s = 0, as A_d = 0 there.  Rank T_d is
-        taken mod p where its bound certifies it (module docstring)"""
+        docstring); c' = h where d + s = 0, as A_d = 0 there.  Always exact"""
         omega = self.omega
         weights = omega.weights
         n, s = omega.homogeneous_degree(), weights.n_default
-        src, lead = _rotation_degrees(weights, d), count_monomials(weights, d)
-        if column is None and self.reduction is not None:
-            bound = self.t_bound(d)
-            matrix = assemble(weights, src, [d + n], self.residue_hamiltonian_table)
-            if self._certified(matrix, [(0, bound - lead)]):
-                return bound
-        field, terms = self.hamiltonian_table
-        if column is not None:
-            h, f = column
-            reduced = h - f * omega * Fraction(n, d + s) if d + s else h
-            terms += op_table(omega.field, [(0, 2, None, reduced)], reduce=field == QQ)[1]
-            src.append(0)
-        return lead + rank(assemble(weights, src, [d + n], (field, terms)))
-
-    def _certified(self, matrix, cuts):
-        """whether the matrix over F_p has, for each (column, bound) in cuts,
-        as many pivots in the columns >= column as bound, an upper bound on
-        the rank of that cut over K, which it then equals (module docstring).
-        A miss sets ``reduction`` to None, so every later read of the record
-        is exact: the bounds of a potential that is not isolated miss on most
-        blocks, and each miss costs an elimination mod p and one over K"""
-        pivots = residue_pivots(matrix)
-        if all(sum(c >= cut for c in pivots) == bound for cut, bound in cuts):
-            return True
-        self.__dict__["reduction"] = None  # where cached_property keeps it
-        return False
+        h, f = column
+        reduced = h - f * omega * Fraction(n, d + s) if d + s else h
+        field, terms = self.table("H")
+        terms += op_table(omega.field, [(0, 2, None, reduced)], reduce=field == QQ)[1]
+        src = _rotation_degrees(weights, d) + [0]
+        return count_monomials(weights, d) + rank(assemble(weights, src, [d + n], (field, terms)))
 
     def t_bound(self, d):
         """dim X1_d - rank d0 at d - n + s, an upper bound on rank T_d, as the
@@ -398,15 +392,18 @@ class _Memo:
         w = self.omega.homogeneous_degree() - weights.n_default
         return _space_dim(weights, weights.tuple, d) - self.cochain_rank(0, d - w)
 
-    def koszul_matrix(self, i, d, tables=None):
-        """matrix of K_i -> K_{i-1} at total degree d (``koszul_matrix``), from
-        the record's Koszul tables or from ``tables``"""
+    def koszul_slices(self, i, d):
+        """the source and target slices of K_i -> K_{i-1} at total degree d,
+        refused over budget (``koszul_matrix``)"""
         if i not in (1, 2):
             raise RingError("koszul index out of range")
         degs = koszul_component_degs(self.omega, d)
         _slice_budget(self.omega, "koszul", d, degs[i] + degs[i - 1])
-        table = (tables or self.koszul_tables)[i]
-        return assemble(self.omega.weights, degs[i], degs[i - 1], table)
+        return degs[i], degs[i - 1]
+
+    def koszul_matrix(self, i, d):
+        """matrix of K_i -> K_{i-1} at total degree d (``koszul_matrix``)"""
+        return assemble(self.omega.weights, *self.koszul_slices(i, d), self.table("K%d" % i))
 
     def koszul_rank(self, i, d):
         """rank of K_i -> K_{i-1} at total degree d, memoised by (i, d), where the
@@ -415,22 +412,19 @@ class _Memo:
         docstring)"""
         ranks = self.koszul_ranks
         if (i, d) not in ranks:
-            dim = _koszul_dim(self.omega, i, d)
+            omega = self.omega
+            dim = _koszul_dim(omega, i, d)
             if i == 2 and d < self.k2_window.start:
                 ranks[i, d] = dim
             elif i == 2 and d >= self.k2_window.stop:
-                ranks[i, d] = dim - count_monomials(self.omega.weights, d - self.k2_kernel_degree)
+                ranks[i, d] = dim - count_monomials(omega.weights, d - self.k2_kernel_degree)
             elif not dim:
                 ranks[i, d] = 0
-            elif self.reduction is None:
-                ranks[i, d] = rank(self.koszul_matrix(i, d))
             else:
-                # rank K1 <= dim K1 - rank K2, rank K2 <= dim K2 - dim K3; a
-                # miss in reading rank K2 leaves this read exact too
-                bound = dim - (self.koszul_rank(2, d) if i == 1 else _koszul_dim(self.omega, 3, d))
-                certified = self.reduction is not None and self._certified(
-                    self.koszul_matrix(i, d, self.residue_koszul_tables), [(0, bound)])
-                ranks[i, d] = bound if certified else rank(self.koszul_matrix(i, d))
+                # rank K1 <= dim K1 - rank K2, rank K2 <= dim K2 - dim K3
+                (ranks[i, d],) = self.certified_ranks(
+                    "K%d" % i, *self.koszul_slices(i, d), [0], lambda: [dim - (
+                        self.koszul_rank(2, d) if i == 1 else _koszul_dim(omega, 3, d))])
         return ranks[i, d]
 
     def sealed_ranks(self, e):
@@ -441,22 +435,18 @@ class _Memo:
         weights = self.omega.weights
         n = self.omega.homogeneous_degree()
         u_deg = e - n + weights.tuple[self.first_partial]
-        src = [e, u_deg] + _rotation_degrees(weights, e)
         lead = count_monomials(weights, e)
         past_u = lead + count_monomials(weights, u_deg)
-        if self.reduction is not None:
+
+        def bounds():
             # rank K1 <= dim K1 - rank K2, rank B_e <= dim X1_e + rank K1_e -
-            # rank K2, with K1 and K2 at total degree e + n, and rank T_e; a
-            # miss in reading these leaves this read exact too
+            # rank K2, with K1 and K2 at total degree e + n, and rank T_e
             k2, x1 = self.koszul_rank(2, e + n), _koszul_dim(self.omega, 1, e + n)
-            bounds = x1 - k2, x1 + self.koszul_rank(1, e) - k2, self.t_bound(e)
-            if self.reduction is not None and self._certified(
-                    assemble(weights, src, [e + n], self.residue_sealed_table),
-                    [(0, bounds[0]), (lead, bounds[1] - lead), (past_u, bounds[2] - lead)]):
-                return bounds
-        pivots = pivot_columns(assemble(weights, src, [e + n], self.sealed_table))
-        return (len(pivots), lead + sum(c >= lead for c in pivots),
-                lead + sum(c >= past_u for c in pivots))
+            return [x1 - k2, x1 + self.koszul_rank(1, e) - k2 - lead, self.t_bound(e) - lead]
+
+        src = [e, u_deg] + _rotation_degrees(weights, e)
+        k1, rank_b, rank_t = self.certified_ranks("sealed", src, [e + n], [0, lead, past_u], bounds)
+        return k1, lead + rank_b, lead + rank_t
 
     def sealed_dim(self, d):
         """sealed_d, memoised by d, from the block of degree e = d - n, which
@@ -647,14 +637,6 @@ def _rotation_degrees(weights, d):
     return [d + a + c, d + b + c]
 
 
-def _koszul_tables(field, g):
-    """the tables of K1, v -> v . g, and K2, v -> v x g, over field, by i"""
-    # component k of v x g is g_{k+2} v_{k+1} - g_{k+1} v_{k+2}
-    return {1: op_table(field, [(0, s, None, g[s]) for s in range(3)]),
-            2: op_table(field, [(k, (k + j) % 3, None, sign * g[(k - j) % 3])
-                                for k in range(3) for j, sign in ((1, 1), (2, -1))])}
-
-
 def _hamiltonian_terms(g, first):
     """the terms of [H | H'], H(u) = g_x d_z u - g_z d_x u on source first
     and H'(u) = g_y d_z u - g_z d_y u on the next, into one target"""
@@ -689,7 +671,7 @@ def derivation_kernel(omega, d):
     if not dim:
         return []
     memo = potential_memo(omega)
-    field, terms = memo.ozone_table
+    field, terms = memo.table("T")
     src, column = [d + w for w in weights.tuple], memo.casimir_column(d)
     if column is not None:
         terms += op_table(omega.field, [(t, 3, None, p) for t, p in enumerate(column)],

@@ -4,10 +4,10 @@ that turns an operator table into a matrix.
 There is one matrix representation: a sparse ``Matrix`` whose ``entries``
 hold one ``{col: nonzero rational}`` dict per row over Q, and one
 elimination loop, ``_echelon``, over Q, with one beside it over F_p for the
-ranks mod p (below).  It takes the nonzero rows shortest first and reduces
-each on its last (largest) column against the pivot rows found so far; no
-global pivot search.  A row is cleared to coprime integers
-once, on entry, updates are fraction-free (Bareiss-style
+ranks mod p (below), both behind ``pivot_columns``.  It takes the nonzero
+rows shortest first and reduces each on its last (largest) column against
+the pivot rows found so far; no global pivot search.  A row is cleared to
+coprime integers once, on entry, updates are fraction-free (Bareiss-style
 cross-multiplication by the cofactors of the gcd), and each new pivot row
 is divided by its content.  ``kernel_basis`` back-substitutes the same way:
 it takes the pivot rows in increasing pivot order, clears the other pivot
@@ -65,16 +65,17 @@ denominator of the potential and at which m has a root r, found once per
 modulus and prime by one splitting method for degrees 2 and 3; ``op_table``
 over that ``Reduction`` maps each coefficient to its residue under s -> r,
 so ``assemble`` builds the image of the K-matrix in F_p, k = 1, and
-``residue_pivots`` eliminates it with ``_echelon``'s last-column rule.  The
-map Z_(p)[s]/(m) -> F_p, s -> r, is a ring homomorphism, as m is monic with
-integer coefficients and m(r) = 0 mod p, and every entry lies in its
-domain, as no denominator is divisible by p and products of such entries
-reduced mod m keep that.  It maps each minor of the matrix to the same
-minor of the image, so a nonzero minor mod p comes from a nonzero minor
-over K, and the rank mod p is at most the rank over K.  It is only a lower
-bound: ``complexes`` keeps it where an exact upper bound meets it, and
-otherwise eliminates over K as above.  So no result depends on the primes,
-only the time taken.
+``pivot_columns`` eliminates it by ``_echelon``'s last-column rule in a
+loop of its own, ``_echelon_mod``, so the loop over Q has no branch for
+it.  The map Z_(p)[s]/(m) -> F_p, s -> r, is a ring homomorphism, as m is
+monic with integer coefficients and m(r) = 0 mod p, and every entry lies
+in its domain, as no denominator is divisible by p and products of such
+entries reduced mod m keep that.  It maps each minor of the matrix to the
+same minor of the image, so a nonzero minor mod p comes from a nonzero
+minor over K, and the rank mod p is at most the rank over K.  It is only a
+lower bound: ``complexes`` keeps it where an exact upper bound meets it,
+and otherwise eliminates over K as above.  So no result depends on the
+primes, only the time taken.
 """
 
 from __future__ import annotations
@@ -180,9 +181,37 @@ def _clear(row, prow, c):
     return row
 
 
+def _echelon_mod(rows, p):
+    """Echelon form over F_p as ``{pivot col: row}``, by the last-column rule
+    of ``_echelon``: the rows shortest first, each reduced mod p on entry and
+    then on its last column against monic pivot rows"""
+    pivots = {}
+    for row in sorted((r for r in rows if r), key=len):
+        row = {c: v % p for c, v in row.items() if v % p}
+        while row:
+            c = max(row)
+            prow = pivots.get(c)
+            if prow is None:
+                inverse = pow(row[c], -1, p)
+                pivots[c] = {j: u * inverse % p for j, u in row.items()}
+                break
+            v = row.pop(c)
+            for j, u in prow.items():
+                if j != c:
+                    u = (row.get(j, 0) - v * u) % p
+                    if u:
+                        row[j] = u
+                    else:
+                        row.pop(j, None)
+    return pivots
+
+
 def _pivots(matrix: Matrix):
-    """echelon form over Q of the entries; over Q[s]/(m), deg m = k, a
-    partial block of k pivot Q-columns means m is reducible"""
+    """echelon form of the entries: mod p over a ``Reduction``, and otherwise
+    over Q, where over Q[s]/(m), deg m = k, a partial block of k pivot
+    Q-columns means m is reducible"""
+    if isinstance(matrix.field, Reduction):
+        return _echelon_mod(matrix.entries, matrix.field.p)
     k = matrix.field.degree
     pivots = _echelon(matrix.entries)
     if k > 1 and len({c // k for c in pivots}) * k != len(pivots):
@@ -192,7 +221,8 @@ def _pivots(matrix: Matrix):
 
 def pivot_columns(matrix: Matrix):
     """the set of pivot columns over the matrix's field: over Q[s]/(m), deg
-    m = k, the columns whose block of k Q-columns is pivot"""
+    m = k, the columns whose block of k Q-columns is pivot; over a
+    ``Reduction``, k = 1, those mod p"""
     k = matrix.field.degree
     return {c // k for c in _pivots(matrix)}
 
@@ -348,32 +378,6 @@ def _poly_gcd(a, b, p):
         a, b = b, _poly_rem(a, b, p)
     inverse = pow(a[-1], -1, p)
     return [c * inverse % p for c in a]
-
-
-def residue_pivots(matrix: Matrix):
-    """the pivot columns of a matrix over F_p (``Reduction``), by the
-    last-column rule of ``_echelon``: the rows shortest first, each reduced
-    mod p on entry and then on its last column against monic pivot rows"""
-    p = matrix.field.p
-    pivots = {}
-    for row in sorted((r for r in matrix.entries if r), key=len):
-        row = {c: v % p for c, v in row.items() if v % p}
-        while row:
-            c = max(row)
-            prow = pivots.get(c)
-            if prow is None:
-                inverse = pow(row[c], -1, p)
-                pivots[c] = {j: u * inverse % p for j, u in row.items()}
-                break
-            v = row.pop(c)
-            for j, u in prow.items():
-                if j != c:
-                    u = (row.get(j, 0) - v * u) % p
-                    if u:
-                        row[j] = u
-                    else:
-                        row.pop(j, None)
-    return set(pivots)
 
 
 # ---------------------------------------------------------------------------

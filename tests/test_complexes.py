@@ -28,7 +28,7 @@ from wpoisson.ring import Polynomial, RingError, count_monomials, monomial_basis
 
 import reference_maps as ref
 from closed_forms import closed_form_lph2, isolated_ph
-from work_counts import KINDS, memo_lookups, pass_counts, spy
+from work_counts import KINDS, memo_lookups, pass_counts, requester, spy
 from reference_maps import (cochain_apply, cochain_matrices, cochain_matrix, cochain_rank,
                             d1_rank_and_ozone_kernel, derham_exactness_check, divergence_block,
                             divergence_ranks,
@@ -585,7 +585,7 @@ def _capture(run):
     def capture(real):
         def call(weights, src_degs, tgt_degs, table):
             m = real(weights, src_degs, tgt_degs, table)
-            kind = _KINDS[sys._getframe(1).f_code.co_name, len(src_degs), len(tgt_degs)]
+            kind = _KINDS[requester(), len(src_degs), len(tgt_degs)]
             calls.append((kind, list(src_degs), list(tgt_degs), m))
             return m
         return call
@@ -1194,7 +1194,7 @@ def test_column_rank_matches_the_divergence_route(weights, field, om, top):
             m: sum((rng.randint(-3, 3) * p for p in powers), field.zero)
             for m in monomial_basis(weights, t)}) for t in (d + n, d)) for _ in range(2)]
         for column in [casimir] * (casimir is not None) + seeded:
-            assert (memo.hamiltonian_rank(d, column)
+            assert (memo.column_rank(d, column)
                     == rank(divergence_block(om, d, column=column))), (d, column)
         seen["casimir"] += casimir is not None
         seen["-n"] += d == -n
@@ -1242,7 +1242,7 @@ def test_ranks_read_off_the_sealed_block_give_the_isolated_closed_form(weights, 
     def record(real):
         def call(w, src_degs, tgt_degs, table):
             # [H | H'] alone, not [H | H' | c'] in the degrees with a Casimir
-            if sys._getframe(1).f_code.co_name == "hamiltonian_rank" and len(src_degs) == 2:
+            if requester() == "hamiltonian_rank" and len(src_degs) == 2:
                 assembled.append(tgt_degs[0] - n)
             return real(w, src_degs, tgt_degs, table)
         return call
@@ -1356,16 +1356,26 @@ _CACHE_POTENTIALS = [
 ]
 
 
+_RANK_BLOCKS = ("K1", "K2", "H", "sealed")
+
+
 def _tables(om):
     """every operator table of a potential: Koszul 1 and 2, the Hamiltonian
     and sealed blocks, and T for the derivation basis; over Q(s) also the
     first four over F_p"""
     memo = complexes.potential_memo(om)
     residues = [] if memo.reduction is None else [
-        memo.residue_koszul_tables[1], memo.residue_koszul_tables[2],
-        memo.residue_hamiltonian_table, memo.residue_sealed_table]
-    return [memo.koszul_tables[1], memo.koszul_tables[2], memo.hamiltonian_table,
-            memo.sealed_table, memo.ozone_table] + residues
+        memo.table(block, memo.reduction) for block in _RANK_BLOCKS]
+    return [memo.table(block) for block in _RANK_BLOCKS + ("T",)] + residues
+
+
+def _held(om):
+    """{block: the fields the record holds its table over}, each field named
+    K, for the potential's own, or F_p"""
+    held = {}
+    for block, field in complexes.potential_memo(om).tables:
+        held.setdefault(block, set()).add("K" if field is om.field else "F_p")
+    return held
 
 
 @pytest.fixture
@@ -1412,11 +1422,35 @@ def test_ph_dims_builds_no_sealed_table(weights, field, text):
     complexes.koszul_dims(om, 9)
     for d in range(4):
         poisson.graded_derivation_space(from_potential(om), d)
-    memo = complexes.potential_memo(om)
-    sealed = {"sealed_table", "residue_sealed_table"}
-    assert sealed & set(vars(memo)) == set()
+    assert "sealed" not in _held(om)
     complexes.sealed_k1_dims(om, 6)
-    assert sealed & set(vars(memo)) == {"sealed_table" if field == QQ else "residue_sealed_table"}
+    assert _held(om)["sealed"] == {"K" if field == QQ else "F_p"}
+
+
+@pytest.mark.parametrize("text, held", [
+    # isolated: every rank read is certified, and T serves the derivation
+    # bases alone, which stay exact
+    ("x^3+y^3+z^3+(s-5)*x*y*z", {"K1": {"F_p"}, "K2": {"F_p"}, "H": {"F_p"}, "sealed": {"F_p"},
+                                 "T": {"K"}}),
+    # not isolated: the first rank read, of H, misses, and every later
+    # table is over K
+    ("(x+s*y)^2*z", {"K1": {"K"}, "K2": {"K"}, "H": {"F_p", "K"}, "sealed": {"K"},
+                     "T": {"K"}}),
+])
+def test_a_full_sweep_holds_each_table_over_the_fields_its_reads_used(text, held):
+    """after ph_dims, koszul_dims, sealed_k1_dims, vacancy_check and the
+    derivation spaces, the record holds one table per (block, field) it
+    read: over F_p while its reads were certified, and over K after the
+    first miss"""
+    om = parse_poly(text, W111, ExtensionField([1, 1, 1]))
+    complexes.potential_memo.cache_clear()
+    complexes.ph_dims(om, 9)
+    complexes.koszul_dims(om, 9)
+    complexes.sealed_k1_dims(om, 9)
+    complexes.vacancy_check(om, 9)
+    for d in range(4):
+        poisson.graded_derivation_space(from_potential(om), d)
+    assert _held(om) == held
 
 
 @pytest.mark.parametrize("weights, field, text", _CACHE_POTENTIALS)
@@ -1504,7 +1538,7 @@ def test_the_memo_drops_the_least_recently_used_record():
     del records[0]
     gc.collect()
     assert oldest() is None
-    assert "hamiltonian_table" not in vars(complexes.potential_memo(pots[0]))
+    assert complexes.potential_memo(pots[0]).tables == {}
 
 
 def test_a_catalog_verify_leaves_at_most_memo_size_records():

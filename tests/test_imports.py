@@ -11,6 +11,8 @@ import pytest
 
 import wpoisson
 
+from work_counts import load_perfbench
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "wpoisson"
 
 # checks and tables that only the tests call; they live in tests/.  The d1
@@ -127,3 +129,16 @@ def test_the_package_ships_no_test_only_check():
                if hasattr(m, name)]
     shipped += ["__all__: %s" % name for name in TEST_ONLY if name in wpoisson.__all__]
     assert not shipped, shipped
+
+
+def test_every_perfbench_layer_target_resolves_to_a_callable():
+    """the traced benchmark run wraps each (module, attribute path) of
+    ``perfbench/layers.py``; one that no longer resolves is only reported on
+    stderr, and its metrics read 0"""
+    targets = load_perfbench("layers").TARGETS
+    assert targets
+    for module, path, _ in targets:
+        owner = importlib.import_module("wpoisson." + module)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), "%s.%s" % (module, path)

@@ -14,8 +14,9 @@ The counts, each of which repeats exactly on any machine:
   the benchmark's ``catalog`` workload, with the roots of a potential that
   each pass tries while its memo record finds the primitive one, and the
   lookups of the memo record ``complexes.potential_memo``, one per public
-  call.  A matrix's kind comes from the function that asked for it and
-  from its numbers of source and target slices (``KINDS``).  Every
+  call.  A matrix's kind comes from the function that asked for it
+  (``requester``) and from its numbers of source and target slices
+  (``KINDS``).  Every
   Hamiltonian block, the sealed block [O A_e | O g_i A_u | H | H'] and
   [H | H'] alone, is of kind H; the sealed block gives rank K1 too, so a
   pass assembles no K1 matrix, and the Casimirs come from the primitive
@@ -32,11 +33,12 @@ The counts, each of which repeats exactly on any machine:
   record's own, each of which compares the two term by term;
 - the eliminations of matrices over K = Q[s]/(m), deg m > 1, over those
   jobs and in ``ph_dims`` plus ``sealed_k1_dims`` of the dense Q(s) cubic
-  ``QS_CUBIC`` at D = 21: the rank reads eliminated mod p whose bounds
-  certified them (``complexes._Memo._certified``), those that fell back,
-  at most one per record, and the exact eliminations of restricted
-  K-matrices (``linalg._pivots``), among them the fallback's, every later
-  rank read of its record and the kernel bases.
+  ``QS_CUBIC`` at D = 21, each seen by ``linalg._pivots`` and told apart
+  by the rank read ``complexes._Memo.certified_ranks`` that made it: the
+  reads eliminated mod p whose bounds certified them, those that fell
+  back, at most one per record, and the exact eliminations of restricted
+  K-matrices, among them the fallback's, every later rank read of its
+  record and the kernel bases.
 
 Every job starts from an empty memo, as every benchmark job starts in a
 cold worker.  ``perfbench/inputs.py`` and ``perfbench/ops.py`` are loaded
@@ -65,12 +67,25 @@ QS_CUBIC = "3*x^3+5*y^3-7*z^3+2*x^2*y-3*x*y*z+s*x*z^2+4*y^2*z-(2+s)*x^2*z+y*z^2"
 KINDS = {
     ("sealed_ranks", 4, 1): "H",
     ("hamiltonian_rank", 2, 1): "H",
-    ("hamiltonian_rank", 3, 1): "H|c",
+    ("column_rank", 3, 1): "H|c",
     ("derivation_kernel", 3, 2): "T",
     ("derivation_kernel", 4, 2): "T|c",
+    ("koszul_rank", 3, 1): "K1",
+    ("koszul_rank", 3, 3): "K2",
     ("koszul_matrix", 3, 1): "K1",
     ("koszul_matrix", 3, 3): "K2",
 }
+
+
+def requester():
+    """the name of the function that asked for the matrix whose
+    ``assemble`` call the calling spy handles: the caller of ``assemble``,
+    or, where that is the shared rank read ``_Memo.certified_ranks``, the
+    read's caller"""
+    frame = sys._getframe(2)
+    if frame.f_code.co_name == "certified_ranks":
+        frame = frame.f_back
+    return frame.f_code.co_name
 
 
 @contextmanager
@@ -133,7 +148,7 @@ def pass_counts(bound_of=complexes.default_bound):
 
     def count_matrix(real):
         def call(weights, src_degs, tgt_degs, table):
-            counts[KINDS[sys._getframe(1).f_code.co_name, len(src_degs), len(tgt_degs)]] += 1
+            counts[KINDS[requester(), len(src_degs), len(tgt_degs)]] += 1
             return real(weights, src_degs, tgt_degs, table)
         return call
 
@@ -221,26 +236,38 @@ def record_lookups(seed=1):
 
 def k_eliminations(run):
     """(certified, fallback, exact) eliminations of K-matrices made by run():
-    those mod p whose bounds certified them, those whose bounds did not, and
-    the exact eliminations of matrices over Q[s]/(m), deg m > 1"""
-    counts = Counter()
+    the rank reads eliminated mod p whose bounds certified them, those whose
+    bounds did not, and the exact eliminations of matrices over Q[s]/(m), deg
+    m > 1.  Each elimination belongs to the innermost rank read running, as
+    a read's bounds, which may read other ranks, are read before its own
+    eliminations: one mod p is certified, and one mod p then one exact is a
+    fallback"""
+    counts, reads = Counter(), [[]]
 
-    def certify(real):
-        def call(memo, matrix, cuts):
-            certified = real(memo, matrix, cuts)
-            counts[certified] += 1
-            return certified
+    def read(real):
+        def call(*args):
+            reads.append([])
+            try:
+                return real(*args)
+            finally:
+                made = reads.pop()
+                counts["certified"] += made == ["mod p"]
+                counts["fallback"] += made == ["mod p", "exact"]
         return call
 
     def pivots(real):
         def call(matrix):
-            counts["exact"] += matrix.field.degree > 1
+            if isinstance(matrix.field, linalg.Reduction):
+                reads[-1].append("mod p")
+            elif matrix.field.degree > 1:
+                reads[-1].append("exact")
+                counts["exact"] += 1
             return real(matrix)
         return call
 
-    with spy(complexes._Memo, "_certified", certify), spy(linalg, "_pivots", pivots):
+    with spy(complexes._Memo, "certified_ranks", read), spy(linalg, "_pivots", pivots):
         run()
-    return counts[True], counts[False], counts["exact"]
+    return counts["certified"], counts["fallback"], counts["exact"]
 
 
 def extension_eliminations(seed=1):
