@@ -103,11 +103,9 @@ def _parse_field(text):
             raise RingError("--field modulus degree %d is above the limit %d"
                             % (exp, FIELD_MAX_DEGREE))
         coeffs[exp] = coeffs.get(exp, 0) + coef
-    deg = max(coeffs)
-    if deg < 1 or coeffs[deg] != 1:
-        _fail_usage("--field modulus must be monic of degree >= 1: %r" % text)
+    # ExtensionField drops zero top terms, then refuses all but monic degree >= 1
     try:
-        return ExtensionField([coeffs.get(i, 0) for i in range(deg + 1)])
+        return ExtensionField([coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
     except RingError as exc:
         msg = str(exc).replace("modulus is", "modulus %s is" % text)
         raise RingError("--field " + msg) from None

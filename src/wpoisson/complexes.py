@@ -569,17 +569,12 @@ def _slice_budget(omega, name, d, degrees, basis=False):
         raise RingError(_SLICE_REFUSAL % (d, name, WINDOW_BUDGET))
 
 
-def _ph_window(omega, bound):
-    """the cohomology window, from -max(n, a+b+c): every cochain space
-    below -(a+b+c) is zero"""
-    n = check_potential(omega)
-    return _window(omega, "cohomology", -max(n, omega.weights.n_default), bound)
-
-
 def ph_dims(omega, bound):
     """Poisson cohomology dimensions PH^0..PH^3 per degree, down from
-    -max(n, a+b+c) up to the bound"""
-    degrees = _ph_window(omega, bound)
+    -max(n, a+b+c) up to the bound: every cochain space below -(a+b+c) is
+    zero"""
+    n = check_potential(omega)
+    degrees = _window(omega, "cohomology", -max(n, omega.weights.n_default), bound)
     memo = potential_memo(omega)
     return DimsTable({(i, d): memo.ph_dim(i, d) for i in range(4) for d in degrees}, bound)
 
@@ -615,11 +610,12 @@ def ph_closed_form_rows(omega, bound):
 
 def vacancy_degrees(omega, bound):
     """(degree, dimension) of ``vacancy_check`` in rising degree, each
-    degree ranked only when it is read; the window is checked at the call"""
+    degree ranked only when it is read; the window is checked at the call.
+    At n = a+b+c the bound ``t_bound`` on rank T_d is dim X1_d - rank d0_d,
+    so the vacancy is its slack"""
     n = check_potential(omega, "vacancy diagnostic requires degree a+b+c")
-    memo, x1 = potential_memo(omega), omega.weights.tuple
-    return ((d, _space_dim(omega.weights, x1, d) - memo.ozone_rank(d) - memo.cochain_rank(0, d))
-            for d in _window(omega, "vacancy", -n, bound))
+    memo = potential_memo(omega)
+    return ((d, memo.t_bound(d) - memo.ozone_rank(d)) for d in _window(omega, "vacancy", -n, bound))
 
 
 def vacancy_check(omega, bound):

@@ -238,8 +238,11 @@ def kernel_basis(matrix: Matrix):
     Q[s]/(m) these are the Q-kernel vectors whose free Q-column is the first
     of its block, each run of k coordinates read back as one element.  The
     back-substitution runs on the coprime integer pivot rows (module
-    docstring), and each kernel coordinate is one Fraction, made last."""
+    docstring), and each kernel coordinate is one Fraction, made last.  A
+    matrix over a ``Reduction`` has ranks only, and is refused."""
     field = matrix.field
+    if isinstance(field, Reduction):
+        raise RingError("no kernel basis over %r: a reduction mod p gives ranks only" % (field,))
     k = field.degree
     pivots = _pivots(matrix)
     reduced = {}

@@ -245,6 +245,10 @@ def test_cohomology_window_keeps_degrees_down_to_minus_a_b_c():
     *[pytest.param([name, "-w", "1,1,1", "-p", "x^3+y^3+z^3", "-D", "-5"],
                    id=name + "-empty-window")
       for name in ("vacancy", "sealed", "ozone", "koszul")],
+    # a modulus, its terms collected, that is not monic of degree >= 1
+    *[pytest.param(["koszul", "-w", "1,1,1", "-p", "x^3+y^3+z^3", "--field", modulus],
+                   id="field-" + modulus)
+      for modulus in ("2*s^2+1", "-s^2+1", "0*s+1")],
 ], ids=lambda args: args[0])
 def test_computation_refusal_exits_2_with_one_error_line(args):
     res = CliRunner().invoke(main, args, catch_exceptions=False)
@@ -284,6 +288,17 @@ def test_irreducible_field_modulus_is_accepted(modulus):
                                     "--field", modulus, "-D", "3"], catch_exceptions=False)
     assert res.exit_code == 0, res.stderr
     assert "# field: %s\n" % modulus in res.stdout
+
+
+@pytest.mark.parametrize("command", ["koszul", "cohomology"])
+@pytest.mark.parametrize("modulus", ["s^2+0*s^3+1", "s^3-s^3+s^2+1"])
+def test_field_modulus_is_read_after_its_terms_are_collected(command, modulus):
+    """a modulus whose top written terms cancel is the monic s^2+1 it
+    collects to, and prints the rows of s^2+1"""
+    args = [command, "-w", "1,1,1", "-p", "x^3+y^3+z^3+s*x*y*z", "-D", "4", "--format", "json"]
+    code, out = run(args + ["--field", modulus])
+    assert code == 0
+    assert json.loads(out)["results"] == json.loads(run(args + ["--field", "s^2+1"])[1])["results"]
 
 
 @pytest.mark.parametrize("modulus", ["s^2+s+1+", "s^2++s+1", "s^2--s+1", "s^2+s-", "s^2-+s+1"])

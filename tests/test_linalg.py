@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from wpoisson import (ExtensionField, Matrix, QQ, Weights, kernel_basis,
+from wpoisson import (ExtensionField, Matrix, QQ, Weights, kernel_basis, linalg,
                       parse_poly, rank)
 from wpoisson.linalg import vector_to_polys
 from wpoisson.ring import ExtElem, RingError
@@ -394,3 +394,14 @@ def test_every_matrix_refusal_names_its_fault():
     # degree 1 on (1,1,1) has three monomials, so four coordinates do not fit
     with pytest.raises(RingError, match="^coefficient vector does not match the degree layout$"):
         vector_to_polys(Weights(1, 1, 1), QQ, [1], [0, 1, 0, 0])
+
+
+def test_kernel_basis_refuses_a_matrix_over_a_reduction_whose_ranks_it_keeps():
+    """a matrix over F_p (s -> r) has ranks mod p only: ``kernel_basis``
+    refuses it before eliminating, and ``rank`` and ``pivot_columns`` read it"""
+    image = linalg.reduction(ExtensionField([1, 1, 1]), 1)
+    m = Matrix(2, 3, [{0: 1, 1: 2}, {1: 1, 2: 5}], image)
+    with pytest.raises(RingError, match=r"^no kernel basis over F_%d \(s -> %d\): a reduction "
+                                        r"mod p gives ranks only$" % (image.p, image.r)):
+        kernel_basis(m)
+    assert (rank(m), linalg.pivot_columns(m)) == (2, {1, 2})
