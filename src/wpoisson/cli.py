@@ -100,15 +100,14 @@ def _parse_field(text):
         except ValueError:  # more digits than int() converts
             _fail_usage("bad --field modulus %r" % text)
         if exp > FIELD_MAX_DEGREE:
-            raise RingError("--field modulus degree %d is above the limit %d"
-                            % (exp, FIELD_MAX_DEGREE))
+            raise RingError("--field %s: modulus degree %d is above the limit %d"
+                            % (text, exp, FIELD_MAX_DEGREE))
         coeffs[exp] = coeffs.get(exp, 0) + coef
     # ExtensionField drops zero top terms, then refuses all but monic degree >= 1
     try:
         return ExtensionField([coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
     except RingError as exc:
-        msg = str(exc).replace("modulus is", "modulus %s is" % text)
-        raise RingError("--field " + msg) from None
+        raise RingError("--field %s: %s" % (text, exc)) from None
 
 
 def _poly(text, weights, field):

@@ -128,11 +128,11 @@ over K.  A block with any cut short of its bound is eliminated over K by
 restriction of scalars, as is every later block of that potential, whose
 bounds, as it is not isolated or p is unlucky, would mostly miss again;
 so is a block whose bounds were read by a read that missed, and every
-block where no listed prime serves, so no number depends on p.  The bounds
-read only ranks the sweeps read anyway.  Rank [T_d | c], with its Casimir
-column (``column_rank``), and the kernel bases stay exact, and a modulus of
-degree 4 or more, whose irreducibility ``ExtensionField`` does not decide,
-keeps every rank exact.
+block where no prime value of m serves, so no number depends on p.  The
+bounds read only ranks the sweeps read anyway.  Rank [T_d | c], with its
+Casimir column (``column_rank``), and the kernel bases stay exact, and a
+modulus of degree 4 or more, whose irreducibility ``ExtensionField`` does
+not decide, keeps every rank exact.
 
 Every per-degree table sweeps a window of degrees from its lowest nonzero
 slot up to the truncation bound D, and refuses, before it lists a monomial,
@@ -247,8 +247,8 @@ class _Memo:
     def reduction(self):
         """the map s -> r onto F_p of the modular ranks, or None, which keeps
         every rank exact: over Q, where the potential has no s-part, where deg
-        m > 3, or where no listed prime qualifies (``linalg.reduction``), and
-        after the first miss (``certified_ranks``)"""
+        m > 3, or where no prime value of m qualifies (``linalg.reduction``),
+        and after the first miss (``certified_ranks``)"""
         field, coefs = self.omega.field, self.omega.terms.values()
         if field == QQ or field.degree > 3 or all(c.is_rational() for c in coefs):
             return None

@@ -60,22 +60,24 @@ columns instead and so change the kernel bases the tests pin, such as the
 degree-0 derivations [x, y, 2z], [0, x, -3y^2] of x^2*z+x*y^3 on (1,1,2).
 
 Ranks mod p, for the rank reads of ``complexes`` over K, deg m <= 3.
-``reduction`` takes the first of the fixed PRIMES that divides no
-denominator of the potential and at which m has a root r, found once per
-modulus and prime by one splitting method for degrees 2 and 3; ``op_table``
-over that ``Reduction`` maps each coefficient to its residue under s -> r,
-so ``assemble`` builds the image of the K-matrix in F_p, k = 1, and
+``reduction`` picks r first and takes p = |m(r)|/f, f the gcd of the values
+of m, at the first r from (2^30 f)^(1/k) up where that is a prime
+(Miller-Rabin) that divides no denominator of the potential, so r is a root
+of m mod p by construction; it is found once per modulus, and if a fixed
+number of values of r give none, every rank is exact.  ``op_table`` over
+that ``Reduction`` maps each coefficient to its residue under s -> r, so
+``assemble`` builds the image of the K-matrix in F_p, k = 1, and
 ``pivot_columns`` eliminates it by ``_echelon``'s last-column rule in a
-loop of its own, ``_echelon_mod``, so the loop over Q has no branch for
-it.  The map Z_(p)[s]/(m) -> F_p, s -> r, is a ring homomorphism, as m is
-monic with integer coefficients and m(r) = 0 mod p, and every entry lies
-in its domain, as no denominator is divisible by p and products of such
-entries reduced mod m keep that.  It maps each minor of the matrix to the
-same minor of the image, so a nonzero minor mod p comes from a nonzero
-minor over K, and the rank mod p is at most the rank over K.  It is only a
-lower bound: ``complexes`` keeps it where an exact upper bound meets it,
-and otherwise eliminates over K as above.  So no result depends on the
-primes, only the time taken.
+loop of its own, ``_echelon_mod``, so the loop over Q has no branch for it.
+The map Z_(p)[s]/(m) -> F_p, s -> r, is a ring homomorphism, as m is monic
+with integer coefficients and m(r) = 0 mod p, and every entry lies in its
+domain, as no denominator is divisible by p and products of such entries
+reduced mod m keep that.  It maps each minor of the matrix to the same
+minor of the image, so a nonzero minor mod p comes from a nonzero minor
+over K, and the rank mod p is at most the rank over K.  It is only a lower
+bound: ``complexes`` keeps it where an exact upper bound meets it, and
+otherwise eliminates over K as above.  So no result depends on the prime,
+only the time taken.
 """
 
 from __future__ import annotations
@@ -273,12 +275,17 @@ def kernel_basis(matrix: Matrix):
 # ---------------------------------------------------------------------------
 # ranks mod p
 
-# the primes of ``reduction``, tried in this order; all odd
-PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
-          2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399)
+# the least prime of a reduction, and the number of values of r tried before
+# every rank goes exact
+FLOOR, SEARCH = 2 ** 30, 1000
 
-# (modulus, p) -> a root of the modulus mod p, or None, found on first use
-_ROOTS = {}
+# the Miller-Rabin bases of ``_is_prime``, the primes to 41, and the bound
+# below which they decide primality (Sorenson and Webster, Math. Comp. 86, 2017)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_DECIDED = 3317044064679887385961981
+
+# modulus -> its first (r, p) of ``_prime_values``, or None, found on first use
+_FIRST = {}
 
 
 class Reduction(namedtuple("Reduction", "field p r")):
@@ -302,85 +309,47 @@ class Reduction(namedtuple("Reduction", "field p r")):
 
 
 def reduction(field, denominator):
-    """the map s -> r onto F_p for the first of PRIMES that does not divide
-    ``denominator``, the one of a potential's coefficients, and at which the
-    modulus of field has a root r; None when no listed prime qualifies"""
-    for p in PRIMES:
-        if denominator % p == 0:
-            continue
-        key = field.modulus, p
-        if key not in _ROOTS:
-            _ROOTS[key] = _root_mod(key[0], p)
-        if _ROOTS[key] is not None:
-            return Reduction(field, p, _ROOTS[key])
-    return None
+    """the map s -> r onto F_p at the first (r, p) of ``_prime_values`` of the
+    modulus of field at which p does not divide ``denominator``, the one of a
+    potential's coefficients; None when none of them qualifies"""
+    m = field.modulus
+    if m not in _FIRST:
+        _FIRST[m] = next(_prime_values(m), None)
+    first = _FIRST[m]
+    if first and denominator % first[1] == 0:
+        first = next(((r, p) for r, p in _prime_values(m) if denominator % p), None)
+    return first and Reduction(field, first[1], first[0])
 
 
-def _root_mod(modulus, p):
-    """a root of the monic integer polynomial modulus mod the odd prime p, or
-    None: the product g of the distinct linear factors of m is gcd(m, s^p -
-    s), and gcd(g, (s + a)^((p-1)/2) - 1), for a = 0, 1, ... in turn, splits
-    g until one factor is left (Cantor-Zassenhaus, von zur Gathen and
-    Gerhard, "Modern Computer Algebra", ch. 14)"""
-    m = [int(c) % p for c in modulus]
-    g = _poly_gcd(m, _poly_sub(_poly_powmod([0, 1], p, m, p), [0, 1], p), p)
-    a = 0
-    while len(g) > 2:
-        h = _poly_gcd(g, _poly_sub(_poly_powmod([a, 1], (p - 1) // 2, g, p), [1], p), p)
-        if 1 < len(h) < len(g):
-            g = h
-        a += 1
-    return -g[0] % p if len(g) == 2 else None
+def _prime_values(modulus):
+    """(r, p) for each r of the SEARCH values from ceil((FLOOR f)^(1/k)) up at
+    which p = |m(r)|/f is a prime below _DECIDED and not below FLOOR, where m
+    is the modulus, k its degree and f = gcd(m(0), .., m(k)) the gcd of all
+    its values, as every value of s^2+s+2 is even; r is a root of m mod p"""
+    m = [int(c) for c in modulus]
+
+    def value(x):
+        return sum(c * x ** i for i, c in enumerate(m))
+
+    k, f = len(m) - 1, math.gcd(*map(value, range(len(m))))
+    low = math.ceil((FLOOR * f) ** (1 / k))
+    for r in range(low, low + SEARCH):
+        p = abs(value(r)) // f
+        if FLOOR <= p < _DECIDED and _is_prime(p):
+            yield r, p
 
 
-# polynomials over F_p: coefficient lists, lowest degree first, with no
-# trailing zero
-
-
-def _poly_rem(a, b, p):
-    a = list(a)
-    inverse = pow(b[-1], -1, p)
-    while len(a) >= len(b):
-        q, shift = a[-1] * inverse % p, len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - q * c) % p
-        while a and not a[-1]:
-            a.pop()
-    return a
-
-
-def _poly_sub(a, b, p):
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-           for i in range(max(len(a), len(b)))]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _poly_powmod(a, e, m, p):
-    """a^e mod the monic m"""
-    out, a = [1], _poly_rem(a, m, p)
-    while e:
-        if e & 1:
-            out = _poly_mulmod(out, a, m, p)
-        a, e = _poly_mulmod(a, a, m, p), e >> 1
-    return out
-
-
-def _poly_mulmod(a, b, m, p):
-    prod = [0] * (len(a) + len(b))
-    for i, u in enumerate(a):
-        for j, v in enumerate(b):
-            prod[i + j] += u * v
-    return _poly_rem([c % p for c in prod], m, p)
-
-
-def _poly_gcd(a, b, p):
-    """the monic gcd of a and b, a nonzero"""
-    while b:
-        a, b = b, _poly_rem(a, b, p)
-    inverse = pow(a[-1], -1, p)
-    return [c * inverse % p for c in a]
+def _is_prime(n):
+    """whether n is prime, exactly below _DECIDED: trial division by _BASES,
+    then the strong probable-prime test to each of them"""
+    if n < 2 or any(n % b == 0 for b in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    for b in _BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in [pow(x, 2 ** i, n) for i in range(s)]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

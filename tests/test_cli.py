@@ -279,7 +279,20 @@ def test_field_modulus_with_a_root_or_a_repeated_factor_is_refused(modulus, why)
                                     "--field", modulus, "-D", "3"], catch_exceptions=False)
     assert res.exit_code == 2
     assert res.stdout == ""
-    assert res.stderr.splitlines() == ["error: --field modulus %s is reducible: %s" % (modulus, why)]
+    assert res.stderr.splitlines() == ["error: --field %s: modulus is reducible: %s" % (modulus, why)]
+
+
+@pytest.mark.parametrize("modulus, why", [
+    ("2*s^2+1", "modulus must be monic"), ("-s^2+1", "modulus must be monic"),
+    ("0*s+1", "modulus must have degree >= 1"),
+])
+def test_field_modulus_refusals_name_the_modulus(modulus, why):
+    """every refusal of ExtensionField reads ``--field <text>: <reason>``"""
+    res = CliRunner().invoke(main, ["koszul", "-w", "1,1,1", "-p", "x^3+y^3+z^3",
+                                    "--field", modulus], catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == ["error: --field %s: %s" % (modulus, why)]
 
 
 @pytest.mark.parametrize("modulus", ["s^2+1", "s^2+s+1", "s^3-2", "s-3", "s^2+-s+1"])
@@ -327,7 +340,8 @@ def test_field_modulus_coefficient_past_the_guard_is_refused():
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr.splitlines() == [
-        "error: --field modulus coefficient -99999999999999999999 exceeds the 10^6 guard"]
+        "error: --field s^2-99999999999999999999: modulus coefficient -99999999999999999999 "
+        "exceeds the 10^6 guard"]
 
 
 # every modulus here is over the limit: the refusal comes before the
@@ -340,7 +354,8 @@ def test_field_modulus_degree_is_refused_above_the_limit(modulus, degree):
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr.splitlines() == [
-        "error: --field modulus degree %d is above the limit %d" % (degree, FIELD_MAX_DEGREE)]
+        "error: --field %s: modulus degree %d is above the limit %d"
+        % (modulus, degree, FIELD_MAX_DEGREE)]
 
 
 def test_field_modulus_exponent_too_long_for_int_is_bad_input():

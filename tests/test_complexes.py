@@ -28,7 +28,7 @@ from wpoisson.ring import Polynomial, RingError, count_monomials, monomial_basis
 
 import reference_maps as ref
 from closed_forms import closed_form_lph2, isolated_ph
-from work_counts import KINDS, memo_lookups, pass_counts, requester, spy
+from work_counts import KINDS, exact_route, memo_lookups, pass_counts, requester, spy
 from reference_maps import (cochain_apply, cochain_matrices, cochain_matrix, cochain_rank,
                             d1_rank_and_ozone_kernel, derham_exactness_check, divergence_block,
                             divergence_ranks,
@@ -753,7 +753,7 @@ def test_assemble_refuses_an_output_that_escapes_its_degree_slot():
 
 
 @pytest.mark.parametrize("weights, field, text", _table_potentials())
-def test_operator_tables_match_per_column_evaluation(monkeypatch, weights, field, text):
+def test_operator_tables_match_per_column_evaluation(weights, field, text):
     om = parse_poly(text, weights, field)
     n = om.homogeneous_degree()
     w = n - weights.n_default
@@ -826,12 +826,11 @@ def test_operator_tables_match_per_column_evaluation(monkeypatch, weights, field
     assert residues == (kinds if field != QQ else set())
     assert exact == ({"ozone"} if field != QQ else kinds | {"ozone"})
     if field != QQ:
-        # with no listed prime the same runs assemble the exact K-matrices,
+        # on the exact route the same runs assemble the exact K-matrices,
         # each checked against the evaluation itself
-        monkeypatch.setattr(linalg, "PRIMES", ())
-        check_runs()
+        with exact_route():
+            check_runs()
         assert exact == kinds | {"ozone"}
-        monkeypatch.undo()
 
     # the de Rham maps are integer, so they are assembled over Q
     calls = _capture(lambda: derham_exactness_check(weights, n + 2))

@@ -3,11 +3,11 @@
 Over K = Q[s]/(m), deg m <= 3, ``complexes`` eliminates the K-matrix of a
 rank read mod p and keeps the rank only where the complex's own upper bound
 certifies it; otherwise it eliminates the restricted matrix over Q, as it
-does everywhere when no listed prime qualifies.  Rebinding
-``linalg.PRIMES`` to () therefore runs the exact route alone, which the
-tests compare with the modular one table by table.  Every count here comes
-from ``tests/work_counts.py``: (certified, fallback, exact) eliminations of
-K-matrices.
+does everywhere when ``linalg.reduction`` finds no prime value of m.
+``work_counts.exact_route()``, where it finds none, therefore runs the
+exact route alone, which the tests compare with the modular one table by
+table.  Every count here comes from ``tests/work_counts.py``: (certified,
+fallback, exact) eliminations of K-matrices.
 
 ``tests/data/golden_modular.json`` holds the tables of the dense Q(s) cubic
 ``work_counts.QS_CUBIC`` to D = 15 by the exact route, which takes about
@@ -18,6 +18,7 @@ numbers are trusted, with
 """
 
 import json
+import math
 import random
 from pathlib import Path
 
@@ -29,8 +30,8 @@ from wpoisson.hilbert import closed_form_ph
 from wpoisson.ring import monomial_basis
 
 from reference_maps import field_powers
-from work_counts import (QS_CUBIC, cubic_eliminations, extension_eliminations, k_eliminations,
-                         spy)
+from work_counts import (QS_CUBIC, cubic_eliminations, exact_route, extension_eliminations,
+                         k_eliminations, spy)
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_modular.json"
 
@@ -40,8 +41,8 @@ CUBE_ROOT_OF_TWO = ExtensionField([-2, 0, 0, 1])  # s^3 - 2
 W111, W112, W123 = Weights(1, 1, 1), Weights(1, 1, 2), Weights(1, 2, 3)
 
 # the potentials over Q(s) with an s-part that the other test files use,
-# the non-isolated among them marked; on those some bound misses, so the
-# fallback runs
+# and one over s^2+s+2, whose values are all even, the non-isolated among
+# them marked; on those some bound misses, so the fallback runs
 TEST_POTENTIALS = [
     (W111, CUBE_ROOT, "x^3+y^3+z^3+s*x*y*z", True),
     (W111, CUBE_ROOT, "x^3+y^3+z^3+(s-5)*x*y*z", True),
@@ -57,6 +58,7 @@ TEST_POTENTIALS = [
     (W123, GAUSS, "(1+2*s)*x^6+(2-s)*y^3-3*z^2+s*x*y*z", True),
     (W112, GAUSS, "x^4+y^4+z^2+(1-2*s)*x*y*z", True),
     (W112, GAUSS, "x^4+y^4+z^2+(-1-s)*x*y*z", True),
+    (W111, ExtensionField([2, 1, 1]), "x^3+y^3+z^3+(1-s)*x*y*z", True),
 ]
 
 
@@ -95,14 +97,7 @@ def _tables(omega, bound):
     return out
 
 
-def _exact(monkeypatch, run):
-    """run() with no listed prime, so every rank is eliminated exactly"""
-    with monkeypatch.context() as patch:
-        patch.setattr(linalg, "PRIMES", ())
-        return run()
-
-
-def _agree(monkeypatch, omega, default=True):
+def _agree(omega, default=True):
     """the tables of both routes at n+6 and, by default, 3n+12, and the
     (certified, fallback, exact) counts of the modular route.  Each read is
     eliminated once over K or certified, so the two routes make as many
@@ -112,8 +107,8 @@ def _agree(monkeypatch, omega, default=True):
     for bound in (n + 6, complexes.default_bound(n))[:1 + default]:
         tables = []
         counts.append(k_eliminations(lambda: tables.append(_tables(omega, bound))))
-        exact = k_eliminations(lambda: tables.append(_exact(monkeypatch, lambda: _tables(
-            omega, bound))))
+        with exact_route():
+            exact = k_eliminations(lambda: tables.append(_tables(omega, bound)))
         assert tables[0] == tables[1], bound
         assert exact[:2] == (0, 0) and counts[-1][0] + counts[-1][2] == exact[2], bound
     return counts
@@ -121,13 +116,13 @@ def _agree(monkeypatch, omega, default=True):
 
 @pytest.mark.parametrize("weights, field, text, isolated",
                          [pytest.param(*p, id=p[2]) for p in TEST_POTENTIALS])
-def test_both_routes_agree_on_the_test_potentials(monkeypatch, weights, field, text, isolated):
+def test_both_routes_agree_on_the_test_potentials(weights, field, text, isolated):
     """every isolated potential here has its every rank read certified, and
     makes no exact elimination but, where n != a+b+c, those of [H | H' | c']
     with a Casimir column; on the others, (x+s*y)^2*z among them, one bound
     misses, the fallback runs once and every later read is exact"""
     omega = parse_poly(text, weights, field)
-    for certified, fallback, exact in _agree(monkeypatch, omega):
+    for certified, fallback, exact in _agree(omega):
         assert certified + fallback > 0 and fallback == (not isolated)
         if isolated and omega.homogeneous_degree() == weights.n_default:
             assert exact == 0
@@ -135,10 +130,10 @@ def test_both_routes_agree_on_the_test_potentials(monkeypatch, weights, field, t
 
 @pytest.mark.parametrize("omega", [pytest.param(om, id="%s:%s" % (om.field, om))
                                    for om in _seeded_pool()])
-def test_both_routes_agree_on_a_seeded_pool(monkeypatch, omega):
-    """over s^2+s+1, s^2+1 and s^3-2, the last through the root finder in
-    degree 3; a potential with no fallback makes no exact elimination"""
-    for certified, fallback, exact in _agree(monkeypatch, omega):
+def test_both_routes_agree_on_a_seeded_pool(omega):
+    """over s^2+s+1, s^2+1 and s^3-2; a potential with no fallback makes no
+    exact elimination"""
+    for certified, fallback, exact in _agree(omega):
         assert certified + fallback > 0 and fallback <= 1 and (fallback or exact == 0)
 
 
@@ -187,16 +182,33 @@ def test_the_pivots_mod_p_count_the_rank_of_every_column_cut(p):
             assert sum(c >= j for c in pivots) == _dense_rank_mod(entries, range(j, cols), p)
 
 
+def _is_prime_by_trial_division(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+# the least strong pseudoprimes to the first 1, 2, 3, 4, 5, 6, 7 and 9 prime
+# bases (psi_k of Sorenson and Webster)
+STRONG_PSEUDOPRIMES = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                       341550071728321, 3825123056546413051]
+
+
+def test_is_prime_matches_trial_division_and_refuses_strong_pseudoprimes():
+    assert [n for n in range(10 ** 5) if linalg._is_prime(n)] == [
+        n for n in range(10 ** 5) if _is_prime_by_trial_division(n)]
+    assert not any(map(linalg._is_prime, STRONG_PSEUDOPRIMES))
+    assert all(map(linalg._is_prime, [2 ** 31 - 1, 2 ** 61 - 1]))
+
+
 @pytest.mark.parametrize("modulus", [[1, 1, 1], [1, 0, 1], [-2, 0, 0, 1], [5, -3, 1],
-                                     [1, -1, 0, 1], [2, 0, 1], [-1, -3, 0, 1]])
-def test_the_root_mod_p_exists_exactly_when_the_modulus_has_one(modulus):
-    """``linalg._root_mod`` against a search of every residue, over the odd
-    primes below 200, discriminants divisible by p among them"""
-    for p in (q for q in range(3, 200, 2) if all(q % d for d in range(3, q, 2))):
-        values = [sum(c * x ** i for i, c in enumerate(modulus)) % p for x in range(p)]
-        root = linalg._root_mod(modulus, p)
-        assert (root is None) == (0 not in values), p
-        assert root is None or values[root] == 0
+                                     [1, -1, 0, 1], [2, 0, 1], [-1, -3, 0, 1],
+                                     [2, 1, 1], [3, -1, 0, 1], [1, 10 ** 6, 1]])
+def test_the_prime_value_has_r_as_a_root(modulus):
+    """p = |m(r)|/f is prime, by trial division, and at least 2^30, and r is
+    a root of m mod p, s^2+s+2 and s^3-s+3 among the moduli, whose values
+    have the fixed divisors 2 and 3"""
+    image = linalg.reduction(ExtensionField(modulus), 1)
+    assert _is_prime_by_trial_division(image.p) and image.p >= 2 ** 30
+    assert sum(c * image.r ** i for i, c in enumerate(modulus)) % image.p == 0
 
 
 def _reduction(omega):
@@ -204,59 +216,51 @@ def _reduction(omega):
     return complexes.potential_memo(omega).reduction
 
 
-@pytest.fixture
-def roots(monkeypatch):
-    """the primes at which ``linalg._root_mod`` is called, from an empty
-    root cache"""
-    monkeypatch.setattr(linalg, "_ROOTS", {})
-    calls = []
-    with spy(linalg, "_root_mod", lambda real: lambda m, p: calls.append(p) or real(m, p)):
-        yield calls
-
-
-def test_a_prime_dividing_a_denominator_is_skipped(monkeypatch, roots):
-    """7 divides the denominator of s/7, so no root is sought mod 7; p =
-    2^31 - 1 = 1 mod 3 gives s^2+s+1 a root, and certifies every rank"""
-    p = 2 ** 31 - 1
-    monkeypatch.setattr(linalg, "PRIMES", (7, p))
-    omega = parse_poly("x^3+y^3+z^3+1/7*s*x*y*z", W111, CUBE_ROOT)
+def test_a_prime_dividing_a_denominator_is_skipped(monkeypatch):
+    """the first prime value p0 of s^2+s+1 divides the denominator of
+    s/p0, so the search goes on, uncached, to a prime value that certifies
+    every rank; the potential is built, not parsed, as the parser refuses
+    integers past 10^6"""
+    monkeypatch.setattr(linalg, "_FIRST", {})
+    first = linalg.reduction(CUBE_ROOT, 1)
+    terms = parse_poly("x^3+y^3+z^3", W111, CUBE_ROOT).terms
+    omega = Polynomial(W111, CUBE_ROOT, {**terms, (1, 1, 1): CUBE_ROOT.generator / first.p})
     image = _reduction(omega)
-    assert roots == [p] and image.p == p and (image.r ** 2 + image.r + 1) % p == 0
-    assert _agree(monkeypatch, omega, default=False) == [(30, 0, 0)]
+    assert image.r > first.r and (image.r ** 2 + image.r + 1) % image.p == 0
+    assert linalg._FIRST == {CUBE_ROOT.modulus: (first.r, first.p)}
+    assert _agree(omega, default=False) == [(30, 0, 0)]
 
 
-def test_a_prime_where_the_modulus_has_no_root_is_skipped(monkeypatch, roots):
-    """s^2+1 has no root mod 7 = 3 mod 4, and one mod p = 2147483629 = 1 mod
-    4, which certifies every rank; with 7 alone no prime qualifies and every
-    rank is exact"""
-    p = 2147483629
-    monkeypatch.setattr(linalg, "PRIMES", (7, p))
+def test_with_no_prime_value_every_rank_is_exact(monkeypatch):
+    """s^4+4 = (s^2+2s+2)(s^2-2s+2) has no prime value past 5, so the search
+    ends after SEARCH values with none; with no value searched, s^2+1 has
+    none either, and every rank is eliminated exactly"""
+    monkeypatch.setattr(linalg, "_FIRST", {})
+    assert linalg.reduction(ExtensionField([4, 0, 0, 0, 1]), 1) is None
+    monkeypatch.setattr(linalg, "SEARCH", 0)
     omega = parse_poly("x^4+y^4+z^2+(1-2*s)*x*y*z", W112, GAUSS)
-    image = _reduction(omega)
-    assert roots == [7, p] and image.p == p and (image.r ** 2 + 1) % p == 0
-    assert _agree(monkeypatch, omega, default=False) == [(34, 0, 0)]
-    monkeypatch.setattr(linalg, "PRIMES", (7,))
-    assert _reduction(omega) is None and roots == [7, p]
+    assert _reduction(omega) is None
     assert k_eliminations(lambda: _tables(omega, 10)) == (0, 0, 34)
 
 
-def test_a_coefficient_that_vanishes_mod_p_falls_back_to_the_exact_rank(monkeypatch):
-    """7 z^3 vanishes mod 7, leaving x^3+y^3+r x y z, singular along the z
-    axis, so ranks drop mod 7; the first read whose bound misses is
-    eliminated again over Q(s), and every later read over Q(s) alone, and
-    the tables are those of the exact route and of the isolated closed
-    forms"""
-    monkeypatch.setattr(linalg, "PRIMES", (7,))
+def test_a_coefficient_that_vanishes_mod_p_falls_back_to_the_exact_rank():
+    """7 z^3 vanishes mod 7, leaving x^3+y^3+2 x y z, singular along the z
+    axis at s -> 2, a root of s^2+s+1 mod 7, so ranks drop mod 7; the first
+    read whose bound misses is eliminated again over Q(s), and every later
+    read over Q(s) alone, and the tables are those of the exact route and of
+    the isolated closed forms"""
+    unlucky = linalg.Reduction(CUBE_ROOT, 7, 2)
     omega = parse_poly("x^3+y^3+7*z^3+s*x*y*z", W111, CUBE_ROOT)
-    assert _reduction(omega).p == 7
-    assert _agree(monkeypatch, omega, default=False) == [(6, 1, 24)]
-    table = ph_dims(omega, 9)
+    with spy(linalg, "reduction", lambda real: lambda field, denominator: unlucky):
+        assert _reduction(omega) == unlucky
+        assert _agree(omega, default=False) == [(6, 1, 24)]
+        table = ph_dims(omega, 9)
     for i in range(4):
         assert ([table.dim(i, d) for d in range(-3, 10)]
                 == closed_form_ph(W111, i, 3).expand(-3, 9)), i
 
 
-def test_a_miss_while_a_read_reads_its_bounds_leaves_that_read_exact(monkeypatch):
+def test_a_miss_while_a_read_reads_its_bounds_leaves_that_read_exact():
     """(x+s*y)^2*z is not isolated: a cold rank K1 at total degree 5 first
     reads its bound, dim K1 - rank K2, and that K2 read misses, so it is
     eliminated mod p and over Q(s), and the K1 read makes no elimination
@@ -269,7 +273,8 @@ def test_a_miss_while_a_read_reads_its_bounds_leaves_that_read_exact(monkeypatch
 
     ranks = []
     assert k_eliminations(lambda: ranks.append(read())) == (0, 1, 2)
-    assert k_eliminations(lambda: ranks.append(_exact(monkeypatch, read))) == (0, 0, 1)
+    with exact_route():
+        assert k_eliminations(lambda: ranks.append(read())) == (0, 0, 1)
     assert ranks == [14, 14]
 
 
@@ -318,6 +323,6 @@ def test_the_dense_qs_cubic_at_15_gives_the_exact_tables():
 
 
 if __name__ == "__main__":
-    linalg.PRIMES = ()
-    GOLDEN.write_text(json.dumps(_cubic_tables(15), sort_keys=True) + "\n")
+    with exact_route():
+        GOLDEN.write_text(json.dumps(_cubic_tables(15), sort_keys=True) + "\n")
     print("wrote", GOLDEN)

@@ -7,6 +7,10 @@ bound to the same object in a ``wpoisson`` module or in
 exit.  So a spy sees every call, whichever module's name for the function
 the caller used.
 
+``exact_route()`` is the spy that makes ``linalg.reduction`` return None,
+so that inside it every rank read over Q(s) is eliminated exactly: the
+route the tests compare the ranks mod p with.
+
 The counts, each of which repeats exactly on any machine:
 
 - the matrices that a cold ``catalog verify`` of all 125 entries
@@ -106,6 +110,14 @@ def spy(owner, name, wrap):
     finally:
         for target, attr in bound:
             setattr(target, attr, real)
+
+
+@contextmanager
+def exact_route():
+    """the block with ``linalg.reduction`` returning None, so every rank read
+    over Q[s]/(m) is eliminated exactly, by restriction of scalars"""
+    with spy(linalg, "reduction", lambda real: lambda field, denominator: None):
+        yield
 
 
 def memo_lookups():
