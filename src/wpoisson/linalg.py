@@ -60,11 +60,11 @@ columns instead and so change the kernel bases the tests pin, such as the
 degree-0 derivations [x, y, 2z], [0, x, -3y^2] of x^2*z+x*y^3 on (1,1,2).
 
 Ranks mod p, for the rank reads of ``complexes`` over K, deg m <= 3.
-``reduction`` picks r first and takes p = |m(r)|/f, f the gcd of the values
-of m, at the first r from (2^30 f)^(1/k) up where that is a prime
-(Miller-Rabin) that divides no denominator of the potential, so r is a root
-of m mod p by construction; it is found once per modulus, and if a fixed
-number of values of r give none, every rank is exact.  ``op_table`` over
+``reduction`` picks r first and takes p = |m(r)|/f, f the gcd of m's values,
+at the first r from (2^30 f)^(1/k) + 1 + max|m_i| up, past every real root,
+where that is a prime (Miller-Rabin) dividing no denominator of the
+potential, so r is a root of m mod p; it is found once per modulus, and
+if a fixed number of values give none, every rank is exact.  ``op_table`` over
 that ``Reduction`` maps each coefficient to its residue under s -> r, so
 ``assemble`` builds the image of the K-matrix in F_p, k = 1, and
 ``pivot_columns`` eliminates it by ``_echelon``'s last-column rule in a
@@ -322,17 +322,17 @@ def reduction(field, denominator):
 
 
 def _prime_values(modulus):
-    """(r, p) for each r of the SEARCH values from ceil((FLOOR f)^(1/k)) up at
-    which p = |m(r)|/f is a prime below _DECIDED and not below FLOOR, where m
-    is the modulus, k its degree and f = gcd(m(0), .., m(k)) the gcd of all
-    its values, as every value of s^2+s+2 is even; r is a root of m mod p"""
+    """(r, p) for each r of the SEARCH values from R + 1 + M up, R = ceil((FLOOR
+    f)^(1/k)), M = max|m_i|, at which p = |m(r)|/f is a prime in [FLOOR, _DECIDED);
+    m is the modulus, k its degree, f = gcd(m(0), .., m(k)) divides all its values
+    (s^2+s+2 has only even ones), and |m(r)| >= r^(k-1) (r - 1 - M) >= R^k >= FLOOR f"""
     m = [int(c) for c in modulus]
 
     def value(x):
         return sum(c * x ** i for i, c in enumerate(m))
 
     k, f = len(m) - 1, math.gcd(*map(value, range(len(m))))
-    low = math.ceil((FLOOR * f) ** (1 / k))
+    low = math.ceil((FLOOR * f) ** (1 / k)) + 1 + max(map(abs, m[:-1]))
     for r in range(low, low + SEARCH):
         p = abs(value(r)) // f
         if FLOOR <= p < _DECIDED and _is_prime(p):

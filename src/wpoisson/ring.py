@@ -3,7 +3,8 @@
 Monomials are plain exponent triples (i, j, k).  A polynomial is a dict from
 exponent triple to a nonzero field element, together with the ambient weights
 and coefficient field.  Everything is immutable by convention: no function in
-this package mutates a Polynomial after construction.
+this package mutates a Polynomial after construction.  Over Q[s]/(m), whole
+coefficients stay ints unless a denominator enters; either form hashes alike.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ class RationalField:
 
 
 QQ = RationalField()
-_ZERO = Fraction(0)
 
 
 def format_rational(v: Fraction) -> str:
@@ -89,20 +89,20 @@ def format_rational(v: Fraction) -> str:
 
 
 class ExtElem:
-    """Element of Q[s]/(m(s)), stored as a dense coefficient tuple of length deg(m)."""
+    """Element of Q[s]/(m(s)): deg(m) dense coefficients, ints kept, others QQ-coerced."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: "ExtensionField", coeffs):
         self.field = field
-        self.coeffs = tuple(map(QQ.coerce, coeffs))
+        self.coeffs = tuple(c if type(c) is int else QQ.coerce(c) for c in coeffs)
         if len(self.coeffs) != field.degree:
             raise RingError("extension element has wrong coefficient length")
 
     @classmethod
     def _exact(cls, field, coeffs):
-        """the element with these coefficients, taken unchecked: deg m
-        Fractions, as field arithmetic makes them"""
+        """the element with these coefficients, taken unchecked: deg m ints
+        and Fractions, as field arithmetic makes them, ints from ints"""
         e = cls.__new__(cls)
         e.field = field
         e.coeffs = tuple(coeffs)
@@ -191,7 +191,7 @@ class ExtensionField:
             field.modulus = tuple(mod)
             field.degree = len(mod) - 1
             # s^degree = -(m0 + m1 s + ... + m_{deg-1} s^{deg-1})
-            field._top = tuple(-c for c in mod[:-1])
+            field._top = tuple(-int(c) for c in mod[:-1])
             _check_irreducible(field)
             # setdefault: of two threads making one modulus, both get the first
             field = cls._interned.setdefault(field.modulus, field)
@@ -208,8 +208,8 @@ class ExtensionField:
                 raise RingError("element of a different extension field")
             return v
         if isinstance(v, (int, Fraction)):
-            return ExtElem._exact(self, (v if type(v) is Fraction else Fraction(v),)
-                                  + (_ZERO,) * (self.degree - 1))
+            return ExtElem._exact(self, (v if type(v) in (int, Fraction) else Fraction(v),)
+                                  + (0,) * (self.degree - 1))
         raise RingError("cannot coerce %r into %r" % (v, self))
 
     @property
@@ -229,7 +229,7 @@ class ExtensionField:
 
     def _mul(self, u: ExtElem, v: ExtElem):
         d = self.degree
-        prod = [Fraction(0)] * (2 * d - 1)
+        prod = [0] * (2 * d - 1)
         for i, a in enumerate(u.coeffs):
             if a == 0:
                 continue
@@ -241,7 +241,7 @@ class ExtensionField:
             c = prod[k]
             if c == 0:
                 continue
-            prod[k] = Fraction(0)
+            prod[k] = 0
             for t, m in enumerate(self._top):
                 if m != 0:
                     prod[k - d + t] += c * m

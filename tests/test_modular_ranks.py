@@ -199,16 +199,50 @@ def test_is_prime_matches_trial_division_and_refuses_strong_pseudoprimes():
     assert all(map(linalg._is_prime, [2 ** 31 - 1, 2 ** 61 - 1]))
 
 
+# s^2-32800s+10^6 has a real root near 32769.5, where the search once
+# started; s^2-20000s-20000 has values below 2^30 for 1000 values of r from
+# twice the Cauchy bound 1 + max|m_i|
+LARGE_MODULI = {"s^2-32800s+10^6": [10 ** 6, -32800, 1], "s^2-20000s-20000": [-20000, -20000, 1]}
+
+
 @pytest.mark.parametrize("modulus", [[1, 1, 1], [1, 0, 1], [-2, 0, 0, 1], [5, -3, 1],
                                      [1, -1, 0, 1], [2, 0, 1], [-1, -3, 0, 1],
-                                     [2, 1, 1], [3, -1, 0, 1], [1, 10 ** 6, 1]])
+                                     [2, 1, 1], [3, -1, 0, 1], [1, 10 ** 6, 1],
+                                     *LARGE_MODULI.values()])
 def test_the_prime_value_has_r_as_a_root(modulus):
     """p = |m(r)|/f is prime, by trial division, and at least 2^30, and r is
     a root of m mod p, s^2+s+2 and s^3-s+3 among the moduli, whose values
-    have the fixed divisors 2 and 3"""
+    have the fixed divisors 2 and 3, and the large moduli, whose search starts
+    past every real root"""
     image = linalg.reduction(ExtensionField(modulus), 1)
     assert _is_prime_by_trial_division(image.p) and image.p >= 2 ** 30
     assert sum(c * image.r ** i for i, c in enumerate(modulus)) % image.p == 0
+
+
+# the first (r, p) of s^2+s+1, s^2+1, s^3-2, s^2+s+2 and s^3-s+3: the start
+# past every real root leaves each where the search from ceil((2^30 f)^(1/k))
+# alone found it
+FIRST_PRIME_VALUES = {(1, 1, 1): (32774, 1074167851), (1, 0, 1): (32774, 1074135077),
+                      (-2, 0, 0, 1): (1029, 1089547387), (2, 1, 1): (46344, 1073906341),
+                      (3, -1, 0, 1): (1517, 1163684633)}
+
+
+def test_the_first_prime_values_of_the_test_fields(monkeypatch):
+    monkeypatch.setattr(linalg, "_FIRST", {})
+    for modulus, (r, p) in FIRST_PRIME_VALUES.items():
+        image = linalg.reduction(ExtensionField(modulus), 1)
+        assert (image.r, image.p) == (r, p), modulus
+        assert linalg._FIRST[ExtensionField(modulus).modulus] == (r, p)
+
+
+@pytest.mark.parametrize("modulus", LARGE_MODULI.values(), ids=LARGE_MODULI.keys())
+def test_both_routes_agree_over_a_modulus_with_large_coefficients(modulus):
+    """the modular route runs, and certifies every rank, over a field whose
+    search from ceil((2^30 f)^(1/k)) alone found no prime value"""
+    field = ExtensionField(modulus)
+    omega = parse_poly("x^3+y^3+z^3+s*x*y*z", W111, field)
+    assert _reduction(omega) == linalg.reduction(field, 1) is not None
+    assert _agree(omega, default=False) == [(30, 0, 0)]
 
 
 def _reduction(omega):

@@ -15,6 +15,7 @@ from wpoisson import (
     QQ,
     RingError,
     Weights,
+    complexes,
     cross,
     curl,
     div,
@@ -329,6 +330,86 @@ def test_extension_field_refuses_a_modulus_coefficient_past_the_guard():
     # comes first
     with pytest.raises(RingError, match="exceeds the 10\\^6 guard"):
         ExtensionField([10**40, 0, 1])
+
+
+_INT_FIRST_MODULI = {"s^2+s+1": [1, 1, 1], "s^2+1": [1, 0, 1], "s^3-2": [-2, 0, 0, 1]}
+
+
+def _int_coeffs(e):
+    return all(type(c) is int for c in e.coeffs)
+
+
+@pytest.mark.parametrize("modulus", _INT_FIRST_MODULI.values(), ids=_INT_FIRST_MODULI.keys())
+def test_whole_extension_coefficients_stay_ints(modulus):
+    """field arithmetic on whole values never makes a Fraction"""
+    f = ExtensionField(modulus)
+    s, u = f.generator, ExtElem(f, [3] + [-2] * (f.degree - 1))
+    assert _int_coeffs(s) and _int_coeffs(u) and _int_coeffs(f.coerce(5))
+    for e in (f.zero, f.one, u + s, u + 4, 4 + u, u - s, 4 - u, -u, u * s, s * s * s,
+              u * u, 3 * u, u * 3, s + s * s):
+        assert _int_coeffs(e), e
+    assert all(type(q) is int for row in f.block(u * s + 1) for q in row)
+
+
+def test_a_denominator_stays_a_fraction_and_a_bool_coerces_as_before():
+    f = ExtensionField([1, 1, 1])
+    assert f.coerce(Fraction(1, 2)).coeffs == (Fraction(1, 2), 0)
+    assert type(f.coerce(Fraction(1, 2)).coeffs[0]) is Fraction
+    assert type((f.generator * Fraction(1, 3)).coeffs[1]) is Fraction
+    assert type((f.one / 3).coeffs[0]) is Fraction
+    # True is an int subclass: it becomes the Fraction 1, as QQ.coerce makes it
+    for e in (f.coerce(True), ExtElem(f, [True, False])):
+        assert e == f.one and type(e.coeffs[0]) is Fraction
+
+
+def test_int_and_fraction_forms_of_one_value_are_one_key():
+    """a whole value compares and hashes as an int or a Fraction alike, so a
+    memo record is found whichever form a potential was built with"""
+    f = ExtensionField([1, 1, 1])
+    u, v = ExtElem(f, [2, -1]), ExtElem(f, [Fraction(2), Fraction(-1)])
+    assert u == v and hash(u) == hash(v) and {u: 1}[v] == 1
+    assert f.coerce(2) == f.coerce(Fraction(2)) == 2
+    assert hash(f.coerce(2)) == hash(f.coerce(Fraction(2)))
+    w = Weights(1, 1, 1)
+    terms = parse_poly("x^3+y^3+z^3+s*x*y*z", w, f).terms
+    omegas = [Polynomial(w, f, {**terms, (3, 0, 0): two}) for two in (2, Fraction(2))]
+    assert [type(p.terms[(3, 0, 0)].coeffs[0]) for p in omegas] == [int, Fraction]
+    assert omegas[0] == omegas[1] and hash(omegas[0]) == hash(omegas[1])
+    complexes.potential_memo.cache_clear()
+    assert complexes.potential_memo(omegas[0]) is complexes.potential_memo(omegas[1])
+    assert complexes.potential_memo.cache_info().misses == 1
+
+
+def _schoolbook(modulus, a, b):
+    """a * b mod m by long division in Fractions alone, for coefficient lists
+    a and b of length deg m; m monic"""
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += Fraction(x) * Fraction(y)
+    k = len(modulus) - 1
+    for top in range(len(prod) - 1, k - 1, -1):
+        c = prod[top]
+        for i, m in enumerate(modulus):
+            prod[top - k + i] -= c * m
+    return prod[:k]
+
+
+@pytest.mark.parametrize("modulus", _INT_FIRST_MODULI.values(), ids=_INT_FIRST_MODULI.keys())
+def test_mixed_int_and_fraction_products_match_a_fraction_schoolbook(modulus):
+    f = ExtensionField(modulus)
+    rng = random.Random(5203 + len(modulus))
+
+    def draw():
+        return [rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 5))])
+                for _ in range(f.degree)]
+
+    for _ in range(100):
+        a, b = draw(), draw()
+        u, v = ExtElem(f, a), ExtElem(f, b)
+        assert list((u * v).coeffs) == _schoolbook(modulus, a, b), (a, b)
+        if u:
+            assert _schoolbook(modulus, a, f.inverse(u).coeffs) == [1] + [0] * (f.degree - 1)
 
 
 def test_polynomials_over_extension_field():
